@@ -114,9 +114,7 @@ func Suite() []Entry {
 		{"ConvergeAndFailFIFOReset", convergeAndFailReset},
 		{"TopologyCacheHit", topologyCacheHit},
 		{"TopologyCacheMiss", topologyCacheMiss},
-		{"DESHeapPushPop", desHeapPushPop},
 		{"DESCalendarPushPop", desCalendarPushPop},
-		{"DESHeapMRAIHorizon", desHeapMRAIHorizon},
 		{"DESCalendarMRAIHorizon", desCalendarMRAIHorizon},
 		{"DistDispatch", distDispatch},
 		{"ChurnStep", churnStep},
@@ -260,10 +258,9 @@ func convergeLargeScaleWarm(b *testing.B) {
 // world of ConvergeLargeScaleWarm with setup — snapshot install, failure
 // scheduling — performed under StopTimer, so ns/op is purely the run
 // from failure injection to quiescence. This is the storm fast lane's
-// headline metric: the fused-dispatch/blocked-skip/coalesced-MRAI/
-// second-best optimizations only touch this window, and here their
-// effect is not diluted by setup cost (compare under -storm-baseline
-// for the before/after; see EXPERIMENTS.md "Storm fast lane").
+// headline metric: the blocked-skip/coalesced-MRAI/second-best
+// optimizations only touch this window, and here their effect is not
+// diluted by setup cost (see EXPERIMENTS.md "Storm fast lane").
 func stormOnly(b *testing.B) {
 	net, err := experiment.BuildTopologyCached(bgpsim.LargeScale500().Topology, 1)
 	if err != nil {
@@ -501,29 +498,18 @@ func protocolRoundTrip(h http.Handler, path string, req, resp any) error {
 	return json.Unmarshal(rec.Body.Bytes(), resp)
 }
 
-// desHeapPushPop measures the plain 4-ary heap event queue at the
-// occupancy a 500-AS simulation sustains (~4096 outstanding events):
-// one iteration schedules and drains the full queue through a
-// heap-only engine. Baseline for DESCalendarPushPop.
-func desHeapPushPop(b *testing.B) {
-	desQueueBench(b, des.NewHeapOnlyEngine, desUniformDelays())
-}
-
-// desCalendarPushPop is the same workload through the default engine,
-// whose calendar queue buckets short-horizon events.
+// desCalendarPushPop measures the event queue at the occupancy a 500-AS
+// simulation sustains (~4096 outstanding events): one iteration
+// schedules and drains the full queue.
 func desCalendarPushPop(b *testing.B) {
-	desQueueBench(b, des.NewEngine, desUniformDelays())
+	desQueueBench(b, desUniformDelays())
 }
 
-// desCalendarMRAIHorizon compares the queues on the distribution BGP
+// desCalendarMRAIHorizon measures the queue on the distribution BGP
 // runs actually produce: MRAI timer delays clustered in 0.5–2.25s,
 // which land within the calendar ring's horizon.
 func desCalendarMRAIHorizon(b *testing.B) {
-	desQueueBench(b, des.NewEngine, desMRAIDelays())
-}
-
-func desHeapMRAIHorizon(b *testing.B) {
-	desQueueBench(b, des.NewHeapOnlyEngine, desMRAIDelays())
+	desQueueBench(b, desMRAIDelays())
 }
 
 // desUniformDelays spreads 4096 events over 1ms — heavy same-bucket
@@ -550,11 +536,11 @@ func desMRAIDelays() []des.Time {
 	return delays
 }
 
-func desQueueBench(b *testing.B, newEngine func() *des.Engine, delays []des.Time) {
+func desQueueBench(b *testing.B, delays []des.Time) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := newEngine()
+		eng := des.NewEngine()
 		for _, d := range delays {
 			eng.Schedule(d, func() {})
 		}

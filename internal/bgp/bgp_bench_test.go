@@ -58,7 +58,9 @@ func BenchmarkRunDecisionDegree128FullScan(b *testing.B) {
 func runDecisionBench(b *testing.B, degree int, fullScan bool) {
 	nw := starNetwork(b, degree)
 	p := DefaultParams()
-	p.ForceFullScan = fullScan
+	if fullScan {
+		p.ref = refFullScan
+	}
 	sim, err := New(nw, p)
 	if err != nil {
 		b.Fatal(err)

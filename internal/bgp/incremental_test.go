@@ -9,18 +9,16 @@ import (
 )
 
 // These tests pin the incremental decision process to the full scan it
-// replaces: with Params.ForceFullScan flipped and nothing else changed,
-// every observable of a run — convergence delay, every collector
-// counter, and every router's final route to every destination — must be
-// identical. The figure pipeline's byte-stability across this PR rests
-// on exactly this equivalence (plus the figure-level check in
-// internal/core and the CI determinism job's dual fig3 regen).
+// replaces: with the refFullScan reference path selected (the
+// unexported Params.ref seam) and nothing else changed, every observable
+// of a run — convergence delay, every collector counter, and every
+// router's final route to every destination — must be identical.
 
 // TestIncrementalMatchesFullScanAllVariants runs every scheme variant
-// the simulator pool supports (the reset_test.go seven: fifo, batched,
+// the simulator pool supports (the reset_test.go eight: fifo, batched,
 // batched-keep-stale, router-batched, damping, per-dest-mrai,
-// dynamic-mrai) in both decision modes over several seeds and failure
-// sizes, requiring digest equality.
+// dynamic-mrai, zero-delay) in both decision modes over several seeds
+// and failure sizes, requiring digest equality.
 func TestIncrementalMatchesFullScanAllVariants(t *testing.T) {
 	rng := des.NewRNG(17)
 	nw, err := topology.SkewedNetwork(topology.Skewed7030(40), rng)
@@ -38,7 +36,7 @@ func TestIncrementalMatchesFullScanAllVariants(t *testing.T) {
 				}
 				got := digestRun(t, inc, nw, fail)
 
-				p.ForceFullScan = true
+				p.ref = refFullScan
 				full, err := New(nw, p)
 				if err != nil {
 					t.Fatalf("%s seed %d: New full-scan: %v", v.name, seed, err)
@@ -75,7 +73,7 @@ func TestIncrementalMatchesFullScanPolicy(t *testing.T) {
 		}
 		got := digestRun(t, inc, nw, fail)
 
-		p.ForceFullScan = true
+		p.ref = refFullScan
 		full, err := New(nw, p)
 		if err != nil {
 			t.Fatal(err)
@@ -100,7 +98,9 @@ func TestIncrementalMatchesFullScanRecovery(t *testing.T) {
 	fail := topology.NearestNodes(nw, topology.GridCenter(nw), 3, nil)
 	run := func(fullScan bool) string {
 		p := equivalenceParams(7, nil)
-		p.ForceFullScan = fullScan
+		if fullScan {
+			p.ref = refFullScan
+		}
 		sim, err := New(nw, p)
 		if err != nil {
 			t.Fatal(err)
@@ -183,18 +183,5 @@ func TestIncrementalFastPathAllocationFree(t *testing.T) {
 	}
 	if r.bestSlot[1] != int16(r.slotOf[1]) {
 		t.Fatalf("bestSlot[1] = %d, want slot of node 1 (%d)", r.bestSlot[1], r.slotOf[1])
-	}
-}
-
-// TestForceFullScanDefaultFlowsThroughDefaultParams pins the plumbing
-// the CI determinism job and the -fullscan flags rely on.
-func TestForceFullScanDefaultFlowsThroughDefaultParams(t *testing.T) {
-	if DefaultParams().ForceFullScan {
-		t.Fatal("ForceFullScan on by default")
-	}
-	ForceFullScanDefault = true
-	defer func() { ForceFullScanDefault = false }()
-	if !DefaultParams().ForceFullScan {
-		t.Fatal("ForceFullScanDefault not picked up by DefaultParams")
 	}
 }

@@ -68,6 +68,13 @@ func resetVariants() []struct {
 		{"damping", func(p *Params) { p.Damping = DefaultDamping() }},
 		{"per-dest-mrai", func(p *Params) { p.PerDestinationMRAI = true }},
 		{"dynamic-mrai", func(p *Params) { p.MRAI = mrai.PaperDynamic() }},
+		// Delivery and processing completion land at the same instant, so
+		// nearly every event ties on time and only seq orders them: the
+		// densest (at, seq) tie-break case for every digest suite.
+		{"zero-delay", func(p *Params) {
+			p.ProcMin, p.ProcMax = 0, 0
+			p.IntDelay = 0
+		}},
 	}
 }
 

@@ -292,8 +292,8 @@ func decide(rib *adjRIBIn, dest ASN, peers []Peer, peerAlive []bool, damp *dampe
 	return best, bestSlot, found
 }
 
-// decide2 is decide specialized for the second-best cache (StormSecondBest):
-// one pass over the slots computes both the winner and the runner-up — the
+// decide2 is decide specialized for the second-best cache: one pass
+// over the slots computes both the winner and the runner-up — the
 // slot the same scan would pick if the winner's route vanished. Ranking and
 // eligibility are identical to decide except damping, which must be off
 // (the cache, like the incremental path, stands down under damping). The

@@ -76,15 +76,15 @@ type router struct {
 	// passes until a gate can have opened (per-peer gate reached, or the
 	// deferred flush fires) or the destination's desired advertisement
 	// may have changed (markPendingAll clears the bit). Columns are
-	// allocated lazily on a slot's first blocked destination. Under
-	// StormCoalescedMRAI the per-slot flushEv events become virtual
-	// timers: flushAt holds each slot's pending retry time (-1 = none)
-	// and flushStamp the engine sequence number reserved when that retry
-	// was recorded — together, the exact (at, seq) key the per-slot
-	// event would occupy in the queue. One real event (coalEv) is kept
-	// at the minimum virtual key (coalAt, coalSeq) and fires one slot
-	// per pop, so the executed schedule is identical to the per-slot
-	// baseline's, event for event.
+	// allocated lazily on a slot's first blocked destination. Outside
+	// the refPerSlotFlush reference path the per-slot flushEv events
+	// become virtual timers: flushAt holds each slot's pending retry
+	// time (-1 = none) and flushStamp the engine sequence number
+	// reserved when that retry was recorded — together, the exact
+	// (at, seq) key the per-slot event would occupy in the queue. One
+	// real event (coalEv) is kept at the minimum virtual key (coalAt,
+	// coalSeq) and fires one slot per pop, so the executed schedule is
+	// identical to the per-slot reference's, event for event.
 	blocked    []bitset
 	flushAt    []des.Time
 	flushStamp []uint64
@@ -142,19 +142,20 @@ type router struct {
 	// advanced by classify as the batch applies; scanNeeded flags
 	// destinations whose outcome cannot be resolved without the full
 	// decide scan. incremental is false under damping (suppression decays
-	// with wall-clock time, invalidating the cache) and under
-	// Params.ForceFullScan. Slot indices are int16: a router with 32k+
-	// peers is far beyond any modeled topology.
+	// with wall-clock time, invalidating the cache) and under the
+	// refFullScan reference path. Slot indices are int16: a router with
+	// 32k+ peers is far beyond any modeled topology.
 	incremental bool
 	bestSlot    []int16
 	workSlot    []int16
 	scanNeeded  bitset
 
-	// Second-best cache (StormSecondBest; active only alongside the
-	// incremental path). secondSlot caches, per destination, the peer
-	// slot the full decide scan would rank second — exactly the route the
-	// storm's dominant update kinds (incumbent withdrawal, incumbent
-	// worsening) promote, so those resolve in O(1) instead of a rescan.
+	// Second-best cache (active only alongside the incremental path,
+	// and off under refNoSecondBest). secondSlot caches, per
+	// destination, the peer slot the full decide scan would rank second
+	// — exactly the route the storm's dominant update kinds (incumbent
+	// withdrawal, incumbent worsening) promote, so those resolve in O(1)
+	// instead of a rescan.
 	// Sentinels: secondNone (known: no runner-up exists), secondInvalid
 	// (unknown: a scan must rebuild it before the fast paths may trust
 	// it). workSecond is the within-batch working copy, initialized from
@@ -345,13 +346,13 @@ func (r *router) reset(p Params, ndests int) {
 	} else {
 		r.damper = nil
 	}
-	r.incremental = r.damper == nil && !p.ForceFullScan
-	r.blockedSkip = p.StormBlockedSkip
+	r.incremental = r.damper == nil && p.ref&refFullScan == 0
+	r.blockedSkip = p.ref&refNoBlockedSkip == 0
 	// Exact in every configuration: virtual timers carry reserved
 	// engine sequence numbers, so equal-time collisions (jittered or
 	// not) resolve exactly as the per-slot events would.
-	r.coalesce = p.StormCoalescedMRAI
-	r.useSecond = r.incremental && p.StormSecondBest
+	r.coalesce = p.ref&refPerSlotFlush == 0
+	r.useSecond = r.incremental && p.ref&refNoSecondBest == 0
 	if r.useSecond {
 		if len(r.secondSlot) != ndests {
 			r.secondSlot = make([]int16, ndests)
@@ -432,9 +433,9 @@ func (t *flushTask) Run() {
 }
 
 // coalTask is the pre-allocated des.Runner for the coalesced deferred
-// flush (StormCoalescedMRAI): one armed event per router instead of one
-// per (router, slot). Each slot's pending retry is a virtual timer
-// carrying the exact (at, seq) key its per-slot event would occupy —
+// flush: one armed event per router instead of one per (router, slot).
+// Each slot's pending retry is a virtual timer carrying the exact
+// (at, seq) key its per-slot event would occupy —
 // the sequence number is reserved from the engine at the point the
 // per-slot path would have allocated a fresh event — and the real event
 // is always positioned at the minimum virtual key, firing exactly one
@@ -1150,7 +1151,7 @@ func (r *router) nextMRAI(now des.Time) time.Duration {
 }
 
 // scheduleFlush arms (or re-arms earlier) the deferred flush for slot.
-// In coalesced mode (StormCoalescedMRAI) the slot's retry time is
+// In coalesced mode (all but refPerSlotFlush) the slot's retry time is
 // recorded in flushAt and the single per-router event is armed at the
 // earliest retry over all slots; otherwise a per-slot event is armed.
 func (r *router) scheduleFlush(slot int, at des.Time) {

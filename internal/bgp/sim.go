@@ -206,10 +206,6 @@ func (s *Simulator) Reset(params Params) error {
 	s.tab.reset()
 	s.pathCompactions = 0
 	s.setupShards(params)
-	// Fused same-time dispatch is a single-engine optimization: sharded
-	// runs are driven through des.Group, whose barrier accounting the
-	// fusion slot bypasses (see des.Engine.SetFusion).
-	s.eng.SetFusion(params.StormFusedDispatch && s.sh == nil)
 
 	maxAS := 0
 	for id := 0; id < s.net.NumNodes(); id++ {

@@ -9,42 +9,33 @@ import (
 	"bgpsim/internal/topology"
 )
 
-// These tests pin the storm fast lane (StormFusedDispatch,
-// StormBlockedSkip, StormCoalescedMRAI, StormSecondBest) to the baseline
-// path: every piece — alone and all together — must reproduce the
-// baseline run byte-for-byte (digestRun captures delay, every collector
-// counter, and every router's final route) across the scheme variants,
-// seeds, and failure sizes the figures exercise. The fast lane is pure
+// These tests pin the storm fast lane (blocked-destination skip,
+// coalesced MRAI timers, second-best cache) to the reference paths it
+// replaced, selected through the unexported Params.ref seam: every piece
+// — alone and all together — must reproduce the reference run
+// byte-for-byte (digestRun captures delay, every collector counter, and
+// every router's final route) across the scheme variants, seeds, and
+// failure sizes the figures exercise. The fast lane is pure
 // acceleration; any digest difference is a bug.
 
-// stormOff turns every fast-lane toggle off — the differential baseline.
-func stormOff(p *Params) {
-	p.StormFusedDispatch = false
-	p.StormBlockedSkip = false
-	p.StormCoalescedMRAI = false
-	p.StormSecondBest = false
-}
+// stormRef selects every reference path the fast lane replaced — the
+// differential baseline.
+const stormRef = refPerSlotFlush | refNoBlockedSkip | refNoSecondBest
 
-// stormPieces enumerates the fast-lane pieces, each independently
-// toggleable on top of the all-off baseline, plus the all-on default.
+// stormPieces enumerates the fast-lane pieces, each on its own on top of
+// the all-reference baseline, plus the all-on production default.
 func stormPieces() []struct {
-	name   string
-	mutate func(*Params)
+	name string
+	ref  refPaths
 } {
 	return []struct {
-		name   string
-		mutate func(*Params)
+		name string
+		ref  refPaths
 	}{
-		{"fused-dispatch", func(p *Params) { p.StormFusedDispatch = true }},
-		{"blocked-skip", func(p *Params) { p.StormBlockedSkip = true }},
-		{"coalesced-mrai", func(p *Params) { p.StormCoalescedMRAI = true }},
-		{"second-best", func(p *Params) { p.StormSecondBest = true }},
-		{"all", func(p *Params) {
-			p.StormFusedDispatch = true
-			p.StormBlockedSkip = true
-			p.StormCoalescedMRAI = true
-			p.StormSecondBest = true
-		}},
+		{"blocked-skip", stormRef &^ refNoBlockedSkip},
+		{"coalesced-mrai", stormRef &^ refPerSlotFlush},
+		{"second-best", stormRef &^ refNoSecondBest},
+		{"all", 0},
 	}
 }
 
@@ -69,15 +60,14 @@ func TestStormFastLaneOutputNeutral(t *testing.T) {
 		for seed := int64(1); seed <= 2; seed++ {
 			fail := fails[seed%2]
 			base := equivalenceParams(seed, v.mutate)
-			stormOff(&base)
+			base.ref = stormRef
 			if err := sim.Reset(base); err != nil {
 				t.Fatalf("%s seed %d: Reset: %v", v.name, seed, err)
 			}
 			want := digestRun(t, sim, nw, fail)
 			for _, piece := range stormPieces() {
 				p := equivalenceParams(seed, v.mutate)
-				stormOff(&p)
-				piece.mutate(&p)
+				p.ref = piece.ref
 				if err := sim.Reset(p); err != nil {
 					t.Fatalf("%s/%s seed %d: Reset: %v", v.name, piece.name, seed, err)
 				}
@@ -88,40 +78,6 @@ func TestStormFastLaneOutputNeutral(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestStormFastLaneZeroDelay drives the configuration fused dispatch
-// actually accelerates — zero processing delay and zero internal link
-// delay, where delivery and processing-completion land at the same
-// instant — and requires the fused run to match the baseline.
-func TestStormFastLaneZeroDelay(t *testing.T) {
-	rng := des.NewRNG(23)
-	nw, err := topology.SkewedNetwork(topology.Skewed7030(30), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fail := topology.NearestNodes(nw, topology.GridCenter(nw), 3, nil)
-	mk := func(on bool) Params {
-		p := equivalenceParams(7, nil)
-		p.ProcMin, p.ProcMax = 0, 0
-		p.IntDelay = 0
-		stormOff(&p)
-		p.StormFusedDispatch = on
-		return p
-	}
-	plain, err := New(nw, mk(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := digestRun(t, plain, nw, fail)
-	fused, err := New(nw, mk(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := digestRun(t, fused, nw, fail)
-	if got.summary != want.summary {
-		t.Errorf("fused zero-delay run diverged\nbaseline:\n%s\nfused:\n%s", want.summary, got.summary)
 	}
 }
 
@@ -140,8 +96,10 @@ func TestStormFastLaneNoJitter(t *testing.T) {
 	mk := func(coal bool) Params {
 		p := equivalenceParams(3, nil)
 		p.JitterTimers = false
-		stormOff(&p)
-		p.StormCoalescedMRAI = coal
+		p.ref = stormRef
+		if coal {
+			p.ref &^= refPerSlotFlush
+		}
 		return p
 	}
 	sim, err := New(nw, mk(false))
@@ -186,15 +144,14 @@ func TestStormFastLaneDenseStorm(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 2; seed++ {
 		base := mk(seed)
-		stormOff(&base)
+		base.ref = stormRef
 		if err := sim.Reset(base); err != nil {
 			t.Fatalf("seed %d: Reset: %v", seed, err)
 		}
 		want := digestRun(t, sim, nw, fail)
 		for _, piece := range stormPieces() {
 			p := mk(seed)
-			stormOff(&p)
-			piece.mutate(&p)
+			p.ref = piece.ref
 			if err := sim.Reset(p); err != nil {
 				t.Fatalf("%s seed %d: Reset: %v", piece.name, seed, err)
 			}
@@ -240,12 +197,12 @@ func TestStormFastLaneAcrossModes(t *testing.T) {
 	}
 	for _, m := range modes {
 		base := equivalenceParams(2, m.mutate)
-		stormOff(&base)
+		base.ref = stormRef
 		if err := sim.Reset(base); err != nil {
 			t.Fatalf("%s: Reset: %v", m.name, err)
 		}
 		want := digestRun(t, sim, nw, fail)
-		fast := equivalenceParams(2, m.mutate) // DefaultParams: all pieces on
+		fast := equivalenceParams(2, m.mutate) // zero ref: all pieces on
 		if err := sim.Reset(fast); err != nil {
 			t.Fatalf("%s: Reset: %v", m.name, err)
 		}
@@ -307,18 +264,6 @@ func TestDecide2AgreesWithDecide(t *testing.T) {
 	}
 }
 
-// TestStormBaselineDefault pins the escape-hatch plumbing: flipping the
-// package default regenerates DefaultParams with every piece off — the
-// -storm-baseline flag's contract.
-func TestStormBaselineDefault(t *testing.T) {
-	StormBaselineDefault = true
-	defer func() { StormBaselineDefault = false }()
-	p := DefaultParams()
-	if p.StormFusedDispatch || p.StormBlockedSkip || p.StormCoalescedMRAI || p.StormSecondBest {
-		t.Fatalf("StormBaselineDefault did not disable the fast lane: %+v", p)
-	}
-}
-
 // TestStormFastLaneAllocFree pins that the fast-lane bookkeeping does not
 // reintroduce steady-state allocation: repeat trials on a reused
 // simulator must allocate no more with the fast lane on than the
@@ -356,7 +301,7 @@ func TestStormFastLaneAllocFree(t *testing.T) {
 		})
 	}
 	base := equivalenceParams(1, func(pp *Params) { pp.Queue = QueueBatched })
-	stormOff(&base)
+	base.ref = stormRef
 	fast := equivalenceParams(1, func(pp *Params) { pp.Queue = QueueBatched })
 	got, want := trialAllocs(fast), trialAllocs(base)
 	// The storm loop must not allocate per event — tens of thousands of

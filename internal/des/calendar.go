@@ -17,8 +17,8 @@ import "math/bits"
 // only ever holds events later than everything in the ring. Popping the
 // earliest bucket's heap top therefore yields the same (at, seq) total
 // order — and hence byte-identical simulation output — as one global
-// heap. The differential tests in calendar_test.go pin this equivalence
-// against the heap-only engine.
+// heap. The tests in calendar_test.go pin the pop order against an
+// independent sort of the scheduled events by (at, seq).
 const (
 	// calShift sets the bucket width to 2^21 ns ≈ 2.10 ms: fine enough
 	// that same-bucket collisions stay rare at simulation densities,
@@ -36,13 +36,9 @@ const (
 )
 
 // calendarQueue is the engine's event queue: a ring of per-bucket 4-ary
-// heaps plus an overflow heap for events beyond the ring's horizon. With
-// heapOnly set the ring is disabled and every event goes through the
-// overflow heap — the previous queue implementation, kept selectable so
-// tests and benchmarks can differentially compare the two.
+// heaps plus an overflow heap for events beyond the ring's horizon.
 type calendarQueue struct {
-	heapOnly bool
-	buckets  []eventHeap // ring of per-bucket heaps (nil when heapOnly)
+	buckets  []eventHeap // ring of per-bucket heaps
 	occ      []uint64    // occupancy bitmap over ring slots
 	curB     int64       // lowest bucket number the ring may hold
 	ringN    int         // events currently stored in the ring
@@ -52,11 +48,7 @@ type calendarQueue struct {
 // init prepares the queue. The ring storage is carved from one backing
 // array: 2048 heaps × 4 slots is a single 64 KiB allocation reused for
 // the engine's lifetime (and across Engine.Reset).
-func (q *calendarQueue) init(heapOnly bool) {
-	q.heapOnly = heapOnly
-	if heapOnly {
-		return
-	}
+func (q *calendarQueue) init() {
 	q.buckets = make([]eventHeap, calBuckets)
 	backing := make([]*Event, calBuckets*calBucketCap)
 	for i := range q.buckets {
@@ -80,10 +72,6 @@ func (q *calendarQueue) rewind() { q.curB = 0 }
 // and its internal (at, seq) heap order puts the event in its right
 // global position.
 func (q *calendarQueue) Push(ev *Event) {
-	if q.heapOnly {
-		q.overflow.Push(ev)
-		return
-	}
 	b := int64(ev.at) >> calShift
 	if b >= q.curB+calBuckets {
 		q.overflow.Push(ev)
@@ -102,22 +90,17 @@ func (q *calendarQueue) pushRing(b int64, ev *Event) {
 	q.ringN++
 }
 
-// Peek returns the earliest event without removing it. Like
-// eventHeap.Peek it panics on an empty queue; callers check Len first.
+// Peek returns the earliest event without removing it. It panics on an
+// empty queue; callers check Len first.
 func (q *calendarQueue) Peek() *Event {
-	if q.heapOnly || q.ringN == 0 && q.overflow.Len() > 0 {
-		if q.heapOnly || !q.settleFromOverflow() {
-			return q.overflow.Peek()
-		}
+	if q.ringN == 0 {
+		q.settleFromOverflow()
 	}
 	return q.buckets[q.firstSlot()].Peek()
 }
 
 // Pop removes and returns the earliest event.
 func (q *calendarQueue) Pop() *Event {
-	if q.heapOnly {
-		return q.overflow.Pop()
-	}
 	if q.ringN == 0 {
 		q.settleFromOverflow()
 	}
@@ -141,17 +124,14 @@ func (q *calendarQueue) Pop() *Event {
 }
 
 // settleFromOverflow re-anchors an empty ring at the overflow minimum's
-// bucket and migrates every overflow event the new horizon covers. It
-// reports whether anything was migrated (false only on an empty queue,
-// where the caller falls through to the overflow heap's panic-on-empty,
-// matching the previous queue's behaviour).
-func (q *calendarQueue) settleFromOverflow() bool {
+// bucket and migrates every overflow event the new horizon covers. On an
+// empty queue it does nothing, and the caller's firstSlot panics.
+func (q *calendarQueue) settleFromOverflow() {
 	if q.overflow.Len() == 0 {
-		return false
+		return
 	}
 	q.curB = int64(q.overflow.Peek().at) >> calShift
 	q.migrate()
-	return true
 }
 
 // migrate moves overflow events whose bucket now falls inside the ring's

@@ -1,77 +1,100 @@
 package des
 
 import (
+	"sort"
 	"testing"
 	"time"
 )
 
-// These tests pin the calendar queue's one obligation: pop order — and
-// therefore simulation output — is byte-identical to the pure 4-ary
-// heap's for every scheduling pattern, including ties at one instant,
-// events beyond the ring horizon (overflow + migration), cancellations,
-// deadline-bounded runs, and engine reuse through Reset.
+// These tests pin the calendar queue's one obligation: events fire in
+// (timestamp, insertion sequence) order for every scheduling pattern,
+// including ties at one instant, events beyond the ring horizon (overflow
+// + migration), cancellations, deadline-bounded runs, and engine reuse
+// through Reset. The expected order comes from an oracle that shares no
+// code with the queue: it records each schedule call and sorts.
 
-// fireOrder drives both engine flavours through the same schedule built
-// by plan (which schedules events that append their tag to the shared
-// log) and returns the two observed dispatch orders.
-func fireOrder(t *testing.T, plan func(e *Engine, log *[]int)) (calendar, heap []int) {
-	t.Helper()
-	run := func(e *Engine) []int {
-		var log []int
-		plan(e, &log)
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
+// orderOracle schedules events through an engine and independently
+// derives the order they must fire in. An event's id is its position in
+// schedule-call order, which is also the order the engine stamps
+// sequence numbers in, so sorting ids stably by fire time is sorting by
+// (at, seq).
+type orderOracle struct {
+	e        *Engine
+	at       []Time // at[id] is the absolute fire time of event id
+	canceled []bool
+	fired    []int
+}
+
+// schedule queues event id = len(o.at); then, if non-nil, runs from the
+// event's handler after the firing is logged.
+func (o *orderOracle) schedule(delay Time, then func()) *Event {
+	id := len(o.at)
+	o.at = append(o.at, o.e.Now()+delay)
+	o.canceled = append(o.canceled, false)
+	return o.e.Schedule(delay, func() {
+		o.fired = append(o.fired, id)
+		if then != nil {
+			then()
 		}
-		return log
+	})
+}
+
+func (o *orderOracle) cancel(id int, ev *Event) {
+	o.canceled[id] = true
+	o.e.Cancel(ev)
+}
+
+// runAndCheck drains the engine and requires the fired sequence to equal
+// the scheduled events sorted by (at, seq), cancelled ones removed.
+func (o *orderOracle) runAndCheck(t *testing.T) {
+	t.Helper()
+	if err := o.e.Run(); err != nil {
+		t.Fatal(err)
 	}
-	return run(NewEngine()), run(NewHeapOnlyEngine())
+	var want []int
+	for id := range o.at {
+		if !o.canceled[id] {
+			want = append(want, id)
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool { return o.at[want[i]] < o.at[want[j]] })
+	if len(o.fired) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(o.fired), len(want))
+	}
+	for i := range want {
+		if o.fired[i] != want[i] {
+			t.Fatalf("dispatch order diverges at %d: fired event %d (at %v), want %d (at %v)",
+				i, o.fired[i], o.at[o.fired[i]], want[i], o.at[want[i]])
+		}
+	}
 }
 
 func tag(log *[]int, id int) Handler {
 	return func() { *log = append(*log, id) }
 }
 
-func diffOrders(t *testing.T, name string, cal, heap []int) {
-	t.Helper()
-	if len(cal) != len(heap) {
-		t.Fatalf("%s: calendar fired %d events, heap %d", name, len(cal), len(heap))
-	}
-	for i := range cal {
-		if cal[i] != heap[i] {
-			t.Fatalf("%s: dispatch order diverges at %d: calendar %d, heap %d",
-				name, i, cal[i], heap[i])
-		}
-	}
-}
-
 // TestCalendarMatchesHeapRandom fuzzes mixed short/long horizons: delays
 // from sub-bucket to far past the ring span, with duplicate timestamps
-// so the seq tie-break is exercised on both container types.
+// so the seq tie-break is exercised in buckets and in the overflow heap.
 func TestCalendarMatchesHeapRandom(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := NewRNG(seed)
-		delays := make([]Time, 3000)
-		for i := range delays {
+		o := &orderOracle{e: NewEngine()}
+		for i := 0; i < 3000; i++ {
+			var d Time
 			switch rng.Intn(4) {
 			case 0: // same-bucket ties
-				delays[i] = Time(rng.Intn(3)) * time.Millisecond
+				d = Time(rng.Intn(3)) * time.Millisecond
 			case 1: // MRAI-like clustering
-				delays[i] = Time(500+rng.Intn(1750)) * time.Millisecond
+				d = Time(500+rng.Intn(1750)) * time.Millisecond
 			case 2: // inside the ring horizon
-				delays[i] = Time(rng.Intn(4_000_000_000))
+				d = Time(rng.Intn(4_000_000_000))
 			default: // far beyond the horizon: overflow + migration
-				delays[i] = Time(rng.Intn(60)) * time.Second
+				d = Time(rng.Intn(60)) * time.Second
 			}
+			o.schedule(d, nil)
 		}
-		cal, heap := fireOrder(t, func(e *Engine, log *[]int) {
-			for i, d := range delays {
-				e.Schedule(d, tag(log, i))
-			}
-		})
-		diffOrders(t, "random", cal, heap)
-		if len(cal) != len(delays) {
-			t.Fatalf("seed %d: fired %d of %d events", seed, len(cal), len(delays))
-		}
+		o.runAndCheck(t)
 	}
 }
 
@@ -79,36 +102,34 @@ func TestCalendarMatchesHeapRandom(t *testing.T) {
 // handlers scheduling more events — where pushes interleave with pops
 // and the clock (and ring anchor) advances between them.
 func TestCalendarMatchesHeapNested(t *testing.T) {
-	cal, heap := fireOrder(t, func(e *Engine, log *[]int) {
-		rng := NewRNG(42)
-		n := 0
-		var step func() // reschedules itself with a varying horizon
-		step = func() {
-			*log = append(*log, n)
-			n++
-			if n < 2000 {
-				e.Schedule(Time(rng.Intn(5_000_000_000)), step)
-			}
+	rng := NewRNG(42)
+	o := &orderOracle{e: NewEngine()}
+	var step func() // each firing schedules two more, with varying horizons
+	step = func() {
+		for k := 0; k < 2 && len(o.at) < 2000; k++ {
+			o.schedule(Time(rng.Intn(5_000_000_000)), step)
 		}
-		e.Schedule(0, step)
-	})
-	diffOrders(t, "nested", cal, heap)
+	}
+	o.schedule(0, step)
+	o.runAndCheck(t)
+	if len(o.fired) != 2000 {
+		t.Fatalf("fired %d events, want 2000", len(o.fired))
+	}
 }
 
 // TestCalendarMatchesHeapCancel pins that lazily drained cancellations
 // do not perturb the order of surviving events.
 func TestCalendarMatchesHeapCancel(t *testing.T) {
-	cal, heap := fireOrder(t, func(e *Engine, log *[]int) {
-		rng := NewRNG(9)
-		evs := make([]*Event, 1000)
-		for i := range evs {
-			evs[i] = e.Schedule(Time(rng.Intn(10_000_000_000)), tag(log, i))
-		}
-		for i := 0; i < len(evs); i += 3 {
-			e.Cancel(evs[i])
-		}
-	})
-	diffOrders(t, "cancel", cal, heap)
+	rng := NewRNG(9)
+	o := &orderOracle{e: NewEngine()}
+	evs := make([]*Event, 1000)
+	for i := range evs {
+		evs[i] = o.schedule(Time(rng.Intn(10_000_000_000)), nil)
+	}
+	for i := 0; i < len(evs); i += 3 {
+		o.cancel(i, evs[i])
+	}
+	o.runAndCheck(t)
 }
 
 // TestCalendarScheduleBehindAnchor exercises the bucket-clamping path:
@@ -162,23 +183,5 @@ func TestCalendarEngineReset(t *testing.T) {
 	}
 	if done != 1 || len(log) != 2 || log[0] != 2 || log[1] != 1 {
 		t.Fatalf("post-Reset order %v (done=%d), want [2 1]", log, done)
-	}
-}
-
-// TestHeapOnlyEngineDispatchAllocationFree extends the allocation pin to
-// the heap-only flavour, which the calendar benchmarks compare against.
-func TestHeapOnlyEngineDispatchAllocationFree(t *testing.T) {
-	e := NewHeapOnlyEngine()
-	task := &countRunner{}
-	e.ScheduleRunner(time.Millisecond, task)
-	e.Step()
-	avg := testing.AllocsPerRun(1000, func() {
-		e.ScheduleRunner(time.Millisecond, task)
-		if !e.Step() {
-			t.Fatal("no event fired")
-		}
-	})
-	if avg != 0 {
-		t.Errorf("heap-only schedule+dispatch allocates %.2f objects/op, want 0", avg)
 	}
 }

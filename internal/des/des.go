@@ -88,17 +88,6 @@ type Engine struct {
 	processed uint64
 	maxEvents uint64
 	cancel    func() bool // polled every cancelStride events; nil = never
-
-	// Fused same-time dispatch (SetFusion). imm holds at most one event
-	// scheduled for the current instant that provably sorts before every
-	// queued event: it is the engine's next event, held outside the queue
-	// so the schedule→pop round trip through the calendar/heap structure
-	// is skipped. The event still receives its normal sequence stamp at
-	// alloc time — fusion reserves the seq stream, it never reorders it —
-	// so the (at, seq) total order over executed events is byte-identical
-	// with fusion on or off. See alloc for the admission condition.
-	imm  *Event
-	fuse bool
 }
 
 // cancelStride is how many events fire between cancellation probes. The
@@ -112,45 +101,11 @@ const cancelStride = 1024
 const DefaultMaxEvents = 200_000_000
 
 // NewEngine returns an engine with the clock at the epoch. The event
-// queue is a calendar queue (see calendar.go); pop order is provably
-// identical to NewHeapOnlyEngine's pure heap.
+// queue is a calendar queue (see calendar.go).
 func NewEngine() *Engine {
 	e := &Engine{maxEvents: DefaultMaxEvents}
-	e.queue.init(false)
+	e.queue.init()
 	return e
-}
-
-// NewHeapOnlyEngine returns an engine whose event queue is the plain
-// 4-ary heap, with the calendar ring disabled. Simulation output is
-// byte-identical to NewEngine — (at, seq) is a strict total order either
-// way — so this exists purely as the comparison baseline for the
-// calendar queue's differential tests and benchmarks.
-func NewHeapOnlyEngine() *Engine {
-	e := &Engine{maxEvents: DefaultMaxEvents}
-	e.queue.init(true)
-	return e
-}
-
-// SetFusion enables (or disables) fused same-time dispatch: an event
-// scheduled for the current instant while no earlier-or-equal event is
-// queued is held in a one-slot fast lane and executed next, bypassing
-// the queue data structure entirely. The event's (at, seq) stamp — and
-// therefore the execution order of every event — is identical either
-// way; fusion only removes the push/pop cost of the delivery→process
-// chains that zero-delay configurations produce. It is the storm fast
-// lane's engine-level piece (Params.StormFusedDispatch) and must not be
-// enabled on engines driven by a Group: the sharded drivers peek queue
-// keys across engines between events, and the single-engine guarantee
-// ("imm is the engine's next event") does not survive foreign
-// insertions at the barrier.
-func (e *Engine) SetFusion(on bool) {
-	if !on && e.imm != nil {
-		// Demote the held event into the queue so nothing is lost.
-		ev := e.imm
-		e.imm = nil
-		e.queue.Push(ev)
-	}
-	e.fuse = on
 }
 
 // SetMaxEvents overrides the runaway-loop guard. A value of zero restores
@@ -180,11 +135,6 @@ func (e *Engine) SetCancel(cancel func() bool) {
 // list, which is the point: a reset engine re-runs a simulation without
 // re-paying event allocation. The maxEvents override is preserved.
 func (e *Engine) Reset() {
-	if ev := e.imm; ev != nil {
-		e.imm = nil
-		ev.fn, ev.runner = nil, nil
-		e.recycle(ev)
-	}
 	for e.queue.Len() > 0 {
 		ev := e.queue.Pop()
 		ev.fn, ev.runner = nil, nil
@@ -205,13 +155,7 @@ func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of events scheduled but not yet fired,
 // including canceled events that have not been drained.
-func (e *Engine) Pending() int {
-	n := e.queue.Len()
-	if e.imm != nil {
-		n++
-	}
-	return n
-}
+func (e *Engine) Pending() int { return e.queue.Len() }
 
 // Schedule arranges for fn to run after delay. A negative delay is treated
 // as zero (fire as soon as possible, after already-queued events at the
@@ -277,20 +221,13 @@ func (e *Engine) ReserveSeq() uint64 {
 // The event sorts into the queue exactly where an event allocated at
 // reservation time would have: it is the single-engine analogue of the
 // Group's PostForeign. Scheduling in the past panics, as ScheduleAt
-// does. The fused fast lane is bypassed — a reserved stamp is generally
-// not the current maximum, so the "this event pops next" proof behind
-// fusion does not apply; if the fused slot holds a later key than the
-// reserved one, it is demoted to the queue to keep the pop order exact.
+// does.
 func (e *Engine) ScheduleRunnerAtSeq(at Time, seq uint64, r Runner) *Event {
 	if r == nil {
 		panic("des: schedule nil runner")
 	}
 	if at < e.now {
 		panic(fmt.Sprintf("des: schedule at %v before now %v", at, e.now))
-	}
-	if im := e.imm; im != nil && (at < im.at || (at == im.at && seq < im.seq)) {
-		e.queue.Push(im)
-		e.imm = nil
 	}
 	ev := e.insert(at, seq)
 	ev.runner = r
@@ -315,27 +252,6 @@ func (e *Engine) alloc(at Time) *Event {
 	} else {
 		e.seq++
 		seq = e.seq
-	}
-	// Fused dispatch: an event at the current instant whose (at, seq) key
-	// is provably the queue minimum skips the queue. Admission requires
-	// the fast-lane slot to be empty and no queued event at <= at — a new
-	// stamp always carries the highest seq so far, so "no queued event at
-	// an earlier-or-equal time" is exactly "this event pops next". The
-	// peek is conservative about canceled front events (they block
-	// admission rather than being drained here).
-	if e.fuse && at == e.now && e.imm == nil &&
-		(e.queue.Len() == 0 || e.queue.Peek().at > at) {
-		var ev *Event
-		if n := len(e.free); n > 0 {
-			ev = e.free[n-1]
-			e.free[n-1] = nil
-			e.free = e.free[:n-1]
-			*ev = Event{at: at, seq: seq}
-		} else {
-			ev = &Event{at: at, seq: seq}
-		}
-		e.imm = ev
-		return ev
 	}
 	return e.insert(at, seq)
 }
@@ -379,25 +295,6 @@ func (e *Engine) Cancel(ev *Event) {
 
 // Step fires the next event. It reports false if the queue is empty.
 func (e *Engine) Step() bool {
-	// The fused slot, when occupied, always holds the minimum (at, seq)
-	// key (see alloc), so it fires before anything queued.
-	if ev := e.imm; ev != nil {
-		e.imm = nil
-		if !ev.stopped {
-			e.now = ev.at
-			e.processed++
-			fn, r := ev.fn, ev.runner
-			ev.fn, ev.runner = nil, nil
-			if r != nil {
-				r.Run()
-			} else {
-				fn()
-			}
-			e.recycle(ev)
-			return true
-		}
-		e.recycle(ev)
-	}
 	for e.queue.Len() > 0 {
 		ev := e.queue.Pop()
 		if ev.stopped {
@@ -427,18 +324,9 @@ func (e *Engine) Run() error {
 	return e.RunUntil(Time(math.MaxInt64))
 }
 
-// peekNext returns the engine's next live event — the fused slot first
-// (it always holds the minimum key when occupied), then the queue front
-// — draining canceled events along the way. nil when no live event is
-// pending.
+// peekNext returns the engine's next live event, draining canceled
+// events queued ahead of it. nil when no live event is pending.
 func (e *Engine) peekNext() *Event {
-	if ev := e.imm; ev != nil {
-		if !ev.stopped {
-			return ev
-		}
-		e.imm = nil
-		e.recycle(ev)
-	}
 	for e.queue.Len() > 0 {
 		ev := e.queue.Peek()
 		if ev.stopped {

@@ -61,15 +61,11 @@ type toySim struct {
 	logs   [][]int32  // dispatch log; per shard in concurrent mode, logs[0] otherwise
 }
 
-func newToySim(k int, sequenced bool, heapOnly bool) *toySim {
+func newToySim(k int, sequenced bool) *toySim {
 	s := &toySim{}
 	nlogs := 1
 	if k == 0 {
-		if heapOnly {
-			s.eng = NewHeapOnlyEngine()
-		} else {
-			s.eng = NewEngine()
-		}
+		s.eng = NewEngine()
 	} else {
 		s.g = NewGroup(k, toyLook, sequenced)
 		s.out = make([][]toyMsg, k)
@@ -210,10 +206,9 @@ func (s *toySim) run(t *testing.T) {
 
 // TestGroupSequencedMatchesSerial pins the tentpole guarantee: the
 // sequenced sharded schedule dispatches in exactly the single-engine
-// order for every shard count, on both the calendar and heap-only
-// serial baselines.
+// order for every shard count.
 func TestGroupSequencedMatchesSerial(t *testing.T) {
-	ref := newToySim(0, false, false)
+	ref := newToySim(0, false)
 	ref.start()
 	ref.run(t)
 	want := ref.logs[0]
@@ -221,13 +216,8 @@ func TestGroupSequencedMatchesSerial(t *testing.T) {
 		t.Fatalf("reference run fired only %d events", len(want))
 	}
 
-	heap := newToySim(0, false, true)
-	heap.start()
-	heap.run(t)
-	diffLogs(t, "heap-only", want, heap.logs[0])
-
 	for _, k := range []int{1, 2, 3, 4, 7} {
-		s := newToySim(k, true, false)
+		s := newToySim(k, true)
 		s.start()
 		s.run(t)
 		diffLogs(t, "sequenced", want, s.logs[0])
@@ -254,9 +244,9 @@ func diffLogs(t *testing.T, name string, want, got []int32) {
 // engine: same events fired, same final clock, and the remainder runs
 // to the same completion.
 func TestGroupSequencedRunUntil(t *testing.T) {
-	ref := newToySim(0, false, false)
+	ref := newToySim(0, false)
 	ref.start()
-	s := newToySim(3, true, false)
+	s := newToySim(3, true)
 	s.start()
 
 	cut := 200 * time.Millisecond
@@ -282,12 +272,12 @@ func TestGroupSequencedRunUntil(t *testing.T) {
 // times) must agree with the serial run — the model satisfies the
 // sharding contract, so only the interleaving may differ.
 func TestGroupConcurrentDeterministic(t *testing.T) {
-	ref := newToySim(0, false, false)
+	ref := newToySim(0, false)
 	ref.start()
 	ref.run(t)
 
 	run := func() *toySim {
-		s := newToySim(4, false, false)
+		s := newToySim(4, false)
 		s.start()
 		s.run(t)
 		return s
@@ -399,7 +389,7 @@ func TestGroupControlInterleaving(t *testing.T) {
 // TestGroupReset pins that a reset group reproduces its first run
 // byte-for-byte, including the shared sequence counter restart.
 func TestGroupReset(t *testing.T) {
-	s := newToySim(3, true, false)
+	s := newToySim(3, true)
 	s.start()
 	s.run(t)
 	first := append([]int32(nil), s.logs[0]...)

@@ -12,15 +12,11 @@ import (
 	"bgpsim/internal/experiment"
 )
 
-// Checkpoint schema identifiers. v1 recorded sweep results at cell
-// granularity (one entry per (series, x) with all trials inline); v2
-// records at trial granularity and adds churn runs. loadCheckpoint
-// migrates v1 files in place so an operator upgrading mid-sweep keeps
-// the completed work.
-const (
-	checkpointSchema   = "bgpsim/dist/checkpoint/v2"
-	checkpointSchemaV1 = "bgpsim/dist/checkpoint/v1"
-)
+// checkpointSchema identifies the on-disk format: sweep results at trial
+// granularity, plus churn runs. Files under any other schema — including
+// the cell-granularity v1 that pre-trial-lease builds wrote — are
+// rejected, not migrated: a checkpoint lives for one sweep.
+const checkpointSchema = "bgpsim/dist/checkpoint/v2"
 
 // checkpointFile is the on-disk resume state: completed trial jobs per
 // run, keyed by the descriptor fingerprint (SweepDesc.Key or
@@ -65,8 +61,6 @@ type doneJob struct {
 // loadCheckpoint reads path; a missing file is an empty checkpoint, a
 // present-but-unreadable or wrong-schema file is an error (silently
 // ignoring one would redo — and double-write — a half-finished sweep).
-// v1 files are migrated to v2 in memory; the migrated form is written
-// back the next time the checkpoint saves.
 func loadCheckpoint(path string) (*checkpointFile, error) {
 	empty := &checkpointFile{Schema: checkpointSchema, Sweeps: map[string]*sweepCheckpoint{}}
 	data, err := os.ReadFile(path)
@@ -80,51 +74,13 @@ func loadCheckpoint(path string) (*checkpointFile, error) {
 	if err := json.Unmarshal(data, &ck); err != nil {
 		return nil, fmt.Errorf("dist: parse checkpoint %s: %w", path, err)
 	}
-	switch ck.Schema {
-	case checkpointSchema:
-	case checkpointSchemaV1:
-		migrateV1(&ck)
-	default:
+	if ck.Schema != checkpointSchema {
 		return nil, fmt.Errorf("dist: checkpoint %s has schema %q, want %q", path, ck.Schema, checkpointSchema)
 	}
 	if ck.Sweeps == nil {
 		ck.Sweeps = map[string]*sweepCheckpoint{}
 	}
 	return &ck, nil
-}
-
-// migrateV1 rewrites a v1 checkpoint (cell-granularity sweep entries,
-// no churn section) into v2 trial granularity: each completed cell with
-// Trials results expands into Trials per-trial entries with
-// ID = cellID·Trials + t. Descriptors are re-stamped with the current
-// protocol version and re-keyed (the fingerprint covers the protocol
-// string). Entries that don't fit their grid are dropped rather than
-// trusted — the owning sweep just redoes that cell.
-func migrateV1(ck *checkpointFile) {
-	migrated := map[string]*sweepCheckpoint{}
-	for _, sc := range ck.Sweeps {
-		trials := sc.Desc.Grid.Trials
-		if trials <= 0 {
-			continue
-		}
-		desc := sc.Desc
-		desc.Protocol = ProtocolVersion
-		out := &sweepCheckpoint{Desc: desc}
-		for _, d := range sc.Done {
-			if len(d.Results) != trials {
-				continue
-			}
-			for t := 0; t < trials; t++ {
-				out.Done = append(out.Done, doneJob{
-					ID:      d.ID*trials + t,
-					Results: []experiment.Result{d.Results[t]},
-				})
-			}
-		}
-		migrated[desc.Key()] = out
-	}
-	ck.Schema = checkpointSchema
-	ck.Sweeps = migrated
 }
 
 // save writes the checkpoint atomically (temp file + rename in the

@@ -1,115 +1,37 @@
 package dist
 
 import (
-	"encoding/json"
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-
-	"bgpsim/internal/experiment"
 )
 
-// v1Checkpoint builds the on-disk v1 form: cell-granularity doneJobs
-// (all trials inline) under the old schema and protocol strings.
-func v1Checkpoint(t *testing.T, path string, grid Grid, cells map[int][]experiment.Result) SweepDesc {
-	t.Helper()
-	desc := SweepDesc{
-		Protocol:   "bgpsim/dist/v1",
-		Experiment: "test",
-		Grid:       grid,
-	}
-	sc := &sweepCheckpoint{Desc: desc}
-	for id, rs := range cells {
-		sc.Done = append(sc.Done, doneJob{ID: id, Results: rs})
-	}
-	ck := checkpointFile{
-		Schema: checkpointSchemaV1,
-		Sweeps: map[string]*sweepCheckpoint{desc.Key(): sc},
-	}
-	data, err := json.Marshal(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return desc
-}
-
-func TestCheckpointMigratesV1ToTrialGranularity(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "checkpoint.json")
-	grid := Grid{Series: 2, Xs: 3, Trials: 2}
-	v1Checkpoint(t, path, grid, map[int][]experiment.Result{
-		0: fakeResults(0, 2),
-		4: fakeResults(4, 2),
-		5: fakeResults(5, 1), // malformed: wrong trial count, must be dropped
-	})
-
-	ck, err := loadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Schema != checkpointSchema {
-		t.Errorf("migrated schema = %q, want %q", ck.Schema, checkpointSchema)
-	}
-	// The migrated sweep is re-keyed under the v2 protocol string.
-	v2desc := SweepDesc{Protocol: ProtocolVersion, Experiment: "test", Grid: grid}
-	sc := ck.Sweeps[v2desc.Key()]
-	if sc == nil {
-		t.Fatalf("migrated sweep not found under v2 key; keys: %v", keysOf(ck.Sweeps))
-	}
-	if sc.Desc.Protocol != ProtocolVersion {
-		t.Errorf("migrated desc protocol = %q", sc.Desc.Protocol)
-	}
-	// 2 valid cells × 2 trials = 4 per-trial entries; the malformed cell
-	// contributes none.
-	if len(sc.Done) != 4 {
-		t.Fatalf("migrated %d entries, want 4: %+v", len(sc.Done), sc.Done)
-	}
-	byID := map[int]doneJob{}
-	for _, d := range sc.Done {
-		byID[d.ID] = d
-	}
-	for _, cell := range []int{0, 4} {
-		want := fakeResults(cell, 2)
-		for trial := 0; trial < 2; trial++ {
-			d, ok := byID[cell*2+trial]
-			if !ok {
-				t.Fatalf("cell %d trial %d missing after migration", cell, trial)
-			}
-			if len(d.Results) != 1 || d.Results[0] != want[trial] {
-				t.Errorf("cell %d trial %d = %+v, want [%+v]", cell, trial, d.Results, want[trial])
-			}
+// TestCheckpointRejectsUnknownSchema: a checkpoint under any schema but
+// the current one — a future version, or the cell-granularity v1 that
+// pre-trial-lease builds wrote — is refused with an error naming both
+// schemas, and the file is left as found for the operator to inspect.
+func TestCheckpointRejectsUnknownSchema(t *testing.T) {
+	for _, schema := range []string{"bgpsim/dist/checkpoint/v99", "bgpsim/dist/checkpoint/v1"} {
+		path := filepath.Join(t.TempDir(), "checkpoint.json")
+		body := []byte(`{"schema":"` + schema + `","sweeps":{}}`)
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := loadCheckpoint(path)
+		if err == nil {
+			t.Fatalf("checkpoint schema %q accepted", schema)
+		}
+		if msg := err.Error(); !strings.Contains(msg, schema) || !strings.Contains(msg, checkpointSchema) {
+			t.Errorf("schema %q: error %q does not name both the found and the wanted schema", schema, msg)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, body) {
+			t.Errorf("schema %q: rejected checkpoint was modified on disk: %s", schema, after)
 		}
 	}
-
-	// The migrated checkpoint round-trips as v2.
-	if err := ck.save(path); err != nil {
-		t.Fatal(err)
-	}
-	again, err := loadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again.Sweeps[v2desc.Key()].Done) != 4 {
-		t.Error("v2 round trip lost entries")
-	}
-}
-
-func TestCheckpointRejectsUnknownSchema(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "checkpoint.json")
-	if err := os.WriteFile(path, []byte(`{"schema":"bgpsim/dist/checkpoint/v99"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadCheckpoint(path); err == nil {
-		t.Fatal("unknown checkpoint schema accepted")
-	}
-}
-
-func keysOf[V any](m map[string]V) []string {
-	var ks []string
-	for k := range m {
-		ks = append(ks, k)
-	}
-	return ks
 }

@@ -5,9 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"bgpsim/internal/bgp"
 	"bgpsim/internal/failure"
-	"bgpsim/internal/mrai"
 	"bgpsim/internal/topology"
 )
 
@@ -53,27 +51,6 @@ func TestMultiPrefixTrialsWorkerInvariant(t *testing.T) {
 			t.Errorf("workers=%d: multi-prefix trials diverged from serial\nserial:\n%s\nparallel:\n%s",
 				workers, want, got)
 		}
-	}
-}
-
-// TestMultiPrefixTrialsFullScanInvariant pins the multi-prefix digest
-// across decision modes: disabling the incremental fast path must not
-// change any observable.
-func TestMultiPrefixTrialsFullScanInvariant(t *testing.T) {
-	run := func(fullScan bool) string {
-		sc := multiPrefixScenario()
-		base := bgp.DefaultParams()
-		base.MRAI = mrai.Constant(500 * time.Millisecond)
-		base.ForceFullScan = fullScan
-		sc.Base = &base
-		st, err := RunTrials(sc, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return digestStats(st)
-	}
-	if inc, full := run(false), run(true); inc != full {
-		t.Errorf("multi-prefix trials diverged across decision modes\nfull:\n%s\nincremental:\n%s", full, inc)
 	}
 }
 
