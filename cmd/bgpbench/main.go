@@ -1,18 +1,19 @@
 // Command bgpbench runs the simulator's canonical benchmark suite
 // (internal/bench, the same bodies `go test -bench` runs) outside the
-// test harness and emits machine-readable results — the repo's perf
-// trajectory (BENCH_*.json) is produced by this tool.
+// test harness and emits machine-readable results — BENCH.json, the one
+// rolling baseline CI gates allocations against, is produced by this
+// tool.
 //
 // Usage:
 //
 //	bgpbench                                # run everything, table to stdout
-//	bgpbench -out BENCH_2.json              # also write JSON
+//	bgpbench -out BENCH.json                # also write JSON
 //	bgpbench -run 'ConvergeAndFail' -benchtime 5x
-//	bgpbench -check BENCH_2.json            # regression gate: fail if
-//	                                        # allocs/op regressed >10%
+//	bgpbench -check BENCH.json              # regression gate: fail if allocs/op
+//	                                        # or bytes/op regressed >10%
 //	bgpbench -list
 //
-// The -check mode compares allocs/op only: allocation counts are stable
+// The -check mode compares allocs/op and bytes/op only: allocation counts are stable
 // across machines, while ns/op is not, so CI can block on allocation
 // regressions without flaking on shared-runner timing.
 package main
@@ -31,7 +32,7 @@ import (
 	"bgpsim/internal/profiling"
 )
 
-// File is the BENCH_*.json document bgpbench writes.
+// File is the BENCH.json document bgpbench writes.
 type File struct {
 	// Schema identifies the document format.
 	Schema string `json:"schema"`

@@ -5,7 +5,7 @@
 //     the registry from their _test files, so benchmark names and bodies
 //     stay in one place), and
 //   - cmd/bgpbench, which runs entries through testing.Benchmark and
-//     emits the machine-readable BENCH_*.json perf trajectory.
+//     emits the machine-readable BENCH.json gate baseline.
 //
 // Entries deliberately use only exported API (bgpsim, internal/bgp,
 // internal/topology, internal/experiment, internal/des, internal/dist),

@@ -63,7 +63,7 @@ func TestBatchInboxSteadyStateAllocationLean(t *testing.T) {
 // for the per-peer production-router queue, whose Pop additionally reuses
 // its supersede-scan map.
 func TestRouterBatchInboxSteadyStateAllocationLean(t *testing.T) {
-	q := &routerBatchInbox{byPeer: make(map[NodeID][]Update)}
+	q := &routerBatchInbox{byPeer: make(map[int32][]Update)}
 	for i := 0; i < 4; i++ {
 		q.Push(ann(1, 10, 1))
 		q.Push(ann(1, 11, 2))

@@ -77,7 +77,7 @@ func runDecisionBench(b *testing.B, degree int, fullScan bool) {
 	for i := range batch {
 		dest := ASN(i + 1)
 		spoke := i + 2 // never the origin spoke for this dest
-		batch[i] = Update{From: spoke, Dest: dest, Path: Path{ASN(spoke), 900, dest}}
+		batch[i] = testUpdate(&sim.tab, spoke, dest, Path{ASN(spoke), 900, dest})
 	}
 	r.busyStart = sim.eng.Now()
 	b.ReportAllocs()
@@ -126,12 +126,13 @@ func BenchmarkInboxBatched(b *testing.B) {
 }
 
 func BenchmarkPathHelpers(b *testing.B) {
-	p := Path{4, 9, 23, 17, 2}
+	tab := testTab()
+	ref := tab.intern(Path{4, 9, 23, 17, 2})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if pathContains(p, 99) {
+		if tab.contains(ref, 99) {
 			b.Fatal("unexpected")
 		}
-		_ = prependPath(1, p)
+		_ = tab.prepend(1, ref)
 	}
 }

@@ -1,6 +1,8 @@
 package bgp
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"bgpsim/internal/topology"
@@ -56,8 +58,10 @@ func TestCompactionBehaviorNeutral(t *testing.T) {
 }
 
 // TestCompactionShrinksTable checks the sweep's actual effect: right
-// after a compacted phase 1, the table holds only live paths, far fewer
-// than the exploration storm registered.
+// after a compacted phase 1 the table holds the live paths and the
+// ancestors their nodes name, far fewer than the exploration storm
+// registered; every route still reads the same; and a second sweep finds
+// nothing more to drop.
 func TestCompactionShrinksTable(t *testing.T) {
 	nw, _ := oracleTopology(t)
 
@@ -74,6 +78,17 @@ func TestCompactionShrinksTable(t *testing.T) {
 	if before.Live >= before.Registered {
 		t.Fatalf("no dead paths to reclaim: %+v", before)
 	}
+	routes := func() string {
+		var b strings.Builder
+		for _, dest := range sim.Destinations() {
+			for id := 0; id < nw.NumNodes(); id++ {
+				path, ok := sim.LocPath(id, dest)
+				fmt.Fprintln(&b, id, dest, path, ok)
+			}
+		}
+		return b.String()
+	}
+	want := routes()
 
 	forceCompaction(t)
 	sim.maybeCompactPaths()
@@ -81,17 +96,32 @@ func TestCompactionShrinksTable(t *testing.T) {
 	if after.Compactions != 1 {
 		t.Fatalf("sweep did not run: %+v", after)
 	}
-	if after.Registered != before.Live || after.Live != before.Live {
-		t.Fatalf("compacted table should hold exactly the live set: before %+v, after %+v",
+	if after.Live != before.Live || after.Registered < after.Live || after.Registered >= before.Registered {
+		t.Fatalf("compacted table should hold the live set and its ancestors only: before %+v, after %+v",
 			before, after)
 	}
 	// The converged state must survive the renumbering intact.
-	for _, dest := range sim.Destinations() {
-		for id := 0; id < nw.NumNodes(); id++ {
-			if _, ok := sim.LocPath(id, dest); !ok && sim.Alive(id) {
-				t.Fatalf("n%d lost its route to d%d across compaction", id, dest)
-			}
+	if got := routes(); got != want {
+		t.Fatalf("routes changed across compaction\nbefore:\n%s\nafter:\n%s", want, got)
+	}
+	// Whatever is registered and not live is there because a live path
+	// (PathTableStats just marked them) descends from it.
+	kept := make(map[routeRef]bool)
+	for ref := routeRef(after.Registered); ref > emptyRef; ref-- {
+		if sim.tab.marks.has(int(ref)) || kept[ref] {
+			kept[sim.tab.node(ref).parent] = true
+		} else {
+			t.Fatalf("ref %d (%v) survived the sweep with no live descendant", ref, sim.tab.path(ref))
 		}
+	}
+
+	sim.maybeCompactPaths()
+	again := sim.PathTableStats()
+	if again.Compactions != 2 || again.Registered != after.Registered || again.Live != after.Live {
+		t.Fatalf("second sweep was not a no-op: first %+v, second %+v", after, again)
+	}
+	if got := routes(); got != want {
+		t.Fatalf("routes changed across the second sweep\nbefore:\n%s\nafter:\n%s", want, got)
 	}
 }
 

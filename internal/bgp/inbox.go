@@ -40,7 +40,7 @@ func newInbox(p Params, ndests int) Inbox {
 			discardStale: p.BatchDiscardStale,
 		}
 	case QueueRouterBatch:
-		return &routerBatchInbox{byPeer: make(map[NodeID][]Update)}
+		return &routerBatchInbox{byPeer: make(map[int32][]Update)}
 	default:
 		return &fifoInbox{}
 	}
@@ -112,8 +112,8 @@ func (q *fifoInbox) Reset() {
 // still-queued older update from the same neighbor for the same
 // destination ("the older updates are now invalid").
 type batchInbox struct {
-	order     []ASN // destinations with pending updates, FIFO by first arrival
-	orderHead int   // consumed prefix of order; reset when it drains
+	order     []int32 // destinations with pending updates, FIFO by first arrival
+	orderHead int     // consumed prefix of order; reset when it drains
 	// byDest is dense by destination index (destinations are small dense
 	// integers, like every other per-dest table), but holds 4-byte slot
 	// handles rather than slice headers: entry d is 1+i when lists[i] is
@@ -253,11 +253,11 @@ func (q *batchInbox) Reset() {
 // sequentially, with an update superseding an older same-destination
 // update only if both sit in the same per-peer batch.
 type routerBatchInbox struct {
-	peerOrder []NodeID // peers with pending updates, FIFO by first arrival
-	orderHead int      // consumed prefix of peerOrder; reset when it drains
-	byPeer    map[NodeID][]Update
-	free      [][]Update  // recycled batch backing arrays
-	lastFor   map[ASN]int // Pop scratch: last batch index per destination
+	peerOrder []int32 // peers with pending updates, FIFO by first arrival
+	orderHead int     // consumed prefix of peerOrder; reset when it drains
+	byPeer    map[int32][]Update
+	free      [][]Update    // recycled batch backing arrays
+	lastFor   map[int32]int // Pop scratch: last batch index per destination
 	size      int
 	discarded int
 }
@@ -300,7 +300,7 @@ func (q *routerBatchInbox) Pop() []Update {
 		// that the batch reader skips.
 		kept := list[:0]
 		if q.lastFor == nil {
-			q.lastFor = make(map[ASN]int, len(list))
+			q.lastFor = make(map[int32]int, len(list))
 		}
 		lastFor := q.lastFor
 		clear(lastFor)

@@ -5,15 +5,19 @@ import (
 	"testing/quick"
 )
 
+// inboxTab interns the paths of the hand-built updates below; inboxes
+// never look inside a ref, so one shared table serves every test.
+var inboxTab = testTab()
+
 func ann(from NodeID, dest ASN, path ...ASN) Update {
 	if path == nil {
 		path = Path{}
 	}
-	return Update{From: from, Dest: dest, Path: path}
+	return testUpdate(inboxTab, from, dest, path)
 }
 
 func wd(from NodeID, dest ASN) Update {
-	return Update{From: from, Dest: dest}
+	return testUpdate(inboxTab, from, dest, nil)
 }
 
 func TestFIFOOrdering(t *testing.T) {
@@ -29,7 +33,7 @@ func TestFIFOOrdering(t *testing.T) {
 		if len(batch) != 1 {
 			t.Fatalf("FIFO pop returned %d updates", len(batch))
 		}
-		if batch[0].From != i {
+		if int(batch[0].From) != i {
 			t.Fatalf("pop %d returned update from %d", i, batch[0].From)
 		}
 	}
@@ -48,7 +52,7 @@ func TestFIFORingBufferWrap(t *testing.T) {
 		q.Push(ann(round, 1, 1))
 		q.Push(ann(round+1000, 1, 1))
 		got := q.Pop()
-		if got[0].From != expectedWrapFrom(round) {
+		if int(got[0].From) != expectedWrapFrom(round) {
 			t.Fatalf("round %d: got from %d", round, got[0].From)
 		}
 	}
@@ -116,7 +120,7 @@ func TestBatchDiscardsStaleSameNeighbor(t *testing.T) {
 	}
 	// Neighbor 1's surviving update must be the newest one, in the
 	// original (first-arrival) position.
-	if batch[0].From != 1 || len(batch[0].Path) != 1 || batch[0].Path[0] != 7 {
+	if batch[0].From != 1 || !pathsEqual(inboxTab.path(batch[0].Ref), Path{7}) {
 		t.Errorf("neighbor 1 slot = %+v, want the newer path [7]", batch[0])
 	}
 	if batch[1].From != 2 {
@@ -164,7 +168,7 @@ func TestBatchDestinationOrderIsFirstArrival(t *testing.T) {
 }
 
 func TestRouterBatchDrainsOnePeer(t *testing.T) {
-	q := &routerBatchInbox{byPeer: make(map[NodeID][]Update)}
+	q := &routerBatchInbox{byPeer: make(map[int32][]Update)}
 	q.Push(ann(1, 100, 1))
 	q.Push(ann(2, 200, 2))
 	q.Push(ann(1, 300, 3))
@@ -179,7 +183,7 @@ func TestRouterBatchDrainsOnePeer(t *testing.T) {
 }
 
 func TestRouterBatchDedupsWithinBatchOnly(t *testing.T) {
-	q := &routerBatchInbox{byPeer: make(map[NodeID][]Update)}
+	q := &routerBatchInbox{byPeer: make(map[int32][]Update)}
 	q.Push(ann(1, 100, 1))
 	q.Push(ann(1, 100, 2)) // same dest, same batch: older is dead work
 	q.Push(ann(1, 200, 3))
@@ -187,7 +191,7 @@ func TestRouterBatchDedupsWithinBatchOnly(t *testing.T) {
 	if len(batch) != 2 {
 		t.Fatalf("batch = %+v, want deduped to 2", batch)
 	}
-	if batch[0].Dest != 100 || batch[0].Path[0] != 2 {
+	if batch[0].Dest != 100 || !pathsEqual(inboxTab.path(batch[0].Ref), Path{2}) {
 		t.Errorf("kept update = %+v, want the newer path", batch[0])
 	}
 	if q.TakeDiscarded() != 1 {
@@ -222,7 +226,7 @@ func TestPropertyInboxConservation(t *testing.T) {
 		for _, mk := range []func() Inbox{
 			func() Inbox { return &fifoInbox{} },
 			func() Inbox { return &batchInbox{byDest: make([]int32, 4096), discardStale: true} },
-			func() Inbox { return &routerBatchInbox{byPeer: make(map[NodeID][]Update)} },
+			func() Inbox { return &routerBatchInbox{byPeer: make(map[int32][]Update)} },
 		} {
 			q := mk()
 			pushed, popped, discarded := 0, 0, 0

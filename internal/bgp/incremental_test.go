@@ -155,16 +155,8 @@ func TestIncrementalFastPathAllocationFree(t *testing.T) {
 	// alternately announced by spokes 2 and 3, so every batch flaps the
 	// Adj-RIB-In (no no-op dedup) yet never changes the decision.
 	batches := [2][]Update{
-		{{From: 2, Dest: 1, Path: Path{2, 900, 1}}, {From: 3, Dest: 1, Path: Path{3, 901, 1}}},
-		{{From: 2, Dest: 1, Path: Path{2, 902, 1}}, {From: 3, Dest: 1, Path: Path{3, 903, 1}}},
-	}
-	// Pre-intern the hand-built paths, as the simulator's own send path
-	// does: a zero Ref would make finishProcessing intern on arrival,
-	// which is an (amortized) allocation this test must not count.
-	for bi := range batches {
-		for ui := range batches[bi] {
-			batches[bi][ui].Ref = sim.tab.intern(batches[bi][ui].Path)
-		}
+		{testUpdate(&sim.tab, 2, 1, Path{2, 900, 1}), testUpdate(&sim.tab, 3, 1, Path{3, 901, 1})},
+		{testUpdate(&sim.tab, 2, 1, Path{2, 902, 1}), testUpdate(&sim.tab, 3, 1, Path{3, 903, 1})},
 	}
 	r.busyStart = sim.eng.Now()
 	r.busy = true

@@ -150,7 +150,7 @@ func TestMultiPrefixPathSharing(t *testing.T) {
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return len(sim.tab.paths)
+		return sim.tab.size()
 	}
 	one, eight := run(1), run(8)
 	if eight >= 2*one {

@@ -1,156 +1,294 @@
 package bgp
 
-// routeRef is a compact handle for an interned AS path: an index+1 into
-// the Simulator's pathTab, with 0 meaning "no route". All per-destination
-// route storage (Adj-RIB-In, Loc-RIB, advertised bookkeeping) holds
-// routeRefs instead of Path slice headers, shrinking a stored route from
-// a 24-byte slice header (plus its backing array) to 4 bytes that share
-// one read-only path object — the compact representation that keeps
-// multi-prefix tables (ndests = ASes × PrefixesPerOrigin) affordable.
+import (
+	"math"
+	"math/bits"
+)
+
+// routeRef is the identity of an interned AS path: an index+1 into the
+// Simulator's pathTab, with 0 meaning "no route". Interning is
+// hash-consed, so within one table equal paths have equal refs and
+// unequal paths unequal refs; every route comparison in the simulator is
+// a ref compare. All per-destination route storage (Adj-RIB-In, Loc-RIB,
+// advertised bookkeeping) and every in-flight Update hold 4-byte refs —
+// the compact representation that keeps multi-prefix tables
+// (ndests = ASes × PrefixesPerOrigin) affordable.
 type routeRef uint32
 
-// pathTab interns the paths a simulation creates. Every path is
-// registered once and referenced everywhere by its routeRef; the paths
-// themselves live in the bump-pointer arena and are immutable until
-// Simulator.Reset rewinds the table.
+// emptyRef is the interned empty path — the Loc-RIB payload of every
+// locally originated route. reset registers it first, so it is the same
+// ref in every table and every trial.
+const emptyRef routeRef = 1
+
+// pathNode is one interned path as a parent-pointer trie node: the path
+// is head followed by the parent's path. Every announcement path the
+// simulator builds is prepend(as, parent) for a path it already holds,
+// so a node is all a new path costs: 24 pointer-free bytes, whatever its
+// length. A parent is always registered before its children, so
+// parent < the node's own ref.
+type pathNode struct {
+	mask   uint64   // Bloom mask of the ASes on the path: bit as&63 per hop
+	head   uint32   // nearest AS
+	parent routeRef // the rest of the path; 0 only for the empty path
+	length uint32   // hops
+	fwd    routeRef // compaction scratch: the ref this node slides down to
+}
+
+// Chunk sizing: node storage is a list of chunks that double from
+// 1<<chunkMinShift nodes up to 1<<chunkMaxShift and stay there. Small
+// first chunks keep a 30-node trial from paying for a 500-AS table, the
+// cap bounds the slack in the last chunk, and since a full chunk is
+// never copied, growth costs exactly the new chunk.
+const (
+	chunkMinShift = 6
+	chunkMaxShift = 15
+)
+
+// indexMinSize is the index's first size.
+const indexMinSize = 64
+
+// maxPaths bounds the table so the chunk arithmetic in locate cannot
+// wrap. A table this full holds ~100 GB of nodes.
+const maxPaths = math.MaxUint32 - 1<<chunkMinShift
+
+// pathTab interns the paths a simulation creates. Prefixes from one
+// origin AS carry identical AS paths through the network and therefore
+// share the same nodes — path storage scales with distinct paths
+// (topology-sized), not with destinations (topology × PrefixesPerOrigin).
 //
-// The key property is derivation memoization: every announcement path
-// the simulator builds is prependPath(as, parent) for a parent path it
-// already holds, so prepend is memoized on (as, parent ref). Prefixes
-// from one origin AS carry identical AS paths through the network and
-// therefore share the exact same interned objects — path storage scales
-// with distinct paths (topology-sized), not with destinations
-// (topology × PrefixesPerOrigin).
-//
-// Like the arena it owns, the table is single-threaded under its
-// Simulator.
+// Nodes and index hold no pointers, so the collector never scans them.
+// The table is single-threaded under its Simulator (or its shard, in
+// concurrent sharded mode).
 type pathTab struct {
-	arena pathArena
-	paths []Path   // ref-1 indexed registered paths
-	masks []uint64 // pathASMask of each registered path
+	chunks [][]pathNode
+	n      uint32 // registered nodes; refs 1..n are valid
 
-	// children memoizes prepend: key (as<<32 | parent ref) -> child ref.
-	children map[uint64]routeRef
+	// index is the open-addressed (head, parent) -> ref memo behind
+	// prepend. It stores refs only; keys are read back from the nodes.
+	// Power-of-two sized (1 << (64 - shift) slots), linear probing, at
+	// most half full.
+	index []routeRef
+	shift uint8
 
-	// emptyRef is the interned empty path — the Loc-RIB payload of every
-	// locally originated route. Registered first by reset, so it is the
-	// same ref every trial.
-	emptyRef routeRef
+	marks bitset // reusable live-ref marks for the quiescence sweeps
 }
 
-// emptyPath is the shared non-nil zero-length path backing emptyRef.
-var emptyPath = Path{}
+// locate maps a ref to its chunk and offset.
+func locate(ref routeRef) (chunk, off uint32) {
+	j := uint32(ref) - 1 + 1<<chunkMinShift
+	if j < 1<<(chunkMaxShift+1) {
+		s := uint32(bits.Len32(j)) - 1
+		return s - chunkMinShift, j &^ (1 << s)
+	}
+	return j>>chunkMaxShift + (chunkMaxShift - chunkMinShift - 1), j & (1<<chunkMaxShift - 1)
+}
 
-// reset rewinds the table for a new trial: the arena is rewound, all
-// registrations are forgotten (the backing slices and map are retained,
-// so steady-state trials re-register without allocating), and the empty
-// path is re-registered as the first ref. Only legal when no live
-// routeRefs remain — i.e. from Simulator.Reset, after the engine is
-// drained and before routers re-populate their RIBs.
+// node returns the node for ref, which must be in 1..n.
+func (t *pathTab) node(ref routeRef) *pathNode {
+	c, off := locate(ref)
+	return &t.chunks[c][off]
+}
+
+// reset forgets every registration for a new trial and re-registers the
+// empty path. Chunks and index are retained (the index zeroed), so a
+// pooled simulator's steady-state trials re-register without
+// allocating. Only legal when no live routeRefs remain — i.e. from
+// Simulator.Reset, after the engine is drained and before routers
+// re-populate their RIBs.
 func (t *pathTab) reset() {
-	t.arena.rewind()
-	t.paths = t.paths[:0]
-	t.masks = t.masks[:0]
-	if t.children == nil {
-		t.children = make(map[uint64]routeRef)
+	t.n = 0
+	clear(t.index)
+	*t.alloc() = pathNode{}
+}
+
+// size returns the number of registered paths.
+func (t *pathTab) size() int { return int(t.n) }
+
+// alloc registers one more node and returns it, uninitialized.
+func (t *pathTab) alloc() *pathNode {
+	if t.n >= maxPaths {
+		panic("bgp: path table full")
+	}
+	t.n++
+	c, off := locate(routeRef(t.n))
+	if int(c) == len(t.chunks) {
+		t.chunks = append(t.chunks, make([]pathNode, 1<<min(chunkMinShift+int(c), chunkMaxShift)))
+	}
+	return &t.chunks[c][off]
+}
+
+// slot returns the index position where (head, parent) is, or where it
+// would be inserted: the first position on its probe sequence that holds
+// it or is empty.
+func (t *pathTab) slot(head uint32, parent routeRef) int {
+	m := len(t.index) - 1
+	key := uint64(head)<<32 | uint64(parent)
+	i := int((key * 0x9E3779B97F4A7C15) >> t.shift) // Fibonacci hashing: the top bits mix every key bit
+	for {
+		i &= m
+		ref := t.index[i]
+		if ref == 0 {
+			return i
+		}
+		if nd := t.node(ref); nd.head == head && nd.parent == parent {
+			return i
+		}
+		i++
+	}
+}
+
+// reindex rebuilds the index at the given size from the nodes.
+func (t *pathTab) reindex(size int) {
+	if size == len(t.index) {
+		clear(t.index)
 	} else {
-		clear(t.children)
+		t.index = make([]routeRef, size)
+		t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
 	}
-	t.emptyRef = t.register(emptyPath)
-}
-
-// register interns p (which must be non-nil and immutable) and returns
-// its ref.
-func (t *pathTab) register(p Path) routeRef {
-	t.paths = append(t.paths, p)
-	t.masks = append(t.masks, pathASMask(p))
-	return routeRef(len(t.paths))
-}
-
-// path returns the interned path for ref; nil for the zero ref. The
-// caller must not modify the returned slice.
-func (t *pathTab) path(ref routeRef) Path {
-	if ref == 0 {
-		return nil
+	for ref := emptyRef + 1; ref <= routeRef(t.n); ref++ {
+		nd := t.node(ref)
+		t.index[t.slot(nd.head, nd.parent)] = ref
 	}
-	return t.paths[ref-1]
 }
 
-// mask returns the Bloom-style AS mask of ref's path (bit as&63 set for
-// every hop). A clear bit proves an AS is not on the path, so loop and
-// export checks can skip the element scan for almost every route.
-func (t *pathTab) mask(ref routeRef) uint64 {
-	if ref == 0 {
-		return 0
-	}
-	return t.masks[ref-1]
-}
-
-// prepend returns the ref of prependPath(as, path(parent)), building and
-// registering it on first use. The memoization makes re-deriving the
-// same announcement — every prefix of an origin, every MRAI retry, every
-// peer — a map hit instead of an allocation.
+// prepend returns the ref of the path "as, then parent's path",
+// registering it on first use. Re-deriving the same announcement — every
+// prefix of an origin, every MRAI retry, every peer — is an index hit.
 func (t *pathTab) prepend(as ASN, parent routeRef) routeRef {
-	key := uint64(uint32(as))<<32 | uint64(parent)
-	if ref, ok := t.children[key]; ok {
+	if 2*int(t.n) >= len(t.index) {
+		t.reindex(max(indexMinSize, 2*len(t.index)))
+	}
+	head := uint32(as)
+	i := t.slot(head, parent)
+	if ref := t.index[i]; ref != 0 {
 		return ref
 	}
-	ref := t.register(t.arena.prepend(as, t.path(parent)))
-	t.children[key] = ref
-	return ref
+	p := t.node(parent)
+	mask, length := p.mask|1<<(head&63), p.length+1
+	*t.alloc() = pathNode{mask: mask, head: head, parent: parent, length: length}
+	t.index[i] = routeRef(t.n)
+	return routeRef(t.n)
 }
 
-// intern registers a path that did not originate from this table's own
-// derivations — hand-built updates in tests, external feeds. No
-// deduplication is attempted: equality checks fall back to pathsEqual
-// when refs differ, so duplicate registrations are merely unshared, never
-// incorrect.
+// intern returns the ref of a path given as a slice (nil maps to 0, "no
+// route") by folding prepend from the tail, so a path that did not come
+// from this table's own derivations lands on the same ref as one that
+// did.
 func (t *pathTab) intern(p Path) routeRef {
 	if p == nil {
 		return 0
 	}
-	return t.register(p)
-}
-
-// pathCompactor rebuilds a path table so it holds exactly the refs still
-// reachable from RIB storage. The exploration storm of a large trial
-// registers orders of magnitude more paths than survive to quiescence
-// (every transient best path lives in the arena until Reset); at
-// 500 ASes × 1000 prefixes the dead fraction is GB-scale. The compactor
-// copies each live path once into a fresh arena and hands out the
-// remapping; the old table — arena blocks, ref slices, memo map — is
-// dropped wholesale when the owner installs dst.
-//
-// Refs are pure acceleration, never identity (comparisons fall back to
-// pathsEqual when refs differ), so renumbering every live ref is
-// behavior-neutral. The prepend memo starts empty and re-fills keyed by
-// the new refs. Only legal at quiescence with no in-flight updates —
-// exactly the Simulator.Reset precondition, enforced by the caller.
-type pathCompactor struct {
-	src   *pathTab
-	dst   pathTab
-	remap []routeRef // old ref -> new ref; 0 = not yet copied
-}
-
-func newPathCompactor(src *pathTab) *pathCompactor {
-	c := &pathCompactor{src: src, remap: make([]routeRef, len(src.paths)+1)}
-	c.dst.reset()
-	c.remap[src.emptyRef] = c.dst.emptyRef
-	return c
-}
-
-// ref returns the compacted ref for old, copying the path on first use.
-func (c *pathCompactor) ref(old routeRef) routeRef {
-	if old == 0 {
-		return 0
+	ref := emptyRef
+	for i := len(p) - 1; i >= 0; i-- {
+		ref = t.prepend(p[i], ref)
 	}
-	if nr := c.remap[old]; nr != 0 {
-		return nr
+	return ref
+}
+
+// translate interns src's path for ref into t; 0 stays 0. Concurrent
+// shards own one table each, so a ref crossing shards is renamed here.
+func (t *pathTab) translate(src *pathTab, ref routeRef) routeRef {
+	if ref <= emptyRef {
+		return ref // no route and the empty path are the same ref everywhere
 	}
-	p := c.src.path(old)
-	np := c.dst.arena.alloc(len(p))
-	copy(np, p)
-	nr := c.dst.register(np)
-	c.remap[old] = nr
-	return nr
+	nd := src.node(ref)
+	return t.prepend(ASN(nd.head), t.translate(src, nd.parent))
+}
+
+// path materializes ref's path as a fresh slice; nil for the zero ref,
+// empty and non-nil for the empty path. For the edges that want slices
+// (LocPath, tests, analysis); the simulation itself never calls it.
+func (t *pathTab) path(ref routeRef) Path {
+	if ref == 0 {
+		return nil
+	}
+	nd := t.node(ref)
+	p := make(Path, nd.length)
+	for i := range p {
+		p[i] = ASN(nd.head)
+		nd = t.node(nd.parent)
+	}
+	return p
+}
+
+// len returns the hop count of ref's path, which must be nonzero.
+func (t *pathTab) len(ref routeRef) int { return int(t.node(ref).length) }
+
+// contains reports whether as is on ref's path. A node's mask covers the
+// path from that node on, so a clear bit proves absence from the rest:
+// loop and export checks skip the parent walk for almost every route and
+// leave it early on most others.
+func (t *pathTab) contains(ref routeRef, as ASN) bool {
+	if ref == 0 {
+		return false
+	}
+	head := uint32(as)
+	bit := uint64(1) << (head & 63)
+	// The empty path's mask is zero, so the walk ends at the root.
+	for nd := t.node(ref); nd.mask&bit != 0; nd = t.node(nd.parent) {
+		if nd.head == head {
+			return true
+		}
+	}
+	return false
+}
+
+// clearMarks empties the mark set, sizing it for the current table.
+func (t *pathTab) clearMarks() {
+	if need := (int(t.n) + 64) / 64; need > len(t.marks) {
+		t.marks = make(bitset, need)
+	} else {
+		t.marks.clearAll()
+	}
+}
+
+// mark adds ref to the mark set, reporting whether it was new.
+func (t *pathTab) mark(ref routeRef) bool {
+	if t.marks.has(int(ref)) {
+		return false
+	}
+	t.marks.set(int(ref))
+	return true
+}
+
+// compact drops every unmarked path in place. The exploration storm of a
+// large trial registers orders of magnitude more paths than survive to
+// quiescence; at 500 ASes × 1000 prefixes the dead fraction is GB-scale.
+// A marked path keeps its ancestors (its node names its parent), and
+// since parents precede children the survivors slide down in one
+// ascending sweep, after which the storage past them is free for the
+// next storm. cells must visit every routeRef held outside the table so
+// it can be renamed; the caller has marked exactly those refs. Only
+// legal at quiescence with no in-flight updates — the Simulator.Reset
+// precondition, enforced by the caller.
+func (t *pathTab) compact(cells func(func(*routeRef))) {
+	t.marks.set(int(emptyRef))
+	for ref := routeRef(t.n); ref > emptyRef; ref-- {
+		if t.marks.has(int(ref)) {
+			t.marks.set(int(t.node(ref).parent))
+		}
+	}
+	// Name each survivor's destination and repoint it at its parent's
+	// while every node is still where its old ref says.
+	var live routeRef
+	for ref := emptyRef; ref <= routeRef(t.n); ref++ {
+		if !t.marks.has(int(ref)) {
+			continue
+		}
+		live++
+		nd := t.node(ref)
+		nd.fwd = live
+		if nd.parent != 0 {
+			nd.parent = t.node(nd.parent).fwd
+		}
+	}
+	cells(func(p *routeRef) { *p = t.node(*p).fwd })
+	for ref := emptyRef; ref <= routeRef(t.n); ref++ {
+		if t.marks.has(int(ref)) {
+			nd := *t.node(ref)
+			*t.node(nd.fwd) = nd
+		}
+	}
+	t.n = uint32(live)
+	t.reindex(len(t.index))
 }

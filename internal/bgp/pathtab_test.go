@@ -1,0 +1,283 @@
+package bgp
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+	"unsafe"
+)
+
+// pathModel is the plain-slice reference the table is checked against:
+// every ref the table has handed out with the path it must name, and the
+// inverse, which is what makes a ref an identity.
+type pathModel struct {
+	t      *testing.T
+	tab    *pathTab
+	byRef  map[routeRef]Path
+	byPath map[string]routeRef
+	refs   []routeRef      // byRef's keys, for random picks
+	closed map[string]bool // every noted path and all its suffixes: what the table must hold
+}
+
+func newPathModel(t *testing.T, tab *pathTab) *pathModel {
+	m := &pathModel{t: t, tab: tab}
+	m.forget()
+	return m
+}
+
+// forget mirrors pathTab.reset.
+func (m *pathModel) forget() {
+	m.byRef = map[routeRef]Path{}
+	m.byPath = map[string]routeRef{}
+	m.closed = map[string]bool{}
+	m.refs = m.refs[:0]
+	m.note(emptyRef, Path{})
+}
+
+// note records that the table returned ref for want and checks both
+// directions of ref equality ⇔ path equality.
+func (m *pathModel) note(ref routeRef, want Path) {
+	m.t.Helper()
+	key := fmt.Sprint(want)
+	if prev, ok := m.byPath[key]; ok {
+		if prev != ref {
+			m.t.Fatalf("path %v interned as ref %d, earlier as ref %d", want, ref, prev)
+		}
+		return
+	}
+	if other, ok := m.byRef[ref]; ok {
+		m.t.Fatalf("ref %d names both %v and %v", ref, other, want)
+	}
+	m.byRef[ref], m.byPath[key] = want, ref
+	m.refs = append(m.refs, ref)
+	for p := want; !m.closed[fmt.Sprint(p)]; p = p[1:] {
+		m.closed[fmt.Sprint(p)] = true
+		if len(p) == 0 {
+			break
+		}
+	}
+}
+
+// check compares everything the table can say about ref with the model.
+func (m *pathModel) check(ref routeRef, probes []ASN) {
+	m.t.Helper()
+	want := m.byRef[ref]
+	got := m.tab.path(ref)
+	if !pathsEqual(got, want) {
+		m.t.Fatalf("ref %d materializes as %v, want %v", ref, got, want)
+	}
+	if m.tab.len(ref) != len(want) {
+		m.t.Fatalf("ref %d: len %d, want %d", ref, m.tab.len(ref), len(want))
+	}
+	if mask := m.tab.node(ref).mask; mask != pathASMask(want) {
+		m.t.Fatalf("ref %d: mask %#x, want %#x", ref, mask, pathASMask(want))
+	}
+	for _, as := range probes {
+		if m.tab.contains(ref, as) != pathContains(want, as) {
+			m.t.Fatalf("ref %d (%v): contains(%d) = %v", ref, want, as, !pathContains(want, as))
+		}
+	}
+}
+
+func (m *pathModel) pick(rng *rand.Rand) routeRef { return m.refs[rng.Intn(len(m.refs))] }
+
+// TestPathTabMatchesSliceReference drives random prepend and intern
+// sequences through the trie and a plain []ASN reference. The AS
+// alphabet is small and spans two mask periods (as and as+64 share a
+// bit), so derivations collide on purpose: repeated prepends must hit,
+// foreign paths must land on derived refs, and mask false positives must
+// be resolved by the parent walk. The long run crosses from the doubling
+// chunks into the fixed-size ones.
+func TestPathTabMatchesSliceReference(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		ops  int
+	}{{1, 3000}, {2, 3000}, {3, 3000}, {4, 150000}} {
+		rng := rand.New(rand.NewSource(tc.seed))
+		tab := testTab()
+		m := newPathModel(t, tab)
+		as := func() ASN { return ASN(rng.Intn(12) + 60) } // 64..71 set mask bits 0..7, which probes 0, 3 and 128 share
+		probes := []ASN{0, 3, 60, 63, 64, 67, 71, 128}
+		var derived []Path // replayed after reset
+		for op := 0; op < tc.ops; op++ {
+			var ref routeRef
+			switch k := rng.Intn(10); {
+			case k < 6: // the simulator's own move: prepend onto a held path
+				parent := m.pick(rng)
+				a := as()
+				ref = tab.prepend(a, parent)
+				m.note(ref, prependPath(a, m.byRef[parent]))
+			case k < 9: // a foreign path, interned twice
+				p := make(Path, rng.Intn(6))
+				for i := range p {
+					p[i] = as()
+				}
+				ref = tab.intern(p)
+				m.note(ref, p)
+				if again := tab.intern(clonePath(p)); again != ref {
+					t.Fatalf("path %v interned as %d then %d", p, ref, again)
+				}
+			default: // nil and empty stay apart
+				if tab.intern(nil) != 0 || tab.path(0) != nil || tab.contains(0, 60) {
+					t.Fatal("nil is not the zero ref")
+				}
+				ref = tab.intern(Path{})
+				if p := tab.path(ref); ref != emptyRef || p == nil || len(p) != 0 {
+					t.Fatalf("empty path interned as ref %d, materializes as %#v", ref, p)
+				}
+			}
+			m.check(ref, probes)
+			if len(derived) < 500 {
+				derived = append(derived, m.byRef[ref])
+			}
+		}
+		for _, ref := range m.refs[:min(len(m.refs), 2000)] {
+			m.check(ref, probes)
+		}
+		if tab.size() != len(m.closed) {
+			t.Fatalf("seed %d: table holds %d paths, the model's paths and their suffixes are %d", tc.seed, tab.size(), len(m.closed))
+		}
+
+		// A path re-derived after reset gets a ref of the new trial, again
+		// unique to it.
+		tab.reset()
+		m.forget()
+		for _, p := range derived {
+			ref := tab.intern(p)
+			m.note(ref, p)
+			m.check(ref, probes)
+		}
+	}
+}
+
+// TestPathTabCompactKeepsMarkedAndAncestors exercises the in-place sweep
+// at table level: marked paths and their ancestors survive under new
+// refs that still name the same paths, everything else goes, prepend
+// finds the survivors again (the index was rebuilt), and sweeping again
+// with the same marks moves nothing.
+func TestPathTabCompactKeepsMarkedAndAncestors(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	tab := testTab()
+	refs := []routeRef{emptyRef}
+	for i := 0; i < 5000; i++ {
+		refs = append(refs, tab.prepend(ASN(rng.Intn(40)), refs[rng.Intn(len(refs))]))
+	}
+	before := tab.size()
+
+	// The cells a Simulator would hold: a random tenth of the paths.
+	var cells []routeRef
+	var want []Path
+	for _, ref := range refs {
+		if rng.Intn(10) == 0 {
+			cells = append(cells, ref)
+			want = append(want, tab.path(ref))
+		}
+	}
+	sweep := func() {
+		tab.clearMarks()
+		for _, ref := range cells {
+			tab.mark(ref)
+		}
+		tab.compact(func(fn func(*routeRef)) {
+			for i := range cells {
+				fn(&cells[i])
+			}
+		})
+	}
+	sweep()
+	if tab.size() >= before || tab.size() < len(want) {
+		t.Fatalf("sweep left %d of %d paths for %d live cells", tab.size(), before, len(cells))
+	}
+	needed := map[string]bool{}
+	for i, ref := range cells {
+		if got := tab.path(ref); !pathsEqual(got, want[i]) {
+			t.Fatalf("cell %d: %v became %v", i, want[i], got)
+		}
+		if again := tab.intern(want[i]); again != ref {
+			t.Fatalf("cell %d: %v re-interned as %d, held as %d", i, want[i], again, ref)
+		}
+		for p := want[i]; ; p = p[1:] {
+			needed[fmt.Sprint(p)] = true
+			if len(p) == 0 {
+				break
+			}
+		}
+	}
+	after := tab.size()
+	if after != len(needed) {
+		t.Fatalf("table holds %d paths, live cells and their ancestors are %d", after, len(needed))
+	}
+	for ref := emptyRef; int(ref) <= after; ref++ {
+		if !needed[fmt.Sprint(tab.path(ref))] {
+			t.Fatalf("ref %d (%v) survived without a live descendant", ref, tab.path(ref))
+		}
+		if nd := tab.node(ref); nd.parent >= ref {
+			t.Fatalf("ref %d has parent %d: parents must precede children", ref, nd.parent)
+		}
+	}
+	held := append([]routeRef(nil), cells...)
+	sweep()
+	if tab.size() != after {
+		t.Fatalf("second sweep changed the table: %d -> %d paths", after, tab.size())
+	}
+	for i := range cells {
+		if cells[i] != held[i] {
+			t.Fatalf("second sweep renamed ref %d to %d", held[i], cells[i])
+		}
+	}
+}
+
+// TestPackedSizes pins the two layouts the allocation budget rests on.
+func TestPackedSizes(t *testing.T) {
+	if n := unsafe.Sizeof(Update{}); n > 16 {
+		t.Errorf("Update is %d bytes, want <= 16", n)
+	}
+	if n := unsafe.Sizeof(pathNode{}); n > 24 {
+		t.Errorf("pathNode is %d bytes, want <= 24", n)
+	}
+}
+
+// TestPathTabBytesPerPath pins what a registered path costs: at most 64
+// bytes each for 200 000 distinct paths into a fresh table (nodes, chunk
+// slack, and every index the table outgrew on the way), and nothing at
+// all for the same sequence after reset.
+func TestPathTabBytesPerPath(t *testing.T) {
+	const paths = 200000
+	register := func(tab *pathTab) {
+		for i := 0; i < paths-1; i++ {
+			// Distinct (as, parent) pairs; parent i/50+1 is registered by then.
+			tab.prepend(ASN(i%50), routeRef(i/50+1))
+		}
+	}
+	allocated := func(f func()) uint64 {
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		f()
+		runtime.ReadMemStats(&b)
+		return b.TotalAlloc - a.TotalAlloc
+	}
+	var tab pathTab
+	fresh := allocated(func() {
+		tab.reset()
+		register(&tab)
+	})
+	if tab.size() != paths {
+		t.Fatalf("registered %d paths, want %d", tab.size(), paths)
+	}
+	if per := float64(fresh) / paths; per > 64 {
+		t.Errorf("fresh table: %.1f B per registered path, want <= 64", per)
+	}
+	// TotalAlloc is process-wide, so the runtime's own sporadic
+	// allocations can land in a round; the table's would land in all.
+	again := ^uint64(0)
+	for round := 0; round < 5 && again != 0; round++ {
+		again = min(again, allocated(func() {
+			tab.reset()
+			register(&tab)
+		}))
+	}
+	if again != 0 {
+		t.Errorf("after reset the same sequence allocated %d B, want 0", again)
+	}
+}

@@ -7,27 +7,25 @@ import (
 // locEntry is a materialized Loc-RIB entry: the decision-process winner
 // for one destination, carried through the decide/commit flow as a stack
 // value. Storage is the packed locRIB below; entries are materialized on
-// demand (router.locEntryAt) and share interned path slices with the
-// Adj-RIB-In and in-flight updates.
+// demand (router.locEntryAt). plen caches the path length for the
+// ranking in betterRoute; the candidates built by routeVia carry it, an
+// entry that is only committed or compared for identity need not.
 type locEntry struct {
-	path         Path
-	ref          routeRef // interned handle for path (never 0 for a real entry)
+	ref          routeRef // the path (never 0 for a real entry)
+	plen         int32    // tab.len(ref), where the entry is ranked
 	from         NodeID   // advertising peer; -1 for a locally originated route
 	fromInternal bool
 }
 
-// pathASMask folds the ASes on p into a 64-bit Bloom mask.
-func pathASMask(p Path) uint64 {
-	var m uint64
-	for _, as := range p {
-		m |= 1 << (uint(as) & 63)
-	}
-	return m
+// selfRoute is the Loc-RIB entry for a locally originated prefix.
+func selfRoute() locEntry {
+	return locEntry{ref: emptyRef, from: -1}
 }
 
-// selfRoute is the Loc-RIB entry for a locally originated prefix.
-func selfRoute(tab *pathTab) locEntry {
-	return locEntry{path: tab.path(tab.emptyRef), ref: tab.emptyRef, from: -1}
+// routeVia is the ranked candidate entry for the route ref learned from
+// peer.
+func (t *pathTab) routeVia(ref routeRef, peer *Peer) locEntry {
+	return locEntry{ref: ref, plen: int32(t.len(ref)), from: peer.Node, fromInternal: peer.Internal}
 }
 
 // isSelf reports whether the entry is locally originated.
@@ -36,8 +34,7 @@ func (e locEntry) isSelf() bool { return e.from == -1 }
 // sameAs reports whether two entries would produce identical
 // advertisements and bookkeeping.
 func (e locEntry) sameAs(o locEntry) bool {
-	return e.from == o.from && e.fromInternal == o.fromInternal &&
-		((e.ref != 0 && e.ref == o.ref) || pathsEqual(e.path, o.path))
+	return e.from == o.from && e.fromInternal == o.fromInternal && e.ref == o.ref
 }
 
 // locRIB is the Loc-RIB in packed per-route encoding: parallel dense
@@ -283,7 +280,7 @@ func decide(rib *adjRIBIn, dest ASN, peers []Peer, peerAlive []bool, damp *dampe
 		if damp != nil && damp.isSuppressed(dest, peer.Node) {
 			continue
 		}
-		cand := locEntry{path: rib.tab.path(ref), ref: ref, from: peer.Node, fromInternal: peer.Internal}
+		cand := rib.tab.routeVia(ref, &peers[slot])
 		class := routeClass(rel, self, peer)
 		if !found || betterRoute(cand, peer, class, best, bestPeer, bestClass) {
 			best, bestPeer, bestClass, bestSlot, found = cand, peer, class, slot, true
@@ -318,7 +315,7 @@ func decide2(rib *adjRIBIn, dest ASN, peers []Peer, peerAlive []bool,
 		if ref == 0 {
 			continue
 		}
-		cand := locEntry{path: rib.tab.path(ref), ref: ref, from: peer.Node, fromInternal: peer.Internal}
+		cand := rib.tab.routeVia(ref, &peers[slot])
 		class := routeClass(rel, self, peer)
 		if !found || betterRoute(cand, peer, class, best, bestPeer, bestClass) {
 			if found {
@@ -358,8 +355,8 @@ func betterRoute(a locEntry, pa Peer, ca int, b locEntry, pb Peer, cb int) bool 
 	if ca != cb {
 		return ca < cb // local-pref: customer > peer > provider
 	}
-	if len(a.path) != len(b.path) {
-		return len(a.path) < len(b.path)
+	if a.plen != b.plen {
+		return a.plen < b.plen
 	}
 	if a.fromInternal != b.fromInternal {
 		return !a.fromInternal // EBGP preferred over IBGP

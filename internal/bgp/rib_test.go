@@ -42,7 +42,7 @@ func TestUpdateIsWithdrawal(t *testing.T) {
 	if !(Update{From: 1, Dest: 2}).IsWithdrawal() {
 		t.Error("nil path not a withdrawal")
 	}
-	if (Update{From: 1, Dest: 2, Path: Path{}}).IsWithdrawal() {
+	if testUpdate(testTab(), 1, 2, Path{}).IsWithdrawal() {
 		t.Error("empty path treated as withdrawal")
 	}
 }
@@ -205,8 +205,9 @@ func TestDecideNoRoutes(t *testing.T) {
 }
 
 func TestLocEntrySameAs(t *testing.T) {
-	a := locEntry{path: Path{1, 2}, from: 5}
-	b := locEntry{path: Path{1, 2}, from: 5}
+	tab := testTab()
+	a := locEntry{ref: tab.intern(Path{1, 2}), from: 5}
+	b := locEntry{ref: tab.intern(Path{1, 2}), from: 5}
 	if !a.sameAs(b) {
 		t.Error("identical entries differ")
 	}
@@ -214,18 +215,18 @@ func TestLocEntrySameAs(t *testing.T) {
 	if a.sameAs(b) {
 		t.Error("different from considered same")
 	}
-	c := locEntry{path: Path{1, 3}, from: 5}
+	c := locEntry{ref: tab.intern(Path{1, 3}), from: 5}
 	if a.sameAs(c) {
 		t.Error("different path considered same")
 	}
 }
 
 func TestSelfRoute(t *testing.T) {
-	e := selfRoute(testTab())
+	e := selfRoute()
 	if !e.isSelf() {
 		t.Error("selfRoute not self")
 	}
-	if e.path == nil || len(e.path) != 0 {
+	if p := testTab().path(e.ref); p == nil || len(p) != 0 {
 		t.Error("self route path must be empty, not nil")
 	}
 }

@@ -381,7 +381,7 @@ func (r *router) locEntryAt(dest ASN) (locEntry, bool) {
 	if !ok {
 		return locEntry{}, false
 	}
-	e := locEntry{path: r.tab.path(ref), ref: ref, from: -1}
+	e := locEntry{ref: ref, from: -1}
 	if bs := r.bestSlot[dest]; bs >= 0 {
 		p := &r.peers[bs]
 		e.from, e.fromInternal = p.Node, p.Internal
@@ -392,7 +392,7 @@ func (r *router) locEntryAt(dest ASN) (locEntry, bool) {
 // originate installs a locally originated prefix and advertises it.
 func (r *router) originate(dest ASN) {
 	r.originates.set(dest)
-	r.loc.set(dest, r.tab.emptyRef)
+	r.loc.set(dest, emptyRef)
 	r.bestSlot[dest] = bestSelf
 	r.markPendingAll(dest)
 	r.flushAll()
@@ -538,7 +538,7 @@ func (r *router) enqueue(u Update) {
 	r.col.NoteQueueLen(r.inbox.Len())
 	r.sim.emit(trace.Event{
 		At: r.now(), Kind: trace.KindReceive, Node: r.id,
-		Peer: u.From, Dest: u.Dest, Withdrawal: u.IsWithdrawal(),
+		Peer: int(u.From), Dest: int(u.Dest), Withdrawal: u.IsWithdrawal(),
 	})
 	if !r.busy {
 		r.startProcessing()
@@ -560,14 +560,12 @@ func (r *router) startProcessing() {
 			kept := batch[:0]
 			for _, u := range batch {
 				var stored routeRef
-				if slot, ok := r.peerSlot(u.From); ok {
-					stored = r.adjIn.getSlotRef(slot, u.Dest)
+				if slot, ok := r.peerSlot(int(u.From)); ok {
+					stored = r.adjIn.getSlotRef(slot, int(u.Dest))
 				}
-				has := stored != 0
-				noop := u.IsWithdrawal() && !has ||
-					!u.IsWithdrawal() && has &&
-						(stored == u.Ref || pathsEqual(r.tab.path(stored), u.Path))
-				if noop {
+				// No change relative to the Adj-RIB-In: a withdrawal of
+				// nothing, or the stored route announced again.
+				if stored == u.Ref {
 					discarded++
 					continue
 				}
@@ -617,32 +615,20 @@ func (r *router) finishProcessing(batch []Update) {
 	incr := r.incremental
 	for _, u := range batch {
 		// Drop updates from peers that died while the message was queued.
-		slot, ok := r.peerSlot(u.From)
+		slot, ok := r.peerSlot(int(u.From))
 		if !ok || !r.peerAlive[slot] {
 			continue
 		}
-		ref := u.Ref
-		looped := false
-		if !u.IsWithdrawal() {
-			if ref == 0 {
-				// Foreign update (hand-built outside the simulator):
-				// intern its path on arrival.
-				ref = r.tab.intern(u.Path)
-			}
-			// Receiver-side loop detection: the clear mask bit proves the
-			// local AS is absent, skipping the path scan for almost every
-			// update.
-			if r.tab.mask(ref)&(1<<(uint(r.as)&63)) != 0 {
-				looped = pathContains(u.Path, r.as)
-			}
-		}
+		dest := int(u.Dest)
+		// Receiver-side loop detection.
+		looped := r.tab.contains(u.Ref, r.as)
 		if incr {
 			// Classify the update against the working best before the
 			// Adj-RIB-In mutation below overwrites the previous route.
-			if !touched.has(u.Dest) {
-				r.workSlot[u.Dest] = r.bestSlot[u.Dest]
+			if !touched.has(dest) {
+				r.workSlot[dest] = r.bestSlot[dest]
 				if r.useSecond {
-					r.workSecond[u.Dest] = r.secondSlot[u.Dest]
+					r.workSecond[dest] = r.secondSlot[dest]
 				}
 			}
 			r.classify(slot, u, looped)
@@ -654,17 +640,16 @@ func (r *router) finishProcessing(batch []Update) {
 		if u.IsWithdrawal() || looped {
 			// A looped path is treated as an implicit withdrawal of the
 			// peer's previous route.
-			flapped = r.adjIn.removeSlot(slot, u.Dest)
+			flapped = r.adjIn.removeSlot(slot, dest)
 		} else {
-			prev := r.adjIn.getSlotRef(slot, u.Dest)
-			flapped = prev != 0 &&
-				!(prev == ref || pathsEqual(r.tab.path(prev), u.Path))
-			r.adjIn.setSlot(slot, u.Dest, ref)
+			prev := r.adjIn.getSlotRef(slot, dest)
+			flapped = prev != 0 && prev != u.Ref
+			r.adjIn.setSlot(slot, dest, u.Ref)
 		}
 		if flapped && r.damper != nil {
-			r.penalize(u.Dest, u.From)
+			r.penalize(dest, int(u.From))
 		}
-		touched.set(u.Dest)
+		touched.set(dest)
 	}
 
 	changed := touched.appendIndices(r.changed[:0])
@@ -743,7 +728,7 @@ func (r *router) runDecision(dest ASN) bool {
 // (secondInvalid). See ARCHITECTURE.md "Storm fast lane" for the full
 // classification table.
 func (r *router) classify(slot int, u Update, looped bool) {
-	dest := u.Dest
+	dest := int(u.Dest)
 	if r.scanNeeded.has(dest) {
 		return // already falling back to the full scan for this dest
 	}
@@ -779,9 +764,6 @@ func (r *router) classify(slot int, u Update, looped bool) {
 		r.scanNeeded.set(dest)
 		return
 	}
-	peer := r.peers[slot]
-	cand := locEntry{path: u.Path, from: peer.Node, fromInternal: peer.Internal}
-	class := routeClass(r.sim.params.Policy, r.id, peer)
 	if ws < 0 {
 		r.workSlot[dest] = int16(slot) // first candidate for an empty table
 		if r.useSecond {
@@ -789,18 +771,20 @@ func (r *router) classify(slot int, u Update, looped bool) {
 		}
 		return
 	}
+	peer := r.peers[slot]
+	cand := r.tab.routeVia(u.Ref, &peer)
+	class := routeClass(r.sim.params.Policy, r.id, peer)
 	wref := r.adjIn.getSlotRef(int(ws), dest)
 	if wref == 0 {
 		r.scanNeeded.set(dest) // defensive: cache out of sync, rescan
 		return
 	}
-	wpath := r.tab.path(wref)
 	if int(ws) == slot {
 		// Re-announcement on the winning slot itself: same peer, so only
 		// the path ranking can move. An equal-or-better replacement keeps
 		// winning (and cannot reorder the routes below it); a strictly
 		// worse one may let the runner-up overtake.
-		prev := locEntry{path: wpath, from: peer.Node, fromInternal: peer.Internal}
+		prev := r.tab.routeVia(wref, &peer)
 		if !betterRoute(prev, peer, class, cand, peer, class) {
 			return
 		}
@@ -811,7 +795,7 @@ func (r *router) classify(slot int, u Update, looped bool) {
 			case sec >= 0:
 				if sref := r.adjIn.getSlotRef(int(sec), dest); sref != 0 {
 					sp := r.peers[sec]
-					sentry := locEntry{path: r.tab.path(sref), from: sp.Node, fromInternal: sp.Internal}
+					sentry := r.tab.routeVia(sref, &sp)
 					sclass := routeClass(r.sim.params.Policy, r.id, sp)
 					if betterRoute(cand, peer, class, sentry, sp, sclass) {
 						return // still ahead of the runner-up: keeps winning
@@ -828,7 +812,7 @@ func (r *router) classify(slot int, u Update, looped bool) {
 		return
 	}
 	wpeer := r.peers[ws]
-	wentry := locEntry{path: wpath, from: wpeer.Node, fromInternal: wpeer.Internal}
+	wentry := r.tab.routeVia(wref, &wpeer)
 	wclass := routeClass(r.sim.params.Policy, r.id, wpeer)
 	if betterRoute(cand, peer, class, wentry, wpeer, wclass) {
 		// (a) strictly better: new working best. The displaced best is
@@ -860,7 +844,7 @@ func (r *router) classify(slot int, u Update, looped bool) {
 			return
 		}
 		sp := r.peers[sec]
-		sentry := locEntry{path: r.tab.path(sref), from: sp.Node, fromInternal: sp.Internal}
+		sentry := r.tab.routeVia(sref, &sp)
 		sclass := routeClass(r.sim.params.Policy, r.id, sp)
 		if betterRoute(sentry, sp, sclass, cand, peer, class) {
 			r.workSecond[dest] = secondInvalid
@@ -872,7 +856,7 @@ func (r *router) classify(slot int, u Update, looped bool) {
 			return
 		}
 		sp := r.peers[sec]
-		sentry := locEntry{path: r.tab.path(sref), from: sp.Node, fromInternal: sp.Internal}
+		sentry := r.tab.routeVia(sref, &sp)
 		sclass := routeClass(r.sim.params.Policy, r.id, sp)
 		if betterRoute(cand, peer, class, sentry, sp, sclass) {
 			r.workSecond[dest] = int16(slot) // overtakes the runner-up
@@ -914,8 +898,8 @@ func (r *router) applyWorkingBest(dest ASN) bool {
 		// moved only the runner-up.
 		r.secondSlot[dest] = r.workSecond[dest]
 	}
-	peer := r.peers[ws]
-	best := locEntry{path: r.tab.path(ref), ref: ref, from: peer.Node, fromInternal: peer.Internal}
+	peer := &r.peers[ws]
+	best := locEntry{ref: ref, from: peer.Node, fromInternal: peer.Internal}
 	return r.commitDecision(dest, old, hadOld, best, int(ws), true)
 }
 
@@ -938,7 +922,7 @@ func (r *router) commitDecision(dest ASN, old locEntry, hadOld bool, best locEnt
 		r.loc.set(dest, best.ref)
 		r.bestSlot[dest] = int16(slot)
 	}
-	pathChanged := !hadOld || !ok || !pathsEqual(old.path, best.path)
+	pathChanged := !hadOld || !ok || old.ref != best.ref
 	if pathChanged {
 		if r.flapCount != nil && r.flapCount[dest] != math.MaxInt16 {
 			r.flapCount[dest]++
@@ -946,7 +930,7 @@ func (r *router) commitDecision(dest ASN, old locEntry, hadOld bool, best locEnt
 		r.col.NoteRouteChange(r.now())
 		pathLen := -1
 		if ok {
-			pathLen = len(best.path)
+			pathLen = r.tab.len(best.ref)
 		}
 		r.sim.emit(trace.Event{
 			At: r.now(), Kind: trace.KindRouteChange, Node: r.id,
@@ -1056,25 +1040,22 @@ func (r *router) tryFlush(slot int) {
 
 	adv := &r.advertised[slot]
 	for _, dest := range dests {
-		desired, desiredRef := r.desiredAdvert(dest, slot)
+		desired := r.desiredAdvert(dest, slot)
 		// The advertised table only ever records nonzero announcement
-		// refs (withdrawals delete the entry), so presence collapses to a
-		// zero check on this very hot load. Matching refs always carry
-		// equal paths; differing refs fall back to the path comparison
-		// (interning is an acceleration, not an identity oracle).
-		lastRef := adv.get(dest)
-		if desiredRef == lastRef ||
-			(desiredRef != 0 && lastRef != 0 && pathsEqual(desired, r.tab.path(lastRef))) {
+		// refs (withdrawals delete the entry), so "nothing to send" —
+		// the same path again, or still nothing — is one compare on this
+		// very hot load.
+		if desired == adv.get(dest) {
 			pend.clear(dest)
 			continue
 		}
-		if desired == nil {
+		if desired == 0 {
 			// Withdrawal.
 			if r.sim.params.RateLimitWithdrawals && !r.destAllowed(slot, dest, peerAllowed) {
 				noteBlocked(dest, r.gateTime(slot, dest))
 				continue
 			}
-			r.send(slot, Update{From: r.id, Dest: dest, Path: nil})
+			r.send(slot, Update{From: int32(r.id), Dest: int32(dest)})
 			adv.del(dest)
 			pend.clear(dest)
 			sentAny = true
@@ -1092,8 +1073,8 @@ func (r *router) tryFlush(slot int) {
 			noteBlocked(dest, r.gateTime(slot, dest))
 			continue
 		}
-		r.send(slot, Update{From: r.id, Dest: dest, Path: desired, Ref: desiredRef})
-		adv.set(dest, desiredRef, r.ndests)
+		r.send(slot, Update{From: int32(r.id), Dest: int32(dest), Ref: desired})
+		adv.set(dest, desired, r.ndests)
 		pend.clear(dest)
 		sentAny = true
 		if !bypass {
@@ -1191,17 +1172,17 @@ func (r *router) send(slot int, u Update) {
 	r.col.NoteSend(now, r.id, u.IsWithdrawal())
 	r.sim.emit(trace.Event{
 		At: now, Kind: trace.KindSend, Node: r.id,
-		Peer: peer.Node, Dest: u.Dest, Withdrawal: u.IsWithdrawal(),
+		Peer: peer.Node, Dest: int(u.Dest), Withdrawal: u.IsWithdrawal(),
 	})
 	r.sim.deliver(r, r.sim.routers[peer.Node], peer.Delay, u)
 }
 
 // desiredAdvert computes what the router should currently advertise to
-// the slot's peer for dest: the announcement path and its interned ref,
-// or (nil, 0) meaning "nothing" (which materializes as a withdrawal if
-// something was previously advertised). The rules:
+// the slot's peer for dest: the announcement path's ref, or 0 meaning
+// "nothing" (which materializes as a withdrawal if something was
+// previously advertised). The rules:
 //
-//   - no valid route -> nil;
+//   - no valid route -> nothing;
 //   - never back to the peer the best route came from (split horizon /
 //     sender-side loop detection);
 //   - IBGP-learned routes are not relayed to IBGP peers;
@@ -1211,21 +1192,21 @@ func (r *router) send(slot int, u Update) {
 //
 // The prepended export is derived through the path table's memoized
 // prepend — every peer, every flush retry, and every prefix of an origin
-// shares the same interned slice — and its ref is cached per destination
+// shares the same interned path — and its ref is cached per destination
 // in the Loc-RIB so the steady-state flush pays one array load.
-func (r *router) desiredAdvert(dest ASN, slot int) (Path, routeRef) {
+func (r *router) desiredAdvert(dest ASN, slot int) routeRef {
 	ref, ok := r.loc.getRef(dest)
 	if !ok {
-		return nil, 0
+		return 0
 	}
 	peer := r.peers[slot]
 	if bs := r.bestSlot[dest]; bs >= 0 {
 		fp := &r.peers[bs]
 		if fp.Node == peer.Node {
-			return nil, 0
+			return 0
 		}
 		if fp.Internal && peer.Internal {
-			return nil, 0
+			return 0
 		}
 		if rel := r.sim.params.Policy; rel != nil && !peer.Internal {
 			// Gao–Rexford export rule: self-originated and customer-learned
@@ -1234,27 +1215,26 @@ func (r *router) desiredAdvert(dest ASN, slot int) (Path, routeRef) {
 			fromCustomer := routeClass(rel, r.id, *fp) == 0
 			toCustomer := rel.Of(r.id, peer.Node) == topology.RelCustomer || rel.Of(r.id, peer.Node) == topology.RelNone
 			if !fromCustomer && !toCustomer {
-				return nil, 0
+				return 0
 			}
 		}
 	}
-	tab := r.tab
 	if peer.Internal {
-		return tab.path(ref), ref
+		return ref
 	}
 	if peer.AS == r.as {
 		// Defensive: external peers always have a different AS.
-		return nil, 0
+		return 0
 	}
-	if tab.mask(ref)&(1<<(uint(peer.AS)&63)) != 0 && pathContains(tab.path(ref), peer.AS) {
-		return nil, 0
+	if r.tab.contains(ref, peer.AS) {
+		return 0
 	}
 	exp := r.loc.exports[dest]
 	if exp == 0 {
-		exp = tab.prepend(r.as, ref)
+		exp = r.tab.prepend(r.as, ref)
 		r.loc.exports[dest] = exp
 	}
-	return tab.path(exp), exp
+	return exp
 }
 
 // --- failure handling ---------------------------------------------------
@@ -1386,7 +1366,7 @@ func (r *router) peerDown(slot int) {
 					if ref := r.adjIn.getSlotRef(int(sec), dest); ref != 0 && r.peerAlive[sec] {
 						old, hadOld := r.locEntryAt(dest)
 						p := &r.peers[sec]
-						best := locEntry{path: r.tab.path(ref), ref: ref, from: p.Node, fromInternal: p.Internal}
+						best := locEntry{ref: ref, from: p.Node, fromInternal: p.Internal}
 						r.secondSlot[dest] = secondInvalid // old third unknown
 						if r.commitDecision(dest, old, hadOld, best, int(sec), true) {
 							r.markPendingAll(dest)

@@ -39,7 +39,7 @@ func lineSim(t *testing.T, p Params) *Simulator {
 // bestSlot provenance the packed Loc-RIB derives entries from.
 func (r *router) setLocForTest(dest ASN, path Path, from NodeID) {
 	if from == -1 {
-		r.loc.set(dest, r.sim.tab.emptyRef)
+		r.loc.set(dest, emptyRef)
 		r.bestSlot[dest] = bestSelf
 		return
 	}
@@ -54,39 +54,44 @@ func (r *router) advertisedPath(slot int, dest ASN) (Path, bool) {
 	return r.sim.tab.path(ref), ref != 0
 }
 
+// desiredPath materializes what the router would advertise to the
+// slot's peer for dest (nil: nothing).
+func (r *router) desiredPath(dest ASN, slot int) Path {
+	return r.tab.path(r.desiredAdvert(dest, slot))
+}
+
 func TestDesiredAdvertRules(t *testing.T) {
 	// Router 1 (AS 1) peers: slot 0 -> node 0 (AS 0), slot 1 -> node 2 (AS 2).
 	sim := lineSim(t, strictParams(time.Second))
 	r := sim.routers[1]
 
 	// No route at all.
-	if got, _ := r.desiredAdvert(7, 0); got != nil {
+	if got := r.desiredPath(7, 0); got != nil {
 		t.Errorf("no-route advert = %v", got)
 	}
 
 	// Route learned from node 0: advertise to node 2 with own AS
 	// prepended; never back to node 0 (split horizon).
 	r.setLocForTest(7, Path{0, 7}, 0)
-	if got, _ := r.desiredAdvert(7, 0); got != nil {
+	if got := r.desiredPath(7, 0); got != nil {
 		t.Errorf("split horizon violated: %v", got)
 	}
-	got, gotRef := r.desiredAdvert(7, 1)
-	if !pathsEqual(got, Path{1, 0, 7}) {
+	if got := r.desiredPath(7, 1); !pathsEqual(got, Path{1, 0, 7}) {
 		t.Errorf("external advert = %v, want [1 0 7]", got)
 	}
-	if gotRef == 0 || !pathsEqual(r.sim.tab.path(gotRef), got) {
-		t.Errorf("advert ref %d does not intern the advertised path", gotRef)
+	if got, want := r.desiredAdvert(7, 1), r.tab.intern(Path{1, 0, 7}); got != want {
+		t.Errorf("advert ref %d is not the interned path's ref %d", got, want)
 	}
 
 	// Peer's AS already on the path: suppress.
 	r.setLocForTest(8, Path{0, 2, 8}, 0)
-	if got, _ := r.desiredAdvert(8, 1); got != nil {
+	if got := r.desiredPath(8, 1); got != nil {
 		t.Errorf("loop advert to peer on path: %v", got)
 	}
 
 	// Own prefix: prepend own AS only.
 	r.setLocForTest(1, nil, -1)
-	if got, _ := r.desiredAdvert(1, 1); !pathsEqual(got, Path{1}) {
+	if got := r.desiredPath(1, 1); !pathsEqual(got, Path{1}) {
 		t.Errorf("own prefix advert = %v, want [1]", got)
 	}
 }
@@ -107,21 +112,21 @@ func TestDesiredAdvertIBGPRules(t *testing.T) {
 
 	// EBGP-learned route goes to the IBGP peer unchanged.
 	r1.setLocForTest(9, Path{2, 9}, 2)
-	if got, _ := r1.desiredAdvert(9, 0); !pathsEqual(got, Path{2, 9}) {
+	if got := r1.desiredPath(9, 0); !pathsEqual(got, Path{2, 9}) {
 		t.Errorf("IBGP advert = %v, want unchanged [2 9]", got)
 	}
 	// ...but not back to the external peer it came from.
-	if got, _ := r1.desiredAdvert(9, 1); got != nil {
+	if got := r1.desiredPath(9, 1); got != nil {
 		t.Errorf("advert back to source: %v", got)
 	}
 
 	// IBGP-learned route must not be relayed to IBGP peers.
 	r1.setLocForTest(5, Path{7, 5}, 0) // slot 0 is the internal peer
-	if got, _ := r1.desiredAdvert(5, 0); got != nil {
+	if got := r1.desiredPath(5, 0); got != nil {
 		t.Errorf("IBGP relay to source: %v", got)
 	}
 	// It IS advertised externally, with own AS prepended.
-	if got, _ := r1.desiredAdvert(5, 1); !pathsEqual(got, Path{0, 7, 5}) {
+	if got := r1.desiredPath(5, 1); !pathsEqual(got, Path{0, 7, 5}) {
 		t.Errorf("external advert of IBGP route = %v, want [0 7 5]", got)
 	}
 }
@@ -258,8 +263,8 @@ func TestProcessingSerializesUpdates(t *testing.T) {
 	// finish at 10ms and 20ms after arrival, not both at 10ms.
 	sim := lineSim(t, strictParams(time.Second))
 	r1 := sim.routers[1]
-	r1.enqueue(Update{From: 0, Dest: 50, Path: Path{0, 50}})
-	r1.enqueue(Update{From: 0, Dest: 51, Path: Path{0, 51}})
+	r1.enqueue(testUpdate(r1.tab, 0, 50, Path{0, 50}))
+	r1.enqueue(testUpdate(r1.tab, 0, 51, Path{0, 51}))
 	if !r1.busy {
 		t.Fatal("router idle with queued work")
 	}
@@ -292,7 +297,7 @@ func TestDeadRouterIgnoresTraffic(t *testing.T) {
 	sim := lineSim(t, strictParams(time.Second))
 	r1 := sim.routers[1]
 	r1.kill()
-	r1.enqueue(Update{From: 0, Dest: 50, Path: Path{0, 50}})
+	r1.enqueue(testUpdate(r1.tab, 0, 50, Path{0, 50}))
 	if r1.busy || r1.inbox.Len() != 0 {
 		t.Error("dead router accepted work")
 	}
@@ -341,7 +346,7 @@ func TestReceiverSideLoopDetection(t *testing.T) {
 	// the peer's previous route.
 	r1.adjIn.set(9, 0, Path{0, 9})
 	r1.runDecision(9)
-	r1.enqueue(Update{From: 0, Dest: 9, Path: Path{0, 1, 9}})
+	r1.enqueue(testUpdate(r1.tab, 0, 9, Path{0, 1, 9}))
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -356,9 +361,9 @@ func TestReceiverSideLoopDetection(t *testing.T) {
 func TestSnapshotAccounting(t *testing.T) {
 	sim := lineSim(t, strictParams(time.Second))
 	r1 := sim.routers[1]
-	r1.enqueue(Update{From: 0, Dest: 50, Path: Path{0, 50}})
-	r1.enqueue(Update{From: 0, Dest: 51, Path: Path{0, 51}})
-	r1.enqueue(Update{From: 0, Dest: 52, Path: Path{0, 52}})
+	r1.enqueue(testUpdate(r1.tab, 0, 50, Path{0, 50}))
+	r1.enqueue(testUpdate(r1.tab, 0, 51, Path{0, 51}))
+	r1.enqueue(testUpdate(r1.tab, 0, 52, Path{0, 52}))
 	// One is in service, two queued.
 	snap := r1.snapshot(sim.Now())
 	if snap.QueueLen != 2 {

@@ -30,7 +30,9 @@ import (
 //     drain sorts all buffered messages by (arrival, send time, source
 //     shard, counter) — a total order that does not depend on goroutine
 //     timing — before scheduling them, so destination-side sequence
-//     numbers are assigned deterministically.
+//     numbers are assigned deterministically. An announcement's ref
+//     names a path in the sender's shard-local table; drain renames it
+//     into the receiver's.
 type shardRuntime struct {
 	g      *des.Group
 	assign []int // node id -> shard
@@ -152,18 +154,14 @@ func (sh *shardRuntime) post(from, to *router, at des.Time, u Update) {
 	} else {
 		sh.outSeq[from.shard]++
 		m.seq = sh.outSeq[from.shard]
-		// The ref points into the sender's shard-local path table; the
-		// receiver re-interns the (immutable, shared-memory) path into
-		// its own. Refs are pure acceleration, so this costs a lookup,
-		// never correctness.
-		m.u.Ref = 0
 	}
 	sh.out[from.shard] = append(sh.out[from.shard], m)
 }
 
 // drain is the group's barrier hook: it files every buffered message
 // into its destination shard's queue. All engines are paused here, so
-// touching any shard's engine and delivery pool is race-free.
+// touching any shard's engine, delivery pool and path table is
+// race-free.
 func (sh *shardRuntime) drain() {
 	if sh.g.Sequenced() {
 		for si := range sh.out {
@@ -198,6 +196,9 @@ func (sh *shardRuntime) drain() {
 		m := &all[i]
 		d := sh.pools[m.to.shard].take()
 		d.from, d.to, d.u = m.from, m.to, m.u
+		// Hash-consed, so the receiver's table grows per distinct path,
+		// not per message.
+		d.u.Ref = m.to.tab.translate(m.from.tab, m.u.Ref)
 		sh.g.Shard(m.to.shard).ScheduleRunnerAt(m.at, d)
 	}
 	sh.all = all

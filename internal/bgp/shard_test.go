@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -163,5 +164,47 @@ func TestShardedFallbacks(t *testing.T) {
 	}
 	if zero.sh != nil {
 		t.Fatal("zero link delays must fall back to the single engine")
+	}
+}
+
+// TestShardedConcurrentInternsPerPath pins that a ref crossing shards is
+// renamed through the receiving table's hash-consing intern: no shard
+// table registers a path twice, so each holds at most the distinct paths
+// (and their suffixes) its routers ever saw and two tables together stay
+// within twice the serial run's one. Registering per cross-shard message
+// instead grows the tables with the message count.
+func TestShardedConcurrentInternsPerPath(t *testing.T) {
+	nw, fail := shardTestNet(t)
+	p := equivalenceParams(6, nil)
+	serial, err := New(nw, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digestRun(t, serial, nw, fail)
+	want := serial.PathTableStats().Registered
+
+	p.Shards = 2
+	p.ShardConcurrent = true
+	conc, err := New(nw, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if conc.sh == nil || conc.sh.g.Sequenced() {
+		t.Fatal("expected concurrent sharded mode")
+	}
+	digestRun(t, conc, nw, fail)
+	for si, tab := range conc.sh.tabs {
+		seen := make(map[string]routeRef, tab.size())
+		for ref := emptyRef; int(ref) <= tab.size(); ref++ {
+			key := fmt.Sprint(tab.path(ref))
+			if first, dup := seen[key]; dup {
+				t.Fatalf("shard %d registered path %s twice, as refs %d and %d", si, key, first, ref)
+			}
+			seen[key] = ref
+		}
+	}
+	const k = 2 // one table per shard
+	if got := conc.PathTableStats().Registered; got > k*want {
+		t.Errorf("2 concurrent shards registered %d paths, serial %d: want at most %dx", got, want, k)
 	}
 }

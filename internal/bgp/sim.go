@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -59,11 +60,10 @@ type Simulator struct {
 	// single-engine path.
 	sh *shardRuntime
 
-	// tab interns every path the simulation creates (backed by a bump
-	// arena); all RIB storage holds 4-byte routeRefs into it. Rewound by
-	// Reset once every reference (RIBs, in-flight updates) is gone.
-	// Concurrent sharded runs give each shard its own pathTab instead
-	// (shardRuntime.tabs).
+	// tab interns every path the simulation creates; all RIB storage and
+	// every in-flight update hold 4-byte routeRefs into it. Rewound by
+	// Reset once every reference is gone. Concurrent sharded runs give
+	// each shard its own pathTab instead (shardRuntime.tabs).
 	tab pathTab
 
 	// pathCompactions counts quiescence compaction sweeps this trial
@@ -195,8 +195,13 @@ func (s *Simulator) Reset(params Params) error {
 	if err := params.Validate(); err != nil {
 		return err
 	}
+	nprefix := max(1, params.PrefixesPerAS)
+	ndests, err := destSpace(s.net, nprefix)
+	if err != nil {
+		return err
+	}
 	s.params = params
-	s.nprefix = max(1, params.PrefixesPerAS)
+	s.nprefix = nprefix
 	s.tracer = params.Tracer
 	s.rng = des.NewRNG(params.Seed)
 	s.eng.Reset()
@@ -207,13 +212,7 @@ func (s *Simulator) Reset(params Params) error {
 	s.pathCompactions = 0
 	s.setupShards(params)
 
-	maxAS := 0
-	for id := 0; id < s.net.NumNodes(); id++ {
-		if as := s.net.ASOf(id); as > maxAS {
-			maxAS = as
-		}
-	}
-	s.ndests = (maxAS + 1) * s.nprefix
+	s.ndests = ndests
 	if len(s.origins) != s.ndests {
 		s.origins = make([]NodeID, s.ndests)
 	}
@@ -242,6 +241,31 @@ func (s *Simulator) Reset(params Params) error {
 		r.reset(params, s.ndests)
 	}
 	return nil
+}
+
+// destSpace returns the size of the dense destination-index table,
+// (maxAS+1)·nprefix. Topologies are outside input, and paths and updates
+// pack AS numbers, node ids and destination indices into 32 bits, so
+// what would not fit is refused here, before anything is sized by it.
+func destSpace(net *topology.Network, nprefix int) (int, error) {
+	const limit = math.MaxInt32
+	if net.NumNodes() > limit {
+		return 0, fmt.Errorf("bgp: %d nodes do not fit the packed 32-bit route encoding", net.NumNodes())
+	}
+	maxAS := 0
+	for id := 0; id < net.NumNodes(); id++ {
+		as := net.ASOf(id)
+		if as < 0 || as >= limit {
+			return 0, fmt.Errorf("bgp: AS number %d of node %d does not fit the packed 32-bit route encoding", as, id)
+		}
+		if as > maxAS {
+			maxAS = as
+		}
+	}
+	if maxAS+1 > limit/nprefix {
+		return 0, fmt.Errorf("bgp: %d ASes x %d prefixes per AS do not fit the packed 32-bit route encoding", maxAS+1, nprefix)
+	}
+	return (maxAS + 1) * nprefix, nil
 }
 
 // setupShards decides the execution mode for this Reset and prepares
@@ -579,8 +603,8 @@ func (s *Simulator) Alive(id NodeID) bool {
 	return id >= 0 && id < len(s.routers) && s.routers[id].alive
 }
 
-// LocPath returns node id's current best path to dest and whether one
-// exists. The caller must not modify the returned slice.
+// LocPath returns node id's current best path to dest, materialized as
+// a fresh slice, and whether one exists.
 func (s *Simulator) LocPath(id NodeID, dest ASN) (Path, bool) {
 	if id < 0 || id >= len(s.routers) {
 		return nil, false
@@ -699,57 +723,54 @@ func (s *Simulator) forEachRefCell(fn func(*routeRef)) {
 	}
 }
 
+// markLiveRefs marks, in the shared table's mark set, every ref RIB
+// storage holds and returns how many distinct ones there are.
+func (s *Simulator) markLiveRefs() int {
+	s.tab.clearMarks()
+	live := 0
+	s.forEachRefCell(func(p *routeRef) {
+		if s.tab.mark(*p) {
+			live++
+		}
+	})
+	return live
+}
+
 // PathTableStats reports the path-table footprint (see PathStats).
 func (s *Simulator) PathTableStats() PathStats {
 	ps := PathStats{Compactions: s.pathCompactions}
 	if !s.sharedTab() {
 		ps.Live = -1
 		for _, tab := range s.sh.tabs {
-			ps.Registered += len(tab.paths)
+			ps.Registered += tab.size()
 		}
 		return ps
 	}
-	ps.Registered = len(s.tab.paths)
-	seen := make([]bool, len(s.tab.paths)+1)
-	s.forEachRefCell(func(p *routeRef) {
-		if !seen[*p] {
-			seen[*p] = true
-			ps.Live++
-		}
-	})
+	ps.Registered = s.tab.size()
+	ps.Live = s.markLiveRefs()
 	return ps
 }
 
 // maybeCompactPaths runs the dead-path compaction sweep when the trigger
 // thresholds are met: at quiescence (no in-flight updates, the caller's
 // obligation) the live refs are exactly those in RIB storage, so the
-// table is rebuilt around them and the dead majority — every transient
-// path the exploration storm interned — is released in one move. The
-// sweep is behavior-neutral: refs are acceleration, not identity.
+// table keeps them and their ancestors and the dead majority — every
+// transient path the exploration storm interned — is dropped in one
+// move. The sweep renames the surviving refs consistently and nothing
+// orders by ref, so it is behavior-neutral.
 func (s *Simulator) maybeCompactPaths() {
 	if !s.sharedTab() {
 		return
 	}
-	total := len(s.tab.paths)
+	total := s.tab.size()
 	if total < CompactMinPaths {
 		return
 	}
-	seen := make([]bool, total+1)
-	live := 0
-	s.forEachRefCell(func(p *routeRef) {
-		if !seen[*p] {
-			seen[*p] = true
-			live++
-		}
-	})
+	live := s.markLiveRefs()
 	if float64(total-live) < CompactDeadFraction*float64(total) {
 		return
 	}
-	c := newPathCompactor(&s.tab)
-	s.forEachRefCell(func(p *routeRef) { *p = c.ref(*p) })
-	// Struct assignment through the shared address: every router's tab
-	// pointer (&s.tab) observes the compacted table.
-	s.tab = c.dst
+	s.tab.compact(s.forEachRefCell)
 	s.pathCompactions++
 }
 

@@ -1,6 +1,8 @@
 package bgp
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,6 +89,44 @@ func TestNewValidatesParams(t *testing.T) {
 	}
 	if _, err := New(topology.NewNetwork(0), DefaultParams()); err == nil {
 		t.Error("empty network accepted")
+	}
+}
+
+// TestNewRejectsUnpackableTopology pins the guard on the packed 32-bit
+// route encoding: an AS number or a destination index (ASes x prefixes
+// per AS) that would not fit is an error from New and from Reset, which
+// leaves the simulator as it was — never a truncated value.
+func TestNewRejectsUnpackableTopology(t *testing.T) {
+	for _, as := range []int{math.MaxInt32, 1 << 32, -1} {
+		nw := buildLine(t, 3)
+		nw.SetAS(1, as)
+		if _, err := New(nw, fastParams(1)); err == nil || !strings.Contains(err.Error(), "32-bit") {
+			t.Errorf("AS number %d: %v", as, err)
+		}
+	}
+
+	nw := buildLine(t, 3)
+	p := fastParams(1)
+	p.PrefixesPerAS = math.MaxInt32 / 2 // 3 ASes x this overflows the dest index
+	if _, err := New(nw, p); err == nil {
+		t.Error("destination space past 32 bits accepted")
+	}
+	sim, err := New(nw, fastParams(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Reset(p); err == nil || !strings.Contains(err.Error(), "32-bit") {
+		t.Errorf("Reset with a destination space past 32 bits: %v", err)
+	}
+	if sim.ndests != 3 || sim.nprefix != 1 {
+		t.Errorf("failed Reset left ndests=%d nprefix=%d, want the previous 3 and 1", sim.ndests, sim.nprefix)
+	}
+	sim.Start()
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if path, ok := sim.LocPath(0, 2); !ok || !pathsEqual(path, Path{1, 2}) {
+		t.Errorf("after the refused Reset: path = %v, %v, want [1 2]", path, ok)
 	}
 }
 
@@ -506,7 +546,7 @@ func TestSkipNoopUpdatesDropsExactDuplicate(t *testing.T) {
 	// Seed a route, then deliver the identical announcement again: the
 	// duplicate must be dropped without processing.
 	r1.adjIn.set(9, 0, Path{0, 9})
-	r1.enqueue(Update{From: 0, Dest: 9, Path: Path{0, 9}})
+	r1.enqueue(testUpdate(r1.tab, 0, 9, Path{0, 9}))
 	if r1.busy {
 		t.Fatal("noop update entered service")
 	}
@@ -517,7 +557,7 @@ func TestSkipNoopUpdatesDropsExactDuplicate(t *testing.T) {
 		t.Errorf("processed = %d, want 0", sim.col.TotalProcessed)
 	}
 	// A withdrawal for a route we never had is also a noop.
-	r1.enqueue(Update{From: 0, Dest: 77, Path: nil})
+	r1.enqueue(testUpdate(r1.tab, 0, 77, nil))
 	if r1.busy {
 		t.Error("noop withdrawal entered service")
 	}

@@ -15,79 +15,27 @@ type ASN = int
 // NodeID identifies a router.
 type NodeID = int
 
-// Path is an AS-level path to a destination, nearest AS first. The empty
-// path denotes an intra-AS (locally originated or IBGP-learned) route;
-// a nil path inside an Update denotes a withdrawal.
+// Path is an AS-level path to a destination, nearest AS first, as a
+// slice. The empty path denotes an intra-AS (locally originated or
+// IBGP-learned) route; nil denotes no route. The simulation holds paths
+// as interned routeRefs (see pathTab); slices exist only at the edges
+// that want them (Simulator.LocPath, tests, analysis).
 type Path = []ASN
 
-// Update is one route-level BGP message: an announcement (Path != nil)
-// or a withdrawal (Path == nil) for one destination.
+// Update is one route-level BGP message for one destination: an
+// announcement of the path Ref names in the sending router's path
+// table, or a withdrawal (Ref == 0). Twelve pointer-free bytes, so the
+// inbox rings and batch arrays that hold most of a storm's in-flight
+// state are compact and never scanned by the collector. Reset checks
+// that every node id and destination index fits.
 type Update struct {
-	From NodeID // sending router
-	Dest ASN    // destination AS the route is for
-	Path Path   // announced AS path; nil means withdrawal
-
-	// Ref is the sending simulator's interned handle for Path (zero for
-	// withdrawals). Updates built outside the simulator may leave it
-	// zero; the receive path interns the foreign path on arrival. Ref is
-	// a pure acceleration — every comparison that consults it falls back
-	// to pathsEqual — so a zero Ref can change performance, never
-	// behavior.
-	Ref routeRef
+	From int32    // sending router (NodeID)
+	Dest int32    // destination prefix index
+	Ref  routeRef // announced path; 0 means withdrawal
 }
 
 // IsWithdrawal reports whether the update withdraws the route.
-func (u Update) IsWithdrawal() bool { return u.Path == nil }
-
-// pathContains reports whether as appears on p.
-func pathContains(p Path, as ASN) bool {
-	for _, a := range p {
-		if a == as {
-			return true
-		}
-	}
-	return false
-}
-
-// pathsEqual reports whether two paths are identical (nil != empty).
-func pathsEqual(a, b Path) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	if len(a) != len(b) {
-		return false
-	}
-	if len(a) > 0 && &a[0] == &b[0] {
-		// Same backing array: paths are immutable once created, so the
-		// shared export-cache slice a router re-advertises compares equal
-		// without an element walk.
-		return true
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// clonePath copies a path; announcements own their path slices.
-func clonePath(p Path) Path {
-	if p == nil {
-		return nil
-	}
-	out := make(Path, len(p))
-	copy(out, p)
-	return out
-}
-
-// prependPath returns a new path with as in front of p.
-func prependPath(as ASN, p Path) Path {
-	out := make(Path, 0, len(p)+1)
-	out = append(out, as)
-	out = append(out, p...)
-	return out
-}
+func (u Update) IsWithdrawal() bool { return u.Ref == 0 }
 
 // Peer describes one BGP session endpoint from a router's point of view.
 type Peer struct {

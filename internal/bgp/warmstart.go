@@ -12,8 +12,8 @@ import (
 // the simulator's initial converged state — the Params.WarmStart path.
 // The install reproduces exactly the quiescent state the event-driven
 // phase 1 leaves behind, modulo routeRef numbering (refs are interned in
-// install order rather than propagation order, which every hot-path
-// comparison tolerates by falling back to path equality):
+// install order rather than propagation order; a ref still names the
+// same path everywhere in one table, and nothing orders by ref):
 //
 //   - Loc-RIB: the snapshot's converged best route per (router, dest),
 //     with bestSlot pointing at the slot it was learned from (bestSelf
@@ -28,8 +28,8 @@ import (
 //
 // Path refs are derived per router through a memoized from-chain walk in
 // the router's own path table (per-shard tables in concurrent mode), so
-// all prefixes of one origin AS share the same interned path objects —
-// the same sharing the event-driven run produces.
+// all prefixes of one origin AS share the same interned paths — the same
+// sharing the event-driven run produces.
 
 // snapKey identifies a cached snapshot: the topology and policy are
 // compared by pointer, which the experiment layer's topology and
@@ -134,7 +134,7 @@ func (s *Simulator) warmStart() error {
 			case f == snapshot.FromNone:
 				ref = 0
 			case f == snapshot.FromSelf:
-				ref = tabs[ti].emptyRef
+				ref = emptyRef
 			default:
 				parent := refFor(ti, int(f))
 				if parent == 0 {
@@ -160,7 +160,7 @@ func (s *Simulator) warmStart() error {
 			var locRef routeRef
 			bs := bestNone
 			if r.id == origin {
-				locRef = r.tab.emptyRef
+				locRef = emptyRef
 				bs = bestSelf
 			} else if f := res.From(as, r.id); f >= 0 {
 				locRef = refFor(ti, r.id)
