@@ -112,6 +112,7 @@ func Suite() []Entry {
 		{"SnapshotConverge500", snapshotConverge500},
 		{"ConvergeMultiPrefix", convergeMultiPrefix},
 		{"ConvergeAndFailFIFOReset", convergeAndFailReset},
+		{"SweepDistinctWorlds", sweepDistinctWorlds},
 		{"TopologyCacheHit", topologyCacheHit},
 		{"TopologyCacheMiss", topologyCacheMiss},
 		{"DESCalendarPushPop", desCalendarPushPop},
@@ -364,6 +365,43 @@ func convergeAndFailReset(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := sim.ConvergeAndFail(fail); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// sweepDistinctWorlds is the sweep-level twin of
+// ConvergeAndFailFIFOReset, shaped like the paper's own figures: a
+// non-paired grid (2 failure sizes × 5 MRAIs, one trial per cell, 60
+// nodes, one worker) in which no two trials share a world, so every
+// trial after the first runs on a pooled simulator rebound to a network
+// it has never seen. The worlds are memoized before the clock starts.
+// bytes/op is what the gate watches: the buffers of the largest trial
+// once, where construction per trial would pay the sum of all ten
+// (about four times as much).
+func sweepDistinctWorlds(b *testing.B) {
+	fracs := []float64{0.05, 0.10}
+	cfg := experiment.SweepConfig{
+		SeriesNames: []string{"5%", "10%"},
+		Xs:          []float64{0.25, 0.5, 1.0, 2.0, 4.0},
+		Trials:      1,
+		Workers:     1,
+		Cell: func(si int, x float64) experiment.Scenario {
+			return experiment.Scenario{
+				Topology: topology.Spec{Kind: topology.KindSkewed7030, N: 60},
+				Failure:  bgpsim.GeographicFailure(fracs[si]),
+				Scheme:   experiment.ConstantMRAI(experiment.SecondsToDuration(x)),
+				Seed:     1,
+			}
+		},
+	}
+	if _, err := experiment.Sweep(cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiment.Sweep(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

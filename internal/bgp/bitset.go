@@ -13,6 +13,28 @@ type bitset []uint64
 // newBitset returns a set able to hold values in [0, n).
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
+// reuse returns an empty set over [0, n) in b's storage, or nil when b is
+// too small: the fit of a lazily materialized set, which comes back when
+// it is next needed.
+func (b bitset) reuse(n int) bitset {
+	words := (n + 63) / 64
+	if cap(b) < words {
+		return nil
+	}
+	b = b[:words]
+	b.clearAll()
+	return b
+}
+
+// fit returns an empty set over [0, n), in b's storage when it is large
+// enough.
+func (b bitset) fit(n int) bitset {
+	if s := b.reuse(n); s != nil {
+		return s
+	}
+	return newBitset(n)
+}
+
 // set adds i to the set.
 func (b bitset) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 

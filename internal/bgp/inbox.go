@@ -24,9 +24,10 @@ type Inbox interface {
 	// Recycle returns a batch obtained from Pop so its backing array can
 	// back a future batch. Passing a foreign slice is a caller bug.
 	Recycle(batch []Update)
-	// Reset empties the inbox for simulator reuse, retaining internal
-	// capacity (ring buffers, recycled batch arrays) where possible.
-	Reset()
+	// Reset empties the inbox for simulator reuse over ndests dense
+	// destination indices, retaining internal capacity (ring buffers,
+	// recycled batch arrays, the per-destination table) where possible.
+	Reset(ndests int)
 }
 
 // newInbox builds the inbox for the configured queue discipline.
@@ -101,7 +102,7 @@ func (q *fifoInbox) TakeDiscarded() int { return 0 }
 func (q *fifoInbox) Recycle(batch []Update) {}
 
 // Reset empties the ring, retaining its backing array.
-func (q *fifoInbox) Reset() {
+func (q *fifoInbox) Reset(int) {
 	clear(q.buf)
 	q.head, q.size = 0, 0
 }
@@ -227,8 +228,9 @@ func (q *batchInbox) Recycle(batch []Update) {
 // free list so their backing arrays are reused by the next run. Every
 // pending destination appears in order (appended on its first push), so
 // scanning order — not all of byDest — keeps this O(recent traffic);
-// duplicates are harmless because the first visit nils the slot.
-func (q *batchInbox) Reset() {
+// duplicates are harmless because the first visit nils the slot. byDest
+// is then fitted to ndests when that changed.
+func (q *batchInbox) Reset(ndests int) {
 	for _, dest := range q.order {
 		slot := q.byDest[dest]
 		if slot == 0 {
@@ -246,6 +248,10 @@ func (q *batchInbox) Reset() {
 	q.freeSlots = q.freeSlots[:0]
 	q.size = 0
 	q.discarded = 0
+	if len(q.byDest) != ndests {
+		q.byDest = fit(q.byDest, ndests)
+		clear(q.byDest)
+	}
 }
 
 // routerBatchInbox models production-router behaviour circa the paper:
@@ -341,7 +347,7 @@ func (q *routerBatchInbox) Recycle(batch []Update) {
 
 // Reset empties the inbox, moving queued per-peer lists to the free list
 // so their backing arrays are reused by the next run.
-func (q *routerBatchInbox) Reset() {
+func (q *routerBatchInbox) Reset(int) {
 	for peer, list := range q.byPeer {
 		if cap(list) > 0 {
 			q.free = append(q.free, list[:0])

@@ -2,6 +2,9 @@ package bgp
 
 import (
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,13 +13,15 @@ import (
 	"bgpsim/internal/topology"
 )
 
-// These tests pin the Reset contract: a Simulator rewound with Reset
-// must be indistinguishable — measurement for measurement, route for
-// route — from one freshly constructed with New on the same network.
-// The sweep layer's simulator pool depends on this equivalence holding
-// for every scheme the figures exercise, so the variants below cover
-// each queue discipline, damping, per-destination MRAI, and the dynamic
-// MRAI ladder.
+// These tests pin the Rebind contract: a Simulator rewound with Reset,
+// or moved to another network with Rebind, must be indistinguishable —
+// measurement for measurement, route for route — from one freshly
+// constructed with New on that network. The sweep layer's simulator pool
+// depends on this equivalence holding for every scheme the figures
+// exercise and every pair of worlds a sweep can visit in turn, so the
+// variants below cover each queue discipline, damping, per-destination
+// MRAI, and the dynamic MRAI ladder, and the worlds further down every
+// way two networks can differ.
 
 // runDigest is everything observable about one ConvergeAndFail run.
 type runDigest struct {
@@ -34,17 +39,18 @@ func digestRun(t *testing.T, sim *Simulator, nw *topology.Network, fail []int) r
 		t.Fatal(err)
 	}
 	col := sim.Collector()
-	s := fmt.Sprintf("delay=%v msgs=%d ann=%d wd=%d proc=%d disc=%d rc=%d now=%v\n",
+	var s strings.Builder
+	fmt.Fprintf(&s, "delay=%v msgs=%d ann=%d wd=%d proc=%d disc=%d rc=%d now=%v\n",
 		delay, col.Messages(), col.Announcements, col.Withdrawals,
 		col.Processed, col.Discarded, col.RouteChanges(), sim.Now())
 	for _, dest := range sim.Destinations() {
 		for id := 0; id < nw.NumNodes(); id++ {
 			if p, ok := sim.LocPath(id, dest); ok {
-				s += fmt.Sprintf("n%d d%d %v\n", id, dest, p)
+				fmt.Fprintf(&s, "n%d d%d %v\n", id, dest, p)
 			}
 		}
 	}
-	return runDigest{delay: delay, summary: s}
+	return runDigest{delay: delay, summary: s.String()}
 }
 
 // resetVariants enumerates the parameter shapes whose Reset transitions
@@ -163,5 +169,309 @@ func TestResetAfterRecovery(t *testing.T) {
 	if got.summary != want.summary {
 		t.Errorf("Reset after recovery diverged from fresh New\nfresh:\n%s\nreset:\n%s",
 			want.summary, got.summary)
+	}
+}
+
+// rebindWorld is one stop on a pooled simulator's way through a sweep: a
+// network, the prefix count and policy its trials run with, and the
+// routers that fail.
+type rebindWorld struct {
+	name     string
+	net      *topology.Network
+	prefixes int
+	policy   *topology.Relationships
+	fail     []int
+}
+
+func (w rebindWorld) params(seed int64, mutate func(*Params)) Params {
+	p := equivalenceParams(seed, mutate)
+	p.PrefixesPerAS = w.prefixes
+	p.Policy = w.policy
+	return p
+}
+
+func skewedWorld(t *testing.T, name string, n int, seed int64) rebindWorld {
+	t.Helper()
+	nw, err := topology.SkewedNetwork(topology.Skewed7030(n), des.NewRNG(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rebindWorld{name: name, net: nw, fail: topology.NearestNodes(nw, topology.GridCenter(nw), n/10, nil)}
+}
+
+// rebindWorlds is the tour every Rebind test walks with one simulator.
+// Each step is a transition a sweep can make: small to large and back,
+// same size with other wiring and degrees, one prefix per AS to several
+// and back (on the same network, where only the destination axis moves,
+// and onto another), flat to multi-router ASes with IBGP sessions and
+// back, and both ways across slotDenseMax, past which a router has no
+// dense node-to-slot index.
+func rebindWorlds(t *testing.T) []rebindWorld {
+	t.Helper()
+	small := skewedWorld(t, "small", 20, 21)
+	large := skewedWorld(t, "large", 40, 22)
+	rewired := skewedWorld(t, "rewired", 40, 23)
+	multi := large
+	multi.name, multi.prefixes = "multi-prefix", 3
+
+	rnw, err := topology.Realistic(topology.RealisticSpec{
+		NumAS: 12, AvgDegree: 2.5, MaxDegree: 5, MinASSize: 1, MaxASSize: 4, SizeAlpha: 1.2,
+	}, des.NewRNG(24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	realistic := rebindWorld{name: "realistic", net: rnw,
+		fail: topology.NearestNodes(rnw, topology.GridCenter(rnw), 3, nil)}
+	internal := 0
+	for id := 0; id < rnw.NumNodes(); id++ {
+		for _, nb := range rnw.Neighbors(id) {
+			if nb.Internal {
+				internal++
+			}
+		}
+	}
+	if internal == 0 || rnw.NumNodes() == rnw.NumASes() {
+		t.Fatalf("realistic world has %d routers in %d ASes and %d IBGP adjacencies; want multi-router ASes",
+			rnw.NumNodes(), rnw.NumASes(), internal)
+	}
+
+	// The small world again, followed by enough routers without a session
+	// to pass slotDenseMax. They join the ASes of the first 20, which keeps
+	// the destination space at 20: a world this wide, cheap enough to run
+	// under every variant.
+	wide := topology.NewNetwork(slotDenseMax + 8)
+	for id := 0; id < small.net.NumNodes(); id++ {
+		wide.SetPos(id, small.net.Node(id).Pos)
+		for _, nb := range small.net.Neighbors(id) {
+			if id < nb.ID {
+				if err := wide.AddLink(id, nb.ID, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for id := small.net.NumNodes(); id < wide.NumNodes(); id++ {
+		wide.SetAS(id, id%small.net.NumNodes())
+	}
+	past := rebindWorld{name: "past-slot-dense", net: wide, fail: small.fail}
+
+	multiSmall := small
+	multiSmall.name, multiSmall.prefixes = "small-multi-prefix", 2
+	return []rebindWorld{small, large, rewired, small, multi, large, multiSmall, realistic, rewired, past, realistic, past, small}
+}
+
+// rebindDigest is digestRun plus what a run leaves in the simulator's own
+// bookkeeping: whole-run totals, queue high-water marks, and how many
+// paths the table registered, which pins the order refs were handed out
+// in as closely as anything observable can.
+func rebindDigest(t *testing.T, sim *Simulator, w rebindWorld) string {
+	t.Helper()
+	d := digestRun(t, sim, w.net, w.fail)
+	col := sim.Collector()
+	ps := sim.PathTableStats()
+	return fmt.Sprintf("total=%d/%d maxq=%d/%d paths=%d/%d per-node=%v\n%s",
+		col.TotalMessages, col.TotalProcessed, col.MaxQueueLen, col.TotalMaxQueueLen,
+		ps.Registered, ps.Live, col.PerNodeSent(), d.summary)
+}
+
+// checkRebound compares one run on a rebound simulator with the same run
+// on a fresh one.
+func checkRebound(t *testing.T, reused *Simulator, w rebindWorld, p Params) {
+	t.Helper()
+	fresh, err := New(w.net, p)
+	if err != nil {
+		t.Fatalf("%s: New: %v", w.name, err)
+	}
+	want := rebindDigest(t, fresh, w)
+	if err := reused.Rebind(w.net, p); err != nil {
+		t.Fatalf("%s: Rebind: %v", w.name, err)
+	}
+	if reused.Network() != w.net {
+		t.Fatalf("%s: Rebind left the simulator on another network", w.name)
+	}
+	checkWiring(t, w.name, reused, fresh)
+	if got := rebindDigest(t, reused, w); got != want {
+		t.Errorf("%s: rebound run diverged from fresh New\nfresh:\n%s\nrebound:\n%s", w.name, clip(want), clip(got))
+	}
+}
+
+// checkWiring compares what Rebind rewires with what New builds, entry by
+// entry. A run only looks up the sessions it has, so an index entry left
+// over from the previous network would not show in any digest; it still
+// has no business being there.
+func checkWiring(t *testing.T, world string, got, want *Simulator) {
+	t.Helper()
+	if got.ndests != want.ndests || got.nprefix != want.nprefix || !slices.Equal(got.origins, want.origins) {
+		t.Errorf("%s: destination space %d x %d, origins %v; fresh %d x %d, %v", world,
+			got.ndests, got.nprefix, got.origins, want.ndests, want.nprefix, want.origins)
+	}
+	if len(got.routers) != len(want.routers) {
+		t.Fatalf("%s: %d routers, fresh %d", world, len(got.routers), len(want.routers))
+	}
+	for id, w := range want.routers {
+		g := got.routers[id]
+		if g.id != w.id || g.as != w.as || g.sim != got || g.ndests != w.ndests ||
+			!slices.Equal(g.peers, w.peers) || !maps.Equal(g.slotOf, w.slotOf) ||
+			!slices.Equal(g.slotDense, w.slotDense) || (g.slotDense == nil) != (w.slotDense == nil) {
+			t.Fatalf("%s: router %d wired as {id %d as %d peers %v slotOf %v dense %v}\nfresh {id %d as %d peers %v slotOf %v dense %v}",
+				world, id, g.id, g.as, g.peers, g.slotOf, g.slotDense, w.id, w.as, w.peers, w.slotOf, w.slotDense)
+		}
+		for _, n := range []int{len(g.peerAlive), len(g.nextSend), len(g.flushEv), len(g.flushAt), len(g.flushStamp),
+			len(g.flushTasks), len(g.advertised), len(g.pending), len(g.blocked), len(g.adjIn.slots)} {
+			if n != len(w.peers) {
+				t.Fatalf("%s: router %d has a per-slot array of %d for %d peers", world, id, n, len(w.peers))
+			}
+		}
+		for slot := range g.flushTasks {
+			if g.flushTasks[slot] != (flushTask{r: g, slot: slot}) {
+				t.Fatalf("%s: router %d slot %d flushes %+v", world, id, slot, g.flushTasks[slot])
+			}
+		}
+	}
+}
+
+// clip keeps a failing digest readable: the counters and the first routes.
+func clip(s string) string {
+	if lines := strings.SplitAfterN(s, "\n", 12); len(lines) == 12 {
+		return strings.Join(lines[:11], "") + "...\n"
+	}
+	return s
+}
+
+// TestRebindMatchesFreshNew walks one simulator per scheme variant
+// through the whole tour of worlds, and a last one through every variant
+// at every stop, so that a transition meets the leftovers of every
+// discipline as well as of every network.
+func TestRebindMatchesFreshNew(t *testing.T) {
+	worlds := rebindWorlds(t)
+	crossing, err := New(worlds[0].net, worlds[0].params(1, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for vi, v := range resetVariants() {
+		t.Run(v.name, func(t *testing.T) {
+			reused, err := New(worlds[len(worlds)-2].net, worlds[len(worlds)-2].params(1, v.mutate))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for wi, w := range worlds {
+				p := w.params(int64(1+wi), v.mutate)
+				checkRebound(t, reused, w, p)
+				if wi%len(resetVariants()) == vi {
+					checkRebound(t, crossing, w, p)
+				}
+			}
+		})
+	}
+}
+
+// TestRebindRefusalLeavesSimulatorUntouched pins that a network or
+// parameter set Rebind refuses costs the simulator nothing: it still
+// runs, on the network it had, as if never asked.
+func TestRebindRefusalLeavesSimulatorUntouched(t *testing.T) {
+	worlds := rebindWorlds(t)
+	small, large := worlds[0], worlds[1]
+	p := small.params(4, nil)
+	sim, err := New(small.net, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rebindDigest(t, sim, small)
+
+	if err := sim.Reset(p); err != nil {
+		t.Fatal(err)
+	}
+	unpackable := large.net.Clone()
+	unpackable.SetAS(7, 1<<40)
+	bad := p
+	bad.MRAI = nil
+	for name, try := range map[string]func() error{
+		"unpackable AS number": func() error { return sim.Rebind(unpackable, p) },
+		"empty network":        func() error { return sim.Rebind(topology.NewNetwork(0), p) },
+		"invalid parameters":   func() error { return sim.Rebind(large.net, bad) },
+	} {
+		if err := try(); err == nil {
+			t.Errorf("%s: Rebind accepted it", name)
+		}
+	}
+	if sim.Network() != small.net || len(sim.routers) != small.net.NumNodes() {
+		t.Fatalf("refused Rebind moved the simulator: %d routers", len(sim.routers))
+	}
+	if got := rebindDigest(t, sim, small); got != want {
+		t.Errorf("run after refused Rebinds diverged\nbefore:\n%s\nafter:\n%s", clip(want), clip(got))
+	}
+}
+
+// TestRebindSharded pins sharded runs across worlds in both modes: the
+// partition is the new network's, never the previous one's, and the run
+// equals a fresh simulator's (in concurrent mode the digest is that
+// mode's own, deterministic per seed, shard count and partition).
+func TestRebindSharded(t *testing.T) {
+	worlds := rebindWorlds(t)
+	for _, concurrent := range []bool{false, true} {
+		name := "sequenced"
+		if concurrent {
+			name = "concurrent"
+		}
+		t.Run(name, func(t *testing.T) {
+			var reused *Simulator
+			for wi, w := range worlds {
+				if w.net.NumNodes() > slotDenseMax {
+					continue // thousands of session-less routers: nothing to partition
+				}
+				p := w.params(int64(10+wi), nil)
+				p.Shards = 2 + 2*(wi/3%2) // the runtime outlives most steps; now and then the shard count moves too
+				p.ShardConcurrent = concurrent
+				if reused == nil {
+					var err error
+					if reused, err = New(w.net, p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				checkRebound(t, reused, w, p)
+				if reused.sh == nil {
+					t.Fatalf("%s: sharding silently disabled", w.name)
+				}
+				if want := topology.Partition(w.net, p.Shards); !slices.Equal(reused.sh.assign, want) {
+					t.Errorf("%s: rebound simulator runs on a stale partition\n got %v\nwant %v", w.name, reused.sh.assign, want)
+				}
+			}
+		})
+	}
+}
+
+// TestRebindWarmStartAndPolicy pins the two lookups keyed by network:
+// the warm-start snapshot and the Gao–Rexford relationships must be
+// those of the world at hand, with and without each other.
+func TestRebindWarmStartAndPolicy(t *testing.T) {
+	var worlds []rebindWorld
+	for _, w := range rebindWorlds(t)[:6] {
+		worlds = append(worlds, w)
+		pol, err := topology.InferRelationships(w.net, 1.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.name, w.policy = w.name+"+policy", pol
+		worlds = append(worlds, w)
+	}
+	for _, warm := range []bool{false, true} {
+		name := "cold"
+		if warm {
+			name = "warm"
+		}
+		t.Run(name, func(t *testing.T) {
+			var reused *Simulator
+			for wi, w := range worlds {
+				p := w.params(int64(20+wi), nil)
+				p.WarmStart = warm
+				if reused == nil {
+					var err error
+					if reused, err = New(w.net, p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				checkRebound(t, reused, w, p)
+			}
+		})
 	}
 }

@@ -54,14 +54,6 @@ type locRIB struct {
 	has     bitset
 }
 
-func newLocRIB(ndests int) locRIB {
-	return locRIB{
-		refs:    make([]routeRef, ndests),
-		exports: make([]routeRef, ndests),
-		has:     newBitset(ndests),
-	}
-}
-
 // getRef returns the interned best-path ref for dest.
 func (l *locRIB) getRef(dest ASN) (routeRef, bool) {
 	ref := l.refs[dest]
@@ -80,6 +72,20 @@ func (l *locRIB) del(dest ASN) {
 	l.refs[dest] = 0
 	l.exports[dest] = 0
 	l.has.clear(dest)
+}
+
+// fit empties the RIB and dimensions it for ndests destinations, in the
+// arrays it has when they are large enough.
+func (l *locRIB) fit(ndests int) {
+	if len(l.refs) == ndests {
+		l.reset()
+		return
+	}
+	l.refs = fit(l.refs, ndests)
+	clear(l.refs)
+	l.exports = fit(l.exports, ndests)
+	clear(l.exports)
+	l.has = l.has.fit(ndests)
 }
 
 // reset empties the RIB in O(occupied entries).
@@ -148,10 +154,16 @@ func (s *refSlot) any() bool {
 	return false
 }
 
-// drop releases the column (used when the dest axis is re-dimensioned);
-// it re-materializes lazily at the new size.
-func (s *refSlot) drop() {
-	s.refs = nil
+// fit empties the column and dimensions it for ndests destinations. A
+// column too small for that is released and re-materializes lazily at
+// the new size, like one that was never stored to.
+func (s *refSlot) fit(ndests int) {
+	if cap(s.refs) < ndests {
+		s.refs = nil
+		return
+	}
+	s.refs = s.refs[:ndests]
+	clear(s.refs)
 }
 
 // adjRIBIn stores, per peer slot, the latest valid route heard from that
@@ -176,11 +188,13 @@ func newAdjRIBIn(slotOf map[NodeID]int, tab *pathTab, nslots, ndests int) *adjRI
 	return &adjRIBIn{slotOf: slotOf, tab: tab, ndests: ndests, slots: make([]refSlot, nslots)}
 }
 
-// resize re-dimensions the dest axis, emptying the table.
-func (rib *adjRIBIn) resize(ndests int) {
+// fit empties the table and dimensions its dest axis for ndests
+// destinations, retaining the materialized columns that are large
+// enough.
+func (rib *adjRIBIn) fit(ndests int) {
 	rib.ndests = ndests
 	for i := range rib.slots {
-		rib.slots[i].drop()
+		rib.slots[i].fit(ndests)
 	}
 }
 

@@ -1,7 +1,9 @@
 package bgp
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"time"
 
 	"bgpsim/internal/des"
@@ -204,105 +206,93 @@ const (
 // quadratic in the node count.
 const slotDenseMax = 4096
 
-// newRouter builds the topology-dependent skeleton of a router (peer
-// slots, scratch tasks, empty RIB shells). All parameter- and
-// destination-dependent state is installed by reset, which New and
-// Simulator.Reset share so a reused simulator cannot drift from a fresh
-// one.
-func newRouter(id NodeID, as ASN, peers []Peer, sim *Simulator) *router {
-	r := &router{
-		id:         id,
-		as:         as,
-		sim:        sim,
-		peers:      peers,
-		peerAlive:  make([]bool, len(peers)),
-		slotOf:     make(map[NodeID]int, len(peers)),
-		nextSend:   make([]des.Time, len(peers)),
-		flushEv:    make([]*des.Event, len(peers)),
-		blocked:    make([]bitset, len(peers)),
-		flushAt:    make([]des.Time, len(peers)),
-		flushStamp: make([]uint64, len(peers)),
-		advertised: make([]refSlot, len(peers)),
-		pending:    make([]bitset, len(peers)),
-		flushTasks: make([]flushTask, len(peers)),
-	}
+// newRouter returns a router of sim that is not yet part of any network:
+// rewire gives it its place in one, reset its state for a run.
+func newRouter(sim *Simulator) *router {
+	r := &router{sim: sim, slotOf: make(map[NodeID]int)}
 	r.proc.r = r
 	r.coal.r = r
-	for slot, peer := range peers {
+	r.adjIn = newAdjRIBIn(r.slotOf, &sim.tab, 0, 0)
+	return r
+}
+
+// rewire makes r router id of net: its AS, its peers in node-id order
+// (slot order drives tie-breaking iteration and message emission order),
+// the two node-to-slot indexes, and every per-slot array at the new
+// degree. A router keeps its storage from one network to the next: a
+// slot's columns go to whichever peer has that slot now, and the slots
+// of a larger degree seen earlier wait in the spare capacity. reset must
+// follow before the router is used.
+func (r *router) rewire(id NodeID, net *topology.Network) {
+	r.id, r.as = id, net.ASOf(id)
+	r.peers = r.peers[:0]
+	for _, nb := range net.Neighbors(id) {
+		r.peers = append(r.peers, Peer{Node: nb.ID, AS: net.ASOf(nb.ID), Internal: nb.Internal})
+	}
+	slices.SortFunc(r.peers, func(a, b Peer) int { return cmp.Compare(a.Node, b.Node) })
+
+	nslots := len(r.peers)
+	r.peerAlive = fit(r.peerAlive, nslots)
+	r.nextSend = fit(r.nextSend, nslots)
+	r.flushEv = fit(r.flushEv, nslots)
+	r.flushAt = fit(r.flushAt, nslots)
+	r.flushStamp = fit(r.flushStamp, nslots)
+	r.flushTasks = fit(r.flushTasks, nslots)
+	r.advertised = refit(r.advertised, nslots)
+	r.pending = refit(r.pending, nslots)
+	r.blocked = refit(r.blocked, nslots)
+	r.adjIn.slots = refit(r.adjIn.slots, nslots)
+
+	clear(r.slotOf)
+	if n := net.NumNodes(); n <= slotDenseMax {
+		r.slotDense = fit(r.slotDense, n)
+		clear(r.slotDense)
+	} else {
+		r.slotDense = nil
+	}
+	for slot, peer := range r.peers {
 		r.slotOf[peer.Node] = slot
 		r.flushTasks[slot] = flushTask{r: r, slot: slot}
-	}
-	if n := sim.net.NumNodes(); n <= slotDenseMax {
-		r.slotDense = make([]int16, n)
-		for slot, peer := range peers {
+		if r.slotDense != nil {
 			r.slotDense[peer.Node] = int16(slot) + 1
 		}
 	}
-	r.adjIn = newAdjRIBIn(r.slotOf, &sim.tab, len(peers), 0)
-	return r
 }
 
 // reset rewinds the router to its boot state for a run with parameters p
 // over ndests dense destination indices: empty RIBs, all sessions up,
 // open MRAI gates, an empty inbox (reused when the queue discipline is
 // unchanged), fresh policy/damping state, and zeroed load accounting.
-// Dense arrays are cleared sparsely (O(occupied entries)) and retained,
-// so repeated trials on one topology allocate almost nothing.
+// Every dense array is fitted to ndests and to the degree rewire left
+// (see buffers.go), so repeated trials allocate almost nothing, on one
+// network or on many.
 func (r *router) reset(p Params, ndests int) {
 	r.alive = true
 	r.busy = false
 	r.proc.batch = nil
-	if r.ndests != ndests {
-		r.ndests = ndests
-		r.adjIn.resize(ndests)
-		r.loc = newLocRIB(ndests)
-		r.originates = newBitset(ndests)
-		for slot := range r.advertised {
-			r.advertised[slot].drop()
-		}
-		for slot := range r.pending {
-			r.pending[slot] = newBitset(ndests)
-		}
-		r.touched = newBitset(ndests)
-		r.bestSlot = make([]int16, ndests)
-		for i := range r.bestSlot {
-			r.bestSlot[i] = bestNone
-		}
-		r.workSlot = make([]int16, ndests)
-		r.scanNeeded = newBitset(ndests)
-		for slot := range r.blocked {
-			r.blocked[slot] = nil // re-materializes lazily at the new size
-		}
-	} else {
-		r.adjIn.reset()
-		r.loc.reset()
-		r.originates.clearAll()
-		for slot := range r.advertised {
-			r.advertised[slot].reset()
-		}
-		for slot := range r.pending {
-			r.pending[slot].clearAll()
-		}
-		r.touched.clearAll()
-		for i := range r.bestSlot {
-			r.bestSlot[i] = bestNone
-		}
-		r.scanNeeded.clearAll()
-	}
+	r.ndests = ndests
+	r.adjIn.fit(ndests)
+	r.loc.fit(ndests)
+	r.originates = r.originates.fit(ndests)
+	r.touched = r.touched.fit(ndests)
+	r.scanNeeded = r.scanNeeded.fit(ndests)
+	r.bestSlot = fit(r.bestSlot, ndests)
+	fill(r.bestSlot, bestNone)
+	r.workSlot = fit(r.workSlot, ndests) // filled per destination on first touch
 	// flapCount backs only the Deshpande–Sikdar flap gate; every other
 	// scheme leaves the array nil so the gate costs nothing per
 	// destination. At multi-prefix scale an always-on int16 per dest per
 	// router is half a GB of dead weight.
 	if p.FlapGate > 0 {
-		if len(r.flapCount) != ndests {
-			r.flapCount = make([]int16, ndests)
-		} else {
-			for i := range r.flapCount {
-				r.flapCount[i] = 0
-			}
-		}
+		r.flapCount = fit(r.flapCount, ndests)
+		clear(r.flapCount)
 	} else {
 		r.flapCount = nil
+	}
+	if p.PerDestinationMRAI {
+		r.destGate = refit(r.destGate, len(r.peers))
+	} else {
+		r.destGate = nil
 	}
 	for slot := range r.peers {
 		r.peerAlive[slot] = true
@@ -310,34 +300,20 @@ func (r *router) reset(p Params, ndests int) {
 		r.flushEv[slot] = nil
 		r.flushAt[slot] = -1
 		r.flushStamp[slot] = 0
-		if bl := r.blocked[slot]; bl != nil {
-			bl.clearAll()
+		r.advertised[slot].fit(ndests)
+		r.pending[slot] = r.pending[slot].fit(ndests)
+		r.blocked[slot] = r.blocked[slot].reuse(ndests) // else re-materializes lazily
+		if r.destGate != nil {
+			r.destGate[slot] = fit(r.destGate[slot], ndests)
+			clear(r.destGate[slot])
 		}
 	}
 	r.coalEv = nil // the engine was reset; the event is already gone
 	r.coalAt, r.coalSeq = -1, 0
-	if p.PerDestinationMRAI {
-		if len(r.destGate) != len(r.peers) || (len(r.peers) > 0 && len(r.destGate[0]) != ndests) {
-			r.destGate = make([][]des.Time, len(r.peers))
-			for slot := range r.destGate {
-				r.destGate[slot] = make([]des.Time, ndests)
-			}
-		} else {
-			for slot := range r.destGate {
-				gates := r.destGate[slot]
-				for i := range gates {
-					gates[i] = 0
-				}
-			}
-		}
-	} else {
-		r.destGate = nil
-	}
-	if r.inbox == nil || r.inboxQueue != p.Queue || r.inboxDiscard != p.BatchDiscardStale ||
-		(p.Queue == QueueBatched && len(r.inbox.(*batchInbox).byDest) != ndests) {
+	if r.inbox == nil || r.inboxQueue != p.Queue || r.inboxDiscard != p.BatchDiscardStale {
 		r.inbox = newInbox(p, ndests)
 	} else {
-		r.inbox.Reset()
+		r.inbox.Reset(ndests)
 	}
 	r.inboxQueue, r.inboxDiscard = p.Queue, p.BatchDiscardStale
 	r.policy = p.MRAI(len(r.peers))
@@ -354,13 +330,9 @@ func (r *router) reset(p Params, ndests int) {
 	r.coalesce = p.ref&refPerSlotFlush == 0
 	r.useSecond = r.incremental && p.ref&refNoSecondBest == 0
 	if r.useSecond {
-		if len(r.secondSlot) != ndests {
-			r.secondSlot = make([]int16, ndests)
-			r.workSecond = make([]int16, ndests)
-		}
-		for i := range r.secondSlot {
-			r.secondSlot[i] = secondNone // empty table: no runner-up
-		}
+		r.secondSlot = fit(r.secondSlot, ndests)
+		fill(r.secondSlot, secondNone) // empty table: no runner-up
+		r.workSecond = fit(r.workSecond, ndests)
 	} else {
 		// Like flapCount: per-dest int16 arrays are real memory at
 		// multi-prefix scale, so the cache exists only when active.
@@ -1262,7 +1234,7 @@ func (r *router) revive() {
 	r.originates.clearAll()
 	r.inbox = newInbox(r.sim.params, r.ndests)
 	r.inboxQueue, r.inboxDiscard = r.sim.params.Queue, r.sim.params.BatchDiscardStale
-	r.policy = r.sim.params.MRAI(len(r.peers))
+	r.policy.Rewind()
 	for i := range r.flapCount {
 		r.flapCount[i] = 0
 	}
@@ -1426,7 +1398,7 @@ func (r *router) normalizeWindow(at des.Time) {
 	for i := range r.flapCount {
 		r.flapCount[i] = 0
 	}
-	r.policy = r.sim.params.MRAI(len(r.peers))
+	r.policy.Rewind()
 	if r.sim.params.Damping != nil {
 		r.damper = newDamper(r.sim.params.Damping)
 	}

@@ -35,8 +35,8 @@ import (
 //     into the receiver's.
 type shardRuntime struct {
 	g      *des.Group
-	assign []int // node id -> shard
-	cut    int   // cut links under assign (diagnostics)
+	net    *topology.Network // the network assign partitions
+	assign []int             // node id -> shard
 
 	// Concurrent-mode shard-local state; nil slices in sequenced mode,
 	// where every router aliases the Simulator's own col/rng/tab.
@@ -60,34 +60,33 @@ type xmsg struct {
 	u        Update
 }
 
-// newShardRuntime builds the sharded execution state for k shards over
-// the given node→shard assignment (computed once per (network, k) and
-// reused across Reset).
-func newShardRuntime(s *Simulator, k int, look des.Time, sequenced bool, assign []int) *shardRuntime {
+// newShardRuntime builds the sharded execution state for k shards. It
+// holds nothing of a network: setupShards gives it the network and the
+// node→shard assignment of each run, and reset sizes the rest.
+func newShardRuntime(k int, look des.Time, sequenced bool) *shardRuntime {
 	sh := &shardRuntime{
 		g:      des.NewGroup(k, look, sequenced),
-		assign: assign,
 		out:    make([][]xmsg, k),
 		outSeq: make([]uint64, k),
 		pools:  make([]deliveryPool, k),
 	}
-	sh.cut = topology.CutEdges(s.net, sh.assign)
 	if !sequenced {
 		sh.cols = make([]*metrics.Collector, k)
 		sh.tabs = make([]*pathTab, k)
 		sh.rngs = make([]*des.RNG, k)
 		for i := 0; i < k; i++ {
-			sh.cols[i] = metrics.NewCollector(s.net.NumNodes())
+			sh.cols[i] = metrics.NewCollector(0)
 			sh.tabs[i] = &pathTab{}
+			sh.rngs[i] = des.NewRNG(0)
 		}
 	}
 	return sh
 }
 
-// reset rewinds the runtime for a new trial: engines, buffers, and (in
-// concurrent mode) the shard-local collectors and path tables. The
-// shard random streams are re-split from the trial's master RNG, which
-// must be freshly seeded.
+// reset rewinds the runtime for a new trial on sh.net: engines, buffers,
+// and (in concurrent mode) the shard-local collectors and path tables.
+// The shard random streams are re-split from the trial's master RNG,
+// which must be freshly seeded.
 func (sh *shardRuntime) reset(master *des.RNG) {
 	sh.g.Reset()
 	sh.g.SetDrain(sh.drain)
@@ -96,15 +95,15 @@ func (sh *shardRuntime) reset(master *des.RNG) {
 		sh.outSeq[i] = 0
 	}
 	for i := range sh.cols {
-		sh.cols[i].Reset()
+		sh.cols[i].Resize(sh.net.NumNodes())
 		sh.tabs[i].reset()
-		sh.rngs[i] = master.Split("shard" + strconv.Itoa(i))
 	}
+	sh.reseed(master)
 }
 
 // reseed rewinds the concurrent-mode shard random streams in place from
-// a freshly reseeded master, re-deriving exactly the seeds reset
-// installed. In-place matters: every router caches a pointer to its
+// a freshly reseeded master, to exactly the streams master.Split would
+// derive. In-place matters: every router caches a pointer to its
 // shard's stream (bindContext), so the streams must be rewound, not
 // replaced. No-op in sequenced mode, where rngs is nil and every router
 // shares the master stream.

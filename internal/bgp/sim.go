@@ -24,10 +24,10 @@ import (
 //	sim.Run()                        // phase 2: re-convergence
 //	delay := sim.Collector().ConvergenceDelay()
 //
-// A Simulator is reusable: Reset rewinds it to time zero with a fresh
-// parameter set, retaining the dense per-router state arrays, so
-// repeated trials on one topology skip nearly all of the per-trial
-// setup allocation that bgp.New pays.
+// A Simulator is reusable: Rebind rewinds it to time zero with a fresh
+// parameter set on any network (Reset: on the one it has), retaining
+// every buffer that is large enough, so repeated trials skip nearly all
+// of the per-trial setup allocation that bgp.New pays.
 //
 // The Simulator owns the dense destination-index table: destination
 // prefix ids are dest = AS·PrefixesPerAS + i with dense AS numbering
@@ -62,7 +62,7 @@ type Simulator struct {
 
 	// tab interns every path the simulation creates; all RIB storage and
 	// every in-flight update hold 4-byte routeRefs into it. Rewound by
-	// Reset once every reference is gone. Concurrent sharded runs give
+	// Rebind once every reference is gone. Concurrent sharded runs give
 	// each shard its own pathTab instead (shardRuntime.tabs).
 	tab pathTab
 
@@ -142,70 +142,70 @@ func (s *Simulator) emit(e trace.Event) {
 
 // New builds a simulator over net. The network must be non-empty; every
 // AS originates PrefixesPerAS prefixes (default one) at its
-// lowest-numbered router. New builds the topology-dependent skeleton and
-// then delegates all run-state initialization to Reset, so a fresh
-// simulator and a reused one are states of the same code path.
+// lowest-numbered router. New is Rebind on a simulator that has no
+// buffers yet, so a fresh simulator and a reused one are states of the
+// same code path.
 func New(net *topology.Network, params Params) (*Simulator, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	if net.NumNodes() == 0 {
-		return nil, fmt.Errorf("bgp: empty network")
-	}
 	s := &Simulator{
-		net: net,
 		eng: des.NewEngine(),
-		col: metrics.NewCollector(net.NumNodes()),
+		rng: des.NewRNG(params.Seed),
+		col: metrics.NewCollector(0),
 	}
-	s.routers = make([]*router, net.NumNodes())
-	for id := 0; id < net.NumNodes(); id++ {
-		nbs := net.Neighbors(id)
-		peers := make([]Peer, 0, len(nbs))
-		for _, nb := range nbs {
-			peers = append(peers, Peer{
-				Node:     nb.ID,
-				AS:       net.ASOf(nb.ID),
-				Internal: nb.Internal,
-			})
-		}
-		// Stable peer order: by node id. Slot order drives tie-breaking
-		// iteration and message emission order.
-		sort.Slice(peers, func(i, j int) bool { return peers[i].Node < peers[j].Node })
-		s.routers[id] = newRouter(id, net.ASOf(id), peers, s)
-	}
-	if err := s.Reset(params); err != nil {
+	if err := s.Rebind(net, params); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// Reset rewinds the simulator to time zero for a new run with the given
-// parameters (including a new Seed): RIBs, advertisement bookkeeping,
-// MRAI gates, inboxes, the metrics collector, the RNG, and the DES clock
-// all return to their post-New state. The topology is retained — a reset
-// simulator behaves byte-identically to bgp.New(s.Network(), params).
-// Reset must not be called while a run is in progress (events pending in
-// the engine are discarded).
-//
-// Retained across Reset: the dense per-router state arrays (cleared, not
-// reallocated), inbox buffers when the queue discipline is unchanged,
-// the engine's event free list, and the delivery pool — which is what
-// makes repeated-trial sweeps cheap.
+// Reset rewinds the simulator to time zero for a new run on the network
+// it already has: Rebind(s.Network(), params).
 func (s *Simulator) Reset(params Params) error {
+	return s.Rebind(s.net, params)
+}
+
+// Rebind rewinds the simulator to time zero for a new run with the given
+// parameters (including a new Seed) on net, which may be any network:
+// the one the simulator already runs on, or one of another size, wiring
+// and AS structure. RIBs, advertisement bookkeeping, MRAI gates, inboxes,
+// the metrics collector, the RNG, and the DES clock all return to their
+// post-New state — a rebound simulator behaves byte-identically to
+// bgp.New(net, params). Rebind must not be called while a run is in
+// progress (events pending in the engine are discarded). A refused
+// network or parameter set leaves the simulator as it was.
+//
+// What a simulator owns is buffers, not a network: the engine's calendar
+// and event free list, the path table's chunks and index, the delivery
+// pool, the routers with their inbox rings, RIB columns and bitsets, the
+// shard runtime. Rebind keeps each of them wherever its capacity
+// suffices (see buffers.go), which is what makes a sweep cheap whether
+// its trials share a world or, like every point of the paper's figures,
+// have one each. Only a network other than the current one (compared by
+// pointer; networks are immutable once simulated on) pays for rewiring
+// the routers. Nothing that depends on the network is cached past that:
+// the origins and the router wiring are rebuilt, the collector is
+// resized, the shard partition is recomputed, and relationships and the
+// warm-start snapshot are looked up through params and net at each use.
+func (s *Simulator) Rebind(net *topology.Network, params Params) error {
 	if err := params.Validate(); err != nil {
 		return err
 	}
+	if net.NumNodes() == 0 {
+		return fmt.Errorf("bgp: empty network")
+	}
 	nprefix := max(1, params.PrefixesPerAS)
-	ndests, err := destSpace(s.net, nprefix)
+	ndests, err := destSpace(net, nprefix)
 	if err != nil {
 		return err
+	}
+	if net != s.net {
+		s.rewire(net)
 	}
 	s.params = params
 	s.nprefix = nprefix
 	s.tracer = params.Tracer
-	s.rng = des.NewRNG(params.Seed)
+	s.rng.Reseed(params.Seed)
 	s.eng.Reset()
-	s.col.Reset()
+	s.col.Resize(net.NumNodes())
 	// Safe exactly here: the engine drain above discarded in-flight
 	// updates and the router resets below clear every RIB reference.
 	s.tab.reset()
@@ -213,14 +213,10 @@ func (s *Simulator) Reset(params Params) error {
 	s.setupShards(params)
 
 	s.ndests = ndests
-	if len(s.origins) != s.ndests {
-		s.origins = make([]NodeID, s.ndests)
-	}
-	for i := range s.origins {
-		s.origins[i] = -1
-	}
-	for id := 0; id < s.net.NumNodes(); id++ {
-		as := s.net.ASOf(id)
+	s.origins = fit(s.origins, ndests)
+	fill(s.origins, -1)
+	for id := 0; id < net.NumNodes(); id++ {
+		as := net.ASOf(id)
 		for i := 0; i < s.nprefix; i++ {
 			dest := as*s.nprefix + i
 			if cur := s.origins[dest]; cur < 0 || id < cur {
@@ -241,6 +237,22 @@ func (s *Simulator) Reset(params Params) error {
 		r.reset(params, s.ndests)
 	}
 	return nil
+}
+
+// rewire points the simulator at net: one router per node, each wired to
+// its neighbours (router.rewire). Routers are kept from one network to
+// the next, with everything they own; those a smaller network has no
+// node for wait in the slice's spare capacity.
+func (s *Simulator) rewire(net *topology.Network) {
+	s.net = net
+	s.routers = refit(s.routers, net.NumNodes())
+	for id, r := range s.routers {
+		if r == nil {
+			r = newRouter(s)
+			s.routers[id] = r
+		}
+		r.rewire(id, net)
+	}
 }
 
 // destSpace returns the size of the dense destination-index table,
@@ -268,12 +280,13 @@ func destSpace(net *topology.Network, nprefix int) (int, error) {
 	return (maxAS + 1) * nprefix, nil
 }
 
-// setupShards decides the execution mode for this Reset and prepares
-// s.sh: nil for the classic single-engine path (Shards <= 1, more shards
-// than routers wanted than exist, or no positive lookahead), otherwise a
-// ready shardRuntime. The runtime (group, partition, buffers) is reused
-// across Resets whenever the mode triple (k, sequenced, lookahead) is
-// unchanged, mirroring how the single engine retains its free lists.
+// setupShards decides the execution mode for this run and prepares s.sh:
+// nil for the classic single-engine path (Shards <= 1, more shards
+// wanted than routers exist, or no positive lookahead), otherwise a
+// ready shardRuntime. The runtime (group, buffers, shard-local tables) is
+// reused whenever the mode triple (k, sequenced, lookahead) is
+// unchanged, mirroring how the single engine retains its free lists; the
+// partition, which depends only on (net, k), whenever those two are.
 func (s *Simulator) setupShards(params Params) {
 	k := params.Shards
 	if k > s.net.NumNodes() {
@@ -285,8 +298,8 @@ func (s *Simulator) setupShards(params Params) {
 	}
 	sequenced := !params.ShardConcurrent
 	assign := []int(nil)
-	if s.sh != nil && s.sh.g.NumShards() == k {
-		assign = s.sh.assign // partition depends only on (net, k)
+	if s.sh != nil && s.sh.net == s.net && s.sh.g.NumShards() == k {
+		assign = s.sh.assign
 	} else {
 		assign = topology.Partition(s.net, k)
 	}
@@ -297,8 +310,9 @@ func (s *Simulator) setupShards(params Params) {
 	}
 	if s.sh == nil || s.sh.g.NumShards() != k ||
 		s.sh.g.Sequenced() != sequenced || s.sh.g.Lookahead() != look {
-		s.sh = newShardRuntime(s, k, look, sequenced, assign)
+		s.sh = newShardRuntime(k, look, sequenced)
 	}
+	s.sh.net, s.sh.assign = s.net, assign
 	s.sh.reset(s.rng)
 }
 

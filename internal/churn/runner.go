@@ -84,9 +84,9 @@ type RunResult struct {
 type WindowObserver func(trial int, w WindowResult, perNodeSent []int)
 
 // Runner executes churn trials, retaining a simulator pool across calls
-// so repeated trials on a memoized topology skip construction — the same
-// warm-fleet behaviour as experiment.CellRunner. Safe for concurrent
-// use.
+// so every trial after the first skips construction, whatever world it
+// runs on — the same warm-fleet behaviour as experiment.CellRunner. Safe
+// for concurrent use.
 type Runner struct {
 	pool *experiment.SimPool
 }
@@ -136,9 +136,9 @@ func (r *Runner) RunTrial(ctx context.Context, sc Scenario, trial int, obs Windo
 		return TrialResult{}, err
 	}
 
-	sim := r.pool.Take(net)
+	sim := r.pool.Take()
 	if sim != nil {
-		err = sim.Reset(params)
+		err = sim.Rebind(net, params)
 	} else {
 		sim, err = bgp.New(net, params)
 	}
@@ -205,7 +205,7 @@ func (r *Runner) RunTrial(ctx context.Context, sc Scenario, trial int, obs Windo
 		record(len(events) - 1)
 	}
 	sim.SetCancel(nil)
-	r.pool.Put(net, sim)
+	r.pool.Put(sim)
 	return tr, nil
 }
 

@@ -42,8 +42,11 @@ func (g *RNG) SplitSeed(label string) int64 {
 // Every existing pointer to the RNG stays valid and observes the fresh
 // stream — the property the simulator's measurement-window normalization
 // depends on (router contexts hold the stream pointer across the reseed).
+// It seeds the source it already has, which is what rand.NewSource does
+// to a new one, and allocates nothing: a churn trial reseeds once per
+// window.
 func (g *RNG) Reseed(seed int64) {
-	g.r = rand.New(rand.NewSource(seed))
+	g.r.Seed(seed)
 }
 
 // Int63 returns a non-negative 63-bit integer.

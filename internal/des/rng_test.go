@@ -167,3 +167,35 @@ func TestPropertyJitterBand(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestReseedInPlaceMatchesNewRNG pins Reseed: after any amount of
+// consumption, of every kind of draw, a reseeded stream is the stream
+// NewRNG(seed) starts, and reseeding allocates nothing.
+func TestReseedInPlaceMatchesNewRNG(t *testing.T) {
+	g := NewRNG(7)
+	for i := 0; i < 1000; i++ {
+		g.Int63()
+		g.Float64()
+		g.ExpFloat64()
+		g.Jitter(time.Second)
+	}
+	g.Perm(17)
+	for _, seed := range []int64{7, 0, -3, 1 << 40} {
+		g.Reseed(seed)
+		fresh := NewRNG(seed)
+		for i := 0; i < 2000; i++ {
+			if a, b := g.Int63(), fresh.Int63(); a != b {
+				t.Fatalf("seed %d draw %d: reseeded %d, fresh %d", seed, i, a, b)
+			}
+		}
+		if a, b := g.UniformDuration(0, time.Hour), fresh.UniformDuration(0, time.Hour); a != b {
+			t.Fatalf("seed %d: UniformDuration %v vs %v", seed, a, b)
+		}
+		if a, b := g.SplitSeed("x"), fresh.SplitSeed("x"); a != b {
+			t.Fatalf("seed %d: SplitSeed %d vs %d", seed, a, b)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { g.Reseed(42) }); n != 0 {
+		t.Errorf("Reseed allocates %v objects per call, want 0", n)
+	}
+}

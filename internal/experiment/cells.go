@@ -33,18 +33,18 @@ func CellScenario(cfg SweepConfig, si, xi int) Scenario {
 }
 
 // CellRunner executes single sweep cells, retaining a simulator pool
-// across calls so trials that share a memoized topology (paired series,
-// repeated jobs on one worker) skip simulator construction. The zero
-// value is not usable; construct with NewCellRunner. Safe for concurrent
+// across calls so every trial after a worker's first skips simulator
+// construction, whatever world it runs on. The zero value is not
+// usable; construct with NewCellRunner. Safe for concurrent
 // use as long as each RunCell call's cfg.Cell tolerates the calling
 // goroutine (Sweep's materialize-on-caller rule applies per call).
 type CellRunner struct {
-	pool *simPool
+	pool *SimPool
 }
 
 // NewCellRunner returns a runner with an empty simulator pool.
 func NewCellRunner() *CellRunner {
-	return &CellRunner{pool: newSimPool()}
+	return &CellRunner{pool: NewSimPool()}
 }
 
 // RunCell runs every trial of cell (si, xi) of the grid and returns the

@@ -1,70 +1,113 @@
 package experiment
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
-	"time"
 
-	"bgpsim/internal/bgp"
-	"bgpsim/internal/des"
-	"bgpsim/internal/mrai"
+	"bgpsim/internal/failure"
 	"bgpsim/internal/topology"
 )
 
 // These tests pin the two reuse-layer leak fixes: the simulator pool
-// must not retain map entries (and through them whole topologies) for
-// networks whose simulators have all been taken, and the topology memo
-// must not let failed builds consume cap slots or poison their key.
+// must hold no more simulators than trials were ever in flight at once,
+// however many worlds a sweep visits, and the topology memo must not let
+// failed builds consume cap slots or poison their key.
 
-func leakTestSim(t *testing.T, nw *topology.Network) *bgp.Simulator {
-	t.Helper()
-	p := bgp.DefaultParams()
-	p.MRAI = mrai.Constant(500 * time.Millisecond)
-	sim, err := bgp.New(nw, p)
+// distinctWorldsConfig is a Fig 3 shaped grid at toy scale: three failure
+// sizes by ten MRAIs, one trial per cell, no two cells on the same world.
+func distinctWorldsConfig(workers int) SweepConfig {
+	fracs := []float64{0.025, 0.05, 0.1}
+	return SweepConfig{
+		SeriesNames: []string{"2.5%", "5%", "10%"},
+		Xs:          MRAISweepSeconds,
+		Trials:      1,
+		Metric:      MetricDelay,
+		Workers:     workers,
+		Cell: func(si int, x float64) Scenario {
+			return Scenario{
+				Topology: topology.Spec{Kind: topology.KindSkewed7030, N: 30},
+				Failure:  failure.Geographic(fracs[si]),
+				Scheme:   ConstantMRAI(SecondsToDuration(x)),
+				Seed:     47,
+			}
+		},
+	}
+}
+
+// TestSimPoolHoldsOneSimulatorPerWorker pins the pool's size: a serial
+// sweep over 30 worlds, none visited twice, is served by one simulator
+// and leaves exactly that one behind. (Keyed by network, the pool used
+// to end such a sweep holding 30 simulators nobody could take again.)
+func TestSimPoolHoldsOneSimulatorPerWorker(t *testing.T) {
+	cfg := distinctWorldsConfig(1)
+	worlds := make(map[*topology.Network]bool)
+	for si := range cfg.SeriesNames {
+		for xi := range cfg.Xs {
+			sc := CellScenario(cfg, si, xi)
+			nw, err := BuildTopologyCached(sc.Topology, sc.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			worlds[nw] = true
+		}
+	}
+	if len(worlds) != 30 {
+		t.Fatalf("the grid has %d distinct worlds, want 30", len(worlds))
+	}
+	pool := NewSimPool()
+	if _, err := sweep(context.Background(), cfg, pool); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(pool.free); got != 1 {
+		t.Errorf("pool holds %d simulators after a serial 30-world sweep, want 1", got)
+	}
+}
+
+// TestSimPoolNeverTakesBackAnUnfinishedRun pins that only a simulator
+// whose run completed returns to the pool: a trial that is cancelled
+// mid-run, or fails after taking its simulator, leaves the pool one
+// short rather than hand a later trial state from the middle of a run.
+func TestSimPoolNeverTakesBackAnUnfinishedRun(t *testing.T) {
+	sc := CellScenario(distinctWorldsConfig(1), 0, 0)
+	pool := NewSimPool()
+	good, err := runScenario(context.Background(), sc, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim
-}
+	if len(pool.free) != 1 {
+		t.Fatalf("pool holds %d simulators after one completed trial, want 1", len(pool.free))
+	}
 
-// TestSimPoolTakeReleasesEmptyKeys pins that draining a network's pooled
-// simulators removes its byNet entry: a pool cycled through many
-// distinct networks (seed-cycling benches, cache-overflow sweeps) must
-// return to zero retained keys, not pin every network it ever saw.
-func TestSimPoolTakeReleasesEmptyKeys(t *testing.T) {
-	pool := newSimPool()
-	const worlds = 5
-	nets := make([]*topology.Network, worlds)
-	for i := range nets {
-		nw, err := topology.SkewedNetwork(topology.Skewed7030(20), des.NewRNG(int64(100+i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		nets[i] = nw
-		pool.put(nw, leakTestSim(t, nw))
-		pool.put(nw, leakTestSim(t, nw))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := runScenario(ctx, sc, pool); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled trial: %v, want context.Canceled", err)
 	}
-	if got := len(pool.byNet); got != worlds {
-		t.Fatalf("byNet has %d keys after puts, want %d", got, worlds)
+	if len(pool.free) != 0 {
+		t.Errorf("pool holds %d simulators after a cancelled trial took the only one, want 0", len(pool.free))
 	}
-	for _, nw := range nets {
-		for pool.take(nw) != nil {
-		}
+
+	if _, err := runScenario(context.Background(), sc, pool); err != nil {
+		t.Fatal(err)
 	}
-	if got := len(pool.byNet); got != 0 {
-		t.Errorf("byNet retains %d keys after all simulators were taken, want 0", got)
+	bad := sc
+	bad.Failure = failure.Spec{Kind: failure.KindGeographic, Fraction: 2}
+	if _, err := runScenario(context.Background(), bad, pool); err == nil {
+		t.Fatal("a failure fraction of 2 was accepted")
 	}
-	if pool.n != 0 {
-		t.Errorf("pool count %d after draining, want 0", pool.n)
+	if len(pool.free) != 0 {
+		t.Errorf("pool holds %d simulators after a failed trial took the only one, want 0", len(pool.free))
 	}
-	// The drained pool must still work: put/take round-trips again.
-	sim := leakTestSim(t, nets[0])
-	pool.put(nets[0], sim)
-	if got := pool.take(nets[0]); got != sim {
-		t.Errorf("drained pool did not serve a re-pooled simulator")
+
+	// Neither left anything behind that the next trial can see.
+	again, err := runScenario(context.Background(), sc, pool)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := len(pool.byNet); got != 0 {
-		t.Errorf("byNet retains %d keys after final take, want 0", got)
+	if again != good {
+		t.Errorf("trial after a cancelled and a failed one: %+v, want %+v", again, good)
 	}
 }
 

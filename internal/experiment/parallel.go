@@ -63,8 +63,8 @@ func forEachIndex(n, workers int, fn func(i int)) {
 // trial fails (or ctx is canceled), trials that have not yet started are
 // skipped (marked errSkipped); in-flight ones finish or abort on the
 // engine's cancellation probe. pool, when non-nil, recycles simulators
-// across trials that share a memoized topology.
-func runTrialsInto(ctx context.Context, sc Scenario, results []Result, errs []error, workers int, failed *atomic.Bool, pool *simPool) {
+// across trials.
+func runTrialsInto(ctx context.Context, sc Scenario, results []Result, errs []error, workers int, failed *atomic.Bool, pool *SimPool) {
 	forEachIndex(len(results), workers, func(i int) {
 		if failed.Load() {
 			errs[i] = errSkipped
@@ -102,7 +102,7 @@ func runTrials(ctx context.Context, sc Scenario, n, workers int) (Stats, error) 
 	results := make([]Result, n)
 	errs := make([]error, n)
 	var failed atomic.Bool
-	runTrialsInto(ctx, sc, results, errs, workers, &failed, newSimPool())
+	runTrialsInto(ctx, sc, results, errs, workers, &failed, NewSimPool())
 	if i, err := firstTrialError(errs); err != nil {
 		return Stats{}, fmt.Errorf("trial %d: %w", i, err)
 	}

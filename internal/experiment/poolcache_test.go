@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -11,9 +12,9 @@ import (
 )
 
 // poolTestConfig is a small paired sweep: two schemes over the same
-// worlds, so the simulator pool actually gets hits (both series receive
-// the same memoized *Network per (x, trial) and the second series reuses
-// the first's simulators via Reset).
+// worlds, so a pooled simulator is sometimes handed the network it
+// already runs on (both series receive the same memoized *Network per
+// (x, trial)) and takes Rebind's pointer-equal shortcut.
 func poolTestConfig(workers int) SweepConfig {
 	return SweepConfig{
 		SeriesNames:           []string{"MRAI=0.5s", "batch"},
@@ -37,52 +38,118 @@ func poolTestConfig(workers int) SweepConfig {
 	}
 }
 
+// poolTestConfigs is the two ways a sweep's trials meet the simulator
+// pool: paired series, whose trials share worlds, and the shape of the
+// paper's own figures, where no two trials do and every pooled simulator
+// is rebound to a network it has never seen.
+func poolTestConfigs(workers int) map[string]SweepConfig {
+	return map[string]SweepConfig{
+		"paired":          poolTestConfig(workers),
+		"distinct-worlds": distinctWorldsConfig(workers),
+	}
+}
+
 // TestSweepPooledMatchesFreshRuns pins that the sweep's simulator pool
 // and topology memo change nothing observable: every cell of a pooled
-// sweep must equal the aggregate of plain Run calls (which never reuse a
-// simulator) over the same derived seeds.
+// sweep, serial or on four workers, must equal the aggregate of plain
+// Run calls (which never reuse a simulator) over the same derived seeds.
 func TestSweepPooledMatchesFreshRuns(t *testing.T) {
-	cfg := poolTestConfig(1)
-	fig, err := Sweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for si := range cfg.SeriesNames {
-		for xi, x := range cfg.Xs {
-			sc := cfg.Cell(si, x)
-			base := cellSeed(sc.Seed, si, xi, cfg.SameWorldAcrossSeries)
-			var fresh []Result
-			for i := 0; i < cfg.Trials; i++ {
-				sc.Seed = trialSeed(base, i)
-				r, err := Run(sc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fresh = append(fresh, r)
+	for _, workers := range []int{1, 4} {
+		for name, cfg := range poolTestConfigs(workers) {
+			fig, err := Sweep(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			want := cfg.Metric.value(aggregate(fresh))
-			got := fig.Series[si].Points[xi].Y
-			if got != want {
-				t.Errorf("series %d x=%v: pooled sweep %v != fresh runs %v", si, x, got, want)
+			for si := range cfg.SeriesNames {
+				for xi, x := range cfg.Xs {
+					sc := cfg.Cell(si, x)
+					base := cellSeed(sc.Seed, si, xi, cfg.SameWorldAcrossSeries)
+					var fresh []Result
+					for i := 0; i < cfg.Trials; i++ {
+						sc.Seed = trialSeed(base, i)
+						r, err := Run(sc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						fresh = append(fresh, r)
+					}
+					want := cfg.Metric.value(aggregate(fresh))
+					got := fig.Series[si].Points[xi].Y
+					if got != want {
+						t.Errorf("%s, %d workers, series %d x=%v: pooled sweep %v != fresh runs %v", name, workers, si, x, got, want)
+					}
+				}
 			}
 		}
 	}
 }
 
 // TestSweepWorkerCountInvariant pins that the pooled sweep is still
-// byte-identical across worker counts: pool hits occur in a different
-// interleaving under the parallel schedule, and none of it may show.
+// byte-identical across worker counts: simulators change hands in a
+// different interleaving under the parallel schedule, and none of it may
+// show.
 func TestSweepWorkerCountInvariant(t *testing.T) {
-	serial, err := Sweep(poolTestConfig(1))
-	if err != nil {
-		t.Fatal(err)
+	parallel := poolTestConfigs(4)
+	for name, cfg := range poolTestConfigs(1) {
+		serial, err := Sweep(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := Sweep(parallel[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(serial, par) {
+			t.Errorf("%s: worker count changed the figure:\nserial:   %+v\nparallel: %+v", name, serial, par)
+		}
 	}
-	parallel, err := Sweep(poolTestConfig(4))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestSweepAllocatesItsLargestTrialOnce pins what rebinding buys: a
+// serial sweep over ten worlds, no two trials on the same one, allocates
+// less than twice what its largest trial does on a simulator of its own.
+// Built per trial, as a pool keyed by network would have it, the sweep
+// costs the sum of its trials, several times that.
+func TestSweepAllocatesItsLargestTrialOnce(t *testing.T) {
+	// One row of the distinct-worlds grid, the 10% failures, on worlds
+	// large enough that a trial's buffers outweigh what every trial
+	// allocates whatever it runs on (seed streams, results).
+	grid := distinctWorldsConfig(1)
+	cfg := grid
+	cfg.SeriesNames = grid.SeriesNames[2:]
+	cfg.Cell = func(_ int, x float64) Scenario {
+		sc := grid.Cell(2, x)
+		sc.Topology.N = 60
+		return sc
 	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("worker count changed the figure:\nserial:   %+v\nparallel: %+v", serial, parallel)
+	var ms runtime.MemStats
+	allocated := func(f func()) uint64 {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		f()
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc - before
+	}
+	var largest, sum uint64
+	for xi := range cfg.Xs {
+		sc := CellScenario(cfg, 0, xi)
+		run := func() {
+			if _, err := Run(sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // builds and memoizes the world
+		n := allocated(run)
+		largest, sum = max(largest, n), sum+n
+	}
+	sweep := allocated(func() {
+		if _, err := Sweep(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("largest trial %d B, all %d trials %d B, sweep %d B", largest, len(cfg.Xs), sum, sweep)
+	if sweep > 2*largest {
+		t.Errorf("sweep allocated %d B, more than twice its largest trial's %d B (sum of fresh trials: %d B)", sweep, largest, sum)
 	}
 }
 

@@ -151,15 +151,15 @@ func Run(sc Scenario) (Result, error) {
 }
 
 // runScenario is the single trial implementation behind Run, RunTrials,
-// and Sweep. When pool is non-nil, a simulator previously built on the
-// same memoized network is Reset and reused instead of constructing a
-// fresh one; results are byte-identical either way. ctx cancellation
-// aborts the simulation between events via the engine's probe; it can
-// never alter the results of a run that completes. The RNG stream
+// and Sweep. When pool holds a simulator, it is rebound to this trial's
+// network and reused instead of constructing a fresh one; results are
+// byte-identical either way. ctx cancellation aborts the simulation
+// between events via the engine's probe; it can never alter the results
+// of a run that completes. The RNG stream
 // derivation (topology, failure, sim — in that order off the root) is
 // load-bearing: each Split advances the root, so the splits must happen
 // unconditionally even when the topology comes from the cache.
-func runScenario(ctx context.Context, sc Scenario, pool *simPool) (Result, error) {
+func runScenario(ctx context.Context, sc Scenario, pool *SimPool) (Result, error) {
 	root := des.NewRNG(sc.Seed)
 	topoRNG := root.Split("topology")
 	failRNG := root.Split("failure")
@@ -211,9 +211,9 @@ func runScenario(ctx context.Context, sc Scenario, pool *simPool) (Result, error
 		}
 		params.Policy = rs
 	}
-	sim := pool.take(net)
+	sim := pool.Take()
 	if sim != nil {
-		err = sim.Reset(params)
+		err = sim.Rebind(net, params)
 	} else {
 		sim, err = bgp.New(net, params)
 	}
@@ -250,7 +250,7 @@ func runScenario(ctx context.Context, sc Scenario, pool *simPool) (Result, error
 		FailedNodes:   len(nodes),
 		Nodes:         net.NumNodes(),
 	}
-	pool.put(net, sim)
+	pool.Put(sim)
 	return res, nil
 }
 

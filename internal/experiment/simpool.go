@@ -4,100 +4,64 @@ import (
 	"sync"
 
 	"bgpsim/internal/bgp"
-	"bgpsim/internal/topology"
 )
 
-// simPoolCap bounds the total simulators a pool retains across all
-// networks. Once full, returned simulators are dropped for the GC — a
-// throughput loss, never a correctness one.
+// simPoolCap bounds the simulators a pool retains. A pool never holds
+// more than were in use at once, so the bound only matters to a runner
+// shared by more goroutines than this; past it, returned simulators are
+// dropped for the GC — a throughput loss, never a correctness one.
 const simPoolCap = 32
 
-// simPool recycles Simulators between trials that share a topology.
-// bgp.Simulator.Reset rewinds every piece of dense per-router state in
-// place, so a pooled simulator produces byte-identical results to a
-// freshly constructed one; reuse only skips the allocation. Simulators
-// are keyed by the *Network they were built on (identity, not value):
-// Reset cannot change a simulator's topology, so a pooled simulator may
-// only serve trials on the exact network instance it was built for —
-// which the topology cache makes common, since paired sweeps hand every
-// series the same memoized *Network. Safe for concurrent use; a nil
-// *simPool is valid and never pools.
-type simPool struct {
-	mu    sync.Mutex
-	n     int
-	byNet map[*topology.Network][]*bgp.Simulator
+// SimPool recycles Simulators between trials: a LIFO free list, one
+// simulator per trial that was ever in flight at the same time. A
+// simulator is a set of buffers, not a network — bgp.Simulator.Rebind
+// rewires it onto whatever network the next trial runs on and rewinds
+// every piece of run state in place, so a pooled simulator produces
+// byte-identical results to a freshly constructed one; reuse only skips
+// the allocation. A sweep's trials therefore share simulators whether
+// they share worlds (paired series) or, like every point of the paper's
+// figures, have a world each: the sweep allocates the buffers of its
+// largest trial once. Only a simulator whose run completed goes back;
+// one that failed or was cancelled mid-run is left to the GC. Safe for
+// concurrent use; a nil *SimPool is valid and never pools. Sweep,
+// runTrials and CellRunner each own one, and sibling subsystems
+// (internal/churn) that run trials outside the sweep machinery make
+// theirs with NewSimPool.
+type SimPool struct {
+	mu   sync.Mutex
+	free []*bgp.Simulator
 }
 
-// newSimPool returns an empty pool.
-func newSimPool() *simPool {
-	return &simPool{byNet: make(map[*topology.Network][]*bgp.Simulator)}
-}
+// NewSimPool returns an empty pool.
+func NewSimPool() *SimPool { return &SimPool{} }
 
-// take pops a pooled simulator built on net, or nil when none is
-// available. The caller must Reset it before use.
-func (p *simPool) take(net *topology.Network) *bgp.Simulator {
+// Take pops the most recently returned simulator, or nil when the pool
+// is empty. The caller must Rebind it before use.
+func (p *SimPool) Take() *bgp.Simulator {
 	if p == nil {
 		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	list := p.byNet[net]
-	if len(list) == 0 {
+	n := len(p.free)
+	if n == 0 {
 		return nil
 	}
-	sim := list[len(list)-1]
-	list[len(list)-1] = nil
-	if len(list) == 1 {
-		// Last pooled simulator for this network: drop the key too.
-		// Leaving a zero-length slice behind would pin the *Network (and
-		// its map entry) for the pool's lifetime — one entry per distinct
-		// network ever pooled, which seed-cycling sweeps turn into an
-		// unbounded leak.
-		delete(p.byNet, net)
-	} else {
-		p.byNet[net] = list[:len(list)-1]
-	}
-	p.n--
+	sim := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
 	return sim
 }
 
-// SimPool is the exported face of the per-sweep simulator pool, for
-// sibling subsystems (internal/churn) that run trials outside the sweep
-// machinery but want the same construction-skipping reuse. Same
-// contract as the internal pool: byte-identical results, Reset before
-// use, keyed by *Network identity. The zero value is not usable;
-// construct with NewSimPool.
-type SimPool struct {
-	p *simPool
-}
-
-// NewSimPool returns an empty exported pool.
-func NewSimPool() *SimPool {
-	return &SimPool{p: newSimPool()}
-}
-
-// Take pops a pooled simulator built on net, or nil when none is
-// available. The caller must Reset it before use.
-func (p *SimPool) Take(net *topology.Network) *bgp.Simulator {
-	return p.p.take(net)
-}
-
-// Put offers sim (built on net) for reuse; it is dropped when full.
-func (p *SimPool) Put(net *topology.Network, sim *bgp.Simulator) {
-	p.p.put(net, sim)
-}
-
-// put offers sim (built on net) for reuse; it is dropped when the pool
-// is full.
-func (p *simPool) put(net *topology.Network, sim *bgp.Simulator) {
+// Put offers sim, whose run completed, for reuse; it is dropped when the
+// pool is full.
+func (p *SimPool) Put(sim *bgp.Simulator) {
 	if p == nil || sim == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.n >= simPoolCap {
-		return
+	if len(p.free) < simPoolCap {
+		p.free = append(p.free, sim)
 	}
-	p.byNet[net] = append(p.byNet[net], sim)
-	p.n++
 }

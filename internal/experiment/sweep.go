@@ -139,6 +139,11 @@ func Sweep(cfg SweepConfig) (Figure, error) {
 // engine's next cancellation probe, and the context error is returned.
 // Cancellation can never alter the figure of a sweep that completes.
 func SweepContext(ctx context.Context, cfg SweepConfig) (Figure, error) {
+	return sweep(ctx, cfg, NewSimPool())
+}
+
+// sweep is SweepContext drawing its simulators from pool.
+func sweep(ctx context.Context, cfg SweepConfig, pool *SimPool) (Figure, error) {
 	cfg, err := NormalizeSweep(cfg)
 	if err != nil {
 		return Figure{}, err
@@ -168,7 +173,6 @@ func SweepContext(ctx context.Context, cfg SweepConfig) (Figure, error) {
 	for c := range remaining {
 		remaining[c] = cfg.Trials
 	}
-	pool := newSimPool()
 	forEachIndex(len(results), workers, func(j int) {
 		c := j / cfg.Trials
 		if failed.Load() {

@@ -46,11 +46,17 @@ func NewCollector(n int) *Collector {
 // Reset returns the collector to its post-NewCollector state (all
 // counters zero, window closed), retaining the per-node array so
 // simulator reuse across trials allocates nothing here.
-func (c *Collector) Reset() {
+func (c *Collector) Reset() { c.Resize(len(c.perNodeSent)) }
+
+// Resize is Reset for n routers: the state NewCollector(n) returns, in
+// the per-node array it already has when that is large enough.
+func (c *Collector) Resize(n int) {
 	per := c.perNodeSent
-	for i := range per {
-		per[i] = 0
+	if cap(per) < n {
+		per = make([]int, n)
 	}
+	per = per[:n]
+	clear(per)
 	*c = Collector{perNodeSent: per}
 }
 

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -122,5 +123,30 @@ func TestOpenWindowResetsMaxQueueLen(t *testing.T) {
 	}
 	if c.TotalMaxQueueLen != 250 {
 		t.Errorf("TotalMaxQueueLen = %d, want 250 (whole-run max persists)", c.TotalMaxQueueLen)
+	}
+}
+
+// TestResizeMatchesNewCollector pins Resize: a used collector resized to
+// n routers, smaller or larger, is the collector NewCollector(n) returns.
+func TestResizeMatchesNewCollector(t *testing.T) {
+	c := NewCollector(4)
+	c.OpenWindow(time.Second)
+	c.NoteSend(2*time.Second, 3, false)
+	c.NoteQueueLen(9)
+	for _, n := range []int{2, 4, 7, 1} {
+		c.Resize(n)
+		if got := c.PerNodeSent(); len(got) != n {
+			t.Fatalf("Resize(%d): %d per-node counters", n, len(got))
+		}
+		c.OpenWindow(time.Second)
+		c.NoteSend(2*time.Second, n-1, true)
+		c.NoteSend(2*time.Second, n, true) // out of range: counted, not attributed
+		fresh := NewCollector(n)
+		fresh.OpenWindow(time.Second)
+		fresh.NoteSend(2*time.Second, n-1, true)
+		fresh.NoteSend(2*time.Second, n, true)
+		if !reflect.DeepEqual(c, fresh) {
+			t.Errorf("Resize(%d): %+v, NewCollector: %+v", n, c, fresh)
+		}
 	}
 }

@@ -37,6 +37,12 @@ type Snapshot struct {
 // level); a fresh Policy is created for every router via a Factory.
 type Policy interface {
 	MRAI(s Snapshot) time.Duration
+	// Rewind returns the policy in place to the state its Factory built
+	// it in. The simulator rewinds every live router's policy each time a
+	// measurement window opens — once per perturbation of a churn program
+	// — which calling the Factory again would turn into an allocation per
+	// router per window. A policy without state does nothing.
+	Rewind()
 }
 
 // Factory builds one Policy instance per router. degree is the router's
@@ -52,6 +58,9 @@ func Constant(d time.Duration) Factory {
 type constantPolicy time.Duration
 
 func (c constantPolicy) MRAI(Snapshot) time.Duration { return time.Duration(c) }
+
+// Rewind is a no-op: the policy has no state.
+func (constantPolicy) Rewind() {}
 
 // DegreeDependent assigns low-degree routers one constant MRAI and
 // high-degree routers another (Section 4.2: "low 0.5, high 2.25").
@@ -150,15 +159,15 @@ func DynamicMsgRate(levels []time.Duration, up, down float64) Factory {
 
 // Factory validates the ladder and returns a per-router factory.
 // It panics on an invalid ladder; configurations are program constants.
+// The factory keeps one private copy of the configuration, which every
+// policy it builds reads and none writes.
 func (l Ladder) Factory() Factory {
 	if err := l.validate(); err != nil {
 		panic(err)
 	}
-	return func(int) Policy {
-		cfg := l
-		cfg.Levels = append([]time.Duration(nil), l.Levels...)
-		return &ladderPolicy{cfg: cfg}
-	}
+	cfg := l
+	cfg.Levels = append([]time.Duration(nil), l.Levels...)
+	return func(int) Policy { return &ladderPolicy{cfg: &cfg} }
 }
 
 func (l Ladder) validate() error {
@@ -189,13 +198,17 @@ func (l Ladder) validate() error {
 	return nil
 }
 
-// ladderPolicy carries the per-router level state.
+// ladderPolicy carries the per-router level state; cfg is shared by
+// every policy of one Factory and read-only.
 type ladderPolicy struct {
-	cfg   Ladder
+	cfg   *Ladder
 	level int
 }
 
 var _ Policy = (*ladderPolicy)(nil)
+
+// Rewind returns the ladder to its bottom level.
+func (p *ladderPolicy) Rewind() { p.level = 0 }
 
 // MRAI adjusts the level by at most one step and returns the new MRAI.
 func (p *ladderPolicy) MRAI(s Snapshot) time.Duration {

@@ -186,3 +186,53 @@ func TestPropertyLadderStepBound(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRewindMatchesFactory pins Policy.Rewind: every policy rewinds in
+// place to what its Factory builds, answering the same snapshots the
+// same way afterwards, without allocating.
+func TestRewindMatchesFactory(t *testing.T) {
+	overload := Snapshot{UnfinishedWork: time.Second, Utilization: 1, MsgRate: 1e6}
+	idle := Snapshot{}
+	probe := []Snapshot{overload, overload, idle, overload}
+	factories := map[string]Factory{
+		"constant":    Constant(time.Second),
+		"degree":      DegreeDependent(4, time.Second, 2*time.Second),
+		"dynamic":     PaperDynamic(),
+		"utilization": DynamicUtilization(PaperLevels, 0.9, 0.1),
+		"msgrate":     DynamicMsgRate(PaperLevels, 100, 1),
+		"oracle":      Oracle(time.Second),
+	}
+	for name, f := range factories {
+		used := f(8)
+		for _, s := range probe[:2] {
+			used.MRAI(s)
+		}
+		if s, ok := used.(Settable); ok {
+			s.Set(time.Minute)
+		}
+		if n := testing.AllocsPerRun(10, used.Rewind); n != 0 {
+			t.Errorf("%s: Rewind allocates %v objects, want 0", name, n)
+		}
+		fresh := f(8)
+		for i, s := range probe {
+			if got, want := used.MRAI(s), fresh.MRAI(s); got != want {
+				t.Errorf("%s: snapshot %d after Rewind: %v, fresh policy %v", name, i, got, want)
+			}
+		}
+	}
+}
+
+// TestLadderFactoryCopiesLevelsOnce pins that the policies of one
+// factory share one copy of the levels, taken when the factory is made.
+func TestLadderFactoryCopiesLevelsOnce(t *testing.T) {
+	levels := []time.Duration{time.Second, 2 * time.Second}
+	f := Dynamic(levels, PaperUpTh, PaperDownTh)
+	levels[0] = time.Hour
+	if got := f(3).MRAI(Snapshot{}); got != time.Second {
+		t.Errorf("MRAI = %v: the factory reads the caller's slice", got)
+	}
+	a, b := f(3).(*ladderPolicy), f(3).(*ladderPolicy)
+	if a.cfg != b.cfg {
+		t.Error("two policies of one factory hold separate configurations")
+	}
+}

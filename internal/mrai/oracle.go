@@ -20,17 +20,20 @@ type Settable interface {
 // significant overhead" — and serves as the upper bound the dynamic
 // scheme is judged against.
 func Oracle(initial time.Duration) Factory {
-	return func(int) Policy { return &oraclePolicy{cur: initial} }
+	return func(int) Policy { return &oraclePolicy{initial: initial, cur: initial} }
 }
 
 type oraclePolicy struct {
-	cur time.Duration
+	initial, cur time.Duration
 }
 
 var (
 	_ Policy   = (*oraclePolicy)(nil)
 	_ Settable = (*oraclePolicy)(nil)
 )
+
+// Rewind forgets any Set and returns to the initial MRAI.
+func (p *oraclePolicy) Rewind() { p.cur = p.initial }
 
 // MRAI returns the externally chosen value; the snapshot is ignored.
 func (p *oraclePolicy) MRAI(Snapshot) time.Duration { return p.cur }
