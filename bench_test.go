@@ -3,8 +3,8 @@
 // (topology generation, initial BGP convergence, failure injection,
 // re-convergence, aggregation) at the reduced QuickOptions scale so the
 // full suite completes in minutes; `cmd/bgpfig` runs the same experiments
-// at paper scale. BenchmarkScenario* are single-run micro-benchmarks for
-// profiling the simulator itself.
+// at paper scale. Performance claims are made with benchmark/ (see
+// EXPERIMENTS.md), not with these.
 package bgpsim_test
 
 import (
@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"bgpsim"
-	"bgpsim/internal/bench"
 )
 
 // benchFigure runs one registered experiment per iteration and reports
@@ -66,27 +65,6 @@ func BenchmarkAblationDamping(b *testing.B)               { benchFigure(b, "abla
 func BenchmarkAblationPolicy(b *testing.B)                { benchFigure(b, "ablation-policy") }
 func BenchmarkAblationPrefixScaling(b *testing.B)         { benchFigure(b, "ablation-prefix-scaling") }
 
-// benchEntry delegates to the shared internal/bench registry (also used
-// by cmd/bgpbench) so both harnesses measure the same bodies.
-func benchEntry(b *testing.B, name string) {
-	b.Helper()
-	e, ok := bench.Lookup(name)
-	if !ok {
-		b.Fatalf("benchmark %q not in internal/bench registry", name)
-	}
-	e.Fn(b)
-}
-
-func BenchmarkScenarioSmallFailureFIFO(b *testing.B) { benchEntry(b, "ScenarioSmallFailureFIFO") }
-
-func BenchmarkScenarioLargeFailureFIFO(b *testing.B) { benchEntry(b, "ScenarioLargeFailureFIFO") }
-
-func BenchmarkScenarioLargeFailureBatched(b *testing.B) {
-	benchEntry(b, "ScenarioLargeFailureBatched")
-}
-
-func BenchmarkScenarioDynamicMRAI(b *testing.B) { benchEntry(b, "ScenarioDynamicMRAI") }
-
 // BenchmarkSweepWorkers measures sweep wall-clock scaling with the
 // worker-pool size (fig3's grid at reduced scale). Figures are
 // byte-identical across worker counts, so the only difference between
@@ -109,8 +87,6 @@ func BenchmarkSweepWorkers(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkScenarioRealisticIBGP(b *testing.B) { benchEntry(b, "ScenarioRealisticIBGP") }
 
 func BenchmarkTopologyGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {

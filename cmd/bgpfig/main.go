@@ -56,7 +56,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("bgpfig", flag.ContinueOnError)
 	var (
 		figID    = fs.String("fig", "all", "figure to regenerate: all, 1..13, or an ablation id")
@@ -86,10 +86,13 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *shardCC && *shards < 2 {
+		return fmt.Errorf("-shard-concurrent needs -shards >= 2")
+	}
 	if err := prof.Start(); err != nil {
 		return err
 	}
-	defer prof.Stop()
+	defer func() { err = errors.Join(err, prof.Stop()) }()
 
 	if *list {
 		for _, e := range bgpsim.Experiments() {
@@ -170,7 +173,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		srv := &http.Server{Handler: coord.Handler()}
+		srv := dist.NewServer(coord.Handler())
 		go func() {
 			if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintln(os.Stderr, "bgpfig: coordinator server:", err)
@@ -250,7 +253,7 @@ func runService(ctx context.Context, addr, ckptPath string, leaseTTL time.Durati
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := dist.NewServer(svc.Handler())
 	go func() {
 		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintln(os.Stderr, "bgpfig: service server:", err)

@@ -47,6 +47,29 @@ func TestBadFlagErrors(t *testing.T) {
 	}
 }
 
+// TestShardConcurrentNeedsShards: the flag selects a mode of the sharded
+// engine, so without -shards >= 2 it would be dropped unnoticed.
+func TestShardConcurrentNeedsShards(t *testing.T) {
+	for _, args := range [][]string{{"-list", "-shard-concurrent"}, {"-list", "-shard-concurrent", "-shards", "1"}} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "-shard-concurrent") {
+			t.Errorf("run(%v) = %v, want a -shard-concurrent flag error", args, err)
+		}
+	}
+	if err := run([]string{"-list", "-shard-concurrent", "-shards", "2"}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestProfileWriteErrorReachesRun: a -memprofile that cannot be written
+// fails the run instead of exiting 0 with no file.
+func TestProfileWriteErrorReachesRun(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "no-such-dir", "mem.out")
+	err := run([]string{"-list", "-memprofile", bad})
+	if err == nil || !strings.Contains(err.Error(), "profiling:") {
+		t.Errorf("run = %v, want a profiling: error", err)
+	}
+}
+
 func TestWorkersFlagProducesSameFigure(t *testing.T) {
 	serial, parallel := t.TempDir(), t.TempDir()
 	base := []string{"-fig", "1", "-quick", "-nodes", "24", "-trials", "1", "-q"}

@@ -27,6 +27,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -52,7 +53,7 @@ func main() {
 	}
 }
 
-func run(args []string, out *os.File) error {
+func run(args []string, out *os.File) (err error) {
 	fs := flag.NewFlagSet("bgpsim", flag.ContinueOnError)
 	var (
 		topoKind = fs.String("topo", "skewed-70-30", "topology kind (see topogen -kinds)")
@@ -84,10 +85,13 @@ func run(args []string, out *os.File) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *shardCC && *shards < 2 {
+		return fmt.Errorf("-shard-concurrent needs -shards >= 2")
+	}
 	if err := prof.Start(); err != nil {
 		return err
 	}
-	defer prof.Stop()
+	defer func() { err = errors.Join(err, prof.Stop()) }()
 	sch, err := parseScheme(*scheme)
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -100,6 +101,26 @@ func TestChurnCLIRejectsBadFlags(t *testing.T) {
 		if err := run(args, null); err == nil {
 			t.Errorf("run(%v) accepted", args)
 		}
+	}
+}
+
+// TestShardConcurrentNeedsShards: the flag selects a mode of the sharded
+// engine, so without -shards >= 2 it would be dropped unnoticed.
+func TestShardConcurrentNeedsShards(t *testing.T) {
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer null.Close()
+	small := []string{"-nodes", "30", "-scheme", "mrai=0.5", "-shard-concurrent"}
+	for _, shards := range []string{"0", "1"} {
+		err := run(append(small, "-shards", shards), null)
+		if err == nil || !strings.Contains(err.Error(), "-shard-concurrent") {
+			t.Errorf("-shards %s: run = %v, want a -shard-concurrent flag error", shards, err)
+		}
+	}
+	if err := run(append(small, "-shards", "2"), null); err != nil {
+		t.Error(err)
 	}
 }
 

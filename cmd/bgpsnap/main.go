@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -39,7 +40,7 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("bgpsnap", flag.ContinueOnError)
 	var (
 		kind   = fs.String("kind", "internet-like", "topology family (see topogen -kinds)")
@@ -58,12 +59,11 @@ func run(args []string, out io.Writer) error {
 	if err := prof.Start(); err != nil {
 		return err
 	}
-	defer prof.Stop()
+	defer func() { err = errors.Join(err, prof.Stop()) }()
 
 	var (
 		net  *topology.Network
 		rels *topology.Relationships
-		err  error
 	)
 	buildStart := time.Now()
 	if *inPath != "" {

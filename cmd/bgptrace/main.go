@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -29,7 +30,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("bgptrace", flag.ContinueOnError)
 	var (
 		topoKind = fs.String("topo", "skewed-70-30", "topology kind")
@@ -51,7 +52,7 @@ func run(args []string) error {
 	if err := prof.Start(); err != nil {
 		return err
 	}
-	defer prof.Stop()
+	defer func() { err = errors.Join(err, prof.Stop()) }()
 
 	sch, err := parseScheme(*scheme)
 	if err != nil {

@@ -21,6 +21,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -40,7 +41,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("bgpwork", flag.ContinueOnError)
 	var (
 		connect = fs.String("connect", "", "coordinator address (host:port or URL); required")
@@ -60,7 +61,7 @@ func run(args []string) error {
 	if err := prof.Start(); err != nil {
 		return err
 	}
-	defer prof.Stop()
+	defer func() { err = errors.Join(err, prof.Stop()) }()
 
 	w := &dist.Worker{
 		Base:         dist.BaseURL(*connect),

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,7 +32,7 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("topogen", flag.ContinueOnError)
 	var (
 		kinds   = fs.Bool("kinds", false, "list topology families and exit")
@@ -52,7 +53,7 @@ func run(args []string, out io.Writer) error {
 	if err := prof.Start(); err != nil {
 		return err
 	}
-	defer prof.Stop()
+	defer func() { err = errors.Join(err, prof.Stop()) }()
 
 	if *kinds {
 		for _, k := range topology.Kinds() {
@@ -63,7 +64,6 @@ func run(args []string, out io.Writer) error {
 
 	var net *bgpsim.Network
 	var rels *topology.Relationships
-	var err error
 	if *inPath != "" {
 		f, err2 := os.Open(*inPath)
 		if err2 != nil {

@@ -3,13 +3,45 @@ package bgp
 import (
 	"testing"
 
+	"bgpsim/internal/des"
+	"bgpsim/internal/mrai"
 	"bgpsim/internal/topology"
 )
 
-// The end-to-end BenchmarkConvergeAndFail* benchmarks moved to
-// bench_suite_test.go (package bgp_test), which delegates to the shared
-// internal/bench registry also used by cmd/bgpbench. This file keeps the
-// micro-benchmarks that need unexported access.
+// BenchmarkConvergeAndFail runs one full simulation per iteration
+// (initial convergence, 6-node geographic failure, re-convergence) on a
+// fixed 60-node topology. The damped case is the only timing of the
+// flap-damping path; benchmark/ covers the other three at paper scale.
+func BenchmarkConvergeAndFail(b *testing.B) {
+	nw, err := topology.SkewedNetwork(topology.Skewed7030(60), des.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	fail := topology.NearestNodes(nw, topology.GridCenter(nw), 6, nil)
+	for _, c := range []struct {
+		name   string
+		mutate func(*Params)
+	}{
+		{"FIFO", nil},
+		{"Batched", func(p *Params) { p.Queue = QueueBatched }},
+		{"Dynamic", func(p *Params) { p.MRAI = mrai.PaperDynamic() }},
+		{"Damped", func(p *Params) { p.Damping = DefaultDamping() }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p := equivalenceParams(int64(i+1), c.mutate)
+				sim, err := New(nw, p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sim.ConvergeAndFail(fail); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // decideBench measures the full decision-process scan at a given peer
 // degree — the cost the incremental path avoids. Degrees 64/128 model

@@ -8,15 +8,6 @@ import (
 	"bgpsim/internal/topology"
 )
 
-// forceCompaction lowers the sweep thresholds so any quiescent table
-// compacts, restoring the defaults on cleanup.
-func forceCompaction(t *testing.T) {
-	t.Helper()
-	minPaths, deadFrac := CompactMinPaths, CompactDeadFraction
-	CompactMinPaths, CompactDeadFraction = 1, 0
-	t.Cleanup(func() { CompactMinPaths, CompactDeadFraction = minPaths, deadFrac })
-}
-
 // TestCompactionBehaviorNeutral pins that the quiescence path-table
 // compaction sweep changes nothing observable: a run that compacts (and
 // renumbers every live ref) produces byte-identical figures and final
@@ -39,7 +30,7 @@ func TestCompactionBehaviorNeutral(t *testing.T) {
 			t.Fatalf("shards=%d: compaction triggered below thresholds: %+v", shards, got)
 		}
 
-		forceCompaction(t)
+		p.ref = refCompactAlways
 		compacted, err := New(nw, p)
 		if err != nil {
 			t.Fatal(err)
@@ -53,7 +44,6 @@ func TestCompactionBehaviorNeutral(t *testing.T) {
 		if st.Compactions != 1 {
 			t.Fatalf("shards=%d: expected exactly one sweep, got %+v", shards, st)
 		}
-		CompactMinPaths, CompactDeadFraction = 1<<16, 0.5
 	}
 }
 
@@ -90,7 +80,7 @@ func TestCompactionShrinksTable(t *testing.T) {
 	}
 	want := routes()
 
-	forceCompaction(t)
+	sim.params.ref = refCompactAlways
 	sim.maybeCompactPaths()
 	after := sim.PathTableStats()
 	if after.Compactions != 1 {
@@ -132,7 +122,7 @@ func TestWarmStartMatchesCompactedCold(t *testing.T) {
 	fail := topology.NearestNodes(nw, topology.GridCenter(nw), 4, nil)
 
 	p := equivalenceParams(3, nil)
-	forceCompaction(t)
+	p.ref = refCompactAlways
 	cold, err := New(nw, p)
 	if err != nil {
 		t.Fatal(err)

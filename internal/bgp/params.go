@@ -191,6 +191,10 @@ const (
 	// refNoSecondBest resolves incumbent withdrawal and worsening with
 	// a rescan instead of the second-best-slot cache.
 	refNoSecondBest
+	// refCompactAlways is not a reference path but the one other test
+	// seam: it sweeps the path table at every quiescence, however small
+	// the table or its dead fraction (see maybeCompactPaths).
+	refCompactAlways
 )
 
 // DefaultParams returns the paper's simulation configuration with a 30 s

@@ -421,7 +421,6 @@ func (s *Simulator) Collector() *metrics.Collector {
 // writes to (one in single-engine and sequenced modes, one per shard in
 // concurrent mode).
 func (s *Simulator) openWindow(at des.Time) {
-	stormProfileOpen() // storm-scoped CPU profile starts with the window
 	s.col.OpenWindow(at)
 	if s.sh != nil {
 		for _, c := range s.sh.cols {
@@ -673,13 +672,14 @@ func (s *Simulator) PolicyLevelHistogram() map[int]int {
 	return h
 }
 
-// Compaction trigger thresholds (variables so tests can force the sweep
-// on small topologies). The sweep runs at quiescence when the table has
-// at least CompactMinPaths registrations and the dead fraction — paths
-// no RIB cell references anymore — is at least CompactDeadFraction.
-var (
-	CompactMinPaths     = 1 << 16
-	CompactDeadFraction = 0.5
+// Compaction trigger thresholds. The sweep runs at quiescence when the
+// table has at least compactMinPaths registrations and the dead fraction
+// — paths no RIB cell references anymore — is at least
+// compactDeadFraction. Tests force it on small topologies with
+// Params.ref's refCompactAlways bit.
+const (
+	compactMinPaths     = 1 << 16
+	compactDeadFraction = 0.5
 )
 
 // PathStats describes the interned-path table footprint.
@@ -776,12 +776,16 @@ func (s *Simulator) maybeCompactPaths() {
 	if !s.sharedTab() {
 		return
 	}
+	minPaths, deadFraction := compactMinPaths, compactDeadFraction
+	if s.params.ref&refCompactAlways != 0 {
+		minPaths, deadFraction = 1, 0
+	}
 	total := s.tab.size()
-	if total < CompactMinPaths {
+	if total < minPaths {
 		return
 	}
 	live := s.markLiveRefs()
-	if float64(total-live) < CompactDeadFraction*float64(total) {
+	if float64(total-live) < deadFraction*float64(total) {
 		return
 	}
 	s.tab.compact(s.forEachRefCell)
@@ -801,18 +805,11 @@ const SettleMargin = 5 * time.Second
 // failure time (normalizeWindow) makes the two starts indistinguishable
 // from the measurement window onward.
 func (s *Simulator) ConvergeAndFail(nodes []int) (time.Duration, error) {
-	begin := time.Now()
 	if err := s.ConvergeInitial(); err != nil {
 		return 0, err
 	}
-	addSetupNs(begin)
-	failAt := s.Now() + SettleMargin
-	s.ScheduleFailure(failAt, nodes)
-	begin = time.Now()
-	err := s.Run()
-	addStormNs(begin)
-	stormProfileClose() // quiescence closes the storm-scoped profile
-	if err != nil {
+	s.ScheduleFailure(s.Now()+SettleMargin, nodes)
+	if err := s.Run(); err != nil {
 		return 0, fmt.Errorf("re-convergence: %w", err)
 	}
 	return s.Collector().ConvergenceDelay(), nil

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -460,13 +461,39 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	reply(w, c.Stats())
 }
 
-// decode parses a JSON request body, replying 400 on failure.
+// maxBodyBytes caps a request body. The largest legitimate one is the
+// completion of a churn trial, about 160 bytes per measurement window
+// (a ten-minute program at one perturbation a second is 190 KB), so
+// this leaves room for some hundred thousand windows per trial.
+const maxBodyBytes = 16 << 20
+
+// decode parses a JSON request body, replying 413 to one longer than
+// maxBodyBytes and 400 to any other failure.
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		http.Error(w, "dist: bad request: "+err.Error(), http.StatusBadRequest)
-		return false
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
 	}
-	return true
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, "dist: bad request: "+err.Error(), code)
+	return false
+}
+
+// NewServer returns an http.Server for a coordinator or service handler
+// with read-side limits, so a peer that connects and then stalls cannot
+// hold a connection open for ever. There is no write timeout: replies
+// are small, and a completion that saves a checkpoint may take its time.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
 }
 
 // reply writes a JSON response.

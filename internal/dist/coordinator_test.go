@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -342,5 +344,41 @@ func TestShutdownRefusesWorkAndSweeps(t *testing.T) {
 	}
 	if _, err := coord.RunSweep(context.Background(), "test", 0, Options{}, testSweepCfg(nil)); err == nil {
 		t.Error("RunSweep accepted after Shutdown")
+	}
+}
+
+// spaces is an endless request body of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestOversizeBodyRejected: a body the coordinator would otherwise
+// buffer without bound is cut off at maxBodyBytes and answered 413;
+// malformed JSON inside the cap is still a 400.
+func TestOversizeBodyRejected(t *testing.T) {
+	coord, err := NewCoordinator(CoordinatorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := coord.Handler()
+	for _, c := range []struct {
+		name string
+		body io.Reader
+		want int
+	}{
+		{"oversize", io.LimitReader(spaces{}, maxBodyBytes+1), http.StatusRequestEntityTooLarge},
+		{"at the cap", io.MultiReader(io.LimitReader(spaces{}, maxBodyBytes-2), strings.NewReader("{}")), http.StatusOK},
+		{"malformed", strings.NewReader("{"), http.StatusBadRequest},
+	} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/complete", c.body))
+		if w.Code != c.want {
+			t.Errorf("%s: HTTP %d, want %d (%s)", c.name, w.Code, c.want, strings.TrimSpace(w.Body.String()))
+		}
 	}
 }

@@ -23,7 +23,6 @@ var auditedPackages = []string{
 	"internal/des",
 	"internal/bgp",
 	"internal/metrics",
-	"internal/bench",
 	"internal/profiling",
 }
 
@@ -59,13 +58,7 @@ func repoRoot(t *testing.T) string {
 // are harness entry points, not API.
 func auditPackage(t *testing.T, dir string) []string {
 	t.Helper()
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
-	if err != nil {
-		t.Fatalf("%s: %v", dir, err)
-	}
+	fset, pkgs := parseNonTest(t, dir)
 	var problems []string
 	report := func(pos token.Pos, kind, name string) {
 		p := fset.Position(pos)
@@ -94,6 +87,52 @@ func auditPackage(t *testing.T, dir string) []string {
 		}
 	}
 	return problems
+}
+
+// parseNonTest parses the non-test files of the package at dir.
+func parseNonTest(t *testing.T, dir string) (*token.FileSet, map[string]*ast.Package) {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ParseComments)
+	if err != nil {
+		t.Fatalf("%s: %v", dir, err)
+	}
+	return fset, pkgs
+}
+
+// TestBGPHoldsNoProcessWideState keeps internal/bgp a function of its
+// arguments: a trial's outcome and cost may depend on the Simulator and
+// the Params it was given, never on something another trial, test or
+// tool set process-wide. The one package-level variable allowed is the
+// mutex-guarded warm-start cache snapCache (a memo, not a setting), next
+// to the blank interface assertions; and the package may not import
+// internal/profiling, whose flags are process-wide by nature.
+func TestBGPHoldsNoProcessWideState(t *testing.T) {
+	fset, pkgs := parseNonTest(t, filepath.Join(repoRoot(t), "internal/bgp"))
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, imp := range file.Imports {
+				if imp.Path.Value == `"bgpsim/internal/profiling"` {
+					t.Errorf("%s: internal/bgp imports internal/profiling", fset.Position(imp.Pos()))
+				}
+			}
+			for _, decl := range file.Decls {
+				d, ok := decl.(*ast.GenDecl)
+				if !ok || d.Tok != token.VAR {
+					continue
+				}
+				for _, spec := range d.Specs {
+					for _, name := range spec.(*ast.ValueSpec).Names {
+						if name.Name != "_" && name.Name != "snapCache" {
+							t.Errorf("%s: package-level var %s", fset.Position(name.Pos()), name.Name)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // receiverExported reports whether a method's receiver base type is

@@ -8,12 +8,12 @@
 package profiling
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sync"
 )
 
 // Config holds the profile destinations parsed from the command line.
@@ -22,14 +22,6 @@ type Config struct {
 	CPUPath string
 	// MemPath receives a heap profile written at Stop ("" = disabled).
 	MemPath string
-	// StormCPUPath receives a CPU profile scoped to the first measurement
-	// window of the run — failure injection to quiescence, the storm
-	// phase ("" = disabled). Mutually exclusive with CPUPath: the runtime
-	// supports one CPU profile at a time.
-	StormCPUPath string
-	// StormMemPath receives a heap profile written when that window
-	// closes ("" = disabled).
-	StormMemPath string
 
 	cpuFile *os.File
 }
@@ -38,18 +30,10 @@ type Config struct {
 func (c *Config) AddFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.CPUPath, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&c.MemPath, "memprofile", "", "write a heap profile to this file on exit")
-	fs.StringVar(&c.StormCPUPath, "storm-cpuprofile", "", "write a CPU profile of the first measurement window (failure to quiescence) to this file")
-	fs.StringVar(&c.StormMemPath, "storm-memprofile", "", "write a heap profile at the close of the first measurement window to this file")
 }
 
 // Start begins CPU profiling if requested. It must be paired with Stop.
 func (c *Config) Start() error {
-	if c.StormCPUPath != "" || c.StormMemPath != "" {
-		if c.CPUPath != "" && c.StormCPUPath != "" {
-			return fmt.Errorf("profiling: -cpuprofile and -storm-cpuprofile are mutually exclusive (one CPU profile at a time)")
-		}
-		SetStormProfile(c.StormCPUPath, c.StormMemPath)
-	}
 	if c.CPUPath == "" {
 		return nil
 	}
@@ -66,139 +50,31 @@ func (c *Config) Start() error {
 }
 
 // Stop ends CPU profiling and writes the heap profile, if either was
-// requested. Safe to call when Start was never called or profiling is
-// disabled. A storm window still open (the run ended before quiescence)
-// is finalized first so its partial capture is not lost.
+// requested, and returns every error met doing so. Safe to call when
+// Start was never called or profiling is disabled.
 func (c *Config) Stop() error {
-	var firstErr error
-	if serr := StormWindowClose(); serr != nil {
-		firstErr = serr
-	}
-	storm.mu.Lock()
-	storm.cpuPath, storm.memPath, storm.done = "", "", false
-	storm.mu.Unlock()
+	var cpuErr, memErr error
 	if c.cpuFile != nil {
 		pprof.StopCPUProfile()
-		if err := c.cpuFile.Close(); err != nil {
-			firstErr = nonNil(firstErr, fmt.Errorf("profiling: %w", err))
-		}
+		cpuErr = c.cpuFile.Close()
 		c.cpuFile = nil
 	}
 	if c.MemPath != "" {
-		f, err := os.Create(c.MemPath)
-		if err != nil {
-			return nonNil(firstErr, fmt.Errorf("profiling: %w", err))
-		}
-		runtime.GC() // capture the settled live set, not transient garbage
-		err = pprof.Lookup("allocs").WriteTo(f, 0)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nonNil(firstErr, fmt.Errorf("profiling: %w", err))
-		}
+		memErr = writeAllocs(c.MemPath)
 	}
-	return firstErr
-}
-
-// nonNil returns the first non-nil error.
-func nonNil(a, b error) error {
-	if a != nil {
-		return a
-	}
-	return b
-}
-
-// Storm-window capture: the simulator opens a measurement window when a
-// failure is injected and the window closes at quiescence, so a profile
-// scoped to exactly that span isolates the post-failure exploration
-// storm from topology build and initial convergence. The hooks are
-// package-level because the window open/close sites live deep inside
-// the simulator, far from any Config.
-//
-// Only the FIRST window after SetStormProfile is captured — the Go
-// runtime cannot pause and resume one CPU profile across the many
-// windows a benchmark loop opens, and one representative window is what
-// a profiling session needs.
-var storm struct {
-	mu      sync.Mutex
-	cpuPath string
-	memPath string
-	done    bool     // first window already captured (or capture underway)
-	cpuFile *os.File // non-nil while a storm CPU profile is running
-}
-
-// SetStormProfile arms storm-window capture. The next StormWindowOpen
-// begins a CPU profile written to cpuPath, and the matching
-// StormWindowClose writes a heap profile to memPath; either path may be
-// empty to disable that half. Config.Start calls this for the
-// -storm-cpuprofile/-storm-memprofile flags.
-func SetStormProfile(cpuPath, memPath string) {
-	storm.mu.Lock()
-	defer storm.mu.Unlock()
-	storm.cpuPath, storm.memPath = cpuPath, memPath
-	storm.done = false
-}
-
-// StormWindowOpen begins the storm-phase capture if one is armed and
-// not yet taken. Idempotent and cheap when capture is disabled or
-// already done; errors are returned so CLI callers can surface them,
-// but the simulator ignores the return (a failed profile must not fail
-// the run).
-func StormWindowOpen() error {
-	storm.mu.Lock()
-	defer storm.mu.Unlock()
-	if storm.done || (storm.cpuPath == "" && storm.memPath == "") {
-		return nil
-	}
-	storm.done = true
-	if storm.cpuPath == "" {
-		return nil
-	}
-	f, err := os.Create(storm.cpuPath)
-	if err != nil {
+	if err := errors.Join(cpuErr, memErr); err != nil {
 		return fmt.Errorf("profiling: %w", err)
 	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return fmt.Errorf("profiling: %w", err)
-	}
-	storm.cpuFile = f
 	return nil
 }
 
-// StormWindowClose finalizes a storm capture begun by StormWindowOpen:
-// stops the CPU profile and writes the heap profile. Idempotent; safe
-// to call when no window is open.
-func StormWindowClose() error {
-	storm.mu.Lock()
-	defer storm.mu.Unlock()
-	if !storm.done || (storm.cpuFile == nil && storm.memPath == "") {
-		return nil
+// writeAllocs writes the "allocs" profile (live heap plus totals) to path.
+func writeAllocs(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	var firstErr error
-	if storm.cpuFile != nil {
-		pprof.StopCPUProfile()
-		if err := storm.cpuFile.Close(); err != nil {
-			firstErr = fmt.Errorf("profiling: %w", err)
-		}
-		storm.cpuFile = nil
-	}
-	if storm.memPath != "" {
-		path := storm.memPath
-		storm.memPath = "" // write once, at the first close
-		f, err := os.Create(path)
-		if err != nil {
-			return nonNil(firstErr, fmt.Errorf("profiling: %w", err))
-		}
-		runtime.GC() // capture the settled live set, not transient garbage
-		err = pprof.Lookup("allocs").WriteTo(f, 0)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nonNil(firstErr, fmt.Errorf("profiling: %w", err))
-		}
-	}
-	return firstErr
+	runtime.GC() // capture the settled live set, not transient garbage
+	err = pprof.Lookup("allocs").WriteTo(f, 0)
+	return errors.Join(err, f.Close())
 }

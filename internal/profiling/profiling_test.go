@@ -4,109 +4,58 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// TestStormWindowCapture drives the storm-window lifecycle directly:
-// arm, open, close — the CPU and heap profiles must land on disk and a
-// second open/close pair must not disturb them (first window wins).
-func TestStormWindowCapture(t *testing.T) {
+// TestStartStopWriteProfiles: the flags reach Config, and a Start/Stop
+// pair leaves a non-empty CPU profile and a non-empty allocs profile.
+func TestStartStopWriteProfiles(t *testing.T) {
 	dir := t.TempDir()
-	cpu := filepath.Join(dir, "storm-cpu.out")
-	mem := filepath.Join(dir, "storm-mem.out")
-	SetStormProfile(cpu, mem)
-	defer SetStormProfile("", "")
-
-	if err := StormWindowOpen(); err != nil {
-		t.Fatal(err)
-	}
-	// Busywork so the CPU profile has something to sample.
-	sink := 0
-	for i := 0; i < 1_000_000; i++ {
-		sink += i * i
-	}
-	_ = sink
-	if err := StormWindowClose(); err != nil {
-		t.Fatal(err)
-	}
-	cpuInfo, err := os.Stat(cpu)
-	if err != nil {
-		t.Fatalf("CPU profile not written: %v", err)
-	}
-	memInfo, err := os.Stat(mem)
-	if err != nil {
-		t.Fatalf("heap profile not written: %v", err)
-	}
-	if cpuInfo.Size() == 0 || memInfo.Size() == 0 {
-		t.Fatalf("empty profile: cpu=%d bytes mem=%d bytes", cpuInfo.Size(), memInfo.Size())
-	}
-
-	// Later windows are not captured: the files must stay as written.
-	if err := StormWindowOpen(); err != nil {
-		t.Fatal(err)
-	}
-	if err := StormWindowClose(); err != nil {
-		t.Fatal(err)
-	}
-	if again, err := os.Stat(cpu); err != nil || again.ModTime() != cpuInfo.ModTime() {
-		t.Errorf("second window rewrote the CPU profile (err=%v)", err)
-	}
-}
-
-// TestStormWindowIdempotentWhenDisarmed: with no storm profile armed the
-// hooks are no-ops — this is the hot path every simulation run takes.
-func TestStormWindowIdempotentWhenDisarmed(t *testing.T) {
-	SetStormProfile("", "")
-	for i := 0; i < 3; i++ {
-		if err := StormWindowOpen(); err != nil {
-			t.Fatal(err)
-		}
-		if err := StormWindowClose(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestConfigRejectsDualCPUProfiles: the runtime supports one CPU profile
-// at a time, so -cpuprofile and -storm-cpuprofile must be refused
-// together rather than failing halfway into the run.
-func TestConfigRejectsDualCPUProfiles(t *testing.T) {
-	dir := t.TempDir()
-	c := Config{
-		CPUPath:      filepath.Join(dir, "cpu.out"),
-		StormCPUPath: filepath.Join(dir, "storm.out"),
-	}
-	if err := c.Start(); err == nil {
-		c.Stop()
-		t.Fatal("Start accepted both -cpuprofile and -storm-cpuprofile")
-	}
-}
-
-// TestConfigStopFinalizesOpenWindow: a run that ends mid-window (e.g. an
-// error path) must still flush the storm capture at Config.Stop.
-func TestConfigStopFinalizesOpenWindow(t *testing.T) {
-	dir := t.TempDir()
-	cpu := filepath.Join(dir, "storm-cpu.out")
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
 	var c Config
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	c.AddFlags(fs)
-	if err := fs.Parse([]string{"-storm-cpuprofile", cpu}); err != nil {
+	if err := fs.Parse([]string{"-cpuprofile", cpu, "-memprofile", mem}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := StormWindowOpen(); err != nil {
-		t.Fatal(err)
-	}
 	if err := c.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	info, err := os.Stat(cpu)
-	if err != nil {
-		t.Fatalf("Stop did not flush the open storm window: %v", err)
+	for _, path := range []string{cpu, mem} {
+		if info, err := os.Stat(path); err != nil || info.Size() == 0 {
+			t.Errorf("%s: missing or empty profile (err=%v)", filepath.Base(path), err)
+		}
 	}
-	if info.Size() == 0 {
-		t.Fatal("flushed CPU profile is empty")
+}
+
+// TestStopReturnsMemProfileError: a -memprofile path that cannot be
+// created is an error from Stop, and the CPU profile is still finished.
+func TestStopReturnsMemProfileError(t *testing.T) {
+	dir := t.TempDir()
+	cpu := filepath.Join(dir, "cpu.out")
+	c := Config{CPUPath: cpu, MemPath: filepath.Join(dir, "no-such-dir", "mem.out")}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	err := c.Stop()
+	if err == nil || !strings.HasPrefix(err.Error(), "profiling: ") || !strings.Contains(err.Error(), "no-such-dir") {
+		t.Fatalf("Stop = %v, want a profiling: error naming the path", err)
+	}
+	if info, serr := os.Stat(cpu); serr != nil || info.Size() == 0 {
+		t.Errorf("CPU profile not finished after the heap profile failed (err=%v)", serr)
+	}
+}
+
+// TestStartReturnsCPUProfileError: an uncreatable -cpuprofile path
+// fails at Start, before the run.
+func TestStartReturnsCPUProfileError(t *testing.T) {
+	c := Config{CPUPath: filepath.Join(t.TempDir(), "no-such-dir", "cpu.out")}
+	if err := c.Start(); err == nil {
+		c.Stop()
+		t.Fatal("Start accepted an uncreatable path")
 	}
 }

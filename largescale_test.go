@@ -23,8 +23,8 @@ import (
 // path the exploration storm visits and historically was only rewound
 // at Reset, with the peak footprint scaling at roughly 115 MB per
 // prefix unit at this topology size (~100 GB-class at k=1000). The
-// quiescence compaction sweep (bgp.CompactMinPaths /
-// CompactDeadFraction) now rebuilds the table from live RIB refs
+// quiescence compaction sweep (bgp's compactMinPaths /
+// compactDeadFraction) now rebuilds the table from live RIB refs
 // between initial convergence and failure injection, so phase 2's
 // exploration reuses the reclaimed dead-path memory instead of growing
 // the high-water mark on top of phase 1's. The tightened budget below
