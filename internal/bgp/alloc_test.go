@@ -2,6 +2,11 @@ package bgp
 
 import (
 	"testing"
+	"unsafe"
+
+	"bgpsim/internal/des"
+	"bgpsim/internal/mrai"
+	"bgpsim/internal/topology"
 )
 
 // These tests pin the allocation behaviour of the inbox hot path so a
@@ -31,13 +36,13 @@ func TestFIFOInboxPushPopAllocationFree(t *testing.T) {
 }
 
 // TestBatchInboxSteadyStateAllocationLean pins the batched queue's
-// steady-state cycle: with Recycle returning batch arrays to the free
-// list, a push/pop/recycle round trip for an already-seen destination
-// stays allocation-free on average (the order slice reallocates only
-// amortized, which the integer-valued AllocsPerRun average absorbs).
+// steady-state cycle: with popped cells going back on the slab's free
+// chain and every batch copied into the one batch array, a
+// push/pop/recycle round trip allocates nothing once the slab, the
+// destination ring and the batch array have been through it once.
 func TestBatchInboxSteadyStateAllocationLean(t *testing.T) {
 	q := &batchInbox{byDest: make([]int32, 4096), discardStale: true}
-	// Warm: seed the per-destination lists and the free list.
+	// Warm: the first chunk, the ring and the batch array.
 	for dest := 0; dest < 4; dest++ {
 		q.Push(ann(1, dest, 1))
 		q.Push(ann(2, dest, 2))
@@ -82,5 +87,59 @@ func TestRouterBatchInboxSteadyStateAllocationLean(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("router-batch push/pop/recycle allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// markInbox records the most updates its inbox ever held.
+type markInbox struct {
+	Inbox
+	mark int
+}
+
+func (q *markInbox) Push(u Update) {
+	q.Inbox.Push(u)
+	q.mark = max(q.mark, q.Len())
+}
+
+// TestInboxAllocatesItsHighWaterOnce pins what the cell slab is for: over
+// a whole batch+dynamic trial on 120 routers — initial convergence, a
+// 10% failure, re-convergence — everything the batched inboxes hold that
+// grows with traffic (cells, chunk table, destination ring, batch array)
+// stays within 1.5 × 16 bytes per update of the routers' summed queue
+// high-water marks. An array per pending destination cost several times
+// that: every destination's own peak, plus what growing to it discarded.
+func TestInboxAllocatesItsHighWaterOnce(t *testing.T) {
+	nw, err := topology.SkewedNetwork(topology.Skewed7030(120), des.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := New(nw, equivalenceParams(1, func(p *Params) {
+		p.Queue = QueueBatched
+		p.MRAI = mrai.PaperDynamic()
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	marks := make([]*markInbox, len(sim.routers))
+	for i, r := range sim.routers {
+		marks[i] = &markInbox{Inbox: r.inbox}
+		r.inbox = marks[i]
+	}
+	if _, err := sim.ConvergeAndFail(topology.NearestNodes(nw, topology.GridCenter(nw), 12, nil)); err != nil {
+		t.Fatal(err)
+	}
+	var queued, held int
+	for _, m := range marks {
+		q := m.Inbox.(*batchInbox)
+		queued += m.mark
+		held += len(q.cells)*int(unsafe.Sizeof(*q.cells[0])) + cap(q.cells)*int(unsafe.Sizeof(q.cells[0])) +
+			cap(q.order)*int(unsafe.Sizeof(q.order[0])) + cap(q.out)*int(unsafe.Sizeof(Update{}))
+	}
+	t.Logf("%d updates queued at the routers' high-water marks, inboxes hold %d B (%.2f x 16 B each)", queued, held, float64(held)/float64(16*queued))
+	if queued < 10*len(marks) {
+		t.Fatalf("only %d updates ever queued: the trial does not load the inboxes", queued)
+	}
+	if held > 16*queued*3/2 {
+		t.Errorf("inboxes hold %d B for %d queued updates, want <= %d", held, queued, 16*queued*3/2)
 	}
 }

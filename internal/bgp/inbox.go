@@ -7,8 +7,8 @@ package bgp
 //
 // Batch ownership: the slice returned by Pop is valid until the next Pop
 // or Recycle call on the same inbox. The router hands it back through
-// Recycle once the work unit is fully processed, letting the inbox reuse
-// the backing array for future batches.
+// Recycle once the work unit is fully processed, letting an inbox that
+// gives batches their own backing arrays reuse them.
 type Inbox interface {
 	// Push appends one arriving update.
 	Push(u Update)
@@ -26,7 +26,8 @@ type Inbox interface {
 	Recycle(batch []Update)
 	// Reset empties the inbox for simulator reuse over ndests dense
 	// destination indices, retaining internal capacity (ring buffers,
-	// recycled batch arrays, the per-destination table) where possible.
+	// cell slabs, recycled batch arrays, the per-destination table) where
+	// possible.
 	Reset(ndests int)
 }
 
@@ -49,7 +50,8 @@ func newInbox(p Params, ndests int) Inbox {
 
 // fifoInbox is default BGP: strict arrival order, one update at a time.
 // It is a growable ring buffer to keep Push/Pop O(1) without repeated
-// reallocation in the overload regime the experiments create.
+// reallocation in the overload regime the experiments create. The ring's
+// length is a power of two, so positions wrap by mask.
 type fifoInbox struct {
 	buf        []Update
 	head, size int
@@ -63,14 +65,14 @@ func (q *fifoInbox) Push(u Update) {
 	if q.size == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.size)%len(q.buf)] = u
+	q.buf[(q.head+q.size)&(len(q.buf)-1)] = u
 	q.size++
 }
 
 func (q *fifoInbox) grow() {
 	next := make([]Update, max(8, 2*len(q.buf)))
 	for i := 0; i < q.size; i++ {
-		next[i] = q.buf[(q.head+i)%len(q.buf)]
+		next[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
 	}
 	q.buf = next
 	q.head = 0
@@ -84,7 +86,7 @@ func (q *fifoInbox) Pop() []Update {
 	}
 	q.out[0] = q.buf[q.head]
 	q.buf[q.head] = Update{}
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.size--
 	return q.out[:1]
 }
@@ -112,96 +114,133 @@ func (q *fifoInbox) Reset(int) {
 // update. With discardStale set, a new update from a neighbor deletes any
 // still-queued older update from the same neighbor for the same
 // destination ("the older updates are now invalid").
+//
+// Queued updates live in one slab of 16-byte cells, named by 1-based
+// handles and carved in fixed chunks that are never copied. A
+// destination's queue is a circular chain of cells, so the slab grows to
+// the most updates the router ever had queued at once and no further:
+// there is no array per destination to outgrow, and a popped chain goes
+// back on the free chain in one splice.
 type batchInbox struct {
-	order     []int32 // destinations with pending updates, FIFO by first arrival
-	orderHead int     // consumed prefix of order; reset when it drains
+	cells  []*[inboxChunk]inboxCell
+	ncells int32 // cells ever issued; the next fresh handle is ncells+1
+	free   int32 // chain of recycled cells, 0-terminated
 	// byDest is dense by destination index (destinations are small dense
-	// integers, like every other per-dest table), but holds 4-byte slot
-	// handles rather than slice headers: entry d is 1+i when lists[i] is
-	// the pending batch for destination d, 0 when none is pending. The
-	// dense array replaced a map whose hashing and bucket churn dominated
-	// the inbox at 500-AS scale; the handle indirection exists because at
+	// integers, like every other per-dest table) and holds the handle of
+	// the last cell of destination d's chain, whose next is the first:
+	// append and head are both O(1). 0 when nothing is pending. At
 	// multi-prefix scale the table has hundreds of thousands of entries
-	// per router, and a 24-byte slice header per destination would be the
-	// largest structural cost in the whole simulator. Slice headers are
-	// paid only for destinations with traffic in flight.
-	byDest       []int32
-	lists        [][]Update // slot-indexed pending batches; nil = slot free
-	freeSlots    []int32    // unused lists slots (1-based, like byDest)
-	free         [][]Update // recycled batch backing arrays
-	size         int
-	discarded    int
-	discardStale bool
+	// per router, which is why it holds 4-byte handles and nothing else.
+	byDest []int32
+	// order is a power-of-two ring of the destinations with pending
+	// updates, FIFO by first arrival: orderN entries from orderHead.
+	order             []int32
+	orderHead, orderN int
+	out               []Update // the batch Pop last returned, reused by the next
+	size              int
+	discarded         int
+	discardStale      bool
 }
 
+// inboxCell is one queued update and the handle of the cell after it.
+type inboxCell struct {
+	u    Update
+	next int32
+}
+
+// inboxChunk is the slab's growth step: small enough that a router which
+// never queues more than a few updates pays one 512-byte chunk, large
+// enough that the busiest router's chunk pointers stay under 2% of its
+// cells.
+const inboxChunk = 32
+
 var _ Inbox = (*batchInbox)(nil)
+
+func (q *batchInbox) cell(h int32) *inboxCell {
+	i := uint32(h - 1)
+	return &q.cells[i/inboxChunk][i%inboxChunk]
+}
+
+// newCell returns the handle of a free cell holding u and linked to
+// itself: a chain of one.
+func (q *batchInbox) newCell(u Update) int32 {
+	h := q.free
+	if h != 0 {
+		q.free = q.cell(h).next
+	} else {
+		if int(q.ncells) == len(q.cells)*inboxChunk {
+			q.cells = append(q.cells, new([inboxChunk]inboxCell))
+		}
+		q.ncells++
+		h = q.ncells
+	}
+	*q.cell(h) = inboxCell{u, h}
+	return h
+}
 
 // Push files the update under its destination, applying staleness
 // elimination when enabled.
 func (q *batchInbox) Push(u Update) {
-	slot := q.byDest[u.Dest]
-	var list []Update
-	if slot == 0 {
-		q.order = append(q.order, u.Dest)
-		if n := len(q.free); n > 0 {
-			list = q.free[n-1]
-			q.free[n-1] = nil
-			q.free = q.free[:n-1]
+	tail := q.byDest[u.Dest]
+	if tail == 0 {
+		if q.orderN == len(q.order) {
+			next := make([]int32, max(8, 2*len(q.order)))
+			for i := 0; i < q.orderN; i++ {
+				next[i] = q.order[(q.orderHead+i)&(len(q.order)-1)]
+			}
+			q.order, q.orderHead = next, 0
 		}
-		if n := len(q.freeSlots); n > 0 {
-			slot = q.freeSlots[n-1]
-			q.freeSlots = q.freeSlots[:n-1]
-			q.lists[slot-1] = list
-		} else {
-			q.lists = append(q.lists, list)
-			slot = int32(len(q.lists))
-		}
-		q.byDest[u.Dest] = slot
-	} else {
-		list = q.lists[slot-1]
+		q.order[(q.orderHead+q.orderN)&(len(q.order)-1)] = u.Dest
+		q.orderN++
+		q.byDest[u.Dest] = q.newCell(u)
+		q.size++
+		return
 	}
+	last := q.cell(tail)
 	if q.discardStale {
-		for i := range list {
-			if list[i].From == u.From {
+		for c := q.cell(last.next); ; c = q.cell(c.next) {
+			if c.u.From == u.From {
 				// Replace in place: the new update supersedes the old one
 				// and inherits its batch position.
-				list[i] = u
+				c.u = u
 				q.discarded++
 				return
 			}
+			if c == last {
+				break
+			}
 		}
 	}
-	q.lists[slot-1] = append(list, u)
+	h := q.newCell(u)
+	q.cell(h).next, last.next = last.next, h
+	q.byDest[u.Dest] = h
 	q.size++
 }
 
 // Pop returns all queued updates for the destination whose first update
-// arrived earliest. The consumed prefix of the order slice is tracked by
-// index (not by re-slicing) so the backing array is reused once drained
-// instead of reallocated on every refill.
+// arrived earliest, copied in arrival order into the inbox's one batch
+// array; the chain they were queued on is spliced onto the free chain.
 func (q *batchInbox) Pop() []Update {
-	for q.orderHead < len(q.order) {
-		dest := q.order[q.orderHead]
-		q.orderHead++
-		if q.orderHead == len(q.order) {
-			q.order = q.order[:0]
-			q.orderHead = 0
-		}
-		slot := q.byDest[dest]
-		if slot == 0 {
-			continue
-		}
-		list := q.lists[slot-1]
-		q.lists[slot-1] = nil
-		q.freeSlots = append(q.freeSlots, slot)
-		q.byDest[dest] = 0
-		if len(list) == 0 {
-			continue
-		}
-		q.size -= len(list)
-		return list
+	if q.orderN == 0 {
+		return nil
 	}
-	return nil
+	dest := q.order[q.orderHead]
+	q.orderHead = (q.orderHead + 1) & (len(q.order) - 1)
+	q.orderN--
+	tail := q.byDest[dest]
+	q.byDest[dest] = 0
+	last := q.cell(tail)
+	first := last.next
+	q.out = q.out[:0]
+	for c := q.cell(first); ; c = q.cell(c.next) {
+		q.out = append(q.out, c.u)
+		if c == last {
+			break
+		}
+	}
+	last.next, q.free = q.free, first
+	q.size -= len(q.out)
+	return q.out
 }
 
 // Len returns the number of queued updates across all destinations.
@@ -217,35 +256,20 @@ func (q *batchInbox) TakeDiscarded() int {
 	return d
 }
 
-// Recycle stores the batch's backing array for reuse by a future Push.
-func (q *batchInbox) Recycle(batch []Update) {
-	if cap(batch) > 0 {
-		q.free = append(q.free, batch[:0])
-	}
-}
+// Recycle is a no-op: every batch lives in the inbox's own batch array.
+func (q *batchInbox) Recycle(batch []Update) {}
 
-// Reset empties the inbox, moving queued per-destination lists to the
-// free list so their backing arrays are reused by the next run. Every
-// pending destination appears in order (appended on its first push), so
-// scanning order — not all of byDest — keeps this O(recent traffic);
-// duplicates are harmless because the first visit nils the slot. byDest
+// Reset empties the inbox, keeping the slab, the ring and the batch
+// array for the next run. Every pending destination is in order, so
+// walking it — not all of byDest — keeps this O(recent traffic). byDest
 // is then fitted to ndests when that changed.
 func (q *batchInbox) Reset(ndests int) {
-	for _, dest := range q.order {
-		slot := q.byDest[dest]
-		if slot == 0 {
-			continue
-		}
-		if list := q.lists[slot-1]; cap(list) > 0 {
-			q.free = append(q.free, list[:0])
-		}
-		q.lists[slot-1] = nil
-		q.byDest[dest] = 0
+	for ; q.orderN > 0; q.orderN-- {
+		q.byDest[q.order[q.orderHead]] = 0
+		q.orderHead = (q.orderHead + 1) & (len(q.order) - 1)
 	}
-	q.order = q.order[:0]
 	q.orderHead = 0
-	q.lists = q.lists[:0]
-	q.freeSlots = q.freeSlots[:0]
+	q.ncells, q.free = 0, 0
 	q.size = 0
 	q.discarded = 0
 	if len(q.byDest) != ndests {
@@ -358,11 +382,4 @@ func (q *routerBatchInbox) Reset(int) {
 	q.orderHead = 0
 	q.size = 0
 	q.discarded = 0
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,8 @@
 package bgp
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -255,5 +257,114 @@ func TestPropertyInboxConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// sliceBatchInbox is the slice-per-pending-destination queue batchInbox
+// replaced, kept as the plain reference for its batching semantics: a
+// destination's batch is a Go slice in arrival order, a stale update is
+// overwritten where it sits, and destinations are served in order of
+// first arrival.
+type sliceBatchInbox struct {
+	order        []int32
+	lists        map[int32][]Update
+	size         int
+	discarded    int
+	discardStale bool
+}
+
+func (q *sliceBatchInbox) Push(u Update) {
+	list, pending := q.lists[u.Dest]
+	if !pending {
+		q.order = append(q.order, u.Dest)
+	}
+	if q.discardStale {
+		for i := range list {
+			if list[i].From == u.From {
+				list[i] = u
+				q.discarded++
+				return
+			}
+		}
+	}
+	q.lists[u.Dest] = append(list, u)
+	q.size++
+}
+
+func (q *sliceBatchInbox) Pop() []Update {
+	if len(q.order) == 0 {
+		return nil
+	}
+	dest := q.order[0]
+	q.order = q.order[1:]
+	list := q.lists[dest]
+	delete(q.lists, dest)
+	q.size -= len(list)
+	return list
+}
+
+func (q *sliceBatchInbox) TakeDiscarded() int {
+	d := q.discarded
+	q.discarded = 0
+	return d
+}
+
+func (q *sliceBatchInbox) Reset() {
+	*q = sliceBatchInbox{lists: map[int32][]Update{}, discardStale: q.discardStale}
+}
+
+// TestBatchInboxMatchesSliceReference drives random push / pop / Reset
+// tours through the slab inbox and the slice reference: same batches in
+// the same order, same discard counts, same Len, whatever the number of
+// destinations a Reset leaves. Few neighbors and destinations make
+// in-place replacement and long chains common; pops come in bursts so
+// the queue both builds up and drains to empty. The slab must also never
+// issue more cells than were queued at once since the last Reset: a
+// popped chain's cells are the next ones used.
+func TestBatchInboxMatchesSliceReference(t *testing.T) {
+	for _, discard := range []bool{true, false} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			ndests := 40
+			q := newInbox(Params{Queue: QueueBatched, BatchDiscardStale: discard}, ndests).(*batchInbox)
+			ref := &sliceBatchInbox{discardStale: discard}
+			ref.Reset()
+			highWater := 0
+			for op := 0; op < 20000; op++ {
+				switch k := rng.Intn(1000); {
+				case k == 0: // a new trial, usually over another number of destinations
+					ndests = 1 + rng.Intn(60)
+					q.Reset(ndests)
+					ref.Reset()
+					highWater = 0
+				case k < 560 || (k < 900 && op/500%2 == 0): // build-up and drain phases alternate
+					path := Path{ASN(op)} // distinct refs tell a replaced update from the one it replaced
+					if rng.Intn(8) == 0 {
+						path = nil
+					}
+					u := testUpdate(inboxTab, rng.Intn(6), ASN(rng.Intn(ndests)), path)
+					q.Push(u)
+					ref.Push(u)
+					highWater = max(highWater, ref.size)
+				default:
+					got, want := q.Pop(), ref.Pop()
+					if !slices.Equal(got, want) {
+						t.Fatalf("discard=%v seed %d op %d: popped %v, want %v", discard, seed, op, got, want)
+					}
+					q.Recycle(got)
+				}
+				if q.Len() != ref.size || q.Empty() != (ref.size == 0) {
+					t.Fatalf("discard=%v seed %d op %d: Len %d Empty %v, want %d", discard, seed, op, q.Len(), q.Empty(), ref.size)
+				}
+				if rng.Intn(4) == 0 {
+					if got, want := q.TakeDiscarded(), ref.TakeDiscarded(); got != want {
+						t.Fatalf("discard=%v seed %d op %d: TakeDiscarded %d, want %d", discard, seed, op, got, want)
+					}
+				}
+				if int(q.ncells) != highWater {
+					t.Fatalf("discard=%v seed %d op %d: slab has issued %d cells, %d updates were queued at most", discard, seed, op, q.ncells, highWater)
+				}
+			}
+		}
 	}
 }

@@ -31,7 +31,11 @@ type pathNode struct {
 	head   uint32   // nearest AS
 	parent routeRef // the rest of the path; 0 only for the empty path
 	length uint32   // hops
-	fwd    routeRef // compaction scratch: the ref this node slides down to
+	// fwd is the node's one spare word. Between compactions it is the
+	// index's chain link: the next ref in this node's bucket, 0 at the
+	// end. compact overwrites it with the ref the node slides down to,
+	// which is safe because compact ends by relinking every chain.
+	fwd routeRef
 }
 
 // Chunk sizing: node storage is a list of chunks that double from
@@ -44,8 +48,9 @@ const (
 	chunkMaxShift = 15
 )
 
-// indexMinSize is the index's first size.
-const indexMinSize = 64
+// indexMinShift sizes the index's first segment, 1<<indexMinShift
+// buckets.
+const indexMinShift = 6
 
 // maxPaths bounds the table so the chunk arithmetic in locate cannot
 // wrap. A table this full holds ~100 GB of nodes.
@@ -56,19 +61,23 @@ const maxPaths = math.MaxUint32 - 1<<chunkMinShift
 // share the same nodes — path storage scales with distinct paths
 // (topology-sized), not with destinations (topology × PrefixesPerOrigin).
 //
-// Nodes and index hold no pointers, so the collector never scans them.
+// Nodes and bucket heads hold no pointers, so the collector never scans
+// them.
 // The table is single-threaded under its Simulator (or its shard, in
 // concurrent sharded mode).
 type pathTab struct {
 	chunks [][]pathNode
 	n      uint32 // registered nodes; refs 1..n are valid
 
-	// index is the open-addressed (head, parent) -> ref memo behind
-	// prepend. It stores refs only; keys are read back from the nodes.
-	// Power-of-two sized (1 << (64 - shift) slots), linear probing, at
-	// most half full.
-	index []routeRef
-	shift uint8
+	// heads is the chained (head, parent) -> ref index behind prepend:
+	// bucket b names the newest node whose key hashes to b, and the
+	// chain runs on through pathNode.fwd, so the index stores no keys and
+	// nothing per path. Buckets live in segments of 1<<indexMinShift,
+	// then that many again, then double that, ... so doubling the bucket
+	// count (a power of two, at least the path count) allocates the new
+	// half and, like a chunk, never copies or frees the old one.
+	heads    [][]routeRef
+	nbuckets uint32
 
 	marks bitset // reusable live-ref marks for the quiescence sweeps
 }
@@ -90,14 +99,18 @@ func (t *pathTab) node(ref routeRef) *pathNode {
 }
 
 // reset forgets every registration for a new trial and re-registers the
-// empty path. Chunks and index are retained (the index zeroed), so a
-// pooled simulator's steady-state trials re-register without
-// allocating. Only legal when no live routeRefs remain — i.e. from
-// Simulator.Reset, after the engine is drained and before routers
+// empty path. Chunks and bucket segments are retained (the buckets
+// emptied), so a pooled simulator's steady-state trials re-register
+// without allocating. Only legal when no live routeRefs remain — i.e.
+// from Simulator.Reset, after the engine is drained and before routers
 // re-populate their RIBs.
 func (t *pathTab) reset() {
 	t.n = 0
-	clear(t.index)
+	if t.heads == nil {
+		t.heads = [][]routeRef{make([]routeRef, 1<<indexMinShift)}
+		t.nbuckets = 1 << indexMinShift
+	}
+	t.relink()
 	*t.alloc() = pathNode{}
 }
 
@@ -117,37 +130,30 @@ func (t *pathTab) alloc() *pathNode {
 	return &t.chunks[c][off]
 }
 
-// slot returns the index position where (head, parent) is, or where it
-// would be inserted: the first position on its probe sequence that holds
-// it or is empty.
-func (t *pathTab) slot(head uint32, parent routeRef) int {
-	m := len(t.index) - 1
+// bucket returns the chain head (head, parent) hashes to: the low bits
+// of the upper half of a Fibonacci product. A bucket count that doubles
+// in place must take its next bit from above the ones it has, and every
+// bit of parent and the low bits of head are mixed into these.
+func (t *pathTab) bucket(head uint32, parent routeRef) *routeRef {
 	key := uint64(head)<<32 | uint64(parent)
-	i := int((key * 0x9E3779B97F4A7C15) >> t.shift) // Fibonacci hashing: the top bits mix every key bit
-	for {
-		i &= m
-		ref := t.index[i]
-		if ref == 0 {
-			return i
-		}
-		if nd := t.node(ref); nd.head == head && nd.parent == parent {
-			return i
-		}
-		i++
+	b := uint32((key*0x9E3779B97F4A7C15)>>32) & (t.nbuckets - 1)
+	s := bits.Len32(b >> indexMinShift) // segment; its first bucket is b's top bit
+	if s == 0 {
+		return &t.heads[0][b]
 	}
+	return &t.heads[s][b&^(1<<(s+indexMinShift-1))]
 }
 
-// reindex rebuilds the index at the given size from the nodes.
-func (t *pathTab) reindex(size int) {
-	if size == len(t.index) {
-		clear(t.index)
-	} else {
-		t.index = make([]routeRef, size)
-		t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+// relink rebuilds every chain from the nodes, oldest first, so each
+// chain runs newest to oldest just as prepend leaves it.
+func (t *pathTab) relink() {
+	for _, seg := range t.heads {
+		clear(seg)
 	}
 	for ref := emptyRef + 1; ref <= routeRef(t.n); ref++ {
 		nd := t.node(ref)
-		t.index[t.slot(nd.head, nd.parent)] = ref
+		b := t.bucket(nd.head, nd.parent)
+		nd.fwd, *b = *b, ref
 	}
 }
 
@@ -155,18 +161,24 @@ func (t *pathTab) reindex(size int) {
 // registering it on first use. Re-deriving the same announcement — every
 // prefix of an origin, every MRAI retry, every peer — is an index hit.
 func (t *pathTab) prepend(as ASN, parent routeRef) routeRef {
-	if 2*int(t.n) >= len(t.index) {
-		t.reindex(max(indexMinSize, 2*len(t.index)))
-	}
 	head := uint32(as)
-	i := t.slot(head, parent)
-	if ref := t.index[i]; ref != 0 {
-		return ref
+	b := t.bucket(head, parent)
+	for ref := *b; ref != 0; {
+		nd := t.node(ref)
+		if nd.head == head && nd.parent == parent {
+			return ref
+		}
+		ref = nd.fwd
 	}
 	p := t.node(parent)
 	mask, length := p.mask|1<<(head&63), p.length+1
-	*t.alloc() = pathNode{mask: mask, head: head, parent: parent, length: length}
-	t.index[i] = routeRef(t.n)
+	*t.alloc() = pathNode{mask: mask, head: head, parent: parent, length: length, fwd: *b}
+	*b = routeRef(t.n)
+	if t.n > t.nbuckets && t.nbuckets < 1<<31 { // chains just grow in a table past 2^31 paths
+		t.heads = append(t.heads, make([]routeRef, t.nbuckets))
+		t.nbuckets *= 2
+		t.relink()
+	}
 	return routeRef(t.n)
 }
 
@@ -290,5 +302,5 @@ func (t *pathTab) compact(cells func(func(*routeRef))) {
 		}
 	}
 	t.n = uint32(live)
-	t.reindex(len(t.index))
+	t.relink()
 }

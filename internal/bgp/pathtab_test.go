@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"unsafe"
+
+	"bgpsim/internal/des"
 )
 
 // pathModel is the plain-slice reference the table is checked against:
@@ -228,8 +230,11 @@ func TestPathTabCompactKeepsMarkedAndAncestors(t *testing.T) {
 	}
 }
 
-// TestPackedSizes pins the two layouts the allocation budget rests on.
+// TestPackedSizes pins the layouts the allocation budget rests on.
 func TestPackedSizes(t *testing.T) {
+	if n := unsafe.Sizeof(des.Event{}); n > 64 {
+		t.Errorf("des.Event is %d bytes, want <= 64", n)
+	}
 	if n := unsafe.Sizeof(Update{}); n > 16 {
 		t.Errorf("Update is %d bytes, want <= 16", n)
 	}
@@ -238,10 +243,12 @@ func TestPackedSizes(t *testing.T) {
 	}
 }
 
-// TestPathTabBytesPerPath pins what a registered path costs: at most 64
-// bytes each for 200 000 distinct paths into a fresh table (nodes, chunk
-// slack, and every index the table outgrew on the way), and nothing at
-// all for the same sequence after reset.
+// TestPathTabBytesPerPath pins what a registered path costs: at most 40
+// bytes each for 200 000 distinct paths into a fresh table, of which
+// nothing is discarded on the way — growing from empty allocates at most
+// 1.1 × what the table ends up holding (nodes with their chunk slack,
+// bucket segments, the two chunk tables) — and nothing at all for the
+// same sequence after reset.
 func TestPathTabBytesPerPath(t *testing.T) {
 	const paths = 200000
 	register := func(tab *pathTab) {
@@ -265,8 +272,32 @@ func TestPathTabBytesPerPath(t *testing.T) {
 	if tab.size() != paths {
 		t.Fatalf("registered %d paths, want %d", tab.size(), paths)
 	}
-	if per := float64(fresh) / paths; per > 64 {
-		t.Errorf("fresh table: %.1f B per registered path, want <= 64", per)
+	if per := float64(fresh) / paths; per > 40 {
+		t.Errorf("fresh table: %.1f B per registered path, want <= 40", per)
+	}
+	held := uint64(cap(tab.chunks))*uint64(unsafe.Sizeof(tab.chunks[0])) + uint64(cap(tab.heads))*uint64(unsafe.Sizeof(tab.heads[0]))
+	for _, c := range tab.chunks {
+		held += uint64(len(c)) * uint64(unsafe.Sizeof(c[0]))
+	}
+	for _, seg := range tab.heads {
+		held += uint64(len(seg)) * uint64(unsafe.Sizeof(seg[0]))
+	}
+	t.Logf("allocated %d B growing to a table of %d B (%.1f B per path)", fresh, held, float64(fresh)/paths)
+	if 10*fresh > 11*held {
+		t.Errorf("growing to %d paths allocated %d B, more than 1.1 x the %d B the table holds: something was copied or dropped", paths, fresh, held)
+	}
+	var longest, links int
+	for _, seg := range tab.heads {
+		for _, ref := range seg {
+			n := 0
+			for ; ref != 0; ref = tab.node(ref).fwd {
+				n++
+			}
+			longest, links = max(longest, n), links+n
+		}
+	}
+	if links != paths-1 || longest > 16 {
+		t.Errorf("chains hold %d of %d indexed paths, the longest %d: want all of them, none past 16", links, paths-1, longest)
 	}
 	// TotalAlloc is process-wide, so the runtime's own sporadic
 	// allocations can land in a round; the table's would land in all.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bgpsim/internal/des"
+	"bgpsim/internal/mrai"
 	"bgpsim/internal/topology"
 )
 
@@ -206,5 +207,47 @@ func TestShardedConcurrentInternsPerPath(t *testing.T) {
 	const k = 2 // one table per shard
 	if got := conc.PathTableStats().Registered; got > k*want {
 		t.Errorf("2 concurrent shards registered %d paths, serial %d: want at most %dx", got, want, k)
+	}
+}
+
+// TestShardedDeliveryPoolsKeepTheirOwner pins the ownership rule the
+// chunked delivery pools inherit: after a concurrent batch+dynamic run
+// every delivery a shard's pool carved is back on that pool's free chain
+// and still bound to it, so no carrier migrated to another shard's pool
+// and none was lost in flight. Under -race the run itself checks that
+// shard goroutines never touch another shard's pool, chunks or inbox
+// slabs outside the barrier.
+func TestShardedDeliveryPoolsKeepTheirOwner(t *testing.T) {
+	nw, fail := shardTestNet(t)
+	p := equivalenceParams(5, func(p *Params) {
+		p.Queue = QueueBatched
+		p.MRAI = mrai.PaperDynamic()
+	})
+	p.Shards = 4
+	p.ShardConcurrent = true
+	sim, err := New(nw, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.ConvergeAndFail(fail); err != nil {
+		t.Fatal(err)
+	}
+	carved := 0
+	for i := range sim.sh.pools {
+		pool := &sim.sh.pools[i]
+		free := 0
+		for d := pool.free; d != nil; d = d.next {
+			if d.pool != pool {
+				t.Fatalf("pool %d holds a delivery bound to another pool", i)
+			}
+			free++
+		}
+		if issued := pool.made - len(pool.spare); free != issued {
+			t.Errorf("pool %d: %d deliveries on the free chain, %d issued", i, free, issued)
+		}
+		carved += pool.made
+	}
+	if carved == 0 {
+		t.Fatal("no shard pool carved a delivery: the run did not go through the sharded path")
 	}
 }

@@ -80,10 +80,21 @@ type delivery struct {
 	u        Update
 }
 
-// deliveryPool is a free list of delivery events. Each pool is owned by
-// exactly one execution context (the single engine, or one shard), so
-// take/put need no synchronization.
-type deliveryPool struct{ free *delivery }
+// deliveryPool is a free list of delivery events over the chunks they
+// are carved from, which double from deliveryChunkMin to deliveryChunkMax
+// objects like the engine's event chunks: one malloc per chunk, not per
+// in-flight message. Each pool is owned by exactly one execution context
+// (the single engine, or one shard), so take/put need no synchronization.
+type deliveryPool struct {
+	free  *delivery
+	spare []delivery // unissued tail of the newest chunk
+	made  int        // deliveries carved so far
+}
+
+const (
+	deliveryChunkMin = 16
+	deliveryChunkMax = 256
+)
 
 // take returns a recycled delivery, or a fresh one bound to the pool.
 func (p *deliveryPool) take() *delivery {
@@ -93,7 +104,13 @@ func (p *deliveryPool) take() *delivery {
 		d.next = nil
 		return d
 	}
-	return &delivery{pool: p}
+	if len(p.spare) == 0 {
+		p.spare = make([]delivery, min(max(p.made, deliveryChunkMin), deliveryChunkMax))
+		p.made += len(p.spare)
+	}
+	d, p.spare = &p.spare[0], p.spare[1:]
+	d.pool = p
+	return d
 }
 
 // deliver schedules u to arrive at to after the link delay, reusing a

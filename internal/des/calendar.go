@@ -1,24 +1,31 @@
 package des
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
-// The engine's event queue is a calendar (bucket) queue specialized for
-// the distributions the BGP model produces: MRAI timers, processing
+// The engine's event queue is a lazy calendar (bucket) queue specialized
+// for the distributions the BGP model produces: MRAI timers, processing
 // delays, and link latencies cluster within a few seconds of the clock,
-// so almost every event lands inside a short ring of time buckets and
-// push/pop touch only a tiny per-bucket heap. Events scheduled beyond
-// the ring's horizon fall back to a single 4-ary overflow heap and are
-// migrated into the ring as the clock approaches them, so a long-horizon
-// workload degrades gracefully to exactly the previous pure-heap queue.
+// so almost every event lands inside a short ring of time buckets. A ring
+// bucket is an unsorted chain threaded through Event.next, so a push is
+// two pointer writes and a bucket owns no storage; only the bucket being
+// drained is a heap, loaded by heapify when the ring advances to it.
+// Events scheduled beyond the ring's horizon fall back to a 4-ary
+// overflow heap and are migrated into the ring as the clock approaches
+// them, so a long-horizon workload degrades gracefully to a pure heap.
 //
 // Correctness does not depend on where an event is stored: buckets
-// partition the time axis into disjoint, ordered ranges; each bucket is
-// itself a 4-ary min-heap ordered by (at, seq); and the overflow heap
-// only ever holds events later than everything in the ring. Popping the
-// earliest bucket's heap top therefore yields the same (at, seq) total
-// order — and hence byte-identical simulation output — as one global
-// heap. The tests in calendar_test.go pin the pop order against an
-// independent sort of the scheduled events by (at, seq).
+// partition the time axis into disjoint, ordered ranges; the one heap
+// holds the earliest occupied bucket, ordered by (at, seq), and receives
+// every push that belongs at or before it; every chain holds a later
+// bucket and the overflow heap only events later than everything in the
+// ring. Popping the heap top
+// therefore yields the same (at, seq) total order — and hence
+// byte-identical simulation output — as one global heap. The tests in
+// calendar_test.go pin the pop order against an independent sort of the
+// scheduled events by (at, seq).
 const (
 	// calShift sets the bucket width to 2^21 ns ≈ 2.10 ms: fine enough
 	// that same-bucket collisions stay rare at simulation densities,
@@ -29,63 +36,54 @@ const (
 	// the 2.25 s maximum of the paper's MRAI ladder.
 	calBuckets = 2048
 	calMask    = calBuckets - 1
-	// calBucketCap pre-sizes every bucket's heap storage from one shared
-	// backing array, so dispatch stays allocation-free even the first
-	// time a bucket is touched (the des alloc tests pin exact zeros).
-	calBucketCap = 4
 )
 
-// calendarQueue is the engine's event queue: a ring of per-bucket 4-ary
-// heaps plus an overflow heap for events beyond the ring's horizon.
+// calendarQueue is the engine's event queue: the heap of the current
+// bucket, a ring of chains, and an overflow heap for events beyond the
+// ring's horizon. The zero value is an empty queue anchored at the epoch.
+// The heap's array is the only storage that grows, and it is sized to a
+// chain when the chain is loaded, so a storm costs the queue its densest
+// bucket once, not every bucket's own peak.
 type calendarQueue struct {
-	buckets  []eventHeap // ring of per-bucket heaps
-	occ      []uint64    // occupancy bitmap over ring slots
-	curB     int64       // lowest bucket number the ring may hold
-	ringN    int         // events currently stored in the ring
-	overflow eventHeap   // events at or beyond curB+calBuckets
-}
-
-// init prepares the queue. The ring storage is carved from one backing
-// array: 2048 heaps × 4 slots is a single 64 KiB allocation reused for
-// the engine's lifetime (and across Engine.Reset).
-func (q *calendarQueue) init() {
-	q.buckets = make([]eventHeap, calBuckets)
-	backing := make([]*Event, calBuckets*calBucketCap)
-	for i := range q.buckets {
-		q.buckets[i].items = backing[i*calBucketCap : i*calBucketCap : (i+1)*calBucketCap]
-	}
-	q.occ = make([]uint64, calBuckets/64)
+	cur      eventHeap               // the current bucket, while it is being drained
+	ring     [calBuckets]*Event      // slot b&calMask: chain of bucket b, curB <= b < curB+calBuckets
+	occ      [calBuckets / 64]uint64 // occupancy bitmap over ring slots
+	curB     int64                   // lowest bucket number the queue may hold
+	ringN    int                     // events on the ring's chains
+	overflow eventHeap               // events at or beyond curB+calBuckets
 }
 
 // Len returns the number of queued events.
-func (q *calendarQueue) Len() int { return q.ringN + q.overflow.Len() }
+func (q *calendarQueue) Len() int { return q.cur.Len() + q.ringN + q.overflow.Len() }
 
 // rewind re-anchors the ring at the epoch. Only valid on an empty queue
 // (Engine.Reset drains first).
 func (q *calendarQueue) rewind() { q.curB = 0 }
 
-// Push inserts an event. Events within the ring's horizon go to their
-// time bucket; later ones go to the overflow heap. A bucket number below
-// curB — possible when the clock trails the queue minimum, e.g. after
-// RunUntil stopped at a deadline — is clamped to curB: buckets before
-// curB are provably empty, so the clamped bucket is still popped first
-// and its internal (at, seq) heap order puts the event in its right
-// global position.
+// Push inserts an event: into its bucket's chain inside the ring's
+// horizon, into the overflow heap beyond it. A bucket number below curB
+// — possible when the clock trails the queue minimum, e.g. after RunUntil
+// stopped at a deadline — is clamped to curB: buckets before curB are
+// provably empty, so the clamped bucket is still drained first and its
+// (at, seq) heap order puts the event in its right global position.
+// While bucket curB is being drained its events go straight into the
+// heap; its chain is empty then and stays so until the heap runs dry.
 func (q *calendarQueue) Push(ev *Event) {
 	b := int64(ev.at) >> calShift
 	if b >= q.curB+calBuckets {
 		q.overflow.Push(ev)
 		return
 	}
-	if b < q.curB {
+	if b <= q.curB {
+		if q.cur.Len() > 0 {
+			q.cur.Push(ev)
+			return
+		}
 		b = q.curB
 	}
-	q.pushRing(b, ev)
-}
-
-func (q *calendarQueue) pushRing(b int64, ev *Event) {
 	slot := int(b & calMask)
-	q.buckets[slot].Push(ev)
+	ev.next = q.ring[slot]
+	q.ring[slot] = ev
 	q.occ[slot>>6] |= 1 << uint(slot&63)
 	q.ringN++
 }
@@ -93,58 +91,59 @@ func (q *calendarQueue) pushRing(b int64, ev *Event) {
 // Peek returns the earliest event without removing it. It panics on an
 // empty queue; callers check Len first.
 func (q *calendarQueue) Peek() *Event {
-	if q.ringN == 0 {
-		q.settleFromOverflow()
+	if q.cur.Len() == 0 {
+		q.advance()
 	}
-	return q.buckets[q.firstSlot()].Peek()
+	return q.cur.Peek()
 }
 
 // Pop removes and returns the earliest event.
 func (q *calendarQueue) Pop() *Event {
-	if q.ringN == 0 {
-		q.settleFromOverflow()
+	if q.cur.Len() == 0 {
+		q.advance()
+	}
+	return q.cur.Pop()
+}
+
+// advance moves the anchor of a queue whose heap has run dry to the
+// earliest occupied bucket and heapifies that bucket's chain. An empty
+// ring is first re-anchored at the overflow minimum's bucket. Either
+// move extends the horizon, and the overflow events it now covers
+// migrate into their chains: at or past the previous horizon, so never
+// ahead of the bucket being loaded. The heap's array is grown to the
+// chain's length up front, which append's geometric steps would
+// overshoot several times over on the way to a 40 000-event bucket.
+func (q *calendarQueue) advance() {
+	if q.ringN == 0 && q.overflow.Len() > 0 {
+		q.curB = int64(q.overflow.Peek().at) >> calShift
+		q.migrate()
 	}
 	slot := q.firstSlot()
-	// Advance the anchor to the bucket being popped and pull any
-	// overflow events the extended horizon now covers. Migrated events
-	// all land in buckets strictly after this one (their bucket numbers
-	// are at least the previous horizon), so the pop is unaffected.
-	s := int(q.curB & calMask)
-	if delta := int64((slot - s) & calMask); delta > 0 {
+	if delta := int64((slot - int(q.curB&calMask)) & calMask); delta > 0 {
 		q.curB += delta
 		q.migrate()
 	}
-	h := &q.buckets[slot]
-	ev := h.Pop()
-	q.ringN--
-	if h.Len() == 0 {
-		q.occ[slot>>6] &^= 1 << uint(slot&63)
+	n := 0
+	for ev := q.ring[slot]; ev != nil; ev = ev.next {
+		n++
 	}
-	return ev
-}
-
-// settleFromOverflow re-anchors an empty ring at the overflow minimum's
-// bucket and migrates every overflow event the new horizon covers. On an
-// empty queue it does nothing, and the caller's firstSlot panics.
-func (q *calendarQueue) settleFromOverflow() {
-	if q.overflow.Len() == 0 {
-		return
+	q.cur.items = slices.Grow(q.cur.items, n)
+	for ev := q.ring[slot]; ev != nil; ev = ev.next {
+		q.cur.items = append(q.cur.items, ev)
 	}
-	q.curB = int64(q.overflow.Peek().at) >> calShift
-	q.migrate()
+	q.ring[slot] = nil
+	q.occ[slot>>6] &^= 1 << uint(slot&63)
+	q.ringN -= n
+	q.cur.heapify()
 }
 
 // migrate moves overflow events whose bucket now falls inside the ring's
-// horizon into their buckets. Each event migrates at most once per
+// horizon into their chains. Each event migrates at most once per
 // lifetime in the queue: the horizon only advances.
 func (q *calendarQueue) migrate() {
 	horizon := q.curB + calBuckets
-	for q.overflow.Len() > 0 {
-		b := int64(q.overflow.Peek().at) >> calShift
-		if b >= horizon {
-			return
-		}
-		q.pushRing(b, q.overflow.Pop())
+	for q.overflow.Len() > 0 && int64(q.overflow.Peek().at)>>calShift < horizon {
+		q.Push(q.overflow.Pop())
 	}
 }
 

@@ -1,9 +1,12 @@
 package des
 
 import (
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // These tests pin the calendar queue's one obligation: events fire in
@@ -82,7 +85,9 @@ func TestCalendarMatchesHeapRandom(t *testing.T) {
 		o := &orderOracle{e: NewEngine()}
 		for i := 0; i < 3000; i++ {
 			var d Time
-			switch rng.Intn(4) {
+			switch rng.Intn(5) {
+			case 4: // the last ring bucket and the first two overflow ones
+				d = Time(calBuckets-1+rng.Intn(3)) << calShift
 			case 0: // same-bucket ties
 				d = Time(rng.Intn(3)) * time.Millisecond
 			case 1: // MRAI-like clustering
@@ -153,14 +158,26 @@ func TestCalendarScheduleBehindAnchor(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []int{2, 3, 1}
-	if len(log) != len(want) {
-		t.Fatalf("fired %d events, want %d", len(log), len(want))
+	if want := []int{2, 3, 1}; !slices.Equal(log, want) {
+		t.Fatalf("fire order %v, want %v", log, want)
 	}
-	for i := range want {
-		if log[i] != want[i] {
-			t.Fatalf("fire order %v, want %v", log, want)
-		}
+
+	// The same with nothing left in the anchor bucket: peeking past a
+	// cancelled event moves the anchor to its bucket and drains it, so
+	// the next schedules land behind an anchor whose heap is empty and
+	// must be clamped into its chain, not filed under their own slots.
+	e, log = NewEngine(), nil
+	e.Cancel(e.ScheduleAt(10*time.Second, tag(&log, 1)))
+	if err := e.RunUntil(500 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	e.ScheduleAt(2*time.Second, tag(&log, 2))
+	e.ScheduleAt(1*time.Second, tag(&log, 3)) // an earlier ring slot than the anchor's
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{3, 2}; !slices.Equal(log, want) {
+		t.Fatalf("fire order behind a drained anchor %v, want %v", log, want)
 	}
 }
 
@@ -183,5 +200,66 @@ func TestCalendarEngineReset(t *testing.T) {
 	}
 	if done != 1 || len(log) != 2 || log[0] != 2 || log[1] != 1 {
 		t.Fatalf("post-Reset order %v (done=%d), want [2 1]", log, done)
+	}
+}
+
+// burstShape schedules 40 000 events inside one bucket, the same again
+// 1 000 buckets later, then a sparse tail out past the ring's horizon,
+// and cancels every seventh event: the shape of a convergence storm,
+// where one bucket holds nearly the whole queue. bursts = 1 leaves the
+// second burst out.
+func burstShape(o *orderOracle, bursts int) {
+	const perBurst = 40000
+	rng := NewRNG(5)
+	var evs []*Event
+	for b := 0; b < bursts; b++ {
+		base := Time(b*1000) << calShift
+		for i := 0; i < perBurst; i++ {
+			evs = append(evs, o.schedule(base+Time(rng.Intn(1<<calShift)), nil))
+		}
+	}
+	for i := 0; i < 200; i++ {
+		evs = append(evs, o.schedule(Time(rng.Intn(20_000))*time.Millisecond, nil))
+	}
+	for id := 0; id < len(evs); id += 7 {
+		o.cancel(id, evs[id])
+	}
+}
+
+// TestCalendarMatchesHeapBurst pins the order on the burst shape, and
+// that a dense bucket is paid for once: the second burst reuses the heap
+// array and the event objects of the first, so an engine that drains two
+// bursts allocates at most 1.2 × what one burst costs it.
+func TestCalendarMatchesHeapBurst(t *testing.T) {
+	o := &orderOracle{e: NewEngine()}
+	burstShape(o, 2)
+	o.runAndCheck(t)
+
+	// A bare engine and one shared handler, so everything TotalAlloc
+	// sees is the engine's: event chunks and the heap array.
+	engineAlloc := func(bursts int) uint64 {
+		e := NewEngine()
+		fn := func() {}
+		rng := NewRNG(5)
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		for k := 0; k < bursts; k++ {
+			for i := 0; i < 40000; i++ {
+				e.Schedule(Time(rng.Intn(1<<calShift)), fn)
+			}
+			if err := e.RunUntil(e.Now() + 1000<<calShift); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&b)
+		return b.TotalAlloc - a.TotalAlloc
+	}
+	one, two := engineAlloc(1), engineAlloc(2)
+	t.Logf("one burst %d B, two bursts %d B", one, two)
+	if one < 40000*uint64(unsafe.Sizeof(Event{})) {
+		t.Fatalf("one burst allocated %d B, less than its events: the measurement is broken", one)
+	}
+	if 10*two > 12*one {
+		t.Errorf("two bursts allocated %d B, more than 1.2 x one burst's %d B", two, one)
 	}
 }

@@ -7,8 +7,8 @@
 // so ties between events scheduled for the same instant are broken by
 // insertion order, never by map iteration or heap instability.
 //
-// The event queue is a calendar (bucket) queue backed by 4-ary min-heaps
-// (see calendar.go), but that is invisible to callers: (timestamp,
+// The event queue is a lazy calendar (bucket) queue around one 4-ary
+// min-heap (see calendar.go), but that is invisible to callers: (timestamp,
 // insertion sequence) is a strict total order over queued events, so the
 // pop sequence — and therefore all simulation output — is independent of
 // the queue's internal layout. Any replacement queue must preserve
@@ -53,9 +53,10 @@ var ErrCanceled = errors.New("des: run canceled")
 // Event is a scheduled callback. Events are created by Engine.Schedule and
 // may be canceled before they fire.
 //
-// Events are pooled: once an event has fired (or its cancellation has been
-// drained from the queue) the engine recycles the Event object for a future
-// Schedule call. A caller must therefore drop its *Event reference no later
+// Events are pooled: the engine carves Event objects from chunks it keeps
+// for its lifetime, and once an event has fired (or its cancellation has
+// been drained from the queue) recycles the object for a future Schedule
+// call. A caller must therefore drop its *Event reference no later
 // than the event's own handler; calling Cancel, At, or Canceled on a
 // reference retained past that point observes (or corrupts) an unrelated
 // later event. The in-tree callers all clear their reference from the
@@ -63,7 +64,7 @@ var ErrCanceled = errors.New("des: run canceled")
 type Event struct {
 	at      Time
 	seq     uint64
-	index   int // heap index, -1 once popped
+	next    *Event // link of the ring-bucket chain or the free chain holding the event
 	fn      Handler
 	runner  Runner
 	stopped bool
@@ -84,11 +85,22 @@ type Engine struct {
 	seq       uint64
 	seqSrc    *uint64 // shared sequence counter (sharded sequenced mode); nil = own seq
 	queue     calendarQueue
-	free      []*Event // recycled Event objects (see Event)
+	free      *Event  // recycled Event objects, chained through next (see Event)
+	spare     []Event // unissued tail of the newest event chunk
+	made      int     // Event objects carved so far
 	processed uint64
 	maxEvents uint64
 	cancel    func() bool // polled every cancelStride events; nil = never
 }
+
+// Event objects come from chunks that double from eventChunkMin to
+// eventChunkMax objects: one malloc per chunk instead of one per event,
+// a first chunk a 30-node trial does not outgrow by much, and at most one
+// capped chunk of slack above the peak number of queued events.
+const (
+	eventChunkMin = 16
+	eventChunkMax = 256
+)
 
 // cancelStride is how many events fire between cancellation probes. The
 // probe (typically ctx.Err) costs a lock, so it is amortized; a stride
@@ -103,9 +115,7 @@ const DefaultMaxEvents = 200_000_000
 // NewEngine returns an engine with the clock at the epoch. The event
 // queue is a calendar queue (see calendar.go).
 func NewEngine() *Engine {
-	e := &Engine{maxEvents: DefaultMaxEvents}
-	e.queue.init()
-	return e
+	return &Engine{maxEvents: DefaultMaxEvents}
 }
 
 // SetMaxEvents overrides the runaway-loop guard. A value of zero restores
@@ -234,7 +244,7 @@ func (e *Engine) ScheduleRunnerAtSeq(at Time, seq uint64, r Runner) *Event {
 	return ev
 }
 
-// alloc takes an Event from the free list (or heap-allocates one), stamps
+// alloc takes an Event from the free list (or carves a new one), stamps
 // it with (at, next sequence number), and queues it. The handler fields are
 // left for the caller to fill in. When a shared sequence source is
 // installed (sharded sequenced mode, see Group) the stamp is drawn from it,
@@ -260,15 +270,17 @@ func (e *Engine) alloc(at Time) *Event {
 // tail of alloc and the Group's foreign-insertion path, which re-queues a
 // cross-shard delivery under the sequence number reserved at send time.
 func (e *Engine) insert(at Time, seq uint64) *Event {
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		*ev = Event{at: at, seq: seq}
+	ev := e.free
+	if ev != nil {
+		e.free = ev.next
 	} else {
-		ev = &Event{at: at, seq: seq}
+		if len(e.spare) == 0 {
+			e.spare = make([]Event, min(max(e.made, eventChunkMin), eventChunkMax))
+			e.made += len(e.spare)
+		}
+		ev, e.spare = &e.spare[0], e.spare[1:]
 	}
+	*ev = Event{at: at, seq: seq}
 	e.queue.Push(ev)
 	return ev
 }
@@ -277,7 +289,8 @@ func (e *Engine) insert(at Time, seq uint64) *Event {
 // cleared fn/runner (or be handing over a canceled event, whose fields
 // Cancel already cleared).
 func (e *Engine) recycle(ev *Event) {
-	e.free = append(e.free, ev)
+	ev.next = e.free
+	e.free = ev
 }
 
 // Cancel marks an event so it will not fire. Canceling nil or an

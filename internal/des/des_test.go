@@ -364,7 +364,11 @@ func TestEngineResetRecyclesEvents(t *testing.T) {
 		e.Schedule(time.Duration(i+1)*time.Second, func() {})
 	}
 	e.Reset()
-	if got := len(e.free); got != 8 {
+	got := 0
+	for ev := e.free; ev != nil; ev = ev.next {
+		got++
+	}
+	if got != 8 {
 		t.Errorf("free list holds %d events after Reset, want 8", got)
 	}
 	avg := testing.AllocsPerRun(100, func() {

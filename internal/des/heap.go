@@ -36,29 +36,32 @@ func (h *eventHeap) less(i, j int) bool {
 
 func (h *eventHeap) swap(i, j int) {
 	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].index = i
-	h.items[j].index = j
 }
 
 // Push inserts an event.
 func (h *eventHeap) Push(ev *Event) {
-	ev.index = len(h.items)
 	h.items = append(h.items, ev)
-	h.up(ev.index)
+	h.up(len(h.items) - 1)
 }
 
 // Pop removes and returns the earliest event.
 func (h *eventHeap) Pop() *Event {
-	n := len(h.items)
-	h.swap(0, n-1)
-	ev := h.items[n-1]
-	h.items[n-1] = nil
-	h.items = h.items[:n-1]
-	if len(h.items) > 0 {
+	n := len(h.items) - 1
+	ev := h.items[0]
+	h.items[0] = h.items[n]
+	h.items[n] = nil
+	h.items = h.items[:n]
+	if n > 0 {
 		h.down(0)
 	}
-	ev.index = -1
 	return ev
+}
+
+// heapify orders items that were appended without Push, in O(n).
+func (h *eventHeap) heapify() {
+	for i := (len(h.items) - 2) / heapArity; i >= 0; i-- {
+		h.down(i)
+	}
 }
 
 func (h *eventHeap) up(i int) {

@@ -107,9 +107,11 @@ func TestSweepWorkerCountInvariant(t *testing.T) {
 
 // TestSweepAllocatesItsLargestTrialOnce pins what rebinding buys: a
 // serial sweep over ten worlds, no two trials on the same one, allocates
-// less than twice what its largest trial does on a simulator of its own.
+// at most 1.3 × what its largest trial does on a simulator of its own.
 // Built per trial, as a pool keyed by network would have it, the sweep
-// costs the sum of its trials, several times that.
+// costs the sum of its trials, several times that. What is left above
+// 1.0 is each trial's seed streams and the buffers whose mark is still
+// per owner (a router id's FIFO ring and per-slot columns).
 func TestSweepAllocatesItsLargestTrialOnce(t *testing.T) {
 	// One row of the distinct-worlds grid, the 10% failures, on worlds
 	// large enough that a trial's buffers outweigh what every trial
@@ -148,8 +150,8 @@ func TestSweepAllocatesItsLargestTrialOnce(t *testing.T) {
 		}
 	})
 	t.Logf("largest trial %d B, all %d trials %d B, sweep %d B", largest, len(cfg.Xs), sum, sweep)
-	if sweep > 2*largest {
-		t.Errorf("sweep allocated %d B, more than twice its largest trial's %d B (sum of fresh trials: %d B)", sweep, largest, sum)
+	if 10*sweep > 13*largest {
+		t.Errorf("sweep allocated %d B, more than 1.3 x its largest trial's %d B (sum of fresh trials: %d B)", sweep, largest, sum)
 	}
 }
 
