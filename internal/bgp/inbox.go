@@ -1,5 +1,7 @@
 package bgp
 
+import "slices"
+
 // Inbox is a router's input queue of BGP updates. Pop returns the next
 // unit of work: a slice of updates the CPU processes together (length 1
 // under FIFO). Discarded counts updates deleted without processing (the
@@ -49,33 +51,46 @@ func newInbox(p Params, ndests int) Inbox {
 }
 
 // fifoInbox is default BGP: strict arrival order, one update at a time.
-// It is a growable ring buffer to keep Push/Pop O(1) without repeated
-// reallocation in the overload regime the experiments create. The ring's
-// length is a power of two, so positions wrap by mask.
+// It is a ring over chunks of fifoChunk updates that are never copied or
+// freed: Push/Pop stay O(1) in the overload regime the experiments
+// create, and a queue that grows to n updates allocates n, where a
+// doubling ring allocates 2n to 4n.
 type fifoInbox struct {
-	buf        []Update
-	head, size int
+	chunks     [][]Update
+	head, size int       // head is a slot of the ring, chunk head>>fifoShift
 	out        [1]Update // scratch backing the single-update batch Pop returns
 }
 
+const fifoShift, fifoChunk = 6, 1 << 6
+
 var _ Inbox = (*fifoInbox)(nil)
+
+func (q *fifoInbox) slot(i int) *Update { return &q.chunks[i>>fifoShift][i&(fifoChunk-1)] }
 
 // Push appends one update to the ring.
 func (q *fifoInbox) Push(u Update) {
-	if q.size == len(q.buf) {
+	if q.size == len(q.chunks)<<fifoShift {
 		q.grow()
 	}
-	q.buf[(q.head+q.size)&(len(q.buf)-1)] = u
+	i := q.head + q.size
+	if n := len(q.chunks) << fifoShift; i >= n {
+		i -= n
+	}
+	*q.slot(i) = u
 	q.size++
 }
 
+// grow splices an empty chunk into the full ring in front of head's
+// chunk. The slots of that chunk before head hold the newest updates;
+// they move to the same offsets of the new chunk, so the rest of the new
+// chunk and the slots they left are the free run behind the tail.
 func (q *fifoInbox) grow() {
-	next := make([]Update, max(8, 2*len(q.buf)))
-	for i := 0; i < q.size; i++ {
-		next[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+	c, off := q.head>>fifoShift, q.head&(fifoChunk-1)
+	q.chunks = slices.Insert(q.chunks, c, make([]Update, fifoChunk))
+	if len(q.chunks) > 1 {
+		copy(q.chunks[c][:off], q.chunks[c+1][:off])
+		q.head += fifoChunk
 	}
-	q.buf = next
-	q.head = 0
 }
 
 // Pop returns the oldest update as a one-element batch. The batch aliases
@@ -84,9 +99,10 @@ func (q *fifoInbox) Pop() []Update {
 	if q.size == 0 {
 		return nil
 	}
-	q.out[0] = q.buf[q.head]
-	q.buf[q.head] = Update{}
-	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.out[0] = *q.slot(q.head)
+	if q.head++; q.head == len(q.chunks)<<fifoShift {
+		q.head = 0
+	}
 	q.size--
 	return q.out[:1]
 }
@@ -103,11 +119,8 @@ func (q *fifoInbox) TakeDiscarded() int { return 0 }
 // Recycle is a no-op: FIFO batches live in a fixed scratch slot.
 func (q *fifoInbox) Recycle(batch []Update) {}
 
-// Reset empties the ring, retaining its backing array.
-func (q *fifoInbox) Reset(int) {
-	clear(q.buf)
-	q.head, q.size = 0, 0
-}
+// Reset empties the ring, retaining its chunks.
+func (q *fifoInbox) Reset(int) { q.head, q.size = 0, 0 }
 
 // batchInbox is the paper's destination-batched queue: one logical queue
 // per destination, served in order of each destination's earliest pending

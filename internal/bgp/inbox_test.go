@@ -70,6 +70,43 @@ func expectedWrapFrom(round int) int {
 	return 1000 + round/2
 }
 
+// TestFIFOMatchesSliceReference drives random bursts of pushes and pops
+// through the chunked ring and a plain slice. Bursts are sized so the
+// ring fills, and so grows, with its head at every offset of a chunk and
+// in every chunk of a ring already several chunks long; a drained queue
+// is Reset now and then, as between trials. It also pins what the chunks
+// are for: the ring holds its high-water mark rounded up to whole chunks.
+func TestFIFOMatchesSliceReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	q := &fifoInbox{}
+	var want []Update
+	next, mark := 0, 0
+	for round := 0; round < 4000; round++ {
+		for n := rng.Intn(3 * fifoChunk); n > 0; n-- {
+			u := ann(next%1000, next, 1)
+			next++
+			q.Push(u)
+			want = append(want, u)
+		}
+		mark = max(mark, len(want))
+		for n := rng.Intn(3*fifoChunk + 8); n > 0 && len(want) > 0; n-- {
+			if got := q.Pop(); len(got) != 1 || got[0] != want[0] {
+				t.Fatalf("round %d: popped %+v, want %+v", round, got, want[0])
+			}
+			want = want[1:]
+		}
+		if q.Len() != len(want) || q.Empty() != (len(want) == 0) {
+			t.Fatalf("round %d: Len %d, want %d", round, q.Len(), len(want))
+		}
+		if len(want) == 0 && rng.Intn(4) == 0 {
+			q.Reset(0)
+		}
+	}
+	if held := len(q.chunks) * fifoChunk; mark < 4*fifoChunk || held >= mark+fifoChunk {
+		t.Errorf("ring holds %d slots for a high-water mark of %d, want that rounded up to a multiple of %d", held, mark, fifoChunk)
+	}
+}
+
 func TestFIFONeverDiscards(t *testing.T) {
 	q := &fifoInbox{}
 	q.Push(ann(1, 7, 1))

@@ -44,11 +44,10 @@ func prependPath(as ASN, p Path) Path {
 	return out
 }
 
-// pathASMask folds the ASes on p into a 64-bit Bloom mask.
-func pathASMask(p Path) uint64 {
-	var m uint64
+// pathASMask folds the ASes on p into a node's Bloom mask.
+func pathASMask(p Path) (m [2]uint32) {
 	for _, as := range p {
-		m |= 1 << (uint(as) & 63)
+		m[as>>5&1] |= 1 << (uint(as) & 31)
 	}
 	return m
 }

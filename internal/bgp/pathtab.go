@@ -23,20 +23,23 @@ const emptyRef routeRef = 1
 // pathNode is one interned path as a parent-pointer trie node: the path
 // is head followed by the parent's path. Every announcement path the
 // simulator builds is prepend(as, parent) for a path it already holds,
-// so a node is all a new path costs: 24 pointer-free bytes, whatever its
+// so a node is all a new path costs: 20 pointer-free bytes, whatever its
 // length. A parent is always registered before its children, so
 // parent < the node's own ref.
 type pathNode struct {
-	mask   uint64   // Bloom mask of the ASes on the path: bit as&63 per hop
-	head   uint32   // nearest AS
-	parent routeRef // the rest of the path; 0 only for the empty path
-	length uint32   // hops
+	mask   [2]uint32 // Bloom mask of the ASes on the path: bit as&63 per hop (two words: 4-byte alignment)
+	hl     uint32    // head AS << 8 | min(hops, maxLen8)
+	parent routeRef  // the rest of the path; 0 only for the empty path
 	// fwd is the node's one spare word. Between compactions it is the
 	// index's chain link: the next ref in this node's bucket, 0 at the
 	// end. compact overwrites it with the ref the node slides down to,
 	// which is safe because compact ends by relinking every chain.
 	fwd routeRef
 }
+
+// A node's hop count saturates at maxLen8 (len walks the longer paths),
+// which leaves hl 24 bits for AS numbers up to maxASN.
+const maxLen8, maxASN = 1<<8 - 1, 1<<24 - 1
 
 // Chunk sizing: node storage is a list of chunks that double from
 // 1<<chunkMinShift nodes up to 1<<chunkMaxShift and stay there. Small
@@ -152,7 +155,7 @@ func (t *pathTab) relink() {
 	}
 	for ref := emptyRef + 1; ref <= routeRef(t.n); ref++ {
 		nd := t.node(ref)
-		b := t.bucket(nd.head, nd.parent)
+		b := t.bucket(nd.hl>>8, nd.parent)
 		nd.fwd, *b = *b, ref
 	}
 }
@@ -165,14 +168,15 @@ func (t *pathTab) prepend(as ASN, parent routeRef) routeRef {
 	b := t.bucket(head, parent)
 	for ref := *b; ref != 0; {
 		nd := t.node(ref)
-		if nd.head == head && nd.parent == parent {
+		if nd.hl>>8 == head && nd.parent == parent {
 			return ref
 		}
 		ref = nd.fwd
 	}
 	p := t.node(parent)
-	mask, length := p.mask|1<<(head&63), p.length+1
-	*t.alloc() = pathNode{mask: mask, head: head, parent: parent, length: length, fwd: *b}
+	mask, hl := p.mask, head<<8|min(p.hl&maxLen8+1, maxLen8)
+	mask[head>>5&1] |= 1 << (head & 31)
+	*t.alloc() = pathNode{mask: mask, hl: hl, parent: parent, fwd: *b}
 	*b = routeRef(t.n)
 	if t.n > t.nbuckets && t.nbuckets < 1<<31 { // chains just grow in a table past 2^31 paths
 		t.heads = append(t.heads, make([]routeRef, t.nbuckets))
@@ -204,7 +208,7 @@ func (t *pathTab) translate(src *pathTab, ref routeRef) routeRef {
 		return ref // no route and the empty path are the same ref everywhere
 	}
 	nd := src.node(ref)
-	return t.prepend(ASN(nd.head), t.translate(src, nd.parent))
+	return t.prepend(ASN(nd.hl>>8), t.translate(src, nd.parent))
 }
 
 // path materializes ref's path as a fresh slice; nil for the zero ref,
@@ -214,17 +218,23 @@ func (t *pathTab) path(ref routeRef) Path {
 	if ref == 0 {
 		return nil
 	}
-	nd := t.node(ref)
-	p := make(Path, nd.length)
+	p := make(Path, t.len(ref))
 	for i := range p {
-		p[i] = ASN(nd.head)
-		nd = t.node(nd.parent)
+		nd := t.node(ref)
+		p[i], ref = ASN(nd.hl>>8), nd.parent
 	}
 	return p
 }
 
 // len returns the hop count of ref's path, which must be nonzero.
-func (t *pathTab) len(ref routeRef) int { return int(t.node(ref).length) }
+func (t *pathTab) len(ref routeRef) int {
+	n := 0
+	for nd := t.node(ref); ; nd, n = t.node(nd.parent), n+1 {
+		if l := int(nd.hl & maxLen8); l < maxLen8 {
+			return n + l
+		}
+	}
+}
 
 // contains reports whether as is on ref's path. A node's mask covers the
 // path from that node on, so a clear bit proves absence from the rest:
@@ -235,10 +245,10 @@ func (t *pathTab) contains(ref routeRef, as ASN) bool {
 		return false
 	}
 	head := uint32(as)
-	bit := uint64(1) << (head & 63)
+	w, bit := head>>5&1, uint32(1)<<(head&31)
 	// The empty path's mask is zero, so the walk ends at the root.
-	for nd := t.node(ref); nd.mask&bit != 0; nd = t.node(nd.parent) {
-		if nd.head == head {
+	for nd := t.node(ref); nd.mask[w]&bit != 0; nd = t.node(nd.parent) {
+		if nd.hl>>8 == head {
 			return true
 		}
 	}

@@ -153,6 +153,30 @@ func TestPathTabMatchesSliceReference(t *testing.T) {
 	}
 }
 
+// TestPathLenPastSaturation walks one path out to 600 hops, past where a
+// node's stored hop count saturates, and checks every length on the way
+// against the model: len, the materialized path, hits on re-derivation,
+// and contains for an AS only the far end holds.
+func TestPathLenPastSaturation(t *testing.T) {
+	tab := testTab()
+	m := newPathModel(t, tab)
+	ref, want := tab.intern(Path{7000}), Path{7000}
+	for hop := 1; hop < 600; hop++ {
+		as := ASN(hop%40 + 1)
+		next := tab.prepend(as, ref)
+		want = prependPath(as, want)
+		m.note(next, want)
+		m.check(next, []ASN{7000, as, 41})
+		if again := tab.prepend(as, ref); again != next {
+			t.Fatalf("hop %d: re-derived as ref %d, first %d", hop, again, next)
+		}
+		ref = next
+	}
+	if got := tab.len(ref); got != 600 || got <= maxLen8 {
+		t.Fatalf("len = %d, want 600 (past the saturation point %d)", got, maxLen8)
+	}
+}
+
 // TestPathTabCompactKeepsMarkedAndAncestors exercises the in-place sweep
 // at table level: marked paths and their ancestors survive under new
 // refs that still name the same paths, everything else goes, prepend
@@ -238,12 +262,12 @@ func TestPackedSizes(t *testing.T) {
 	if n := unsafe.Sizeof(Update{}); n > 16 {
 		t.Errorf("Update is %d bytes, want <= 16", n)
 	}
-	if n := unsafe.Sizeof(pathNode{}); n > 24 {
-		t.Errorf("pathNode is %d bytes, want <= 24", n)
+	if n := unsafe.Sizeof(pathNode{}); n > 20 {
+		t.Errorf("pathNode is %d bytes, want <= 20", n)
 	}
 }
 
-// TestPathTabBytesPerPath pins what a registered path costs: at most 40
+// TestPathTabBytesPerPath pins what a registered path costs: at most 32
 // bytes each for 200 000 distinct paths into a fresh table, of which
 // nothing is discarded on the way — growing from empty allocates at most
 // 1.1 × what the table ends up holding (nodes with their chunk slack,
@@ -272,8 +296,8 @@ func TestPathTabBytesPerPath(t *testing.T) {
 	if tab.size() != paths {
 		t.Fatalf("registered %d paths, want %d", tab.size(), paths)
 	}
-	if per := float64(fresh) / paths; per > 40 {
-		t.Errorf("fresh table: %.1f B per registered path, want <= 40", per)
+	if per := float64(fresh) / paths; per > 32 {
+		t.Errorf("fresh table: %.1f B per registered path, want <= 32", per)
 	}
 	held := uint64(cap(tab.chunks))*uint64(unsafe.Sizeof(tab.chunks[0])) + uint64(cap(tab.heads))*uint64(unsafe.Sizeof(tab.heads[0]))
 	for _, c := range tab.chunks {

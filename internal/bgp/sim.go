@@ -46,6 +46,8 @@ type Simulator struct {
 	ndests  int      // dense dest-index table size
 	tracer  trace.Tracer
 
+	originTasks []originTask // Start's events, one per destination
+
 	// pool is the free list of in-flight message events for the
 	// single-engine path. A delivery is taken here (or allocated) by
 	// deliver, scheduled on the engine, and returned by its own Run, so
@@ -274,8 +276,8 @@ func (s *Simulator) rewire(net *topology.Network) {
 
 // destSpace returns the size of the dense destination-index table,
 // (maxAS+1)·nprefix. Topologies are outside input, and paths and updates
-// pack AS numbers, node ids and destination indices into 32 bits, so
-// what would not fit is refused here, before anything is sized by it.
+// pack node ids and destination indices into 32 bits and AS numbers into
+// 24, so what would not fit is refused here, before anything is sized by it.
 func destSpace(net *topology.Network, nprefix int) (int, error) {
 	const limit = math.MaxInt32
 	if net.NumNodes() > limit {
@@ -284,7 +286,7 @@ func destSpace(net *topology.Network, nprefix int) (int, error) {
 	maxAS := 0
 	for id := 0; id < net.NumNodes(); id++ {
 		as := net.ASOf(id)
-		if as < 0 || as >= limit {
+		if as < 0 || as > maxASN {
 			return 0, fmt.Errorf("bgp: AS number %d of node %d does not fit the packed 32-bit route encoding", as, id)
 		}
 		if as > maxAS {
@@ -366,6 +368,7 @@ func (s *Simulator) ASOfDest(dest int) ASN { return dest / s.nprefix }
 // over OriginationSpread. Destinations are scheduled in ascending order
 // (the dense origin table's natural order).
 func (s *Simulator) Start() {
+	s.originTasks = fit(s.originTasks, s.ndests)
 	for dest, id := range s.origins {
 		if id < 0 {
 			continue
@@ -374,14 +377,25 @@ func (s *Simulator) Start() {
 		if s.params.OriginationSpread > 0 {
 			at = s.rng.UniformDuration(0, s.params.OriginationSpread)
 		}
-		id, dest := id, dest
 		// In sharded mode the origination runs on the originating
 		// router's own shard engine; the stagger draw above always comes
 		// from the master RNG, so the single-engine and sequenced runs
 		// consume it identically.
-		s.routers[id].eng.ScheduleAt(at, func() { s.routers[id].originate(dest) })
+		r := s.routers[id]
+		s.originTasks[dest] = originTask{r: r, dest: dest}
+		r.eng.ScheduleRunnerAt(at, &s.originTasks[dest])
 	}
 }
+
+// originTask is the des.Runner for one origination event, carved from an
+// array the simulator keeps across Rebind. It is indexed by destination,
+// so a pending event's task is only ever rewritten with what it holds.
+type originTask struct {
+	r    *router
+	dest ASN
+}
+
+func (t *originTask) Run() { t.r.originate(t.dest) }
 
 // Run drains the event queue (to quiescence) and returns any engine error.
 func (s *Simulator) Run() error {

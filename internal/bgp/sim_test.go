@@ -97,7 +97,7 @@ func TestNewValidatesParams(t *testing.T) {
 // per AS) that would not fit is an error from New and from Reset, which
 // leaves the simulator as it was — never a truncated value.
 func TestNewRejectsUnpackableTopology(t *testing.T) {
-	for _, as := range []int{math.MaxInt32, 1 << 32, -1} {
+	for _, as := range []int{math.MaxInt32, 1 << 32, maxASN + 1, -1} {
 		nw := buildLine(t, 3)
 		nw.SetAS(1, as)
 		if _, err := New(nw, fastParams(1)); err == nil || !strings.Contains(err.Error(), "32-bit") {

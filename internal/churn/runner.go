@@ -98,17 +98,16 @@ func NewRunner() *Runner {
 
 // RunTrial executes one trial of sc. The trial seed is sc.Seed + trial
 // (the sweep machinery's trial stride), and the RNG stream derivation
-// mirrors runScenario with the failure stream replaced by the churn
-// stream: topology, churn, sim — in that order off the root. obs, when
-// non-nil, is invoked inline as each window closes.
+// is runScenario's (experiment.Slot.Derive) with the failure stream
+// replaced by the churn stream: topology, churn, sim — in that order off
+// the root. obs, when non-nil, is invoked inline as each window closes.
 func (r *Runner) RunTrial(ctx context.Context, sc Scenario, trial int, obs WindowObserver) (TrialResult, error) {
 	seed := sc.Seed + int64(trial)
-	root := des.NewRNG(seed)
-	root.Split("topology") // advance the root exactly as runScenario does
-	progRNG := root.Split("churn")
+	slot := r.pool.Take()
+	_, progRNG, simSeed := slot.Derive(seed, "churn")
 
 	params := bgp.DefaultParams()
-	params.Seed = root.Split("sim").Int63()
+	params.Seed = simSeed
 	if sc.Topology.PrefixesPerOrigin > 0 {
 		params.PrefixesPerAS = sc.Topology.PrefixesPerOrigin
 	}
@@ -136,12 +135,7 @@ func (r *Runner) RunTrial(ctx context.Context, sc Scenario, trial int, obs Windo
 		return TrialResult{}, err
 	}
 
-	sim := r.pool.Take()
-	if sim != nil {
-		err = sim.Rebind(net, params)
-	} else {
-		sim, err = bgp.New(net, params)
-	}
+	sim, err := slot.Bind(net, params)
 	if err != nil {
 		return TrialResult{}, fmt.Errorf("build simulator: %w", err)
 	}
@@ -198,14 +192,14 @@ func (r *Runner) RunTrial(ctx context.Context, sc Scenario, trial int, obs Windo
 		}
 	}
 	if err := sim.Run(); err != nil {
-		// Aborted simulators stay unpooled (their state is mid-run).
+		// Aborted slots stay unpooled (their simulator's state is mid-run).
 		return TrialResult{}, trialErr(ctx, err)
 	}
 	if len(events) > 0 {
 		record(len(events) - 1)
 	}
 	sim.SetCancel(nil)
-	r.pool.Put(sim)
+	r.pool.Put(slot)
 	return tr, nil
 }
 

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -467,10 +468,24 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
 // this leaves room for some hundred thousand windows per trial.
 const maxBodyBytes = 16 << 20
 
-// decode parses a JSON request body, replying 413 to one longer than
-// maxBodyBytes and 400 to any other failure.
+// bodyBufs recycles the buffers request bodies are read into: handlers
+// run concurrently, a goroutine per connection, so they are pooled, not
+// owned. One that a churn completion grew past 64 KiB (leases and sweep
+// completions are a few hundred bytes) is not kept.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decode parses a request body that is one JSON value and nothing else,
+// replying 413 to one longer than maxBodyBytes and 400 to any other failure.
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = json.Unmarshal(buf.Bytes(), v)
+	}
+	if buf.Cap() <= 64<<10 {
+		bodyBufs.Put(buf)
+	}
 	if err == nil {
 		return true
 	}

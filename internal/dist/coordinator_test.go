@@ -359,7 +359,8 @@ func (spaces) Read(p []byte) (int, error) {
 
 // TestOversizeBodyRejected: a body the coordinator would otherwise
 // buffer without bound is cut off at maxBodyBytes and answered 413;
-// malformed JSON inside the cap is still a 400.
+// malformed JSON inside the cap is still a 400, and so is a JSON value
+// with anything but white space after it.
 func TestOversizeBodyRejected(t *testing.T) {
 	coord, err := NewCoordinator(CoordinatorConfig{})
 	if err != nil {
@@ -374,6 +375,9 @@ func TestOversizeBodyRejected(t *testing.T) {
 		{"oversize", io.LimitReader(spaces{}, maxBodyBytes+1), http.StatusRequestEntityTooLarge},
 		{"at the cap", io.MultiReader(io.LimitReader(spaces{}, maxBodyBytes-2), strings.NewReader("{}")), http.StatusOK},
 		{"malformed", strings.NewReader("{"), http.StatusBadRequest},
+		{"two values", strings.NewReader(`{"worker":"w"}{"worker":"x"}`), http.StatusBadRequest},
+		{"trailing text", strings.NewReader(`{"worker":"w"} trailing`), http.StatusBadRequest},
+		{"trailing space", strings.NewReader("{\"worker\":\"w\"}\n "), http.StatusOK},
 	} {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/complete", c.body))

@@ -1,0 +1,151 @@
+package dist
+
+import (
+	"context"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"testing"
+	"time"
+
+	"bgpsim/internal/core"
+	"bgpsim/internal/experiment"
+)
+
+// descFor builds the descriptor a coordinator would publish for expID's
+// one sweep at opts, grid shape included.
+func descFor(t *testing.T, expID string, opts core.Options) SweepDesc {
+	t.Helper()
+	exp, err := core.Lookup(expID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc := SweepDesc{Protocol: ProtocolVersion, Experiment: exp.ID, Options: WireOptions(opts)}
+	opts.Sweeper = func(cfg experiment.SweepConfig) (experiment.Figure, error) {
+		cfg, err := experiment.NormalizeSweep(cfg)
+		desc.Grid = Grid{Series: len(cfg.SeriesNames), Xs: len(cfg.Xs), Trials: cfg.Trials}
+		return experiment.Figure{}, err
+	}
+	if _, err := exp.Run(opts); err != nil {
+		t.Fatal(err)
+	}
+	return desc
+}
+
+// TestRegistryRunnerMemo pins that remembering the last descriptor's
+// grid cannot show in results: one runner serving two sweeps' jobs
+// alternately — so every job but the first invalidates the memo — returns
+// what a fresh runner returns for each job, whether the sweeps differ in
+// seed or in experiment; and that a descriptor the worker must refuse is
+// refused for every job, not only the one that resolved it, also when it
+// differs from the remembered one in nothing but the refused field.
+func TestRegistryRunnerMemo(t *testing.T) {
+	ctx := context.Background()
+	reseeded := goldenOptions()
+	reseeded.Seed = 2
+	a := descFor(t, "fig3", goldenOptions())
+	for name, b := range map[string]SweepDesc{
+		"seed":       descFor(t, "fig3", reseeded),
+		"experiment": descFor(t, "fig4", goldenOptions()),
+	} {
+		shared := RegistryRunner(1)
+		for i := 0; i < 3; i++ {
+			for _, desc := range []SweepDesc{a, b, b, a} { // hits and misses both ways
+				job := Job{Series: i % desc.Grid.Series, X: (2 * i) % desc.Grid.Xs}
+				got, err := shared(ctx, desc, job)
+				if err != nil {
+					t.Fatalf("%s: shared runner: %v", name, err)
+				}
+				want, err := RegistryRunner(1)(ctx, desc, job)
+				if err != nil {
+					t.Fatalf("%s: fresh runner: %v", name, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: %s job %+v: memoized runner %+v, fresh runner %+v", name, desc.Experiment, job, got, want)
+				}
+			}
+		}
+	}
+
+	wrongProtocol, wrongGrid, wrongIndex := a, a, a
+	wrongProtocol.Protocol = "bgpsim/dist/v1"
+	wrongGrid.Grid.Xs++
+	wrongIndex.SweepIndex = 1
+	for name, bad := range map[string]SweepDesc{"protocol": wrongProtocol, "grid": wrongGrid, "sweep index": wrongIndex} {
+		runner := RegistryRunner(1)
+		for i := 0; i < 3; i++ {
+			if _, err := runner(ctx, a, Job{}); err != nil {
+				t.Fatalf("good descriptor, round %d: %v", i, err)
+			}
+			for j := 0; j < 2; j++ {
+				if _, err := runner(ctx, bad, Job{}); err == nil {
+					t.Errorf("wrong %s accepted (round %d, job %d)", name, i, j)
+				}
+			}
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race,
+// under which sync.Pool drops a quarter of what it is given, net/http's
+// pooled readers and writers included.
+func raceEnabled() bool {
+	info, _ := debug.ReadBuildInfo()
+	for _, s := range info.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestLeaseCompleteAllocBudget pins what the protocol itself costs: a
+// job whose execution is free — lease, a no-op runner, complete, over a
+// real loopback connection, both ends in this process — allocates
+// 19.1 kB on average, almost all of it net/http's per-request state (the
+// budget is 5% above that). It was 22.4 kB when each exchange built a
+// JSON decoder and its buffer on both ends, a fresh request URL and a log
+// line for a discarding logger.
+func TestLeaseCompleteAllocBudget(t *testing.T) {
+	coord, err := NewCoordinator(CoordinatorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	result := fakeResults(1, 1)
+	w := &Worker{
+		Base: srv.URL, ID: "w", PollInterval: time.Millisecond,
+		Runner: func(context.Context, SweepDesc, Job) ([]experiment.Result, error) { return result, nil },
+	}
+	done := make(chan error, 1)
+	go func() { done <- w.Work(context.Background()) }()
+
+	const jobs = 200
+	cfg := experiment.SweepConfig{SeriesNames: []string{"a", "b"}, Xs: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, Trials: 10}
+	sweep := func() {
+		if _, err := coord.RunSweep(context.Background(), "test", 0, WireOptions(core.QuickOptions()), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sweep() // connections, buffers, the worker's encoder
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	sweep()
+	runtime.ReadMemStats(&ms)
+	perJob := (ms.TotalAlloc - before) / jobs
+	coord.Shutdown()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d B per lease+complete", perJob)
+	if raceEnabled() {
+		t.Skip("the exchanges ran under the detector; their cost in bytes (3 x) says nothing there")
+	}
+	const budget = 20_000
+	if perJob > budget {
+		t.Errorf("a job's lease+complete allocates %d B, budget %d", perJob, budget)
+	}
+}

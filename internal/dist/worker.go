@@ -10,6 +10,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -24,8 +25,8 @@ import (
 // inject no-op runners.
 type JobRunner func(ctx context.Context, desc SweepDesc, job Job) ([]experiment.Result, error)
 
-// ChurnJobRunner executes one churn trial job, invoking obs as each
-// measurement window closes. The default is ChurnRunner.
+// ChurnJobRunner executes one churn trial job, invoking obs on the calling
+// goroutine as each measurement window closes. The default is ChurnRunner.
 type ChurnJobRunner func(ctx context.Context, desc ChurnDesc, job Job, obs churn.WindowObserver) (*churn.TrialResult, error)
 
 // Worker is the client half of the protocol: it polls the coordinator
@@ -66,6 +67,11 @@ type Worker struct {
 	// draining is set by Drain: finish and submit the in-flight trial,
 	// then exit instead of leasing more work.
 	draining atomic.Bool
+
+	// Reused from one exchange to the next by the Work goroutine, window
+	// reports included: the request as encoded, the reply as read.
+	leaseURL, completeURL string
+	reqBuf, respBuf       bytes.Buffer
 }
 
 // Drain asks the worker to stop gracefully: the in-flight trial (if
@@ -112,7 +118,7 @@ func (w *Worker) Work(ctx context.Context) error {
 			return nil
 		}
 		var lease LeaseResponse
-		err := w.post(ctx, "/v1/lease", LeaseRequest{Worker: w.ID}, &lease)
+		err := w.post(ctx, w.leaseURL, LeaseRequest{Worker: w.ID}, &lease)
 		switch {
 		case errors.Is(err, errUnreachable) && everConnected:
 			w.Log.Printf("dist: worker %s: coordinator gone after %d jobs; exiting", w.ID, jobs)
@@ -137,14 +143,10 @@ func (w *Worker) Work(ctx context.Context) error {
 				Lease:   lease.Lease,
 			}
 			var jerr error
-			var what string
 			switch {
 			case lease.Churn != nil:
-				what = fmt.Sprintf("churn %s trial %d", lease.Churn.Scenario.Program.Kind, lease.Job.Trial)
 				complete.TrialResult, jerr = churnRunner(ctx, *lease.Churn, lease.Job, w.windowObserver(lease))
 			case lease.Desc != nil:
-				what = fmt.Sprintf("%s series %d x %d trial %d",
-					lease.Desc.Experiment, lease.Job.Series, lease.Job.X, lease.Job.Trial)
 				complete.Results, jerr = runner(ctx, *lease.Desc, lease.Job)
 			default:
 				return fmt.Errorf("dist: lease for job %d without a run descriptor", lease.Job.ID)
@@ -157,7 +159,7 @@ func (w *Worker) Work(ctx context.Context) error {
 				complete.Error = jerr.Error()
 			}
 			var ack CompleteResponse
-			err := w.post(ctx, "/v1/complete", complete, &ack)
+			err := w.post(ctx, w.completeURL, complete, &ack)
 			switch {
 			case errors.Is(err, errUnreachable):
 				// The lease expires and another worker redoes the trial.
@@ -167,14 +169,25 @@ func (w *Worker) Work(ctx context.Context) error {
 				return err
 			}
 			if jerr != nil {
-				return fmt.Errorf("dist: job %d (%s): %w", lease.Job.ID, what, jerr)
+				return fmt.Errorf("dist: job %d (%s): %w", lease.Job.ID, describe(lease), jerr)
 			}
 			jobs++
-			w.Log.Printf("dist: worker %s: job %d done (%s, %s)", w.ID, lease.Job.ID, what, ack.Status)
+			if w.Log.Writer() != io.Discard { // or format a line per job for nobody
+				w.Log.Printf("dist: worker %s: job %d done (%s, %s)", w.ID, lease.Job.ID, describe(lease), ack.Status)
+			}
 		default:
 			return fmt.Errorf("dist: unknown lease status %q", lease.Status)
 		}
 	}
+}
+
+// describe names a leased job for logs and errors.
+func describe(lease LeaseResponse) string {
+	if lease.Churn != nil {
+		return fmt.Sprintf("churn %s trial %d", lease.Churn.Scenario.Program.Kind, lease.Job.Trial)
+	}
+	return fmt.Sprintf("%s series %d x %d trial %d",
+		lease.Desc.Experiment, lease.Job.Series, lease.Job.X, lease.Job.Trial)
 }
 
 // windowObserver builds the per-window streaming callback for a leased
@@ -183,6 +196,7 @@ func (w *Worker) Work(ctx context.Context) error {
 // the live view, never the authoritative completion payload — so a slow
 // coordinator cannot stall the simulation for long.
 func (w *Worker) windowObserver(lease LeaseResponse) churn.WindowObserver {
+	url := strings.TrimSuffix(w.Base, "/") + "/v1/window"
 	return func(trial int, win churn.WindowResult, perNode []int) {
 		rep := WindowReport{
 			Worker:      w.ID,
@@ -197,7 +211,7 @@ func (w *Worker) windowObserver(lease LeaseResponse) churn.WindowObserver {
 			return
 		}
 		var ack CompleteResponse
-		_ = w.tryPost(context.Background(), "/v1/window", payload, &ack)
+		_ = w.tryPost(context.Background(), url, payload, &ack)
 	}
 }
 
@@ -225,17 +239,20 @@ func (w *Worker) applyDefaults() {
 	if w.sleep == nil {
 		w.sleep = sleepCtx
 	}
+	w.leaseURL = strings.TrimSuffix(w.Base, "/") + "/v1/lease"
+	w.completeURL = strings.TrimSuffix(w.Base, "/") + "/v1/complete"
 }
 
 // post sends one JSON request, retrying transient failures (network
 // errors, 5xx) with backoff. Permanent failures (4xx, malformed
 // responses) return immediately; exhausting the retry budget returns
 // errUnreachable.
-func (w *Worker) post(ctx context.Context, path string, reqBody, respBody any) error {
-	payload, err := json.Marshal(reqBody)
-	if err != nil {
+func (w *Worker) post(ctx context.Context, url string, reqBody, respBody any) error {
+	w.reqBuf.Reset()
+	if err := json.NewEncoder(&w.reqBuf).Encode(reqBody); err != nil {
 		return fmt.Errorf("dist: marshal request: %w", err)
 	}
+	payload := bytes.TrimSuffix(w.reqBuf.Bytes(), []byte("\n")) // Encode's, not the value's
 	var lastErr error
 	for attempt := 0; attempt < w.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -243,7 +260,7 @@ func (w *Worker) post(ctx context.Context, path string, reqBody, respBody any) e
 				return err
 			}
 		}
-		lastErr = w.tryPost(ctx, path, payload, respBody)
+		lastErr = w.tryPost(ctx, url, payload, respBody)
 		if lastErr == nil {
 			return nil
 		}
@@ -254,9 +271,9 @@ func (w *Worker) post(ctx context.Context, path string, reqBody, respBody any) e
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		w.Log.Printf("dist: worker %s: %s attempt %d/%d: %v", w.ID, path, attempt+1, w.MaxAttempts, lastErr)
+		w.Log.Printf("dist: worker %s: %s attempt %d/%d: %v", w.ID, url, attempt+1, w.MaxAttempts, lastErr)
 	}
-	return fmt.Errorf("%w: %s: %v", errUnreachable, path, lastErr)
+	return fmt.Errorf("%w: %s: %v", errUnreachable, url, lastErr)
 }
 
 // permanentError wraps failures that retrying cannot fix.
@@ -264,9 +281,9 @@ type permanentError struct{ err error }
 
 func (p permanentError) Error() string { return p.err.Error() }
 
-// tryPost performs one HTTP exchange.
-func (w *Worker) tryPost(ctx context.Context, path string, payload []byte, respBody any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, strings.TrimSuffix(w.Base, "/")+path, bytes.NewReader(payload))
+// tryPost performs one HTTP exchange; the reply must be one JSON value.
+func (w *Worker) tryPost(ctx context.Context, url string, payload []byte, respBody any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
 	if err != nil {
 		return permanentError{fmt.Errorf("dist: build request: %w", err)}
 	}
@@ -277,14 +294,18 @@ func (w *Worker) tryPost(ctx context.Context, path string, payload []byte, respB
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 500 {
-		return fmt.Errorf("dist: %s: %s", path, resp.Status)
+		return fmt.Errorf("dist: %s: %s", url, resp.Status)
 	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return permanentError{fmt.Errorf("dist: %s: %s: %s", path, resp.Status, strings.TrimSpace(string(msg)))}
+		return permanentError{fmt.Errorf("dist: %s: %s: %s", url, resp.Status, strings.TrimSpace(string(msg)))}
 	}
-	if err := json.NewDecoder(resp.Body).Decode(respBody); err != nil {
-		return permanentError{fmt.Errorf("dist: %s: decode response: %w", path, err)}
+	w.respBuf.Reset()
+	if _, err = w.respBuf.ReadFrom(resp.Body); err == nil {
+		err = json.Unmarshal(w.respBuf.Bytes(), respBody)
+	}
+	if err != nil {
+		return permanentError{fmt.Errorf("dist: %s: decode response: %w", url, err)}
 	}
 	return nil
 }
@@ -301,72 +322,82 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// errJobDone aborts an experiment run once the target sweep's trial has
-// executed; RegistryRunner's interceptor returns it from the Sweeper
-// hook so Experiment.Run unwinds without running later sweeps.
-var errJobDone = errors.New("dist: job complete")
+// errSweepFound aborts an experiment run once the target sweep's grid
+// has been captured; resolveSweep's interceptor returns it from the
+// Sweeper hook so Experiment.Run unwinds without running later sweeps.
+var errSweepFound = errors.New("dist: sweep resolved")
 
-// RegistryRunner returns the default sweep job executor: it
-// reconstructs the job's sweep by re-running the experiment from the
-// shared registry with a Sweeper hook that, at the descriptor's
-// SweepIndex, executes exactly the requested trial through
-// experiment.CellRunner and unwinds. Seeds derive from grid indices, so
-// the produced trial result is bit-identical to what a local sweep
-// computes for that trial. The returned runner keeps one simulator pool
-// across jobs; simWorkers feeds opts.Workers for experiments that use
-// intra-run parallelism (0 = GOMAXPROCS).
+// RegistryRunner returns the default sweep job executor. A job is one
+// trial of a grid: a lease's descriptor is resolved to its sweep
+// configuration (resolveSweep) only when it differs from the last one
+// that resolved, and the job is experiment.CellRunner.RunTrial on that
+// configuration, nothing else. Remembering one is enough — a coordinator
+// serves one run at a time — and one that does not resolve fails each of
+// its jobs alike. Seeds derive from grid indices, so the trial's result
+// is bit-identical to a local sweep's. The runner keeps one simulator
+// pool across jobs and serves one job at a time (a Worker's loop);
+// simWorkers feeds opts.Workers (0 = GOMAXPROCS).
 func RegistryRunner(simWorkers int) JobRunner {
 	cells := experiment.NewCellRunner()
+	var memo SweepDesc
+	var cfg experiment.SweepConfig
+	resolved := false
 	return func(ctx context.Context, desc SweepDesc, job Job) ([]experiment.Result, error) {
-		if desc.Protocol != ProtocolVersion {
-			return nil, fmt.Errorf("dist: coordinator speaks %q, this worker %q", desc.Protocol, ProtocolVersion)
+		if !resolved || !reflect.DeepEqual(memo, desc) {
+			c, err := resolveSweep(desc, simWorkers)
+			if err != nil {
+				return nil, err
+			}
+			memo, cfg, resolved = desc, c, true
 		}
-		exp, err := core.Lookup(desc.Experiment)
+		res, err := cells.RunTrial(ctx, cfg, job.Series, job.X, job.Trial)
 		if err != nil {
 			return nil, err
 		}
-		opts := desc.Options.Core()
-		opts.Workers = simWorkers
-		opts.Context = ctx
-		var results []experiment.Result
-		var cellErr error
-		index := 0
-		opts.Sweeper = func(cfg experiment.SweepConfig) (experiment.Figure, error) {
-			i := index
-			index++
-			if i != desc.SweepIndex {
-				// Not the target sweep: skip its execution entirely.
-				// Current experiments never inspect a sweep's figure to
-				// build the next one, so an empty figure is safe.
-				return experiment.Figure{}, nil
-			}
-			cfg, err := experiment.NormalizeSweep(cfg)
-			if err != nil {
-				cellErr = err
-				return experiment.Figure{}, errJobDone
-			}
-			got := Grid{Series: len(cfg.SeriesNames), Xs: len(cfg.Xs), Trials: cfg.Trials}
-			if got != desc.Grid {
-				cellErr = fmt.Errorf("dist: grid mismatch for %s sweep %d: coordinator %+v, worker %+v — binaries out of sync",
-					desc.Experiment, desc.SweepIndex, desc.Grid, got)
-				return experiment.Figure{}, errJobDone
-			}
-			var res experiment.Result
-			res, cellErr = cells.RunTrial(ctx, cfg, job.Series, job.X, job.Trial)
-			if cellErr == nil {
-				results = []experiment.Result{res}
-			}
-			return experiment.Figure{}, errJobDone
+		return []experiment.Result{res}, nil
+	}
+}
+
+// resolveSweep reconstructs the grid desc addresses by re-running the
+// experiment from the shared registry with a Sweeper hook that captures
+// the SweepIndex-th grid instead of executing it, and unwinds. It refuses
+// another protocol version and a grid shape this binary does not build.
+func resolveSweep(desc SweepDesc, simWorkers int) (found experiment.SweepConfig, err error) {
+	if desc.Protocol != ProtocolVersion {
+		return found, fmt.Errorf("dist: coordinator speaks %q, this worker %q", desc.Protocol, ProtocolVersion)
+	}
+	exp, err := core.Lookup(desc.Experiment)
+	if err != nil {
+		return found, err
+	}
+	opts := desc.Options.Core()
+	opts.Workers = simWorkers
+	var foundErr error
+	index := 0
+	opts.Sweeper = func(cfg experiment.SweepConfig) (experiment.Figure, error) {
+		i := index
+		index++
+		if i != desc.SweepIndex {
+			// Not the target sweep: skip its execution entirely.
+			// Current experiments never inspect a sweep's figure to
+			// build the next one, so an empty figure is safe.
+			return experiment.Figure{}, nil
 		}
-		_, err = exp.Run(opts)
-		switch {
-		case errors.Is(err, errJobDone):
-			return results, cellErr
-		case err != nil:
-			return nil, err
-		default:
-			return nil, fmt.Errorf("dist: experiment %s ran %d sweeps, job addresses sweep %d", desc.Experiment, index, desc.SweepIndex)
+		found, foundErr = experiment.NormalizeSweep(cfg)
+		if got := (Grid{Series: len(found.SeriesNames), Xs: len(found.Xs), Trials: found.Trials}); foundErr == nil && got != desc.Grid {
+			foundErr = fmt.Errorf("dist: grid mismatch for %s sweep %d: coordinator %+v, worker %+v — binaries out of sync",
+				desc.Experiment, desc.SweepIndex, desc.Grid, got)
 		}
+		return experiment.Figure{}, errSweepFound
+	}
+	_, err = exp.Run(opts)
+	switch {
+	case errors.Is(err, errSweepFound):
+		return found, foundErr
+	case err != nil:
+		return found, err
+	default:
+		return found, fmt.Errorf("dist: experiment %s ran %d sweeps, job addresses sweep %d", desc.Experiment, index, desc.SweepIndex)
 	}
 }
 

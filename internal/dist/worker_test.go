@@ -2,8 +2,10 @@ package dist
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -81,6 +83,31 @@ func TestWorkerPermanentErrorNoRetry(t *testing.T) {
 	}
 	if len(slept.delays) != 0 {
 		t.Errorf("4xx slept %v, want no sleeps", slept.delays)
+	}
+}
+
+// TestWorkerRejectsTrailingData: a reply that is a JSON value followed
+// by anything else is malformed, and retrying cannot fix it.
+func TestWorkerRejectsTrailingData(t *testing.T) {
+	for _, body := range []string{
+		`{"status":"wait"}{"status":"shutdown"}`,
+		`{"status":"shutdown"} trailing`,
+	} {
+		var calls atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			calls.Add(1)
+			io.WriteString(w, body)
+		}))
+		var slept noSleep
+		w := &Worker{Base: srv.URL, ID: "w", sleep: slept.sleep}
+		err := w.Work(context.Background())
+		srv.Close()
+		if err == nil || !strings.Contains(err.Error(), "decode response") {
+			t.Errorf("reply %q: Work = %v, want a decode error", body, err)
+		}
+		if n := calls.Load(); n != 1 || len(slept.delays) != 0 {
+			t.Errorf("reply %q: %d requests and %d sleeps, want 1 and 0 (no retry)", body, n, len(slept.delays))
+		}
 	}
 }
 

@@ -120,7 +120,7 @@ func TestTopoCacheFailedBuildEvicted(t *testing.T) {
 	// Far more failing keys than the cap: if error entries counted, the
 	// cache would be irreversibly full before the good build below.
 	for seed := int64(0); seed < topoCacheCap+8; seed++ {
-		if _, err := c.build(bad, seed, topoStream(seed)); err == nil {
+		if _, err := c.build(bad, seed, topoStreamSeed(seed)); err == nil {
 			t.Fatal("bad spec built successfully")
 		}
 	}
@@ -128,7 +128,7 @@ func TestTopoCacheFailedBuildEvicted(t *testing.T) {
 		t.Fatalf("cache holds %d entries after failed builds, want 0", got)
 	}
 	good := topology.Spec{Kind: topology.KindSkewed7030, N: 20}
-	nw, err := c.build(good, 1, topoStream(1))
+	nw, err := c.build(good, 1, topoStreamSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestTopoCacheFailedBuildEvicted(t *testing.T) {
 	// The same failing key must be retryable (not poisoned by a cached
 	// error) — with this spec it deterministically fails again, but each
 	// attempt re-runs the build rather than replaying a stale error.
-	if _, err := c.build(bad, 1, topoStream(1)); err == nil {
+	if _, err := c.build(bad, 1, topoStreamSeed(1)); err == nil {
 		t.Fatal("bad spec built successfully on retry")
 	}
 	if got := c.len(); got != 1 {
@@ -160,11 +160,11 @@ func TestTopoCacheFailedBuildConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				if _, err := c.build(bad, 7, topoStream(7)); err == nil {
+				if _, err := c.build(bad, 7, topoStreamSeed(7)); err == nil {
 					t.Error("bad spec built successfully")
 					return
 				}
-				if _, err := c.build(good, 7, topoStream(7)); err != nil {
+				if _, err := c.build(good, 7, topoStreamSeed(7)); err != nil {
 					t.Error(err)
 					return
 				}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"bgpsim/internal/des"
 	"bgpsim/internal/failure"
 	"bgpsim/internal/topology"
 )
@@ -205,7 +206,7 @@ func TestBuildTopologyCachedReturnsSharedInstance(t *testing.T) {
 		t.Error("different seeds returned the same network")
 	}
 	// The memoized build must equal an uncached one.
-	fresh, err := spec.Build(topoStream(12345))
+	fresh, err := spec.Build(des.NewRNG(topoStreamSeed(12345)))
 	if err != nil {
 		t.Fatal(err)
 	}

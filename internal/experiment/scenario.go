@@ -151,20 +151,18 @@ func Run(sc Scenario) (Result, error) {
 }
 
 // runScenario is the single trial implementation behind Run, RunTrials,
-// and Sweep. When pool holds a simulator, it is rebound to this trial's
-// network and reused instead of constructing a fresh one; results are
-// byte-identical either way. ctx cancellation aborts the simulation
-// between events via the engine's probe; it can never alter the results
-// of a run that completes. The RNG stream
-// derivation (topology, failure, sim — in that order off the root) is
-// load-bearing: each Split advances the root, so the splits must happen
-// unconditionally even when the topology comes from the cache.
+// and Sweep. The trial runs in a slot taken from pool: the slot's
+// simulator is rebound to this trial's network and its streams rewound to
+// this trial's seed (Slot.Derive, the one home of the derivation), so
+// nothing is constructed that a previous trial left behind; a nil or empty
+// pool constructs both, and results are byte-identical either way. ctx
+// cancellation aborts the simulation between events via the engine's
+// probe; it can never alter the results of a run that completes.
 func runScenario(ctx context.Context, sc Scenario, pool *SimPool) (Result, error) {
-	root := des.NewRNG(sc.Seed)
-	topoRNG := root.Split("topology")
-	failRNG := root.Split("failure")
+	slot := pool.Take()
+	topoSeed, failRNG, simSeed := slot.Derive(sc.Seed, "failure")
 
-	net, err := sharedTopoCache.build(sc.Topology, sc.Seed, topoRNG)
+	net, err := sharedTopoCache.build(sc.Topology, sc.Seed, topoSeed)
 	if err != nil {
 		return Result{}, fmt.Errorf("build topology: %w", err)
 	}
@@ -172,7 +170,7 @@ func runScenario(ctx context.Context, sc Scenario, pool *SimPool) (Result, error
 	if sc.Base != nil {
 		params = *sc.Base
 	}
-	params.Seed = root.Split("sim").Int63()
+	params.Seed = simSeed
 	// The topology spec's prefix dimension maps onto the simulator's
 	// table-size knob before the scheme runs, so a scheme (or ablation)
 	// can still override it deliberately.
@@ -211,12 +209,7 @@ func runScenario(ctx context.Context, sc Scenario, pool *SimPool) (Result, error
 		}
 		params.Policy = rs
 	}
-	sim := pool.Take()
-	if sim != nil {
-		err = sim.Rebind(net, params)
-	} else {
-		sim, err = bgp.New(net, params)
-	}
+	sim, err := slot.Bind(net, params)
 	if err != nil {
 		return Result{}, fmt.Errorf("build simulator: %w", err)
 	}
@@ -230,7 +223,7 @@ func runScenario(ctx context.Context, sc Scenario, pool *SimPool) (Result, error
 	delay, err := sim.ConvergeAndFail(nodes)
 	if err != nil {
 		// Surface cancellation as the context's own error; the aborted
-		// simulator is left unpooled (its state is mid-run).
+		// slot is left unpooled (its simulator's state is mid-run).
 		if errors.Is(err, des.ErrCanceled) && ctx.Err() != nil {
 			return Result{}, ctx.Err()
 		}
@@ -250,7 +243,7 @@ func runScenario(ctx context.Context, sc Scenario, pool *SimPool) (Result, error
 		FailedNodes:   len(nodes),
 		Nodes:         net.NumNodes(),
 	}
-	pool.Put(sim)
+	pool.Put(slot)
 	return res, nil
 }
 

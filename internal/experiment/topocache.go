@@ -1,8 +1,8 @@
 package experiment
 
 import (
-	"encoding/json"
 	"sync"
+	"sync/atomic"
 
 	"bgpsim/internal/des"
 	"bgpsim/internal/topology"
@@ -17,11 +17,26 @@ import (
 // benchmarks that cycle a small set of seeds. The simulator never
 // mutates the Network, so one instance may back many concurrent trials.
 
-// topoKey identifies one deterministically built topology: the spec's
-// canonical JSON plus the scenario seed that derives its RNG stream.
+// topoKey identifies one deterministically built topology: the spec and
+// the scenario seed that derives its RNG stream, as a comparable value
+// (a lookup allocates nothing): the spec with its one pointer cleared,
+// what that pointed to, and whether it pointed anywhere.
+// TestTopoKeyCoversEverySpecField fails when a field is added that the
+// key cannot compare or does not see.
 type topoKey struct {
-	spec string
-	seed int64
+	spec      topology.Spec // Skewed is nil
+	skewed    topology.SkewedSpec
+	hasSkewed bool
+	seed      int64
+}
+
+func makeTopoKey(spec topology.Spec, seed int64) topoKey {
+	key := topoKey{spec: spec, seed: seed}
+	if spec.Skewed != nil {
+		key.skewed, key.hasSkewed = *spec.Skewed, true
+		key.spec.Skewed = nil
+	}
+	return key
 }
 
 // topoCacheCap bounds the number of memoized networks. Once full, new
@@ -30,9 +45,11 @@ const topoCacheCap = 256
 
 // topoEntry is one memoized build. The once gate makes concurrent
 // requests for the same key build exactly once; losers wait and share.
+// net is atomic so that BuildTopologyCached can tell a finished build
+// from one yet to run without going through the gate.
 type topoEntry struct {
 	once sync.Once
-	net  *topology.Network
+	net  atomic.Pointer[topology.Network]
 	err  error
 }
 
@@ -48,9 +65,9 @@ type topoCache struct {
 var sharedTopoCache = &topoCache{entries: make(map[topoKey]*topoEntry)}
 
 // build returns the network for (spec, seed), constructing it at most
-// once per key. rng must be the topology stream derived from seed (the
-// caller keeps the Split call so sibling streams are unaffected by cache
-// hits); it is consumed only when this call performs the build.
+// once per key. topoSeed must be the seed of the topology stream derived
+// from seed (the caller keeps the split so sibling streams are unaffected
+// by cache hits); the stream is constructed only if this call builds.
 //
 // Failed builds do not stay cached: the error entry is evicted under the
 // lock as soon as once.Do completes, so a failing spec neither poisons
@@ -59,26 +76,28 @@ var sharedTopoCache = &topoCache{entries: make(map[topoKey]*topoEntry)}
 // check below does count in-flight entries — but with eviction those are
 // only ever builds that will either succeed (a legitimate occupant) or
 // fail and release the slot.
-func (c *topoCache) build(spec topology.Spec, seed int64, rng *des.RNG) (*topology.Network, error) {
-	js, err := json.Marshal(spec)
-	if err != nil {
-		// Unkeyable spec: fall back to an uncached build.
-		return spec.Build(rng)
+func (c *topoCache) build(spec topology.Spec, seed, topoSeed int64) (*topology.Network, error) {
+	key := makeTopoKey(spec, seed)
+	if key != key {
+		// A NaN parameter equals nothing, itself included: the key would
+		// be inserted on every call and never found again.
+		return spec.Build(des.NewRNG(topoSeed))
 	}
-	key := topoKey{spec: string(js), seed: seed}
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {
 		if len(c.entries) >= topoCacheCap {
 			c.mu.Unlock()
-			return spec.Build(rng)
+			return spec.Build(des.NewRNG(topoSeed))
 		}
 		e = &topoEntry{}
 		c.entries[key] = e
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
-		e.net, e.err = spec.Build(rng)
+		var net *topology.Network
+		net, e.err = spec.Build(des.NewRNG(topoSeed))
+		e.net.Store(net)
 	})
 	if e.err != nil {
 		c.mu.Lock()
@@ -89,7 +108,7 @@ func (c *topoCache) build(spec topology.Spec, seed int64, rng *des.RNG) (*topolo
 		}
 		c.mu.Unlock()
 	}
-	return e.net, e.err
+	return e.net.Load(), e.err
 }
 
 // len reports the number of memoized entries (for tests and benchmarks).
@@ -99,17 +118,25 @@ func (c *topoCache) len() int {
 	return len(c.entries)
 }
 
-// topoStream derives the topology RNG stream for a scenario seed,
-// exactly as runScenario derives it off the root.
-func topoStream(seed int64) *des.RNG {
-	return des.NewRNG(seed).Split("topology")
+// topoStreamSeed derives the seed of the topology RNG stream for a
+// scenario seed, exactly as runScenario derives it off the root.
+func topoStreamSeed(seed int64) int64 {
+	topo, _, _ := trialSeeds(des.NewRNG(seed), "failure")
+	return topo
 }
 
 // BuildTopologyCached returns the network a scenario with this topology
 // spec and seed simulates on, memoized in the process-wide cache. The
 // topology RNG stream is derived exactly as Run derives it, so runs and
-// benchmarks share cache entries. The returned network is shared and
-// must be treated as immutable; Clone it before mutating.
+// benchmarks share cache entries (a hit derives nothing). The returned
+// network is shared and must be treated as immutable; Clone it first.
 func BuildTopologyCached(spec topology.Spec, seed int64) (*topology.Network, error) {
-	return sharedTopoCache.build(spec, seed, topoStream(seed))
+	c := sharedTopoCache
+	c.mu.Lock()
+	e := c.entries[makeTopoKey(spec, seed)]
+	c.mu.Unlock()
+	if e != nil && e.net.Load() != nil {
+		return e.net.Load(), nil
+	}
+	return c.build(spec, seed, topoStreamSeed(seed))
 }
