@@ -121,7 +121,7 @@ func (s *Simulator) ScheduleLinkRecovery(at des.Time, links [][2]int) {
 // ConvergeInitial brings the simulator to its initial converged state:
 // with Params.WarmStart the snapshot backend's fixpoint is installed
 // directly (no phase-1 simulation); otherwise initial route propagation
-// is simulated to quiescence and the path table compacted. After it
+// is simulated to quiescence. After it
 // returns, Now() is the quiescent time and the simulator is ready for
 // failure injection — ConvergeAndFail and churn programs both start
 // here.
@@ -136,9 +136,5 @@ func (s *Simulator) ConvergeInitial() error {
 	if err := s.Run(); err != nil {
 		return fmt.Errorf("initial convergence: %w", err)
 	}
-	// Quiescence is the one moment the live path set is exactly the
-	// RIB contents; shed the exploration storm's dead paths before
-	// the perturbation phase piles its own on top.
-	s.maybeCompactPaths()
 	return nil
 }

@@ -4,54 +4,156 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
+	"bgpsim/internal/des"
 	"bgpsim/internal/topology"
 )
 
-// TestCompactionBehaviorNeutral pins that the quiescence path-table
-// compaction sweep changes nothing observable: a run that compacts (and
-// renumbers every live ref) produces byte-identical figures and final
-// routes to one that never compacts, in both shared-table modes, and the
-// sweep itself shrinks the table.
+// churnDigest drives sim through a Poisson churn program on nw — node
+// failures that recover, link flaps, one measurement window per
+// perturbation, arrivals up to horizon after initial convergence — and
+// returns every window's counters, the final routes, and the most paths
+// the table held (with the live count at that moment) over samples taken
+// at each perturbation. Arrivals are a few seconds apart against storms
+// that last longer, so perturbations land on routers that are busy, with
+// updates queued and on the links.
+func churnDigest(t *testing.T, sim *Simulator, nw *topology.Network, seed int64, horizon time.Duration) (digest string, peak PathStats) {
+	t.Helper()
+	if err := sim.ConvergeInitial(); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	sample := func() {
+		if ps := sim.PathTableStats(); ps.Registered > peak.Registered {
+			peak = ps
+		}
+	}
+	window := func(at des.Time) {
+		sim.ScheduleControl(at, func() {
+			sample()
+			fmt.Fprintf(&b, "%+v\n", sim.CaptureWindow())
+			sim.OpenMeasurementWindow(at)
+		})
+	}
+	rng := des.NewRNG(seed)
+	links := nw.Links()
+	start := sim.Now() + SettleMargin
+	for at := start; at < start+horizon; at += rng.UniformDuration(0, 4*time.Second) {
+		window(at)
+		hold := rng.UniformDuration(time.Second, 8*time.Second)
+		if rng.Intn(2) == 0 {
+			nodes := []int{rng.Intn(nw.NumNodes()), rng.Intn(nw.NumNodes())}
+			sim.ScheduleFailure(at, nodes)
+			sim.ScheduleRecovery(at+hold, nodes)
+		} else {
+			l := links[rng.Intn(len(links))]
+			flap := [][2]int{{l.A, l.B}}
+			sim.ScheduleLinkFailure(at, flap)
+			sim.ScheduleLinkRecovery(at+hold, flap)
+		}
+	}
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	sample()
+	assertQuiescent(t, sim)
+	fmt.Fprintf(&b, "%+v now=%v\n", sim.CaptureWindow(), sim.Now())
+	for _, dest := range sim.Destinations() {
+		for id := 0; id < nw.NumNodes(); id++ {
+			if p, ok := sim.LocPath(id, dest); ok {
+				fmt.Fprintf(&b, "n%d d%d %v\n", id, dest, p)
+			}
+		}
+	}
+	return b.String(), peak
+}
+
+// sweepWorld is the world of the refCompactAlways runs, which pay for a
+// walk over every RIB cell at every CPU completion: 24 routers, the three
+// nearest the centre failing.
+func sweepWorld(t *testing.T) (*topology.Network, []int) {
+	t.Helper()
+	nw, err := topology.SkewedNetwork(topology.Skewed7030(24), des.NewRNG(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nw, topology.NearestNodes(nw, topology.GridCenter(nw), 3, nil)
+}
+
+// TestCompactionBehaviorNeutral pins that sweeping the path table
+// changes nothing observable. With refCompactAlways every CPU completion
+// starts with a sweep — thousands per run, each renaming every ref held
+// in a RIB cell, an inbox, a batch being processed, a delivery on a link
+// or a shard's barrier buffer — and the run must produce byte-identical
+// figures and final routes to one that never sweeps: over every
+// parameter shape of resetVariants (the three queue disciplines, stale
+// discarding on and off, damping), sequenced shards, and a churn program
+// with node recoveries and link flaps. A root the sweep failed to visit
+// would keep a ref to a node that has moved or gone, so removing any one
+// visitor makes this fail.
 func TestCompactionBehaviorNeutral(t *testing.T) {
-	nw, _ := oracleTopology(t)
-	fail := topology.NearestNodes(nw, topology.GridCenter(nw), 4, nil)
+	nw, fail := sweepWorld(t)
 
-	for _, shards := range []int{1, 4} {
-		p := equivalenceParams(5, nil)
-		p.Shards = shards
-
-		plain, err := New(nw, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := digestRun(t, plain, nw, fail)
-		if got := plain.PathTableStats(); got.Compactions != 0 {
-			t.Fatalf("shards=%d: compaction triggered below thresholds: %+v", shards, got)
-		}
-
-		p.ref = refCompactAlways
-		compacted, err := New(nw, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := digestRun(t, compacted, nw, fail)
-		if got.summary != want.summary {
-			t.Errorf("shards=%d: compacted run diverged\nplain:\n%s\ncompacted:\n%s",
-				shards, want.summary, got.summary)
-		}
-		st := compacted.PathTableStats()
-		if st.Compactions != 1 {
-			t.Fatalf("shards=%d: expected exactly one sweep, got %+v", shards, st)
+	type variant struct {
+		name   string
+		mutate func(*Params)
+	}
+	var variants []variant
+	for _, v := range resetVariants() {
+		variants = append(variants, variant{v.name, v.mutate})
+	}
+	variants = append(variants,
+		variant{"shards-4", func(p *Params) { p.Shards = 4 }},
+		variant{"shards-4-batched", func(p *Params) { p.Shards = 4; p.Queue = QueueBatched }},
+	)
+	for _, v := range variants {
+		for _, churn := range []bool{false, true} {
+			name := v.name
+			if churn {
+				name += "/churn"
+			}
+			t.Run(name, func(t *testing.T) {
+				run := func(ref refPaths) (string, PathStats) {
+					p := equivalenceParams(5, v.mutate)
+					p.ref = ref
+					sim, err := New(nw, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var digest string
+					if churn {
+						digest, _ = churnDigest(t, sim, nw, 7, 20*time.Second)
+					} else {
+						digest = digestRun(t, sim, nw, fail).summary
+					}
+					return digest, sim.PathTableStats()
+				}
+				want, plain := run(0)
+				if plain.Compactions != 0 || plain.Reclaimed != 0 || plain.SweptCells != 0 {
+					t.Fatalf("a table this small swept by itself: %+v", plain)
+				}
+				got, st := run(refCompactAlways)
+				if got != want {
+					t.Errorf("swept run diverged\nplain:\n%s\nswept:\n%s", clip(want), clip(got))
+				}
+				if st.Compactions < 100 || st.Reclaimed == 0 || st.SweptCells == 0 {
+					t.Fatalf("refCompactAlways did not sweep at every safe point: %+v", st)
+				}
+				// Only what the last work unit itself registered and dropped
+				// can be dead now.
+				if dead := st.Registered - st.Live; dead > st.Registered/10 {
+					t.Errorf("swept at the last safe point, yet %d of %d registered paths are dead", dead, st.Registered)
+				}
+			})
 		}
 	}
 }
 
-// TestCompactionShrinksTable checks the sweep's actual effect: right
-// after a compacted phase 1 the table holds the live paths and the
-// ancestors their nodes name, far fewer than the exploration storm
-// registered; every route still reads the same; and a second sweep finds
-// nothing more to drop.
+// TestCompactionShrinksTable checks a sweep's actual effect: after phase
+// 1 the table holds the live paths and the ancestors their nodes name,
+// far fewer than the exploration storm registered; every route still
+// reads the same; and a second sweep finds nothing more to drop.
 func TestCompactionShrinksTable(t *testing.T) {
 	nw, _ := oracleTopology(t)
 
@@ -65,7 +167,7 @@ func TestCompactionShrinksTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := sim.PathTableStats()
-	if before.Live >= before.Registered {
+	if before.Live >= before.Registered || before.Compactions != 0 {
 		t.Fatalf("no dead paths to reclaim: %+v", before)
 	}
 	routes := func() string {
@@ -80,34 +182,37 @@ func TestCompactionShrinksTable(t *testing.T) {
 	}
 	want := routes()
 
-	sim.params.ref = refCompactAlways
-	sim.maybeCompactPaths()
+	sim.sweep()
 	after := sim.PathTableStats()
-	if after.Compactions != 1 {
-		t.Fatalf("sweep did not run: %+v", after)
+	if after.Compactions != 1 || after.Reclaimed != before.Registered-before.Live || after.SweptCells == 0 {
+		t.Fatalf("sweep did not account for itself: before %+v, after %+v", before, after)
 	}
-	if after.Live != before.Live || after.Registered < after.Live || after.Registered >= before.Registered {
-		t.Fatalf("compacted table should hold the live set and its ancestors only: before %+v, after %+v",
+	if after.Live != before.Live || after.Registered != after.Live {
+		t.Fatalf("swept table should hold the live set and its ancestors only: before %+v, after %+v",
 			before, after)
 	}
 	// The converged state must survive the renumbering intact.
 	if got := routes(); got != want {
 		t.Fatalf("routes changed across compaction\nbefore:\n%s\nafter:\n%s", want, got)
 	}
-	// Whatever is registered and not live is there because a live path
-	// (PathTableStats just marked them) descends from it.
-	kept := make(map[routeRef]bool)
+	// Everything registered is there because a RIB cell names it or a
+	// path that is named descends from it.
+	held := make(map[routeRef]bool)
+	sim.forEachRefColumn(func(refs []routeRef) {
+		for _, ref := range refs {
+			held[ref] = true
+		}
+	})
 	for ref := routeRef(after.Registered); ref > emptyRef; ref-- {
-		if sim.tab.marks.has(int(ref)) || kept[ref] {
-			kept[sim.tab.node(ref).parent] = true
-		} else {
+		if !held[ref] {
 			t.Fatalf("ref %d (%v) survived the sweep with no live descendant", ref, sim.tab.path(ref))
 		}
+		held[sim.tab.node(ref).parent] = true
 	}
 
-	sim.maybeCompactPaths()
+	sim.sweep()
 	again := sim.PathTableStats()
-	if again.Compactions != 2 || again.Registered != after.Registered || again.Live != after.Live {
+	if again.Compactions != 2 || again.Reclaimed != after.Reclaimed || again.Registered != after.Registered || again.Live != after.Live {
 		t.Fatalf("second sweep was not a no-op: first %+v, second %+v", after, again)
 	}
 	if got := routes(); got != want {
@@ -116,10 +221,10 @@ func TestCompactionShrinksTable(t *testing.T) {
 }
 
 // TestWarmStartMatchesCompactedCold closes the triangle: a cold run that
-// compacts at quiescence still matches the warm-started run bit for bit.
+// sweeps all the way through still matches the warm-started run bit for
+// bit.
 func TestWarmStartMatchesCompactedCold(t *testing.T) {
-	nw, _ := oracleTopology(t)
-	fail := topology.NearestNodes(nw, topology.GridCenter(nw), 4, nil)
+	nw, fail := sweepWorld(t)
 
 	p := equivalenceParams(3, nil)
 	p.ref = refCompactAlways
@@ -128,8 +233,8 @@ func TestWarmStartMatchesCompactedCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := warmDigest(t, cold, nw, fail)
-	if st := cold.PathTableStats(); st.Compactions != 1 {
-		t.Fatalf("cold run did not compact: %+v", st)
+	if st := cold.PathTableStats(); st.Compactions == 0 {
+		t.Fatalf("cold run did not sweep: %+v", st)
 	}
 
 	p.WarmStart = true
@@ -140,5 +245,120 @@ func TestWarmStartMatchesCompactedCold(t *testing.T) {
 	got := warmDigest(t, warm, nw, fail)
 	if got != want {
 		t.Errorf("warm start diverged from compacted cold start\ncold:\n%s\nwarm:\n%s", want, got)
+	}
+}
+
+// TestPathTableBoundedByLiveNotHistory pins what the collector is for. A
+// churn trial keeps exploring for as long as it runs, so the paths it
+// has ever registered grow with its horizon; the table does not. The
+// same Poisson program run four times as long ends on the same number of
+// chunks, and at every sample the table holds at most twice the most
+// paths ever found live, plus the slack of the chunk it is filling. A
+// pooled simulator then runs the trial again in the table, the marks and
+// the delivery chunks the first run left, and a sweep itself allocates
+// nothing.
+func TestPathTableBoundedByLiveNotHistory(t *testing.T) {
+	nw, err := topology.SkewedNetwork(topology.Skewed7030(120), des.NewRNG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := equivalenceParams(9, func(p *Params) { p.Queue = QueueBatched })
+	const h = 100 * time.Second
+
+	type outcome struct {
+		digest     string
+		peak, end  PathStats
+		chunks     int
+		registered int // paths ever registered: those held now and those reclaimed
+	}
+	run := func(sim *Simulator, horizon time.Duration) outcome {
+		digest, peak := churnDigest(t, sim, nw, 21, horizon)
+		end := sim.PathTableStats()
+		return outcome{digest, peak, end, len(sim.tab.chunks), end.Registered + end.Reclaimed}
+	}
+	sim, err := New(nw, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := run(sim, h)
+	long4, err := New(nw, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := run(long4, 4*h)
+	t.Logf("horizon h: %+v in %d chunks, %d ever registered; 4h: %+v in %d chunks, %d ever registered",
+		short.end, short.chunks, short.registered, long.end, long.chunks, long.registered)
+
+	if short.end.Compactions < 2 {
+		t.Fatalf("the trial does not grow the table past its threshold: %+v", short.end)
+	}
+	if long.registered < 2*short.registered {
+		t.Fatalf("four times the horizon registered %d paths against %d: the program does not keep exploring", long.registered, short.registered)
+	}
+	if long.chunks != short.chunks {
+		t.Errorf("table grew with the horizon: %d chunks at h, %d at 4h", short.chunks, long.chunks)
+	}
+	for _, o := range []outcome{short, long} {
+		slack := len(sim.tab.chunks[o.chunks-1])
+		if o.peak.Registered > 2*o.peak.Live+slack {
+			t.Errorf("table held %d paths with %d live: want at most 2 x live + %d", o.peak.Registered, o.peak.Live, slack)
+		}
+	}
+
+	// The same trial again on the simulator that has run it once.
+	marks, deliveries := &sim.tab.marks[0], len(sim.pool.chunks)
+	if err := sim.Rebind(nw, p); err != nil {
+		t.Fatal(err)
+	}
+	again := run(sim, h)
+	if again.digest != short.digest || again.end != short.end {
+		t.Errorf("rebound trial diverged: %+v, first %+v", again.end, short.end)
+	}
+	if again.chunks != short.chunks || &sim.tab.marks[0] != marks || len(sim.pool.chunks) != deliveries {
+		t.Errorf("second trial grew what the first left: %d -> %d table chunks, %d -> %d delivery chunks, marks moved: %v",
+			short.chunks, again.chunks, deliveries, len(sim.pool.chunks), &sim.tab.marks[0] != marks)
+	}
+	if avg := testing.AllocsPerRun(5, sim.sweep); avg != 0 {
+		t.Errorf("a sweep allocates %.1f objects, want 0", avg)
+	}
+}
+
+// TestSweepAfterRebindMidStorm pins that Rebind leaves no root behind. A
+// run abandoned in mid-storm has updates queued, being processed and on
+// the links, and the deliveries never ran, so they never went back to
+// their pool; their refs name paths of the table Rebind rewinds. The
+// next trial on that simulator, sweeping at every safe point, must find
+// nothing in flight at its start and match a fresh simulator's run.
+func TestSweepAfterRebindMidStorm(t *testing.T) {
+	nw, fail := sweepWorld(t)
+	for _, shards := range []int{1, 4} {
+		p := equivalenceParams(5, func(p *Params) { p.Shards = shards })
+		p.ref = refCompactAlways
+		fresh, err := New(nw, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := digestRun(t, fresh, nw, fail).summary
+
+		sim, err := New(nw, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Start()
+		if err := sim.RunUntil(p.OriginationSpread / 2); err != nil {
+			t.Fatal(err)
+		}
+		if n := sim.forEachInFlight(func(*routeRef) {}); n == 0 {
+			t.Fatalf("shards=%d: nothing in flight at %v: the run is not in mid-storm", shards, sim.Now())
+		}
+		if err := sim.Rebind(nw, p); err != nil {
+			t.Fatal(err)
+		}
+		if n := sim.forEachInFlight(func(*routeRef) {}); n != 0 {
+			t.Fatalf("shards=%d: %d updates in flight on a rebound simulator", shards, n)
+		}
+		if got := digestRun(t, sim, nw, fail).summary; got != want {
+			t.Errorf("shards=%d: run after a mid-storm Rebind diverged\nfresh:\n%s\nrebound:\n%s", shards, clip(want), clip(got))
+		}
 	}
 }

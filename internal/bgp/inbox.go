@@ -31,6 +31,12 @@ type Inbox interface {
 	// cell slabs, recycled batch arrays, the per-destination table) where
 	// possible.
 	Reset(ndests int)
+	// forEachRef passes fn the Ref of every queued update, in place, so a
+	// path-table sweep can mark it and then rename it (Simulator.sweep).
+	// The batch Pop last returned is the router's to visit, not the
+	// inbox's, and recycled storage holds stale refs that must not be
+	// visited at all.
+	forEachRef(fn func(*routeRef))
 }
 
 // newInbox builds the inbox for the configured queue discipline.
@@ -121,6 +127,16 @@ func (q *fifoInbox) Recycle(batch []Update) {}
 
 // Reset empties the ring, retaining its chunks.
 func (q *fifoInbox) Reset(int) { q.head, q.size = 0, 0 }
+
+// forEachRef walks the ring from head to tail; out is the router's.
+func (q *fifoInbox) forEachRef(fn func(*routeRef)) {
+	for i, n := q.head, q.size; n > 0; n-- {
+		fn(&q.slot(i).Ref)
+		if i++; i == len(q.chunks)<<fifoShift {
+			i = 0
+		}
+	}
+}
 
 // batchInbox is the paper's destination-batched queue: one logical queue
 // per destination, served in order of each destination's earliest pending
@@ -291,6 +307,20 @@ func (q *batchInbox) Reset(ndests int) {
 	}
 }
 
+// forEachRef walks the chains of the pending destinations, which order
+// lists; the free chain's cells hold stale refs.
+func (q *batchInbox) forEachRef(fn func(*routeRef)) {
+	for i := 0; i < q.orderN; i++ {
+		last := q.cell(q.byDest[q.order[(q.orderHead+i)&(len(q.order)-1)]])
+		for c := q.cell(last.next); ; c = q.cell(c.next) {
+			fn(&c.u.Ref)
+			if c == last {
+				break
+			}
+		}
+	}
+}
+
 // routerBatchInbox models production-router behaviour circa the paper:
 // the reader drains one TCP buffer per peer and the batch is processed
 // sequentially, with an update superseding an older same-destination
@@ -395,4 +425,14 @@ func (q *routerBatchInbox) Reset(int) {
 	q.orderHead = 0
 	q.size = 0
 	q.discarded = 0
+}
+
+// forEachRef walks the pending per-peer lists; a popped list is the
+// router's and the free lists hold stale refs.
+func (q *routerBatchInbox) forEachRef(fn func(*routeRef)) {
+	for _, list := range q.byPeer {
+		for i := range list {
+			fn(&list[i].Ref)
+		}
+	}
 }

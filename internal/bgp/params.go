@@ -192,8 +192,8 @@ const (
 	// a rescan instead of the second-best-slot cache.
 	refNoSecondBest
 	// refCompactAlways is not a reference path but the one other test
-	// seam: it sweeps the path table at every quiescence, however small
-	// the table or its dead fraction (see maybeCompactPaths).
+	// seam: it sweeps the path table at every safe point, however little
+	// the table has grown (see Simulator.armSweep).
 	refCompactAlways
 )
 

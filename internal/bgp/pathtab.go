@@ -82,7 +82,7 @@ type pathTab struct {
 	heads    [][]routeRef
 	nbuckets uint32
 
-	marks bitset // reusable live-ref marks for the quiescence sweeps
+	marks bitset // reusable live-ref marks for the sweeps (see Simulator.sweep)
 }
 
 // locate maps a ref to its chunk and offset.
@@ -255,41 +255,81 @@ func (t *pathTab) contains(ref routeRef, as ASN) bool {
 	return false
 }
 
-// clearMarks empties the mark set, sizing it for the current table.
+// clearMarks empties the mark set, sized like every other buffer: for
+// what the chunks can hold, not for the paths registered right now, so it
+// is reallocated only when the table has gained a chunk and a pooled
+// simulator's later trials sweep without allocating.
 func (t *pathTab) clearMarks() {
-	if need := (int(t.n) + 64) / 64; need > len(t.marks) {
-		t.marks = make(bitset, need)
-	} else {
-		t.marks.clearAll()
+	held := 0
+	for _, c := range t.chunks {
+		held += len(c)
+	}
+	t.marks = fit(t.marks, (held+64)/64)
+	t.marks.clearAll()
+}
+
+// mark adds ref to the mark set; the zero ref ("no route") is nobody's
+// path and is skipped.
+func (t *pathTab) mark(p *routeRef) {
+	if *p != 0 {
+		t.marks.set(int(*p))
 	}
 }
 
-// mark adds ref to the mark set, reporting whether it was new.
-func (t *pathTab) mark(ref routeRef) bool {
-	if t.marks.has(int(ref)) {
-		return false
+// markColumn marks every ref in a RIB column (0 = empty cell).
+func (t *pathTab) markColumn(refs []routeRef) {
+	for _, ref := range refs {
+		if ref != 0 {
+			t.marks.set(int(ref))
+		}
 	}
-	t.marks.set(int(ref))
-	return true
 }
 
-// compact drops every unmarked path in place. The exploration storm of a
-// large trial registers orders of magnitude more paths than survive to
-// quiescence; at 500 ASes × 1000 prefixes the dead fraction is GB-scale.
-// A marked path keeps its ancestors (its node names its parent), and
-// since parents precede children the survivors slide down in one
-// ascending sweep, after which the storage past them is free for the
-// next storm. cells must visit every routeRef held outside the table so
-// it can be renamed; the caller has marked exactly those refs. Only
-// legal at quiescence with no in-flight updates — the Simulator.Reset
-// precondition, enforced by the caller.
-func (t *pathTab) compact(cells func(func(*routeRef))) {
+// closeMarks extends the mark set from the refs held outside the table
+// to everything a sweep must keep — a marked path keeps its ancestors,
+// because its node names its parent — and returns how many nodes that is.
+// Parents precede children, so one descending pass reaches them all.
+func (t *pathTab) closeMarks() int {
 	t.marks.set(int(emptyRef))
 	for ref := routeRef(t.n); ref > emptyRef; ref-- {
 		if t.marks.has(int(ref)) {
 			t.marks.set(int(t.node(ref).parent))
 		}
 	}
+	return t.marks.count()
+}
+
+// rename rewrites a ref held outside the table to where compact moves
+// its node; only meaningful inside compact's holders callback.
+func (t *pathTab) rename(p *routeRef) {
+	if *p != 0 {
+		*p = t.node(*p).fwd
+	}
+}
+
+// renameColumn is rename over a RIB column.
+func (t *pathTab) renameColumn(refs []routeRef) {
+	for i, ref := range refs {
+		if ref != 0 {
+			refs[i] = t.node(ref).fwd
+		}
+	}
+}
+
+// compact drops every unmarked path in place. The exploration storm of a
+// large failure walks every router through orders of magnitude more
+// paths than it ends up holding; at 500 ASes × 1000 prefixes the dead
+// fraction is GB-scale. The caller has marked every routeRef held
+// anywhere outside the table and closed the set over ancestors
+// (closeMarks). Since parents precede children the survivors slide down
+// in one ascending pass, after which the storage past them is free for
+// the next registrations. holders must pass every one of those outside
+// refs — each exactly once — through rename or renameColumn, while the
+// forwarding words are in place. What makes a moment legal is therefore
+// not quiescence but that every live ref is where holders can reach it:
+// no routeRef in a Go local across the call (see Simulator.sweep for the
+// roots and the safe point).
+func (t *pathTab) compact(holders func()) {
 	// Name each survivor's destination and repoint it at its parent's
 	// while every node is still where its old ref says.
 	var live routeRef
@@ -304,7 +344,7 @@ func (t *pathTab) compact(cells func(func(*routeRef))) {
 			nd.parent = t.node(nd.parent).fwd
 		}
 	}
-	cells(func(p *routeRef) { *p = t.node(*p).fwd })
+	holders()
 	for ref := emptyRef; ref <= routeRef(t.n); ref++ {
 		if t.marks.has(int(ref)) {
 			nd := *t.node(ref)

@@ -202,14 +202,9 @@ func TestPathTabCompactKeepsMarkedAndAncestors(t *testing.T) {
 	}
 	sweep := func() {
 		tab.clearMarks()
-		for _, ref := range cells {
-			tab.mark(ref)
-		}
-		tab.compact(func(fn func(*routeRef)) {
-			for i := range cells {
-				fn(&cells[i])
-			}
-		})
+		tab.markColumn(cells)
+		tab.closeMarks()
+		tab.compact(func() { tab.renameColumn(cells) })
 	}
 	sweep()
 	if tab.size() >= before || tab.size() < len(want) {

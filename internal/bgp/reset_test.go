@@ -38,6 +38,7 @@ func digestRun(t *testing.T, sim *Simulator, nw *topology.Network, fail []int) r
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertQuiescent(t, sim)
 	col := sim.Collector()
 	var s strings.Builder
 	fmt.Fprintf(&s, "delay=%v msgs=%d ann=%d wd=%d proc=%d disc=%d rc=%d now=%v\n",
@@ -51,6 +52,32 @@ func digestRun(t *testing.T, sim *Simulator, nw *topology.Network, fail []int) r
 		}
 	}
 	return runDigest{delay: delay, summary: s.String()}
+}
+
+// assertQuiescent checks what Run returning means: nothing is in flight.
+// No update is queued, being processed, on a link or waiting for a shard
+// barrier — the path table's in-flight roots are empty — and no router's
+// CPU is busy. digestRun calls it, so every digest suite checks it on
+// every configuration it runs.
+func assertQuiescent(t *testing.T, sim *Simulator) {
+	t.Helper()
+	refs := 0
+	if n := sim.forEachInFlight(func(*routeRef) { refs++ }); n != 0 || refs != 0 {
+		t.Errorf("quiescent simulator holds %d updates in flight (%d refs visited)", n, refs)
+	}
+	for _, r := range sim.routers {
+		if r.inbox.Len() != 0 {
+			t.Errorf("router %d: %d updates queued at quiescence", r.id, r.inbox.Len())
+		}
+		if r.busy || r.proc.batch != nil {
+			t.Errorf("router %d (alive=%v): busy=%v with a batch of %d at quiescence", r.id, r.alive, r.busy, len(r.proc.batch))
+		}
+	}
+	if sim.sh == nil {
+		if n := sim.eng.Pending(); n != 0 {
+			t.Errorf("%d events pending at quiescence", n)
+		}
+	}
 }
 
 // resetVariants enumerates the parameter shapes whose Reset transitions

@@ -378,8 +378,17 @@ type procTask struct {
 	batch []Update
 }
 
-// Run delivers the completed work unit to finishProcessing.
+// Run delivers the completed work unit to finishProcessing. Its entry is
+// the path table's one safe point (see Simulator.sweep). The invariant a
+// sweep needs is that no routeRef sits in a Go local across it — every
+// ref must be where the root walk can rename it — and here nothing has
+// read one yet, the batch included; a storm cannot grow the table
+// without passing through, and a table that is not due costs two loads
+// and a compare.
 func (t *procTask) Run() {
+	if s := t.r.sim; s.tab.n >= s.sweepAt {
+		s.sweep()
+	}
 	batch := t.batch
 	t.batch = nil
 	t.r.finishProcessing(batch)
@@ -1212,9 +1221,15 @@ func (r *router) desiredAdvert(dest ASN, slot int) routeRef {
 // --- failure handling ---------------------------------------------------
 
 // kill removes the router from the simulation: it stops processing,
-// sending, and receiving. Pending events guard on alive.
+// sending, and receiving. Pending events guard on alive. What it had
+// queued is lost with it (enqueue refuses a dead router and revive starts
+// from a fresh queue and an idle CPU), so a dead router holds no update
+// and is not busy. The completion of a unit it was working on still
+// fires, finds it dead and drops the unit.
 func (r *router) kill() {
 	r.alive = false
+	r.busy = false
+	r.inbox.Reset(r.ndests)
 	for slot, ev := range r.flushEv {
 		r.eng.Cancel(ev)
 		r.flushEv[slot] = nil

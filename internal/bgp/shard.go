@@ -93,6 +93,7 @@ func (sh *shardRuntime) reset(master *des.RNG) {
 	for i := range sh.out {
 		sh.out[i] = sh.out[i][:0]
 		sh.outSeq[i] = 0
+		sh.pools[i].reset()
 	}
 	for i := range sh.cols {
 		sh.cols[i].Resize(sh.net.NumNodes())
@@ -155,6 +156,20 @@ func (sh *shardRuntime) post(from, to *router, at des.Time, u Update) {
 		m.seq = sh.outSeq[from.shard]
 	}
 	sh.out[from.shard] = append(sh.out[from.shard], m)
+}
+
+// forEachRef passes fn the ref of every update the runtime holds — the
+// shards' in-flight deliveries and the messages buffered for the next
+// barrier — and returns how many there are (Simulator.forEachInFlight).
+func (sh *shardRuntime) forEachRef(fn func(*routeRef)) (n int) {
+	for i := range sh.pools {
+		n += sh.pools[i].forEachRef(fn)
+		for j := range sh.out[i] {
+			fn(&sh.out[i][j].u.Ref)
+		}
+		n += len(sh.out[i])
+	}
+	return n
 }
 
 // drain is the group's barrier hook: it files every buffered message

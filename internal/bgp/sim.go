@@ -68,9 +68,16 @@ type Simulator struct {
 	// each shard its own pathTab instead (shardRuntime.tabs).
 	tab pathTab
 
-	// pathCompactions counts quiescence compaction sweeps this trial
-	// (see maybeCompactPaths).
-	pathCompactions int
+	// Path-table collection (see sweep): the table size at which the next
+	// sweep is due, the RIB cells one visits (what a sweep costs however
+	// little it finds), and this trial's exact sweep counters.
+	sweepAt  uint32
+	ribCells int
+	swept    PathStats
+	// tab.mark and tab.rename as func values, made once: the inboxes take
+	// their visitor through an interface, so a method value made per
+	// sweep would be allocated per sweep.
+	markRef, renameRef func(*routeRef)
 }
 
 // delivery is the pooled des.Runner carrying one in-flight update from
@@ -88,9 +95,10 @@ type delivery struct {
 // in-flight message. Each pool is owned by exactly one execution context
 // (the single engine, or one shard), so take/put need no synchronization.
 type deliveryPool struct {
-	free  *delivery
-	spare []delivery // unissued tail of the newest chunk
-	made  int        // deliveries carved so far
+	free   *delivery
+	chunks [][]delivery // every chunk carved, so a sweep can reach the deliveries in flight
+	spare  []delivery   // unissued tail of the newest chunk
+	made   int          // deliveries carved so far
 }
 
 const (
@@ -108,11 +116,48 @@ func (p *deliveryPool) take() *delivery {
 	}
 	if len(p.spare) == 0 {
 		p.spare = make([]delivery, min(max(p.made, deliveryChunkMin), deliveryChunkMax))
+		p.chunks = append(p.chunks, p.spare)
 		p.made += len(p.spare)
 	}
 	d, p.spare = &p.spare[0], p.spare[1:]
 	d.pool = p
 	return d
+}
+
+// put releases d to the free list. A free delivery names no routers and
+// holds the zero update, which is how forEachRef and reset tell it from
+// one in flight.
+func (p *deliveryPool) put(d *delivery) {
+	d.from, d.to, d.u = nil, nil, Update{}
+	d.next = p.free
+	p.free = d
+}
+
+// forEachRef passes fn the ref of every update in flight — the deliveries
+// taken and not yet run — and returns how many there are.
+func (p *deliveryPool) forEachRef(fn func(*routeRef)) (n int) {
+	for _, c := range p.chunks {
+		for i := range c {
+			if d := &c[i]; d.to != nil {
+				fn(&d.u.Ref)
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// reset takes back the deliveries a run that did not reach quiescence
+// left on the engine, whose events Rebind has just discarded: their refs
+// name paths of a table that is being rewound.
+func (p *deliveryPool) reset() {
+	for _, c := range p.chunks {
+		for i := range c {
+			if d := &c[i]; d.to != nil {
+				p.put(d)
+			}
+		}
+	}
 }
 
 // deliver schedules u to arrive at to after the link delay, reusing a
@@ -139,9 +184,7 @@ func (s *Simulator) deliver(from, to *router, delay time.Duration, u Update) {
 // Run completes the delivery and returns the object to the pool.
 func (d *delivery) Run() {
 	from, to, u := d.from, d.to, d.u
-	d.from, d.to, d.u = nil, nil, Update{}
-	d.next = d.pool.free
-	d.pool.free = d
+	d.pool.put(d)
 	// The link is down if either endpoint died while in flight.
 	if !from.alive || !to.alive {
 		return
@@ -170,6 +213,7 @@ func New(net *topology.Network, params Params) (*Simulator, error) {
 		rng: des.NewRNG(params.Seed),
 		col: metrics.NewCollector(0),
 	}
+	s.markRef, s.renameRef = s.tab.mark, s.tab.rename
 	if err := s.Rebind(net, params); err != nil {
 		return nil, err
 	}
@@ -224,11 +268,11 @@ func (s *Simulator) Rebind(net *topology.Network, params Params) error {
 	s.tracer = params.Tracer
 	s.rng.Reseed(params.Seed)
 	s.eng.Reset()
+	s.pool.reset()
 	s.col.Resize(net.NumNodes())
 	// Safe exactly here: the engine drain above discarded in-flight
 	// updates and the router resets below clear every RIB reference.
 	s.tab.reset()
-	s.pathCompactions = 0
 	s.setupShards(params)
 
 	s.ndests = ndests
@@ -255,6 +299,9 @@ func (s *Simulator) Rebind(net *topology.Network, params Params) error {
 		s.bindContext(r)
 		r.reset(params, s.ndests)
 	}
+	s.swept = PathStats{}
+	s.ribCells = (2*net.NumNodes() + 4*net.NumLinks()) * ndests
+	s.armSweep(s.tab.size())
 	return nil
 }
 
@@ -703,87 +750,99 @@ func (s *Simulator) PolicyLevelHistogram() map[int]int {
 	return h
 }
 
-// Compaction trigger thresholds. The sweep runs at quiescence when the
-// table has at least compactMinPaths registrations and the dead fraction
-// — paths no RIB cell references anymore — is at least
-// compactDeadFraction. Tests force it on small topologies with
-// Params.ref's refCompactAlways bit.
-const (
-	compactMinPaths     = 1 << 16
-	compactDeadFraction = 0.5
-)
-
-// PathStats describes the interned-path table footprint.
+// PathStats describes the interned-path table footprint and what
+// collecting it has cost this trial (see Simulator.sweep).
 type PathStats struct {
 	// Registered counts paths currently registered (since the last Reset
 	// or compaction). Summed over shard tables in concurrent mode.
 	Registered int
-	// Live counts distinct refs reachable from RIB storage. Computed
-	// only in the shared-table modes (single-engine, sequenced); -1 in
-	// concurrent sharded mode, where refs index per-shard tables.
+	// Live counts the registered paths a sweep would keep right now: the
+	// distinct refs held anywhere outside the table — RIB storage, queued
+	// and in-flight updates — and the ancestors their nodes name.
+	// Computed only in the shared-table modes (single-engine, sequenced);
+	// -1 in concurrent sharded mode, where refs index per-shard tables.
 	Live int
 	// Compactions counts the sweeps performed since the last Reset.
 	Compactions int
+	// Reclaimed counts the paths those sweeps dropped.
+	Reclaimed int
+	// SweptCells counts the ref cells those sweeps visited, marking and
+	// renaming both counted: what the collection cost, in the unit that
+	// does not depend on the host.
+	SweptCells int
 }
 
 // sharedTab reports whether every router aliases the Simulator's own
 // path table (single-engine and sequenced sharded modes) — the modes the
-// compaction sweep supports.
+// sweep supports. Concurrent shards keep one table each, uncollected.
 func (s *Simulator) sharedTab() bool {
 	return s.sh == nil || s.sh.g.Sequenced()
 }
 
-// forEachRefCell invokes fn on every occupied routeRef cell in RIB
-// storage — Loc-RIB refs and export caches, Adj-RIB-In columns, and the
-// advertised bookkeeping — so callers can count or rewrite refs in
-// place. In-flight updates are not visited; callers run at quiescence.
-func (s *Simulator) forEachRefCell(fn func(*routeRef)) {
+// The roots of the path table: between events a routeRef lives in a RIB
+// cell, in an update that is queued, being processed or in flight, and
+// nowhere else. forEachRefColumn and forEachInFlight reach every one of
+// them exactly once and hand it over in place, so one walk can mark and
+// another rename.
+
+// forEachRefColumn passes fn every column of RIB storage — Loc-RIB refs
+// and export caches, Adj-RIB-In columns, the advertised bookkeeping, 0
+// in the empty cells — and returns how many cells that is. Whole
+// columns, because cells outnumber everything else a sweep touches: the
+// caller loops over the refs itself instead of being called per cell.
+func (s *Simulator) forEachRefColumn(fn func([]routeRef)) (cells int) {
 	for _, r := range s.routers {
-		for i := range r.loc.refs {
-			if r.loc.refs[i] != 0 {
-				fn(&r.loc.refs[i])
-			}
-		}
-		for i := range r.loc.exports {
-			if r.loc.exports[i] != 0 {
-				fn(&r.loc.exports[i])
-			}
-		}
+		fn(r.loc.refs)
+		fn(r.loc.exports)
+		cells += len(r.loc.refs) + len(r.loc.exports)
 		for si := range r.adjIn.slots {
-			refs := r.adjIn.slots[si].refs
-			for i := range refs {
-				if refs[i] != 0 {
-					fn(&refs[i])
-				}
-			}
+			fn(r.adjIn.slots[si].refs)
+			cells += len(r.adjIn.slots[si].refs)
 		}
 		for si := range r.advertised {
-			refs := r.advertised[si].refs
-			for i := range refs {
-				if refs[i] != 0 {
-					fn(&refs[i])
-				}
-			}
+			fn(r.advertised[si].refs)
+			cells += len(r.advertised[si].refs)
 		}
 	}
+	return cells
 }
 
-// markLiveRefs marks, in the shared table's mark set, every ref RIB
-// storage holds and returns how many distinct ones there are.
-func (s *Simulator) markLiveRefs() int {
-	s.tab.clearMarks()
-	live := 0
-	s.forEachRefCell(func(p *routeRef) {
-		if s.tab.mark(*p) {
-			live++
+// forEachInFlight passes fn the ref of every update that has been sent
+// and not yet applied (0 for a withdrawal) and returns how many there
+// are: queued in an inbox, in the batch a busy router is processing
+// (which aliases storage the inbox does not visit), on a link as a
+// delivery event, or buffered for the next shard barrier. A killed
+// router holds none — kill empties its inbox — so at quiescence the
+// count is zero.
+func (s *Simulator) forEachInFlight(fn func(*routeRef)) (n int) {
+	for _, r := range s.routers {
+		r.inbox.forEachRef(fn)
+		for i := range r.proc.batch {
+			fn(&r.proc.batch[i].Ref)
 		}
-	})
-	return live
+		n += r.inbox.Len() + len(r.proc.batch)
+	}
+	n += s.pool.forEachRef(fn)
+	if s.sh != nil {
+		n += s.sh.forEachRef(fn)
+	}
+	return n
 }
 
-// PathTableStats reports the path-table footprint (see PathStats).
+// markRoots marks, in the shared table's mark set, every path a sweep
+// would keep and returns how many there are and how many cells it
+// visited to find them.
+func (s *Simulator) markRoots() (live, cells int) {
+	t := &s.tab
+	t.clearMarks()
+	cells = s.forEachRefColumn(t.markColumn) + s.forEachInFlight(s.markRef)
+	return t.closeMarks(), cells
+}
+
+// PathTableStats reports the path-table footprint (see PathStats). Like
+// a sweep it must run between events.
 func (s *Simulator) PathTableStats() PathStats {
-	ps := PathStats{Compactions: s.pathCompactions}
+	ps := s.swept
 	if !s.sharedTab() {
 		ps.Live = -1
 		for _, tab := range s.sh.tabs {
@@ -792,35 +851,61 @@ func (s *Simulator) PathTableStats() PathStats {
 		return ps
 	}
 	ps.Registered = s.tab.size()
-	ps.Live = s.markLiveRefs()
+	ps.Live, _ = s.markRoots()
 	return ps
 }
 
-// maybeCompactPaths runs the dead-path compaction sweep when the trigger
-// thresholds are met: at quiescence (no in-flight updates, the caller's
-// obligation) the live refs are exactly those in RIB storage, so the
-// table keeps them and their ancestors and the dead majority — every
-// transient path the exploration storm interned — is dropped in one
-// move. The sweep renames the surviving refs consistently and nothing
-// orders by ref, so it is behavior-neutral.
-func (s *Simulator) maybeCompactPaths() {
-	if !s.sharedTab() {
-		return
+// sweepFloor is the fewest registrations between two sweeps: below it a
+// table is a few chunks and a sweep has nothing worth its walk.
+const sweepFloor = 1 << 13
+
+// sweepCellsPerPath bounds what the collector may cost where cells far
+// outnumber paths (multi-prefix tables): a sweep visits every RIB cell
+// twice, so it waits for one new path per this many cells.
+const sweepCellsPerPath = 16
+
+// armSweep sets the table size at which the next sweep runs, live being
+// what the table holds that is known to be needed: as many new
+// registrations again (the doubling rule, which bounds the table to about
+// twice its peak live set and the work per registration to a constant),
+// and never fewer than the floor or the cell term. These are constants,
+// not knobs; refCompactAlways, the test seam, sweeps at every safe
+// point, and per-shard tables are never swept.
+func (s *Simulator) armSweep(live int) {
+	switch {
+	case !s.sharedTab():
+		s.sweepAt = math.MaxUint32
+	case s.params.ref&refCompactAlways != 0:
+		s.sweepAt = 0
+	default:
+		s.sweepAt = uint32(min(uint64(live+max(live, sweepFloor, s.ribCells/sweepCellsPerPath)), math.MaxUint32))
 	}
-	minPaths, deadFraction := compactMinPaths, compactDeadFraction
-	if s.params.ref&refCompactAlways != 0 {
-		minPaths, deadFraction = 1, 0
-	}
-	total := s.tab.size()
-	if total < minPaths {
-		return
-	}
-	live := s.markLiveRefs()
-	if float64(total-live) < deadFraction*float64(total) {
-		return
-	}
-	s.tab.compact(s.forEachRefCell)
-	s.pathCompactions++
+}
+
+// sweep collects the path table: it marks every ref held anywhere (the
+// roots above), drops the rest in place, renames the holders, and sets
+// the next threshold from what survived. The exploration after a failure
+// registers several times the paths anything ends up pointing at, so
+// this is what keeps a trial's memory a function of its live routing
+// state and not of how long or how violently it ran. Renaming is
+// consistent and nothing orders by ref, so a sweep is behavior-neutral.
+//
+// Invariant: no routeRef in a Go local across a sweep. classify,
+// runDecision, tryFlush, desiredAdvert and warmStart all hold refs in
+// locals, which is why prepend never sweeps; the one caller is the entry
+// of procTask.Run, an event boundary at which nothing has been read yet.
+func (s *Simulator) sweep() {
+	t := &s.tab
+	before := t.size()
+	live, cells := s.markRoots()
+	t.compact(func() {
+		s.forEachRefColumn(t.renameColumn)
+		s.forEachInFlight(s.renameRef)
+	})
+	s.swept.Compactions++
+	s.swept.Reclaimed += before - live
+	s.swept.SweptCells += 2 * cells
+	s.armSweep(live)
 }
 
 // SettleMargin is the idle gap inserted between initial convergence and

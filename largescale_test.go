@@ -23,11 +23,11 @@ import (
 // path the exploration storm visits and historically was only rewound
 // at Reset, with the peak footprint scaling at roughly 115 MB per
 // prefix unit at this topology size (~100 GB-class at k=1000). The
-// quiescence compaction sweep (bgp's compactMinPaths /
-// compactDeadFraction) now rebuilds the table from live RIB refs
-// between initial convergence and failure injection, so phase 2's
-// exploration reuses the reclaimed dead-path memory instead of growing
-// the high-water mark on top of phase 1's. The tightened budget below
+// path table is now collected during the run (bgp's Simulator.sweep:
+// whenever it has doubled since the last sweep, or grown by one path per
+// 16 RIB cells where cells dominate), so it holds about twice the live
+// path set instead of everything both phases explored, and the
+// exploration reuses the reclaimed memory. The tightened budget below
 // asserts that reduction — it is an OOM tripwire at the post-sweep
 // extrapolation, not a target. Expect several hours of wall clock; the
 // ConvergeMultiPrefix benchmark entry tracks bytes/op of the reduced
