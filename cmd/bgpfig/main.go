@@ -68,8 +68,6 @@ func run(args []string) (err error) {
 		maxAS    = fs.Int("max-as-size", 0, "override fig13's routers-per-AS cap (paper: 100)")
 		prefixes = fs.Int("prefixes", 0, "prefixes originated per AS (0 or 1 = the paper's single prefix; 1 must reproduce recorded figures byte-identically)")
 		workers  = fs.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial; same bytes either way)")
-		shards   = fs.Int("shards", 0, "event-loop shards per simulation (0 or 1 = single engine; >= 2 must reproduce recorded figures byte-identically)")
-		shardCC  = fs.Bool("shard-concurrent", false, "with -shards: run shards on concurrent goroutines (deterministic per seed+shards, but NOT byte-identical to recorded figures)")
 		warm     = fs.Bool("warmstart", false, "seed each trial from the snapshot backend's converged fixpoint instead of simulating initial convergence (must reproduce recorded figures byte-identically)")
 		outDir   = fs.String("o", "", "also write each figure to <dir>/<id>.txt")
 		asJSON   = fs.Bool("json", false, "with -o: additionally write <id>.json for plotting tools")
@@ -85,9 +83,6 @@ func run(args []string) (err error) {
 	prof.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *shardCC && *shards < 2 {
-		return fmt.Errorf("-shard-concurrent needs -shards >= 2")
 	}
 	if err := prof.Start(); err != nil {
 		return err
@@ -140,10 +135,6 @@ func run(args []string) (err error) {
 	}
 	if *prefixes > 0 {
 		opts.PrefixesPerOrigin = *prefixes
-	}
-	if *shards > 0 {
-		opts.Shards = *shards
-		opts.ShardConcurrent = *shardCC
 	}
 	opts.WarmStart = *warm
 	opts.Workers = *workers

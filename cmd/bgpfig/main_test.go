@@ -47,16 +47,14 @@ func TestBadFlagErrors(t *testing.T) {
 	}
 }
 
-// TestShardConcurrentNeedsShards: the flag selects a mode of the sharded
-// engine, so without -shards >= 2 it would be dropped unnoticed.
+// TestShardConcurrentNeedsShards: -shard-concurrent once needed
+// -shards >= 2. The sharded engine was removed, and both flags with it,
+// so naming either is an error, not a silent single-engine run.
 func TestShardConcurrentNeedsShards(t *testing.T) {
-	for _, args := range [][]string{{"-list", "-shard-concurrent"}, {"-list", "-shard-concurrent", "-shards", "1"}} {
-		if err := run(args); err == nil || !strings.Contains(err.Error(), "-shard-concurrent") {
-			t.Errorf("run(%v) = %v, want a -shard-concurrent flag error", args, err)
+	for _, args := range [][]string{{"-list", "-shards", "2"}, {"-list", "-shard-concurrent"}} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("run(%v) = %v, want an unknown-flag error", args, err)
 		}
-	}
-	if err := run([]string{"-list", "-shard-concurrent", "-shards", "2"}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -65,8 +65,6 @@ func run(args []string, out *os.File) (err error) {
 		seed     = fs.Int64("seed", 1, "base seed")
 		prefixes = fs.Int("prefixes", 1, "prefixes originated per AS")
 		policy   = fs.Bool("policy", false, "enable Gao-Rexford policies (hierarchical relationships)")
-		shards   = fs.Int("shards", 0, "event-loop shards per simulation (0 or 1 = single engine; >= 2 is byte-identical in the default sequenced mode)")
-		shardCC  = fs.Bool("shard-concurrent", false, "with -shards: run shards on concurrent goroutines (own determinism class)")
 		warm     = fs.Bool("warmstart", false, "seed each trial from the snapshot backend's converged fixpoint instead of simulating initial convergence (same results, less wall clock)")
 
 		churnKind  = fs.String("churn", "", "run a churn program instead of a batch failure: poisson-link-flap | poisson-node-fail | rolling-outage | flap-cycle")
@@ -84,9 +82,6 @@ func run(args []string, out *os.File) (err error) {
 	prof.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *shardCC && *shards < 2 {
-		return fmt.Errorf("-shard-concurrent needs -shards >= 2")
 	}
 	if err := prof.Start(); err != nil {
 		return err
@@ -117,10 +112,8 @@ func run(args []string, out *os.File) (err error) {
 				Regions:  *churnReg,
 				Fraction: *churnFrac,
 			},
-			Seed:            *seed,
-			Shards:          *shards,
-			ShardConcurrent: *shardCC,
-			WarmStart:       *warm,
+			Seed:      *seed,
+			WarmStart: *warm,
 		}
 		if err := csc.Program.Validate(); err != nil {
 			return err
@@ -144,8 +137,6 @@ func run(args []string, out *os.File) (err error) {
 		Failure:            bgpsim.GeographicFailure(*failPct / 100),
 		Scheme:             sch,
 		PolicyHierarchical: *policy,
-		Shards:             *shards,
-		ShardConcurrent:    *shardCC,
 		WarmStart:          *warm,
 		Seed:               *seed,
 	}

@@ -104,23 +104,19 @@ func TestChurnCLIRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestShardConcurrentNeedsShards: the flag selects a mode of the sharded
-// engine, so without -shards >= 2 it would be dropped unnoticed.
+// TestShardConcurrentNeedsShards: -shard-concurrent once needed
+// -shards >= 2. The sharded engine was removed, and both flags with it,
+// so naming either is an error, not a silent single-engine run.
 func TestShardConcurrentNeedsShards(t *testing.T) {
 	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer null.Close()
-	small := []string{"-nodes", "30", "-scheme", "mrai=0.5", "-shard-concurrent"}
-	for _, shards := range []string{"0", "1"} {
-		err := run(append(small, "-shards", shards), null)
-		if err == nil || !strings.Contains(err.Error(), "-shard-concurrent") {
-			t.Errorf("-shards %s: run = %v, want a -shard-concurrent flag error", shards, err)
+	for _, args := range [][]string{{"-nodes", "30", "-shards", "2"}, {"-nodes", "30", "-shard-concurrent"}} {
+		if err := run(args, null); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("run(%v) = %v, want an unknown-flag error", args, err)
 		}
-	}
-	if err := run(append(small, "-shards", "2"), null); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -39,7 +39,6 @@ func run(args []string) (err error) {
 		scheme   = fs.String("scheme", "mrai=0.5", "scheme (same syntax as cmd/bgpsim)")
 		seed     = fs.Int64("seed", 1, "seed")
 		prefixes = fs.Int("prefixes", 1, "prefixes originated per AS")
-		shards   = fs.Int("shards", 0, "event-loop shards (0 or 1 = single engine; sequenced mode only — tracing needs a serial event order, so there is no concurrent flag here)")
 		bucket   = fs.Duration("bucket", time.Second, "activity time-series bucket")
 		events   = fs.Bool("events", false, "dump the raw event log")
 		kindName = fs.String("kind", "", "with -events: only this kind (send, recv, proc, route, timer)")
@@ -66,7 +65,6 @@ func run(args []string) (err error) {
 		Failure:  bgpsim.GeographicFailure(*failPct / 100),
 		Scheme:   sch,
 		Base:     &base,
-		Shards:   *shards,
 		Seed:     *seed,
 	})
 	if err != nil {

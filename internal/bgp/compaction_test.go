@@ -84,30 +84,18 @@ func sweepWorld(t *testing.T) (*topology.Network, []int) {
 // TestCompactionBehaviorNeutral pins that sweeping the path table
 // changes nothing observable. With refCompactAlways every CPU completion
 // starts with a sweep — thousands per run, each renaming every ref held
-// in a RIB cell, an inbox, a batch being processed, a delivery on a link
-// or a shard's barrier buffer — and the run must produce byte-identical
-// figures and final routes to one that never sweeps: over every
-// parameter shape of resetVariants (the three queue disciplines, stale
-// discarding on and off, damping), sequenced shards, and a churn program
-// with node recoveries and link flaps. A root the sweep failed to visit
+// in a RIB cell, an inbox, a batch being processed or a delivery on a
+// link — and the run must produce byte-identical figures and final
+// routes to one that never sweeps: over every parameter shape of
+// resetVariants (the three queue disciplines, stale discarding on and
+// off, damping), each as a single failure and as a churn program with
+// node recoveries and link flaps. A root the sweep failed to visit
 // would keep a ref to a node that has moved or gone, so removing any one
 // visitor makes this fail.
 func TestCompactionBehaviorNeutral(t *testing.T) {
 	nw, fail := sweepWorld(t)
 
-	type variant struct {
-		name   string
-		mutate func(*Params)
-	}
-	var variants []variant
 	for _, v := range resetVariants() {
-		variants = append(variants, variant{v.name, v.mutate})
-	}
-	variants = append(variants,
-		variant{"shards-4", func(p *Params) { p.Shards = 4 }},
-		variant{"shards-4-batched", func(p *Params) { p.Shards = 4; p.Queue = QueueBatched }},
-	)
-	for _, v := range variants {
 		for _, churn := range []bool{false, true} {
 			name := v.name
 			if churn {
@@ -331,34 +319,32 @@ func TestPathTableBoundedByLiveNotHistory(t *testing.T) {
 // nothing in flight at its start and match a fresh simulator's run.
 func TestSweepAfterRebindMidStorm(t *testing.T) {
 	nw, fail := sweepWorld(t)
-	for _, shards := range []int{1, 4} {
-		p := equivalenceParams(5, func(p *Params) { p.Shards = shards })
-		p.ref = refCompactAlways
-		fresh, err := New(nw, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := digestRun(t, fresh, nw, fail).summary
+	p := equivalenceParams(5, nil)
+	p.ref = refCompactAlways
+	fresh, err := New(nw, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := digestRun(t, fresh, nw, fail).summary
 
-		sim, err := New(nw, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim.Start()
-		if err := sim.RunUntil(p.OriginationSpread / 2); err != nil {
-			t.Fatal(err)
-		}
-		if n := sim.forEachInFlight(func(*routeRef) {}); n == 0 {
-			t.Fatalf("shards=%d: nothing in flight at %v: the run is not in mid-storm", shards, sim.Now())
-		}
-		if err := sim.Rebind(nw, p); err != nil {
-			t.Fatal(err)
-		}
-		if n := sim.forEachInFlight(func(*routeRef) {}); n != 0 {
-			t.Fatalf("shards=%d: %d updates in flight on a rebound simulator", shards, n)
-		}
-		if got := digestRun(t, sim, nw, fail).summary; got != want {
-			t.Errorf("shards=%d: run after a mid-storm Rebind diverged\nfresh:\n%s\nrebound:\n%s", shards, clip(want), clip(got))
-		}
+	sim, err := New(nw, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Start()
+	if err := sim.RunUntil(p.OriginationSpread / 2); err != nil {
+		t.Fatal(err)
+	}
+	if n := sim.forEachInFlight(func(*routeRef) {}); n == 0 {
+		t.Fatalf("nothing in flight at %v: the run is not in mid-storm", sim.Now())
+	}
+	if err := sim.Rebind(nw, p); err != nil {
+		t.Fatal(err)
+	}
+	if n := sim.forEachInFlight(func(*routeRef) {}); n != 0 {
+		t.Fatalf("%d updates in flight on a rebound simulator", n)
+	}
+	if got := digestRun(t, sim, nw, fail).summary; got != want {
+		t.Errorf("run after a mid-storm Rebind diverged\nfresh:\n%s\nrebound:\n%s", clip(want), clip(got))
 	}
 }

@@ -124,24 +124,6 @@ type Params struct {
 	// over this interval to avoid a synchronized start.
 	OriginationSpread time.Duration
 
-	// Shards partitions the routers across this many event loops
-	// synchronized by conservative lookahead barriers (see des.Group and
-	// ARCHITECTURE.md "Sharded engine"). 0 or 1 (the default) runs the
-	// classic single-engine path, byte-for-byte unchanged. K >= 2 runs
-	// sharded: by default in sequenced mode, whose output is provably
-	// byte-identical to the single engine; with ShardConcurrent in
-	// goroutine-per-shard mode, which scales with physical cores but is
-	// deterministic only per (Seed, Shards, partition). Shard counts
-	// above the router count are clamped; topologies whose cut links
-	// would give no positive lookahead fall back to the single engine.
-	Shards int
-	// ShardConcurrent selects the concurrent sharded mode (real
-	// parallelism, its own determinism class) instead of the sequenced
-	// mode. Requires Shards >= 2 to have any effect and is incompatible
-	// with Tracer: trace event order is only meaningful under a single
-	// serial schedule.
-	ShardConcurrent bool
-
 	// WarmStart replaces the event-driven initial-convergence phase with
 	// the snapshot backend (internal/snapshot): ConvergeAndFail installs
 	// the analytically computed converged routing state — Loc-RIBs,
@@ -233,10 +215,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("bgp: negative flap gate")
 	case p.PrefixesPerAS < 0:
 		return fmt.Errorf("bgp: negative prefixes per AS")
-	case p.Shards < 0:
-		return fmt.Errorf("bgp: negative shard count")
-	case p.ShardConcurrent && p.Tracer != nil:
-		return fmt.Errorf("bgp: tracing requires a serial event order; disable ShardConcurrent")
 	}
 	if p.Damping != nil {
 		if err := p.Damping.Validate(); err != nil {

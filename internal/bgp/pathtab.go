@@ -65,9 +65,7 @@ const maxPaths = math.MaxUint32 - 1<<chunkMinShift
 // (topology-sized), not with destinations (topology × PrefixesPerOrigin).
 //
 // Nodes and bucket heads hold no pointers, so the collector never scans
-// them.
-// The table is single-threaded under its Simulator (or its shard, in
-// concurrent sharded mode).
+// them. The table is single-threaded under its Simulator.
 type pathTab struct {
 	chunks [][]pathNode
 	n      uint32 // registered nodes; refs 1..n are valid
@@ -199,16 +197,6 @@ func (t *pathTab) intern(p Path) routeRef {
 		ref = t.prepend(p[i], ref)
 	}
 	return ref
-}
-
-// translate interns src's path for ref into t; 0 stays 0. Concurrent
-// shards own one table each, so a ref crossing shards is renamed here.
-func (t *pathTab) translate(src *pathTab, ref routeRef) routeRef {
-	if ref <= emptyRef {
-		return ref // no route and the empty path are the same ref everywhere
-	}
-	nd := src.node(ref)
-	return t.prepend(ASN(nd.hl>>8), t.translate(src, nd.parent))
 }
 
 // path materializes ref's path as a fresh slice; nil for the zero ref,

@@ -55,10 +55,12 @@ func digestRun(t *testing.T, sim *Simulator, nw *topology.Network, fail []int) r
 }
 
 // assertQuiescent checks what Run returning means: nothing is in flight.
-// No update is queued, being processed, on a link or waiting for a shard
-// barrier — the path table's in-flight roots are empty — and no router's
-// CPU is busy. digestRun calls it, so every digest suite checks it on
-// every configuration it runs.
+// No update is queued, being processed or on a link — the path table's
+// in-flight roots are empty — no router's CPU is busy, no router, alive
+// or dead, has a destination pending for any peer (with the engine empty
+// no flush is armed, so a pending bit would be an advertisement lost),
+// and no event is left. digestRun and churnDigest call it, so every
+// digest suite checks it on every configuration it runs.
 func assertQuiescent(t *testing.T, sim *Simulator) {
 	t.Helper()
 	refs := 0
@@ -72,11 +74,15 @@ func assertQuiescent(t *testing.T, sim *Simulator) {
 		if r.busy || r.proc.batch != nil {
 			t.Errorf("router %d (alive=%v): busy=%v with a batch of %d at quiescence", r.id, r.alive, r.busy, len(r.proc.batch))
 		}
-	}
-	if sim.sh == nil {
-		if n := sim.eng.Pending(); n != 0 {
-			t.Errorf("%d events pending at quiescence", n)
+		for slot, pend := range r.pending {
+			if pend.any() {
+				t.Errorf("router %d (alive=%v): %d destinations pending for peer n%d at quiescence",
+					r.id, r.alive, pend.count(), r.peers[slot].Node)
+			}
 		}
+	}
+	if n := sim.eng.Pending(); n != 0 {
+		t.Errorf("%d events pending at quiescence", n)
 	}
 }
 
@@ -426,44 +432,6 @@ func TestRebindRefusalLeavesSimulatorUntouched(t *testing.T) {
 	}
 	if got := rebindDigest(t, sim, small); got != want {
 		t.Errorf("run after refused Rebinds diverged\nbefore:\n%s\nafter:\n%s", clip(want), clip(got))
-	}
-}
-
-// TestRebindSharded pins sharded runs across worlds in both modes: the
-// partition is the new network's, never the previous one's, and the run
-// equals a fresh simulator's (in concurrent mode the digest is that
-// mode's own, deterministic per seed, shard count and partition).
-func TestRebindSharded(t *testing.T) {
-	worlds := rebindWorlds(t)
-	for _, concurrent := range []bool{false, true} {
-		name := "sequenced"
-		if concurrent {
-			name = "concurrent"
-		}
-		t.Run(name, func(t *testing.T) {
-			var reused *Simulator
-			for wi, w := range worlds {
-				if w.net.NumNodes() > slotDenseMax {
-					continue // thousands of session-less routers: nothing to partition
-				}
-				p := w.params(int64(10+wi), nil)
-				p.Shards = 2 + 2*(wi/3%2) // the runtime outlives most steps; now and then the shard count moves too
-				p.ShardConcurrent = concurrent
-				if reused == nil {
-					var err error
-					if reused, err = New(w.net, p); err != nil {
-						t.Fatal(err)
-					}
-				}
-				checkRebound(t, reused, w, p)
-				if reused.sh == nil {
-					t.Fatalf("%s: sharding silently disabled", w.name)
-				}
-				if want := topology.Partition(w.net, p.Shards); !slices.Equal(reused.sh.assign, want) {
-					t.Errorf("%s: rebound simulator runs on a stale partition\n got %v\nwant %v", w.name, reused.sh.assign, want)
-				}
-			}
-		})
 	}
 }
 

@@ -34,21 +34,13 @@ type router struct {
 	alive bool
 	sim   *Simulator
 
-	// Execution-context indirection, rebound by Simulator.Reset. In the
-	// single-engine mode all of these alias the Simulator's own fields;
-	// in sharded mode eng is the router's shard engine and — in
-	// concurrent mode — col/rng/tab are the shard-local collector,
-	// random stream, and path table (per the sharding contract: shard
-	// handlers touch only shard-local mutable state). grp is set only in
-	// sequenced sharded mode, where the current simulated time lives on
-	// the group driver rather than the (lagging) shard engine clock; see
-	// now.
-	shard int
-	eng   *des.Engine
-	grp   *des.Group
-	col   *metrics.Collector
-	rng   *des.RNG
-	tab   *pathTab
+	// The simulator's engine, collector, random stream and path table,
+	// set once by newRouter: the hot paths read them without going
+	// through sim.
+	eng *des.Engine
+	col *metrics.Collector
+	rng *des.RNG
+	tab *pathTab
 
 	peers     []Peer
 	peerAlive []bool
@@ -175,19 +167,8 @@ type router struct {
 	workSecond  []int16
 }
 
-// now returns the current simulated time from the router's execution
-// context: the group clock in sequenced sharded mode (the shard engine
-// clocks lag the driver there), the engine clock otherwise — which in
-// concurrent mode is the shard's in-epoch clock, synchronized to the
-// barrier time whenever control events run. Every time read and every
-// relative delay computation in the router goes through here, so the
-// three modes share one code path.
-func (r *router) now() des.Time {
-	if r.grp != nil {
-		return r.grp.Now()
-	}
-	return r.eng.Now()
-}
+// now returns the current simulated time.
+func (r *router) now() des.Time { return r.eng.Now() }
 
 // bestSlot sentinel values (real peer slots are >= 0).
 const (
@@ -209,10 +190,13 @@ const slotDenseMax = 4096
 // newRouter returns a router of sim that is not yet part of any network:
 // rewire gives it its place in one, reset its state for a run.
 func newRouter(sim *Simulator) *router {
-	r := &router{sim: sim, slotOf: make(map[NodeID]int)}
+	r := &router{
+		sim: sim, eng: sim.eng, col: sim.col, rng: sim.rng, tab: &sim.tab,
+		slotOf: make(map[NodeID]int),
+	}
 	r.proc.r = r
 	r.coal.r = r
-	r.adjIn = newAdjRIBIn(r.slotOf, &sim.tab, 0, 0)
+	r.adjIn = newAdjRIBIn(r.slotOf, r.tab, 0, 0)
 	return r
 }
 

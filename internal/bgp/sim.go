@@ -48,24 +48,16 @@ type Simulator struct {
 
 	originTasks []originTask // Start's events, one per destination
 
-	// pool is the free list of in-flight message events for the
-	// single-engine path. A delivery is taken here (or allocated) by
-	// deliver, scheduled on the engine, and returned by its own Run, so
-	// steady-state message transmission allocates nothing. The list only
-	// ever grows to the peak number of simultaneously in-flight updates.
-	// Sharded runs use one pool per destination shard (shardRuntime.pools)
-	// instead, so concurrent shard goroutines never share a free list.
+	// pool is the free list of in-flight message events. A delivery is
+	// taken here (or allocated) by deliver, scheduled on the engine, and
+	// returned by its own Run, so steady-state message transmission
+	// allocates nothing. The list only ever grows to the peak number of
+	// simultaneously in-flight updates.
 	pool deliveryPool
-
-	// sh holds the sharded execution state when Params.Shards >= 2 and the
-	// topology admits a positive lookahead; nil selects the classic
-	// single-engine path.
-	sh *shardRuntime
 
 	// tab interns every path the simulation creates; all RIB storage and
 	// every in-flight update hold 4-byte routeRefs into it. Rewound by
-	// Rebind once every reference is gone. Concurrent sharded runs give
-	// each shard its own pathTab instead (shardRuntime.tabs).
+	// Rebind once every reference is gone.
 	tab pathTab
 
 	// Path-table collection (see sweep): the table size at which the next
@@ -92,8 +84,7 @@ type delivery struct {
 // deliveryPool is a free list of delivery events over the chunks they
 // are carved from, which double from deliveryChunkMin to deliveryChunkMax
 // objects like the engine's event chunks: one malloc per chunk, not per
-// in-flight message. Each pool is owned by exactly one execution context
-// (the single engine, or one shard), so take/put need no synchronization.
+// in-flight message.
 type deliveryPool struct {
 	free   *delivery
 	chunks [][]delivery // every chunk carved, so a sweep can reach the deliveries in flight
@@ -161,24 +152,11 @@ func (p *deliveryPool) reset() {
 }
 
 // deliver schedules u to arrive at to after the link delay, reusing a
-// pooled delivery event when one is free. In sharded mode same-shard
-// messages go straight onto the destination's (== sender's) engine while
-// cross-shard messages are buffered for the next lookahead barrier.
+// pooled delivery event when one is free.
 func (s *Simulator) deliver(from, to *router, delay time.Duration, u Update) {
-	at := from.now() + delay
-	if s.sh != nil {
-		if from.shard != to.shard {
-			s.sh.post(from, to, at, u)
-			return
-		}
-		d := s.sh.pools[to.shard].take()
-		d.from, d.to, d.u = from, to, u
-		to.eng.ScheduleRunnerAt(at, d)
-		return
-	}
 	d := s.pool.take()
 	d.from, d.to, d.u = from, to, u
-	s.eng.ScheduleRunnerAt(at, d)
+	s.eng.ScheduleRunner(delay, d)
 }
 
 // Run completes the delivery and returns the object to the pool.
@@ -238,16 +216,16 @@ func (s *Simulator) Reset(params Params) error {
 //
 // What a simulator owns is buffers, not a network: the engine's calendar
 // and event free list, the path table's chunks and index, the delivery
-// pool, the routers with their inbox rings, RIB columns and bitsets, the
-// shard runtime. Rebind keeps each of them wherever its capacity
-// suffices (see buffers.go), which is what makes a sweep cheap whether
-// its trials share a world or, like every point of the paper's figures,
-// have one each. Only a network other than the current one (compared by
-// pointer; networks are immutable once simulated on) pays for rewiring
-// the routers. Nothing that depends on the network is cached past that:
-// the origins and the router wiring are rebuilt, the collector is
-// resized, the shard partition is recomputed, and relationships and the
-// warm-start snapshot are looked up through params and net at each use.
+// pool, the routers with their inbox rings, RIB columns and bitsets.
+// Rebind keeps each of them wherever its capacity suffices (see
+// buffers.go), which is what makes a sweep cheap whether its trials
+// share a world or, like every point of the paper's figures, have one
+// each. Only a network other than the current one (compared by pointer;
+// networks are immutable once simulated on) pays for rewiring the
+// routers. Nothing that depends on the network is cached past that: the
+// origins and the router wiring are rebuilt, the collector is resized,
+// and relationships and the warm-start snapshot are looked up through
+// params and net at each use.
 func (s *Simulator) Rebind(net *topology.Network, params Params) error {
 	if err := params.Validate(); err != nil {
 		return err
@@ -273,7 +251,6 @@ func (s *Simulator) Rebind(net *topology.Network, params Params) error {
 	// Safe exactly here: the engine drain above discarded in-flight
 	// updates and the router resets below clear every RIB reference.
 	s.tab.reset()
-	s.setupShards(params)
 
 	s.ndests = ndests
 	s.origins = fit(s.origins, ndests)
@@ -296,7 +273,6 @@ func (s *Simulator) Rebind(net *topology.Network, params Params) error {
 			}
 			r.peers[slot].Delay = delay
 		}
-		s.bindContext(r)
 		r.reset(params, s.ndests)
 	}
 	s.swept = PathStats{}
@@ -346,68 +322,6 @@ func destSpace(net *topology.Network, nprefix int) (int, error) {
 	return (maxAS + 1) * nprefix, nil
 }
 
-// setupShards decides the execution mode for this run and prepares s.sh:
-// nil for the classic single-engine path (Shards <= 1, more shards
-// wanted than routers exist, or no positive lookahead), otherwise a
-// ready shardRuntime. The runtime (group, buffers, shard-local tables) is
-// reused whenever the mode triple (k, sequenced, lookahead) is
-// unchanged, mirroring how the single engine retains its free lists; the
-// partition, which depends only on (net, k), whenever those two are.
-func (s *Simulator) setupShards(params Params) {
-	k := params.Shards
-	if k > s.net.NumNodes() {
-		k = s.net.NumNodes()
-	}
-	if k < 2 {
-		s.sh = nil
-		return
-	}
-	sequenced := !params.ShardConcurrent
-	assign := []int(nil)
-	if s.sh != nil && s.sh.net == s.net && s.sh.g.NumShards() == k {
-		assign = s.sh.assign
-	} else {
-		assign = topology.Partition(s.net, k)
-	}
-	look := shardLookahead(s.net, assign, params)
-	if look <= 0 {
-		s.sh = nil
-		return
-	}
-	if s.sh == nil || s.sh.g.NumShards() != k ||
-		s.sh.g.Sequenced() != sequenced || s.sh.g.Lookahead() != look {
-		s.sh = newShardRuntime(k, look, sequenced)
-	}
-	s.sh.net, s.sh.assign = s.net, assign
-	s.sh.reset(s.rng)
-}
-
-// bindContext points one router at its execution context for this run:
-// which engine its events live on, which group clock (if any) it reads,
-// and which collector, random stream, and path table it writes. The
-// single-engine path and sequenced sharding share the Simulator-level
-// col/rng/tab; concurrent sharding substitutes the shard-local replicas
-// the sharding contract requires.
-func (s *Simulator) bindContext(r *router) {
-	if s.sh == nil {
-		r.shard, r.eng, r.grp = 0, s.eng, nil
-		r.col, r.rng, r.tab = s.col, s.rng, &s.tab
-	} else {
-		r.shard = s.sh.assign[r.id]
-		r.eng = s.sh.g.Shard(r.shard)
-		if s.sh.g.Sequenced() {
-			r.grp = s.sh.g
-			r.col, r.rng, r.tab = s.col, s.rng, &s.tab
-		} else {
-			r.grp = nil
-			r.col = s.sh.cols[r.shard]
-			r.rng = s.sh.rngs[r.shard]
-			r.tab = s.sh.tabs[r.shard]
-		}
-	}
-	r.adjIn.tab = r.tab
-}
-
 // ASOfDest returns the AS that originates destination prefix dest.
 func (s *Simulator) ASOfDest(dest int) ASN { return dest / s.nprefix }
 
@@ -424,13 +338,8 @@ func (s *Simulator) Start() {
 		if s.params.OriginationSpread > 0 {
 			at = s.rng.UniformDuration(0, s.params.OriginationSpread)
 		}
-		// In sharded mode the origination runs on the originating
-		// router's own shard engine; the stagger draw above always comes
-		// from the master RNG, so the single-engine and sequenced runs
-		// consume it identically.
-		r := s.routers[id]
-		s.originTasks[dest] = originTask{r: r, dest: dest}
-		r.eng.ScheduleRunnerAt(at, &s.originTasks[dest])
+		s.originTasks[dest] = originTask{r: s.routers[id], dest: dest}
+		s.eng.ScheduleRunnerAt(at, &s.originTasks[dest])
 	}
 }
 
@@ -445,99 +354,40 @@ type originTask struct {
 func (t *originTask) Run() { t.r.originate(t.dest) }
 
 // Run drains the event queue (to quiescence) and returns any engine error.
-func (s *Simulator) Run() error {
-	if s.sh != nil {
-		return s.sh.g.Run()
-	}
-	return s.eng.Run()
-}
+func (s *Simulator) Run() error { return s.eng.Run() }
 
 // SetCancel installs (or with nil removes) a cancellation probe on the
-// underlying event engine — or, in sharded mode, on every shard engine
-// and the group driver, so cancellation lands mid-epoch on whichever
-// shard is running rather than waiting for the next barrier. Run
-// variants poll it periodically and abort with des.ErrCanceled when it
-// reports true. Install it after Reset (which clears the probe) and
-// before Run; the probe never alters results of runs that complete,
-// only whether a run completes.
-func (s *Simulator) SetCancel(cancel func() bool) {
-	if s.sh != nil {
-		s.sh.g.SetCancel(cancel)
-		return
-	}
-	s.eng.SetCancel(cancel)
-}
+// event engine. Run variants poll it periodically and abort with
+// des.ErrCanceled when it reports true. Install it after Reset (which
+// clears the probe) and before Run; the probe never alters results of
+// runs that complete, only whether a run completes.
+func (s *Simulator) SetCancel(cancel func() bool) { s.eng.SetCancel(cancel) }
 
 // RunUntil runs events up to the deadline.
-func (s *Simulator) RunUntil(deadline des.Time) error {
-	if s.sh != nil {
-		return s.sh.g.RunUntil(deadline)
-	}
-	return s.eng.RunUntil(deadline)
-}
+func (s *Simulator) RunUntil(deadline des.Time) error { return s.eng.RunUntil(deadline) }
 
 // Now returns the current simulated time.
-func (s *Simulator) Now() des.Time {
-	if s.sh != nil {
-		return s.sh.g.Now()
-	}
-	return s.eng.Now()
-}
+func (s *Simulator) Now() des.Time { return s.eng.Now() }
 
-// Collector exposes the metrics collector. Concurrent sharded runs
-// maintain one collector per shard; this view folds them into the
-// run-level collector first (a deterministic merge — see
-// metrics.MergeFrom), so callers read the same API in every mode.
-func (s *Simulator) Collector() *metrics.Collector {
-	if s.sh != nil && len(s.sh.cols) > 0 {
-		s.col.MergeFrom(s.sh.cols...)
-	}
-	return s.col
-}
-
-// openWindow opens the measurement window on every collector the run
-// writes to (one in single-engine and sequenced modes, one per shard in
-// concurrent mode).
-func (s *Simulator) openWindow(at des.Time) {
-	s.col.OpenWindow(at)
-	if s.sh != nil {
-		for _, c := range s.sh.cols {
-			c.OpenWindow(at)
-		}
-	}
-}
+// Collector exposes the metrics collector.
+func (s *Simulator) Collector() *metrics.Collector { return s.col }
 
 // normalizeWindow canonicalizes every piece of run state that could
-// carry phase-1 residue into the measurement window: the random streams
-// are reseeded from Params.Seed (per-shard streams re-derived in place
-// in concurrent mode), and every live router expires its MRAI gates,
-// restarts its flap counters, and rebuilds its policy, damper, and load
-// accounting (router.normalizeWindow). It runs at window open in every
-// mode — cold and warm start alike — which makes the post-failure
-// dynamics a pure function of (topology, converged routing state,
-// failure set, parameters, seed). That contract is what lets a
-// warm-started trial reproduce a cold-started one byte-for-byte: the two
-// arrive at the window with identical routing state and, after
-// normalization, identical everything else.
+// carry phase-1 residue into the measurement window: the random stream
+// is reseeded from Params.Seed, and every live router expires its MRAI
+// gates, restarts its flap counters, and rebuilds its policy, damper,
+// and load accounting (router.normalizeWindow). It runs at window open
+// cold and warm start alike, which makes the post-failure dynamics a
+// pure function of (topology, converged routing state, failure set,
+// parameters, seed). That contract is what lets a warm-started trial
+// reproduce a cold-started one byte-for-byte: the two arrive at the
+// window with identical routing state and, after normalization,
+// identical everything else.
 func (s *Simulator) normalizeWindow(at des.Time) {
 	s.rng.Reseed(s.params.Seed)
-	if s.sh != nil {
-		s.sh.reseed(s.rng)
-	}
 	for _, r := range s.routers {
 		r.normalizeWindow(at)
 	}
-}
-
-// ctrlEng returns the engine global control events (failures,
-// recoveries) run on: the control engine in sharded mode — whose events
-// execute with every shard paused at the event's timestamp — and the
-// main engine otherwise.
-func (s *Simulator) ctrlEng() *des.Engine {
-	if s.sh != nil {
-		return s.sh.g.Control()
-	}
-	return s.eng
 }
 
 // ScheduleFailure kills the given nodes at time at and opens the metrics
@@ -547,8 +397,8 @@ func (s *Simulator) ctrlEng() *des.Engine {
 func (s *Simulator) ScheduleFailure(at des.Time, nodes []int) {
 	failed := append([]int(nil), nodes...)
 	sort.Ints(failed)
-	s.ctrlEng().ScheduleAt(at, func() {
-		s.openWindow(at)
+	s.eng.ScheduleAt(at, func() {
+		s.col.OpenWindow(at)
 		s.normalizeWindow(at)
 		for _, id := range failed {
 			if id >= 0 && id < len(s.routers) {
@@ -574,10 +424,7 @@ func (s *Simulator) ScheduleFailure(at des.Time, nodes []int) {
 					continue
 				}
 				if s.params.DetectDelay > 0 {
-					// Absolute time on the surviving peer's own engine:
-					// in sharded mode the detection must run inside nb's
-					// shard, not in control context.
-					nb.eng.ScheduleAt(at+s.params.DetectDelay, func() { nb.peerDown(slot) })
+					s.eng.ScheduleAt(at+s.params.DetectDelay, func() { nb.peerDown(slot) })
 				} else {
 					nb.peerDown(slot)
 				}
@@ -593,8 +440,8 @@ func (s *Simulator) ScheduleFailure(at des.Time, nodes []int) {
 // sessions are ignored. The metrics window opens at the failure time.
 func (s *Simulator) ScheduleLinkFailure(at des.Time, links [][2]int) {
 	cut := append([][2]int(nil), links...)
-	s.ctrlEng().ScheduleAt(at, func() {
-		s.openWindow(at)
+	s.eng.ScheduleAt(at, func() {
+		s.col.OpenWindow(at)
 		s.normalizeWindow(at)
 		for _, l := range cut {
 			a, b := l[0], l[1]
@@ -609,7 +456,7 @@ func (s *Simulator) ScheduleLinkFailure(at des.Time, links [][2]int) {
 			}
 			down := func(r *router, slot int) {
 				if s.params.DetectDelay > 0 {
-					r.eng.ScheduleAt(at+s.params.DetectDelay, func() { r.peerDown(slot) })
+					s.eng.ScheduleAt(at+s.params.DetectDelay, func() { r.peerDown(slot) })
 				} else {
 					r.peerDown(slot)
 				}
@@ -628,7 +475,7 @@ func (s *Simulator) ScheduleLinkFailure(at des.Time, links [][2]int) {
 func (s *Simulator) ScheduleRecovery(at des.Time, nodes []int) {
 	revived := append([]int(nil), nodes...)
 	sort.Ints(revived)
-	s.ctrlEng().ScheduleAt(at, func() {
+	s.eng.ScheduleAt(at, func() {
 		// Phase 1: bring the routers back with clean state.
 		for _, id := range revived {
 			if id < 0 || id >= len(s.routers) {
@@ -754,13 +601,11 @@ func (s *Simulator) PolicyLevelHistogram() map[int]int {
 // collecting it has cost this trial (see Simulator.sweep).
 type PathStats struct {
 	// Registered counts paths currently registered (since the last Reset
-	// or compaction). Summed over shard tables in concurrent mode.
+	// or compaction).
 	Registered int
 	// Live counts the registered paths a sweep would keep right now: the
 	// distinct refs held anywhere outside the table — RIB storage, queued
 	// and in-flight updates — and the ancestors their nodes name.
-	// Computed only in the shared-table modes (single-engine, sequenced);
-	// -1 in concurrent sharded mode, where refs index per-shard tables.
 	Live int
 	// Compactions counts the sweeps performed since the last Reset.
 	Compactions int
@@ -770,13 +615,6 @@ type PathStats struct {
 	// renaming both counted: what the collection cost, in the unit that
 	// does not depend on the host.
 	SweptCells int
-}
-
-// sharedTab reports whether every router aliases the Simulator's own
-// path table (single-engine and sequenced sharded modes) — the modes the
-// sweep supports. Concurrent shards keep one table each, uncollected.
-func (s *Simulator) sharedTab() bool {
-	return s.sh == nil || s.sh.g.Sequenced()
 }
 
 // The roots of the path table: between events a routeRef lives in a RIB
@@ -811,9 +649,8 @@ func (s *Simulator) forEachRefColumn(fn func([]routeRef)) (cells int) {
 // and not yet applied (0 for a withdrawal) and returns how many there
 // are: queued in an inbox, in the batch a busy router is processing
 // (which aliases storage the inbox does not visit), on a link as a
-// delivery event, or buffered for the next shard barrier. A killed
-// router holds none — kill empties its inbox — so at quiescence the
-// count is zero.
+// delivery event. A killed router holds none — kill empties its inbox —
+// so at quiescence the count is zero.
 func (s *Simulator) forEachInFlight(fn func(*routeRef)) (n int) {
 	for _, r := range s.routers {
 		r.inbox.forEachRef(fn)
@@ -822,14 +659,10 @@ func (s *Simulator) forEachInFlight(fn func(*routeRef)) (n int) {
 		}
 		n += r.inbox.Len() + len(r.proc.batch)
 	}
-	n += s.pool.forEachRef(fn)
-	if s.sh != nil {
-		n += s.sh.forEachRef(fn)
-	}
-	return n
+	return n + s.pool.forEachRef(fn)
 }
 
-// markRoots marks, in the shared table's mark set, every path a sweep
+// markRoots marks, in the table's mark set, every path a sweep
 // would keep and returns how many there are and how many cells it
 // visited to find them.
 func (s *Simulator) markRoots() (live, cells int) {
@@ -843,13 +676,6 @@ func (s *Simulator) markRoots() (live, cells int) {
 // a sweep it must run between events.
 func (s *Simulator) PathTableStats() PathStats {
 	ps := s.swept
-	if !s.sharedTab() {
-		ps.Live = -1
-		for _, tab := range s.sh.tabs {
-			ps.Registered += tab.size()
-		}
-		return ps
-	}
 	ps.Registered = s.tab.size()
 	ps.Live, _ = s.markRoots()
 	return ps
@@ -870,16 +696,13 @@ const sweepCellsPerPath = 16
 // twice its peak live set and the work per registration to a constant),
 // and never fewer than the floor or the cell term. These are constants,
 // not knobs; refCompactAlways, the test seam, sweeps at every safe
-// point, and per-shard tables are never swept.
+// point.
 func (s *Simulator) armSweep(live int) {
-	switch {
-	case !s.sharedTab():
-		s.sweepAt = math.MaxUint32
-	case s.params.ref&refCompactAlways != 0:
+	if s.params.ref&refCompactAlways != 0 {
 		s.sweepAt = 0
-	default:
-		s.sweepAt = uint32(min(uint64(live+max(live, sweepFloor, s.ribCells/sweepCellsPerPath)), math.MaxUint32))
+		return
 	}
+	s.sweepAt = uint32(min(uint64(live+max(live, sweepFloor, s.ribCells/sweepCellsPerPath)), math.MaxUint32))
 }
 
 // sweep collects the path table: it marks every ref held anywhere (the

@@ -165,8 +165,7 @@ func TestStormFastLaneDenseStorm(t *testing.T) {
 }
 
 // TestStormFastLaneAcrossModes crosses the full fast lane with the other
-// execution axes: sequenced shards, multi-prefix tables, and the snapshot
-// warm start — each must still match its own baseline byte-for-byte.
+// axes: multi-prefix tables and the snapshot warm start — each must still match its own baseline byte-for-byte.
 func TestStormFastLaneAcrossModes(t *testing.T) {
 	rng := des.NewRNG(31)
 	nw, err := topology.SkewedNetwork(topology.Skewed7030(40), rng)
@@ -178,17 +177,15 @@ func TestStormFastLaneAcrossModes(t *testing.T) {
 		name   string
 		mutate func(*Params)
 	}{
-		{"sharded-sequenced", func(p *Params) { p.Shards = 4 }},
 		{"multi-prefix", func(p *Params) { p.PrefixesPerAS = 3 }},
 		{"warm-start", func(p *Params) {
 			p.Queue = QueueBatched
 			p.WarmStart = true
 		}},
-		{"warm-start-multi-prefix-sharded", func(p *Params) {
+		{"warm-start-multi-prefix", func(p *Params) {
 			p.Queue = QueueBatched
 			p.WarmStart = true
 			p.PrefixesPerAS = 2
-			p.Shards = 3
 		}},
 	}
 	sim, err := New(nw, equivalenceParams(1, nil))

@@ -11,13 +11,13 @@ import (
 // Window times are offsets from program start, so the rendering is
 // independent of how initial convergence was reached (cold and warm
 // starts render identically) and is the byte string the determinism
-// tests and the CI churn job compare across worker counts, shard
-// counts, and coordinator restarts.
+// tests and the CI churn job compare across worker counts and
+// coordinator restarts.
 func (rr RunResult) Render() string {
 	var b strings.Builder
 	sc := rr.Scenario
-	fmt.Fprintf(&b, "churn %s topo=%s n=%d scheme=%s seed=%d trials=%d shards=%d\n",
-		sc.Program.Kind, sc.Topology.Kind, sc.Topology.N, schemeLabel(sc.Scheme), sc.Seed, len(rr.Trials), sc.Shards)
+	fmt.Fprintf(&b, "churn %s topo=%s n=%d scheme=%s seed=%d trials=%d\n",
+		sc.Program.Kind, sc.Topology.Kind, sc.Topology.N, schemeLabel(sc.Scheme), sc.Seed, len(rr.Trials))
 	for _, tr := range rr.Trials {
 		fmt.Fprintf(&b, "trial %d: windows=%d\n", tr.Trial, len(tr.Windows))
 		for _, w := range tr.Windows {
@@ -39,8 +39,8 @@ func schemeLabel(s string) string {
 }
 
 // Digest returns a 64-bit FNV-1a hash of the rendered stream — the
-// compact determinism pin the run-twice tests compare across worker and
-// shard counts.
+// compact determinism pin the run-twice tests compare across worker
+// counts.
 func (rr RunResult) Digest() uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(rr.Render()))

@@ -24,11 +24,6 @@ type Scenario struct {
 	Scheme   string        `json:"scheme,omitempty"`
 	Program  Spec          `json:"program"`
 	Seed     int64         `json:"seed"`
-	// Shards >= 2 runs each trial sharded (sequenced mode is
-	// byte-identical to single-engine; ShardConcurrent is its own
-	// determinism class, exactly as for batch scenarios).
-	Shards          int  `json:"shards,omitempty"`
-	ShardConcurrent bool `json:"shard_concurrent,omitempty"`
 	// WarmStart installs the snapshot fixpoint instead of simulating
 	// initial convergence; the rendered metric stream is identical
 	// (windows are normalized and rendered relative to program start).
@@ -117,10 +112,6 @@ func (r *Runner) RunTrial(ctx context.Context, sc Scenario, trial int, obs Windo
 			return TrialResult{}, err
 		}
 		sch.Apply(&params)
-	}
-	if sc.Shards > 0 {
-		params.Shards = sc.Shards
-		params.ShardConcurrent = sc.ShardConcurrent
 	}
 	if sc.WarmStart {
 		params.WarmStart = true

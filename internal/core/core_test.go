@@ -169,3 +169,27 @@ func TestProgressCallbacksFire(t *testing.T) {
 		t.Errorf("progress fired %d times, want 6", count)
 	}
 }
+
+// TestFigureWorkerInvariant: a sweep fanned over several sweep workers
+// renders the single-worker bytes.
+func TestFigureWorkerInvariant(t *testing.T) {
+	e, err := Lookup("3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(workers int) string {
+		opts := microOptions()
+		opts.Workers = workers
+		fig, err := e.Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fig.Render()
+	}
+	want := render(1)
+	for _, workers := range []int{2, 4} {
+		if got := render(workers); got != want {
+			t.Errorf("workers=%d: figure diverged from serial\nserial:\n%s\nparallel:\n%s", workers, want, got)
+		}
+	}
+}

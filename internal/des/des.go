@@ -83,7 +83,6 @@ func (e *Event) Canceled() bool { return e.stopped }
 type Engine struct {
 	now       Time
 	seq       uint64
-	seqSrc    *uint64 // shared sequence counter (sharded sequenced mode); nil = own seq
 	queue     calendarQueue
 	free      *Event  // recycled Event objects, chained through next (see Event)
 	spare     []Event // unissued tail of the newest event chunk
@@ -218,10 +217,6 @@ func (e *Engine) ScheduleRunnerAt(at Time, r Runner) *Event {
 // exactly the same points either way, every event in the run (virtual
 // or not) carries the same stamp as in the eager schedule.
 func (e *Engine) ReserveSeq() uint64 {
-	if e.seqSrc != nil {
-		*e.seqSrc++
-		return *e.seqSrc
-	}
 	e.seq++
 	return e.seq
 }
@@ -229,9 +224,8 @@ func (e *Engine) ReserveSeq() uint64 {
 // ScheduleRunnerAtSeq queues r at absolute time at under a previously
 // reserved sequence number (ReserveSeq) instead of drawing a fresh one.
 // The event sorts into the queue exactly where an event allocated at
-// reservation time would have: it is the single-engine analogue of the
-// Group's PostForeign. Scheduling in the past panics, as ScheduleAt
-// does.
+// reservation time would have. Scheduling in the past panics, as
+// ScheduleAt does.
 func (e *Engine) ScheduleRunnerAtSeq(at Time, seq uint64, r Runner) *Event {
 	if r == nil {
 		panic("des: schedule nil runner")
@@ -246,29 +240,18 @@ func (e *Engine) ScheduleRunnerAtSeq(at Time, seq uint64, r Runner) *Event {
 
 // alloc takes an Event from the free list (or carves a new one), stamps
 // it with (at, next sequence number), and queues it. The handler fields are
-// left for the caller to fill in. When a shared sequence source is
-// installed (sharded sequenced mode, see Group) the stamp is drawn from it,
-// so schedule calls across all engines of a group consume one global
-// sequence stream in call order — the property that makes the sequenced
-// sharded schedule reproduce the single-engine (at, seq) order exactly.
+// left for the caller to fill in.
 func (e *Engine) alloc(at Time) *Event {
 	if at < e.now {
 		panic(fmt.Sprintf("des: schedule at %v before now %v", at, e.now))
 	}
-	var seq uint64
-	if e.seqSrc != nil {
-		*e.seqSrc++
-		seq = *e.seqSrc
-	} else {
-		e.seq++
-		seq = e.seq
-	}
-	return e.insert(at, seq)
+	e.seq++
+	return e.insert(at, e.seq)
 }
 
 // insert queues a recycled-or-new Event stamped (at, seq). It is the common
-// tail of alloc and the Group's foreign-insertion path, which re-queues a
-// cross-shard delivery under the sequence number reserved at send time.
+// tail of alloc and ScheduleRunnerAtSeq, which re-queues under a sequence
+// number reserved earlier.
 func (e *Engine) insert(at Time, seq uint64) *Event {
 	ev := e.free
 	if ev != nil {
@@ -372,43 +355,4 @@ func (e *Engine) RunUntil(deadline Time) error {
 		e.now = deadline
 	}
 	return nil
-}
-
-// RunBefore fires events with timestamps strictly before deadline, then
-// advances the clock to deadline. It is the per-shard epoch step of the
-// sharded engine (see Group): a shard may safely execute everything before
-// the epoch boundary because conservative lookahead guarantees no
-// cross-shard arrival lands inside the epoch, and the final clock advance
-// synchronizes the shard with the barrier so handlers run from the barrier
-// (control events, cross-shard insertions) observe a current clock.
-func (e *Engine) RunBefore(deadline Time) error {
-	start := e.processed
-	for {
-		next := e.peekNext()
-		if next == nil || next.at >= deadline {
-			break
-		}
-		if e.processed-start >= e.maxEvents {
-			return ErrHorizon
-		}
-		if e.cancel != nil && e.processed%cancelStride == 0 && e.cancel() {
-			return ErrCanceled
-		}
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return nil
-}
-
-// NextKey reports the (time, sequence) key of the engine's next live event,
-// draining any canceled events queued ahead of it. ok is false when the
-// queue holds no live events. The sharded drivers use it to find the global
-// minimum across engines without popping.
-func (e *Engine) NextKey() (at Time, seq uint64, ok bool) {
-	if ev := e.peekNext(); ev != nil {
-		return ev.at, ev.seq, true
-	}
-	return 0, 0, false
 }

@@ -52,8 +52,11 @@ import (
 // descriptor and checked by workers; bump it whenever job addressing,
 // seed derivation, or result encoding changes meaning. v2 moved job
 // granularity from cells (all trials batched) to single trials and
-// added churn runs.
-const ProtocolVersion = "bgpsim/dist/v2"
+// added churn runs. v3 dropped two fields of the options and of churn
+// scenarios that selected an engine which no longer exists (DESIGN.md
+// §7): a v3 worker would run such a v2 job on one event loop and submit
+// bytes of another determinism class, so it refuses v2 instead.
+const ProtocolVersion = "bgpsim/dist/v3"
 
 // Lease response statuses.
 const (
@@ -92,14 +95,6 @@ type Options struct {
 	// omitempty keeps the wire form of single-prefix runs identical to
 	// coordinators that predate the field.
 	PrefixesPerOrigin int `json:"prefixes_per_origin,omitempty"`
-	// Shards is the sharded-execution dimension (0 = single engine).
-	// It crosses the wire — unlike Workers — because ShardConcurrent
-	// changes result bytes, and even sequenced sharding must run
-	// identically on every worker for the determinism cross-checks to
-	// mean anything. omitempty keeps unsharded wire forms identical to
-	// coordinators that predate the fields.
-	Shards          int  `json:"shards,omitempty"`
-	ShardConcurrent bool `json:"shard_concurrent,omitempty"`
 	// WarmStart selects snapshot-seeded trials (0 events before the
 	// failure window). It crosses the wire so every worker runs the cell
 	// the same way — results are byte-identical either way, but the
@@ -122,8 +117,6 @@ func WireOptions(o core.Options) Options {
 		MRAIs:              o.MRAIs,
 		RealisticMaxASSize: o.RealisticMaxASSize,
 		PrefixesPerOrigin:  o.PrefixesPerOrigin,
-		Shards:             o.Shards,
-		ShardConcurrent:    o.ShardConcurrent,
 		WarmStart:          o.WarmStart,
 	}
 }
@@ -138,8 +131,6 @@ func (o Options) Core() core.Options {
 		MRAIs:              o.MRAIs,
 		RealisticMaxASSize: o.RealisticMaxASSize,
 		PrefixesPerOrigin:  o.PrefixesPerOrigin,
-		Shards:             o.Shards,
-		ShardConcurrent:    o.ShardConcurrent,
 		WarmStart:          o.WarmStart,
 	}
 }

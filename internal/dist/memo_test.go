@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 
@@ -147,5 +148,24 @@ func TestLeaseCompleteAllocBudget(t *testing.T) {
 	const budget = 20_000
 	if perJob > budget {
 		t.Errorf("a job's lease+complete allocates %d B, budget %d", perJob, budget)
+	}
+}
+
+// TestWorkerRefusesV2Descriptor: protocol v2 carried shards and
+// shard_concurrent, which a v3 worker no longer reads, so it would run a
+// v2 sharded job on one event loop and submit bytes of another
+// determinism class. Both runners refuse v2 instead, naming both
+// versions.
+func TestWorkerRefusesV2Descriptor(t *testing.T) {
+	const v2 = "bgpsim/dist/v2"
+	ctx := context.Background()
+	sweep := descFor(t, "fig3", goldenOptions())
+	sweep.Protocol = v2
+	_, sweepErr := RegistryRunner(1)(ctx, sweep, Job{})
+	_, churnErr := ChurnRunner(1)(ctx, ChurnDesc{Protocol: v2, Trials: 1}, Job{}, nil)
+	for name, err := range map[string]error{"sweep": sweepErr, "churn": churnErr} {
+		if err == nil || !strings.Contains(err.Error(), v2) || !strings.Contains(err.Error(), ProtocolVersion) {
+			t.Errorf("%s runner: v2 descriptor gave %v, want a refusal naming %q and %q", name, err, v2, ProtocolVersion)
+		}
 	}
 }

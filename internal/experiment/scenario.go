@@ -109,14 +109,11 @@ type Scenario struct {
 	// relationships (full valley-free reachability guaranteed). Takes
 	// precedence over PolicyRatio.
 	PolicyHierarchical bool
-	// Shards, when >= 2, runs the simulation sharded across that many
-	// event loops (bgp.Params.Shards). Sequenced sharding — the default —
-	// leaves every result byte-identical to the single-engine run, so
-	// Shards <= 1 and Shards == 0 are the same scenario. ShardConcurrent
-	// selects the concurrent mode, which is its own determinism class
-	// (see bgp.Params.ShardConcurrent).
-	Shards          int
-	ShardConcurrent bool
+	// Shards is what is left of the removed sharded engine: a simulation
+	// is one event loop, and runScenario refuses a value above 1. The
+	// field exists only until ROADMAP item 8's benchmark/-only PR drops
+	// benchmark/replica.go's read of it.
+	Shards int
 	// WarmStart skips the event-driven initial-convergence phase: the
 	// snapshot backend's fixpoint is installed as the converged state and
 	// the trial proceeds straight to failure injection
@@ -159,6 +156,9 @@ func Run(sc Scenario) (Result, error) {
 // cancellation aborts the simulation between events via the engine's
 // probe; it can never alter the results of a run that completes.
 func runScenario(ctx context.Context, sc Scenario, pool *SimPool) (Result, error) {
+	if sc.Shards > 1 {
+		return Result{}, fmt.Errorf("experiment: Shards = %d: sharded engines were removed; a simulation is one event loop", sc.Shards)
+	}
 	slot := pool.Take()
 	topoSeed, failRNG, simSeed := slot.Derive(sc.Seed, "failure")
 
@@ -179,10 +179,6 @@ func runScenario(ctx context.Context, sc Scenario, pool *SimPool) (Result, error
 	}
 	if sc.Scheme.Apply != nil {
 		sc.Scheme.Apply(&params)
-	}
-	if sc.Shards > 0 {
-		params.Shards = sc.Shards
-		params.ShardConcurrent = sc.ShardConcurrent
 	}
 	if sc.WarmStart {
 		params.WarmStart = true

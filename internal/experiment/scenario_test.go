@@ -82,6 +82,25 @@ func TestRunPropagatesErrors(t *testing.T) {
 	}
 }
 
+// TestShardedScenarioRefused: Scenario.Shards outlives the sharded engine
+// only for benchmark/replica.go's read; a value above 1 is an error, not
+// a silent single-engine run, and 1 is the single engine it always was.
+func TestShardedScenarioRefused(t *testing.T) {
+	sc := tinyScenario(1)
+	sc.Shards = 2
+	if _, err := Run(sc); err == nil || !strings.Contains(err.Error(), "sharded engines were removed") {
+		t.Errorf("Shards = 2: Run = %v, want the removal error", err)
+	}
+	want, err := Run(tinyScenario(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Shards = 1
+	if got, err := Run(sc); err != nil || got != want {
+		t.Errorf("Shards = 1: Run = %+v, %v; want %+v", got, err, want)
+	}
+}
+
 func TestBaseParamsRespected(t *testing.T) {
 	sc := tinyScenario(3)
 	base := bgp.DefaultParams()

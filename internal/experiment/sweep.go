@@ -69,14 +69,6 @@ type SweepConfig struct {
 	// count — seeds are derived from grid indices alone and results are
 	// aggregated in index order — so only wall-clock time changes.
 	Workers int
-	// Shards, when >= 2, runs every cell's simulation sharded across
-	// that many event loops (see Scenario.Shards). Unlike Workers it is
-	// part of the grid definition — it crosses the distributed-execution
-	// wire — because ShardConcurrent changes the determinism class;
-	// sequenced sharding (ShardConcurrent false) keeps the figure
-	// byte-identical to an unsharded sweep.
-	Shards          int
-	ShardConcurrent bool
 	// WarmStart runs every cell's trials from the snapshot backend's
 	// converged fixpoint instead of simulating initial convergence (see
 	// Scenario.WarmStart). Part of the grid definition (it crosses the

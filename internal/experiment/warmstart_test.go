@@ -10,7 +10,8 @@ import (
 
 // warmScenarios are the shapes the warm-start pin covers: the plain
 // paper configuration, a policy world (where warm start must route the
-// snapshot through the same relationship derivation), and a sharded run.
+// snapshot through the same relationship derivation), and relationships
+// named by the topology spec.
 func warmScenarios() map[string]Scenario {
 	base := Scenario{
 		Topology: topology.Spec{Kind: topology.KindInternetLike, N: 50},
@@ -20,14 +21,11 @@ func warmScenarios() map[string]Scenario {
 	}
 	policy := base
 	policy.PolicyHierarchical = true
-	sharded := base
-	sharded.Shards = 4
 	specRel := base
 	specRel.Topology.Relationships = topology.RelModeInfer
 	return map[string]Scenario{
 		"flat":     base,
 		"policy":   policy,
-		"sharded":  sharded,
 		"spec-rel": specRel,
 	}
 }

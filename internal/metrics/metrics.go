@@ -145,47 +145,6 @@ func (c *Collector) touch(now time.Duration) {
 	}
 }
 
-// MergeFrom rebuilds c as the combination of parts, the deterministic
-// fold the sharded simulation uses to present per-shard collectors as
-// one run-level view: counters sum, high-water marks and last-activity
-// times take the maximum, per-node sends add elementwise, and the
-// window state is taken from whichever parts have an open window (the
-// simulator opens all shard windows at one failure instant, so their
-// start times agree). Every contribution is commutative, so the merged
-// result is independent of shard execution order. c itself must not be
-// among parts.
-func (c *Collector) MergeFrom(parts ...*Collector) {
-	c.Reset()
-	for _, p := range parts {
-		if p.windowOpen {
-			c.windowOpen = true
-			c.windowStart = p.windowStart
-		}
-		if p.lastActivity > c.lastActivity {
-			c.lastActivity = p.lastActivity
-		}
-		c.Announcements += p.Announcements
-		c.Withdrawals += p.Withdrawals
-		c.Packets += p.Packets
-		c.Processed += p.Processed
-		c.Discarded += p.Discarded
-		c.routeChanges += p.routeChanges
-		c.TotalMessages += p.TotalMessages
-		c.TotalProcessed += p.TotalProcessed
-		if p.MaxQueueLen > c.MaxQueueLen {
-			c.MaxQueueLen = p.MaxQueueLen
-		}
-		if p.TotalMaxQueueLen > c.TotalMaxQueueLen {
-			c.TotalMaxQueueLen = p.TotalMaxQueueLen
-		}
-		for i, n := range p.perNodeSent {
-			if i < len(c.perNodeSent) {
-				c.perNodeSent[i] += n
-			}
-		}
-	}
-}
-
 // Messages returns the windowed total of route-level messages.
 func (c *Collector) Messages() int { return c.Announcements + c.Withdrawals }
 

@@ -52,7 +52,9 @@ type Factory func(degree int) Policy
 // Constant returns the fixed-MRAI policy used throughout the Internet
 // today (default 30s; the paper sweeps 0.25–4s).
 func Constant(d time.Duration) Factory {
-	return func(int) Policy { return constantPolicy(d) }
+	// Boxed once here, not per call: the factory runs per router per trial.
+	var p Policy = constantPolicy(d)
+	return func(int) Policy { return p }
 }
 
 type constantPolicy time.Duration
@@ -66,11 +68,12 @@ func (constantPolicy) Rewind() {}
 // high-degree routers another (Section 4.2: "low 0.5, high 2.25").
 // Routers with degree >= threshold count as high degree.
 func DegreeDependent(threshold int, low, high time.Duration) Factory {
+	var lo, hi Policy = constantPolicy(low), constantPolicy(high)
 	return func(degree int) Policy {
 		if degree >= threshold {
-			return constantPolicy(high)
+			return hi
 		}
-		return constantPolicy(low)
+		return lo
 	}
 }
 

@@ -29,6 +29,22 @@ func TestDegreeDependentSplitsAtThreshold(t *testing.T) {
 	}
 }
 
+// TestConstantFactoriesDoNotAllocate: a simulator calls its factory once
+// per router per trial, so a constant policy is boxed when the factory is
+// made, not on every call.
+func TestConstantFactoriesDoNotAllocate(t *testing.T) {
+	for name, f := range map[string]Factory{
+		"constant": Constant(30 * time.Second),
+		"degree":   DegreeDependent(10, 500*time.Millisecond, 2250*time.Millisecond),
+	} {
+		for _, k := range []int{1, 10} {
+			if avg := testing.AllocsPerRun(100, func() { f(k) }); avg != 0 {
+				t.Errorf("%s(%d) allocates %.1f objects per call, want 0", name, k, avg)
+			}
+		}
+	}
+}
+
 func TestDynamicClimbsOnOverload(t *testing.T) {
 	p := PaperDynamic()(8)
 	// Start at level 0.
