@@ -77,7 +77,7 @@ func run(args []string) (err error) {
 		service  = fs.Bool("service", false, "with -serve: stay up as a long-running service accepting figure and churn submissions over HTTP instead of running -fig")
 		connect  = fs.String("connect", "", "run as a worker: pull trial jobs from the coordinator at host:port, then exit")
 		ckptPath = fs.String("checkpoint", "", "with -serve: record completed trials here and resume from it after a restart")
-		leaseTTL = fs.Duration("lease-ttl", 30*time.Second, "with -serve: reassign a trial if its worker is silent this long")
+		leaseTTL = fs.Duration("lease-ttl", 30*time.Second, "with -serve: reassign a lease's trials if its worker is silent this long")
 	)
 	var prof profiling.Config
 	prof.AddFlags(fs)

@@ -1,7 +1,7 @@
-// Command bgpwork is a worker for distributed runs: it pulls trial jobs
-// (sweep trials or churn trials) from a bgpfig -serve coordinator,
-// executes them with the local simulator, pushes back results, and
-// exits when the coordinator shuts down or goes away.
+// Command bgpwork is a worker for distributed runs: it pulls leases
+// (the trials of one sweep cell, or one churn trial) from a bgpfig
+// -serve coordinator, executes them with the local simulator, pushes
+// back results, and exits when the coordinator shuts down or goes away.
 //
 // Usage:
 //
@@ -9,9 +9,10 @@
 //	bgpwork -connect coordinator:9090 -id rack3 -workers 8
 //
 // The first SIGTERM/SIGINT drains the worker gracefully: the in-flight
-// trial finishes and its result is submitted before the process exits,
-// so no lease has to expire. A second signal aborts immediately (the
-// lease expires and the trial is reassigned).
+// lease (at most one cell's trials) finishes and its results are
+// submitted before the process exits, so no lease has to expire. A
+// second signal aborts immediately (the lease expires and its trials are
+// reassigned).
 //
 // Results are deterministic by construction (trial seeds derive from
 // grid indices or the churn scenario seed), so any mix of bgpwork
@@ -46,7 +47,7 @@ func run(args []string) (err error) {
 	var (
 		connect = fs.String("connect", "", "coordinator address (host:port or URL); required")
 		id      = fs.String("id", "", "worker name in coordinator logs (default hostname-pid)")
-		workers = fs.Int("workers", 0, "per-job trial worker pool size (0 = GOMAXPROCS)")
+		workers = fs.Int("workers", 0, "goroutines a lease's trials run on (0 = GOMAXPROCS, 1 = serial; same bytes either way)")
 		poll    = fs.Duration("poll", 200*time.Millisecond, "idle delay between polls while the coordinator has no work")
 		quiet   = fs.Bool("q", false, "suppress per-job progress output")
 	)
@@ -74,7 +75,7 @@ func run(args []string) (err error) {
 	}
 
 	// First signal: graceful drain (finish and submit the in-flight
-	// trial, then exit). Second signal: hard cancel.
+	// lease, then exit). Second signal: hard cancel.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sigc := make(chan os.Signal, 2)
@@ -82,7 +83,7 @@ func run(args []string) (err error) {
 	defer signal.Stop(sigc)
 	go func() {
 		<-sigc
-		fmt.Fprintln(os.Stderr, "bgpwork: draining — finishing in-flight trial (signal again to abort)")
+		fmt.Fprintln(os.Stderr, "bgpwork: draining — finishing in-flight lease (signal again to abort)")
 		w.Drain()
 		<-sigc
 		cancel()

@@ -7,9 +7,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-
-	"bgpsim/internal/churn"
-	"bgpsim/internal/experiment"
 )
 
 // checkpointSchema identifies the on-disk format: sweep results at trial
@@ -38,24 +35,13 @@ type sweepCheckpoint struct {
 	// key is its hash).
 	Desc SweepDesc `json:"desc"`
 	// Done lists completed trial jobs in completion order.
-	Done []doneJob `json:"done"`
+	Done []JobResult `json:"done"`
 }
 
 // churnCheckpoint is one churn run's completed trials.
 type churnCheckpoint struct {
-	Desc ChurnDesc `json:"desc"`
-	Done []doneJob `json:"done"`
-}
-
-// doneJob is one completed trial job's recorded payload: Results (one
-// entry) for sweep trial jobs, Trial for churn trials.
-type doneJob struct {
-	// ID is the trial job index (Job.ID).
-	ID int `json:"id"`
-	// Results holds the sweep trial's result as a one-entry slice.
-	Results []experiment.Result `json:"results,omitempty"`
-	// Trial holds a churn trial's window stream.
-	Trial *churn.TrialResult `json:"trial,omitempty"`
+	Desc ChurnDesc   `json:"desc"`
+	Done []JobResult `json:"done"`
 }
 
 // loadCheckpoint reads path; a missing file is an empty checkpoint, a
@@ -113,17 +99,17 @@ func (ck *checkpointFile) save(path string) error {
 }
 
 // record appends a completed sweep trial job under the sweep key.
-func (ck *checkpointFile) record(key string, desc SweepDesc, jobID int, results []experiment.Result) {
+func (ck *checkpointFile) record(key string, desc SweepDesc, r JobResult) {
 	sc := ck.Sweeps[key]
 	if sc == nil {
 		sc = &sweepCheckpoint{Desc: desc}
 		ck.Sweeps[key] = sc
 	}
-	sc.Done = append(sc.Done, doneJob{ID: jobID, Results: results})
+	sc.Done = append(sc.Done, r)
 }
 
 // recordChurn appends a completed churn trial under the run key.
-func (ck *checkpointFile) recordChurn(key string, desc ChurnDesc, jobID int, trial *churn.TrialResult) {
+func (ck *checkpointFile) recordChurn(key string, desc ChurnDesc, r JobResult) {
 	if ck.Churn == nil {
 		ck.Churn = map[string]*churnCheckpoint{}
 	}
@@ -132,5 +118,5 @@ func (ck *checkpointFile) recordChurn(key string, desc ChurnDesc, jobID int, tri
 		cc = &churnCheckpoint{Desc: desc}
 		ck.Churn[key] = cc
 	}
-	cc.Done = append(cc.Done, doneJob{ID: jobID, Trial: trial})
+	cc.Done = append(cc.Done, r)
 }

@@ -134,8 +134,8 @@ func TestDistributedChurnResumesAcrossRestart(t *testing.T) {
 	if !ok {
 		t.Fatal("no churn job leased")
 	}
-	if l.Churn == nil || l.Desc != nil {
-		t.Fatalf("churn lease carries desc=%v churn=%v, want churn only", l.Desc, l.Churn)
+	if l.Churn == nil || l.Desc != nil || l.Count != 1 {
+		t.Fatalf("churn lease carries desc=%v churn=%v count=%d, want churn only, one trial", l.Desc, l.Churn, l.Count)
 	}
 	tr, err := churn.NewRunner().RunTrial(context.Background(), l.Churn.Scenario, l.Job.Trial, nil)
 	if err != nil {
@@ -143,7 +143,7 @@ func TestDistributedChurnResumesAcrossRestart(t *testing.T) {
 	}
 	var ack CompleteResponse
 	code := postJSON(t, hA, "/v1/complete", CompleteRequest{
-		Worker: "w", SweepID: l.SweepID, JobID: l.Job.ID, Lease: l.Lease, TrialResult: &tr,
+		Worker: "w", SweepID: l.SweepID, Lease: l.Lease, Jobs: []JobResult{{ID: l.Job.ID, Trial: &tr}},
 	}, &ack)
 	if code != 200 || ack.Status != StatusOK {
 		t.Fatalf("churn completion = (%d, %q)", code, ack.Status)
@@ -185,8 +185,8 @@ func TestDistributedChurnResumesAcrossRestart(t *testing.T) {
 }
 
 // TestWorkerDrainFinishesInFlightTrial pins the graceful-drain contract:
-// Drain called while a job is executing lets the job finish and submit,
-// then the worker exits cleanly without leasing more work.
+// Drain called while a lease is executing lets all of its jobs finish and
+// submit, then the worker exits cleanly without leasing more work.
 func TestWorkerDrainFinishesInFlightTrial(t *testing.T) {
 	coord, err := NewCoordinator(CoordinatorConfig{})
 	if err != nil {
@@ -203,30 +203,34 @@ func TestWorkerDrainFinishesInFlightTrial(t *testing.T) {
 	}()
 
 	w := &Worker{Base: srv.URL, ID: "draining", PollInterval: time.Millisecond}
-	w.Runner = func(_ context.Context, _ SweepDesc, job Job) ([]experiment.Result, error) {
-		w.Drain() // SIGTERM arrives mid-trial
-		return trialResults(job.ID), nil
+	w.Runner = func(_ context.Context, _ SweepDesc, job Job, n int) ([]experiment.Result, error) {
+		w.Drain() // SIGTERM arrives mid-lease
+		var rs []experiment.Result
+		for id := job.ID; id < job.ID+n; id++ {
+			rs = append(rs, trialResult(id).Results...)
+		}
+		return rs, nil
 	}
 	if err := w.Work(ctx); err != nil {
 		t.Fatalf("drained Work = %v, want nil", err)
 	}
 	st := coord.Stats()
-	if st.Done != 1 {
-		t.Errorf("Done = %d after drain, want 1 (the in-flight trial submitted)", st.Done)
+	if st.Done != 2 {
+		t.Errorf("Done = %d after drain, want 2 (the in-flight lease's cell submitted)", st.Done)
 	}
-	if st.Dispatched != 1 {
-		t.Errorf("Dispatched = %d after drain, want 1 (no further leases)", st.Dispatched)
+	if st.Dispatched != 2 {
+		t.Errorf("Dispatched = %d after drain, want 2 (no further leases)", st.Dispatched)
 	}
 
 	// The remaining jobs are still completable by another worker.
 	h := coord.Handler()
-	for i := 0; i < 11; i++ {
+	for i := 0; i < 5; i++ {
 		l, ok := tryLease(h, "w2")
 		if !ok {
 			t.Fatal("remaining job not leased")
 		}
-		if st := completeJob(t, h, l, trialResults(l.Job.ID)); st != StatusOK {
-			t.Fatalf("complete job %d ack = %q", l.Job.ID, st)
+		if st := completeJob(t, h, l, leaseResults(l)); st != StatusOK {
+			t.Fatalf("complete jobs from %d ack = %q", l.Job.ID, st)
 		}
 	}
 	if r := <-out; r.err != nil {

@@ -20,8 +20,8 @@ import (
 // CoordinatorConfig tunes a Coordinator. The zero value works: 30s
 // leases, no checkpoint, wall clock, silent log.
 type CoordinatorConfig struct {
-	// LeaseTTL is how long a worker holds a job before it may be
-	// reassigned; it should comfortably exceed the slowest trial
+	// LeaseTTL is how long a worker holds a lease before its jobs may be
+	// reassigned; it should comfortably exceed the slowest cell's trials
 	// (default 30s — paper-scale trials run in seconds).
 	LeaseTTL time.Duration
 	// CheckpointPath, when set, persists completed trial jobs after
@@ -36,8 +36,8 @@ type CoordinatorConfig struct {
 }
 
 // Coordinator owns the server half of the protocol: it turns sweeps and
-// churn programs into trial-job tables, leases jobs to workers over
-// HTTP, verifies and records completions, and merges results into
+// churn programs into trial-job tables, leases a cell's jobs at a time
+// to workers over HTTP, verifies and records completions, and merges results into
 // figures or churn streams. One run is active at a time (the service
 // layer serializes submissions); workers polling between runs are told
 // to wait. All state is guarded by one mutex — request handlers do
@@ -75,11 +75,21 @@ type activeRun struct {
 	desc     SweepDesc              // sweep runs
 	cfg      experiment.SweepConfig // sweep runs
 	cdesc    *ChurnDesc             // churn runs
+	fits     func(JobResult) bool   // whether a payload is one result of this run's kind
 	table    *leaseTable
 	total    int
 	resumed  int
 	err      error
 	finished chan struct{} // closed once (all jobs done) or err is set
+}
+
+// sweepResult is activeRun.fits for sweeps: one trial result.
+func sweepResult(r JobResult) bool { return len(r.Results) == 1 && r.Trial == nil }
+
+// churnResult is activeRun.fits for churn runs: the window stream of
+// the trial the job names.
+func churnResult(r JobResult) bool {
+	return r.Trial != nil && len(r.Results) == 0 && r.Trial.Trial == r.ID
 }
 
 // NewCoordinator builds a coordinator, loading the checkpoint file if
@@ -111,11 +121,15 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// install registers run as the active run, preloading checkpointed
-// trial jobs via restore (which maps a doneJob to a payload, or returns
-// false to drop the entry). Caller must not hold c.mu.
-func (c *Coordinator) install(run *activeRun, done []doneJob, restore func(doneJob) (jobPayload, bool)) error {
-	run.table = newLeaseTable(run.total, c.leaseTTL, c.now)
+// install registers run as the active run, preloading the checkpointed
+// trial jobs done that fit it. A lease covers at most one cell: a sweep's
+// trials per cell, or one churn trial. Caller must not hold c.mu.
+func (c *Coordinator) install(run *activeRun, done []JobResult) error {
+	cell := 1
+	if run.cdesc == nil {
+		cell = run.desc.Grid.Trials
+	}
+	run.table = newLeaseTable(run.total, cell, c.leaseTTL, c.now)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.shutdown {
@@ -130,15 +144,11 @@ func (c *Coordinator) install(run *activeRun, done []doneJob, restore func(doneJ
 	// previous coordinator life. Entries that don't fit (corrupt or
 	// hand-edited checkpoint) are dropped rather than trusted.
 	for _, d := range done {
-		payload, ok := jobPayload{}, false
-		if d.ID >= 0 && d.ID < run.total {
-			payload, ok = restore(d)
-		}
-		if !ok {
+		if d.ID < 0 || d.ID >= run.total || !run.fits(d) {
 			c.log.Printf("dist: checkpoint entry for job %d ignored", d.ID)
 			continue
 		}
-		run.table.markDone(d.ID, payload)
+		run.table.record(d)
 	}
 	run.resumed = run.table.done
 	if run.resumed > 0 {
@@ -192,19 +202,15 @@ func (c *Coordinator) RunSweep(ctx context.Context, expID string, sweepIndex int
 		desc:     desc,
 		key:      desc.Key(),
 		cfg:      cfg,
+		fits:     sweepResult,
 		total:    desc.Grid.Series * desc.Grid.Xs * desc.Grid.Trials,
 		finished: make(chan struct{}),
 	}
-	var done []doneJob
+	var done []JobResult
 	if sc := c.ckpt.Sweeps[run.key]; sc != nil {
 		done = sc.Done
 	}
-	if err := c.install(run, done, func(d doneJob) (jobPayload, bool) {
-		if len(d.Results) != 1 || d.Trial != nil {
-			return jobPayload{}, false
-		}
-		return jobPayload{results: d.Results}, true
-	}); err != nil {
+	if err := c.install(run, done); err != nil {
 		return experiment.Figure{}, err
 	}
 	if run.resumed > 0 && cfg.Progress != nil {
@@ -219,7 +225,7 @@ func (c *Coordinator) RunSweep(ctx context.Context, expID string, sweepIndex int
 	trials := cfg.Trials
 	perCell := make([][]experiment.Result, desc.Grid.Series*desc.Grid.Xs)
 	for i := range run.table.jobs {
-		perCell[i/trials] = append(perCell[i/trials], run.table.jobs[i].payload.results...)
+		perCell[i/trials] = append(perCell[i/trials], run.table.jobs[i].result.Results...)
 	}
 	return experiment.AssembleFigure(cfg, perCell)
 }
@@ -240,19 +246,15 @@ func (c *Coordinator) RunChurn(ctx context.Context, desc ChurnDesc) (churn.RunRe
 	run := &activeRun{
 		key:      desc.Key(),
 		cdesc:    &desc,
+		fits:     churnResult,
 		total:    desc.Trials,
 		finished: make(chan struct{}),
 	}
-	var done []doneJob
+	var done []JobResult
 	if cc := c.ckpt.Churn[run.key]; cc != nil {
 		done = cc.Done
 	}
-	if err := c.install(run, done, func(d doneJob) (jobPayload, bool) {
-		if d.Trial == nil || len(d.Results) != 0 || d.Trial.Trial != d.ID {
-			return jobPayload{}, false
-		}
-		return jobPayload{trial: d.Trial}, true
-	}); err != nil {
+	if err := c.install(run, done); err != nil {
 		return churn.RunResult{}, err
 	}
 	if err := c.waitAndDetach(ctx, run); err != nil {
@@ -260,7 +262,7 @@ func (c *Coordinator) RunChurn(ctx context.Context, desc ChurnDesc) (churn.RunRe
 	}
 	rr := churn.RunResult{Scenario: desc.Scenario, Trials: make([]churn.TrialResult, run.total)}
 	for i := range run.table.jobs {
-		rr.Trials[i] = *run.table.jobs[i].payload.trial
+		rr.Trials[i] = *run.table.jobs[i].result.Trial
 	}
 	return rr, nil
 }
@@ -330,26 +332,25 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	case c.cur == nil || c.cur.err != nil:
 		// Idle, or a failing run draining: nothing to hand out.
 	default:
-		if jobID, lease, ok := c.cur.table.acquire(req.Worker); ok {
-			c.dispatched++
-			entry := &c.cur.table.jobs[jobID]
-			if entry.attempts > 1 {
-				c.log.Printf("dist: run %d: job %d reassigned to %s (attempt %d)", c.cur.id, jobID, req.Worker, entry.attempts)
+		if g, ok := c.cur.table.acquire(); ok {
+			c.dispatched += int64(g.n)
+			if g.reassigned {
+				c.log.Printf("dist: run %d: jobs %d-%d reassigned to %s", c.cur.id, g.first, g.first+g.n-1, req.Worker)
 			}
-			resp = LeaseResponse{Status: StatusJob, SweepID: c.cur.id, Lease: lease}
+			resp = LeaseResponse{Status: StatusJob, SweepID: c.cur.id, Count: g.n, Lease: g.lease}
 			if c.cur.cdesc != nil {
 				cd := *c.cur.cdesc
 				resp.Churn = &cd
-				resp.Job = Job{ID: jobID, Trial: jobID}
+				resp.Job = Job{ID: g.first, Trial: g.first}
 			} else {
 				desc := c.cur.desc
 				resp.Desc = &desc
-				cell := jobID / desc.Grid.Trials
+				cell := g.first / desc.Grid.Trials
 				resp.Job = Job{
-					ID:     jobID,
+					ID:     g.first,
 					Series: cell / desc.Grid.Xs,
 					X:      cell % desc.Grid.Xs,
-					Trial:  jobID % desc.Grid.Trials,
+					Trial:  g.first % desc.Grid.Trials,
 				}
 			}
 		}
@@ -358,7 +359,9 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	reply(w, resp)
 }
 
-// handleComplete records a worker's finished (or failed) job.
+// handleComplete records a worker's finished (or failed) lease. A batch
+// is taken whole or refused whole (409, nothing recorded); only a
+// payload that diverges from a recorded one also fails the run.
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
 	if !decode(w, r, &req) {
@@ -367,7 +370,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	run := c.cur
 	if run == nil || req.SweepID != run.id {
-		// A straggler finishing a job of a run that already ended: its
+		// A straggler finishing a lease of a run that already ended: its
 		// results merged from another worker (or the run was
 		// abandoned). Acknowledge and drop.
 		c.mu.Unlock()
@@ -375,38 +378,27 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Error != "" {
-		c.failLocked(run, fmt.Errorf("dist: worker %s: job %d: %s", req.Worker, req.JobID, req.Error))
+		c.failLocked(run, fmt.Errorf("dist: worker %s: lease %d: %s", req.Worker, req.Lease, req.Error))
 		c.mu.Unlock()
 		reply(w, CompleteResponse{Status: StatusOK})
 		return
 	}
-	var payload jobPayload
-	if run.cdesc != nil {
-		if req.TrialResult == nil || len(req.Results) != 0 {
-			c.mu.Unlock()
-			http.Error(w, fmt.Sprintf("dist: churn job %d: completion must carry exactly a trial result", req.JobID), http.StatusConflict)
-			return
+	if err := run.table.check(req.Jobs, run.fits); err != nil {
+		if errors.Is(err, errDiverged) {
+			// Divergent duplicate results poison the merge: fail the
+			// run loudly rather than emit a figure of unknowable
+			// provenance.
+			c.failLocked(run, err)
 		}
-		payload = jobPayload{trial: req.TrialResult}
-	} else {
-		if len(req.Results) != 1 || req.TrialResult != nil {
-			c.mu.Unlock()
-			http.Error(w, fmt.Sprintf("dist: job %d: %d trial results, want exactly 1", req.JobID, len(req.Results)), http.StatusConflict)
-			return
-		}
-		payload = jobPayload{results: req.Results}
-	}
-	outcome, err := run.table.complete(req.JobID, req.Lease, payload)
-	if err != nil {
-		// Divergent duplicate results poison the merge: fail the run
-		// loudly rather than emit a figure of unknowable provenance.
-		c.failLocked(run, err)
 		c.mu.Unlock()
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
 	status := StatusDuplicate
-	if outcome == completedNew {
+	for _, res := range req.Jobs {
+		if !run.table.record(res) {
+			continue
+		}
 		status = StatusOK
 		if run.cdesc == nil && run.cfg.Progress != nil {
 			// The Progress contract (serialized, strictly monotonic)
@@ -415,17 +407,21 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			// per newly completed trial job.
 			run.cfg.Progress(run.table.done, run.total)
 		}
+		switch {
+		case c.ckptPath == "":
+		case run.cdesc != nil:
+			c.ckpt.recordChurn(run.key, *run.cdesc, res)
+		default:
+			c.ckpt.record(run.key, run.desc, res)
+		}
+	}
+	if status == StatusOK {
 		if c.ckptPath != "" {
-			if run.cdesc != nil {
-				c.ckpt.recordChurn(run.key, *run.cdesc, req.JobID, req.TrialResult)
-			} else {
-				c.ckpt.record(run.key, run.desc, req.JobID, req.Results)
-			}
 			if err := c.ckpt.save(c.ckptPath); err != nil {
 				c.log.Printf("dist: %v (continuing without checkpoint)", err)
 			}
 		}
-		if run.table.remaining() == 0 {
+		if run.table.remaining() == 0 && run.err == nil {
 			close(run.finished)
 		}
 	}

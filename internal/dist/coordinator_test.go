@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"bgpsim/internal/churn"
 	"bgpsim/internal/experiment"
 )
 
@@ -46,15 +47,24 @@ func postJSON(t *testing.T, h http.Handler, path string, req, resp any) int {
 	return w.Code
 }
 
-// trialResults is the one-entry completion payload for trial job jobID
-// in the testSweepCfg grid (2 trials per cell), consistent with a local
+// trialResult is the completion payload for trial job jobID in the
+// testSweepCfg grid (2 trials per cell), consistent with a local
 // assembly of fakeResults(cell, 2) per cell.
-func trialResults(jobID int) []experiment.Result {
-	return []experiment.Result{fakeResults(jobID/2, 2)[jobID%2]}
+func trialResult(jobID int) JobResult {
+	return JobResult{ID: jobID, Results: fakeResults(jobID/2, 2)[jobID%2 : jobID%2+1]}
 }
 
-// leaseJob polls until the active sweep hands out a job (RunSweep runs in
-// a goroutine, so the first polls may race its registration).
+// leaseResults is the correct completion batch for every job of l.
+func leaseResults(l LeaseResponse) []JobResult {
+	var batch []JobResult
+	for id := l.Job.ID; id < l.Job.ID+l.Count; id++ {
+		batch = append(batch, trialResult(id))
+	}
+	return batch
+}
+
+// leaseJob polls until the active sweep hands out a lease (RunSweep runs
+// in a goroutine, so the first polls may race its registration).
 func leaseJob(t *testing.T, h http.Handler, worker string) LeaseResponse {
 	t.Helper()
 	for i := 0; i < 5000; i++ {
@@ -71,15 +81,15 @@ func leaseJob(t *testing.T, h http.Handler, worker string) LeaseResponse {
 	return LeaseResponse{}
 }
 
-// completeJob submits results for a leased job and returns the ack status.
-func completeJob(t *testing.T, h http.Handler, l LeaseResponse, results []experiment.Result) string {
+// completeJob submits batch under lease l and returns the ack status.
+func completeJob(t *testing.T, h http.Handler, l LeaseResponse, batch []JobResult) string {
 	t.Helper()
 	var ack CompleteResponse
 	code := postJSON(t, h, "/v1/complete", CompleteRequest{
-		Worker: "w", SweepID: l.SweepID, JobID: l.Job.ID, Lease: l.Lease, Results: results,
+		Worker: "w", SweepID: l.SweepID, Lease: l.Lease, Jobs: batch,
 	}, &ack)
 	if code != http.StatusOK {
-		t.Fatalf("complete job %d: HTTP %d", l.Job.ID, code)
+		t.Fatalf("complete jobs from %d: HTTP %d", l.Job.ID, code)
 	}
 	return ack.Status
 }
@@ -119,22 +129,19 @@ func TestOutOfOrderCompletionsYieldMonotonicProgress(t *testing.T) {
 		out <- sweepOut{fig, err}
 	}()
 	h := coord.Handler()
-	leases := make([]LeaseResponse, 12)
-	for i := range leases {
-		leases[i] = leaseJob(t, h, "w")
-		if leases[i].Job.ID != i {
-			t.Fatalf("lease %d handed out job %d", i, leases[i].Job.ID)
-		}
-		// Trial-granularity addressing: job i is trial i%2 of cell i/2.
-		want := Job{ID: i, Series: (i / 2) / 3, X: (i / 2) % 3, Trial: i % 2}
-		if leases[i].Job != want {
-			t.Fatalf("lease %d job = %+v, want %+v", i, leases[i].Job, want)
+	leases := make([]LeaseResponse, 6)
+	for c := range leases {
+		leases[c] = leaseJob(t, h, "w")
+		// A lease is cell c's two trials: jobs 2c and 2c+1.
+		want := Job{ID: 2 * c, Series: c / 3, X: c % 3, Trial: 0}
+		if leases[c].Job != want || leases[c].Count != 2 {
+			t.Fatalf("lease %d = %+v × %d, want %+v × 2", c, leases[c].Job, leases[c].Count, want)
 		}
 	}
 	// Workers report completions in exactly reverse dispatch order.
-	for i := 11; i >= 0; i-- {
-		if st := completeJob(t, h, leases[i], trialResults(leases[i].Job.ID)); st != StatusOK {
-			t.Fatalf("complete job %d ack = %q", leases[i].Job.ID, st)
+	for c := 5; c >= 0; c-- {
+		if st := completeJob(t, h, leases[c], leaseResults(leases[c])); st != StatusOK {
+			t.Fatalf("complete cell %d ack = %q", c, st)
 		}
 	}
 	r := <-out
@@ -168,25 +175,32 @@ func TestDuplicateCompletionAcknowledgedNotDoubleCounted(t *testing.T) {
 	}()
 	h := coord.Handler()
 	l := leaseJob(t, h, "w")
-	if st := completeJob(t, h, l, trialResults(l.Job.ID)); st != StatusOK {
+	if st := completeJob(t, h, l, leaseResults(l)); st != StatusOK {
 		t.Fatalf("first completion ack = %q", st)
 	}
-	if st := completeJob(t, h, l, trialResults(l.Job.ID)); st != StatusDuplicate {
+	if st := completeJob(t, h, l, leaseResults(l)); st != StatusDuplicate {
 		t.Fatalf("identical duplicate ack = %q, want %q", st, StatusDuplicate)
 	}
-	if st := coord.Stats(); st.Done != 1 {
-		t.Errorf("Stats().Done = %d after duplicate, want 1", st.Done)
+	if st := coord.Stats(); st.Done != 2 {
+		t.Errorf("Stats().Done = %d after duplicate, want 2", st.Done)
 	}
-	if calls := prog.snapshot(); len(calls) != 1 {
-		t.Errorf("Progress called %d times after duplicate, want 1", len(calls))
+	if calls := prog.snapshot(); len(calls) != 2 {
+		t.Errorf("Progress called %d times after duplicate, want 2", len(calls))
 	}
 
-	// A divergent duplicate is a determinism violation: 409, sweep fails.
+	// One divergent payload in a batch is a determinism violation: 409,
+	// sweep fails, and the batch's new job is not recorded.
+	next := leaseJob(t, h, "w")
+	batch := append(leaseResults(l)[:1], JobResult{ID: 1, Results: fakeResults(99, 1)})
+	batch = append(batch, leaseResults(next)...)
 	code := postJSON(t, h, "/v1/complete", CompleteRequest{
-		Worker: "w", SweepID: l.SweepID, JobID: l.Job.ID, Lease: l.Lease, Results: fakeResults(99, 1),
+		Worker: "w", SweepID: l.SweepID, Lease: next.Lease, Jobs: batch,
 	}, nil)
 	if code != http.StatusConflict {
 		t.Fatalf("divergent duplicate: HTTP %d, want 409", code)
+	}
+	if st := coord.Stats(); st.Active && st.Done != 2 {
+		t.Errorf("Stats().Done = %d after the divergent batch, want 2", st.Done)
 	}
 	if r := <-out; r.err == nil {
 		t.Fatal("sweep succeeded despite divergent results")
@@ -195,10 +209,92 @@ func TestDuplicateCompletionAcknowledgedNotDoubleCounted(t *testing.T) {
 	// Stragglers of the dead sweep are acknowledged and dropped.
 	var ack CompleteResponse
 	code = postJSON(t, h, "/v1/complete", CompleteRequest{
-		Worker: "w", SweepID: l.SweepID, JobID: 3, Lease: 42, Results: trialResults(3),
+		Worker: "w", SweepID: l.SweepID, Lease: 42, Jobs: []JobResult{trialResult(3)},
 	}, &ack)
 	if code != http.StatusOK || ack.Status != StatusDuplicate {
 		t.Errorf("stale-sweep completion = (%d, %q), want (200, duplicate)", code, ack.Status)
+	}
+}
+
+// TestLeaseBatchesOnFakeClock drives a sweep's cell leases through the
+// handler on a fake clock: a worker dies holding a two-job lease; a
+// batch naming a job outside the table or never leased is refused whole
+// without failing the run; after the TTL exactly the dead worker's jobs
+// are reassigned; its late batch is a duplicate; and Dispatched counts
+// trial jobs, reassignments included.
+func TestLeaseBatchesOnFakeClock(t *testing.T) {
+	clk := newFakeClock()
+	coord, err := NewCoordinator(CoordinatorConfig{LeaseTTL: 10 * time.Second, Clock: clk.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan sweepOut, 1)
+	go func() {
+		fig, err := coord.RunSweep(context.Background(), "test", 0, Options{}, testSweepCfg(nil))
+		out <- sweepOut{fig, err}
+	}()
+	h := coord.Handler()
+	doomed := leaseJob(t, h, "doomed")
+	if doomed.Job.ID != 0 || doomed.Count != 2 {
+		t.Fatalf("first lease = job %d × %d, want job 0 × 2", doomed.Job.ID, doomed.Count)
+	}
+
+	for name, batch := range map[string][]JobResult{
+		"never leased":        {trialResult(0), trialResult(2)},
+		"outside the table":   {trialResult(1), {ID: 12, Results: fakeResults(6, 1)}},
+		"named twice":         {trialResult(0), trialResult(0)},
+		"churn payload":       {{ID: 0, Trial: &churn.TrialResult{}}},
+		"no job and no error": nil,
+	} {
+		code := postJSON(t, h, "/v1/complete", CompleteRequest{Worker: "doomed", SweepID: doomed.SweepID, Lease: doomed.Lease, Jobs: batch}, nil)
+		if code != http.StatusConflict {
+			t.Errorf("%s: HTTP %d, want 409", name, code)
+		}
+		if st := coord.Stats(); !st.Active || st.Done != 0 {
+			t.Fatalf("%s: Stats = %+v, want the run active with nothing recorded", name, st)
+		}
+	}
+
+	// Another worker takes every other cell, finishing all but the last.
+	var last LeaseResponse
+	for c := 1; c < 6; c++ {
+		l := leaseJob(t, h, "w")
+		if l.Job.ID != 2*c || l.Count != 2 {
+			t.Fatalf("lease = job %d × %d, want job %d × 2", l.Job.ID, l.Count, 2*c)
+		}
+		if c == 5 {
+			last = l
+			break
+		}
+		if st := completeJob(t, h, l, leaseResults(l)); st != StatusOK {
+			t.Fatalf("cell %d ack = %q", c, st)
+		}
+	}
+	var idle LeaseResponse
+	if postJSON(t, h, "/v1/lease", LeaseRequest{Worker: "w"}, &idle); idle.Status != StatusWait {
+		t.Fatalf("lease with every job validly held = %q, want wait", idle.Status)
+	}
+
+	clk.advance(10*time.Second + time.Nanosecond)
+	survivor := leaseJob(t, h, "survivor")
+	if survivor.Job != doomed.Job || survivor.Count != 2 || survivor.Lease == doomed.Lease {
+		t.Fatalf("reassignment = job %+v × %d lease %d, want the dead worker's job %+v × 2 under a new lease",
+			survivor.Job, survivor.Count, survivor.Lease, doomed.Job)
+	}
+	if st := completeJob(t, h, survivor, leaseResults(survivor)); st != StatusOK {
+		t.Fatalf("survivor ack = %q", st)
+	}
+	if st := completeJob(t, h, doomed, leaseResults(doomed)); st != StatusDuplicate {
+		t.Fatalf("dead worker's late batch ack = %q, want %q", st, StatusDuplicate)
+	}
+	if st := coord.Stats(); st.Done != 10 || st.Dispatched != 14 {
+		t.Errorf("Stats = %+v, want done=10 and dispatched=14 (12 jobs + 2 reassigned)", st)
+	}
+	if st := completeJob(t, h, last, leaseResults(last)); st != StatusOK {
+		t.Fatalf("last cell ack = %q", st)
+	}
+	if r := <-out; r.err != nil {
+		t.Fatal(r.err)
 	}
 }
 
@@ -215,7 +311,7 @@ func TestWorkerReportedJobErrorFailsSweep(t *testing.T) {
 	h := coord.Handler()
 	l := leaseJob(t, h, "w")
 	code := postJSON(t, h, "/v1/complete", CompleteRequest{
-		Worker: "w", SweepID: l.SweepID, JobID: l.Job.ID, Lease: l.Lease, Error: "boom",
+		Worker: "w", SweepID: l.SweepID, Lease: l.Lease, Error: "boom",
 	}, nil)
 	if code != http.StatusOK {
 		t.Fatalf("error report: HTTP %d", code)
@@ -242,11 +338,13 @@ func TestCheckpointResumeSkipsCompletedCells(t *testing.T) {
 	}()
 	hA := coordA.Handler()
 	completed := map[int]bool{}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 3; i++ {
 		l := leaseJob(t, hA, "w")
-		completed[l.Job.ID] = true
-		if st := completeJob(t, hA, l, trialResults(l.Job.ID)); st != StatusOK {
-			t.Fatalf("complete job %d ack = %q", l.Job.ID, st)
+		for _, r := range leaseResults(l) {
+			completed[r.ID] = true
+		}
+		if st := completeJob(t, hA, l, leaseResults(l)); st != StatusOK {
+			t.Fatalf("complete jobs from %d ack = %q", l.Job.ID, st)
 		}
 	}
 	cancelA()
@@ -270,10 +368,12 @@ func TestCheckpointResumeSkipsCompletedCells(t *testing.T) {
 	}()
 	hB := coordB.Handler()
 	var leases []LeaseResponse
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 3; i++ {
 		l := leaseJob(t, hB, "w")
-		if completed[l.Job.ID] {
-			t.Fatalf("checkpointed job %d re-dispatched", l.Job.ID)
+		for _, r := range leaseResults(l) {
+			if completed[r.ID] {
+				t.Fatalf("checkpointed job %d re-dispatched", r.ID)
+			}
 		}
 		leases = append(leases, l)
 	}
@@ -287,8 +387,8 @@ func TestCheckpointResumeSkipsCompletedCells(t *testing.T) {
 		t.Fatalf("extra lease after full dispatch = %q, want wait", idle.Status)
 	}
 	for _, l := range leases {
-		if st := completeJob(t, hB, l, trialResults(l.Job.ID)); st != StatusOK {
-			t.Fatalf("complete job %d ack = %q", l.Job.ID, st)
+		if st := completeJob(t, hB, l, leaseResults(l)); st != StatusOK {
+			t.Fatalf("complete jobs from %d ack = %q", l.Job.ID, st)
 		}
 	}
 	r := <-outB

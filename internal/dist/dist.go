@@ -1,8 +1,9 @@
 // Package dist distributes simulation work across machines: a
 // coordinator decomposes runs into trial-granularity jobs (one job per
-// trial of one (series, x) cell, or one churn trial) and serves them
-// over an HTTP/JSON protocol; workers pull jobs, run them through the
-// ordinary experiment/churn machinery, and push back results. A service
+// trial of one (series, x) cell, or one churn trial) and leases them
+// over an HTTP/JSON protocol, a run of one cell's jobs per lease; workers
+// pull leases, run them through the ordinary experiment/churn machinery,
+// and push back one result per job. A service
 // layer (service.go) promotes the coordinator to a long-running server
 // accepting figure and churn submissions from many concurrent clients.
 //
@@ -26,7 +27,7 @@
 // # Robustness
 //
 // Jobs are leased, not handed out: a lease expires if the worker dies
-// mid-job and the job is reassigned (lease.go). Result submission is
+// mid-lease and the jobs it still holds are reassigned (lease.go). Result submission is
 // idempotent — duplicate completions for a job are verified identical
 // against the recorded results, never double-counted; a mismatch is a
 // determinism violation and fails the run loudly. Workers retry
@@ -55,12 +56,15 @@ import (
 // added churn runs. v3 dropped two fields of the options and of churn
 // scenarios that selected an engine which no longer exists (DESIGN.md
 // §7): a v3 worker would run such a v2 job on one event loop and submit
-// bytes of another determinism class, so it refuses v2 instead.
-const ProtocolVersion = "bgpsim/dist/v3"
+// bytes of another determinism class, so it refuses v2 instead. v4
+// keeps trial jobs but leases a run of one cell's jobs at once
+// (LeaseResponse.Count) and completes them in one request
+// (CompleteRequest.Jobs); a v3 worker would run only the first.
+const ProtocolVersion = "bgpsim/dist/v4"
 
 // Lease response statuses.
 const (
-	// StatusJob means the response carries a leased job.
+	// StatusJob means the response carries leased jobs.
 	StatusJob = "job"
 	// StatusWait means no job is available right now; poll again.
 	StatusWait = "wait"
@@ -69,8 +73,8 @@ const (
 	StatusShutdown = "shutdown"
 	// StatusOK acknowledges a completion.
 	StatusOK = "ok"
-	// StatusDuplicate acknowledges a completion for an already-complete
-	// job whose results matched the recorded ones.
+	// StatusDuplicate acknowledges a completion whose jobs were all
+	// complete already, with results that matched the recorded ones.
 	StatusDuplicate = "duplicate"
 )
 
@@ -177,9 +181,9 @@ func (d SweepDesc) Key() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Job is one leased unit of work: a single trial. For sweep runs it is
-// trial Trial of cell (Series, X); for churn runs Series and X are zero
-// and Trial is the churn trial index.
+// Job addresses one trial job. For sweep runs it is trial Trial of cell
+// (Series, X); for churn runs Series and X are zero and Trial is the
+// churn trial index.
 type Job struct {
 	// ID is the trial-granularity job index: (si*Grid.Xs + xi)*Grid.Trials
 	// + trial for sweeps, the trial index for churn runs.
@@ -217,46 +221,59 @@ func (d ChurnDesc) Key() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// LeaseRequest asks the coordinator for a job.
+// LeaseRequest asks the coordinator for work.
 type LeaseRequest struct {
-	// Worker identifies the requester (diagnostics and lease records).
+	// Worker identifies the requester (diagnostics).
 	Worker string `json:"worker"`
 }
 
-// LeaseResponse answers a lease request.
+// LeaseResponse answers a lease request. Its first field is Status, so
+// the head of the body tells a grant from a wait poll.
 type LeaseResponse struct {
 	// Status is StatusJob, StatusWait, or StatusShutdown.
 	Status string `json:"status"`
 	// SweepID identifies the active run; completions must echo it.
 	SweepID int64 `json:"sweep_id,omitempty"`
-	// Desc describes the sweep the job belongs to (set with StatusJob
+	// Desc describes the sweep the jobs belong to (set with StatusJob
 	// for sweep jobs).
 	Desc *SweepDesc `json:"desc,omitempty"`
 	// Churn describes the churn run the job belongs to (set with
 	// StatusJob for churn jobs; exactly one of Desc/Churn is set).
 	Churn *ChurnDesc `json:"churn,omitempty"`
-	// Job is the leased trial (set with StatusJob).
+	// Job is the first leased trial (set with StatusJob).
 	Job Job `json:"job,omitempty"`
+	// Count is the number of leased trials: jobs Job.ID … Job.ID+Count−1,
+	// which are trials Job.Trial … Job.Trial+Count−1 of Job's cell. A
+	// lease never crosses a cell, so a churn lease is one trial.
+	Count int `json:"count,omitempty"`
 	// Lease is the lease token; completions must echo it.
 	Lease int64 `json:"lease,omitempty"`
 }
 
-// CompleteRequest submits a finished job's results (or its failure).
+// JobResult is one trial job's payload: Results (a sweep trial's result
+// as a one-entry slice) or Trial (a churn trial's window stream), never
+// both. Result fields are integers (durations in nanoseconds), so the
+// JSON round trip is exact and coordinator-side aggregation is bit-equal
+// to local. The checkpoint stores these entries as completions carry
+// them.
+type JobResult struct {
+	// ID is the trial job index (Job.ID).
+	ID int `json:"id"`
+	// Results holds the sweep trial's result.
+	Results []experiment.Result `json:"results,omitempty"`
+	// Trial holds a churn trial's window stream.
+	Trial *churn.TrialResult `json:"trial,omitempty"`
+}
+
+// CompleteRequest submits a finished lease's results (or its failure).
 type CompleteRequest struct {
 	// Worker identifies the submitter.
 	Worker string `json:"worker"`
-	// SweepID and JobID identify the job; Lease is its lease token.
+	// SweepID identifies the run; Lease is the lease token.
 	SweepID int64 `json:"sweep_id"`
-	JobID   int   `json:"job_id"`
 	Lease   int64 `json:"lease"`
-	// Results holds the sweep trial's result (exactly one entry — job
-	// granularity is a single trial since protocol v2). Result fields
-	// are integers (durations in nanoseconds), so the JSON round trip is
-	// exact and coordinator-side aggregation is bit-equal to local.
-	Results []experiment.Result `json:"results,omitempty"`
-	// TrialResult holds a churn trial's full window stream (set instead
-	// of Results for churn jobs).
-	TrialResult *churn.TrialResult `json:"trial_result,omitempty"`
+	// Jobs holds one entry per leased job, in ascending job order.
+	Jobs []JobResult `json:"jobs,omitempty"`
 	// Error reports a deterministic job failure (bad experiment,
 	// simulation error): the coordinator fails the whole run, matching
 	// local Sweep's first-error semantics.
@@ -303,8 +320,8 @@ type StatusResponse struct {
 	// Churn reports whether the active run is a churn program (false:
 	// a sweep).
 	Churn bool `json:"churn,omitempty"`
-	// Dispatched counts leases handed out since the coordinator
-	// started, reassignments included.
+	// Dispatched counts trial jobs handed out since the coordinator
+	// started, reassignments included (a lease of n jobs counts n).
 	Dispatched int64 `json:"dispatched"`
 	// Resumed counts trials preloaded from the checkpoint for the
 	// active run — work the coordinator did not redo.

@@ -15,8 +15,9 @@ import (
 
 // Golden equivalence: a figure computed by a coordinator and remote
 // workers over real localhost HTTP must be byte-identical to the serial
-// local run — including when a worker dies mid-sweep and its job is
-// reassigned.
+// local run — including when a worker dies mid-sweep and its lease is
+// reassigned, and whatever number of goroutines a worker runs a lease's
+// trials on.
 
 // goldenOptions is the short preset the golden tests run at: the quick
 // fig3 grid (3 failure sizes × 4 MRAIs × 1 trial = 12 cells) shrunk to
@@ -27,14 +28,23 @@ func goldenOptions() core.Options {
 	return o
 }
 
+// goldenTrials is goldenOptions with trials per cell, so a lease holds
+// that many jobs.
+func goldenTrials(trials int) core.Options {
+	o := goldenOptions()
+	o.Trials = trials
+	return o
+}
+
 // serialFig3 renders the reference figure with the ordinary local sweep.
-func serialFig3(t *testing.T) string {
+func serialFig3(t *testing.T, opts core.Options) string {
 	t.Helper()
 	exp, err := core.Lookup("fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := exp.Run(goldenOptions())
+	opts.Workers = 1
+	fig, err := exp.Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +53,12 @@ func serialFig3(t *testing.T) string {
 
 // distributedFig3 renders fig3 through coord, which must already be
 // serving workers.
-func distributedFig3(t *testing.T, ctx context.Context, coord *Coordinator) string {
+func distributedFig3(t *testing.T, ctx context.Context, coord *Coordinator, opts core.Options) string {
 	t.Helper()
 	exp, err := core.Lookup("fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := goldenOptions()
 	opts.Sweeper = coord.SweeperFor(ctx, exp.ID, opts)
 	fig, err := exp.Run(opts)
 	if err != nil {
@@ -58,16 +67,22 @@ func distributedFig3(t *testing.T, ctx context.Context, coord *Coordinator) stri
 	return fig.Render()
 }
 
-// startWorker runs a live worker against base and reports its exit error.
+// startWorker runs a live worker on two goroutines against base and
+// reports its exit error.
 func startWorker(ctx context.Context, base, id string) chan error {
+	return startSimWorkers(ctx, base, id, 2)
+}
+
+// startSimWorkers is startWorker with simWorkers goroutines per lease.
+func startSimWorkers(ctx context.Context, base, id string, simWorkers int) chan error {
 	errc := make(chan error, 1)
-	w := &Worker{Base: base, ID: id, SimWorkers: 2, PollInterval: time.Millisecond}
+	w := &Worker{Base: base, ID: id, SimWorkers: simWorkers, PollInterval: time.Millisecond}
 	go func() { errc <- w.Work(ctx) }()
 	return errc
 }
 
 func TestDistributedFig3ByteIdenticalToSerial(t *testing.T) {
-	want := serialFig3(t)
+	want := serialFig3(t, goldenOptions())
 
 	coord, err := NewCoordinator(CoordinatorConfig{})
 	if err != nil {
@@ -80,7 +95,7 @@ func TestDistributedFig3ByteIdenticalToSerial(t *testing.T) {
 	w1 := startWorker(ctx, srv.URL, "w1")
 	w2 := startWorker(ctx, srv.URL, "w2")
 
-	got := distributedFig3(t, ctx, coord)
+	got := distributedFig3(t, ctx, coord, goldenOptions())
 	coord.Shutdown()
 	for i, errc := range []chan error{w1, w2} {
 		if err := <-errc; err != nil {
@@ -95,10 +110,40 @@ func TestDistributedFig3ByteIdenticalToSerial(t *testing.T) {
 	}
 }
 
-func TestDistributedFig3SurvivesWorkerDeath(t *testing.T) {
-	want := serialFig3(t)
+// TestDistributedFig3SimWorkersInvariant: a worker that runs each
+// lease's three trials on one goroutine and one that runs them on two
+// produce the serial figure byte for byte.
+func TestDistributedFig3SimWorkersInvariant(t *testing.T) {
+	opts := goldenTrials(3)
+	want := serialFig3(t, opts)
+	for _, simWorkers := range []int{1, 2} {
+		coord, err := NewCoordinator(CoordinatorConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(coord.Handler())
+		ctx := context.Background()
+		errc := startSimWorkers(ctx, srv.URL, "w", simWorkers)
+		got := distributedFig3(t, ctx, coord, opts)
+		coord.Shutdown()
+		if err := <-errc; err != nil {
+			t.Errorf("SimWorkers %d: worker exit: %v", simWorkers, err)
+		}
+		srv.Close()
+		if got != want {
+			t.Errorf("SimWorkers %d: distributed figure differs from serial:\n--- distributed ---\n%s--- serial ---\n%s", simWorkers, got, want)
+		}
+		if st := coord.Stats(); st.Dispatched != 36 {
+			t.Errorf("SimWorkers %d: Dispatched = %d, want 36 (12 cells × 3 trials)", simWorkers, st.Dispatched)
+		}
+	}
+}
 
-	// Short leases so the dead worker's job is reassigned quickly.
+func TestDistributedFig3SurvivesWorkerDeath(t *testing.T) {
+	opts := goldenTrials(2)
+	want := serialFig3(t, opts)
+
+	// Short leases so the dead worker's cell is reassigned quickly.
 	coord, err := NewCoordinator(CoordinatorConfig{LeaseTTL: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -118,9 +163,9 @@ func TestDistributedFig3SurvivesWorkerDeath(t *testing.T) {
 			out <- figOut{"", err}
 			return
 		}
-		opts := goldenOptions()
-		opts.Sweeper = coord.SweeperFor(ctx, exp.ID, opts)
-		fig, err := exp.Run(opts)
+		o := opts
+		o.Sweeper = coord.SweeperFor(ctx, exp.ID, o)
+		fig, err := exp.Run(o)
 		if err != nil {
 			out <- figOut{"", err}
 			return
@@ -128,12 +173,15 @@ func TestDistributedFig3SurvivesWorkerDeath(t *testing.T) {
 		out <- figOut{fig.Render(), nil}
 	}()
 
-	// A doomed worker leases the first job and is killed before reporting:
-	// it simply never completes, and its lease must expire and be
-	// reassigned to the surviving worker.
+	// A doomed worker leases the first cell's two jobs and is killed
+	// before reporting: it simply never completes, and its lease must
+	// expire and both jobs be reassigned to the surviving worker.
 	doomed, ok := tryLease(coord.Handler(), "doomed")
 	if !ok {
 		t.Fatal("doomed worker never got a job")
+	}
+	if doomed.Count != 2 {
+		t.Fatalf("doomed lease holds %d jobs, want the cell's 2", doomed.Count)
 	}
 	survivor := startWorker(ctx, srv.URL, "survivor")
 
@@ -148,9 +196,9 @@ func TestDistributedFig3SurvivesWorkerDeath(t *testing.T) {
 	if r.rendered != want {
 		t.Errorf("figure after worker death differs from serial:\n--- distributed ---\n%s--- serial ---\n%s", r.rendered, want)
 	}
-	// 12 cells, one of them leased twice (doomed, then reassigned).
-	if st := coord.Stats(); st.Dispatched != 13 {
-		t.Errorf("Dispatched = %d, want 13 (12 jobs + 1 reassignment of job %d)", st.Dispatched, doomed.Job.ID)
+	// 12 cells × 2 trials, one cell leased twice (doomed, then reassigned).
+	if st := coord.Stats(); st.Dispatched != 26 {
+		t.Errorf("Dispatched = %d, want 26 (24 jobs + 2 reassigned from job %d)", st.Dispatched, doomed.Job.ID)
 	}
 }
 

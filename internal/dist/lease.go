@@ -1,190 +1,161 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"time"
-
-	"bgpsim/internal/churn"
-	"bgpsim/internal/experiment"
 )
 
-// jobState is the lifecycle of one job in the lease table.
-type jobState int
-
-const (
-	jobPending jobState = iota // never leased, or lease expired and not yet reassigned
-	jobLeased                  // leased to a worker, lease unexpired (or expired but not reclaimed)
-	jobDone                    // results recorded
-)
-
-// jobPayload is one completed job's recorded result: exactly one of the
-// fields is set — Results (one entry) for sweep trial jobs, Trial for
-// churn trial jobs. One payload type keeps the lease table, checkpoint,
-// and duplicate-verification machinery shared across both run kinds.
-type jobPayload struct {
-	results []experiment.Result
-	trial   *churn.TrialResult
-}
-
-// equal compares payloads field-for-field — the duplicate-completion
-// determinism check.
-func (p jobPayload) equal(q jobPayload) bool {
-	if !resultsEqual(p.results, q.results) {
-		return false
-	}
-	if (p.trial == nil) != (q.trial == nil) {
-		return false
-	}
-	if p.trial == nil {
-		return true
-	}
-	a, b := *p.trial, *q.trial
-	if a.Trial != b.Trial || a.Start != b.Start || len(a.Windows) != len(b.Windows) {
-		return false
-	}
-	for i := range a.Windows {
-		if a.Windows[i] != b.Windows[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// jobEntry is one job's lease and result record.
+// jobEntry is one trial job's lease and result record. A job is pending
+// while lease is 0 and not done, leased while lease is set and not done.
 type jobEntry struct {
-	state    jobState
-	lease    int64  // current lease token (0 = never leased)
-	worker   string // holder of the current lease
-	expires  time.Time
-	attempts int // leases handed out for this job
-	payload  jobPayload
+	lease   int64     // token of the last lease granted on the job (0 = never leased)
+	expires time.Time // when that lease may be reassigned
+	done    bool
+	result  JobResult // the recorded payload, once done
 }
 
-// completion classifies the outcome of leaseTable.complete.
-type completion int
+// grant is one lease: jobs first … first+n−1, all of one cell.
+type grant struct {
+	first, n   int
+	lease      int64
+	reassigned bool // the jobs were held by a lease that expired
+}
 
-const (
-	// completedNew recorded the job's results for the first time.
-	completedNew completion = iota
-	// completedDuplicate found the job already done with identical
-	// results; nothing was recorded.
-	completedDuplicate
-)
+// errDiverged marks a completion whose payload differs from the one
+// already recorded for the same job: a determinism violation.
+var errDiverged = errors.New("completed twice with different results — worker versions or inputs diverge")
 
 // leaseTable tracks the lease lifecycle of one run's trial jobs:
 //
-//	pending --acquire--> leased --complete--> done
+//	pending --acquire--> leased --record--> done
 //	   ^                   |
 //	   +----lease expiry---+   (reassignment: acquire hands the job
 //	                            to another worker, new lease token)
 //
-// Expiry is lazy: an expired lease is noticed when another worker asks
-// for work (acquire) or when the original worker finally reports
-// (complete — still accepted, results are deterministic). The table is
-// NOT safe for concurrent use; the coordinator serializes access under
-// its own mutex, which is also what makes fake-clock unit tests trivial.
+// A lease covers consecutive jobs of one cell, cell jobs per cell (a
+// sweep's trials per cell; 1 for churn runs, whose trials have no cell),
+// and each job keeps its own lease token and expiry, so on expiry exactly
+// the jobs the lease still holds go back. Expiry is lazy: an expired
+// lease is noticed when another worker asks for work (acquire) or when
+// the original worker finally reports (still accepted, results are
+// deterministic). The table is NOT safe for concurrent use; the
+// coordinator serializes access under its own mutex, which is also what
+// makes fake-clock unit tests trivial.
 type leaseTable struct {
 	ttl       time.Duration
 	now       func() time.Time
+	cell      int
 	jobs      []jobEntry
 	done      int
 	nextLease int64
 }
 
-// newLeaseTable builds a table of n pending jobs whose leases last ttl
-// on the clock now.
-func newLeaseTable(n int, ttl time.Duration, now func() time.Time) *leaseTable {
-	return &leaseTable{ttl: ttl, now: now, jobs: make([]jobEntry, n)}
+// newLeaseTable builds a table of n pending jobs, cell to a cell, whose
+// leases last ttl on the clock now.
+func newLeaseTable(n, cell int, ttl time.Duration, now func() time.Time) *leaseTable {
+	return &leaseTable{ttl: ttl, now: now, cell: cell, jobs: make([]jobEntry, n)}
 }
 
-// acquire leases the lowest-numbered available job to worker: a pending
-// job first, else a leased job whose lease has expired (reassignment).
-// It returns ok=false when every job is either done or validly leased.
-func (t *leaseTable) acquire(worker string) (jobID int, lease int64, ok bool) {
-	now := t.now()
-	reassign := -1
-	for i := range t.jobs {
-		j := &t.jobs[i]
-		switch j.state {
-		case jobPending:
-			return t.grant(i, worker, now), t.jobs[i].lease, true
-		case jobLeased:
-			if reassign < 0 && now.After(j.expires) {
-				reassign = i
-			}
-		}
-	}
-	if reassign >= 0 {
-		return t.grant(reassign, worker, now), t.jobs[reassign].lease, true
-	}
-	return 0, 0, false
-}
-
-// grant records a new lease on job i and returns i.
-func (t *leaseTable) grant(i int, worker string, now time.Time) int {
-	t.nextLease++
+// free reports whether job i may be granted at now: not done, and never
+// leased or its lease expired.
+func (t *leaseTable) free(i int, now time.Time) bool {
 	j := &t.jobs[i]
-	j.state = jobLeased
-	j.lease = t.nextLease
-	j.worker = worker
-	j.expires = now.Add(t.ttl)
-	j.attempts++
-	return i
+	return !j.done && (j.lease == 0 || now.After(j.expires))
 }
 
-// complete records a payload for jobID. Completions are idempotent: a
-// duplicate submission must carry a payload identical to the recorded
-// one (completedDuplicate); a differing payload is a determinism
-// violation and an error. A completion under a superseded lease (the
-// job was reassigned after this worker's lease expired) is still
-// accepted — the results are deterministic, so first-to-finish wins and
-// the other worker's submission lands on the duplicate path.
-func (t *leaseTable) complete(jobID int, lease int64, payload jobPayload) (completion, error) {
-	if jobID < 0 || jobID >= len(t.jobs) {
-		return 0, fmt.Errorf("dist: job %d outside table of %d", jobID, len(t.jobs))
-	}
-	j := &t.jobs[jobID]
-	if j.state == jobDone {
-		if !j.payload.equal(payload) {
-			return 0, fmt.Errorf("dist: job %d completed twice with different results — worker versions or inputs diverge", jobID)
+// acquire grants the lowest never-leased job, else the lowest job whose
+// lease has expired (reassignment), together with the free jobs that
+// follow it in its cell. It returns ok=false when every job is either
+// done or validly leased.
+func (t *leaseTable) acquire() (g grant, ok bool) {
+	now := t.now()
+	first, expired := -1, -1
+	for i := range t.jobs {
+		if !t.jobs[i].done && t.jobs[i].lease == 0 {
+			first = i
+			break
 		}
-		return completedDuplicate, nil
+		if expired < 0 && t.free(i, now) {
+			expired = i
+		}
 	}
-	if j.state == jobPending && j.lease == 0 {
-		return 0, fmt.Errorf("dist: job %d completed without ever being leased", jobID)
+	if first < 0 {
+		first = expired
 	}
-	_ = lease // any lease on a not-yet-done job is acceptable; see doc comment
-	j.state = jobDone
-	j.payload = payload
-	t.done++
-	return completedNew, nil
+	if first < 0 {
+		return grant{}, false
+	}
+	end := min((first/t.cell+1)*t.cell, len(t.jobs))
+	g = grant{first: first, n: 1, reassigned: t.jobs[first].lease != 0}
+	for first+g.n < end && t.free(first+g.n, now) {
+		g.n++
+	}
+	t.nextLease++
+	g.lease = t.nextLease
+	for i := first; i < first+g.n; i++ {
+		t.jobs[i].lease, t.jobs[i].expires = g.lease, now.Add(t.ttl)
+	}
+	return g, true
 }
 
-// markDone records a checkpoint-restored payload for jobID without a
-// lease ever existing (resume path).
-func (t *leaseTable) markDone(jobID int, payload jobPayload) {
-	j := &t.jobs[jobID]
-	if j.state == jobDone {
-		return
+// check vets a completion's payloads before any is recorded, so a batch
+// is taken whole or not at all. It refuses an empty batch, a job outside
+// the table or never leased, jobs not in strictly ascending order (a job
+// named twice among them), and a payload fits rejects. A payload that
+// differs from the one already recorded for its job is an error wrapping
+// errDiverged. Under which lease a job is reported does not matter: a
+// superseded lease's results are as deterministic as the current one's,
+// so the first to finish wins and the other lands on the duplicate path.
+func (t *leaseTable) check(batch []JobResult, fits func(JobResult) bool) error {
+	if len(batch) == 0 {
+		return errors.New("dist: completion names no job")
 	}
-	j.state = jobDone
-	j.payload = payload
+	for k, r := range batch {
+		switch {
+		case r.ID < 0 || r.ID >= len(t.jobs):
+			return fmt.Errorf("dist: job %d outside table of %d", r.ID, len(t.jobs))
+		case k > 0 && r.ID <= batch[k-1].ID:
+			return fmt.Errorf("dist: completion names job %d after job %d; jobs must ascend", r.ID, batch[k-1].ID)
+		case !fits(r):
+			return fmt.Errorf("dist: job %d: payload is not one result of this run's kind", r.ID)
+		}
+		switch j := &t.jobs[r.ID]; {
+		case j.done && !j.result.equal(r):
+			return fmt.Errorf("dist: job %d %w", r.ID, errDiverged)
+		case !j.done && j.lease == 0:
+			return fmt.Errorf("dist: job %d completed without ever being leased", r.ID)
+		}
+	}
+	return nil
+}
+
+// record stores r as its job's result and reports whether the job was
+// not done before. The caller has vetted r (check), or restores it from a
+// checkpoint, where no lease ever existed.
+func (t *leaseTable) record(r JobResult) bool {
+	j := &t.jobs[r.ID]
+	if j.done {
+		return false
+	}
+	j.done, j.result = true, r
 	t.done++
+	return true
 }
 
 // remaining counts jobs not yet done.
 func (t *leaseTable) remaining() int { return len(t.jobs) - t.done }
 
-// resultsEqual compares per-trial result slices field-for-field (Result
-// is a comparable struct of integers).
-func resultsEqual(a, b []experiment.Result) bool {
-	if len(a) != len(b) {
+// equal compares payloads field for field — the duplicate-completion
+// determinism check (Result is a comparable struct of integers).
+func (p JobResult) equal(q JobResult) bool {
+	if !slices.Equal(p.Results, q.Results) || (p.Trial == nil) != (q.Trial == nil) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	if p.Trial == nil {
+		return true
 	}
-	return true
+	a, b := p.Trial, q.Trial
+	return a.Trial == b.Trial && a.Start == b.Start && slices.Equal(a.Windows, b.Windows)
 }

@@ -54,11 +54,11 @@ func TestRegistryRunnerMemo(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			for _, desc := range []SweepDesc{a, b, b, a} { // hits and misses both ways
 				job := Job{Series: i % desc.Grid.Series, X: (2 * i) % desc.Grid.Xs}
-				got, err := shared(ctx, desc, job)
+				got, err := shared(ctx, desc, job, 1)
 				if err != nil {
 					t.Fatalf("%s: shared runner: %v", name, err)
 				}
-				want, err := RegistryRunner(1)(ctx, desc, job)
+				want, err := RegistryRunner(1)(ctx, desc, job, 1)
 				if err != nil {
 					t.Fatalf("%s: fresh runner: %v", name, err)
 				}
@@ -76,11 +76,11 @@ func TestRegistryRunnerMemo(t *testing.T) {
 	for name, bad := range map[string]SweepDesc{"protocol": wrongProtocol, "grid": wrongGrid, "sweep index": wrongIndex} {
 		runner := RegistryRunner(1)
 		for i := 0; i < 3; i++ {
-			if _, err := runner(ctx, a, Job{}); err != nil {
+			if _, err := runner(ctx, a, Job{}, 1); err != nil {
 				t.Fatalf("good descriptor, round %d: %v", i, err)
 			}
 			for j := 0; j < 2; j++ {
-				if _, err := runner(ctx, bad, Job{}); err == nil {
+				if _, err := runner(ctx, bad, Job{}, 1); err == nil {
 					t.Errorf("wrong %s accepted (round %d, job %d)", name, i, j)
 				}
 			}
@@ -102,12 +102,14 @@ func raceEnabled() bool {
 }
 
 // TestLeaseCompleteAllocBudget pins what the protocol itself costs: a
-// job whose execution is free — lease, a no-op runner, complete, over a
-// real loopback connection, both ends in this process — allocates
-// 19.1 kB on average, almost all of it net/http's per-request state (the
-// budget is 5% above that). It was 22.4 kB when each exchange built a
-// JSON decoder and its buffer on both ends, a fresh request URL and a log
-// line for a discarding logger.
+// job whose execution is free — a lease of its cell's ten trials, a no-op
+// runner, one complete for all ten, over a real loopback connection, both
+// ends in this process — allocates 2.5 kB on average, most of it a tenth
+// of net/http's per-request state (the budget is 1.3 times that). It was
+// 19.1 kB when every trial had a lease and a complete of its own, and
+// 22.4 kB before that, when each exchange built a JSON decoder and its
+// buffer on both ends, a fresh request URL and a log line for a
+// discarding logger.
 func TestLeaseCompleteAllocBudget(t *testing.T) {
 	coord, err := NewCoordinator(CoordinatorConfig{})
 	if err != nil {
@@ -115,10 +117,12 @@ func TestLeaseCompleteAllocBudget(t *testing.T) {
 	}
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
-	result := fakeResults(1, 1)
+	result := fakeResults(1, 10)
 	w := &Worker{
 		Base: srv.URL, ID: "w", PollInterval: time.Millisecond,
-		Runner: func(context.Context, SweepDesc, Job) ([]experiment.Result, error) { return result, nil },
+		Runner: func(_ context.Context, _ SweepDesc, _ Job, n int) ([]experiment.Result, error) {
+			return result[:n], nil
+		},
 	}
 	done := make(chan error, 1)
 	go func() { done <- w.Work(context.Background()) }()
@@ -141,31 +145,33 @@ func TestLeaseCompleteAllocBudget(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d B per lease+complete", perJob)
+	t.Logf("%d B per job", perJob)
 	if raceEnabled() {
 		t.Skip("the exchanges ran under the detector; their cost in bytes (3 x) says nothing there")
 	}
-	const budget = 20_000
+	const budget = 3_300
 	if perJob > budget {
-		t.Errorf("a job's lease+complete allocates %d B, budget %d", perJob, budget)
+		t.Errorf("a job's share of lease+complete allocates %d B, budget %d", perJob, budget)
 	}
 }
 
 // TestWorkerRefusesV2Descriptor: protocol v2 carried shards and
-// shard_concurrent, which a v3 worker no longer reads, so it would run a
-// v2 sharded job on one event loop and submit bytes of another
-// determinism class. Both runners refuse v2 instead, naming both
-// versions.
+// shard_concurrent, which a later worker no longer reads, so it would run
+// a v2 sharded job on one event loop and submit bytes of another
+// determinism class; a v3 coordinator leases one trial at a time and
+// reads one result per completion. Both runners refuse either version,
+// naming both versions.
 func TestWorkerRefusesV2Descriptor(t *testing.T) {
-	const v2 = "bgpsim/dist/v2"
 	ctx := context.Background()
-	sweep := descFor(t, "fig3", goldenOptions())
-	sweep.Protocol = v2
-	_, sweepErr := RegistryRunner(1)(ctx, sweep, Job{})
-	_, churnErr := ChurnRunner(1)(ctx, ChurnDesc{Protocol: v2, Trials: 1}, Job{}, nil)
-	for name, err := range map[string]error{"sweep": sweepErr, "churn": churnErr} {
-		if err == nil || !strings.Contains(err.Error(), v2) || !strings.Contains(err.Error(), ProtocolVersion) {
-			t.Errorf("%s runner: v2 descriptor gave %v, want a refusal naming %q and %q", name, err, v2, ProtocolVersion)
+	for _, old := range []string{"bgpsim/dist/v2", "bgpsim/dist/v3"} {
+		sweep := descFor(t, "fig3", goldenOptions())
+		sweep.Protocol = old
+		_, sweepErr := RegistryRunner(1)(ctx, sweep, Job{}, 1)
+		_, churnErr := ChurnRunner()(ctx, ChurnDesc{Protocol: old, Trials: 1}, Job{}, nil)
+		for name, err := range map[string]error{"sweep": sweepErr, "churn": churnErr} {
+			if err == nil || !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), ProtocolVersion) {
+				t.Errorf("%s runner: %s descriptor gave %v, want a refusal naming %q and %q", name, old, err, old, ProtocolVersion)
+			}
 		}
 	}
 }

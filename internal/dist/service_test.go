@@ -92,7 +92,7 @@ func TestServiceRunsQueuedSubmissions(t *testing.T) {
 		var want string
 		switch infos[id].Kind {
 		case "experiment":
-			want = serialFig3(t)
+			want = serialFig3(t, goldenOptions())
 		case "churn":
 			local, err := churn.Run(context.Background(), churnSc, 2, 1, nil)
 			if err != nil {
@@ -143,8 +143,8 @@ func TestServiceRejectsBadSubmissions(t *testing.T) {
 	bad := []SubmitRequest{
 		{}, // neither experiment nor churn
 		{Experiment: "no-such-experiment"},
-		{Experiment: "fig3", Churn: &ChurnDesc{}}, // both
-		{Churn: &ChurnDesc{Scenario: testChurnScenario()}},                                    // zero trials
+		{Experiment: "fig3", Churn: &ChurnDesc{}},                                                // both
+		{Churn: &ChurnDesc{Scenario: testChurnScenario()}},                                       // zero trials
 		{Churn: &ChurnDesc{Scenario: churn.Scenario{Program: churn.Spec{Kind: "x"}}, Trials: 1}}, // bad program
 	}
 	for i, req := range bad {

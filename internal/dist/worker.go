@@ -20,17 +20,17 @@ import (
 	"bgpsim/internal/experiment"
 )
 
-// JobRunner executes one sweep trial job and returns its result as a
-// one-entry slice. The default is RegistryRunner; tests and benchmarks
-// inject no-op runners.
-type JobRunner func(ctx context.Context, desc SweepDesc, job Job) ([]experiment.Result, error)
+// JobRunner executes a sweep lease: the n trial jobs of one cell that
+// start at job, returning their results in trial order. The default is
+// RegistryRunner; tests and benchmarks inject no-op runners.
+type JobRunner func(ctx context.Context, desc SweepDesc, job Job, n int) ([]experiment.Result, error)
 
 // ChurnJobRunner executes one churn trial job, invoking obs on the calling
 // goroutine as each measurement window closes. The default is ChurnRunner.
 type ChurnJobRunner func(ctx context.Context, desc ChurnDesc, job Job, obs churn.WindowObserver) (*churn.TrialResult, error)
 
 // Worker is the client half of the protocol: it polls the coordinator
-// for leases, executes jobs, and submits results, retrying transient
+// for leases, executes their jobs, and submits results, retrying transient
 // HTTP failures with exponential backoff. Configure the exported fields
 // before calling Run; the zero value of every optional field selects a
 // sensible default.
@@ -51,33 +51,36 @@ type Worker struct {
 	// PollInterval is the idle delay after a StatusWait response
 	// (default 200ms).
 	PollInterval time.Duration
-	// SimWorkers is the intra-simulation parallelism handed to job
-	// execution (0 = GOMAXPROCS).
+	// SimWorkers bounds the goroutines a sweep lease's trials run on
+	// (0 = GOMAXPROCS, 1 = serial); results are identical for every
+	// value. A churn lease is one trial, which runs on one goroutine.
 	SimWorkers int
-	// Run executes sweep trial jobs (nil = RegistryRunner(SimWorkers)).
+	// Runner executes sweep leases (nil = RegistryRunner(SimWorkers)).
 	Runner JobRunner
 	// ChurnRun executes churn trial jobs (nil = ChurnRunner()).
 	ChurnRun ChurnJobRunner
-	// Log receives per-job progress lines. nil discards.
+	// Log receives per-lease progress lines. nil discards.
 	Log *log.Logger
 
 	// sleep waits between retries/polls; tests inject instant fakes.
 	sleep func(ctx context.Context, d time.Duration) error
 
-	// draining is set by Drain: finish and submit the in-flight trial,
+	// draining is set by Drain: finish and submit the in-flight lease,
 	// then exit instead of leasing more work.
 	draining atomic.Bool
 
 	// Reused from one exchange to the next by the Work goroutine, window
-	// reports included: the request as encoded, the reply as read.
+	// reports included: the request as encoded, the reply as read, the
+	// completion's per-job entries.
 	leaseURL, completeURL string
 	reqBuf, respBuf       bytes.Buffer
+	batch                 []JobResult
 }
 
-// Drain asks the worker to stop gracefully: the in-flight trial (if
-// any) runs to completion and its result is submitted, then Work
-// returns nil instead of leasing another job. Safe to call from any
-// goroutine (typically a SIGTERM handler).
+// Drain asks the worker to stop gracefully: the in-flight lease (if
+// any, at most one cell's trials) runs to completion and its results are
+// submitted, then Work returns nil instead of leasing more work. Safe to
+// call from any goroutine (typically a SIGTERM handler).
 func (w *Worker) Drain() { w.draining.Store(true) }
 
 // errUnreachable marks retry-budget exhaustion talking to the
@@ -108,7 +111,7 @@ func (w *Worker) Work(ctx context.Context) error {
 	}
 	churnRunner := w.ChurnRun
 	if churnRunner == nil {
-		churnRunner = ChurnRunner(w.SimWorkers)
+		churnRunner = ChurnRunner()
 	}
 	everConnected := false
 	jobs := 0
@@ -136,44 +139,46 @@ func (w *Worker) Work(ctx context.Context) error {
 				return err
 			}
 		case StatusJob:
-			complete := CompleteRequest{
-				Worker:  w.ID,
-				SweepID: lease.SweepID,
-				JobID:   lease.Job.ID,
-				Lease:   lease.Lease,
-			}
 			var jerr error
+			batch := w.batch[:0]
 			switch {
 			case lease.Churn != nil:
-				complete.TrialResult, jerr = churnRunner(ctx, *lease.Churn, lease.Job, w.windowObserver(lease))
+				var tr *churn.TrialResult
+				tr, jerr = churnRunner(ctx, *lease.Churn, lease.Job, w.windowObserver(lease))
+				batch = append(batch, JobResult{ID: lease.Job.ID, Trial: tr})
 			case lease.Desc != nil:
-				complete.Results, jerr = runner(ctx, *lease.Desc, lease.Job)
+				var rs []experiment.Result
+				rs, jerr = runner(ctx, *lease.Desc, lease.Job, lease.Count)
+				for i := range rs {
+					batch = append(batch, JobResult{ID: lease.Job.ID + i, Results: rs[i : i+1]})
+				}
 			default:
 				return fmt.Errorf("dist: lease for job %d without a run descriptor", lease.Job.ID)
 			}
+			w.batch = batch
+			complete := CompleteRequest{Worker: w.ID, SweepID: lease.SweepID, Lease: lease.Lease, Jobs: batch}
 			if jerr != nil {
 				if ctx.Err() != nil {
 					return ctx.Err()
 				}
-				complete.Results, complete.TrialResult = nil, nil
-				complete.Error = jerr.Error()
+				complete.Jobs, complete.Error = nil, jerr.Error()
 			}
 			var ack CompleteResponse
 			err := w.post(ctx, w.completeURL, complete, &ack)
 			switch {
 			case errors.Is(err, errUnreachable):
-				// The lease expires and another worker redoes the trial.
+				// The lease expires and another worker redoes its trials.
 				w.Log.Printf("dist: worker %s: coordinator gone mid-submit; exiting", w.ID)
 				return nil
 			case err != nil:
 				return err
 			}
 			if jerr != nil {
-				return fmt.Errorf("dist: job %d (%s): %w", lease.Job.ID, describe(lease), jerr)
+				return fmt.Errorf("dist: %s: %w", describe(lease), jerr)
 			}
-			jobs++
-			if w.Log.Writer() != io.Discard { // or format a line per job for nobody
-				w.Log.Printf("dist: worker %s: job %d done (%s, %s)", w.ID, lease.Job.ID, describe(lease), ack.Status)
+			jobs += len(batch)
+			if w.Log.Writer() != io.Discard { // or format a line per lease for nobody
+				w.Log.Printf("dist: worker %s: %s done (%s)", w.ID, describe(lease), ack.Status)
 			}
 		default:
 			return fmt.Errorf("dist: unknown lease status %q", lease.Status)
@@ -181,13 +186,13 @@ func (w *Worker) Work(ctx context.Context) error {
 	}
 }
 
-// describe names a leased job for logs and errors.
+// describe names a lease's jobs for logs and errors.
 func describe(lease LeaseResponse) string {
 	if lease.Churn != nil {
-		return fmt.Sprintf("churn %s trial %d", lease.Churn.Scenario.Program.Kind, lease.Job.Trial)
+		return fmt.Sprintf("job %d (churn %s trial %d)", lease.Job.ID, lease.Churn.Scenario.Program.Kind, lease.Job.Trial)
 	}
-	return fmt.Sprintf("%s series %d x %d trial %d",
-		lease.Desc.Experiment, lease.Job.Series, lease.Job.X, lease.Job.Trial)
+	return fmt.Sprintf("jobs %d-%d (%s series %d x %d trials %d-%d)", lease.Job.ID, lease.Job.ID+lease.Count-1,
+		lease.Desc.Experiment, lease.Job.Series, lease.Job.X, lease.Job.Trial, lease.Job.Trial+lease.Count-1)
 }
 
 // windowObserver builds the per-window streaming callback for a leased
@@ -327,34 +332,31 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // Sweeper hook so Experiment.Run unwinds without running later sweeps.
 var errSweepFound = errors.New("dist: sweep resolved")
 
-// RegistryRunner returns the default sweep job executor. A job is one
-// trial of a grid: a lease's descriptor is resolved to its sweep
+// RegistryRunner returns the default sweep lease executor. A lease is a
+// run of trials of one grid cell: its descriptor is resolved to its sweep
 // configuration (resolveSweep) only when it differs from the last one
-// that resolved, and the job is experiment.CellRunner.RunTrial on that
+// that resolved, and the lease is experiment.CellRunner.RunTrials on that
 // configuration, nothing else. Remembering one is enough — a coordinator
 // serves one run at a time — and one that does not resolve fails each of
-// its jobs alike. Seeds derive from grid indices, so the trial's result
-// is bit-identical to a local sweep's. The runner keeps one simulator
-// pool across jobs and serves one job at a time (a Worker's loop);
-// simWorkers feeds opts.Workers (0 = GOMAXPROCS).
+// its leases alike. Seeds derive from grid indices, so the results are
+// bit-identical to a local sweep's. The runner keeps one simulator pool
+// across leases and serves one lease at a time (a Worker's loop), whose
+// trials fan out over simWorkers goroutines (0 = GOMAXPROCS).
 func RegistryRunner(simWorkers int) JobRunner {
 	cells := experiment.NewCellRunner()
 	var memo SweepDesc
 	var cfg experiment.SweepConfig
 	resolved := false
-	return func(ctx context.Context, desc SweepDesc, job Job) ([]experiment.Result, error) {
+	return func(ctx context.Context, desc SweepDesc, job Job, n int) ([]experiment.Result, error) {
 		if !resolved || !reflect.DeepEqual(memo, desc) {
-			c, err := resolveSweep(desc, simWorkers)
+			c, err := resolveSweep(desc)
 			if err != nil {
 				return nil, err
 			}
+			c.Workers = simWorkers
 			memo, cfg, resolved = desc, c, true
 		}
-		res, err := cells.RunTrial(ctx, cfg, job.Series, job.X, job.Trial)
-		if err != nil {
-			return nil, err
-		}
-		return []experiment.Result{res}, nil
+		return cells.RunTrials(ctx, cfg, job.Series, job.X, job.Trial, n)
 	}
 }
 
@@ -362,7 +364,7 @@ func RegistryRunner(simWorkers int) JobRunner {
 // experiment from the shared registry with a Sweeper hook that captures
 // the SweepIndex-th grid instead of executing it, and unwinds. It refuses
 // another protocol version and a grid shape this binary does not build.
-func resolveSweep(desc SweepDesc, simWorkers int) (found experiment.SweepConfig, err error) {
+func resolveSweep(desc SweepDesc) (found experiment.SweepConfig, err error) {
 	if desc.Protocol != ProtocolVersion {
 		return found, fmt.Errorf("dist: coordinator speaks %q, this worker %q", desc.Protocol, ProtocolVersion)
 	}
@@ -371,7 +373,6 @@ func resolveSweep(desc SweepDesc, simWorkers int) (found experiment.SweepConfig,
 		return found, err
 	}
 	opts := desc.Options.Core()
-	opts.Workers = simWorkers
 	var foundErr error
 	index := 0
 	opts.Sweeper = func(cfg experiment.SweepConfig) (experiment.Figure, error) {
@@ -403,11 +404,8 @@ func resolveSweep(desc SweepDesc, simWorkers int) (found experiment.SweepConfig,
 
 // ChurnRunner returns the default churn job executor: one shared
 // simulator pool across trials, each trial materialized from the wire
-// scenario exactly as a local churn.Run would. simWorkers is currently
-// unused (a churn trial is a single simulation) but kept for symmetry
-// with RegistryRunner.
-func ChurnRunner(simWorkers int) ChurnJobRunner {
-	_ = simWorkers
+// scenario exactly as a local churn.Run would.
+func ChurnRunner() ChurnJobRunner {
 	runner := churn.NewRunner()
 	return func(ctx context.Context, desc ChurnDesc, job Job, obs churn.WindowObserver) (*churn.TrialResult, error) {
 		if desc.Protocol != ProtocolVersion {

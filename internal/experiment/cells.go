@@ -10,7 +10,7 @@ import (
 // contract distributed execution (internal/dist) is built on: a sweep
 // grid decomposes into (series, x) cells, each cell's scenario and seeds
 // derive from grid indices alone (CellScenario), a cell's trials can be
-// executed anywhere (CellRunner.RunCell), and the per-trial results
+// executed anywhere (CellRunner.RunTrials), and the per-trial results
 // merge back into a figure in fixed order (AssembleFigure). Sweep itself
 // is the degenerate case: every cell runs in-process.
 
@@ -32,7 +32,7 @@ func CellScenario(cfg SweepConfig, si, xi int) Scenario {
 // across calls so every trial after a worker's first skips simulator
 // construction, whatever world it runs on. The zero value is not
 // usable; construct with NewCellRunner. Safe for concurrent
-// use as long as each RunCell call's cfg.Cell tolerates the calling
+// use as long as each RunTrials call's cfg.Cell tolerates the calling
 // goroutine (Sweep's materialize-on-caller rule applies per call).
 type CellRunner struct {
 	pool *SimPool
@@ -43,14 +43,14 @@ func NewCellRunner() *CellRunner {
 	return &CellRunner{pool: NewSimPool()}
 }
 
-// RunCell runs every trial of cell (si, xi) of the grid and returns the
-// per-trial results in trial order — the unit of work a distributed
-// worker executes. Trials fan out over workers goroutines (<= 0 selects
-// GOMAXPROCS, 1 is serial); the results are identical for every worker
-// count. The trial seeds, simulation code path, and result layout are
-// shared with Sweep, so a cell computed here is byte-for-byte the cell a
-// local sweep would have computed.
-func (r *CellRunner) RunCell(ctx context.Context, cfg SweepConfig, si, xi, workers int) ([]Result, error) {
+// RunTrials runs trials first … first+n−1 of cell (si, xi) of the grid
+// and returns their results in trial order — the unit of work a
+// distributed lease covers. The trials fan out over cfg.Workers
+// goroutines (<= 0 selects GOMAXPROCS, 1 is serial) and the results are
+// identical for every worker count. The trial seeds, simulation code path
+// and result layout are shared with Sweep, so the results are
+// byte-for-byte the ones a local sweep computes for those trials.
+func (r *CellRunner) RunTrials(ctx context.Context, cfg SweepConfig, si, xi, first, n int) ([]Result, error) {
 	cfg, err := NormalizeSweep(cfg)
 	if err != nil {
 		return nil, err
@@ -58,40 +58,17 @@ func (r *CellRunner) RunCell(ctx context.Context, cfg SweepConfig, si, xi, worke
 	if si < 0 || si >= len(cfg.SeriesNames) || xi < 0 || xi >= len(cfg.Xs) {
 		return nil, fmt.Errorf("experiment: cell (%d, %d) outside %dx%d grid", si, xi, len(cfg.SeriesNames), len(cfg.Xs))
 	}
-	sc := CellScenario(cfg, si, xi)
-	results := make([]Result, cfg.Trials)
-	errs := make([]error, cfg.Trials)
+	if first < 0 || n < 1 || first+n > cfg.Trials {
+		return nil, fmt.Errorf("experiment: %d trials from trial %d outside %d trials", n, first, cfg.Trials)
+	}
+	results := make([]Result, n)
+	errs := make([]error, n)
 	var failed atomic.Bool
-	runTrialsInto(ctx, sc, results, errs, normalizeWorkers(workers), &failed, r.pool)
+	runTrialsInto(ctx, CellScenario(cfg, si, xi), first, results, errs, normalizeWorkers(cfg.Workers), &failed, r.pool)
 	if i, err := firstTrialError(errs); err != nil {
-		return nil, fmt.Errorf("series %q x=%v: trial %d: %w", cfg.SeriesNames[si], cfg.Xs[xi], i, err)
+		return nil, fmt.Errorf("series %q x=%v: trial %d: %w", cfg.SeriesNames[si], cfg.Xs[xi], first+i, err)
 	}
 	return results, nil
-}
-
-// RunTrial runs exactly one trial of cell (si, xi) — the unit of work a
-// trial-granularity distributed lease covers. The trial's seed, scenario
-// materialization, and simulation code path are shared with RunCell (and
-// therefore with Sweep), so the result is byte-for-byte the trial-th
-// entry of the slice RunCell would return.
-func (r *CellRunner) RunTrial(ctx context.Context, cfg SweepConfig, si, xi, trial int) (Result, error) {
-	cfg, err := NormalizeSweep(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	if si < 0 || si >= len(cfg.SeriesNames) || xi < 0 || xi >= len(cfg.Xs) {
-		return Result{}, fmt.Errorf("experiment: cell (%d, %d) outside %dx%d grid", si, xi, len(cfg.SeriesNames), len(cfg.Xs))
-	}
-	if trial < 0 || trial >= cfg.Trials {
-		return Result{}, fmt.Errorf("experiment: trial %d outside %d trials", trial, cfg.Trials)
-	}
-	sc := CellScenario(cfg, si, xi)
-	sc.Seed = trialSeed(sc.Seed, trial)
-	res, err := runScenario(ctx, sc, r.pool)
-	if err != nil {
-		return Result{}, fmt.Errorf("series %q x=%v: trial %d: %w", cfg.SeriesNames[si], cfg.Xs[xi], trial, err)
-	}
-	return res, nil
 }
 
 // AssembleFigure merges a completed grid's per-cell trial results into

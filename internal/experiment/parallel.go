@@ -55,16 +55,17 @@ func forEachIndex(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// runTrialsInto executes the trials of sc (seeds trialSeed(Seed, 0..n-1))
-// over a pool of workers goroutines, storing each trial's result and
-// error at its index. It is the single implementation behind RunTrials,
-// RunTrialsParallel, Sweep's per-cell execution, and CellRunner.RunCell,
-// so the serial, parallel, and distributed paths cannot drift. Once a
+// runTrialsInto executes trials first … first+n−1 of sc (seeds
+// trialSeed(Seed, first+i), n = len(results)) over a pool of workers
+// goroutines, storing each trial's result and error at its index i. It is
+// the single implementation behind RunTrials, RunTrialsParallel and
+// CellRunner.RunTrials, so the serial, parallel, and distributed paths
+// cannot drift. Once a
 // trial fails (or ctx is canceled), trials that have not yet started are
 // skipped (marked errSkipped); in-flight ones finish or abort on the
 // engine's cancellation probe. pool, when non-nil, recycles simulators
 // across trials.
-func runTrialsInto(ctx context.Context, sc Scenario, results []Result, errs []error, workers int, failed *atomic.Bool, pool *SimPool) {
+func runTrialsInto(ctx context.Context, sc Scenario, first int, results []Result, errs []error, workers int, failed *atomic.Bool, pool *SimPool) {
 	forEachIndex(len(results), workers, func(i int) {
 		if failed.Load() {
 			errs[i] = errSkipped
@@ -76,7 +77,7 @@ func runTrialsInto(ctx context.Context, sc Scenario, results []Result, errs []er
 			return
 		}
 		trial := sc
-		trial.Seed = trialSeed(sc.Seed, i)
+		trial.Seed = trialSeed(sc.Seed, first+i)
 		results[i], errs[i] = runScenario(ctx, trial, pool)
 		if errs[i] != nil {
 			failed.Store(true)
@@ -102,7 +103,7 @@ func runTrials(ctx context.Context, sc Scenario, n, workers int) (Stats, error) 
 	results := make([]Result, n)
 	errs := make([]error, n)
 	var failed atomic.Bool
-	runTrialsInto(ctx, sc, results, errs, workers, &failed, NewSimPool())
+	runTrialsInto(ctx, sc, 0, results, errs, workers, &failed, NewSimPool())
 	if i, err := firstTrialError(errs); err != nil {
 		return Stats{}, fmt.Errorf("trial %d: %w", i, err)
 	}
