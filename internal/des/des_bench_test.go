@@ -65,3 +65,21 @@ func BenchmarkUniformDuration(b *testing.B) {
 		_ = g.UniformDuration(time.Millisecond, 30*time.Millisecond)
 	}
 }
+
+// BenchmarkNewRNG is the cost of one fresh stream: dominated by seeding
+// the 607-entry source vector.
+func BenchmarkNewRNG(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = NewRNG(int64(i))
+	}
+}
+
+// BenchmarkReseed is the same seeding with no allocation.
+func BenchmarkReseed(b *testing.B) {
+	g := NewRNG(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g.Reseed(int64(i))
+	}
+}

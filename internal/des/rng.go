@@ -10,13 +10,22 @@ import (
 // helpers for the distributions the BGP experiments draw from. Independent
 // model components should use independent streams (see Split) so that
 // adding draws in one component does not perturb another.
+//
+// Its source is this package's copy of math/rand's default source (see
+// source.go): every stream equals rand.New(rand.NewSource(seed)) draw for
+// draw, and only seeding is faster. An RNG must not be copied by value —
+// r points at src.
 type RNG struct {
-	r *rand.Rand
+	r   *rand.Rand
+	src source
 }
 
 // NewRNG returns a stream seeded with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	g := &RNG{}
+	g.src.Seed(seed)
+	g.r = rand.New(&g.src)
+	return g
 }
 
 // Split derives an independent stream from this one, keyed by label so the
@@ -42,9 +51,8 @@ func (g *RNG) SplitSeed(label string) int64 {
 // Every existing pointer to the RNG stays valid and observes the fresh
 // stream — the property the simulator's measurement-window normalization
 // depends on (router contexts hold the stream pointer across the reseed).
-// It seeds the source it already has, which is what rand.NewSource does
-// to a new one, and allocates nothing: a churn trial reseeds once per
-// window.
+// It seeds the source it already has, exactly as NewRNG seeds a new one,
+// and allocates nothing: a churn trial reseeds once per window.
 func (g *RNG) Reseed(seed int64) {
 	g.r.Seed(seed)
 }
@@ -70,6 +78,8 @@ func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
 // UniformDuration returns a duration uniformly distributed in [lo, hi].
 // It panics if hi < lo.
 func (g *RNG) UniformDuration(lo, hi time.Duration) time.Duration {
+	// Invariant: callers pass validated bounds (bgp.Params.Validate,
+	// churn.Spec.Validate), so an inverted range is a programming error.
 	if hi < lo {
 		panic("des: UniformDuration with hi < lo")
 	}
@@ -93,6 +103,8 @@ func (g *RNG) Jitter(base time.Duration) time.Duration {
 // Pareto returns a bounded Pareto draw in [lo, hi] with shape alpha.
 // It is used for heavy-tailed AS sizes.
 func (g *RNG) Pareto(alpha, lo, hi float64) float64 {
+	// Invariant: the one caller, topology.Realistic, passes a validated
+	// RealisticSpec (SizeAlpha > 0, 1 <= MinASSize <= MaxASSize).
 	if lo <= 0 || hi < lo || alpha <= 0 {
 		panic("des: Pareto with invalid parameters")
 	}

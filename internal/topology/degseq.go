@@ -31,7 +31,7 @@ func (s SkewedSpec) Validate() error {
 	switch {
 	case s.N < 2:
 		return fmt.Errorf("topology: skewed N=%d, need >= 2", s.N)
-	case s.FracLow < 0 || s.FracLow > 1:
+	case !(s.FracLow >= 0 && s.FracLow <= 1):
 		return fmt.Errorf("topology: skewed FracLow=%v outside [0,1]", s.FracLow)
 	case s.LowMin < 1 || s.LowMax < s.LowMin:
 		return fmt.Errorf("topology: skewed low range [%d,%d] invalid", s.LowMin, s.LowMax)
@@ -167,6 +167,11 @@ func PowerLawGammaForAvg(avg float64, min, max int) (float64, error) {
 	lo, hi := 0.01, 10.0 // mean(lo) ≈ uniform-high, mean(hi) ≈ min
 	for i := 0; i < 100; i++ {
 		mid := (lo + hi) / 2
+		if mid == lo || mid == hi {
+			// lo and hi are adjacent floats: every further step leaves
+			// (lo+hi)/2 at mid.
+			break
+		}
 		if mean(mid) > avg {
 			lo = mid
 		} else {
@@ -239,13 +244,13 @@ func FromDegreeSequence(degrees []int, rng *des.RNG) (*Network, error) {
 		}
 	}
 	// Resolve deferred pairs by swapping with a random existing link:
-	// (a,b) bad + existing (c,d) -> (a,c) and (b,d).
+	// (a,b) bad + existing (c,d) -> (a,c) and (b,d). An unplaceable stub
+	// pair is tolerated as a degree deficit of one at each endpoint
+	// rather than failing the whole build.
+	var links []Neighbor2
 	for _, pair := range deferred {
-		if !trySwapIn(nw, pair[0], pair[1], rng) {
-			// Unplaceable stub pair: tolerate a degree deficit of one at
-			// each endpoint rather than failing the whole build.
-			continue
-		}
+		links = nw.appendLinks(links[:0])
+		trySwapIn(nw, pair[0], pair[1], links, rng)
 	}
 	if err := Connect(nw, rng); err != nil {
 		return nil, err
@@ -254,9 +259,9 @@ func FromDegreeSequence(degrees []int, rng *des.RNG) (*Network, error) {
 }
 
 // trySwapIn inserts the stub pair (a,b) by swapping with random existing
-// links, preserving all degrees. Returns false after bounded attempts.
-func trySwapIn(nw *Network, a, b int, rng *des.RNG) bool {
-	links := nw.Links()
+// links, preserving all degrees. links is nw.Links(). Returns false after
+// bounded attempts.
+func trySwapIn(nw *Network, a, b int, links []Neighbor2, rng *des.RNG) bool {
 	if len(links) == 0 {
 		return false
 	}
@@ -280,6 +285,8 @@ func trySwapIn(nw *Network, a, b int, rng *des.RNG) bool {
 	return false
 }
 
+// mustAdd adds a link its caller has already checked: endpoints distinct,
+// in range and not yet adjacent. A failure is a programming error.
 func mustAdd(nw *Network, a, b int, internal bool) {
 	if err := nw.AddLink(a, b, internal); err != nil {
 		panic(fmt.Sprintf("topology: internal error adding checked link: %v", err))
@@ -288,15 +295,16 @@ func mustAdd(nw *Network, a, b int, internal bool) {
 
 // Connect merges the components of nw into one using degree-preserving
 // double edge swaps where possible, falling back to adding a single link
-// for edgeless components (degree deviation of one).
+// for edgeless components (degree deviation of one). Each round merges the
+// second-largest component into the largest.
 func Connect(nw *Network, rng *des.RNG) error {
+	var m merger
 	for guard := 0; guard < nw.NumNodes()+10; guard++ {
-		comps := nw.Components()
-		if len(comps) <= 1 {
+		m.comps.find(nw)
+		if len(m.comps.spans) <= 1 {
 			return nil
 		}
-		main, other := comps[0], comps[1]
-		if !mergeComponents(nw, main, other, rng) {
+		if !m.merge(nw, m.comps.nodes(0), m.comps.nodes(1), rng) {
 			return ErrDegreeSequence
 		}
 	}
@@ -306,12 +314,28 @@ func Connect(nw *Network, rng *des.RNG) error {
 	return nil
 }
 
-// mergeComponents joins other into main. It prefers the degree-preserving
-// swap (a,b)+(c,d) -> (a,c)+(b,d) with (a,b) in main and (c,d) in other;
-// if other has no links (isolated node), it adds one link.
-func mergeComponents(nw *Network, main, other []int, rng *des.RNG) bool {
-	mainLinks := linksWithin(nw, main)
-	otherLinks := linksWithin(nw, other)
+// merger is the scratch one Connect call reuses from round to round: the
+// component search and the link lists of the two components it joins.
+type merger struct {
+	comps                 components
+	mainLinks, otherLinks []Neighbor2
+}
+
+// merge joins other into main. It prefers the degree-preserving swap
+// (a,b)+(c,d) -> (a,c)+(b,d) with (a,b) in main and (c,d) in other; if
+// either has no links (an isolated node), it adds one link.
+func (m *merger) merge(nw *Network, main, other []int, rng *des.RNG) bool {
+	// A component is closed under adjacency, so a member's links to
+	// higher-numbered nodes are exactly its links within the component.
+	m.mainLinks = m.mainLinks[:0]
+	for _, v := range main {
+		m.mainLinks = nw.appendLinksAt(m.mainLinks, v)
+	}
+	m.otherLinks = m.otherLinks[:0]
+	for _, v := range other {
+		m.otherLinks = nw.appendLinksAt(m.otherLinks, v)
+	}
+	mainLinks, otherLinks := m.mainLinks, m.otherLinks
 	if len(otherLinks) == 0 || len(mainLinks) == 0 {
 		// Isolated node or edgeless component: attach it directly.
 		a := other[rng.Intn(len(other))]
@@ -338,24 +362,6 @@ func mergeComponents(nw *Network, main, other []int, rng *des.RNG) bool {
 		return true
 	}
 	return false
-}
-
-func linksWithin(nw *Network, comp []int) []Neighbor2 {
-	in := make(map[int]struct{}, len(comp))
-	for _, v := range comp {
-		in[v] = struct{}{}
-	}
-	var out []Neighbor2
-	for _, v := range comp {
-		for _, nb := range nw.Neighbors(v) {
-			if v < nb.ID {
-				if _, ok := in[nb.ID]; ok {
-					out = append(out, Neighbor2{A: v, B: nb.ID, Internal: nb.Internal})
-				}
-			}
-		}
-	}
-	return out
 }
 
 // SortedDegrees returns the degree sequence of nw in descending order.

@@ -103,7 +103,8 @@ type GLPSpec struct {
 
 // GLP generates a Bu–Towsley GLP graph with uniform placement.
 func GLP(spec GLPSpec, rng *des.RNG) (*Network, error) {
-	if spec.N < 3 || spec.M < 1 {
+	// The seed core has M+1 nodes, so M < N keeps it inside the network.
+	if spec.N < 3 || spec.M < 1 || spec.M >= spec.N {
 		return nil, fmt.Errorf("topology: GLP N=%d M=%d", spec.N, spec.M)
 	}
 	if spec.P < 0 || spec.P >= 1 || spec.Beta >= 1 {

@@ -90,6 +90,7 @@ func TestGLPValidation(t *testing.T) {
 		{N: 100, M: 1, P: 1.0, Beta: 0.5},
 		{N: 100, M: 1, P: -0.1, Beta: 0.5},
 		{N: 100, M: 1, P: 0.4, Beta: 1.0},
+		{N: 5, M: 10, P: 0.4, Beta: 0.5}, // seed core larger than the network
 	} {
 		if _, err := GLP(s, rng); err == nil {
 			t.Errorf("invalid spec accepted: %+v", s)
@@ -150,6 +151,22 @@ func TestSpecBuildUnknownKind(t *testing.T) {
 	rng := des.NewRNG(1)
 	if _, err := (Spec{Kind: "nope", N: 10}).Build(rng); err == nil {
 		t.Error("unknown kind accepted")
+	}
+}
+
+// TestSpecBuildRejectsNonFinite covers what only Spec.Validate catches:
+// a NaN slips past every range comparison the family constructors make.
+func TestSpecBuildRejectsNonFinite(t *testing.T) {
+	for _, s := range []Spec{
+		{Kind: KindWaxman, N: 20, WaxmanBeta: math.NaN()},
+		{Kind: KindGLP, N: 20, GLPBeta: math.Inf(-1)},
+		{Kind: KindInternetLike, N: 20, AvgDegree: math.NaN()},
+		{Kind: KindRealistic, N: 20, SizeAlpha: math.Inf(1)},
+		{Kind: KindSkewed7030, N: 20, Relationships: "sibling"},
+	} {
+		if _, err := s.Build(des.NewRNG(1)); err == nil {
+			t.Errorf("invalid spec accepted: %+v", s)
+		}
 	}
 }
 

@@ -185,40 +185,90 @@ func (nw *Network) MaxDegree() int {
 }
 
 // Components returns the connected components as slices of node IDs,
-// largest first.
+// largest first, each in BFS enqueue order from its lowest node.
 func (nw *Network) Components() [][]int {
-	seen := make([]bool, len(nw.nodes))
-	var comps [][]int
+	var c components
+	c.find(nw)
+	out := make([][]int, len(c.spans))
+	for k := range out {
+		out[k] = c.nodes(k)
+	}
+	return out
+}
+
+// components is a reusable component search: every node in BFS enqueue
+// order, component after component, with one span of that order per
+// component. find reuses the buffers of the previous search.
+type components struct {
+	seen  []bool
+	order []int
+	spans []span
+}
+
+// span is the half-open range [start, end) of components.order.
+type span struct{ start, end int }
+
+// find labels nw's components, largest first. Ties between equal-size
+// components resolve as sort.Slice over the discovery order leaves them.
+func (c *components) find(nw *Network) {
+	n := len(nw.nodes)
+	if cap(c.seen) < n {
+		c.seen = make([]bool, n)
+		c.order = make([]int, 0, n)
+	}
+	c.seen = c.seen[:n]
+	clear(c.seen)
+	c.order = c.order[:0]
+	c.spans = c.spans[:0]
 	for i := range nw.nodes {
-		if seen[i] {
+		if c.seen[i] {
 			continue
 		}
-		var comp []int
-		queue := []int{i}
-		seen[i] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			comp = append(comp, v)
-			for _, nb := range nw.adj[v] {
-				if !seen[nb.ID] {
-					seen[nb.ID] = true
-					queue = append(queue, nb.ID)
+		start := len(c.order)
+		c.seen[i] = true
+		c.order = append(c.order, i)
+		// order doubles as the BFS queue: head walks it as it grows.
+		for head := start; head < len(c.order); head++ {
+			for _, nb := range nw.adj[c.order[head]] {
+				if !c.seen[nb.ID] {
+					c.seen[nb.ID] = true
+					c.order = append(c.order, nb.ID)
 				}
 			}
 		}
-		comps = append(comps, comp)
+		c.spans = append(c.spans, span{start, len(c.order)})
 	}
-	sort.Slice(comps, func(i, j int) bool { return len(comps[i]) > len(comps[j]) })
-	return comps
+	spans := c.spans
+	sort.Slice(spans, func(i, j int) bool {
+		return spans[i].end-spans[i].start > spans[j].end-spans[j].start
+	})
+}
+
+// nodes returns component k's nodes in BFS order. The slice is capped, so
+// appending to it never overwrites the next component.
+func (c *components) nodes(k int) []int {
+	s := c.spans[k]
+	return c.order[s.start:s.end:s.end]
 }
 
 // Connected reports whether the network is a single component.
 func (nw *Network) Connected() bool {
-	if len(nw.nodes) == 0 {
+	n := len(nw.nodes)
+	if n == 0 {
 		return true
 	}
-	return len(nw.Components()) == 1
+	seen := make([]bool, n)
+	queue := make([]int, 1, n)
+	seen[0] = true
+	for head := 0; head < len(queue); head++ {
+		for _, nb := range nw.adj[queue[head]] {
+			if !seen[nb.ID] {
+				seen[nb.ID] = true
+				queue = append(queue, nb.ID)
+			}
+		}
+	}
+	return len(queue) == n
 }
 
 // BFSHops returns the hop distance from src to every node, with -1 for
@@ -332,15 +382,26 @@ func (nw *Network) Clone() *Network {
 
 // Links returns every undirected link exactly once (a < b).
 func (nw *Network) Links() []Neighbor2 {
-	out := make([]Neighbor2, 0, nw.links)
+	return nw.appendLinks(make([]Neighbor2, 0, nw.links))
+}
+
+// appendLinks appends Links() to dst.
+func (nw *Network) appendLinks(dst []Neighbor2) []Neighbor2 {
 	for a := range nw.adj {
-		for _, nb := range nw.adj[a] {
-			if a < nb.ID {
-				out = append(out, Neighbor2{A: a, B: nb.ID, Internal: nb.Internal})
-			}
+		dst = nw.appendLinksAt(dst, a)
+	}
+	return dst
+}
+
+// appendLinksAt appends node a's links to higher-numbered nodes, in
+// adjacency order.
+func (nw *Network) appendLinksAt(dst []Neighbor2, a int) []Neighbor2 {
+	for _, nb := range nw.adj[a] {
+		if a < nb.ID {
+			dst = append(dst, Neighbor2{A: a, B: nb.ID, Internal: nb.Internal})
 		}
 	}
-	return out
+	return dst
 }
 
 // Neighbor2 is an undirected link with both endpoints.

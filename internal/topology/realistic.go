@@ -53,11 +53,11 @@ func (s RealisticSpec) Validate() error {
 		return fmt.Errorf("topology: realistic NumAS=%d", s.NumAS)
 	case s.MaxDegree < 2 || s.MaxDegree >= s.NumAS:
 		return fmt.Errorf("topology: realistic MaxDegree=%d with NumAS=%d", s.MaxDegree, s.NumAS)
-	case s.AvgDegree <= 1 || s.AvgDegree >= float64(s.MaxDegree):
+	case !(s.AvgDegree > 1 && s.AvgDegree < float64(s.MaxDegree)):
 		return fmt.Errorf("topology: realistic AvgDegree=%v", s.AvgDegree)
 	case s.MinASSize < 1 || s.MaxASSize < s.MinASSize:
 		return fmt.Errorf("topology: realistic AS size range [%d,%d]", s.MinASSize, s.MaxASSize)
-	case s.SizeAlpha <= 0:
+	case !(s.SizeAlpha > 0) || math.IsInf(s.SizeAlpha, 1):
 		return fmt.Errorf("topology: realistic SizeAlpha=%v", s.SizeAlpha)
 	}
 	return nil

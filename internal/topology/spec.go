@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 
 	"bgpsim/internal/des"
 )
@@ -108,8 +109,50 @@ func (s Spec) BuildRelationships(nw *Network) (*Relationships, error) {
 	}
 }
 
-// Build constructs a network from the spec using the supplied stream.
+// Validate checks what no family constructor checks: a known kind (or a
+// custom skewed spec), a known relationship mode, and finite float
+// fields. A NaN passes every range comparison a constructor makes, so it
+// is refused here; negative and out-of-range values are errors from the
+// family constructor, which Build reports.
+func (s Spec) Validate() error {
+	if s.Skewed == nil && !knownKind(s.Kind) {
+		return fmt.Errorf("topology: unknown kind %q", s.Kind)
+	}
+	switch s.Relationships {
+	case "", RelModeInfer, RelModeHierarchical:
+	default:
+		return fmt.Errorf("topology: unknown relationship mode %q", s.Relationships)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"waxmanAlpha", s.WaxmanAlpha}, {"waxmanBeta", s.WaxmanBeta}, {"glpP", s.GLPP},
+		{"glpBeta", s.GLPBeta}, {"avgDegree", s.AvgDegree}, {"sizeAlpha", s.SizeAlpha},
+		{"relationshipRatio", s.RelationshipRatio},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("topology: %s=%v, need a finite value", f.name, f.v)
+		}
+	}
+	return nil
+}
+
+func knownKind(k Kind) bool {
+	for _, kk := range Kinds() {
+		if k == kk {
+			return true
+		}
+	}
+	return false
+}
+
+// Build constructs a network from the spec using the supplied stream. It
+// draws nothing from rng for a spec that fails Validate.
 func (s Spec) Build(rng *des.RNG) (*Network, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	if s.Skewed != nil {
 		sk := *s.Skewed
 		if sk.N == 0 {
