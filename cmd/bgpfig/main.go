@@ -10,10 +10,10 @@
 //
 // Distributed runs split the same work across machines (same bytes as
 // local): a coordinator serves sweep cells over HTTP and any number of
-// workers (bgpfig -connect or the bgpwork command) execute them:
+// workers (the bgpwork command) execute them:
 //
 //	bgpfig -fig 3 -serve :9090 -checkpoint fig3.ckpt -o out/
-//	bgpfig -connect coordinator:9090      # on each worker machine
+//	bgpwork -connect coordinator:9090     # on each worker machine
 //
 // Service mode keeps the coordinator alive as a long-running server
 // instead of running one figure and exiting: clients submit figure and
@@ -75,7 +75,6 @@ func run(args []string) (err error) {
 
 		serve    = fs.String("serve", "", "coordinate a distributed run: listen on host:port and hand trial jobs to workers")
 		service  = fs.Bool("service", false, "with -serve: stay up as a long-running service accepting figure and churn submissions over HTTP instead of running -fig")
-		connect  = fs.String("connect", "", "run as a worker: pull trial jobs from the coordinator at host:port, then exit")
 		ckptPath = fs.String("checkpoint", "", "with -serve: record completed trials here and resume from it after a restart")
 		leaseTTL = fs.Duration("lease-ttl", 30*time.Second, "with -serve: reassign a lease's trials if its worker is silent this long")
 	)
@@ -95,20 +94,8 @@ func run(args []string) (err error) {
 		}
 		return nil
 	}
-	if *serve != "" && *connect != "" {
-		return fmt.Errorf("-serve and -connect are mutually exclusive")
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *connect != "" {
-		w := &dist.Worker{Base: dist.BaseURL(*connect), SimWorkers: *workers}
-		if !*quiet {
-			w.Log = log.New(os.Stderr, "", log.LstdFlags)
-		}
-		return w.Work(ctx)
-	}
 
 	if *service {
 		if *serve == "" {

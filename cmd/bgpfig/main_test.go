@@ -58,6 +58,15 @@ func TestShardConcurrentNeedsShards(t *testing.T) {
 	}
 }
 
+// TestConnectIsNotAWorker: bgpwork is the one worker binary, so bgpfig
+// has no -connect and naming it is an error, not a figure run.
+func TestConnectIsNotAWorker(t *testing.T) {
+	err := run([]string{"-list", "-connect", "127.0.0.1:1"})
+	if err == nil || !strings.Contains(err.Error(), "not defined") {
+		t.Errorf("run(-connect) = %v, want an unknown-flag error", err)
+	}
+}
+
 // TestProfileWriteErrorReachesRun: a -memprofile that cannot be written
 // fails the run instead of exiting 0 with no file.
 func TestProfileWriteErrorReachesRun(t *testing.T) {

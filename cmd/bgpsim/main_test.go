@@ -19,6 +19,7 @@ func TestParseSchemeVariants(t *testing.T) {
 		{"batch", "batch,MRAI=0.5s"},
 		{"batch=2.25", "batch,MRAI=2.25s"},
 		{"batch+dynamic", "batch+dynamic"},
+		{"mrai=9223372036", "MRAI=9.223e+09s"}, // the largest whole-second Duration
 	}
 	for _, c := range cases {
 		got, err := parseScheme(c.in)
@@ -47,7 +48,10 @@ func TestParseSchemeDegree(t *testing.T) {
 
 func TestParseSchemeErrors(t *testing.T) {
 	for _, in := range []string{"", "nope", "mrai=", "mrai=abc", "mrai=-1",
-		"degree=1", "degree=a,b", "batch=x"} {
+		"degree=1", "degree=a,b", "batch=x",
+		// Non-finite, or past the largest Duration.
+		"mrai=NaN", "mrai=Inf", "mrai=-Inf", "mrai=1e300", "mrai=1e400", "mrai=9223372037",
+		"batch=NaN", "batch=1e20", "degree=NaN,1", "degree=1,1e300"} {
 		if _, err := parseScheme(in); err == nil {
 			t.Errorf("parseScheme(%q) accepted", in)
 		}

@@ -164,15 +164,9 @@ const (
 	// damping selects the same path by itself at run time (suppression
 	// decays with time, so a cached winner cannot be trusted).
 	refFullScan refPaths = 1 << iota
-	// refPerSlotFlush schedules one deferred-flush event per peer slot
-	// instead of per-peer virtual timers behind one per-router event.
-	refPerSlotFlush
 	// refNoBlockedSkip re-examines MRAI-gate-blocked pending
 	// destinations on every flush pass.
 	refNoBlockedSkip
-	// refNoSecondBest resolves incumbent withdrawal and worsening with
-	// a rescan instead of the second-best-slot cache.
-	refNoSecondBest
 	// refCompactAlways is not a reference path but the one other test
 	// seam: it sweeps the path table at every safe point, however little
 	// the table has grown (see Simulator.armSweep).

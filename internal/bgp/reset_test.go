@@ -58,9 +58,11 @@ func digestRun(t *testing.T, sim *Simulator, nw *topology.Network, fail []int) r
 // No update is queued, being processed or on a link — the path table's
 // in-flight roots are empty — no router's CPU is busy, no router, alive
 // or dead, has a destination pending for any peer (with the engine empty
-// no flush is armed, so a pending bit would be an advertisement lost),
-// and no event is left. digestRun and churnDigest call it, so every
-// digest suite checks it on every configuration it runs.
+// no flush is armed, so a pending bit would be an advertisement lost) or
+// still holds a flush handle (the event it names has fired or been
+// drained, so the handle points at a recycled des.Event), and no event
+// is left. digestRun and churnDigest call it, so every digest suite
+// checks it on every configuration it runs.
 func assertQuiescent(t *testing.T, sim *Simulator) {
 	t.Helper()
 	refs := 0
@@ -78,6 +80,12 @@ func assertQuiescent(t *testing.T, sim *Simulator) {
 			if pend.any() {
 				t.Errorf("router %d (alive=%v): %d destinations pending for peer n%d at quiescence",
 					r.id, r.alive, pend.count(), r.peers[slot].Node)
+			}
+		}
+		for slot, ev := range r.flushEv {
+			if ev != nil {
+				t.Errorf("router %d (alive=%v): flush for peer n%d still armed at quiescence",
+					r.id, r.alive, r.peers[slot].Node)
 			}
 		}
 	}
@@ -114,6 +122,9 @@ func resetVariants() []struct {
 			p.ProcMin, p.ProcMax = 0, 0
 			p.IntDelay = 0
 		}},
+		// Unjittered MRAI restarts: distinct peers' flush retries share
+		// expiry instants and collide in the queue.
+		{"no-jitter", func(p *Params) { p.JitterTimers = false }},
 	}
 }
 
@@ -349,7 +360,7 @@ func checkWiring(t *testing.T, world string, got, want *Simulator) {
 			t.Fatalf("%s: router %d wired as {id %d as %d peers %v slotOf %v dense %v}\nfresh {id %d as %d peers %v slotOf %v dense %v}",
 				world, id, g.id, g.as, g.peers, g.slotOf, g.slotDense, w.id, w.as, w.peers, w.slotOf, w.slotDense)
 		}
-		for _, n := range []int{len(g.peerAlive), len(g.nextSend), len(g.flushEv), len(g.flushAt), len(g.flushStamp),
+		for _, n := range []int{len(g.peerAlive), len(g.nextSend), len(g.flushEv),
 			len(g.flushTasks), len(g.advertised), len(g.pending), len(g.blocked), len(g.adjIn.slots)} {
 			if n != len(w.peers) {
 				t.Fatalf("%s: router %d has a per-slot array of %d for %d peers", world, id, n, len(w.peers))

@@ -303,50 +303,6 @@ func decide(rib *adjRIBIn, dest ASN, peers []Peer, peerAlive []bool, damp *dampe
 	return best, bestSlot, found
 }
 
-// decide2 is decide specialized for the second-best cache: one pass
-// over the slots computes both the winner and the runner-up — the
-// slot the same scan would pick if the winner's route vanished. Ranking and
-// eligibility are identical to decide except damping, which must be off
-// (the cache, like the incremental path, stands down under damping). The
-// second return uses the secondSlot sentinel encoding: a real slot, or
-// secondNone when fewer than two eligible routes exist.
-func decide2(rib *adjRIBIn, dest ASN, peers []Peer, peerAlive []bool,
-	rel *topology.Relationships, self NodeID) (locEntry, int, int16, bool) {
-	best := locEntry{}
-	bestPeer := Peer{}
-	bestClass := 0
-	bestSlot := -1
-	var secEntry locEntry
-	secPeer := Peer{}
-	secClass := 0
-	sec := -1
-	found := false
-	for slot, peer := range peers {
-		if peerAlive != nil && !peerAlive[slot] {
-			continue
-		}
-		ref := rib.getSlotRef(slot, dest)
-		if ref == 0 {
-			continue
-		}
-		cand := rib.tab.routeVia(ref, &peers[slot])
-		class := routeClass(rel, self, peer)
-		if !found || betterRoute(cand, peer, class, best, bestPeer, bestClass) {
-			if found {
-				secEntry, secPeer, secClass, sec = best, bestPeer, bestClass, bestSlot
-			}
-			best, bestPeer, bestClass, bestSlot, found = cand, peer, class, slot, true
-		} else if sec < 0 || betterRoute(cand, peer, class, secEntry, secPeer, secClass) {
-			secEntry, secPeer, secClass, sec = cand, peer, class, slot
-		}
-	}
-	second := secondNone
-	if sec >= 0 {
-		second = int16(sec)
-	}
-	return best, bestSlot, second, found
-}
-
 // routeClass ranks a route by the relationship it was learned over:
 // 0 customer (or internal / no policy), 1 peer, 2 provider. Lower wins.
 func routeClass(rel *topology.Relationships, self NodeID, peer Peer) int {

@@ -62,7 +62,7 @@ type router struct {
 	pending    []bitset     // destinations needing re-advertisement (drained in ascending order)
 	nextSend   []des.Time   // per-peer MRAI gate: announcements allowed at/after this time
 	destGate   [][]des.Time // per-destination gates (PerDestinationMRAI ablation); zero = open
-	flushEv    []*des.Event // scheduled deferred flush per slot (per-slot mode)
+	flushEv    []*des.Event // armed deferred flush per slot; nil = none
 
 	// Storm fast-lane send-path state (see ARCHITECTURE.md "Storm fast
 	// lane"). blocked marks, per slot, pending destinations that tryFlush
@@ -70,22 +70,10 @@ type router struct {
 	// passes until a gate can have opened (per-peer gate reached, or the
 	// deferred flush fires) or the destination's desired advertisement
 	// may have changed (markPendingAll clears the bit). Columns are
-	// allocated lazily on a slot's first blocked destination. Outside
-	// the refPerSlotFlush reference path the per-slot flushEv events
-	// become virtual timers: flushAt holds each slot's pending retry
-	// time (-1 = none) and flushStamp the engine sequence number
-	// reserved when that retry was recorded — together, the exact
-	// (at, seq) key the per-slot event would occupy in the queue. One
-	// real event (coalEv) is kept at the minimum virtual key (coalAt,
-	// coalSeq) and fires one slot per pop, so the executed schedule is
-	// identical to the per-slot reference's, event for event.
-	blocked    []bitset
-	flushAt    []des.Time
-	flushStamp []uint64
-	coalEv     *des.Event
-	coalAt     des.Time
-	coalSeq    uint64
-	coal       coalTask
+	// allocated lazily on a slot's first blocked destination. blockedSkip
+	// is false under the refNoBlockedSkip reference path.
+	blocked     []bitset
+	blockedSkip bool
 
 	inbox        Inbox
 	inboxQueue   QueueDiscipline // discipline inbox was built for (reset reuses on match)
@@ -143,28 +131,6 @@ type router struct {
 	bestSlot    []int16
 	workSlot    []int16
 	scanNeeded  bitset
-
-	// Second-best cache (active only alongside the incremental path,
-	// and off under refNoSecondBest). secondSlot caches, per
-	// destination, the peer slot the full decide scan would rank second
-	// — exactly the route the storm's dominant update kinds (incumbent
-	// withdrawal, incumbent worsening) promote, so those resolve in O(1)
-	// instead of a rescan.
-	// Sentinels: secondNone (known: no runner-up exists), secondInvalid
-	// (unknown: a scan must rebuild it before the fast paths may trust
-	// it). workSecond is the within-batch working copy, initialized from
-	// secondSlot alongside workSlot on a destination's first touch.
-	// Validity invariant: a non-negative entry always names a live slot
-	// whose stored Adj-RIB-In route ranks exactly second in the current
-	// table — every transition that cannot cheaply uphold this writes
-	// secondInvalid instead. Per-run mode flags (set by reset): useSecond
-	// gates this cache, blockedSkip the flush skip set, coalesce the
-	// coalesced MRAI flush.
-	useSecond   bool
-	blockedSkip bool
-	coalesce    bool
-	secondSlot  []int16
-	workSecond  []int16
 }
 
 // now returns the current simulated time.
@@ -174,12 +140,6 @@ func (r *router) now() des.Time { return r.eng.Now() }
 const (
 	bestNone int16 = -1 // no Loc-RIB entry for the destination
 	bestSelf int16 = -2 // locally originated route: never displaced
-)
-
-// secondSlot sentinel values (real peer slots are >= 0).
-const (
-	secondNone    int16 = -1 // known: no second-ranked route exists
-	secondInvalid int16 = -2 // unknown: only a full scan can rebuild it
 )
 
 // slotDenseMax bounds the topology size for which the dense slot index
@@ -195,7 +155,6 @@ func newRouter(sim *Simulator) *router {
 		slotOf: make(map[NodeID]int),
 	}
 	r.proc.r = r
-	r.coal.r = r
 	r.adjIn = newAdjRIBIn(r.slotOf, r.tab, 0, 0)
 	return r
 }
@@ -219,8 +178,6 @@ func (r *router) rewire(id NodeID, net *topology.Network) {
 	r.peerAlive = fit(r.peerAlive, nslots)
 	r.nextSend = fit(r.nextSend, nslots)
 	r.flushEv = fit(r.flushEv, nslots)
-	r.flushAt = fit(r.flushAt, nslots)
-	r.flushStamp = fit(r.flushStamp, nslots)
 	r.flushTasks = fit(r.flushTasks, nslots)
 	r.advertised = refit(r.advertised, nslots)
 	r.pending = refit(r.pending, nslots)
@@ -282,8 +239,6 @@ func (r *router) reset(p Params, ndests int) {
 		r.peerAlive[slot] = true
 		r.nextSend[slot] = 0
 		r.flushEv[slot] = nil
-		r.flushAt[slot] = -1
-		r.flushStamp[slot] = 0
 		r.advertised[slot].fit(ndests)
 		r.pending[slot] = r.pending[slot].fit(ndests)
 		r.blocked[slot] = r.blocked[slot].reuse(ndests) // else re-materializes lazily
@@ -292,8 +247,6 @@ func (r *router) reset(p Params, ndests int) {
 			clear(r.destGate[slot])
 		}
 	}
-	r.coalEv = nil // the engine was reset; the event is already gone
-	r.coalAt, r.coalSeq = -1, 0
 	if r.inbox == nil || r.inboxQueue != p.Queue || r.inboxDiscard != p.BatchDiscardStale {
 		r.inbox = newInbox(p, ndests)
 	} else {
@@ -308,20 +261,6 @@ func (r *router) reset(p Params, ndests int) {
 	}
 	r.incremental = r.damper == nil && p.ref&refFullScan == 0
 	r.blockedSkip = p.ref&refNoBlockedSkip == 0
-	// Exact in every configuration: virtual timers carry reserved
-	// engine sequence numbers, so equal-time collisions (jittered or
-	// not) resolve exactly as the per-slot events would.
-	r.coalesce = p.ref&refPerSlotFlush == 0
-	r.useSecond = r.incremental && p.ref&refNoSecondBest == 0
-	if r.useSecond {
-		r.secondSlot = fit(r.secondSlot, ndests)
-		fill(r.secondSlot, secondNone) // empty table: no runner-up
-		r.workSecond = fit(r.workSecond, ndests)
-	} else {
-		// Like flapCount: per-dest int16 arrays are real memory at
-		// multi-prefix scale, so the cache exists only when active.
-		r.secondSlot, r.workSecond = nil, nil
-	}
 	r.busyAccum, r.lastSnapBusy = 0, 0
 	r.busyStart, r.lastSnapTime = 0, 0
 	r.msgsSinceSnap = 0
@@ -395,85 +334,6 @@ func (t *flushTask) Run() {
 		bl.clearAll() // the armed gate time arrived: re-examine everything
 	}
 	r.tryFlush(t.slot)
-}
-
-// coalTask is the pre-allocated des.Runner for the coalesced deferred
-// flush: one armed event per router instead of one per (router, slot).
-// Each slot's pending retry is a virtual timer carrying the exact
-// (at, seq) key its per-slot event would occupy —
-// the sequence number is reserved from the engine at the point the
-// per-slot path would have allocated a fresh event — and the real event
-// is always positioned at the minimum virtual key, firing exactly one
-// slot per pop. The executed (at, seq) schedule is therefore identical
-// to the per-slot baseline's by construction: same keys, same
-// interleaving with every other same-time event in the queue.
-type coalTask struct {
-	r *router
-}
-
-// minVirtualFlush returns the slot with the earliest virtual timer key,
-// or -1 when no virtual timer is pending.
-func (r *router) minVirtualFlush() (slot int, at des.Time, seq uint64) {
-	slot = -1
-	for s, a := range r.flushAt {
-		if a < 0 {
-			continue
-		}
-		if q := r.flushStamp[s]; slot < 0 || a < at || (a == at && q < seq) {
-			slot, at, seq = s, a, q
-		}
-	}
-	return slot, at, seq
-}
-
-// Run fires the one slot whose virtual timer key the popped event
-// carries, then repositions at the new minimum.
-func (t *coalTask) Run() {
-	r := t.r
-	firedAt, firedSeq := r.coalAt, r.coalSeq
-	r.coalEv = nil
-	if !r.alive {
-		return
-	}
-	slot, at, seq := r.minVirtualFlush()
-	if slot < 0 {
-		return // every virtual timer was cleared since arming
-	}
-	if at != firedAt || seq != firedSeq {
-		// Stale pop: the minimum slot this event was positioned for was
-		// cleared after arming (peerDown, revive). The per-slot baseline
-		// pops the canceled event as the same no-op. Re-arm at the
-		// surviving minimum.
-		r.armCoalescedAt(at, seq)
-		return
-	}
-	// Live pop: run exactly this slot, exactly as its flushTask would.
-	r.flushAt[slot] = -1
-	if bl := r.blocked[slot]; bl != nil {
-		bl.clearAll() // the armed gate time arrived: re-examine everything
-	}
-	r.tryFlush(slot)
-	// Reposition at the new minimum (tryFlush may have re-armed for its
-	// own slot; another slot's virtual timer may be earlier).
-	if slot, at, seq = r.minVirtualFlush(); slot >= 0 {
-		r.armCoalescedAt(at, seq)
-	}
-}
-
-// armCoalescedAt positions the coalesced event at virtual key (at, seq)
-// unless it is already armed at that key or an earlier one. The armed
-// key only ever moves earlier, and never past the engine's position:
-// every virtual key is in the causal future of the arming call, and the
-// armed key is a lower bound on all live virtual keys.
-func (r *router) armCoalescedAt(at des.Time, seq uint64) {
-	if ev := r.coalEv; ev != nil && !ev.Canceled() {
-		if r.coalAt < at || (r.coalAt == at && r.coalSeq <= seq) {
-			return
-		}
-		r.eng.Cancel(ev)
-	}
-	r.coalEv = r.eng.ScheduleRunnerAtSeq(at, seq, &r.coal)
-	r.coalAt, r.coalSeq = at, seq
 }
 
 // peerSlot resolves a node id to its peer slot through the dense index
@@ -592,9 +452,6 @@ func (r *router) finishProcessing(batch []Update) {
 			// Adj-RIB-In mutation below overwrites the previous route.
 			if !touched.has(dest) {
 				r.workSlot[dest] = r.bestSlot[dest]
-				if r.useSecond {
-					r.workSecond[dest] = r.secondSlot[dest]
-				}
 			}
 			r.classify(slot, u, looped)
 		}
@@ -654,13 +511,6 @@ func (r *router) runDecision(dest ASN) bool {
 	if hadOld && old.isSelf() {
 		return false // locally originated routes are never displaced
 	}
-	if r.useSecond {
-		// One scan rebuilds both caches (decide2 ranks identically to
-		// decide; useSecond implies damping is off).
-		best, slot, second, ok := decide2(r.adjIn, dest, r.peers, r.peerAlive, r.sim.params.Policy, r.id)
-		r.secondSlot[dest] = second
-		return r.commitDecision(dest, old, hadOld, best, slot, ok)
-	}
 	best, slot, ok := decide(r.adjIn, dest, r.peers, r.peerAlive, r.damper, r.sim.params.Policy, r.id)
 	return r.commitDecision(dest, old, hadOld, best, slot, ok)
 }
@@ -684,14 +534,6 @@ func (r *router) runDecision(dest ASN) bool {
 // winning. Only called in incremental mode, where damping is off — so
 // no candidate is ever suppressed and the Loc-RIB invariant (bestSlot ==
 // full-scan winner) holds between batches.
-//
-// With the second-best cache (useSecond), most (c) cases also resolve
-// without a scan: an incumbent withdrawal promotes the cached runner-up
-// (or empties the table when the runner-up is known absent), and an
-// incumbent worsening compares the new route against the runner-up
-// directly. The scan remains only when the runner-up is unknown
-// (secondInvalid). See ARCHITECTURE.md "Storm fast lane" for the full
-// classification table.
 func (r *router) classify(slot int, u Update, looped bool) {
 	dest := int(u.Dest)
 	if r.scanNeeded.has(dest) {
@@ -702,38 +544,13 @@ func (r *router) classify(slot int, u Update, looped bool) {
 		return // locally originated: the decision is always a no-op
 	}
 	if u.IsWithdrawal() || looped {
-		if ws < 0 || int(ws) != slot {
-			// (b) removing a never-best route cannot change the winner —
-			// but the removed route may have been the cached runner-up.
-			if r.useSecond && ws >= 0 && r.workSecond[dest] == int16(slot) {
-				r.workSecond[dest] = secondInvalid
-			}
-			return
+		if ws >= 0 && int(ws) == slot {
+			r.scanNeeded.set(dest) // (c) the working best's route went away
 		}
-		// (c) the working best's route went away. With the second-best
-		// cache the storm's dominant case resolves in O(1): the cached
-		// runner-up is exactly what the full scan would now pick (or the
-		// table is known to empty). The new runner-up (the old third) is
-		// unknown either way.
-		if r.useSecond {
-			switch sec := r.workSecond[dest]; {
-			case sec >= 0:
-				r.workSlot[dest] = sec
-				r.workSecond[dest] = secondInvalid
-				return
-			case sec == secondNone:
-				r.workSlot[dest] = bestNone
-				return
-			}
-		}
-		r.scanNeeded.set(dest)
-		return
+		return // (b) removing a never-best route cannot change the winner
 	}
 	if ws < 0 {
 		r.workSlot[dest] = int16(slot) // first candidate for an empty table
-		if r.useSecond {
-			r.workSecond[dest] = secondNone
-		}
 		return
 	}
 	peer := r.peers[slot]
@@ -747,87 +564,20 @@ func (r *router) classify(slot int, u Update, looped bool) {
 	if int(ws) == slot {
 		// Re-announcement on the winning slot itself: same peer, so only
 		// the path ranking can move. An equal-or-better replacement keeps
-		// winning (and cannot reorder the routes below it); a strictly
-		// worse one may let the runner-up overtake.
+		// winning; a strictly worse one may let another route overtake.
 		prev := r.tab.routeVia(wref, &peer)
-		if !betterRoute(prev, peer, class, cand, peer, class) {
-			return
+		if betterRoute(prev, peer, class, cand, peer, class) {
+			r.scanNeeded.set(dest) // (c) the working best's route worsened
 		}
-		if r.useSecond {
-			switch sec := r.workSecond[dest]; {
-			case sec == secondNone:
-				return // no other route: the worsened incumbent still wins
-			case sec >= 0:
-				if sref := r.adjIn.getSlotRef(int(sec), dest); sref != 0 {
-					sp := r.peers[sec]
-					sentry := r.tab.routeVia(sref, &sp)
-					sclass := routeClass(r.sim.params.Policy, r.id, sp)
-					if betterRoute(cand, peer, class, sentry, sp, sclass) {
-						return // still ahead of the runner-up: keeps winning
-					}
-					// The runner-up overtakes; where the worsened incumbent
-					// now ranks against the old third is unknown.
-					r.workSlot[dest] = sec
-					r.workSecond[dest] = secondInvalid
-					return
-				}
-			}
-		}
-		r.scanNeeded.set(dest) // (c) the working best's route worsened
 		return
 	}
 	wpeer := r.peers[ws]
 	wentry := r.tab.routeVia(wref, &wpeer)
 	wclass := routeClass(r.sim.params.Policy, r.id, wpeer)
 	if betterRoute(cand, peer, class, wentry, wpeer, wclass) {
-		// (a) strictly better: new working best. The displaced best is
-		// exactly the new runner-up — even when the candidate replaced
-		// the old runner-up's own route, since the displaced best
-		// outranked that runner-up, which outranked everything else.
-		r.workSlot[dest] = int16(slot)
-		if r.useSecond {
-			r.workSecond[dest] = ws
-		}
-		return
+		r.workSlot[dest] = int16(slot) // (a) strictly better: new working best
 	}
-	// (b): does not beat the working best — a decision no-op, but the
-	// candidate may enter, replace, or displace the runner-up.
-	if !r.useSecond {
-		return
-	}
-	switch sec := r.workSecond[dest]; {
-	case sec == secondNone:
-		// Only route besides the best: the candidate is the runner-up.
-		r.workSecond[dest] = int16(slot)
-	case sec == int16(slot):
-		// Replacement of the runner-up's own route: an equal-or-better
-		// replacement stays ahead of the old third; a strictly worse one
-		// may not.
-		sref := r.adjIn.getSlotRef(int(sec), dest)
-		if sref == 0 {
-			r.workSecond[dest] = secondInvalid // defensive: cache out of sync
-			return
-		}
-		sp := r.peers[sec]
-		sentry := r.tab.routeVia(sref, &sp)
-		sclass := routeClass(r.sim.params.Policy, r.id, sp)
-		if betterRoute(sentry, sp, sclass, cand, peer, class) {
-			r.workSecond[dest] = secondInvalid
-		}
-	case sec >= 0:
-		sref := r.adjIn.getSlotRef(int(sec), dest)
-		if sref == 0 {
-			r.workSecond[dest] = secondInvalid // defensive: cache out of sync
-			return
-		}
-		sp := r.peers[sec]
-		sentry := r.tab.routeVia(sref, &sp)
-		sclass := routeClass(r.sim.params.Policy, r.id, sp)
-		if betterRoute(cand, peer, class, sentry, sp, sclass) {
-			r.workSecond[dest] = int16(slot) // overtakes the runner-up
-		}
-	}
-	// Remaining case (sec == secondInvalid): stays unknown.
+	// Otherwise (b): does not beat the working best, a decision no-op.
 }
 
 // applyWorkingBest resolves a touched destination's decision without
@@ -843,12 +593,6 @@ func (r *router) applyWorkingBest(dest ASN) bool {
 	}
 	ws := r.workSlot[dest]
 	if ws < 0 {
-		if hadOld && r.useSecond {
-			// classify concluded the table emptied (incumbent withdrawn,
-			// runner-up known absent): commit the removal scan-free.
-			r.secondSlot[dest] = secondNone
-			return r.commitDecision(dest, old, hadOld, locEntry{}, -1, false)
-		}
 		// Only removals of never-best routes touched dest: the table had
 		// no winner before and has none now (a Loc-RIB entry would have
 		// initialized ws to its slot).
@@ -857,11 +601,6 @@ func (r *router) applyWorkingBest(dest ASN) bool {
 	ref := r.adjIn.getSlotRef(int(ws), dest)
 	if ref == 0 {
 		return r.runDecision(dest) // defensive: cache out of sync, rescan
-	}
-	if r.useSecond {
-		// Committed even when the winner is unchanged: the batch may have
-		// moved only the runner-up.
-		r.secondSlot[dest] = r.workSecond[dest]
 	}
 	peer := &r.peers[ws]
 	best := locEntry{ref: ref, from: peer.Node, fromInternal: peer.Internal}
@@ -1096,10 +835,8 @@ func (r *router) nextMRAI(now des.Time) time.Duration {
 	return m
 }
 
-// scheduleFlush arms (or re-arms earlier) the deferred flush for slot.
-// In coalesced mode (all but refPerSlotFlush) the slot's retry time is
-// recorded in flushAt and the single per-router event is armed at the
-// earliest retry over all slots; otherwise a per-slot event is armed.
+// scheduleFlush arms the deferred flush for slot at time at, or re-arms
+// it earlier; an armed flush already due no later is kept.
 func (r *router) scheduleFlush(slot int, at des.Time) {
 	if at < 0 {
 		return
@@ -1107,19 +844,6 @@ func (r *router) scheduleFlush(slot int, at des.Time) {
 	now := r.now()
 	if at < now {
 		at = now
-	}
-	if r.coalesce {
-		if cur := r.flushAt[slot]; cur < 0 || at < cur {
-			// Mirror the per-slot re-arm rule below: the recorded retry
-			// only ever moves earlier, and each move reserves the exact
-			// sequence number the per-slot path's fresh event would have
-			// drawn — the virtual timer key (at, seq) is byte-for-byte
-			// the queue key that event would occupy.
-			r.flushAt[slot] = at
-			r.flushStamp[slot] = r.eng.ReserveSeq()
-		}
-		r.armCoalescedAt(r.flushAt[slot], r.flushStamp[slot])
-		return
 	}
 	if ev := r.flushEv[slot]; ev != nil && !ev.Canceled() {
 		if ev.At() <= at {
@@ -1217,10 +941,7 @@ func (r *router) kill() {
 	for slot, ev := range r.flushEv {
 		r.eng.Cancel(ev)
 		r.flushEv[slot] = nil
-		r.flushAt[slot] = -1
 	}
-	r.eng.Cancel(r.coalEv)
-	r.coalEv = nil
 }
 
 // revive restores a killed router to its boot state: empty RIBs, fresh
@@ -1240,17 +961,12 @@ func (r *router) revive() {
 	for i := range r.bestSlot {
 		r.bestSlot[i] = bestNone
 	}
-	for i := range r.secondSlot {
-		r.secondSlot[i] = secondNone // table emptied: no runner-up
-	}
 	if r.sim.params.Damping != nil {
 		r.damper = newDamper(r.sim.params.Damping)
 	}
 	r.busyAccum, r.lastSnapBusy = 0, 0
 	r.busyStart, r.lastSnapTime = r.now(), r.now()
 	r.msgsSinceSnap = 0
-	r.eng.Cancel(r.coalEv)
-	r.coalEv = nil
 	for slot := range r.peers {
 		r.peerAlive[slot] = false
 		r.advertised[slot].reset()
@@ -1258,7 +974,6 @@ func (r *router) revive() {
 		r.nextSend[slot] = 0
 		r.eng.Cancel(r.flushEv[slot])
 		r.flushEv[slot] = nil
-		r.flushAt[slot] = -1
 		if bl := r.blocked[slot]; bl != nil {
 			bl.clearAll()
 		}
@@ -1304,7 +1019,6 @@ func (r *router) peerDown(slot int) {
 	r.advertised[slot].reset()
 	r.eng.Cancel(r.flushEv[slot])
 	r.flushEv[slot] = nil
-	r.flushAt[slot] = -1
 	if bl := r.blocked[slot]; bl != nil {
 		bl.clearAll()
 	}
@@ -1314,46 +1028,14 @@ func (r *router) peerDown(slot int) {
 	anyChanged := false
 	for _, dest := range affected {
 		r.adjIn.removeSlot(slot, dest)
-		if r.incremental {
-			if r.useSecond && r.secondSlot[dest] == int16(slot) {
-				r.secondSlot[dest] = secondInvalid
-			}
-			if r.bestSlot[dest] != int16(slot) {
-				// Losing a route that was not the winner cannot change the
-				// decision: the full scan would re-pick the cached winner
-				// and return unchanged (the dead slot is already skipped
-				// via peerAlive). Skipping it here is what makes session
-				// loss O(routes via the dead peer that were actually best)
-				// instead of O(affected destinations × degree).
-				continue
-			}
-			if r.useSecond {
-				// Incumbent lost with a usable runner-up cache: commit the
-				// promotion (or the known-empty outcome) without a scan.
-				// The affected list covers every destination routed via
-				// this slot, so a cached runner-up on a *different* slot
-				// is still alive and stored.
-				if sec := r.secondSlot[dest]; sec >= 0 {
-					if ref := r.adjIn.getSlotRef(int(sec), dest); ref != 0 && r.peerAlive[sec] {
-						old, hadOld := r.locEntryAt(dest)
-						p := &r.peers[sec]
-						best := locEntry{ref: ref, from: p.Node, fromInternal: p.Internal}
-						r.secondSlot[dest] = secondInvalid // old third unknown
-						if r.commitDecision(dest, old, hadOld, best, int(sec), true) {
-							r.markPendingAll(dest)
-							anyChanged = true
-						}
-						continue
-					}
-				} else if sec == secondNone {
-					old, hadOld := r.locEntryAt(dest)
-					if r.commitDecision(dest, old, hadOld, locEntry{}, -1, false) {
-						r.markPendingAll(dest)
-						anyChanged = true
-					}
-					continue
-				}
-			}
+		if r.incremental && r.bestSlot[dest] != int16(slot) {
+			// Losing a route that was not the winner cannot change the
+			// decision: the full scan would re-pick the cached winner and
+			// return unchanged (the dead slot is already skipped via
+			// peerAlive). Skipping it here is what makes session loss
+			// O(routes via the dead peer that were actually best) instead
+			// of O(affected destinations × degree).
+			continue
 		}
 		if r.runDecision(dest) {
 			r.markPendingAll(dest)

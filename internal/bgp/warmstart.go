@@ -86,16 +86,6 @@ func (s *Simulator) warmStart() error {
 	if err != nil {
 		return err
 	}
-	// The install fills Adj-RIBs-In without maintaining the second-best
-	// cache, so reset's "empty table: no runner-up" state would be a lie
-	// from here on. Unknown is always safe — the first incumbent loss per
-	// destination scans once and rebuilds the entry (output-neutral: the
-	// scan commits the same outcome the promotion would).
-	for _, r := range s.routers {
-		for i := range r.secondSlot {
-			r.secondSlot[i] = secondInvalid
-		}
-	}
 	tab := &s.tab
 	memo := make([]routeRef, s.net.NumNodes())
 

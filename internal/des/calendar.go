@@ -167,5 +167,7 @@ func (q *calendarQueue) firstSlot() int {
 			return j<<6 + bits.TrailingZeros64(w)
 		}
 	}
-	panic("des: calendar queue ring empty") // callers ensure ringN > 0
+	// Invariant: callers ensure ringN > 0, so some occupancy bit is set;
+	// reaching here is a queue bug, never reachable from input.
+	panic("des: calendar queue ring empty")
 }

@@ -180,6 +180,7 @@ func (e *Engine) Schedule(delay Time, fn Handler) *Event {
 // past panics: it is a model bug, not a recoverable condition.
 func (e *Engine) ScheduleAt(at Time, fn Handler) *Event {
 	if fn == nil {
+		// Invariant: callers pass a handler they own; nil is a model bug.
 		panic("des: schedule nil handler")
 	}
 	ev := e.alloc(at)
@@ -201,39 +202,10 @@ func (e *Engine) ScheduleRunner(delay Time, r Runner) *Event {
 // ScheduleAt but without the per-event closure allocation.
 func (e *Engine) ScheduleRunnerAt(at Time, r Runner) *Event {
 	if r == nil {
+		// Invariant: callers pass a long-lived runner; nil is a model bug.
 		panic("des: schedule nil runner")
 	}
 	ev := e.alloc(at)
-	ev.runner = r
-	return ev
-}
-
-// ReserveSeq draws the next sequence number without scheduling anything.
-// It lets a model maintain virtual timers: a pending action records the
-// (at, seq) key the event it replaces would have occupied — one draw per
-// point where the eager path would have allocated a fresh event — and a
-// single real event is kept at the minimum recorded key via
-// ScheduleRunnerAtSeq. Because the sequence stream is consumed at
-// exactly the same points either way, every event in the run (virtual
-// or not) carries the same stamp as in the eager schedule.
-func (e *Engine) ReserveSeq() uint64 {
-	e.seq++
-	return e.seq
-}
-
-// ScheduleRunnerAtSeq queues r at absolute time at under a previously
-// reserved sequence number (ReserveSeq) instead of drawing a fresh one.
-// The event sorts into the queue exactly where an event allocated at
-// reservation time would have. Scheduling in the past panics, as
-// ScheduleAt does.
-func (e *Engine) ScheduleRunnerAtSeq(at Time, seq uint64, r Runner) *Event {
-	if r == nil {
-		panic("des: schedule nil runner")
-	}
-	if at < e.now {
-		panic(fmt.Sprintf("des: schedule at %v before now %v", at, e.now))
-	}
-	ev := e.insert(at, seq)
 	ev.runner = r
 	return ev
 }
@@ -243,16 +215,11 @@ func (e *Engine) ScheduleRunnerAtSeq(at Time, seq uint64, r Runner) *Event {
 // left for the caller to fill in.
 func (e *Engine) alloc(at Time) *Event {
 	if at < e.now {
+		// Invariant: every model computes event times forward from Now;
+		// a past time is a model bug, never reachable from input.
 		panic(fmt.Sprintf("des: schedule at %v before now %v", at, e.now))
 	}
 	e.seq++
-	return e.insert(at, e.seq)
-}
-
-// insert queues a recycled-or-new Event stamped (at, seq). It is the common
-// tail of alloc and ScheduleRunnerAtSeq, which re-queues under a sequence
-// number reserved earlier.
-func (e *Engine) insert(at Time, seq uint64) *Event {
 	ev := e.free
 	if ev != nil {
 		e.free = ev.next
@@ -263,7 +230,7 @@ func (e *Engine) insert(at Time, seq uint64) *Event {
 		}
 		ev, e.spare = &e.spare[0], e.spare[1:]
 	}
-	*ev = Event{at: at, seq: seq}
+	*ev = Event{at: at, seq: e.seq}
 	e.queue.Push(ev)
 	return ev
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -56,10 +57,19 @@ func ParseScheme(s string) (Scheme, error) {
 	}
 }
 
+// parseSchemeSeconds reads a non-negative, finite number of seconds that
+// fits a time.Duration; "NaN", "Inf" and overflowing values are errors,
+// not a wrapped-around interval.
 func parseSchemeSeconds(s string) (time.Duration, error) {
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v < 0 {
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 		return 0, fmt.Errorf("bad seconds value %q", s)
 	}
-	return time.Duration(v * float64(time.Second)), nil
+	// float64(math.MaxInt64) rounds up to 2^63, one past the largest
+	// Duration, so equality overflows too.
+	ns := v * float64(time.Second)
+	if ns >= float64(math.MaxInt64) {
+		return 0, fmt.Errorf("seconds value %q overflows a duration", s)
+	}
+	return time.Duration(ns), nil
 }
