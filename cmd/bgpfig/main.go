@@ -68,7 +68,6 @@ func run(args []string) (err error) {
 		maxAS    = fs.Int("max-as-size", 0, "override fig13's routers-per-AS cap (paper: 100)")
 		prefixes = fs.Int("prefixes", 0, "prefixes originated per AS (0 or 1 = the paper's single prefix; 1 must reproduce recorded figures byte-identically)")
 		workers  = fs.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial; same bytes either way)")
-		warm     = fs.Bool("warmstart", false, "seed each trial from the snapshot backend's converged fixpoint instead of simulating initial convergence (must reproduce recorded figures byte-identically)")
 		outDir   = fs.String("o", "", "also write each figure to <dir>/<id>.txt")
 		asJSON   = fs.Bool("json", false, "with -o: additionally write <id>.json for plotting tools")
 		quiet    = fs.Bool("q", false, "suppress progress output")
@@ -123,7 +122,6 @@ func run(args []string) (err error) {
 	if *prefixes > 0 {
 		opts.PrefixesPerOrigin = *prefixes
 	}
-	opts.WarmStart = *warm
 	opts.Workers = *workers
 
 	var exps []bgpsim.Experiment

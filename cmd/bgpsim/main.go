@@ -65,7 +65,6 @@ func run(args []string, out *os.File) (err error) {
 		seed     = fs.Int64("seed", 1, "base seed")
 		prefixes = fs.Int("prefixes", 1, "prefixes originated per AS")
 		policy   = fs.Bool("policy", false, "enable Gao-Rexford policies (hierarchical relationships)")
-		warm     = fs.Bool("warmstart", false, "seed each trial from the snapshot backend's converged fixpoint instead of simulating initial convergence (same results, less wall clock)")
 
 		churnKind  = fs.String("churn", "", "run a churn program instead of a batch failure: poisson-link-flap | poisson-node-fail | rolling-outage | flap-cycle")
 		churnRate  = fs.Float64("churn-rate", 0.1, "poisson kinds: mean arrivals per simulated second")
@@ -112,8 +111,7 @@ func run(args []string, out *os.File) (err error) {
 				Regions:  *churnReg,
 				Fraction: *churnFrac,
 			},
-			Seed:      *seed,
-			WarmStart: *warm,
+			Seed: *seed,
 		}
 		if err := csc.Program.Validate(); err != nil {
 			return err
@@ -137,7 +135,6 @@ func run(args []string, out *os.File) (err error) {
 		Failure:            bgpsim.GeographicFailure(*failPct / 100),
 		Scheme:             sch,
 		PolicyHierarchical: *policy,
-		WarmStart:          *warm,
 		Seed:               *seed,
 	}
 	st, err := bgpsim.RunTrialsContext(ctx, sc, *trials, *workers)

@@ -3,6 +3,11 @@
 // stabilization quantiles, and the busiest routers. Optionally dumps the
 // raw event log.
 //
+// The trial starts from the installed converged state at time zero, so
+// every absolute time it prints — the report's window start, each
+// -events line — counts from there: the failure sits at 5s, and no
+// event precedes it.
+//
 // Usage:
 //
 //	bgptrace -nodes 60 -fail 10 -scheme dynamic
@@ -40,7 +45,7 @@ func run(args []string) (err error) {
 		seed     = fs.Int64("seed", 1, "seed")
 		prefixes = fs.Int("prefixes", 1, "prefixes originated per AS")
 		bucket   = fs.Duration("bucket", time.Second, "activity time-series bucket")
-		events   = fs.Bool("events", false, "dump the raw event log")
+		events   = fs.Bool("events", false, "dump the raw event log (absolute times; the failure is at 5s)")
 		kindName = fs.String("kind", "", "with -events: only this kind (send, recv, proc, route, timer)")
 	)
 	var prof profiling.Config

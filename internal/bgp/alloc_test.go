@@ -103,8 +103,10 @@ func (q *markInbox) Push(u Update) {
 }
 
 // TestInboxAllocatesItsHighWaterOnce pins what the cell slab is for: over
-// a whole batch+dynamic trial on 120 routers — initial convergence, a
-// 10% failure, re-convergence — everything the batched inboxes hold that
+// a whole batch+dynamic trial on 120 routers from the refColdStart
+// reference — initial convergence as events, a 10% failure,
+// re-convergence, the heaviest load a trial puts on the inboxes —
+// everything the batched inboxes hold that
 // grows with traffic (cells, chunk table, destination ring, batch array)
 // stays within 1.5 × 16 bytes per update of the routers' summed queue
 // high-water marks. An array per pending destination cost several times
@@ -117,6 +119,7 @@ func TestInboxAllocatesItsHighWaterOnce(t *testing.T) {
 	sim, err := New(nw, equivalenceParams(1, func(p *Params) {
 		p.Queue = QueueBatched
 		p.MRAI = mrai.PaperDynamic()
+		p.ref = refColdStart
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -184,5 +187,58 @@ func TestStartAllocatesNothingAfterRebind(t *testing.T) {
 	}
 	if least != 0 {
 		t.Errorf("Start allocated at least %d objects on each of 8 rebound simulators, want 0", least)
+	}
+}
+
+// TestConvergeInitialAllocatesNothingAfterRebind pins that installing the
+// converged state costs a pooled simulator nothing once its buffers have
+// grown: the solver, the install's scratch, the path table and the RIBs
+// are all refitted by Rebind. Sweeps run one pooled simulator over a
+// fresh world per cell, so the worlds alternate here — two of the same
+// size, with and without Gao–Rexford policy. What Rebind itself
+// allocates (the per-router MRAI policies) is measured alone and
+// subtracted.
+func TestConvergeInitialAllocatesNothingAfterRebind(t *testing.T) {
+	var nets []*topology.Network
+	var pols []*topology.Relationships
+	for seed := int64(1); seed <= 2; seed++ {
+		nw, err := topology.SkewedNetwork(topology.Skewed7030(40), des.NewRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol, err := topology.InferRelationships(nw, 1.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets, pols = append(nets, nw), append(pols, pol)
+	}
+	for _, policy := range []bool{false, true} {
+		params := equivalenceParams(1, func(p *Params) { p.PrefixesPerAS = 2 })
+		sim, err := New(nets[0], params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tour := func(converge bool) {
+			for i, nw := range nets {
+				if policy {
+					params.Policy = pols[i]
+				}
+				if err := sim.Rebind(nw, params); err != nil {
+					t.Fatal(err)
+				}
+				if converge {
+					if err := sim.ConvergeInitial(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		tour(true) // grow every buffer to the larger world's needs
+		both := testing.AllocsPerRun(4, func() { tour(true) })
+		rebind := testing.AllocsPerRun(4, func() { tour(false) })
+		if both != rebind {
+			t.Errorf("policy=%v: Rebind+ConvergeInitial allocates %v objects per tour, Rebind alone %v: ConvergeInitial allocates",
+				policy, both, rebind)
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkConvergeAndFail runs one full simulation per iteration
-// (initial convergence, 6-node geographic failure, re-convergence) on a
+// (installed start, 6-node geographic failure, re-convergence) on a
 // fixed 60-node topology. The damped case is the only timing of the
 // flap-damping path; benchmark/ covers the other three at paper scale.
 func BenchmarkConvergeAndFail(b *testing.B) {

@@ -10,10 +10,11 @@ import (
 // This file holds the control-plane hooks the churn subsystem
 // (internal/churn) drives the simulator through: generic control-event
 // scheduling, explicit measurement-window management, link recovery, and
-// the initial-convergence entry point shared with ConvergeAndFail. All
-// of them reuse the exact machinery of the batch-failure flow —
+// the start every trial shares with ConvergeAndFail (ConvergeInitial).
+// All of them reuse the exact machinery of the batch-failure flow —
 // ScheduleFailure/ScheduleRecovery, normalizeWindow — so a churn
-// program composes with prefixes and warm start by construction.
+// program composes with prefixes and the installed start by
+// construction.
 
 // ScheduleControl schedules fn as a global control event at absolute
 // time at, on the engine failures and recoveries run on. Control events
@@ -114,22 +115,22 @@ func (s *Simulator) ScheduleLinkRecovery(at des.Time, links [][2]int) {
 	})
 }
 
-// ConvergeInitial brings the simulator to its initial converged state:
-// with Params.WarmStart the snapshot backend's fixpoint is installed
-// directly (no phase-1 simulation); otherwise initial route propagation
-// is simulated to quiescence. After it
-// returns, Now() is the quiescent time and the simulator is ready for
+// ConvergeInitial brings a freshly rebound simulator to its initial
+// converged state by installing the snapshot fixpoint (warmStart): no
+// event runs, Now() stays at zero, and the simulator is ready for
 // failure injection — ConvergeAndFail and churn programs both start
-// here.
+// here. Event-driven initial convergence (Start, then Run to
+// quiescence) survives only as the refColdStart reference the tests
+// compare the install against.
 func (s *Simulator) ConvergeInitial() error {
-	if s.params.WarmStart {
-		if err := s.warmStart(); err != nil {
-			return fmt.Errorf("warm start: %w", err)
+	if s.params.ref&refColdStart != 0 {
+		s.Start()
+		if err := s.Run(); err != nil {
+			return fmt.Errorf("initial convergence: %w", err)
 		}
 		return nil
 	}
-	s.Start()
-	if err := s.Run(); err != nil {
+	if err := s.warmStart(); err != nil {
 		return fmt.Errorf("initial convergence: %w", err)
 	}
 	return nil

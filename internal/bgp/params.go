@@ -124,18 +124,6 @@ type Params struct {
 	// over this interval to avoid a synchronized start.
 	OriginationSpread time.Duration
 
-	// WarmStart replaces the event-driven initial-convergence phase with
-	// the snapshot backend (internal/snapshot): ConvergeAndFail installs
-	// the analytically computed converged routing state — Loc-RIBs,
-	// Adj-RIBs-In, advertisement bookkeeping, quiescent timers — directly
-	// into the routers and proceeds straight to failure injection. Because
-	// the measurement window normalizes away all phase-1 transients in
-	// every mode (see Simulator.normalizeWindow), a warm-started trial
-	// reproduces the cold-started trial's post-failure delay and message
-	// figures exactly while skipping the bulk of the wall-clock cost.
-	// Policy runs hand the same Relationships to both backends via Policy.
-	WarmStart bool
-
 	// Seed drives every random draw in the simulation (processing delays,
 	// jitter, origination stagger).
 	Seed int64
@@ -153,9 +141,9 @@ type Params struct {
 
 // refPaths is a bit set of reference implementations that the production
 // paths are digest-compared against (incremental_test.go,
-// stormpath_test.go, multiprefix_test.go). Output is byte-identical in
-// every combination; each bit exists so a test can pin one piece on its
-// own.
+// stormpath_test.go, multiprefix_test.go, warmstart_test.go). Output is
+// byte-identical in every combination; each bit exists so a test can pin
+// one piece on its own.
 type refPaths uint8
 
 const (
@@ -171,6 +159,12 @@ const (
 	// seam: it sweeps the path table at every safe point, however little
 	// the table has grown (see Simulator.armSweep).
 	refCompactAlways
+	// refColdStart makes ConvergeInitial simulate initial convergence
+	// (every origination as an event, then Run to quiescence) instead of
+	// installing the snapshot fixpoint. Post-failure figures are
+	// identical; absolute times and whole-run totals include the
+	// simulated phase.
+	refColdStart
 )
 
 // DefaultParams returns the paper's simulation configuration with a 30 s

@@ -31,7 +31,9 @@ type runDigest struct {
 
 // digestRun executes one failure experiment and captures the full
 // observable outcome: convergence delay, every collector counter, and
-// every router's final route to every destination.
+// every router's final route to every destination. Every run it digests
+// must also be quiescent and, unless damped, end on the post-failure
+// fixpoint (assertPostFailureFixpoint).
 func digestRun(t *testing.T, sim *Simulator, nw *topology.Network, fail []int) runDigest {
 	t.Helper()
 	delay, err := sim.ConvergeAndFail(fail)
@@ -39,6 +41,7 @@ func digestRun(t *testing.T, sim *Simulator, nw *topology.Network, fail []int) r
 		t.Fatal(err)
 	}
 	assertQuiescent(t, sim)
+	assertPostFailureFixpoint(t, sim, fail)
 	col := sim.Collector()
 	var s strings.Builder
 	fmt.Fprintf(&s, "delay=%v msgs=%d ann=%d wd=%d proc=%d disc=%d rc=%d now=%v\n",
@@ -446,12 +449,16 @@ func TestRebindRefusalLeavesSimulatorUntouched(t *testing.T) {
 	}
 }
 
-// TestRebindWarmStartAndPolicy pins the two lookups keyed by network:
-// the warm-start snapshot and the Gao–Rexford relationships must be
-// those of the world at hand, with and without each other.
+// TestRebindWarmStartAndPolicy pins the two things Rebind fits to the
+// network and the policy: the snapshot solver the start is installed
+// from and the Gao–Rexford relationships must be those of the world at
+// hand, with and without each other, in the installed start ("warm")
+// and in the refColdStart reference ("cold"). The tour adds a realistic
+// world (multi-router ASes with IBGP) to its first six stops.
 func TestRebindWarmStartAndPolicy(t *testing.T) {
 	var worlds []rebindWorld
-	for _, w := range rebindWorlds(t)[:6] {
+	tour := rebindWorlds(t)
+	for _, w := range append(tour[:6:6], tour[7]) {
 		worlds = append(worlds, w)
 		pol, err := topology.InferRelationships(w.net, 1.5)
 		if err != nil {
@@ -469,7 +476,9 @@ func TestRebindWarmStartAndPolicy(t *testing.T) {
 			var reused *Simulator
 			for wi, w := range worlds {
 				p := w.params(int64(20+wi), nil)
-				p.WarmStart = warm
+				if !warm {
+					p.ref = refColdStart
+				}
 				if reused == nil {
 					var err error
 					if reused, err = New(w.net, p); err != nil {

@@ -9,6 +9,7 @@ import (
 	"bgpsim/internal/des"
 	"bgpsim/internal/metrics"
 	"bgpsim/internal/mrai"
+	"bgpsim/internal/snapshot"
 	"bgpsim/internal/topology"
 	"bgpsim/internal/trace"
 )
@@ -17,11 +18,10 @@ import (
 // one runnable simulation. Typical use:
 //
 //	sim, _ := New(net, params)
-//	sim.Start()                      // originate one prefix per AS
-//	sim.Run()                        // phase 1: initial convergence
+//	sim.ConvergeInitial()            // install the converged state
 //	failAt := sim.Now() + settle
 //	sim.ScheduleFailure(failAt, nodes)
-//	sim.Run()                        // phase 2: re-convergence
+//	sim.Run()                        // re-convergence
 //	delay := sim.Collector().ConvergenceDelay()
 //
 // A Simulator is reusable: Rebind rewinds it to time zero with a fresh
@@ -70,6 +70,13 @@ type Simulator struct {
 	// their visitor through an interface, so a method value made per
 	// sweep would be allocated per sweep.
 	markRef, renameRef func(*routeRef)
+
+	// snap solves the converged state ConvergeInitial installs, one
+	// destination AS at a time; warmRefs (per node) and warmChain are the
+	// install's scratch (warmstart.go). Rebind fits all three.
+	snap      snapshot.Solver
+	warmRefs  []routeRef
+	warmChain []int32
 }
 
 // delivery is the pooled des.Runner carrying one in-flight update from
@@ -224,8 +231,8 @@ func (s *Simulator) Reset(params Params) error {
 // networks are immutable once simulated on) pays for rewiring the
 // routers. Nothing that depends on the network is cached past that: the
 // origins and the router wiring are rebuilt, the collector is resized,
-// and relationships and the warm-start snapshot are looked up through
-// params and net at each use.
+// the snapshot solver is refitted to the network and params.Policy, and
+// relationships are looked up through params at each use.
 func (s *Simulator) Rebind(net *topology.Network, params Params) error {
 	if err := params.Validate(); err != nil {
 		return err
@@ -278,6 +285,8 @@ func (s *Simulator) Rebind(net *topology.Network, params Params) error {
 	s.swept = PathStats{}
 	s.ribCells = (2*net.NumNodes() + 4*net.NumLinks()) * ndests
 	s.armSweep(s.tab.size())
+	s.snap.Bind(net, snapshot.Config{Policy: params.Policy})
+	s.warmRefs = fit(s.warmRefs, net.NumNodes())
 	return nil
 }
 
@@ -376,12 +385,12 @@ func (s *Simulator) Collector() *metrics.Collector { return s.col }
 // carry phase-1 residue into the measurement window: the random stream
 // is reseeded from Params.Seed, and every live router expires its MRAI
 // gates, restarts its flap counters, and rebuilds its policy, damper,
-// and load accounting (router.normalizeWindow). It runs at window open
-// cold and warm start alike, which makes the post-failure dynamics a
-// pure function of (topology, converged routing state, failure set,
-// parameters, seed). That contract is what lets a warm-started trial
-// reproduce a cold-started one byte-for-byte: the two arrive at the
-// window with identical routing state and, after normalization,
+// and load accounting (router.normalizeWindow). It runs at every window
+// open, which makes the post-failure dynamics a pure function of
+// (topology, converged routing state, failure set, parameters, seed).
+// That contract is what lets the installed start reproduce the
+// event-simulated one (refColdStart) byte for byte: the two arrive at
+// the window with identical routing state and, after normalization,
 // identical everything else.
 func (s *Simulator) normalizeWindow(at des.Time) {
 	s.rng.Reseed(s.params.Seed)
@@ -714,7 +723,7 @@ func (s *Simulator) armSweep(live int) {
 // consistent and nothing orders by ref, so a sweep is behavior-neutral.
 //
 // Invariant: no routeRef in a Go local across a sweep. classify,
-// runDecision, tryFlush, desiredAdvert and warmStart all hold refs in
+// runDecision, tryFlush, desiredAdvert and installAS all hold refs in
 // locals, which is why prepend never sweeps; the one caller is the entry
 // of procTask.Run, an event boundary at which nothing has been read yet.
 func (s *Simulator) sweep() {
@@ -731,18 +740,13 @@ func (s *Simulator) sweep() {
 	s.armSweep(live)
 }
 
-// SettleMargin is the idle gap inserted between initial convergence and
-// failure injection so Phase 1 stragglers never overlap the window.
+// SettleMargin is the idle gap between the converged state and failure
+// injection: the failure of an installed start fires at SettleMargin.
 const SettleMargin = 5 * time.Second
 
-// ConvergeAndFail is the standard experiment flow: run initial
-// convergence, inject the failure SettleMargin later, re-converge, and
-// return the post-failure convergence delay. With Params.WarmStart the
-// initial convergence is not simulated at all: the snapshot backend's
-// fixpoint is installed as the converged state (warmStart) and the
-// failure fires SettleMargin into the run. Window normalization at
-// failure time (normalizeWindow) makes the two starts indistinguishable
-// from the measurement window onward.
+// ConvergeAndFail is the standard experiment flow: install the
+// converged state (ConvergeInitial), inject the failure SettleMargin
+// later, re-converge, and return the post-failure convergence delay.
 func (s *Simulator) ConvergeAndFail(nodes []int) (time.Duration, error) {
 	if err := s.ConvergeInitial(); err != nil {
 		return 0, err

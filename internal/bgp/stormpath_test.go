@@ -23,7 +23,7 @@ import (
 func checkFastLane(t *testing.T, label string, sim *Simulator, nw *topology.Network, fail []int, p Params) {
 	t.Helper()
 	base := p
-	base.ref = refNoBlockedSkip
+	base.ref |= refNoBlockedSkip
 	if err := sim.Reset(base); err != nil {
 		t.Fatalf("%s: Reset: %v", label, err)
 	}
@@ -89,7 +89,8 @@ func TestStormFastLaneDenseStorm(t *testing.T) {
 }
 
 // TestStormFastLaneAcrossModes crosses the fast lane with the other
-// axes: multi-prefix tables and the snapshot warm start — each must still match its own baseline byte-for-byte.
+// axes: multi-prefix tables, Gao–Rexford policy and the refColdStart
+// reference start — each must still match its own baseline byte-for-byte.
 func TestStormFastLaneAcrossModes(t *testing.T) {
 	rng := des.NewRNG(31)
 	nw, err := topology.SkewedNetwork(topology.Skewed7030(40), rng)
@@ -97,18 +98,26 @@ func TestStormFastLaneAcrossModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	fail := topology.NearestNodes(nw, topology.GridCenter(nw), 4, nil)
+	pol, err := topology.InferRelationships(nw, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	modes := []struct {
 		name   string
 		mutate func(*Params)
 	}{
 		{"multi-prefix", func(p *Params) { p.PrefixesPerAS = 3 }},
-		{"warm-start", func(p *Params) {
+		{"policy", func(p *Params) {
 			p.Queue = QueueBatched
-			p.WarmStart = true
+			p.Policy = pol
 		}},
-		{"warm-start-multi-prefix", func(p *Params) {
+		{"cold-start", func(p *Params) {
 			p.Queue = QueueBatched
-			p.WarmStart = true
+			p.ref = refColdStart
+		}},
+		{"cold-start-multi-prefix", func(p *Params) {
+			p.Queue = QueueBatched
+			p.ref = refColdStart
 			p.PrefixesPerAS = 2
 		}},
 	}

@@ -2,7 +2,9 @@ package bgp
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"bgpsim/internal/des"
 	"bgpsim/internal/snapshot"
@@ -30,46 +32,26 @@ func oracleTopology(t *testing.T) (*topology.Network, *topology.Relationships) {
 	return nw, pol
 }
 
-// compareConverged runs phase 1 to quiescence and checks the simulator's
-// full converged state against the snapshot fixpoint.
+// compareConverged runs the cold start (initial convergence as events)
+// to quiescence and checks the simulator's full converged state against
+// the snapshot fixpoint.
 func compareConverged(t *testing.T, nw *topology.Network, p Params, res *snapshot.Result) {
 	t.Helper()
+	p.ref |= refColdStart
 	sim, err := New(nw, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Start()
-	if err := sim.Run(); err != nil {
+	if err := sim.ConvergeInitial(); err != nil {
 		t.Fatal(err)
 	}
-	nprefix := max(1, p.PrefixesPerAS)
-	for _, dest := range sim.Destinations() {
-		as := dest / nprefix
-		for id := 0; id < nw.NumNodes(); id++ {
-			simPath, simOK := sim.LocPath(id, dest)
-			snapPath, snapOK := res.Path(as, id)
-			if simOK != snapOK {
-				t.Fatalf("n%d d%d: DES has route=%v, snapshot has route=%v", id, dest, simOK, snapOK)
-			}
-			if !simOK {
-				continue
-			}
-			if len(simPath) != len(snapPath) {
-				t.Fatalf("n%d d%d: DES path %v != snapshot path %v", id, dest, simPath, snapPath)
-			}
-			for i := range simPath {
-				if simPath[i] != snapPath[i] {
-					t.Fatalf("n%d d%d: DES path %v != snapshot path %v", id, dest, simPath, snapPath)
-				}
-			}
-		}
-	}
+	compareRoutes(t, sim, res)
 	// Adjacency-level agreement: an Adj-RIB-In entry exactly where the
 	// snapshot says the peer advertises.
 	for _, r := range sim.routers {
 		for slot, peer := range r.peers {
 			for _, dest := range sim.Destinations() {
-				as := dest / nprefix
+				as := sim.ASOfDest(dest)
 				have := r.adjIn.getSlotRef(slot, dest) != 0
 				want := res.Advertises(as, peer.Node, r.id)
 				if have != want {
@@ -79,6 +61,54 @@ func compareConverged(t *testing.T, nw *topology.Network, p Params, res *snapsho
 			}
 		}
 	}
+}
+
+// compareRoutes requires every live router's Loc-RIB path for every
+// destination to equal the snapshot's (no route exactly where the
+// snapshot has none).
+func compareRoutes(t *testing.T, sim *Simulator, res *snapshot.Result) {
+	t.Helper()
+	for _, dest := range sim.Destinations() {
+		as := sim.ASOfDest(dest)
+		for id := 0; id < sim.net.NumNodes(); id++ {
+			if !sim.Alive(id) {
+				continue
+			}
+			simPath, simOK := sim.LocPath(id, dest)
+			snapPath, snapOK := res.Path(as, id)
+			if simOK != snapOK {
+				t.Fatalf("n%d d%d: DES has route=%v, snapshot has route=%v", id, dest, simOK, snapOK)
+			}
+			if simOK && !slices.Equal(simPath, snapPath) {
+				t.Fatalf("n%d d%d: DES path %v != snapshot path %v", id, dest, simPath, snapPath)
+			}
+		}
+	}
+}
+
+// assertPostFailureFixpoint is the post-failure oracle: once a storm
+// has quiesced, every live router must hold exactly the route the
+// snapshot backend computes on the surviving topology — a clone of the
+// network with every failed node cut off — under the trial's policy.
+// The install shares that backend, so this is what checks that the
+// storm, not the start, lands on the right state. Damping is exempt:
+// suppression departs from the fixpoint by design.
+func assertPostFailureFixpoint(t *testing.T, sim *Simulator, fail []int) {
+	t.Helper()
+	if sim.params.Damping != nil {
+		return
+	}
+	surviving := sim.net.Clone()
+	for _, id := range fail {
+		for _, nb := range sim.net.Neighbors(id) {
+			surviving.RemoveLink(id, nb.ID)
+		}
+	}
+	res, err := snapshot.Compute(surviving, snapshot.Config{Policy: sim.params.Policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareRoutes(t, sim, res)
 }
 
 func TestSnapshotOracle(t *testing.T) {
@@ -106,10 +136,11 @@ func TestSnapshotOracle(t *testing.T) {
 	}
 }
 
-// warmDigest is digestRun without the absolute clock: a warm-started run
+// warmDigest is digestRun without the absolute clock: an installed start
 // reaches quiescence at a different absolute time than a cold-started
-// one (phase 1 never runs), but every window-scoped figure — delay,
-// message counts, route changes — and every final route must agree.
+// one (no initial convergence is simulated), but every window-scoped
+// figure — delay, message counts, route changes — and every final route
+// must agree.
 func warmDigest(t *testing.T, sim *Simulator, nw *topology.Network, fail []int) string {
 	t.Helper()
 	delay, err := sim.ConvergeAndFail(fail)
@@ -130,45 +161,129 @@ func warmDigest(t *testing.T, sim *Simulator, nw *topology.Network, fail []int) 
 	return s
 }
 
-// TestWarmStartMatchesCold pins the warm-start contract: for every
-// scheme variant, the post-failure figures and final routing state of a
-// warm-started trial are byte-identical to the cold-started trial with
-// the same parameters.
+// checkColdStart runs p from the installed start and from the
+// refColdStart reference, each on a fresh simulator, and requires equal
+// warmDigests. extra is or-ed into both runs' reference bits.
+func checkColdStart(t *testing.T, nw *topology.Network, fail []int, p Params, extra refPaths) {
+	t.Helper()
+	p.ref = extra | refColdStart
+	cold, err := New(nw, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := warmDigest(t, cold, nw, fail)
+	if cold.Collector().TotalMessages == cold.Collector().Messages() {
+		t.Fatal("the cold reference sent nothing before the failure")
+	}
+	p.ref = extra
+	warm, err := New(nw, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := warmDigest(t, warm, nw, fail)
+	if got != want {
+		t.Errorf("installed start diverged from the cold start\ncold:\n%s\ninstalled:\n%s", want, got)
+	}
+	// The install's exchange (one update per installed route) is a lower
+	// bound on what simulating it sends and processes.
+	w, c := warm.Collector(), cold.Collector()
+	if w.WindowStart() != SettleMargin {
+		t.Errorf("installed start failed at %v, want SettleMargin %v", w.WindowStart(), SettleMargin)
+	}
+	installed := w.TotalProcessed - w.Processed
+	if installed <= 0 || w.TotalMessages-w.Messages() != installed ||
+		c.TotalMessages-c.Messages() < installed || c.TotalProcessed-c.Processed < installed {
+		t.Errorf("installed start counts %d updates, %d messages before the window; the cold start %d and %d",
+			installed, w.TotalMessages-w.Messages(), c.TotalProcessed-c.Processed, c.TotalMessages-c.Messages())
+	}
+}
+
+// realisticWorld is a Fig 13-style world: multi-router ASes with full
+// IBGP meshes, where the EBGP-over-IBGP tie-break and the no-relay rule
+// shape the fixpoint.
+func realisticWorld(t *testing.T) (*topology.Network, []int) {
+	t.Helper()
+	nw, err := topology.Realistic(topology.RealisticSpec{
+		NumAS: 16, AvgDegree: 2.5, MaxDegree: 5, MinASSize: 1, MaxASSize: 5, SizeAlpha: 1.2,
+	}, des.NewRNG(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nw, topology.NearestNodes(nw, topology.GridCenter(nw), 5, nil)
+}
+
+// TestWarmStartMatchesCold pins the installed start against the
+// refColdStart reference: for every scheme variant, on a flat world
+// without and with Gao–Rexford policy, with one and three prefixes per
+// AS, and on a realistic multi-router world, the post-failure figures
+// and final routing state are byte-identical. What a cold start leaves
+// behind that the install does not — damping history, per-destination
+// MRAI gates, the dynamic-MRAI level, flap counters — is reset at window
+// open either way (normalizeWindow), which the damping, per-dest-mrai
+// and dynamic-mrai variants pin.
 func TestWarmStartMatchesCold(t *testing.T) {
 	nw, polInfer := oracleTopology(t)
 	fail := topology.NearestNodes(nw, topology.GridCenter(nw), 4, nil)
-
-	run := func(t *testing.T, p Params) {
-		t.Helper()
-		cold, err := New(nw, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := warmDigest(t, cold, nw, fail)
-		p.WarmStart = true
-		warm, err := New(nw, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := warmDigest(t, warm, nw, fail)
-		if got != want {
-			t.Errorf("warm start diverged from cold start\ncold:\n%s\nwarm:\n%s", want, got)
-		}
-	}
+	rnw, rfail := realisticWorld(t)
 
 	for _, v := range resetVariants() {
 		t.Run(v.name, func(t *testing.T) {
-			run(t, equivalenceParams(3, v.mutate))
+			checkColdStart(t, nw, fail, equivalenceParams(3, v.mutate), 0)
 		})
 	}
 	t.Run("policy", func(t *testing.T) {
-		p := equivalenceParams(3, nil)
-		p.Policy = polInfer
-		run(t, p)
+		for _, v := range resetVariants() {
+			t.Run(v.name, func(t *testing.T) {
+				p := equivalenceParams(3, v.mutate)
+				p.Policy = polInfer
+				checkColdStart(t, nw, fail, p, 0)
+			})
+		}
 	})
 	t.Run("multiprefix", func(t *testing.T) {
-		p := equivalenceParams(3, nil)
-		p.PrefixesPerAS = 3
-		run(t, p)
+		for _, v := range resetVariants() {
+			t.Run(v.name, func(t *testing.T) {
+				p := equivalenceParams(3, v.mutate)
+				p.PrefixesPerAS = 3
+				checkColdStart(t, nw, fail, p, 0)
+				p.Policy = polInfer
+				checkColdStart(t, nw, fail, p, 0)
+			})
+		}
 	})
+	t.Run("realistic", func(t *testing.T) {
+		for _, v := range resetVariants() {
+			t.Run(v.name, func(t *testing.T) {
+				checkColdStart(t, rnw, rfail, equivalenceParams(3, v.mutate), 0)
+			})
+		}
+	})
+}
+
+// TestChurnMatchesColdStart extends the pin to churn programs, whose
+// windows reopen on every perturbation: node failures that recover (a
+// revived router re-originates and relearns full tables) and link flaps,
+// from the installed start and from the refColdStart reference, must
+// give the same windows relative to the converged state and the same
+// final routes, for every scheme variant.
+func TestChurnMatchesColdStart(t *testing.T) {
+	nw, _ := sweepWorld(t)
+	for _, v := range resetVariants() {
+		t.Run(v.name, func(t *testing.T) {
+			p := equivalenceParams(5, v.mutate)
+			warm, err := New(nw, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := churnDigest(t, warm, nw, 7, 20*time.Second)
+			p.ref = refColdStart
+			cold, err := New(nw, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _ := churnDigest(t, cold, nw, 7, 20*time.Second); got != want {
+				t.Errorf("churn program diverged from the cold start\ncold:\n%s\ninstalled:\n%s", clip(want), clip(got))
+			}
+		})
+	}
 }

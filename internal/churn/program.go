@@ -5,14 +5,15 @@
 // rolling regional outages sweeping the grid, and flap-then-recover
 // cycles on a single link. The runner injects the stream through the
 // simulator's existing absolute-time failure/recovery path, so churn
-// composes with multi-prefix tables and warm start exactly as batch
-// failures do, and every perturbation opens its own
-// measurement window (the PR 8 normalizeWindow canonicalization),
-// yielding a per-event stream of delay/message metrics.
+// composes with multi-prefix tables and the installed start exactly as
+// batch failures do, and every perturbation opens its own measurement
+// window (the simulator's normalizeWindow canonicalization), yielding a
+// per-event stream of delay/message metrics.
 package churn
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -68,49 +69,83 @@ type Spec struct {
 	Fraction float64 `json:"fraction,omitempty"`
 }
 
-// maxArrivals caps Poisson expansion so a mis-specified Rate×Duration
-// cannot produce an unbounded event stream.
+// maxArrivals caps the perturbations one program may make — Poisson
+// arrivals, rolling-outage regions, flap cycles — so a mis-specified
+// spec cannot produce an unbounded event stream.
 const maxArrivals = 10000
 
-// Validate checks the spec describes a well-formed program.
+// maxHorizon bounds the program time of the latest event (see horizon):
+// about 146 years, which leaves the runner's start offset headroom on
+// the simulated clock.
+const maxHorizon = time.Duration(math.MaxInt64 / 2)
+
+// Validate checks the spec describes a well-formed program. The spec is
+// outside input (POST /v1/submit carries one), so NaN and infinite
+// floats, and schedules that would overflow the clock, are errors.
 func (s Spec) Validate() error {
-	holds := func() error {
-		if s.HoldMin <= 0 || s.HoldMax < s.HoldMin {
-			return fmt.Errorf("churn: need 0 < hold_min <= hold_max, got [%v, %v]", s.HoldMin, s.HoldMax)
-		}
-		return nil
+	if err := s.validateKind(); err != nil {
+		return err
 	}
+	if s.HoldMin <= 0 || s.HoldMax < s.HoldMin {
+		return fmt.Errorf("churn: need 0 < hold_min <= hold_max, got [%v, %v]", s.HoldMin, s.HoldMax)
+	}
+	if s.Kind == FlapCycle && s.HoldMax > s.Period {
+		return fmt.Errorf("churn: %s hold_max %v exceeds period %v (cycles would overlap)", s.Kind, s.HoldMax, s.Period)
+	}
+	if _, ok := s.horizon(); !ok {
+		return fmt.Errorf("churn: %s schedule runs past %v of simulated time", s.Kind, maxHorizon)
+	}
+	return nil
+}
+
+// validateKind checks the fields the spec's Kind consults, holds aside.
+func (s Spec) validateKind() error {
 	switch s.Kind {
 	case PoissonLinkFlap, PoissonNodeFail:
-		if s.Rate <= 0 || s.Duration <= 0 {
+		if !(s.Rate > 0) || s.Duration <= 0 { // !(>) also refuses NaN
 			return fmt.Errorf("churn: %s needs rate > 0 and duration > 0", s.Kind)
 		}
 		if mean := s.Rate * s.Duration.Seconds(); mean > maxArrivals {
 			return fmt.Errorf("churn: rate %g over %v expects %.0f arrivals (cap %d)", s.Rate, s.Duration, mean, maxArrivals)
 		}
-		return holds()
 	case RollingOutage:
-		if s.Regions <= 0 || s.Period <= 0 {
-			return fmt.Errorf("churn: %s needs regions > 0 and period > 0", s.Kind)
+		if s.Regions <= 0 || s.Regions > maxArrivals || s.Period <= 0 {
+			return fmt.Errorf("churn: %s needs 0 < regions <= %d and period > 0", s.Kind, maxArrivals)
 		}
-		if s.Fraction <= 0 || s.Fraction > 1 {
+		if !(s.Fraction > 0 && s.Fraction <= 1) {
 			return fmt.Errorf("churn: %s needs fraction in (0, 1], got %g", s.Kind, s.Fraction)
 		}
-		return holds()
 	case FlapCycle:
-		if s.Cycles <= 0 || s.Period <= 0 {
-			return fmt.Errorf("churn: %s needs cycles > 0 and period > 0", s.Kind)
+		if s.Cycles <= 0 || s.Cycles > maxArrivals || s.Period <= 0 {
+			return fmt.Errorf("churn: %s needs 0 < cycles <= %d and period > 0", s.Kind, maxArrivals)
 		}
-		if err := holds(); err != nil {
-			return err
-		}
-		if s.HoldMax > s.Period {
-			return fmt.Errorf("churn: %s hold_max %v exceeds period %v (cycles would overlap)", s.Kind, s.HoldMax, s.Period)
-		}
-		return nil
 	default:
 		return fmt.Errorf("churn: unknown program kind %q", s.Kind)
 	}
+	return nil
+}
+
+// horizon returns the latest program time any event of the expanded
+// stream can have — the last perturbation's earliest bound (the Poisson
+// horizon, or the last region's or cycle's start) plus the longest hold
+// — and false when that passes maxHorizon. The kind's own fields must
+// already be valid.
+func (s Spec) horizon() (time.Duration, bool) {
+	last := s.Duration
+	if s.Kind == RollingOutage || s.Kind == FlapCycle {
+		n := time.Duration(s.Regions - 1)
+		if s.Kind == FlapCycle {
+			n = time.Duration(s.Cycles - 1)
+		}
+		if n > 0 && s.Period > maxHorizon/n {
+			return 0, false
+		}
+		last = n * s.Period
+	}
+	if s.HoldMax > maxHorizon-last {
+		return 0, false
+	}
+	return last + s.HoldMax, true
 }
 
 // EventKind labels one perturbation in an expanded stream.
@@ -162,6 +197,9 @@ func Expand(net *topology.Network, spec Spec, rng *des.RNG) ([]Event, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	if net.NumNodes() == 0 {
+		return nil, fmt.Errorf("churn: %s on an empty topology", spec.Kind)
+	}
 	var events []Event
 	switch spec.Kind {
 	case PoissonLinkFlap, PoissonNodeFail:
@@ -172,11 +210,14 @@ func Expand(net *topology.Network, spec Spec, rng *des.RNG) ([]Event, error) {
 		t := time.Duration(0)
 		for n := 0; n < maxArrivals; n++ {
 			// Draw order per arrival is fixed: inter-arrival gap, then
-			// target, then hold.
-			t += time.Duration(rng.ExpFloat64() / spec.Rate * float64(time.Second))
-			if t >= spec.Duration {
+			// target, then hold. The gap is compared before it is
+			// converted: one past the clock's range (a tiny rate) ends
+			// the stream instead of wrapping negative.
+			gap := rng.ExpFloat64() / spec.Rate * float64(time.Second)
+			if gap >= float64(spec.Duration-t) {
 				break
 			}
+			t += time.Duration(gap)
 			hold := func() time.Duration { return rng.UniformDuration(spec.HoldMin, spec.HoldMax) }
 			if spec.Kind == PoissonLinkFlap {
 				l := links[rng.Intn(len(links))]

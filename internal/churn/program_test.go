@@ -215,3 +215,53 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		}
 	}
 }
+
+// FuzzChurnSpec feeds arbitrary programs through the two calls a
+// submission reaches, Spec.Validate and Expand, on a small fixed world.
+// Neither may panic; Expand must refuse what Validate refuses; and an
+// accepted spec must expand deterministically, in time order, inside its
+// horizon and under the perturbation cap. The seed corpus
+// (testdata/fuzz/FuzzChurnSpec) holds one valid program per kind and the
+// refusals that matter: NaN, infinite and negative rates, zero and
+// negative durations and holds, hold_min > hold_max, rate × duration past
+// the cap, overflowing schedules and an unknown kind.
+func FuzzChurnSpec(f *testing.F) {
+	net, err := topology.Spec{Kind: topology.KindSkewed7030, N: 12}.Build(des.NewRNG(7))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, kind string, rate float64, duration, holdMin, holdMax, period int64,
+		cycles, regions int, fraction float64, seed int64) {
+		spec := Spec{
+			Kind: Kind(kind), Rate: rate, Duration: time.Duration(duration),
+			HoldMin: time.Duration(holdMin), HoldMax: time.Duration(holdMax),
+			Cycles: cycles, Period: time.Duration(period), Regions: regions, Fraction: fraction,
+		}
+		events, err := Expand(net, spec, des.NewRNG(seed))
+		if verr := spec.Validate(); verr != nil {
+			if err == nil {
+				t.Fatalf("Expand accepted %+v, which Validate refuses: %v", spec, verr)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("Expand refused valid %+v: %v", spec, err)
+		}
+		again, _ := Expand(net, spec, des.NewRNG(seed))
+		if !reflect.DeepEqual(events, again) {
+			t.Fatalf("%+v expands differently from the same seed", spec)
+		}
+		horizon, _ := spec.horizon()
+		if len(events) > 2*maxArrivals {
+			t.Fatalf("%+v expands to %d events, cap %d perturbations", spec, len(events), maxArrivals)
+		}
+		for i, ev := range events {
+			if ev.At < 0 || ev.At > horizon {
+				t.Fatalf("%+v: event %d at %v, outside [0, %v]", spec, i, ev.At, horizon)
+			}
+			if i > 0 && ev.At < events[i-1].At {
+				t.Fatalf("%+v: event %d at %v before event %d at %v", spec, i, ev.At, i-1, events[i-1].At)
+			}
+		}
+	})
+}

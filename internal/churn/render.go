@@ -9,10 +9,10 @@ import (
 // Render returns the canonical text form of the run's full metric
 // stream: one line per window, trials in order, windows in event order.
 // Window times are offsets from program start, so the rendering is
-// independent of how initial convergence was reached (cold and warm
-// starts render identically) and is the byte string the determinism
-// tests and the CI churn job compare across worker counts and
-// coordinator restarts.
+// independent of the absolute time the converged state sits at (the
+// event-driven reference start renders identically) and is the byte
+// string the determinism tests and the CI churn job compare across
+// worker counts and coordinator restarts.
 func (rr RunResult) Render() string {
 	var b strings.Builder
 	sc := rr.Scenario

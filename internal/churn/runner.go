@@ -24,10 +24,6 @@ type Scenario struct {
 	Scheme   string        `json:"scheme,omitempty"`
 	Program  Spec          `json:"program"`
 	Seed     int64         `json:"seed"`
-	// WarmStart installs the snapshot fixpoint instead of simulating
-	// initial convergence; the rendered metric stream is identical
-	// (windows are normalized and rendered relative to program start).
-	WarmStart bool `json:"warm_start,omitempty"`
 }
 
 // WindowResult is one measurement window of a churn trial: the
@@ -56,9 +52,9 @@ type WindowResult struct {
 // TrialResult is one trial's full window stream in event order.
 type TrialResult struct {
 	Trial int `json:"trial"`
-	// Start is the absolute simulated time of program start (initial
-	// convergence plus the settle margin); window offsets are relative
-	// to it.
+	// Start is the absolute simulated time of program start: the settle
+	// margin after the installed converged state, which sits at time
+	// zero. Window offsets are relative to it.
 	Start   time.Duration  `json:"start"`
 	Windows []WindowResult `json:"windows"`
 }
@@ -112,9 +108,6 @@ func (r *Runner) RunTrial(ctx context.Context, sc Scenario, trial int, obs Windo
 			return TrialResult{}, err
 		}
 		sch.Apply(&params)
-	}
-	if sc.WarmStart {
-		params.WarmStart = true
 	}
 
 	net, err := experiment.BuildTopologyCached(sc.Topology, seed)

@@ -111,22 +111,6 @@ func TestRunAssemblyDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestRunColdWarmIdentical(t *testing.T) {
-	sc := testScenario()
-	cold, err := Run(context.Background(), sc, 2, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.WarmStart = true
-	warm, err := Run(context.Background(), sc, 2, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Render() != warm.Render() {
-		t.Errorf("cold and warm start render different streams:\n%s\nvs\n%s", cold.Render(), warm.Render())
-	}
-}
-
 func TestRenderShape(t *testing.T) {
 	sc := testScenario()
 	rr, err := Run(context.Background(), sc, 2, 1, nil)

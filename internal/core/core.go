@@ -42,13 +42,6 @@ type Options struct {
 	// (series × x × trial) grid over: <= 0 selects GOMAXPROCS, 1 is
 	// fully serial. Figures are byte-identical for every worker count.
 	Workers int
-	// WarmStart replaces each trial's event-driven initial-convergence
-	// phase with the snapshot backend's fixpoint
-	// (experiment.Scenario.WarmStart): trials begin at failure injection.
-	// Window normalization keeps every figure byte-identical to the cold
-	// run's, so it is safe for golden comparisons and exists purely to
-	// cut wall clock.
-	WarmStart bool
 	// Progress, when set, receives per-cell completion callbacks. Calls
 	// are serialized with strictly increasing done counts (see
 	// experiment.SweepConfig.Progress).
@@ -130,7 +123,6 @@ func (o Options) ctx() context.Context {
 // grids through here, which is what lets a coordinator intercept the
 // whole figure pipeline without the figure definitions knowing.
 func (o Options) sweep(cfg experiment.SweepConfig) (experiment.Figure, error) {
-	cfg.WarmStart = o.WarmStart
 	if o.Sweeper != nil {
 		return o.Sweeper(cfg)
 	}

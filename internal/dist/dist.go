@@ -99,14 +99,6 @@ type Options struct {
 	// omitempty keeps the wire form of single-prefix runs identical to
 	// coordinators that predate the field.
 	PrefixesPerOrigin int `json:"prefixes_per_origin,omitempty"`
-	// WarmStart selects snapshot-seeded trials (0 events before the
-	// failure window). It crosses the wire so every worker runs the cell
-	// the same way — results are byte-identical either way, but the
-	// duplicate-completion cross-check compares wall-clock-independent
-	// bytes only when both sides agree on the execution mode. omitempty
-	// keeps cold-start wire forms identical to coordinators that predate
-	// the field.
-	WarmStart bool `json:"warm_start,omitempty"`
 }
 
 // WireOptions extracts the wire form of o. The coordinator sends the
@@ -121,7 +113,6 @@ func WireOptions(o core.Options) Options {
 		MRAIs:              o.MRAIs,
 		RealisticMaxASSize: o.RealisticMaxASSize,
 		PrefixesPerOrigin:  o.PrefixesPerOrigin,
-		WarmStart:          o.WarmStart,
 	}
 }
 
@@ -135,7 +126,6 @@ func (o Options) Core() core.Options {
 		MRAIs:              o.MRAIs,
 		RealisticMaxASSize: o.RealisticMaxASSize,
 		PrefixesPerOrigin:  o.PrefixesPerOrigin,
-		WarmStart:          o.WarmStart,
 	}
 }
 

@@ -105,9 +105,8 @@ func parseNonTest(t *testing.T, dir string) (*token.FileSet, map[string]*ast.Pac
 // TestBGPHoldsNoProcessWideState keeps internal/bgp a function of its
 // arguments: a trial's outcome and cost may depend on the Simulator and
 // the Params it was given, never on something another trial, test or
-// tool set process-wide. The one package-level variable allowed is the
-// mutex-guarded warm-start cache snapCache (a memo, not a setting), next
-// to the blank interface assertions; and the package may not import
+// tool set process-wide. No package-level variable is allowed beside
+// the blank interface assertions, and the package may not import
 // internal/profiling, whose flags are process-wide by nature.
 func TestBGPHoldsNoProcessWideState(t *testing.T) {
 	fset, pkgs := parseNonTest(t, filepath.Join(repoRoot(t), "internal/bgp"))
@@ -125,7 +124,7 @@ func TestBGPHoldsNoProcessWideState(t *testing.T) {
 				}
 				for _, spec := range d.Specs {
 					for _, name := range spec.(*ast.ValueSpec).Names {
-						if name.Name != "_" && name.Name != "snapCache" {
+						if name.Name != "_" {
 							t.Errorf("%s: package-level var %s", fset.Position(name.Pos()), name.Name)
 						}
 					}

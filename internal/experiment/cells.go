@@ -22,9 +22,6 @@ import (
 func CellScenario(cfg SweepConfig, si, xi int) Scenario {
 	sc := cfg.Cell(si, cfg.Xs[xi])
 	sc.Seed = cellSeed(sc.Seed, si, xi, cfg.SameWorldAcrossSeries)
-	if cfg.WarmStart {
-		sc.WarmStart = true
-	}
 	return sc
 }
 

@@ -10,13 +10,10 @@ import (
 // Relationship annotation is deterministic: for a given network, the
 // hierarchical builder has no free parameters and the degree heuristic
 // depends only on the ratio. Re-inferring per trial therefore produced
-// equal-but-distinct Relationships values every run — wasted work, and
-// (worse for the snapshot backend) unstable pointers: bgp's snapshot
-// cache keys on the (network, policy) pointer pair, so warm-started
-// policy sweeps would recompute the fixpoint every trial. This memo
-// gives every (network, mode, ratio) triple one immutable Relationships
-// value for the life of the network, the same sharing contract the
-// topology cache provides.
+// equal-but-distinct Relationships values every run, wasted work. This
+// memo gives every (network, mode, ratio) triple one immutable
+// Relationships value for the life of the network, the same sharing
+// contract the topology cache provides.
 
 // relKey identifies one deterministic annotation of a memoized network.
 type relKey struct {

@@ -111,14 +111,13 @@ type Scenario struct {
 	PolicyHierarchical bool
 	// Shards is what is left of the removed sharded engine: a simulation
 	// is one event loop, and runScenario refuses a value above 1. The
-	// field exists only until ROADMAP item 8's benchmark/-only PR drops
+	// field exists only until the ROADMAP's "benchmark/-only PR" drops
 	// benchmark/replica.go's read of it.
 	Shards int
-	// WarmStart skips the event-driven initial-convergence phase: the
-	// snapshot backend's fixpoint is installed as the converged state and
-	// the trial proceeds straight to failure injection
-	// (bgp.Params.WarmStart). Window normalization makes the post-failure
-	// figures byte-identical to the cold-started trial.
+	// WarmStart is what is left of the removed start switch: every trial
+	// now starts from the installed snapshot fixpoint, and runScenario
+	// refuses true. The field exists only until the ROADMAP's
+	// "benchmark/-only PR" drops benchmark/replica.go's read of it.
 	WarmStart bool
 	Seed      int64
 }
@@ -159,6 +158,9 @@ func runScenario(ctx context.Context, sc Scenario, pool *SimPool) (Result, error
 	if sc.Shards > 1 {
 		return Result{}, fmt.Errorf("experiment: Shards = %d: sharded engines were removed; a simulation is one event loop", sc.Shards)
 	}
+	if sc.WarmStart {
+		return Result{}, fmt.Errorf("experiment: WarmStart was removed; every trial starts from the installed snapshot fixpoint")
+	}
 	slot := pool.Take()
 	topoSeed, failRNG, simSeed := slot.Derive(sc.Seed, "failure")
 
@@ -180,15 +182,10 @@ func runScenario(ctx context.Context, sc Scenario, pool *SimPool) (Result, error
 	if sc.Scheme.Apply != nil {
 		sc.Scheme.Apply(&params)
 	}
-	if sc.WarmStart {
-		params.WarmStart = true
-	}
 	switch {
 	case sc.PolicyHierarchical, sc.PolicyRatio > 0:
 		// Annotations come from the process-wide memo so every trial on a
-		// memoized network shares one Relationships value — which also
-		// lets warm-started trials share one snapshot fixpoint (bgp's
-		// snapshot cache keys on the pointer pair).
+		// memoized network shares one Relationships value.
 		rs, err := relationshipsFor(net, sc.PolicyHierarchical, sc.PolicyRatio)
 		if err != nil {
 			return Result{}, fmt.Errorf("annotate policy: %w", err)

@@ -69,13 +69,6 @@ type SweepConfig struct {
 	// count — seeds are derived from grid indices alone and results are
 	// aggregated in index order — so only wall-clock time changes.
 	Workers int
-	// WarmStart runs every cell's trials from the snapshot backend's
-	// converged fixpoint instead of simulating initial convergence (see
-	// Scenario.WarmStart). Part of the grid definition (it crosses the
-	// distributed-execution wire) though the figures it produces are
-	// byte-identical to a cold sweep's — window normalization guarantees
-	// it — so it is purely a wall-clock lever.
-	WarmStart bool
 	// Progress, when set, is called after each completed cell. Calls are
 	// serialized (never concurrent) and done increases strictly
 	// monotonically even when cells complete out of order under a

@@ -23,7 +23,8 @@ type Collector struct {
 	Discarded     int // stale updates deleted unprocessed by batching
 	lastActivity  time.Duration
 
-	// Totals across the whole run (including initial convergence).
+	// Totals across the whole run (including initial convergence; an
+	// installed one counts its exchange, see NoteInstalled).
 	TotalMessages  int
 	TotalProcessed int // updates consumed from inboxes over the whole run
 
@@ -94,6 +95,16 @@ func (c *Collector) NoteSend(now time.Duration, node int, withdrawal bool) {
 		c.perNodeSent[node]++
 	}
 	c.touch(now)
+}
+
+// NoteInstalled records an initial convergence that was installed
+// rather than simulated: n announcements sent and processed, one per
+// installed Adj-RIB-In route — the exchange without path exploration
+// that the installed state stands for, a lower bound on what simulating
+// it sends. Only the whole-run totals count them; no window is open.
+func (c *Collector) NoteInstalled(n int) {
+	c.TotalMessages += n
+	c.TotalProcessed += n
 }
 
 // NotePacket records one flush operation that carried at least one route.

@@ -1,19 +1,23 @@
 // Package snapshot computes the converged routing state of a topology
-// directly — no events — by rounds of relaxation over flat per-(node,
-// destination-AS) arrays, the matrix-style formulation of BGP route
-// selection. It implements exactly the decision and export semantics of
-// the discrete-event simulator (internal/bgp): shortest AS path with the
-// deterministic tie-break in the policy-free configuration, and
-// valley-free customer > peer > provider selection under a Gao–Rexford
-// relationship annotation. The fixpoint it reaches is the state the DES
-// quiesces in, which makes the package usable three ways:
+// directly — no events — by rounds of relaxation over flat per-node
+// arrays, one destination AS at a time: the matrix-style formulation of
+// BGP route selection. It implements exactly the decision and export
+// semantics of the discrete-event simulator (internal/bgp): shortest AS
+// path with the deterministic tie-break in the policy-free
+// configuration, and valley-free customer > peer > provider selection
+// under a Gao–Rexford relationship annotation. The fixpoint it reaches
+// is the state the DES quiesces in, which makes the package usable
+// three ways:
 //
-//   - as a differential oracle for the simulator's decision process
-//     (snapshot routes must equal DES converged routes);
-//   - as a warm start: bgp.Params.WarmStart installs the snapshot as the
-//     initial RIB state so trials begin at failure injection;
-//   - as a scale mode (cmd/bgpsnap): converged-state statistics at
-//     10k+-AS sizes the event simulator cannot reach.
+//   - as the simulator's start: a bgp.Simulator owns a Solver and
+//     installs its fixpoint, one destination AS at a time, as the
+//     converged state every trial begins from at failure injection;
+//   - as a differential oracle (Compute): its routes must equal the
+//     DES's, both after the event-simulated initial convergence the
+//     bgp tests keep as a reference and after a failure storm, on the
+//     surviving topology;
+//   - as a scale mode (Stats, cmd/bgpsnap): converged-state statistics
+//     at 10k+-AS sizes the event simulator cannot reach.
 //
 // Exactness argument. A node's stored route is a function of the
 // neighbor it learned from (the from-pointer); candidate generation
@@ -32,8 +36,9 @@
 package snapshot
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"bgpsim/internal/topology"
 )
@@ -80,48 +85,56 @@ type nbr struct {
 	expOK bool
 }
 
-// world is the immutable precomputed view of (network, policy) every
-// per-AS relaxation shares.
+// world is the precomputed view of (network, policy) every per-AS
+// relaxation shares. Its arrays are refitted, not reallocated, when a
+// Solver is bound to another network.
 type world struct {
 	net *topology.Network
 	pol *topology.Relationships
 	n   int
 	as  []int32 // node -> AS number
-	// nbrs lists each node's neighbors sorted by node ID — the
-	// simulator's peer slot order, which the tie-break depends on.
-	nbrs   [][]nbr
+	// adj lists each node's neighbors sorted by node ID — the
+	// simulator's peer slot order, which the tie-break depends on —
+	// node i's at adj[off[i]:off[i+1]].
+	adj    []nbr
+	off    []int32
 	origin []int32 // dense per AS: originating node (lowest ID), -1 none
 	maxAS  int
 }
 
-func buildWorld(net *topology.Network, pol *topology.Relationships) *world {
+// fit returns s resized to n, reusing its storage when it is large
+// enough. The contents are unspecified; callers overwrite them.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+func (w *world) bind(net *topology.Network, pol *topology.Relationships) {
 	n := net.NumNodes()
-	w := &world{net: net, pol: pol, n: n}
-	w.as = make([]int32, n)
-	maxAS := 0
+	w.net, w.pol, w.n = net, pol, n
+	w.as = fit(w.as, n)
+	w.maxAS = 0
 	for i := 0; i < n; i++ {
 		as := net.ASOf(i)
 		w.as[i] = int32(as)
-		if as > maxAS {
-			maxAS = as
-		}
+		w.maxAS = max(w.maxAS, as)
 	}
-	w.maxAS = maxAS
-	w.origin = make([]int32, maxAS+1)
+	w.origin = fit(w.origin, w.maxAS+1)
 	for i := range w.origin {
 		w.origin[i] = -1
 	}
 	for i := 0; i < n; i++ {
-		as := w.as[i]
-		if cur := w.origin[as]; cur < 0 || int32(i) < cur {
-			w.origin[as] = int32(i)
+		if as := w.as[i]; w.origin[as] < 0 {
+			w.origin[as] = int32(i) // ascending IDs: the first is the lowest
 		}
 	}
-	w.nbrs = make([][]nbr, n)
+	w.off = fit(w.off, n+1)
+	w.adj = w.adj[:0]
 	for i := 0; i < n; i++ {
-		adj := net.Neighbors(i)
-		list := make([]nbr, 0, len(adj))
-		for _, a := range adj {
+		w.off[i] = int32(len(w.adj))
+		for _, a := range net.Neighbors(i) {
 			e := nbr{node: int32(a.ID), as: w.as[a.ID], internal: a.Internal, expOK: true}
 			if pol != nil && !a.Internal {
 				switch pol.Of(i, a.ID) {
@@ -133,27 +146,35 @@ func buildWorld(net *topology.Network, pol *topology.Relationships) *world {
 				rel := pol.Of(a.ID, i)
 				e.expOK = rel == topology.RelCustomer || rel == topology.RelNone
 			}
-			list = append(list, e)
+			w.adj = append(w.adj, e)
 		}
-		sort.Slice(list, func(a, b int) bool { return list[a].node < list[b].node })
-		w.nbrs[i] = list
+		slices.SortFunc(w.adj[w.off[i]:], func(a, b nbr) int { return cmp.Compare(a.node, b.node) })
 	}
-	return w
+	w.off[n] = int32(len(w.adj))
+}
+
+// nbrs returns node i's neighbors in slot order.
+func (w *world) nbrs(i int) []nbr { return w.adj[w.off[i]:w.off[i+1]] }
+
+// originOf returns the node originating AS as's prefixes: the AS's
+// lowest-numbered node, as in the simulator.
+func (w *world) originOf(as int) (int, bool) {
+	if as < 0 || as > w.maxAS || w.origin[as] < 0 {
+		return 0, false
+	}
+	return int(w.origin[as]), true
 }
 
 // bfsOrder appends a breadth-first node order from src (all links, both
 // directions) to buf, then any unreached nodes in ID order, so a sweep
 // visits nodes roughly in the direction routes propagate.
 func (w *world) bfsOrder(src int, buf []int32, seen []bool) []int32 {
-	for i := range seen {
-		seen[i] = false
-	}
+	clear(seen)
 	buf = buf[:0]
 	buf = append(buf, int32(src))
 	seen[src] = true
 	for head := 0; head < len(buf); head++ {
-		v := buf[head]
-		for _, e := range w.nbrs[v] {
+		for _, e := range w.nbrs(int(buf[head])) {
 			if !seen[e.node] {
 				seen[e.node] = true
 				buf = append(buf, e.node)
@@ -168,42 +189,31 @@ func (w *world) bfsOrder(src int, buf []int32, seen []bool) []int32 {
 	return buf
 }
 
-// state holds one destination AS's relaxation arrays, reused across ASes.
-type state struct {
+// routes is one destination AS's per-node state: the from-pointer and
+// the path facts derived along it. A Solver's working arrays and one
+// AS's stripe of a Result are both routes.
+type routes struct {
 	from    []int32
 	plen    []int32
 	cls     []uint8
 	fromInt []bool
 	mask    []uint64
-	order   []int32
-	seen    []bool
-}
-
-func newState(n int) *state {
-	return &state{
-		from:    make([]int32, n),
-		plen:    make([]int32, n),
-		cls:     make([]uint8, n),
-		fromInt: make([]bool, n),
-		mask:    make([]uint64, n),
-		seen:    make([]bool, n),
-	}
 }
 
 // chainContains reports whether AS x appears on the stored path of node
-// q under the given (from, fromInt) chains: the path is the sequence of
-// from-node ASes prepended along external hops. Transient cycles (the
-// walk not terminating within n steps) count as containing — the
-// conservative answer only delays adoption during relaxation and cannot
-// occur at a fixpoint, where chains are acyclic.
-func chainContains(w *world, from []int32, fromInt []bool, q int, x int32) bool {
+// q under rt's from-chains: the path is the sequence of from-node ASes
+// prepended along external hops. Transient cycles (the walk not
+// terminating within n steps) count as containing — the conservative
+// answer only delays adoption during relaxation and cannot occur at a
+// fixpoint, where chains are acyclic.
+func (w *world) chainContains(rt routes, q int, x int32) bool {
 	cur := q
 	for steps := 0; steps <= w.n; steps++ {
-		f := from[cur]
+		f := rt.from[cur]
 		if f < 0 {
 			return false
 		}
-		if !fromInt[cur] && w.as[f] == x {
+		if !rt.fromInt[cur] && w.as[f] == x {
 			return true
 		}
 		cur = int(f)
@@ -211,10 +221,114 @@ func chainContains(w *world, from []int32, fromInt []bool, q int, x int32) bool 
 	return true
 }
 
-// relax computes the converged state for the destination AS originated
-// at node origin, sweeping st in place until a full sweep changes
-// nothing. Returns the number of sweeps (including the final quiet one).
-func (w *world) relax(st *state, origin int, maxRounds int) (int, error) {
+// path reconstructs node's AS path under rt, nearest AS first.
+func (w *world) path(rt routes, node int) ([]int, bool) {
+	if rt.from[node] == FromNone {
+		return nil, false
+	}
+	out := make([]int, 0, rt.plen[node])
+	cur := node
+	for {
+		f := rt.from[cur]
+		if f == FromSelf {
+			return out, true
+		}
+		if f < 0 || len(out) > w.n {
+			return nil, false // unreachable at a fixpoint
+		}
+		if !rt.fromInt[cur] {
+			out = append(out, int(w.as[f]))
+		}
+		cur = int(f)
+	}
+}
+
+// advertises reports whether, under rt, node q advertises the
+// destination to its neighbor r — desiredAdvert's export rules; the
+// receiver-side loop check is subsumed by the sender-side one.
+func (w *world) advertises(rt routes, q, r int) bool {
+	fq := rt.from[q]
+	if fq == FromNone {
+		return false
+	}
+	list := w.nbrs(q)
+	i, found := slices.BinarySearchFunc(list, int32(r), func(e nbr, t int32) int { return cmp.Compare(e.node, t) })
+	if !found {
+		return false
+	}
+	internal := list[i].internal
+	if fq >= 0 {
+		if int(fq) == r {
+			return false
+		}
+		if rt.fromInt[q] && internal {
+			return false
+		}
+		if w.pol != nil && !internal && rt.cls[q] != 0 {
+			rel := w.pol.Of(q, r)
+			if rel != topology.RelCustomer && rel != topology.RelNone {
+				return false
+			}
+		}
+	}
+	if !internal {
+		if w.as[q] == w.as[r] {
+			return false
+		}
+		if rt.mask[q]&(1<<(uint(w.as[r])&63)) != 0 && w.chainContains(rt, q, w.as[r]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Solver computes the converged state one destination AS at a time in
+// arrays it keeps: Bind fits them to a network, Solve relaxes one AS
+// into them, and From, FromInternal and Advertises read the AS solved
+// last. Once the arrays have grown to the largest network seen, binding
+// and solving allocate nothing, which is what lets a simulator own a
+// Solver and install the fixpoint at the start of every trial. The zero
+// value is ready to Bind.
+type Solver struct {
+	w         world
+	rt        routes
+	order     []int32
+	seen      []bool
+	maxRounds int
+}
+
+// Bind fits the solver to net under cfg. The network must not be empty,
+// and neither it nor the policy may change while the solver is bound.
+func (s *Solver) Bind(net *topology.Network, cfg Config) {
+	s.w.bind(net, cfg.Policy)
+	n := s.w.n
+	s.rt.from = fit(s.rt.from, n)
+	s.rt.plen = fit(s.rt.plen, n)
+	s.rt.cls = fit(s.rt.cls, n)
+	s.rt.fromInt = fit(s.rt.fromInt, n)
+	s.rt.mask = fit(s.rt.mask, n)
+	s.seen = fit(s.seen, n)
+	s.maxRounds = cfg.maxRounds(n)
+}
+
+// MaxAS returns the highest AS number of the bound network.
+func (s *Solver) MaxAS() int { return s.w.maxAS }
+
+// Origin returns the node originating AS as's prefixes: the AS's
+// lowest-numbered node, as in the simulator.
+func (s *Solver) Origin(as int) (int, bool) { return s.w.originOf(as) }
+
+// Solve computes the converged state for destination AS as, sweeping
+// the nodes in breadth-first order from its origin until a full sweep
+// changes nothing. It returns the number of sweeps, including the final
+// quiet one, and an error when the AS originates nothing or the
+// configured round cap is exceeded.
+func (s *Solver) Solve(as int) (int, error) {
+	origin, ok := s.Origin(as)
+	if !ok {
+		return 0, fmt.Errorf("snapshot: AS %d originates no prefix", as)
+	}
+	w, st := &s.w, s.rt
 	for i := 0; i < w.n; i++ {
 		st.from[i] = FromNone
 		st.plen[i] = 0
@@ -223,15 +337,15 @@ func (w *world) relax(st *state, origin int, maxRounds int) (int, error) {
 		st.mask[i] = 0
 	}
 	st.from[origin] = FromSelf
-	st.order = w.bfsOrder(origin, st.order, st.seen)
+	s.order = w.bfsOrder(origin, s.order, s.seen)
 	rounds := 0
 	for {
 		rounds++
-		if rounds > maxRounds {
-			return rounds, fmt.Errorf("snapshot: no fixpoint for origin node %d within %d rounds", origin, maxRounds)
+		if rounds > s.maxRounds {
+			return rounds, fmt.Errorf("snapshot: no fixpoint for origin node %d within %d rounds", origin, s.maxRounds)
 		}
 		changed := false
-		for _, rv := range st.order {
+		for _, rv := range s.order {
 			r := int(rv)
 			if r == origin {
 				continue // locally originated: never displaced
@@ -245,7 +359,7 @@ func (w *world) relax(st *state, origin int, maxRounds int) (int, error) {
 			var bInt bool
 			var bFrom int32 = FromNone
 			var bPeerAS, bPeerNode int32
-			for _, e := range w.nbrs[r] {
+			for _, e := range w.nbrs(r) {
 				q := int(e.node)
 				fq := st.from[q]
 				if fq == FromNone {
@@ -271,8 +385,7 @@ func (w *world) relax(st *state, origin int, maxRounds int) (int, error) {
 					if e.as == w.as[r] {
 						continue // defensive: external link within one AS
 					}
-					if st.mask[q]&(1<<(uint(w.as[r])&63)) != 0 &&
-						chainContains(w, st.from, st.fromInt, q, w.as[r]) {
+					if st.mask[q]&(1<<(uint(w.as[r])&63)) != 0 && w.chainContains(st, q, w.as[r]) {
 						continue // the local AS is already on the path
 					}
 					cPlen, cMask, cInt = st.plen[q]+1, st.mask[q]|1<<(uint(e.as)&63), false
@@ -295,6 +408,20 @@ func (w *world) relax(st *state, origin int, maxRounds int) (int, error) {
 		}
 	}
 }
+
+// From returns node's converged from-pointer for the AS solved last:
+// the neighbor node the best route was learned from, FromSelf at the
+// origin, FromNone when no route exists.
+func (s *Solver) From(node int) int32 { return s.rt.from[node] }
+
+// FromInternal reports whether node's converged route for the AS solved
+// last was learned over an internal (IBGP) session.
+func (s *Solver) FromInternal(node int) bool { return s.rt.fromInt[node] }
+
+// Advertises reports whether, at the fixpoint of the AS solved last,
+// node q advertises the destination to its neighbor r — whether the
+// simulator's quiescent Adj-RIB-In at r holds a route from q.
+func (s *Solver) Advertises(q, r int) bool { return s.w.advertises(s.rt, q, r) }
 
 // betterCand is bgp's betterRoute over the relaxation encoding: class,
 // then path length, then EBGP over IBGP, then lowest peer AS, then
@@ -327,65 +454,59 @@ func (c Config) maxRounds(n int) int {
 // Result is a full converged-state snapshot: per (destination AS, node),
 // the from-pointer and the derived path facts, in flat arrays indexed
 // [asSlot·n + node]. Paths are implicit in the from-chains and
-// reconstructed on demand (Path), which is also how the warm-start
-// installer re-derives interned path refs.
+// reconstructed on demand (Path).
 type Result struct {
 	w      *world
 	ases   []int   // origin AS numbers, ascending
 	asSlot []int32 // dense per AS number: slot in ases, -1 none
-
-	from    []int32
-	plen    []int32
-	cls     []uint8
-	fromInt []bool
-	mask    []uint64
+	routes
 
 	rounds int // max sweeps over all destination ASes
 }
 
-// Compute runs the relaxation for every destination AS the topology
+// Compute runs a Solver over every destination AS the topology
 // originates and returns the full converged state.
 func Compute(net *topology.Network, cfg Config) (*Result, error) {
 	if net.NumNodes() == 0 {
 		return nil, fmt.Errorf("snapshot: empty network")
 	}
-	w := buildWorld(net, cfg.Policy)
+	s := new(Solver)
+	s.Bind(net, cfg)
+	n := s.w.n
 	var ases []int
-	for as, o := range w.origin {
+	for as, o := range s.w.origin {
 		if o >= 0 {
 			ases = append(ases, as)
 		}
 	}
 	res := &Result{
-		w:      w,
+		w:      &s.w,
 		ases:   ases,
-		asSlot: make([]int32, w.maxAS+1),
-		from:   make([]int32, len(ases)*w.n),
-		plen:   make([]int32, len(ases)*w.n),
-		cls:    make([]uint8, len(ases)*w.n),
-		fromInt: make([]bool, len(ases)*w.n),
-		mask:   make([]uint64, len(ases)*w.n),
+		asSlot: make([]int32, s.w.maxAS+1),
+		routes: routes{
+			from:    make([]int32, len(ases)*n),
+			plen:    make([]int32, len(ases)*n),
+			cls:     make([]uint8, len(ases)*n),
+			fromInt: make([]bool, len(ases)*n),
+			mask:    make([]uint64, len(ases)*n),
+		},
 	}
 	for i := range res.asSlot {
 		res.asSlot[i] = -1
 	}
-	st := newState(w.n)
-	cap := cfg.maxRounds(w.n)
 	for slot, as := range ases {
 		res.asSlot[as] = int32(slot)
-		rounds, err := w.relax(st, int(w.origin[as]), cap)
+		rounds, err := s.Solve(as)
 		if err != nil {
 			return nil, err
 		}
-		if rounds > res.rounds {
-			res.rounds = rounds
-		}
-		base := slot * w.n
-		copy(res.from[base:base+w.n], st.from)
-		copy(res.plen[base:base+w.n], st.plen)
-		copy(res.cls[base:base+w.n], st.cls)
-		copy(res.fromInt[base:base+w.n], st.fromInt)
-		copy(res.mask[base:base+w.n], st.mask)
+		res.rounds = max(res.rounds, rounds)
+		base := slot * n
+		copy(res.from[base:base+n], s.rt.from)
+		copy(res.plen[base:base+n], s.rt.plen)
+		copy(res.cls[base:base+n], s.rt.cls)
+		copy(res.fromInt[base:base+n], s.rt.fromInt)
+		copy(res.mask[base:base+n], s.rt.mask)
 	}
 	return res, nil
 }
@@ -401,49 +522,44 @@ func (res *Result) ASes() []int { return res.ases }
 func (res *Result) Rounds() int { return res.rounds }
 
 // OriginOf returns the node originating AS as's prefixes.
-func (res *Result) OriginOf(as int) (int, bool) {
-	if as < 0 || as > res.w.maxAS || res.w.origin[as] < 0 {
-		return 0, false
-	}
-	return int(res.w.origin[as]), true
-}
+func (res *Result) OriginOf(as int) (int, bool) { return res.w.originOf(as) }
 
-func (res *Result) base(as int) (int, bool) {
+// stripe returns AS as's per-node routes.
+func (res *Result) stripe(as int) (routes, bool) {
 	if as < 0 || as >= len(res.asSlot) || res.asSlot[as] < 0 {
-		return 0, false
+		return routes{}, false
 	}
-	return int(res.asSlot[as]) * res.w.n, true
+	lo := int(res.asSlot[as]) * res.w.n
+	hi := lo + res.w.n
+	return routes{res.from[lo:hi], res.plen[lo:hi], res.cls[lo:hi], res.fromInt[lo:hi], res.mask[lo:hi]}, true
 }
 
 // From returns node's converged from-pointer for destination AS as:
 // the neighbor node the best route was learned from, FromSelf at the
 // origin, FromNone when no route exists.
 func (res *Result) From(as, node int) int32 {
-	base, ok := res.base(as)
+	rt, ok := res.stripe(as)
 	if !ok {
 		return FromNone
 	}
-	return res.from[base+node]
+	return rt.from[node]
 }
 
 // FromInternal reports whether node's converged route for as was
 // learned over an internal (IBGP) session.
 func (res *Result) FromInternal(as, node int) bool {
-	base, ok := res.base(as)
-	if !ok {
-		return false
-	}
-	return res.fromInt[base+node]
+	rt, ok := res.stripe(as)
+	return ok && rt.fromInt[node]
 }
 
 // PathLen returns the AS-path length of node's converged route for as
 // (-1 when no route; 0 at the origin and for intra-AS routes).
 func (res *Result) PathLen(as, node int) int {
-	base, ok := res.base(as)
-	if !ok || res.from[base+node] == FromNone {
+	rt, ok := res.stripe(as)
+	if !ok || rt.from[node] == FromNone {
 		return -1
 	}
-	return int(res.plen[base+node])
+	return int(rt.plen[node])
 }
 
 // Path reconstructs node's converged AS path for as, nearest AS first —
@@ -451,73 +567,20 @@ func (res *Result) PathLen(as, node int) int {
 // route exists; the origin (and intra-AS learners) get a non-nil empty
 // path.
 func (res *Result) Path(as, node int) ([]int, bool) {
-	base, ok := res.base(as)
-	if !ok || res.from[base+node] == FromNone {
+	rt, ok := res.stripe(as)
+	if !ok {
 		return nil, false
 	}
-	out := make([]int, 0, res.plen[base+node])
-	cur := node
-	for {
-		f := res.from[base+cur]
-		if f == FromSelf {
-			return out, true
-		}
-		if f < 0 || len(out) > res.w.n {
-			return nil, false // unreachable at a fixpoint
-		}
-		if !res.fromInt[base+cur] {
-			out = append(out, int(res.w.as[f]))
-		}
-		cur = int(f)
-	}
+	return res.w.path(rt, node)
 }
 
 // Advertises reports whether, at the fixpoint, node q advertises the
 // as-destination to its neighbor r — i.e. whether the simulator's
-// quiescent Adj-RIB-In at r holds a route from q (desiredAdvert's export
-// rules; the receiver-side loop check is subsumed by the sender-side
-// one). q and r must be adjacent.
+// quiescent Adj-RIB-In at r holds a route from q. q and r must be
+// adjacent.
 func (res *Result) Advertises(as, q, r int) bool {
-	base, ok := res.base(as)
-	if !ok {
-		return false
-	}
-	fq := res.from[base+q]
-	if fq == FromNone {
-		return false
-	}
-	w := res.w
-	// Locate the directed edge q->r in q's sorted neighbor list.
-	list := w.nbrs[q]
-	i := sort.Search(len(list), func(i int) bool { return list[i].node >= int32(r) })
-	if i >= len(list) || list[i].node != int32(r) {
-		return false
-	}
-	internal := list[i].internal
-	if fq >= 0 {
-		if int(fq) == r {
-			return false
-		}
-		if res.fromInt[base+q] && internal {
-			return false
-		}
-		if w.pol != nil && !internal && res.cls[base+q] != 0 {
-			rel := w.pol.Of(q, r)
-			if rel != topology.RelCustomer && rel != topology.RelNone {
-				return false
-			}
-		}
-	}
-	if !internal {
-		if w.as[q] == w.as[r] {
-			return false
-		}
-		if res.mask[base+q]&(1<<(uint(w.as[r])&63)) != 0 &&
-			chainContains(w, res.from[base:base+w.n], res.fromInt[base:base+w.n], q, w.as[r]) {
-			return false
-		}
-	}
-	return true
+	rt, ok := res.stripe(as)
+	return ok && res.w.advertises(rt, q, r)
 }
 
 // Summary aggregates converged-state statistics without retaining the
@@ -545,53 +608,45 @@ type Summary struct {
 // histBuckets is the PathLenHist size (lengths 0..14, 15+ overflow).
 const histBuckets = 16
 
-// Stats computes converged-state statistics destination-by-destination,
-// reusing one set of relaxation arrays — O(nodes) memory regardless of
-// AS count, which is what lets cmd/bgpsnap report on topologies far past
-// the event simulator's reach.
+// Stats computes converged-state statistics destination-by-destination
+// on one Solver — O(nodes + links) memory regardless of AS count, which
+// is what lets cmd/bgpsnap report on topologies far past the event
+// simulator's reach.
 func Stats(net *topology.Network, cfg Config) (Summary, error) {
 	if net.NumNodes() == 0 {
 		return Summary{}, fmt.Errorf("snapshot: empty network")
 	}
-	w := buildWorld(net, cfg.Policy)
-	st := newState(w.n)
-	cap := cfg.maxRounds(w.n)
+	s := new(Solver)
+	s.Bind(net, cfg)
+	n := s.w.n
 	sum := Summary{
-		Nodes:       w.n,
+		Nodes:       n,
 		Links:       net.NumLinks(),
 		PathLenHist: make([]int64, histBuckets),
 	}
 	var roundsTotal int64
 	var plenTotal int64
-	for as := 0; as <= w.maxAS; as++ {
-		o := w.origin[as]
-		if o < 0 {
+	for as := 0; as <= s.w.maxAS; as++ {
+		if s.w.origin[as] < 0 {
 			continue
 		}
 		sum.ASes++
-		rounds, err := w.relax(st, int(o), cap)
+		rounds, err := s.Solve(as)
 		if err != nil {
 			return Summary{}, err
 		}
 		roundsTotal += int64(rounds)
-		if rounds > sum.MaxRounds {
-			sum.MaxRounds = rounds
-		}
-		sum.Pairs += int64(w.n)
-		for i := 0; i < w.n; i++ {
-			if st.from[i] == FromNone {
+		sum.MaxRounds = max(sum.MaxRounds, rounds)
+		sum.Pairs += int64(n)
+		for i := 0; i < n; i++ {
+			if s.rt.from[i] == FromNone {
 				continue
 			}
 			sum.Reachable++
-			l := int(st.plen[i])
+			l := int(s.rt.plen[i])
 			plenTotal += int64(l)
-			if l > sum.MaxPathLen {
-				sum.MaxPathLen = l
-			}
-			if l >= histBuckets {
-				l = histBuckets - 1
-			}
-			sum.PathLenHist[l]++
+			sum.MaxPathLen = max(sum.MaxPathLen, l)
+			sum.PathLenHist[min(l, histBuckets-1)]++
 		}
 	}
 	if sum.ASes > 0 {
