@@ -59,7 +59,7 @@ func decideBench(b *testing.B, degree int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := decide(rib, 99, peers, alive, nil, nil, 0); !ok {
+		if _, _, ok := decide(rib.adjRIBIn, 99, peers, alive, nil, nil, 0); !ok {
 			b.Fatal("no route")
 		}
 	}
@@ -109,13 +109,12 @@ func runDecisionBench(b *testing.B, degree int, fullScan bool) {
 	for i := range batch {
 		dest := ASN(i + 1)
 		spoke := i + 2 // never the origin spoke for this dest
-		batch[i] = testUpdate(&sim.tab, spoke, dest, Path{ASN(spoke), 900, dest})
+		batch[i] = updateFrom(r, spoke, dest, Path{ASN(spoke), 900, dest})
 	}
 	r.busyStart = sim.eng.Now()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.busy = true
 		r.finishProcessing(batch)
 	}
 }

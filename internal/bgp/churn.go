@@ -104,13 +104,12 @@ func (s *Simulator) ScheduleLinkRecovery(at des.Time, links [][2]int) {
 			if !ra.alive || !rb.alive {
 				continue
 			}
-			slotAB, okA := ra.slotOf[b]
-			slotBA, okB := rb.slotOf[a]
-			if !okA || !okB {
+			slotAB, ok := findPeer(ra.peers, b)
+			if !ok {
 				continue
 			}
 			ra.peerUp(slotAB)
-			rb.peerUp(slotBA)
+			rb.peerUp(int(ra.peers[slotAB].Back))
 		}
 	})
 }

@@ -73,7 +73,7 @@ func TestPenalizeSuppressesAfterRepeatedFlaps(t *testing.T) {
 		t.Error("isSuppressed false after suppression")
 	}
 	// A suppressed route is invisible to the decision process.
-	r1.adjIn.set(9, 0, Path{0, 9})
+	ribIn(r1).set(9, 0, Path{0, 9})
 	if _, _, ok := decide(r1.adjIn, 9, r1.peers, r1.peerAlive, r1.damper, nil, r1.id); ok {
 		t.Error("suppressed route selected")
 	}

@@ -228,7 +228,7 @@ func (q *batchInbox) Push(u Update) {
 	last := q.cell(tail)
 	if q.discardStale {
 		for c := q.cell(last.next); ; c = q.cell(c.next) {
-			if c.u.From == u.From {
+			if c.u.Slot == u.Slot {
 				// Replace in place: the new update supersedes the old one
 				// and inherits its batch position.
 				c.u = u
@@ -326,11 +326,11 @@ func (q *batchInbox) forEachRef(fn func(*routeRef)) {
 // sequentially, with an update superseding an older same-destination
 // update only if both sit in the same per-peer batch.
 type routerBatchInbox struct {
-	peerOrder []int32 // peers with pending updates, FIFO by first arrival
-	orderHead int     // consumed prefix of peerOrder; reset when it drains
-	byPeer    map[int32][]Update
-	free      [][]Update    // recycled batch backing arrays
-	lastFor   map[int32]int // Pop scratch: last batch index per destination
+	peerOrder []int32            // slots of the peers with pending updates, FIFO by first arrival
+	orderHead int                // consumed prefix of peerOrder; reset when it drains
+	byPeer    map[int32][]Update // pending updates by sender slot
+	free      [][]Update         // recycled batch backing arrays
+	lastFor   map[int32]int      // Pop scratch: last batch index per destination
 	size      int
 	discarded int
 }
@@ -339,16 +339,16 @@ var _ Inbox = (*routerBatchInbox)(nil)
 
 // Push files the update under its sending peer.
 func (q *routerBatchInbox) Push(u Update) {
-	list, pending := q.byPeer[u.From]
+	list, pending := q.byPeer[u.Slot]
 	if !pending {
-		q.peerOrder = append(q.peerOrder, u.From)
+		q.peerOrder = append(q.peerOrder, u.Slot)
 		if n := len(q.free); list == nil && n > 0 {
 			list = q.free[n-1]
 			q.free[n-1] = nil
 			q.free = q.free[:n-1]
 		}
 	}
-	q.byPeer[u.From] = append(list, u)
+	q.byPeer[u.Slot] = append(list, u)
 	q.size++
 }
 

@@ -11,14 +11,14 @@ import (
 // never look inside a ref, so one shared table serves every test.
 var inboxTab = testTab()
 
-func ann(from NodeID, dest ASN, path ...ASN) Update {
+func ann(from int, dest ASN, path ...ASN) Update {
 	if path == nil {
 		path = Path{}
 	}
 	return testUpdate(inboxTab, from, dest, path)
 }
 
-func wd(from NodeID, dest ASN) Update {
+func wd(from int, dest ASN) Update {
 	return testUpdate(inboxTab, from, dest, nil)
 }
 
@@ -35,8 +35,8 @@ func TestFIFOOrdering(t *testing.T) {
 		if len(batch) != 1 {
 			t.Fatalf("FIFO pop returned %d updates", len(batch))
 		}
-		if int(batch[0].From) != i {
-			t.Fatalf("pop %d returned update from %d", i, batch[0].From)
+		if int(batch[0].Slot) != i {
+			t.Fatalf("pop %d returned update from %d", i, batch[0].Slot)
 		}
 	}
 	if !q.Empty() {
@@ -54,8 +54,8 @@ func TestFIFORingBufferWrap(t *testing.T) {
 		q.Push(ann(round, 1, 1))
 		q.Push(ann(round+1000, 1, 1))
 		got := q.Pop()
-		if int(got[0].From) != expectedWrapFrom(round) {
-			t.Fatalf("round %d: got from %d", round, got[0].From)
+		if int(got[0].Slot) != expectedWrapFrom(round) {
+			t.Fatalf("round %d: got from %d", round, got[0].Slot)
 		}
 	}
 }
@@ -159,10 +159,10 @@ func TestBatchDiscardsStaleSameNeighbor(t *testing.T) {
 	}
 	// Neighbor 1's surviving update must be the newest one, in the
 	// original (first-arrival) position.
-	if batch[0].From != 1 || !pathsEqual(inboxTab.path(batch[0].Ref), Path{7}) {
+	if batch[0].Slot != 1 || !pathsEqual(inboxTab.path(batch[0].Ref), Path{7}) {
 		t.Errorf("neighbor 1 slot = %+v, want the newer path [7]", batch[0])
 	}
-	if batch[1].From != 2 {
+	if batch[1].Slot != 2 {
 		t.Errorf("neighbor 2 update lost: %+v", batch[1])
 	}
 }
@@ -212,11 +212,11 @@ func TestRouterBatchDrainsOnePeer(t *testing.T) {
 	q.Push(ann(2, 200, 2))
 	q.Push(ann(1, 300, 3))
 	batch := q.Pop()
-	if len(batch) != 2 || batch[0].From != 1 || batch[1].From != 1 {
+	if len(batch) != 2 || batch[0].Slot != 1 || batch[1].Slot != 1 {
 		t.Fatalf("batch = %+v, want both peer-1 updates", batch)
 	}
 	batch = q.Pop()
-	if len(batch) != 1 || batch[0].From != 2 {
+	if len(batch) != 1 || batch[0].Slot != 2 {
 		t.Fatalf("batch = %+v, want peer-2 update", batch)
 	}
 }
@@ -317,7 +317,7 @@ func (q *sliceBatchInbox) Push(u Update) {
 	}
 	if q.discardStale {
 		for i := range list {
-			if list[i].From == u.From {
+			if list[i].Slot == u.Slot {
 				list[i] = u
 				q.discarded++
 				return

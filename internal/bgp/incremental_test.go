@@ -155,16 +155,14 @@ func TestIncrementalFastPathAllocationFree(t *testing.T) {
 	// alternately announced by spokes 2 and 3, so every batch flaps the
 	// Adj-RIB-In (no no-op dedup) yet never changes the decision.
 	batches := [2][]Update{
-		{testUpdate(&sim.tab, 2, 1, Path{2, 900, 1}), testUpdate(&sim.tab, 3, 1, Path{3, 901, 1})},
-		{testUpdate(&sim.tab, 2, 1, Path{2, 902, 1}), testUpdate(&sim.tab, 3, 1, Path{3, 903, 1})},
+		{updateFrom(r, 2, 1, Path{2, 900, 1}), updateFrom(r, 3, 1, Path{3, 901, 1})},
+		{updateFrom(r, 2, 1, Path{2, 902, 1}), updateFrom(r, 3, 1, Path{3, 903, 1})},
 	}
 	r.busyStart = sim.eng.Now()
-	r.busy = true
 	r.finishProcessing(batches[0]) // warm scratch capacity
 	i := 0
 	avg := testing.AllocsPerRun(500, func() {
 		i++
-		r.busy = true
 		r.finishProcessing(batches[i%2])
 	})
 	if avg != 0 {
@@ -173,7 +171,7 @@ func TestIncrementalFastPathAllocationFree(t *testing.T) {
 	if e, ok := r.locEntryAt(1); !ok || e.from != 1 {
 		t.Fatalf("incumbent displaced: %+v ok=%v", e, ok)
 	}
-	if r.bestSlot[1] != int16(r.slotOf[1]) {
-		t.Fatalf("bestSlot[1] = %d, want slot of node 1 (%d)", r.bestSlot[1], r.slotOf[1])
+	if want := mustPeer(r.peers, 1); r.bestSlot[1] != int16(want) {
+		t.Fatalf("bestSlot[1] = %d, want slot of node 1 (%d)", r.bestSlot[1], want)
 	}
 }

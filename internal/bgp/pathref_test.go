@@ -52,9 +52,16 @@ func pathASMask(p Path) (m [2]uint32) {
 	return m
 }
 
-// testUpdate builds the update a router would send for path (nil: a
-// withdrawal), interning it into the receiver's table. Every test that
-// hand-builds an update goes through here.
-func testUpdate(tab *pathTab, from NodeID, dest ASN, path Path) Update {
-	return Update{From: int32(from), Dest: int32(dest), Ref: tab.intern(path)}
+// testUpdate builds the update arriving on the receiver's peer slot for
+// path (nil: a withdrawal), interning it into the receiver's table.
+// Every test that hand-builds an update goes through here; updateFrom
+// names the sender by node id instead.
+func testUpdate(tab *pathTab, slot int, dest ASN, path Path) Update {
+	return Update{Slot: int32(slot), Dest: int32(dest), Ref: tab.intern(path)}
+}
+
+// updateFrom is the update node from sends r for path (nil: a
+// withdrawal): testUpdate on from's slot at r.
+func updateFrom(r *router, from NodeID, dest ASN, path Path) Update {
+	return testUpdate(r.tab, mustPeer(r.peers, from), dest, path)
 }

@@ -260,6 +260,10 @@ func TestPackedSizes(t *testing.T) {
 	if n := unsafe.Sizeof(pathNode{}); n > 20 {
 		t.Errorf("pathNode is %d bytes, want <= 20", n)
 	}
+	// Back sits in the padding after Internal.
+	if n := unsafe.Sizeof(Peer{}); n > 32 {
+		t.Errorf("Peer is %d bytes, want <= 32", n)
+	}
 }
 
 // TestPathTabBytesPerPath pins what a registered path costs: at most 32

@@ -78,7 +78,7 @@ func TestPolicyExportRuleBlocksValleyPaths(t *testing.T) {
 	// directly, but node 1's Adj-RIB-In for dest 2 must have no entry
 	// from peer 3 (3 would have to leak a provider route to a peer).
 	r1 := sim.routers[1]
-	if _, ok := r1.adjIn.get(2, 3); ok {
+	if _, ok := ribIn(r1).get(2, 3); ok {
 		t.Error("peer 3 leaked a provider-learned route to node 1")
 	}
 	// Likewise node 0 (customer) DOES get everything from its provider 1.

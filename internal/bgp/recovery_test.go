@@ -138,3 +138,54 @@ func TestRecoveryEmitsTraceEvents(t *testing.T) {
 		t.Errorf("more receives (%d) than sends (%d)", counts[trace.KindReceive], counts[trace.KindSend])
 	}
 }
+
+// TestReviveDropsUnitFromBeforeDeath pins that a router revived while
+// the unit on its CPU at death was still due does not complete it. On
+// the line 0–1–2 with a fixed 20 ms per update, router 1 takes an
+// update at T, dies at T+1 ms and comes back at T+2 ms. Every unit it
+// completes afterwards must be one it started after the revival: none
+// completes before T+22 ms, none is empty, and consecutive completions
+// are a full processing delay apart, as one serial CPU allows. With
+// 1 ms links the peers' tables arrive before the stale unit was due;
+// with 25 ms links after it.
+func TestReviveDropsUnitFromBeforeDeath(t *testing.T) {
+	const proc = 20 * time.Millisecond
+	for _, link := range []time.Duration{time.Millisecond, 25 * time.Millisecond} {
+		t.Run(link.String(), func(t *testing.T) {
+			rec := &trace.Recorder{}
+			p := fastParams(61)
+			p.ProcMin, p.ProcMax = proc, proc
+			p.ExtDelay = link
+			p.Tracer = rec
+			sim := mustSim(t, buildLine(t, 3), p)
+			if err := sim.ConvergeInitial(); err != nil {
+				t.Fatal(err)
+			}
+			at := sim.Now() + SettleMargin
+			r1 := sim.routers[1]
+			sim.ScheduleControl(at, func() { r1.enqueue(updateFrom(r1, 0, 0, nil)) })
+			sim.ScheduleFailure(at+time.Millisecond, []int{1})
+			revived := at + 2*time.Millisecond
+			sim.ScheduleRecovery(revived, []int{1})
+			if err := sim.Run(); err != nil {
+				t.Fatal(err)
+			}
+			last := revived
+			units := 0
+			for _, e := range rec.Events() {
+				if e.Kind != trace.KindProcess || e.Node != 1 || e.At < revived {
+					continue
+				}
+				if e.Value == 0 || e.At-last < proc {
+					t.Errorf("router 1 completed a unit of %d updates at T+%v, %v after the revival or its previous unit",
+						e.Value, e.At-at, e.At-last)
+				}
+				last = e.At
+				units++
+			}
+			if units == 0 {
+				t.Error("router 1 completed no unit after its revival")
+			}
+		})
+	}
+}

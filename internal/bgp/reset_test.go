@@ -2,7 +2,6 @@ package bgp
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -76,8 +75,8 @@ func assertQuiescent(t *testing.T, sim *Simulator) {
 		if r.inbox.Len() != 0 {
 			t.Errorf("router %d: %d updates queued at quiescence", r.id, r.inbox.Len())
 		}
-		if r.busy || r.proc.batch != nil {
-			t.Errorf("router %d (alive=%v): busy=%v with a batch of %d at quiescence", r.id, r.alive, r.busy, len(r.proc.batch))
+		if r.busy() || r.proc.batch != nil {
+			t.Errorf("router %d (alive=%v): busy=%v with a batch of %d at quiescence", r.id, r.alive, r.busy(), len(r.proc.batch))
 		}
 		for slot, pend := range r.pending {
 			if pend.any() {
@@ -251,8 +250,8 @@ func skewedWorld(t *testing.T, name string, n int, seed int64) rebindWorld {
 // same size with other wiring and degrees, one prefix per AS to several
 // and back (on the same network, where only the destination axis moves,
 // and onto another), flat to multi-router ASes with IBGP sessions and
-// back, and both ways across slotDenseMax, past which a router has no
-// dense node-to-slot index.
+// back, and both ways to a world of over 4 096 routers, whose back slots
+// checkWiring pins like every other world's.
 func rebindWorlds(t *testing.T) []rebindWorld {
 	t.Helper()
 	small := skewedWorld(t, "small", 20, 21)
@@ -283,10 +282,10 @@ func rebindWorlds(t *testing.T) []rebindWorld {
 	}
 
 	// The small world again, followed by enough routers without a session
-	// to pass slotDenseMax. They join the ASes of the first 20, which keeps
-	// the destination space at 20: a world this wide, cheap enough to run
+	// to make 4 104. They join the ASes of the first 20, which keeps the
+	// destination space at 20: a world this wide, cheap enough to run
 	// under every variant.
-	wide := topology.NewNetwork(slotDenseMax + 8)
+	wide := topology.NewNetwork(4096 + 8)
 	for id := 0; id < small.net.NumNodes(); id++ {
 		wide.SetPos(id, small.net.Node(id).Pos)
 		for _, nb := range small.net.Neighbors(id) {
@@ -300,7 +299,7 @@ func rebindWorlds(t *testing.T) []rebindWorld {
 	for id := small.net.NumNodes(); id < wide.NumNodes(); id++ {
 		wide.SetAS(id, id%small.net.NumNodes())
 	}
-	past := rebindWorld{name: "past-slot-dense", net: wide, fail: small.fail}
+	past := rebindWorld{name: "wide", net: wide, fail: small.fail}
 
 	multiSmall := small
 	multiSmall.name, multiSmall.prefixes = "small-multi-prefix", 2
@@ -343,9 +342,9 @@ func checkRebound(t *testing.T, reused *Simulator, w rebindWorld, p Params) {
 }
 
 // checkWiring compares what Rebind rewires with what New builds, entry by
-// entry. A run only looks up the sessions it has, so an index entry left
-// over from the previous network would not show in any digest; it still
-// has no business being there.
+// entry, peers with their back slots included, and checks that every
+// session's back slot names it at the other end: the slot an update
+// carries must be the receiver's slot of its sender.
 func checkWiring(t *testing.T, world string, got, want *Simulator) {
 	t.Helper()
 	if got.ndests != want.ndests || got.nprefix != want.nprefix || !slices.Equal(got.origins, want.origins) {
@@ -358,10 +357,15 @@ func checkWiring(t *testing.T, world string, got, want *Simulator) {
 	for id, w := range want.routers {
 		g := got.routers[id]
 		if g.id != w.id || g.as != w.as || g.sim != got || g.ndests != w.ndests ||
-			!slices.Equal(g.peers, w.peers) || !maps.Equal(g.slotOf, w.slotOf) ||
-			!slices.Equal(g.slotDense, w.slotDense) || (g.slotDense == nil) != (w.slotDense == nil) {
-			t.Fatalf("%s: router %d wired as {id %d as %d peers %v slotOf %v dense %v}\nfresh {id %d as %d peers %v slotOf %v dense %v}",
-				world, id, g.id, g.as, g.peers, g.slotOf, g.slotDense, w.id, w.as, w.peers, w.slotOf, w.slotDense)
+			!slices.Equal(g.peers, w.peers) {
+			t.Fatalf("%s: router %d wired as {id %d as %d peers %v}\nfresh {id %d as %d peers %v}",
+				world, id, g.id, g.as, g.peers, w.id, w.as, w.peers)
+		}
+		for slot, p := range g.peers {
+			if back := got.routers[p.Node].peers[p.Back]; back.Node != g.id {
+				t.Fatalf("%s: router %d slot %d (node %d) has back slot %d, which names node %d",
+					world, id, slot, p.Node, p.Back, back.Node)
+			}
 		}
 		for _, n := range []int{len(g.peerAlive), len(g.nextSend), len(g.flushEv),
 			len(g.flushTasks), len(g.advertised), len(g.pending), len(g.blocked), len(g.adjIn.slots)} {

@@ -175,17 +175,9 @@ func (s *refSlot) fit(ndests int) {
 // is used directly, and a slot's column exists only once the peer has
 // advertised something.
 type adjRIBIn struct {
-	slotOf map[NodeID]int // shared with the owning router
-	tab    *pathTab       // shared with the owning Simulator
+	tab    *pathTab // shared with the owning Simulator
 	ndests int
 	slots  []refSlot
-}
-
-// newAdjRIBIn returns an Adj-RIB-In for nslots peers and ndests dense
-// destination indices, resolving node IDs through slotOf and paths
-// through tab.
-func newAdjRIBIn(slotOf map[NodeID]int, tab *pathTab, nslots, ndests int) *adjRIBIn {
-	return &adjRIBIn{slotOf: slotOf, tab: tab, ndests: ndests, slots: make([]refSlot, nslots)}
 }
 
 // fit empties the table and dimensions its dest axis for ndests
@@ -219,35 +211,6 @@ func (rib *adjRIBIn) removeSlot(slot int, dest ASN) bool {
 // getSlotRef returns the stored ref for (slot, dest); 0 when absent.
 func (rib *adjRIBIn) getSlotRef(slot int, dest ASN) routeRef {
 	return rib.slots[slot].get(dest)
-}
-
-// set records path as the latest route for dest from peer node,
-// interning it. Convenience for tests; the simulator's receive path
-// stores pre-interned refs via setSlot.
-func (rib *adjRIBIn) set(dest ASN, from NodeID, path Path) {
-	if slot, ok := rib.slotOf[from]; ok {
-		rib.setSlot(slot, dest, rib.tab.intern(path))
-	}
-}
-
-// remove deletes the route for dest from peer node, reporting whether one
-// existed.
-func (rib *adjRIBIn) remove(dest ASN, from NodeID) bool {
-	slot, ok := rib.slotOf[from]
-	if !ok {
-		return false
-	}
-	return rib.removeSlot(slot, dest)
-}
-
-// get returns the stored path for (dest, from).
-func (rib *adjRIBIn) get(dest ASN, from NodeID) (Path, bool) {
-	slot, ok := rib.slotOf[from]
-	if !ok {
-		return nil, false
-	}
-	ref := rib.getSlotRef(slot, dest)
-	return rib.tab.path(ref), ref != 0
 }
 
 // destsViaSlot appends the destinations with a route from the peer slot

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -39,7 +40,7 @@ func TestPathHelpers(t *testing.T) {
 }
 
 func TestUpdateIsWithdrawal(t *testing.T) {
-	if !(Update{From: 1, Dest: 2}).IsWithdrawal() {
+	if !(Update{Slot: 1, Dest: 2}).IsWithdrawal() {
 		t.Error("nil path not a withdrawal")
 	}
 	if testUpdate(testTab(), 1, 2, Path{}).IsWithdrawal() {
@@ -55,14 +56,47 @@ func testTab() *pathTab {
 	return tab
 }
 
+// mustPeer returns node's slot among peers (sorted by node id, as a
+// router's are) and panics when node is not one of them.
+func mustPeer(peers []Peer, node NodeID) int {
+	slot, ok := findPeer(peers, node)
+	if !ok {
+		panic(fmt.Sprintf("node %d is not a peer", node))
+	}
+	return slot
+}
+
+// testRIB is an Adj-RIB-In addressed by the node ids of its peers, the
+// way tests name routes; the simulator itself only ever names a slot.
+type testRIB struct {
+	*adjRIBIn
+	peers []Peer
+}
+
 // ribOver builds an Adj-RIB-In whose slots follow the given peer order,
 // sized for dense destination indices in [0, ndests).
-func ribOver(peers []Peer, ndests int) *adjRIBIn {
-	slotOf := make(map[NodeID]int, len(peers))
-	for slot, p := range peers {
-		slotOf[p.Node] = slot
-	}
-	return newAdjRIBIn(slotOf, testTab(), len(peers), ndests)
+func ribOver(peers []Peer, ndests int) testRIB {
+	return testRIB{&adjRIBIn{tab: testTab(), ndests: ndests, slots: make([]refSlot, len(peers))}, peers}
+}
+
+// ribIn is r's Adj-RIB-In as a testRIB.
+func ribIn(r *router) testRIB { return testRIB{r.adjIn, r.peers} }
+
+// set records path as the latest route for dest from peer node.
+func (rib testRIB) set(dest ASN, from NodeID, path Path) {
+	rib.setSlot(mustPeer(rib.peers, from), dest, rib.tab.intern(path))
+}
+
+// remove deletes the route for dest from peer node, reporting whether
+// one existed.
+func (rib testRIB) remove(dest ASN, from NodeID) bool {
+	return rib.removeSlot(mustPeer(rib.peers, from), dest)
+}
+
+// get returns the stored path for (dest, from).
+func (rib testRIB) get(dest ASN, from NodeID) (Path, bool) {
+	ref := rib.getSlotRef(mustPeer(rib.peers, from), dest)
+	return rib.tab.path(ref), ref != 0
 }
 
 func TestAdjRIBInSetGetRemove(t *testing.T) {
@@ -100,14 +134,14 @@ func TestAdjRIBInDestsViaSlot(t *testing.T) {
 	// Callers pass a reused scratch buffer (router.affectedScratch);
 	// destsViaSlot must honor its contents and append after them.
 	scratch := make([]ASN, 0, 8)
-	got := rib.destsViaSlot(rib.slotOf[5], scratch[:0])
+	got := rib.destsViaSlot(mustPeer(rib.peers, 5), scratch[:0])
 	if len(got) != 2 || got[0] != 10 || got[1] != 30 {
 		t.Errorf("destsViaSlot = %v, want [10 30] sorted", got)
 	}
 	if &got[0] != &scratch[:1][0] {
 		t.Error("destsViaSlot did not reuse the scratch buffer")
 	}
-	if got := rib.destsViaSlot(rib.slotOf[6], got[:0]); len(got) != 1 || got[0] != 20 {
+	if got := rib.destsViaSlot(mustPeer(rib.peers, 6), got[:0]); len(got) != 1 || got[0] != 20 {
 		t.Errorf("destsViaSlot(6) = %v, want [20]", got)
 	}
 }
@@ -149,7 +183,7 @@ func TestDecideShortestPathWins(t *testing.T) {
 	rib := ribOver(testPeers(), 100)
 	rib.set(99, 1, Path{10, 40, 99})
 	rib.set(99, 2, Path{20, 99})
-	e, slot, ok := decide(rib, 99, testPeers(), nil, nil, nil, 0)
+	e, slot, ok := decide(rib.adjRIBIn, 99, testPeers(), nil, nil, nil, 0)
 	if !ok {
 		t.Fatal("no route")
 	}
@@ -162,7 +196,7 @@ func TestDecideEBGPBeatsIBGPAtEqualLength(t *testing.T) {
 	rib := ribOver(testPeers(), 100)
 	rib.set(99, 3, Path{20, 99}) // internal peer
 	rib.set(99, 2, Path{20, 99}) // external peer, same length
-	e, _, ok := decide(rib, 99, testPeers(), nil, nil, nil, 0)
+	e, _, ok := decide(rib.adjRIBIn, 99, testPeers(), nil, nil, nil, 0)
 	if !ok || e.from != 2 {
 		t.Errorf("winner from %d, want external peer 2", e.from)
 	}
@@ -175,7 +209,7 @@ func TestDecideTieBreaksLowestPeerAS(t *testing.T) {
 	rib := ribOver(testPeers(), 100)
 	rib.set(99, 1, Path{10, 99})
 	rib.set(99, 2, Path{20, 99})
-	e, slot, ok := decide(rib, 99, testPeers(), nil, nil, nil, 0)
+	e, slot, ok := decide(rib.adjRIBIn, 99, testPeers(), nil, nil, nil, 0)
 	if !ok || e.from != 1 || slot != 0 {
 		t.Errorf("winner from %d slot %d, want peer 1 at slot 0 (AS 10 < AS 20)", e.from, slot)
 	}
@@ -186,7 +220,7 @@ func TestDecideSkipsDeadPeers(t *testing.T) {
 	rib.set(99, 1, Path{10, 99})
 	rib.set(99, 2, Path{20, 30, 99})
 	alive := []bool{false, true, true}
-	e, slot, ok := decide(rib, 99, testPeers(), alive, nil, nil, 0)
+	e, slot, ok := decide(rib.adjRIBIn, 99, testPeers(), alive, nil, nil, 0)
 	if !ok || e.from != 2 || slot != 1 {
 		t.Errorf("winner from %d slot %d, want 2 at slot 1 (peer 1 dead)", e.from, slot)
 	}
@@ -194,12 +228,12 @@ func TestDecideSkipsDeadPeers(t *testing.T) {
 
 func TestDecideNoRoutes(t *testing.T) {
 	rib := ribOver(testPeers(), 100)
-	if _, slot, ok := decide(rib, 99, testPeers(), nil, nil, nil, 0); ok || slot != -1 {
+	if _, slot, ok := decide(rib.adjRIBIn, 99, testPeers(), nil, nil, nil, 0); ok || slot != -1 {
 		t.Error("decision on empty RIB returned a route")
 	}
 	rib.set(99, 1, Path{10, 99})
 	alive := []bool{false, false, false}
-	if _, slot, ok := decide(rib, 99, testPeers(), alive, nil, nil, 0); ok || slot != -1 {
+	if _, slot, ok := decide(rib.adjRIBIn, 99, testPeers(), alive, nil, nil, 0); ok || slot != -1 {
 		t.Error("decision with all peers dead returned a route")
 	}
 }

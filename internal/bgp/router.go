@@ -42,15 +42,8 @@ type router struct {
 	rng *des.RNG
 	tab *pathTab
 
-	peers     []Peer
+	peers     []Peer // sorted by node id; an index is a slot
 	peerAlive []bool
-	slotOf    map[NodeID]int
-	// slotDense is the hot-path twin of slotOf: node id -> peer slot + 1
-	// (0 = not a peer), indexed directly. The map lookup per arriving
-	// update was ~5% of the storm profile; the dense array is one load.
-	// nil when the topology exceeds slotDenseMax nodes (the array is
-	// quadratic in fleet memory: nodes × routers).
-	slotDense []int16
 
 	ndests     int // dest-index capacity all dense arrays are sized for
 	adjIn      *adjRIBIn
@@ -78,7 +71,6 @@ type router struct {
 	inbox        Inbox
 	inboxQueue   QueueDiscipline // discipline inbox was built for (reset reuses on match)
 	inboxDiscard bool            // BatchDiscardStale inbox was built for
-	busy         bool
 
 	policy mrai.Policy
 
@@ -87,6 +79,7 @@ type router struct {
 	// per experiment; everything here exists so that steady-state
 	// iterations allocate nothing.
 	proc            procTask    // the single in-flight CPU-completion task
+	procEv          *des.Event  // proc's armed completion event; nil = CPU idle (see busy)
 	flushTasks      []flushTask // per-slot deferred-flush tasks
 	destsScratch    []ASN       // tryFlush's sorted pending-destination list
 	affectedScratch []ASN       // peerDown's sorted affected-destination list
@@ -136,36 +129,35 @@ type router struct {
 // now returns the current simulated time.
 func (r *router) now() des.Time { return r.eng.Now() }
 
+// busy reports whether the CPU is working on a unit: its completion is
+// armed.
+func (r *router) busy() bool { return r.procEv != nil }
+
 // bestSlot sentinel values (real peer slots are >= 0).
 const (
 	bestNone int16 = -1 // no Loc-RIB entry for the destination
 	bestSelf int16 = -2 // locally originated route: never displaced
 )
 
-// slotDenseMax bounds the topology size for which the dense slot index
-// is built: the fleet-wide footprint is nodes × routers int16 entries,
-// quadratic in the node count.
-const slotDenseMax = 4096
-
 // newRouter returns a router of sim that is not yet part of any network:
 // rewire gives it its place in one, reset its state for a run.
 func newRouter(sim *Simulator) *router {
 	r := &router{
 		sim: sim, eng: sim.eng, col: sim.col, rng: sim.rng, tab: &sim.tab,
-		slotOf: make(map[NodeID]int),
 	}
 	r.proc.r = r
-	r.adjIn = newAdjRIBIn(r.slotOf, r.tab, 0, 0)
+	r.adjIn = &adjRIBIn{tab: r.tab}
 	return r
 }
 
 // rewire makes r router id of net: its AS, its peers in node-id order
-// (slot order drives tie-breaking iteration and message emission order),
-// the two node-to-slot indexes, and every per-slot array at the new
-// degree. A router keeps its storage from one network to the next: a
-// slot's columns go to whichever peer has that slot now, and the slots
-// of a larger degree seen earlier wait in the spare capacity. reset must
-// follow before the router is used.
+// (slot order drives tie-breaking iteration and message emission order)
+// and every per-slot array at the new degree; Simulator.rewire fills in
+// each peer's Back once every router is wired. A router keeps its
+// storage from one network to the next: a slot's columns go to whichever
+// peer has that slot now, and the slots of a larger degree seen earlier
+// wait in the spare capacity. reset must follow before the router is
+// used.
 func (r *router) rewire(id NodeID, net *topology.Network) {
 	r.id, r.as = id, net.ASOf(id)
 	r.peers = r.peers[:0]
@@ -183,20 +175,8 @@ func (r *router) rewire(id NodeID, net *topology.Network) {
 	r.pending = refit(r.pending, nslots)
 	r.blocked = refit(r.blocked, nslots)
 	r.adjIn.slots = refit(r.adjIn.slots, nslots)
-
-	clear(r.slotOf)
-	if n := net.NumNodes(); n <= slotDenseMax {
-		r.slotDense = fit(r.slotDense, n)
-		clear(r.slotDense)
-	} else {
-		r.slotDense = nil
-	}
-	for slot, peer := range r.peers {
-		r.slotOf[peer.Node] = slot
+	for slot := range r.peers {
 		r.flushTasks[slot] = flushTask{r: r, slot: slot}
-		if r.slotDense != nil {
-			r.slotDense[peer.Node] = int16(slot) + 1
-		}
 	}
 }
 
@@ -209,8 +189,8 @@ func (r *router) rewire(id NodeID, net *topology.Network) {
 // network or on many.
 func (r *router) reset(p Params, ndests int) {
 	r.alive = true
-	r.busy = false
 	r.proc.batch = nil
+	r.procEv = nil
 	r.ndests = ndests
 	r.adjIn.fit(ndests)
 	r.loc.fit(ndests)
@@ -295,25 +275,26 @@ func (r *router) originate(dest ASN) {
 
 // procTask is the pre-allocated des.Runner for CPU-completion events.
 // Each router has exactly one in-flight work unit at a time (guarded by
-// r.busy), so one reusable task per router replaces a per-unit closure.
+// busy), so one reusable task per router replaces a per-unit closure.
 type procTask struct {
 	r     *router
 	batch []Update
 }
 
-// Run delivers the completed work unit to finishProcessing. Its entry is
-// the path table's one safe point (see Simulator.sweep). The invariant a
-// sweep needs is that no routeRef sits in a Go local across it — every
-// ref must be where the root walk can rename it — and here nothing has
-// read one yet, the batch included; a storm cannot grow the table
-// without passing through, and a table that is not due costs two loads
-// and a compare.
+// Run clears the armed-event marker and delivers the completed work unit
+// to finishProcessing. Its entry is the path table's one safe point (see
+// Simulator.sweep). The invariant a sweep needs is that no routeRef sits
+// in a Go local across it — every ref must be where the root walk can
+// rename it — and here nothing has read one yet, the batch included; a
+// storm cannot grow the table without passing through, and a table that
+// is not due costs two loads and a compare.
 func (t *procTask) Run() {
 	if s := t.r.sim; s.tab.n >= s.sweepAt {
 		s.sweep()
 	}
 	batch := t.batch
 	t.batch = nil
+	t.r.procEv = nil
 	t.r.finishProcessing(batch)
 }
 
@@ -336,21 +317,6 @@ func (t *flushTask) Run() {
 	r.tryFlush(t.slot)
 }
 
-// peerSlot resolves a node id to its peer slot through the dense index
-// when available (the per-update map lookup was ~5% of the storm
-// profile), the map otherwise.
-func (r *router) peerSlot(n NodeID) (int, bool) {
-	if d := r.slotDense; d != nil {
-		if uint(n) < uint(len(d)) {
-			s := d[n]
-			return int(s) - 1, s != 0
-		}
-		return -1, false
-	}
-	slot, ok := r.slotOf[n]
-	return slot, ok
-}
-
 // --- receive path -----------------------------------------------------
 
 // enqueue accepts an arriving update and starts the CPU if idle.
@@ -363,9 +329,9 @@ func (r *router) enqueue(u Update) {
 	r.col.NoteQueueLen(r.inbox.Len())
 	r.sim.emit(trace.Event{
 		At: r.now(), Kind: trace.KindReceive, Node: r.id,
-		Peer: int(u.From), Dest: int(u.Dest), Withdrawal: u.IsWithdrawal(),
+		Peer: r.peers[u.Slot].Node, Dest: int(u.Dest), Withdrawal: u.IsWithdrawal(),
 	})
-	if !r.busy {
+	if !r.busy() {
 		r.startProcessing()
 	}
 }
@@ -384,13 +350,9 @@ func (r *router) startProcessing() {
 		if r.sim.params.SkipNoopUpdates {
 			kept := batch[:0]
 			for _, u := range batch {
-				var stored routeRef
-				if slot, ok := r.peerSlot(int(u.From)); ok {
-					stored = r.adjIn.getSlotRef(slot, int(u.Dest))
-				}
 				// No change relative to the Adj-RIB-In: a withdrawal of
 				// nothing, or the stored route announced again.
-				if stored == u.Ref {
+				if r.adjIn.getSlotRef(int(u.Slot), int(u.Dest)) == u.Ref {
 					discarded++
 					continue
 				}
@@ -409,10 +371,9 @@ func (r *router) startProcessing() {
 		for range batch {
 			delay += r.rng.UniformDuration(r.sim.params.ProcMin, r.sim.params.ProcMax)
 		}
-		r.busy = true
 		r.busyStart = r.now()
 		r.proc.batch = batch
-		r.eng.ScheduleRunnerAt(r.busyStart+delay, &r.proc)
+		r.procEv = r.eng.ScheduleRunnerAt(r.busyStart+delay, &r.proc)
 		return
 	}
 }
@@ -424,12 +385,8 @@ func (r *router) startProcessing() {
 // collected in a bitset and drained in ascending order — the same sorted
 // order the previous map+sort implementation produced.
 func (r *router) finishProcessing(batch []Update) {
-	if !r.alive {
-		return
-	}
 	now := r.now()
 	r.busyAccum += now - r.busyStart
-	r.busy = false
 	r.col.NoteProcessed(now, len(batch))
 	r.sim.emit(trace.Event{
 		At: now, Kind: trace.KindProcess, Node: r.id,
@@ -440,8 +397,8 @@ func (r *router) finishProcessing(batch []Update) {
 	incr := r.incremental
 	for _, u := range batch {
 		// Drop updates from peers that died while the message was queued.
-		slot, ok := r.peerSlot(int(u.From))
-		if !ok || !r.peerAlive[slot] {
+		slot := int(u.Slot)
+		if !r.peerAlive[slot] {
 			continue
 		}
 		dest := int(u.Dest)
@@ -469,7 +426,7 @@ func (r *router) finishProcessing(batch []Update) {
 			r.adjIn.setSlot(slot, dest, u.Ref)
 		}
 		if flapped && r.damper != nil {
-			r.penalize(dest, int(u.From))
+			r.penalize(dest, r.peers[slot].Node)
 		}
 		touched.set(dest)
 	}
@@ -759,7 +716,7 @@ func (r *router) tryFlush(slot int) {
 				noteBlocked(dest, r.gateTime(slot, dest))
 				continue
 			}
-			r.send(slot, Update{From: int32(r.id), Dest: int32(dest)})
+			r.send(slot, Update{Dest: int32(dest)})
 			adv.del(dest)
 			pend.clear(dest)
 			sentAny = true
@@ -777,7 +734,7 @@ func (r *router) tryFlush(slot int) {
 			noteBlocked(dest, r.gateTime(slot, dest))
 			continue
 		}
-		r.send(slot, Update{From: int32(r.id), Dest: int32(dest), Ref: desired})
+		r.send(slot, Update{Dest: int32(dest), Ref: desired})
 		adv.set(dest, desired, r.ndests)
 		pend.clear(dest)
 		sentAny = true
@@ -854,9 +811,11 @@ func (r *router) scheduleFlush(slot int, at des.Time) {
 	r.flushEv[slot] = r.eng.ScheduleRunnerAt(at, &r.flushTasks[slot])
 }
 
-// send transmits one route-level update to the slot's peer.
+// send transmits one route-level update to the slot's peer, stamped with
+// the slot the peer knows this router by.
 func (r *router) send(slot int, u Update) {
 	peer := r.peers[slot]
+	u.Slot = peer.Back
 	now := r.now()
 	r.col.NoteSend(now, r.id, u.IsWithdrawal())
 	r.sim.emit(trace.Event{
@@ -930,13 +889,15 @@ func (r *router) desiredAdvert(dest ASN, slot int) routeRef {
 
 // kill removes the router from the simulation: it stops processing,
 // sending, and receiving. Pending events guard on alive. What it had
-// queued is lost with it (enqueue refuses a dead router and revive starts
-// from a fresh queue and an idle CPU), so a dead router holds no update
-// and is not busy. The completion of a unit it was working on still
-// fires, finds it dead and drops the unit.
+// queued is lost with it, the unit on its CPU included: the completion
+// event is canceled, so a router revived before that unit was due does
+// not finish it. A dead router holds no update and is not busy, and
+// revive starts from the empty queue and idle CPU kill leaves.
 func (r *router) kill() {
 	r.alive = false
-	r.busy = false
+	r.eng.Cancel(r.procEv)
+	r.procEv = nil
+	r.proc.batch = nil
 	r.inbox.Reset(r.ndests)
 	for slot, ev := range r.flushEv {
 		r.eng.Cancel(ev)
@@ -944,16 +905,14 @@ func (r *router) kill() {
 	}
 }
 
-// revive restores a killed router to its boot state: empty RIBs, fresh
-// queue and timers, all sessions down until peerUp re-establishes them.
+// revive restores a killed router to its boot state: empty RIBs, the
+// queue kill emptied, fresh timers, all sessions down until peerUp
+// re-establishes them.
 func (r *router) revive() {
 	r.alive = true
-	r.busy = false
 	r.adjIn.reset()
 	r.loc.reset()
 	r.originates.clearAll()
-	r.inbox = newInbox(r.sim.params, r.ndests)
-	r.inboxQueue, r.inboxDiscard = r.sim.params.Queue, r.sim.params.BatchDiscardStale
 	r.policy.Rewind()
 	for i := range r.flapCount {
 		r.flapCount[i] = 0
@@ -1092,7 +1051,7 @@ func (r *router) normalizeWindow(at des.Time) {
 // per-window accounting forward.
 func (r *router) snapshot(now des.Time) mrai.Snapshot {
 	busy := r.busyAccum
-	if r.busy {
+	if r.busy() {
 		busy += now - r.busyStart
 	}
 	elapsed := now - r.lastSnapTime

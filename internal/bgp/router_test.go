@@ -44,7 +44,7 @@ func (r *router) setLocForTest(dest ASN, path Path, from NodeID) {
 		return
 	}
 	r.loc.set(dest, r.sim.tab.intern(path))
-	r.bestSlot[dest] = int16(r.slotOf[from])
+	r.bestSlot[dest] = int16(mustPeer(r.peers, from))
 }
 
 // advertisedPath returns what the router last announced to the slot's
@@ -138,7 +138,7 @@ func TestMRAIGatesSecondAnnouncement(t *testing.T) {
 
 	// Originate at t=0: first announcement is immediate, timer arms.
 	r1.originate(1)
-	slotTo2 := r1.slotOf[2]
+	slotTo2 := mustPeer(r1.peers, 2)
 	if r1.nextSend[slotTo2] != m {
 		t.Fatalf("nextSend = %v, want %v (no jitter)", r1.nextSend[slotTo2], m)
 	}
@@ -147,7 +147,7 @@ func TestMRAIGatesSecondAnnouncement(t *testing.T) {
 	}
 
 	// A new route appears while the timer runs: it must wait until t=m.
-	r1.adjIn.set(7, 0, Path{0, 7})
+	ribIn(r1).set(7, 0, Path{0, 7})
 	if !r1.runDecision(7) {
 		t.Fatal("decision did not change")
 	}
@@ -179,15 +179,15 @@ func TestWithdrawalBypassesMRAI(t *testing.T) {
 	const m = 10 * time.Second
 	sim := lineSim(t, strictParams(m))
 	r1 := sim.routers[1]
-	slotTo2 := r1.slotOf[2]
+	slotTo2 := mustPeer(r1.peers, 2)
 
 	r1.originate(1) // timer now armed until t=m
-	r1.adjIn.set(7, 0, Path{0, 7})
+	ribIn(r1).set(7, 0, Path{0, 7})
 	r1.runDecision(7)
 	r1.markPendingAll(7)
 	// Route dies again before the timer expires: net effect nothing was
 	// ever advertised, so nothing (not even a withdrawal) should go out.
-	r1.adjIn.remove(7, 0)
+	ribIn(r1).remove(7, 0)
 	r1.runDecision(7)
 	r1.flushAll()
 	if _, ok := r1.advertisedPath(slotTo2, 7); ok {
@@ -205,7 +205,7 @@ func TestWithdrawalBypassesMRAI(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := sim.Now()
-	r1.adjIn.set(8, 0, Path{0, 8})
+	ribIn(r1).set(8, 0, Path{0, 8})
 	r1.runDecision(8)
 	r1.markPendingAll(8)
 	r1.flushAll() // sends at `now`, rearms timer to now+m
@@ -213,7 +213,7 @@ func TestWithdrawalBypassesMRAI(t *testing.T) {
 		t.Fatal("announcement for dest 8 missing")
 	}
 	before := sim.col.TotalMessages
-	r1.adjIn.remove(8, 0)
+	ribIn(r1).remove(8, 0)
 	r1.runDecision(8)
 	r1.markPendingAll(8)
 	r1.flushAll()
@@ -231,7 +231,7 @@ func TestWithdrawalBypassesMRAI(t *testing.T) {
 func TestDuplicateAnnouncementsSuppressed(t *testing.T) {
 	sim := lineSim(t, strictParams(100*time.Millisecond))
 	r1 := sim.routers[1]
-	slotTo2 := r1.slotOf[2]
+	slotTo2 := mustPeer(r1.peers, 2)
 	r1.originate(1)
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -255,9 +255,9 @@ func TestProcessingSerializesUpdates(t *testing.T) {
 	// finish at 10ms and 20ms after arrival, not both at 10ms.
 	sim := lineSim(t, strictParams(time.Second))
 	r1 := sim.routers[1]
-	r1.enqueue(testUpdate(r1.tab, 0, 50, Path{0, 50}))
-	r1.enqueue(testUpdate(r1.tab, 0, 51, Path{0, 51}))
-	if !r1.busy {
+	r1.enqueue(updateFrom(r1, 0, 50, Path{0, 50}))
+	r1.enqueue(updateFrom(r1, 0, 51, Path{0, 51}))
+	if !r1.busy() {
 		t.Fatal("router idle with queued work")
 	}
 	// At 15ms only the first update is done; router 1 is still busy with
@@ -268,7 +268,7 @@ func TestProcessingSerializesUpdates(t *testing.T) {
 	if sim.col.TotalProcessed != 1 {
 		t.Fatalf("processed = %d at 15ms, want 1 (serial CPU)", sim.col.TotalProcessed)
 	}
-	if !r1.busy {
+	if !r1.busy() {
 		t.Fatal("router idle mid-service")
 	}
 	if err := sim.RunUntil(25 * time.Millisecond); err != nil {
@@ -277,7 +277,7 @@ func TestProcessingSerializesUpdates(t *testing.T) {
 	if sim.col.TotalProcessed != 2 {
 		t.Fatalf("processed = %d at 25ms, want 2", sim.col.TotalProcessed)
 	}
-	if r1.busy {
+	if r1.busy() {
 		t.Fatal("router busy after draining")
 	}
 	if err := sim.Run(); err != nil {
@@ -289,8 +289,8 @@ func TestDeadRouterIgnoresTraffic(t *testing.T) {
 	sim := lineSim(t, strictParams(time.Second))
 	r1 := sim.routers[1]
 	r1.kill()
-	r1.enqueue(testUpdate(r1.tab, 0, 50, Path{0, 50}))
-	if r1.busy || r1.inbox.Len() != 0 {
+	r1.enqueue(updateFrom(r1, 0, 50, Path{0, 50}))
+	if r1.busy() || r1.inbox.Len() != 0 {
 		t.Error("dead router accepted work")
 	}
 	if err := sim.Run(); err != nil {
@@ -305,7 +305,7 @@ func TestPeerDownInvalidatesRoutesAndCleansState(t *testing.T) {
 		t.Fatal(err)
 	}
 	r1 := sim.routers[1]
-	slotTo0 := r1.slotOf[0]
+	slotTo0 := mustPeer(r1.peers, 0)
 	if _, ok := r1.loc.getRef(0); !ok {
 		t.Fatal("no route to AS 0 before failure")
 	}
@@ -336,13 +336,13 @@ func TestReceiverSideLoopDetection(t *testing.T) {
 	r1 := sim.routers[1]
 	// A path containing the local AS must be treated as a withdrawal of
 	// the peer's previous route.
-	r1.adjIn.set(9, 0, Path{0, 9})
+	ribIn(r1).set(9, 0, Path{0, 9})
 	r1.runDecision(9)
-	r1.enqueue(testUpdate(r1.tab, 0, 9, Path{0, 1, 9}))
+	r1.enqueue(updateFrom(r1, 0, 9, Path{0, 1, 9}))
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r1.adjIn.get(9, 0); ok {
+	if _, ok := ribIn(r1).get(9, 0); ok {
 		t.Error("looped path stored in Adj-RIB-In")
 	}
 	if _, ok := r1.loc.getRef(9); ok {
@@ -353,9 +353,9 @@ func TestReceiverSideLoopDetection(t *testing.T) {
 func TestSnapshotAccounting(t *testing.T) {
 	sim := lineSim(t, strictParams(time.Second))
 	r1 := sim.routers[1]
-	r1.enqueue(testUpdate(r1.tab, 0, 50, Path{0, 50}))
-	r1.enqueue(testUpdate(r1.tab, 0, 51, Path{0, 51}))
-	r1.enqueue(testUpdate(r1.tab, 0, 52, Path{0, 52}))
+	r1.enqueue(updateFrom(r1, 0, 50, Path{0, 50}))
+	r1.enqueue(updateFrom(r1, 0, 51, Path{0, 51}))
+	r1.enqueue(updateFrom(r1, 0, 52, Path{0, 52}))
 	// One is in service, two queued.
 	snap := r1.snapshot(sim.Now())
 	if snap.QueueLen != 2 {

@@ -291,9 +291,11 @@ func (s *Simulator) Rebind(net *topology.Network, params Params) error {
 }
 
 // rewire points the simulator at net: one router per node, each wired to
-// its neighbours (router.rewire). Routers are kept from one network to
-// the next, with everything they own; those a smaller network has no
-// node for wait in the slice's spare capacity.
+// its neighbours (router.rewire), then every peer given its Back, the
+// slot its router holds at that peer (links are symmetric, so there
+// always is one). Routers are kept from one network to the next, with
+// everything they own; those a smaller network has no node for wait in
+// the slice's spare capacity.
 func (s *Simulator) rewire(net *topology.Network) {
 	s.net = net
 	s.routers = refit(s.routers, net.NumNodes())
@@ -303,6 +305,13 @@ func (s *Simulator) rewire(net *topology.Network) {
 			s.routers[id] = r
 		}
 		r.rewire(id, net)
+	}
+	for _, r := range s.routers {
+		for slot := range r.peers {
+			p := &r.peers[slot]
+			back, _ := findPeer(s.routers[p.Node].peers, r.id)
+			p.Back = int32(back)
+		}
 	}
 }
 
@@ -428,10 +437,7 @@ func (s *Simulator) ScheduleFailure(at des.Time, nodes []int) {
 				if !nb.alive {
 					continue
 				}
-				slot, ok := nb.slotOf[id]
-				if !ok {
-					continue
-				}
+				slot := int(peer.Back)
 				if s.params.DetectDelay > 0 {
 					s.eng.ScheduleAt(at+s.params.DetectDelay, func() { nb.peerDown(slot) })
 				} else {
@@ -458,11 +464,11 @@ func (s *Simulator) ScheduleLinkFailure(at des.Time, links [][2]int) {
 				continue
 			}
 			ra, rb := s.routers[a], s.routers[b]
-			slotAB, okA := ra.slotOf[b]
-			slotBA, okB := rb.slotOf[a]
-			if !okA || !okB {
+			slotAB, ok := findPeer(ra.peers, b)
+			if !ok {
 				continue
 			}
+			slotBA := int(ra.peers[slotAB].Back)
 			down := func(r *router, slot int) {
 				if s.params.DetectDelay > 0 {
 					s.eng.ScheduleAt(at+s.params.DetectDelay, func() { r.peerDown(slot) })
@@ -522,9 +528,7 @@ func (s *Simulator) ScheduleRecovery(at des.Time, nodes []int) {
 					continue
 				}
 				r.peerUp(slot)
-				if nbSlot, ok := nb.slotOf[id]; ok {
-					nb.peerUp(nbSlot)
-				}
+				nb.peerUp(int(peer.Back))
 			}
 		}
 	})
@@ -658,8 +662,8 @@ func (s *Simulator) forEachRefColumn(fn func([]routeRef)) (cells int) {
 // and not yet applied (0 for a withdrawal) and returns how many there
 // are: queued in an inbox, in the batch a busy router is processing
 // (which aliases storage the inbox does not visit), on a link as a
-// delivery event. A killed router holds none — kill empties its inbox —
-// so at quiescence the count is zero.
+// delivery event. A killed router holds none — kill empties its inbox and
+// drops the unit on its CPU — so at quiescence the count is zero.
 func (s *Simulator) forEachInFlight(fn func(*routeRef)) (n int) {
 	for _, r := range s.routers {
 		r.inbox.forEachRef(fn)

@@ -545,9 +545,9 @@ func TestSkipNoopUpdatesDropsExactDuplicate(t *testing.T) {
 	r1 := sim.routers[1]
 	// Seed a route, then deliver the identical announcement again: the
 	// duplicate must be dropped without processing.
-	r1.adjIn.set(9, 0, Path{0, 9})
-	r1.enqueue(testUpdate(r1.tab, 0, 9, Path{0, 9}))
-	if r1.busy {
+	ribIn(r1).set(9, 0, Path{0, 9})
+	r1.enqueue(updateFrom(r1, 0, 9, Path{0, 9}))
+	if r1.busy() {
 		t.Fatal("noop update entered service")
 	}
 	if err := sim.Run(); err != nil {
@@ -557,8 +557,8 @@ func TestSkipNoopUpdatesDropsExactDuplicate(t *testing.T) {
 		t.Errorf("processed = %d, want 0", sim.col.TotalProcessed)
 	}
 	// A withdrawal for a route we never had is also a noop.
-	r1.enqueue(testUpdate(r1.tab, 0, 77, nil))
-	if r1.busy {
+	r1.enqueue(updateFrom(r1, 0, 77, nil))
+	if r1.busy() {
 		t.Error("noop withdrawal entered service")
 	}
 }

@@ -83,7 +83,7 @@ func (s *Simulator) installAS(as ASN, origin NodeID) (installed int, err error) 
 			bs = bestSelf
 		} else if f := sol.From(r.id); f >= 0 {
 			locRef = s.chainRef(r.id)
-			slot, ok := r.slotOf[NodeID(f)]
+			slot, ok := findPeer(r.peers, NodeID(f))
 			if !ok {
 				return 0, fmt.Errorf("bgp: node %d has no slot for snapshot from-node %d", r.id, f)
 			}

@@ -67,9 +67,9 @@ func relationshipsFor(net *topology.Network, hierarchical bool, ratio float64) (
 // relationshipsForSpec resolves a topology spec's relationship
 // annotation (topology.Spec.Relationships) through the same memo, so a
 // spec-annotated scenario and an explicitly-flagged one that name the
-// same derivation share one Relationships value — and therefore one
-// snapshot fixpoint. The mode-to-parameter mapping mirrors
-// Spec.BuildRelationships exactly, defaults included.
+// same derivation share one Relationships value, derived once. The
+// mode-to-parameter mapping mirrors Spec.BuildRelationships exactly,
+// defaults included.
 func relationshipsForSpec(net *topology.Network, spec topology.Spec) (*topology.Relationships, error) {
 	switch spec.Relationships {
 	case topology.RelModeHierarchical:
