@@ -154,8 +154,14 @@ func DegreeDependentMRAI(threshold int, low, high time.Duration) Scheme {
 func DynamicMRAI() Scheme { return experiment.PaperDynamicMRAI() }
 
 // CustomDynamicMRAI is the ladder with caller-chosen levels/thresholds.
-func CustomDynamicMRAI(levels []time.Duration, upTh, downTh time.Duration) Scheme {
-	return experiment.DynamicMRAI(levels, upTh, downTh)
+// It fails when they cannot form a ladder: no levels, levels not
+// increasing, or downTh above upTh.
+func CustomDynamicMRAI(levels []time.Duration, upTh, downTh time.Duration) (Scheme, error) {
+	l := mrai.Ladder{Levels: levels, UpTh: upTh, DownTh: downTh, Signal: mrai.SignalWork}
+	if err := l.Validate(); err != nil {
+		return Scheme{}, err
+	}
+	return experiment.DynamicMRAI(levels, upTh, downTh), nil
 }
 
 // BatchedProcessing is the paper's destination-batched update queue with

@@ -49,11 +49,15 @@ func TestTopologyConstructors(t *testing.T) {
 }
 
 func TestSchemeConstructorsProduceRunnableScenarios(t *testing.T) {
+	custom, err := bgpsim.CustomDynamicMRAI([]time.Duration{time.Second, 2 * time.Second}, time.Second, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	schemes := []bgpsim.Scheme{
 		bgpsim.ConstantMRAI(time.Second),
 		bgpsim.DegreeDependentMRAI(5, 500*time.Millisecond, 2*time.Second),
 		bgpsim.DynamicMRAI(),
-		bgpsim.CustomDynamicMRAI([]time.Duration{time.Second, 2 * time.Second}, time.Second, 0),
+		custom,
 		bgpsim.BatchedProcessing(500 * time.Millisecond),
 		bgpsim.BatchedDynamic(),
 		bgpsim.CustomScheme("no-jitter", func(p *bgpsim.Params) { p.JitterTimers = false }),
@@ -115,5 +119,23 @@ func TestExperimentRegistryAccessible(t *testing.T) {
 	}
 	if bgpsim.QuickOptions().Nodes >= bgpsim.PaperOptions().Nodes {
 		t.Error("quick options not reduced")
+	}
+}
+
+// TestCustomDynamicMRAIRefusesInvalidLadder pins that a caller's ladder
+// is checked where it enters the library: an invalid one is an error,
+// not a panic at the first trial.
+func TestCustomDynamicMRAIRefusesInvalidLadder(t *testing.T) {
+	for _, c := range []struct {
+		levels   []time.Duration
+		up, down time.Duration
+	}{
+		{nil, time.Second, 0},
+		{[]time.Duration{2 * time.Second, time.Second}, time.Second, 0},
+		{[]time.Duration{time.Second, 2 * time.Second}, time.Second, 2 * time.Second},
+	} {
+		if _, err := bgpsim.CustomDynamicMRAI(c.levels, c.up, c.down); err == nil {
+			t.Errorf("CustomDynamicMRAI(%v, %v, %v) accepted", c.levels, c.up, c.down)
+		}
 	}
 }

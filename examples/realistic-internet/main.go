@@ -49,9 +49,12 @@ func run() error {
 	fmt.Printf("Largest AS: #%d with %d routers\n\n", largest, size)
 
 	// Fig 13-style comparison.
-	dynamic := bgpsim.CustomDynamicMRAI(
+	dynamic, err := bgpsim.CustomDynamicMRAI(
 		[]time.Duration{500 * time.Millisecond, 1500 * time.Millisecond, 3500 * time.Millisecond},
 		650*time.Millisecond, 50*time.Millisecond)
+	if err != nil {
+		return err
+	}
 	dynamic.Name = "dynamic{0.5,1.5,3.5}"
 	schemes := []bgpsim.Scheme{
 		bgpsim.ConstantMRAI(500 * time.Millisecond),

@@ -121,6 +121,8 @@ func (t *pathTab) size() int { return int(t.n) }
 // alloc registers one more node and returns it, uninitialized.
 func (t *pathTab) alloc() *pathNode {
 	if t.n >= maxPaths {
+		// Invariant: unreachable in practice; the table would hold ~100 GB
+		// of nodes, and sweep reclaims dead paths long before.
 		panic("bgp: path table full")
 	}
 	t.n++

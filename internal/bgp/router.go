@@ -78,13 +78,10 @@ type router struct {
 	// loop (enqueue -> process -> decide -> flush) runs millions of times
 	// per experiment; everything here exists so that steady-state
 	// iterations allocate nothing.
-	proc            procTask    // the single in-flight CPU-completion task
-	procEv          *des.Event  // proc's armed completion event; nil = CPU idle (see busy)
-	flushTasks      []flushTask // per-slot deferred-flush tasks
-	destsScratch    []ASN       // tryFlush's sorted pending-destination list
-	affectedScratch []ASN       // peerDown's sorted affected-destination list
-	touched         bitset
-	changed         []ASN
+	proc       procTask    // the single in-flight CPU-completion task
+	procEv     *des.Event  // proc's armed completion event; nil = CPU idle (see busy)
+	flushTasks []flushTask // per-slot deferred-flush tasks
+	touched    bitset
 
 	// Load accounting for mrai.Snapshot.
 	busyAccum     time.Duration
@@ -244,9 +241,6 @@ func (r *router) reset(p Params, ndests int) {
 	r.busyAccum, r.lastSnapBusy = 0, 0
 	r.busyStart, r.lastSnapTime = 0, 0
 	r.msgsSinceSnap = 0
-	r.destsScratch = r.destsScratch[:0]
-	r.affectedScratch = r.affectedScratch[:0]
-	r.changed = r.changed[:0]
 }
 
 // locEntryAt materializes the Loc-RIB entry for dest from the packed
@@ -431,8 +425,8 @@ func (r *router) finishProcessing(batch []Update) {
 		touched.set(dest)
 	}
 
-	changed := touched.appendIndices(r.changed[:0])
-	r.changed = changed
+	changed := touched.appendIndices(r.sim.changedScratch[:0])
+	r.sim.changedScratch = changed
 	anyChanged := false
 	for _, dest := range changed {
 		touched.clear(dest)
@@ -668,20 +662,20 @@ func (r *router) tryFlush(slot int) {
 	if bl != nil && bl.any() {
 		if r.destGate == nil && peerAllowed {
 			bl.clearAll()
-			dests = pend.appendIndices(r.destsScratch[:0])
+			dests = pend.appendIndices(r.sim.destsScratch[:0])
 		} else {
-			dests = pend.appendIndicesAndNot(bl, r.destsScratch[:0])
+			dests = pend.appendIndicesAndNot(bl, r.sim.destsScratch[:0])
 			if len(dests) == 0 {
 				// Everything pending is known blocked: the deferred flush
 				// armed when the bits were set covers the retry.
-				r.destsScratch = dests
+				r.sim.destsScratch = dests
 				return
 			}
 		}
 	} else {
-		dests = pend.appendIndices(r.destsScratch[:0])
+		dests = pend.appendIndices(r.sim.destsScratch[:0])
 	}
-	r.destsScratch = dests
+	r.sim.destsScratch = dests
 
 	sentGated := false // a gated announcement went out -> rearm timer
 	sentAny := false
@@ -982,8 +976,8 @@ func (r *router) peerDown(slot int) {
 		bl.clearAll()
 	}
 
-	affected := r.adjIn.destsViaSlot(slot, r.affectedScratch[:0])
-	r.affectedScratch = affected
+	affected := r.adjIn.destsViaSlot(slot, r.sim.affectedScratch[:0])
+	r.sim.affectedScratch = affected
 	anyChanged := false
 	for _, dest := range affected {
 		r.adjIn.removeSlot(slot, dest)

@@ -77,6 +77,15 @@ type Simulator struct {
 	snap      snapshot.Solver
 	warmRefs  []routeRef
 	warmChain []int32
+
+	// Destination lists the routers share, because the simulator runs on
+	// one goroutine and each list is consumed before its next user takes
+	// it: no router's tryFlush, finishProcessing or peerDown runs inside
+	// another's (deliveries and timers are engine events). One high-water
+	// per simulator, not per router. Every user truncates before use.
+	destsScratch    []ASN // tryFlush's sorted pending-destination list
+	affectedScratch []ASN // peerDown's sorted affected-destination list
+	changedScratch  []ASN // finishProcessing's touched-destination list
 }
 
 // delivery is the pooled des.Runner carrying one in-flight update from

@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -122,7 +123,22 @@ func (o Options) ctx() context.Context {
 // parallel sweep otherwise. Every experiment in this package routes its
 // grids through here, which is what lets a coordinator intercept the
 // whole figure pipeline without the figure definitions knowing.
+//
+// Both axes are checked first, the one a grid does not sweep too (Fig 3
+// draws its series from FailureSizes): a NaN or infinite value would
+// otherwise run locally and fail only remotely, where JSON cannot carry
+// it to a worker.
 func (o Options) sweep(cfg experiment.SweepConfig) (experiment.Figure, error) {
+	for _, axis := range []struct {
+		name string
+		xs   []float64
+	}{{"FailureSizes", o.FailureSizes}, {"MRAIs", o.MRAIs}} {
+		for _, x := range axis.xs {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return experiment.Figure{}, fmt.Errorf("core: Options.%s holds %v, need finite values", axis.name, x)
+			}
+		}
+	}
 	if o.Sweeper != nil {
 		return o.Sweeper(cfg)
 	}

@@ -66,20 +66,38 @@ func BenchmarkUniformDuration(b *testing.B) {
 	}
 }
 
-// BenchmarkNewRNG is the cost of one fresh stream: dominated by seeding
-// the 607-entry source vector.
+// BenchmarkNewRNG is the cost of one fresh stream that fills its state:
+// dominated by seeding the 607-entry source vector.
 func BenchmarkNewRNG(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = NewRNG(int64(i))
+		g := NewRNG(int64(i))
+		for k := 0; k <= lazyMax; k++ {
+			g.Int63()
+		}
 	}
 }
 
-// BenchmarkReseed is the same seeding with no allocation.
+// BenchmarkSplit is the cost of a derived stream as a trial derives it:
+// a parent drawn from once, and a child that fills.
+func BenchmarkSplit(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g := NewRNG(int64(i)).Split("topology")
+		for k := 0; k <= lazyMax; k++ {
+			g.Int63()
+		}
+	}
+}
+
+// BenchmarkReseed is the same seeding and fill with no allocation.
 func BenchmarkReseed(b *testing.B) {
 	g := NewRNG(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g.Reseed(int64(i))
+		for k := 0; k <= lazyMax; k++ {
+			g.Int63()
+		}
 	}
 }

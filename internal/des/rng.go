@@ -13,10 +13,12 @@ import (
 //
 // Its source is this package's copy of math/rand's default source (see
 // source.go): every stream equals rand.New(rand.NewSource(seed)) draw for
-// draw, and only seeding is faster. An RNG must not be copied by value —
-// r points at src.
+// draw, and only seeding is faster: a stream allocates and fills its
+// 4.9 KB state at its (lazyMax+1)-th draw, so a stream drawn from only a
+// few times — a parent that Split is called on — never does. An RNG must
+// not be copied by value — r points at src.
 type RNG struct {
-	r   *rand.Rand
+	r   rand.Rand
 	src source
 }
 
@@ -24,7 +26,7 @@ type RNG struct {
 func NewRNG(seed int64) *RNG {
 	g := &RNG{}
 	g.src.Seed(seed)
-	g.r = rand.New(&g.src)
+	g.r = *rand.New(&g.src)
 	return g
 }
 

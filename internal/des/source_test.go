@@ -1,10 +1,13 @@
 package des
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // sourceDraws is how far each stream is compared: past the 607-entry
@@ -73,4 +76,160 @@ func TestRNGMatchesMathRand(t *testing.T) {
 			t.Fatalf("seed %d: UniformDuration %v vs %v", seed, a, b)
 		}
 	}
+}
+
+// opsMatchMathRand runs ops, a byte-coded sequence of draws and reseeds,
+// on a stream seeded with seed and on rand.New(rand.NewSource(seed)),
+// and reports the first draw at which they differ. The low three bits
+// of an op pick what it does, the rest parameterize it.
+func opsMatchMathRand(seed int64, ops []byte) error {
+	g, want := NewRNG(seed), rand.New(rand.NewSource(seed))
+	for i, op := range ops {
+		arg := int(op >> 3)
+		switch op & 7 {
+		case 0:
+			if a, b := g.Int63(), want.Int63(); a != b {
+				return fmt.Errorf("op %d: Int63 %d, math/rand %d", i, a, b)
+			}
+		case 1:
+			if a, b := g.r.Uint64(), want.Uint64(); a != b {
+				return fmt.Errorf("op %d: Uint64 %d, math/rand %d", i, a, b)
+			}
+		case 2:
+			if a, b := g.Intn(arg+1), want.Intn(arg+1); a != b {
+				return fmt.Errorf("op %d: Intn(%d) %d, math/rand %d", i, arg+1, a, b)
+			}
+		case 3:
+			if a, b := g.Float64(), want.Float64(); a != b {
+				return fmt.Errorf("op %d: Float64 %v, math/rand %v", i, a, b)
+			}
+		case 4:
+			x, y := make([]int, arg), make([]int, arg)
+			for k := range x {
+				x[k], y[k] = k, k
+			}
+			g.Shuffle(arg, func(i, j int) { x[i], x[j] = x[j], x[i] })
+			want.Shuffle(arg, func(i, j int) { y[i], y[j] = y[j], y[i] })
+			for k := range x {
+				if x[k] != y[k] {
+					return fmt.Errorf("op %d: Shuffle(%d) differs at %d", i, arg, k)
+				}
+			}
+		case 5:
+			s := seed + int64(arg)
+			g.Reseed(s)
+			want = rand.New(rand.NewSource(s))
+		case 6:
+			if a, b := g.ExpFloat64(), want.ExpFloat64(); a != b {
+				return fmt.Errorf("op %d: ExpFloat64 %v, math/rand %v", i, a, b)
+			}
+		case 7:
+			// A draw count past the lazy draws in one op: a Perm fills.
+			if a, b := g.Perm(arg), want.Perm(arg); fmt.Sprint(a) != fmt.Sprint(b) {
+				return fmt.Errorf("op %d: Perm(%d) %v, math/rand %v", i, arg, a, b)
+			}
+		}
+	}
+	return nil
+}
+
+// TestLazySourceMatchesMathRand pins the lazy fill: at every draw count
+// from 0 to lazyMax+2 — answered in closed form, the filling draw, and
+// past it — every kind of draw equals math/rand's, on a fresh stream and
+// on a filled stream reseeded back to lazy.
+func TestLazySourceMatchesMathRand(t *testing.T) {
+	kinds := []byte{0, 1, 2 | 9<<3, 3, 6}
+	for _, seed := range []int64{0, 1, -7, 89482311, math.MaxInt64, math.MinInt64} {
+		for m := 0; m <= lazyMax+2; m++ {
+			for start := range kinds {
+				var ops []byte
+				for k := 0; k < m; k++ {
+					ops = append(ops, kinds[(start+k)%len(kinds)])
+				}
+				// A filled stream reseeded back to lazy, then the same m
+				// draws, then enough to fill and wrap the lagged feedback.
+				ops = append(ops, 7|30<<3, 5|3<<3)
+				for k := 0; k < m; k++ {
+					ops = append(ops, kinds[(start+k)%len(kinds)])
+				}
+				ops = append(ops, 4|20<<3)
+				for k := 0; k < sourceDraws; k++ {
+					ops = append(ops, kinds[k%len(kinds)])
+				}
+				if err := opsMatchMathRand(seed, ops); err != nil {
+					t.Fatalf("seed %d, %d draws first (kind %d first): %v", seed, m, start, err)
+				}
+			}
+		}
+	}
+}
+
+// TestSplitOfLazyParentMatchesFilled pins that a parent's lazy state is
+// invisible to Split: at every parent draw count, splitting a lazy
+// parent and the same parent forced to fill derives the same child.
+func TestSplitOfLazyParentMatchesFilled(t *testing.T) {
+	for _, seed := range []int64{1, 42, -3} {
+		for m := 0; m <= lazyMax+2; m++ {
+			lazy, filled := NewRNG(seed), NewRNG(seed)
+			filled.src.fill()
+			for k := 0; k < m; k++ {
+				lazy.Int63()
+				filled.Int63()
+			}
+			a, b := lazy.Split("topology"), filled.Split("topology")
+			for k := 0; k < sourceDraws; k++ {
+				if x, y := a.Int63(), b.Int63(); x != y {
+					t.Fatalf("seed %d, %d parent draws, child draw %d: %d vs %d", seed, m, k, x, y)
+				}
+			}
+		}
+	}
+}
+
+// TestSplitHoldsOneState pins what lazy filling saves: a parent drawn
+// from only to Split never allocates its 4.9 KB state, so
+// NewRNG(s).Split(l) with a child that fills costs three allocations
+// (parent, child, the child's state) and one state's worth of bytes.
+func TestSplitHoldsOneState(t *testing.T) {
+	parent := NewRNG(7)
+	child := parent.Split("topology")
+	for k := 0; k <= lazyMax; k++ {
+		child.Int63()
+	}
+	if parent.src.vec != nil || child.src.vec == nil {
+		t.Fatalf("parent filled %v, child filled %v; want false, true", parent.src.vec != nil, child.src.vec != nil)
+	}
+	split := func() {
+		c := NewRNG(7).Split("topology")
+		for k := 0; k <= lazyMax; k++ {
+			c.Int63()
+		}
+	}
+	if n := testing.AllocsPerRun(100, split); n != 3 {
+		t.Errorf("NewRNG(s).Split(l) and a fill: %v allocations, want 3", n)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		split()
+	}
+	runtime.ReadMemStats(&after)
+	state := int(unsafe.Sizeof([rngLen]int64{}))
+	if per := int(after.TotalAlloc-before.TotalAlloc) / runs; per >= 2*state {
+		t.Errorf("NewRNG(s).Split(l) and a fill: %d B, want one %d B state, not two", per, state)
+	}
+}
+
+// FuzzSourceMatchesMathRand checks any seed and any sequence of draws
+// and reseeds (see opsMatchMathRand) against math/rand.
+func FuzzSourceMatchesMathRand(f *testing.F) {
+	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add(int64(-7), []byte{0, 0, 0, 0, 0, 0, 5, 1, 1, 1, 1, 1, 1})
+	f.Add(int64(math.MaxInt64), []byte{7 | 31<<3, 5, 3, 3, 3, 3, 3, 4 | 30<<3})
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		if err := opsMatchMathRand(seed, ops); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	})
 }

@@ -198,9 +198,13 @@ func (c *Coordinator) RunSweep(ctx context.Context, expID string, sweepIndex int
 		Options:    wire,
 		Grid:       Grid{Series: len(cfg.SeriesNames), Xs: len(cfg.Xs), Trials: cfg.Trials},
 	}
+	key, err := desc.Key()
+	if err != nil {
+		return experiment.Figure{}, err
+	}
 	run := &activeRun{
 		desc:     desc,
-		key:      desc.Key(),
+		key:      key,
 		cfg:      cfg,
 		fits:     sweepResult,
 		total:    desc.Grid.Series * desc.Grid.Xs * desc.Grid.Trials,
@@ -239,12 +243,19 @@ func (c *Coordinator) RunChurn(ctx context.Context, desc ChurnDesc) (churn.RunRe
 	if desc.Trials <= 0 {
 		return churn.RunResult{}, fmt.Errorf("dist: churn run needs at least one trial")
 	}
+	if err := desc.Scenario.Topology.Validate(); err != nil {
+		return churn.RunResult{}, err
+	}
 	if err := desc.Scenario.Program.Validate(); err != nil {
 		return churn.RunResult{}, err
 	}
 	desc.Protocol = ProtocolVersion
+	key, err := desc.Key()
+	if err != nil {
+		return churn.RunResult{}, err
+	}
 	run := &activeRun{
-		key:      desc.Key(),
+		key:      key,
 		cdesc:    &desc,
 		fits:     churnResult,
 		total:    desc.Trials,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"bgpsim/internal/churn"
+	"bgpsim/internal/core"
 	"bgpsim/internal/experiment"
 )
 
@@ -484,5 +486,54 @@ func TestOversizeBodyRejected(t *testing.T) {
 		if w.Code != c.want {
 			t.Errorf("%s: HTTP %d, want %d (%s)", c.name, w.Code, c.want, strings.TrimSpace(w.Body.String()))
 		}
+	}
+}
+
+// TestNonFiniteAxisIsAnError pins that a NaN or infinite value on an
+// Options axis fails a run with an error, locally and through the
+// coordinator alike, instead of panicking where the descriptor is keyed.
+// No worker is needed: every case fails before a job is published.
+func TestNonFiniteAxisIsAnError(t *testing.T) {
+	exp, err := core.Lookup("fig3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		patch func(*core.Options)
+	}{
+		{"mrai-nan", func(o *core.Options) { o.MRAIs = []float64{0.5, math.NaN()} }},
+		{"mrai-inf", func(o *core.Options) { o.MRAIs = []float64{math.Inf(1), 0.5} }},
+		{"failure-nan", func(o *core.Options) { o.FailureSizes = []float64{10, math.NaN()} }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := goldenOptions()
+			c.patch(&opts)
+			opts.Workers = 1
+			_, local := exp.Run(opts)
+			if local == nil {
+				t.Fatal("local run: no error")
+			}
+			coord, err := NewCoordinator(CoordinatorConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Sweeper = coord.SweeperFor(context.Background(), exp.ID, opts)
+			if _, remote := exp.Run(opts); remote == nil || remote.Error() != local.Error() {
+				t.Errorf("distributed run: error %v, local run: %v", remote, local)
+			}
+		})
+	}
+	desc := fuzzChurnDesc()
+	desc.Scenario.Topology.AvgDegree = math.NaN()
+	coord, err := NewCoordinator(CoordinatorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.RunChurn(context.Background(), desc); err == nil {
+		t.Error("churn run with a NaN topology parameter: no error")
+	}
+	if _, err := (SweepDesc{Options: Options{MRAIs: []float64{math.NaN()}}}).Key(); err == nil {
+		t.Error("SweepDesc.Key of a NaN axis: no error")
 	}
 }

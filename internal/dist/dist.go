@@ -160,16 +160,9 @@ type SweepDesc struct {
 
 // Key fingerprints the descriptor for checkpoint addressing: two sweeps
 // share a key iff a completed cell of one is a valid completed cell of
-// the other.
-func (d SweepDesc) Key() string {
-	b, err := json.Marshal(d)
-	if err != nil {
-		// Marshal of this plain struct cannot fail.
-		panic(fmt.Sprintf("dist: marshal SweepDesc: %v", err))
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
+// the other. It fails only for a descriptor JSON cannot encode: a NaN or
+// infinite value on an Options axis.
+func (d SweepDesc) Key() (string, error) { return descKey("SweepDesc", d) }
 
 // Job addresses one trial job. For sweep runs it is trial Trial of cell
 // (Series, X); for churn runs Series and X are zero and Trial is the
@@ -201,14 +194,16 @@ type ChurnDesc struct {
 
 // Key fingerprints the descriptor for checkpoint addressing, exactly as
 // SweepDesc.Key does for sweeps.
-func (d ChurnDesc) Key() string {
+func (d ChurnDesc) Key() (string, error) { return descKey("ChurnDesc", d) }
+
+// descKey is the SHA-256 of d's JSON encoding, in hex.
+func descKey(name string, d any) (string, error) {
 	b, err := json.Marshal(d)
 	if err != nil {
-		// Marshal of this plain struct cannot fail.
-		panic(fmt.Sprintf("dist: marshal ChurnDesc: %v", err))
+		return "", fmt.Errorf("dist: encode %s: %w", name, err)
 	}
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // LeaseRequest asks the coordinator for work.

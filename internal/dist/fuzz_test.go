@@ -78,7 +78,14 @@ func FuzzCoordinatorBodies(f *testing.F) {
 // and nothing else. The seed corpus is built below from the real keys,
 // so it stays valid when a descriptor changes shape.
 func FuzzCheckpointLoad(f *testing.F) {
-	sweepKey, churnKey := fuzzSweepDesc().Key(), fuzzChurnDesc().Key()
+	sweepKey, err := fuzzSweepDesc().Key()
+	if err != nil {
+		f.Fatal(err)
+	}
+	churnKey, err := fuzzChurnDesc().Key()
+	if err != nil {
+		f.Fatal(err)
+	}
 	churnTrial := func(id int) JobResult {
 		return JobResult{ID: id, Trial: &churn.TrialResult{Trial: id, Start: time.Second}}
 	}

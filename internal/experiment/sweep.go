@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,14 +84,21 @@ type SweepConfig struct {
 type Sweeper func(SweepConfig) (Figure, error)
 
 // NormalizeSweep validates cfg and fills defaulted fields (Trials,
-// Metric). It rejects empty grids and grids that would overlap RNG
-// streams across cells: trial seeds step +1 inside a cell, so a cell may
-// hold at most seedStrideX trials, and the x axis must fit inside the
-// series stride. Sweep and every distributed executor share this exact
-// validation, so a grid is legal locally iff it is legal remotely.
+// Metric). It rejects empty grids, non-finite sweep points (JSON has no
+// NaN, so a remote worker could not be sent one), and grids that would
+// overlap RNG streams across cells: trial seeds step +1 inside a cell,
+// so a cell may hold at most seedStrideX trials, and the x axis must fit
+// inside the series stride. Sweep and every distributed executor share
+// this exact validation, so a grid is legal locally iff it is legal
+// remotely.
 func NormalizeSweep(cfg SweepConfig) (SweepConfig, error) {
 	if len(cfg.SeriesNames) == 0 || len(cfg.Xs) == 0 {
 		return cfg, fmt.Errorf("experiment: empty sweep")
+	}
+	for i, x := range cfg.Xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return cfg, fmt.Errorf("experiment: sweep point %d is %v, need a finite value", i, x)
+		}
 	}
 	if cfg.Trials < 1 {
 		cfg.Trials = 1

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -78,6 +79,11 @@ func TestSweepValidation(t *testing.T) {
 	}
 	if _, err := Sweep(SweepConfig{SeriesNames: []string{"a"}}); err == nil {
 		t.Error("sweep without xs accepted")
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NormalizeSweep(SweepConfig{SeriesNames: []string{"a"}, Xs: []float64{1, x}}); err == nil {
+			t.Errorf("sweep point %v accepted", x)
+		}
 	}
 }
 

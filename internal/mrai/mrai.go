@@ -160,12 +160,13 @@ func DynamicMsgRate(levels []time.Duration, up, down float64) Factory {
 	return l.Factory()
 }
 
-// Factory validates the ladder and returns a per-router factory.
-// It panics on an invalid ladder; configurations are program constants.
-// The factory keeps one private copy of the configuration, which every
-// policy it builds reads and none writes.
+// Factory returns a per-router factory for a valid ladder (see
+// Validate). The factory keeps one private copy of the configuration,
+// which every policy it builds reads and none writes.
 func (l Ladder) Factory() Factory {
-	if err := l.validate(); err != nil {
+	if err := l.Validate(); err != nil {
+		// Invariant: ladders are program constants, and the one built from
+		// a caller's values (bgpsim.CustomDynamicMRAI) is validated first.
 		panic(err)
 	}
 	cfg := l
@@ -173,7 +174,10 @@ func (l Ladder) Factory() Factory {
 	return func(int) Policy { return &ladderPolicy{cfg: &cfg} }
 }
 
-func (l Ladder) validate() error {
+// Validate reports why l cannot drive a router: no levels, levels not
+// increasing, a down threshold above the up threshold, or an unknown
+// signal.
+func (l Ladder) Validate() error {
 	if len(l.Levels) == 0 {
 		return fmt.Errorf("mrai: ladder needs at least one level")
 	}

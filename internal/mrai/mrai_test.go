@@ -150,6 +150,9 @@ func TestLadderValidation(t *testing.T) {
 		{Levels: PaperLevels, Signal: Signal(99)},
 	}
 	for i, l := range cases {
+		if l.Validate() == nil {
+			t.Errorf("case %d: Validate accepted an invalid ladder", i)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {

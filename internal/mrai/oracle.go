@@ -52,6 +52,8 @@ type Step struct {
 // sorted by Frac; fractions beyond the last step use the last MRAI.
 // It panics on an empty or unsorted table (configuration error).
 func StepTable(steps []Step) func(float64) time.Duration {
+	// Invariant: the one table is PaperOracleTable's constant; no input
+	// reaches a StepTable.
 	if len(steps) == 0 {
 		panic("mrai: empty oracle table")
 	}

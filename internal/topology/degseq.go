@@ -207,6 +207,11 @@ var ErrDegreeSequence = errors.New("topology: degree sequence not realizable")
 // If a handful of stubs cannot be placed the corresponding degrees fall
 // short by one — the same tolerance BRITE exhibits — but the result is
 // always simple and connected.
+//
+// A build makes a fixed number of allocations whatever the size: every
+// node's adjacency is carved from one slab sized from the sequence, with
+// room for one link more than its degree (Connect may attach an isolated
+// component by one extra link; an append past that room still works).
 func FromDegreeSequence(degrees []int, rng *des.RNG) (*Network, error) {
 	n := len(degrees)
 	if n < 2 {
@@ -224,7 +229,13 @@ func FromDegreeSequence(degrees []int, rng *des.RNG) (*Network, error) {
 	}
 
 	nw := NewNetwork(n)
-	stubs := make([]int, 0, sum)
+	slab := make([]Neighbor, sum+n)
+	for i, d := range degrees {
+		nw.adj[i], slab = slab[:0:d+1], slab[d+1:]
+	}
+	ints := make([]int, sum+n)
+	x := linkIndex{nw: nw, up: ints[sum:]}
+	stubs := ints[:0:sum]
 	for i, d := range degrees {
 		for k := 0; k < d; k++ {
 			stubs = append(stubs, i)
@@ -232,41 +243,122 @@ func FromDegreeSequence(degrees []int, rng *des.RNG) (*Network, error) {
 	}
 	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
 
-	var deferred [][2]int
+	// A pair that would make a self-loop or a duplicate link is deferred:
+	// kept in the prefix of stubs the loop has already read.
+	deferred := stubs[:0]
 	for i := 0; i+1 < len(stubs); i += 2 {
 		a, b := stubs[i], stubs[i+1]
 		if a == b || nw.HasLink(a, b) {
-			deferred = append(deferred, [2]int{a, b})
+			deferred = append(deferred, a, b)
 			continue
 		}
-		if err := nw.AddLink(a, b, false); err != nil {
-			return nil, err
-		}
+		x.add(a, b)
 	}
 	// Resolve deferred pairs by swapping with a random existing link:
 	// (a,b) bad + existing (c,d) -> (a,c) and (b,d). An unplaceable stub
 	// pair is tolerated as a degree deficit of one at each endpoint
 	// rather than failing the whole build.
-	var links []Neighbor2
-	for _, pair := range deferred {
-		links = nw.appendLinks(links[:0])
-		trySwapIn(nw, pair[0], pair[1], links, rng)
+	for i := 0; i < len(deferred); i += 2 {
+		trySwapIn(x, deferred[i], deferred[i+1], rng)
 	}
-	if err := Connect(nw, rng); err != nil {
+	if err := connect(x, rng); err != nil {
 		return nil, err
 	}
 	return nw, nil
 }
 
+// linkIndex counts, for every node, its links to higher-numbered nodes:
+// the node's share of Links(). With it, a uniform pick from Links() or
+// from a component's links walks the counts instead of building the list.
+// Every link change made while an index is in use goes through add and
+// remove, which keep the counts.
+type linkIndex struct {
+	nw *Network
+	up []int
+}
+
+// newLinkIndex counts nw's links into up, which has one entry per node.
+func newLinkIndex(nw *Network, up []int) linkIndex {
+	for v, adj := range nw.adj {
+		up[v] = 0
+		for _, nb := range adj {
+			if v < nb.ID {
+				up[v]++
+			}
+		}
+	}
+	return linkIndex{nw: nw, up: up}
+}
+
+// add links a and b, which its caller has checked may be linked.
+func (x linkIndex) add(a, b int) {
+	mustAdd(x.nw, a, b, false)
+	x.up[min(a, b)]++
+}
+
+// remove unlinks a and b, which are linked.
+func (x linkIndex) remove(a, b int) {
+	x.nw.RemoveLink(a, b)
+	x.up[min(a, b)]--
+}
+
+// count returns how many links nodes hold to higher-numbered nodes: for a
+// connected component, its number of links.
+func (x linkIndex) count(nodes []int) int {
+	c := 0
+	for _, v := range nodes {
+		c += x.up[v]
+	}
+	return c
+}
+
+// linkAt returns Links()[k], for k < NumLinks().
+func (x linkIndex) linkAt(k int) Neighbor2 {
+	v := 0
+	for k >= x.up[v] {
+		k -= x.up[v]
+		v++
+	}
+	return x.upper(v, k)
+}
+
+// linkIn returns link k of the list that appending every node's links to
+// higher-numbered nodes, in the order of nodes, would build; k <
+// count(nodes).
+func (x linkIndex) linkIn(nodes []int, k int) Neighbor2 {
+	i := 0
+	for k >= x.up[nodes[i]] {
+		k -= x.up[nodes[i]]
+		i++
+	}
+	return x.upper(nodes[i], k)
+}
+
+// upper returns v's j-th link to a higher-numbered node, in adjacency
+// order.
+func (x linkIndex) upper(v, j int) Neighbor2 {
+	for _, nb := range x.nw.adj[v] {
+		if v < nb.ID {
+			if j == 0 {
+				return Neighbor2{A: v, B: nb.ID, Internal: nb.Internal}
+			}
+			j--
+		}
+	}
+	// Invariant: callers pass j < up[v], and add and remove keep up[v]
+	// equal to v's links to higher-numbered nodes.
+	panic("topology: linkIndex count out of step with the adjacency")
+}
+
 // trySwapIn inserts the stub pair (a,b) by swapping with random existing
-// links, preserving all degrees. links is nw.Links(). Returns false after
-// bounded attempts.
-func trySwapIn(nw *Network, a, b int, links []Neighbor2, rng *des.RNG) bool {
-	if len(links) == 0 {
+// links, preserving all degrees. Returns false after bounded attempts.
+func trySwapIn(x linkIndex, a, b int, rng *des.RNG) bool {
+	nw := x.nw
+	if nw.links == 0 {
 		return false
 	}
 	for attempt := 0; attempt < 200; attempt++ {
-		l := links[rng.Intn(len(links))]
+		l := x.linkAt(rng.Intn(nw.links))
 		c, d := l.A, l.B
 		if rng.Intn(2) == 0 {
 			c, d = d, c
@@ -274,12 +366,12 @@ func trySwapIn(nw *Network, a, b int, links []Neighbor2, rng *des.RNG) bool {
 		if a == c || a == d || b == c || b == d {
 			continue
 		}
-		if nw.HasLink(a, c) || nw.HasLink(b, d) || !nw.HasLink(c, d) {
+		if nw.HasLink(a, c) || nw.HasLink(b, d) {
 			continue
 		}
-		nw.RemoveLink(c, d)
-		mustAdd(nw, a, c, false)
-		mustAdd(nw, b, d, false)
+		x.remove(c, d)
+		x.add(a, c)
+		x.add(b, d)
 		return true
 	}
 	return false
@@ -298,67 +390,58 @@ func mustAdd(nw *Network, a, b int, internal bool) {
 // for edgeless components (degree deviation of one). Each round merges the
 // second-largest component into the largest.
 func Connect(nw *Network, rng *des.RNG) error {
-	var m merger
-	for guard := 0; guard < nw.NumNodes()+10; guard++ {
-		m.comps.find(nw)
-		if len(m.comps.spans) <= 1 {
+	return connect(newLinkIndex(nw, make([]int, nw.NumNodes())), rng)
+}
+
+// connect is Connect on an index of the network.
+func connect(x linkIndex, rng *des.RNG) error {
+	var comps components
+	for guard := 0; guard < x.nw.NumNodes()+10; guard++ {
+		comps.find(x.nw)
+		if len(comps.spans) <= 1 {
 			return nil
 		}
-		if !m.merge(nw, m.comps.nodes(0), m.comps.nodes(1), rng) {
+		if !merge(x, comps.nodes(0), comps.nodes(1), rng) {
 			return ErrDegreeSequence
 		}
 	}
-	if !nw.Connected() {
+	if !x.nw.Connected() {
 		return ErrDegreeSequence
 	}
 	return nil
 }
 
-// merger is the scratch one Connect call reuses from round to round: the
-// component search and the link lists of the two components it joins.
-type merger struct {
-	comps                 components
-	mainLinks, otherLinks []Neighbor2
-}
-
 // merge joins other into main. It prefers the degree-preserving swap
 // (a,b)+(c,d) -> (a,c)+(b,d) with (a,b) in main and (c,d) in other; if
-// either has no links (an isolated node), it adds one link.
-func (m *merger) merge(nw *Network, main, other []int, rng *des.RNG) bool {
-	// A component is closed under adjacency, so a member's links to
-	// higher-numbered nodes are exactly its links within the component.
-	m.mainLinks = m.mainLinks[:0]
-	for _, v := range main {
-		m.mainLinks = nw.appendLinksAt(m.mainLinks, v)
-	}
-	m.otherLinks = m.otherLinks[:0]
-	for _, v := range other {
-		m.otherLinks = nw.appendLinksAt(m.otherLinks, v)
-	}
-	mainLinks, otherLinks := m.mainLinks, m.otherLinks
-	if len(otherLinks) == 0 || len(mainLinks) == 0 {
+// either has no links (an isolated node), it adds one link. A component
+// is closed under adjacency, so a member's links to higher-numbered nodes
+// are exactly its links within the component.
+func merge(x linkIndex, main, other []int, rng *des.RNG) bool {
+	nw := x.nw
+	mainLinks, otherLinks := x.count(main), x.count(other)
+	if otherLinks == 0 || mainLinks == 0 {
 		// Isolated node or edgeless component: attach it directly.
 		a := other[rng.Intn(len(other))]
 		for attempt := 0; attempt < 50; attempt++ {
 			b := main[rng.Intn(len(main))]
 			if !nw.HasLink(a, b) {
-				mustAdd(nw, a, b, false)
+				x.add(a, b)
 				return true
 			}
 		}
 		return false
 	}
 	for attempt := 0; attempt < 200; attempt++ {
-		l1 := mainLinks[rng.Intn(len(mainLinks))]
-		l2 := otherLinks[rng.Intn(len(otherLinks))]
+		l1 := x.linkIn(main, rng.Intn(mainLinks))
+		l2 := x.linkIn(other, rng.Intn(otherLinks))
 		a, b, c, d := l1.A, l1.B, l2.A, l2.B
 		if nw.HasLink(a, c) || nw.HasLink(b, d) {
 			continue
 		}
-		nw.RemoveLink(a, b)
-		nw.RemoveLink(c, d)
-		mustAdd(nw, a, c, false)
-		mustAdd(nw, b, d, false)
+		x.remove(a, b)
+		x.remove(c, d)
+		x.add(a, c)
+		x.add(b, d)
 		return true
 	}
 	return false

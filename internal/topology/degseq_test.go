@@ -284,3 +284,92 @@ func TestPropertyFromDegreeSequence(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// fromDegreeSequenceAllocs is what one build allocates whatever its size:
+// the network (struct, nodes, adjacency headers), the adjacency slab, the
+// stub and link-count slab, and the component search (seen, order,
+// spans).
+const fromDegreeSequenceAllocs = 8
+
+// TestFromDegreeSequenceAllocsConstant pins that a build's allocation
+// count does not grow with the network: no per-node adjacency growth, no
+// per-pair link list, no per-round component buffers.
+func TestFromDegreeSequenceAllocsConstant(t *testing.T) {
+	for _, n := range []int{30, 500} {
+		degrees, err := Skewed7030(n).Degrees(des.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := des.NewRNG(5)
+		for i := 0; i < 10; i++ { // fill the stream's state, so reseeding it allocates nothing
+			rng.Int63()
+		}
+		got := testing.AllocsPerRun(20, func() {
+			rng.Reseed(5)
+			if _, err := FromDegreeSequence(degrees, rng); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != fromDegreeSequenceAllocs {
+			t.Errorf("%d nodes: %v allocations per build, want %d", n, got, fromDegreeSequenceAllocs)
+		}
+	}
+}
+
+// TestLinkIndexMatchesLinks pins linkIndex against the lists it stands
+// in for, through a tour of swaps: linkAt(k) is Links()[k] and linkIn
+// over a component is the list of its members' links to higher-numbered
+// nodes, after every change the generator makes through the index.
+func TestLinkIndexMatchesLinks(t *testing.T) {
+	rng := des.NewRNG(3)
+	degrees, err := Skewed7030(60).Degrees(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, err := FromDegreeSequence(degrees, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := newLinkIndex(nw, make([]int, nw.NumNodes()))
+	check := func(step int) {
+		links := nw.Links()
+		for k, want := range links {
+			if got := x.linkAt(k); got != want {
+				t.Fatalf("step %d: linkAt(%d) = %v, Links()[%d] = %v", step, k, got, k, want)
+			}
+		}
+		for _, comp := range nw.Components() {
+			var want []Neighbor2
+			for _, v := range comp {
+				want = nw.appendLinksAt(want, v)
+			}
+			if got := x.count(comp); got != len(want) {
+				t.Fatalf("step %d: count %d, %d links", step, got, len(want))
+			}
+			for k := range want {
+				if got := x.linkIn(comp, k); got != want[k] {
+					t.Fatalf("step %d: linkIn(%d) = %v, want %v", step, k, got, want[k])
+				}
+			}
+		}
+	}
+	check(0)
+	swaps := 0
+	for step := 1; step <= 200; step++ {
+		a, b := rng.Intn(nw.NumNodes()), rng.Intn(nw.NumNodes())
+		if a == b {
+			continue
+		}
+		if nw.HasLink(a, b) {
+			// Cuts too, so components split and the counts fall as well
+			// as rise.
+			x.remove(a, b)
+		} else if trySwapIn(x, a, b, rng) {
+			swaps++
+		}
+		check(step)
+	}
+	if swaps < 50 {
+		t.Errorf("only %d swaps in the tour", swaps)
+	}
+}

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"bgpsim/internal/des"
@@ -280,5 +282,28 @@ func TestConnectAttachesIsolatedNode(t *testing.T) {
 	}
 	if nw.Degree(3) != 1 {
 		t.Errorf("isolated node degree after attach = %d, want 1", nw.Degree(3))
+	}
+}
+
+// TestComponentSortMatchesSortSlice pins what find relies on to keep
+// every world bit-identical: slices.SortFunc orders spans, ties
+// included, exactly as the sort.Slice it replaced did.
+func TestComponentSortMatchesSortSlice(t *testing.T) {
+	rng := des.NewRNG(9)
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(80)
+		a := make([]span, n)
+		for i := range a {
+			// Few distinct sizes, so most comparisons are ties.
+			a[i] = span{start: i, end: i + 1 + rng.Intn(4)}
+		}
+		b := append([]span(nil), a...)
+		sort.Slice(a, func(i, j int) bool { return a[i].end-a[i].start > a[j].end-a[j].start })
+		slices.SortFunc(b, largerFirst)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("trial %d (%d spans): position %d is %v under sort.Slice, %v under slices.SortFunc", trial, n, i, a[i], b[i])
+			}
+		}
 	}
 }

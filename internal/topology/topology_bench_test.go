@@ -77,3 +77,23 @@ func BenchmarkNearestNodes(b *testing.B) {
 		_ = NearestNodes(nw, center, 24, nil)
 	}
 }
+
+func BenchmarkSkewed7030_30(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rng := des.NewRNG(int64(i + 1)).Split("topology")
+		if _, err := SkewedNetwork(Skewed7030(30), rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSkewed7030_500(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rng := des.NewRNG(int64(i + 1)).Split("topology")
+		if _, err := SkewedNetwork(Skewed7030(500), rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
