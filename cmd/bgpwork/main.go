@@ -1,7 +1,8 @@
 // Command bgpwork is a worker for distributed runs: it pulls leases
 // (the trials of one sweep cell, or one churn trial) from a bgpfig
 // -serve coordinator, executes them with the local simulator, pushes
-// back results, and exits when the coordinator shuts down or goes away.
+// back results — each completion's acknowledgement carries the next
+// lease — and exits when the coordinator shuts down or goes away.
 //
 // Usage:
 //
@@ -10,7 +11,8 @@
 //
 // The first SIGTERM/SIGINT drains the worker gracefully: the in-flight
 // lease (at most one cell's trials) finishes and its results are
-// submitted before the process exits, so no lease has to expire. A
+// submitted, asking for no further lease, before the process exits, so
+// no lease has to expire. A
 // second signal aborts immediately (the lease expires and its trials are
 // reassigned).
 //

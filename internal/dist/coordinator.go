@@ -81,6 +81,16 @@ type activeRun struct {
 	resumed  int
 	err      error
 	finished chan struct{} // closed once (all jobs done) or err is set
+	// acked is, per worker, the last lease granted with a completion's
+	// acknowledgement, so a retried completion gets it back (nextLocked).
+	acked map[string]ackedGrant
+}
+
+// ackedGrant is the lease next granted with the acknowledgement of a
+// completion of lease lease of run sweep.
+type ackedGrant struct {
+	sweep, lease int64
+	next         LeaseResponse
 }
 
 // sweepResult is activeRun.fits for sweeps: one trial result.
@@ -130,6 +140,7 @@ func (c *Coordinator) install(run *activeRun, done []JobResult) error {
 		cell = run.desc.Grid.Trials
 	}
 	run.table = newLeaseTable(run.total, cell, c.leaseTTL, c.now)
+	run.acked = map[string]ackedGrant{}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.shutdown {
@@ -329,70 +340,110 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// handleLease answers a worker's request for work.
+// handleLease answers a worker's first request for work, and its polls
+// after a wait; a busy worker gets its next lease with each completion.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if !decode(w, r, &req) {
 		return
 	}
 	c.mu.Lock()
-	resp := LeaseResponse{Status: StatusWait}
-	switch {
-	case c.shutdown:
-		resp.Status = StatusShutdown
-	case c.cur == nil || c.cur.err != nil:
-		// Idle, or a failing run draining: nothing to hand out.
-	default:
-		if g, ok := c.cur.table.acquire(); ok {
-			c.dispatched += int64(g.n)
-			if g.reassigned {
-				c.log.Printf("dist: run %d: jobs %d-%d reassigned to %s", c.cur.id, g.first, g.first+g.n-1, req.Worker)
-			}
-			resp = LeaseResponse{Status: StatusJob, SweepID: c.cur.id, Count: g.n, Lease: g.lease}
-			if c.cur.cdesc != nil {
-				cd := *c.cur.cdesc
-				resp.Churn = &cd
-				resp.Job = Job{ID: g.first, Trial: g.first}
-			} else {
-				desc := c.cur.desc
-				resp.Desc = &desc
-				cell := g.first / desc.Grid.Trials
-				resp.Job = Job{
-					ID:     g.first,
-					Series: cell / desc.Grid.Xs,
-					X:      cell % desc.Grid.Xs,
-					Trial:  g.first % desc.Grid.Trials,
-				}
-			}
-		}
-	}
+	resp := c.grantLocked(req.Worker)
 	c.mu.Unlock()
 	reply(w, resp)
 }
 
-// handleComplete records a worker's finished (or failed) lease. A batch
-// is taken whole or refused whole (409, nothing recorded); only a
-// payload that diverges from a recorded one also fails the run.
+// grantLocked answers a request for work at this moment: a lease of the
+// active run's next free jobs, wait, or shutdown. Caller holds c.mu.
+func (c *Coordinator) grantLocked(worker string) LeaseResponse {
+	switch {
+	case c.shutdown:
+		return LeaseResponse{Status: StatusShutdown}
+	case c.cur == nil || c.cur.err != nil:
+		// Idle, or a failing run draining: nothing to hand out.
+		return LeaseResponse{Status: StatusWait}
+	}
+	g, ok := c.cur.table.acquire()
+	if !ok {
+		return LeaseResponse{Status: StatusWait}
+	}
+	c.dispatched += int64(g.n)
+	if g.reassigned {
+		c.log.Printf("dist: run %d: jobs %d-%d reassigned to %s", c.cur.id, g.first, g.first+g.n-1, worker)
+	}
+	resp := LeaseResponse{Status: StatusJob, SweepID: c.cur.id, Count: g.n, Lease: g.lease}
+	if c.cur.cdesc != nil {
+		cd := *c.cur.cdesc
+		resp.Churn = &cd
+		resp.Job = Job{ID: g.first, Trial: g.first}
+		return resp
+	}
+	desc := c.cur.desc
+	resp.Desc = &desc
+	cell := g.first / desc.Grid.Trials
+	resp.Job = Job{
+		ID:     g.first,
+		Series: cell / desc.Grid.Xs,
+		X:      cell % desc.Grid.Xs,
+		Trial:  g.first % desc.Grid.Trials,
+	}
+	return resp
+}
+
+// nextLocked grants the lease a completion asks for. A retried
+// completion — the same worker, run and lease as the one this run last
+// granted for — gets that grant back, not a second one that would sit
+// unrun until it expired. Caller holds c.mu.
+func (c *Coordinator) nextLocked(req *CompleteRequest) *LeaseResponse {
+	run := c.cur
+	if run != nil && run.err == nil && !c.shutdown {
+		if a, ok := run.acked[req.Worker]; ok && a.sweep == req.SweepID && a.lease == req.Lease {
+			return &a.next
+		}
+	}
+	next := c.grantLocked(req.Worker)
+	if next.Status == StatusJob {
+		run.acked[req.Worker] = ackedGrant{sweep: req.SweepID, lease: req.Lease, next: next}
+	}
+	return &next
+}
+
+// handleComplete records a worker's finished (or failed) lease and, when
+// asked, grants its next one. A batch is taken whole or refused whole
+// (409, nothing recorded, nothing granted); only a payload that diverges
+// from a recorded one also fails the run. An error report fails the run
+// and grants nothing.
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
 	if !decode(w, r, &req) {
 		return
 	}
 	c.mu.Lock()
+	ack, err := c.completeLocked(&req)
+	if err == nil && req.Next && req.Error == "" {
+		ack.Next = c.nextLocked(&req)
+	}
+	c.mu.Unlock()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusConflict)
+		return
+	}
+	reply(w, ack)
+}
+
+// completeLocked records req and returns its acknowledgement, or the
+// reason the batch is refused. Caller holds c.mu.
+func (c *Coordinator) completeLocked(req *CompleteRequest) (CompleteResponse, error) {
 	run := c.cur
 	if run == nil || req.SweepID != run.id {
 		// A straggler finishing a lease of a run that already ended: its
 		// results merged from another worker (or the run was
 		// abandoned). Acknowledge and drop.
-		c.mu.Unlock()
-		reply(w, CompleteResponse{Status: StatusDuplicate})
-		return
+		return CompleteResponse{Status: StatusDuplicate}, nil
 	}
 	if req.Error != "" {
 		c.failLocked(run, fmt.Errorf("dist: worker %s: lease %d: %s", req.Worker, req.Lease, req.Error))
-		c.mu.Unlock()
-		reply(w, CompleteResponse{Status: StatusOK})
-		return
+		return CompleteResponse{Status: StatusOK}, nil
 	}
 	if err := run.table.check(req.Jobs, run.fits); err != nil {
 		if errors.Is(err, errDiverged) {
@@ -401,9 +452,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			// provenance.
 			c.failLocked(run, err)
 		}
-		c.mu.Unlock()
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
+		return CompleteResponse{}, err
 	}
 	status := StatusDuplicate
 	for _, res := range req.Jobs {
@@ -436,8 +485,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			close(run.finished)
 		}
 	}
-	c.mu.Unlock()
-	reply(w, CompleteResponse{Status: status})
+	return CompleteResponse{Status: status}, nil
 }
 
 // handleWindow receives an advisory streamed window report from a churn

@@ -3,7 +3,9 @@
 // trial of one (series, x) cell, or one churn trial) and leases them
 // over an HTTP/JSON protocol, a run of one cell's jobs per lease; workers
 // pull leases, run them through the ordinary experiment/churn machinery,
-// and push back one result per job. A service
+// and push back one result per job. A completion also asks for the
+// worker's next lease and its acknowledgement carries it, so after its
+// first lease a busy worker makes one round trip per lease. A service
 // layer (service.go) promotes the coordinator to a long-running server
 // accepting figure and churn submissions from many concurrent clients.
 //
@@ -59,8 +61,12 @@ import (
 // bytes of another determinism class, so it refuses v2 instead. v4
 // keeps trial jobs but leases a run of one cell's jobs at once
 // (LeaseResponse.Count) and completes them in one request
-// (CompleteRequest.Jobs); a v3 worker would run only the first.
-const ProtocolVersion = "bgpsim/dist/v4"
+// (CompleteRequest.Jobs); a v3 worker would run only the first. v5 grants
+// the next lease with the acknowledgement of a completion that asks for
+// one (CompleteRequest.Next, CompleteResponse.Next), so a lease costs one
+// round trip, not two; jobs and results are v4's, and the bump keeps a
+// fleet on binaries that agree on how a lease is handed out.
+const ProtocolVersion = "bgpsim/dist/v5"
 
 // Lease response statuses.
 const (
@@ -263,6 +269,9 @@ type CompleteRequest struct {
 	// simulation error): the coordinator fails the whole run, matching
 	// local Sweep's first-error semantics.
 	Error string `json:"error,omitempty"`
+	// Next asks for the worker's next lease in the acknowledgement; a
+	// draining worker leaves it false.
+	Next bool `json:"next,omitempty"`
 }
 
 // WindowReport streams one closed churn measurement window to the
@@ -289,6 +298,11 @@ type WindowReport struct {
 type CompleteResponse struct {
 	// Status is StatusOK or StatusDuplicate.
 	Status string `json:"status"`
+	// Next answers CompleteRequest.Next: exactly what POST /v1/lease
+	// would have answered at that moment. It is nil when the request did
+	// not ask, and for an error report; a refused completion (409) has
+	// no acknowledgement at all.
+	Next *LeaseResponse `json:"next,omitempty"`
 }
 
 // StatusResponse reports coordinator state (monitoring and tests).

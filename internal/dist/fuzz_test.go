@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -18,14 +19,20 @@ import (
 // FuzzCoordinatorBodies posts arbitrary bytes to /v1/lease (complete
 // false) or /v1/complete (complete true) of a coordinator whose sweep
 // (testSweepCfg: six cells of two trials, run 1) has granted its first
-// cell, jobs 0 and 1, to a worker under lease 1. Whatever the body, the
-// handler must not panic, must answer 200, 400, 409 or 413, and must
-// leave Done ≤ Total with no job recorded that was never leased. The
-// seed corpus is testdata/fuzz/FuzzCoordinatorBodies; a plain go test
-// runs only those.
+// cell, jobs 0 and 1, to a worker under lease 1. The body is posted
+// twice, as a retry after a lost reply would be, on a clock that never
+// reaches the lease TTL. Whatever the body, the handler must not panic,
+// must answer 200, 400, 409 or 413 with a reply that decodes, and must
+// leave Done ≤ Total with no job recorded that was never leased. A
+// completion whose first post was granted a lease must be granted the
+// same one again. No job may be held by two live leases, and Dispatched
+// must equal the jobs of the grants the replies carried, never more than
+// the run's jobs plus its reassignments. The seed corpus is
+// testdata/fuzz/FuzzCoordinatorBodies; a plain go test runs only those.
 func FuzzCoordinatorBodies(f *testing.F) {
 	f.Fuzz(func(t *testing.T, complete bool, body []byte) {
-		coord, err := NewCoordinator(CoordinatorConfig{})
+		clk := newFakeClock()
+		coord, err := NewCoordinator(CoordinatorConfig{Clock: clk.now})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +44,9 @@ func FuzzCoordinatorBodies(f *testing.F) {
 		}()
 		defer func() { cancel(); <-out }()
 		h := coord.Handler()
-		leaseJob(t, h, "w")
+		grants := map[int64]LeaseResponse{}
+		first := leaseJob(t, h, "w")
+		grants[first.Lease] = first
 		coord.mu.Lock()
 		run := coord.cur
 		coord.mu.Unlock()
@@ -46,12 +55,38 @@ func FuzzCoordinatorBodies(f *testing.F) {
 		if complete {
 			path = "/v1/complete"
 		}
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-		switch w.Code {
-		case http.StatusOK, http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge:
-		default:
-			t.Errorf("%s: HTTP %d (%s)", path, w.Code, bytes.TrimSpace(w.Body.Bytes()))
+		var acked []*LeaseResponse
+		for try := 0; try < 2; try++ {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			switch w.Code {
+			case http.StatusOK, http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge:
+			default:
+				t.Errorf("%s: HTTP %d (%s)", path, w.Code, bytes.TrimSpace(w.Body.Bytes()))
+			}
+			if w.Code != http.StatusOK {
+				acked = append(acked, nil)
+				continue
+			}
+			var grant *LeaseResponse
+			if complete {
+				var ack CompleteResponse
+				err = json.Unmarshal(w.Body.Bytes(), &ack)
+				grant = ack.Next
+			} else {
+				grant = new(LeaseResponse)
+				err = json.Unmarshal(w.Body.Bytes(), grant)
+			}
+			if err != nil {
+				t.Fatalf("%s: reply %q: %v", path, w.Body.Bytes(), err)
+			}
+			acked = append(acked, grant)
+			if grant != nil && grant.Status == StatusJob {
+				grants[grant.Lease] = *grant
+			}
+		}
+		if complete && acked[0] != nil && acked[0].Status == StatusJob && !reflect.DeepEqual(acked[0], acked[1]) {
+			t.Errorf("retried completion granted %+v, first post %+v", acked[1], acked[0])
 		}
 		if st := coord.Stats(); st.Done > st.Total {
 			t.Errorf("Stats: done %d > total %d", st.Done, st.Total)
@@ -65,6 +100,21 @@ func FuzzCoordinatorBodies(f *testing.F) {
 			if j.done && j.lease == 0 {
 				t.Errorf("job %d recorded but never leased", id)
 			}
+		}
+		granted, jobs := 0, map[int]bool{}
+		for _, g := range grants {
+			granted += g.Count
+			for id := g.Job.ID; id < g.Job.ID+g.Count; id++ {
+				jobs[id] = true
+				if j := run.table.jobs[id]; !j.done && j.lease != g.Lease {
+					t.Errorf("job %d held by lease %d and by live lease %d", id, g.Lease, j.lease)
+				}
+			}
+		}
+		reassigned := granted - len(jobs)
+		if coord.dispatched != int64(granted) || granted > run.total+reassigned {
+			t.Errorf("Dispatched %d, replies granted %d jobs, run has %d jobs and %d reassignments",
+				coord.dispatched, granted, run.total, reassigned)
 		}
 	})
 }

@@ -79,8 +79,10 @@ type Worker struct {
 
 // Drain asks the worker to stop gracefully: the in-flight lease (if
 // any, at most one cell's trials) runs to completion and its results are
-// submitted, then Work returns nil instead of leasing more work. Safe to
-// call from any goroutine (typically a SIGTERM handler).
+// submitted without asking for another, then Work returns nil holding no
+// lease. A lease already granted with that completion's acknowledgement,
+// when Drain comes while it is being sent, is run and submitted too.
+// Safe to call from any goroutine (typically a SIGTERM handler).
 func (w *Worker) Drain() { w.draining.Store(true) }
 
 // errUnreachable marks retry-budget exhaustion talking to the
@@ -97,12 +99,15 @@ func BaseURL(addr string) string {
 }
 
 // Work runs the worker loop until the coordinator shuts down or
-// disappears: lease, execute, complete, repeat. A coordinator that
-// becomes unreachable after at least one successful exchange is treated
-// as a normal end of work (it exits when its figures are done) and Work
-// returns nil; a coordinator that was never reachable is an error. Job
-// execution errors are reported to the coordinator (which fails the
-// run) and end the loop with the error.
+// disappears: lease, execute, complete, repeat. After its first lease a
+// busy worker takes each lease from the acknowledgement of its previous
+// completion; it posts /v1/lease only when it holds none, at the start
+// and after a wait. A coordinator that becomes unreachable after at
+// least one successful exchange is treated as a normal end of work (it
+// exits when its figures are done) and Work returns nil; a coordinator
+// that was never reachable is an error. Job execution errors are
+// reported to the coordinator (which fails the run) and end the loop
+// with the error.
 func (w *Worker) Work(ctx context.Context) error {
 	w.applyDefaults()
 	runner := w.Runner
@@ -115,21 +120,26 @@ func (w *Worker) Work(ctx context.Context) error {
 	}
 	everConnected := false
 	jobs := 0
+	var lease LeaseResponse
+	granted := false // lease came with the last acknowledgement
 	for {
-		if w.draining.Load() {
-			w.Log.Printf("dist: worker %s: drained after %d jobs; exiting", w.ID, jobs)
-			return nil
+		if !granted {
+			if w.draining.Load() {
+				w.Log.Printf("dist: worker %s: drained after %d jobs; exiting", w.ID, jobs)
+				return nil
+			}
+			lease = LeaseResponse{}
+			err := w.post(ctx, w.leaseURL, LeaseRequest{Worker: w.ID}, &lease)
+			switch {
+			case errors.Is(err, errUnreachable) && everConnected:
+				w.Log.Printf("dist: worker %s: coordinator gone after %d jobs; exiting", w.ID, jobs)
+				return nil
+			case err != nil:
+				return err
+			}
+			everConnected = true
 		}
-		var lease LeaseResponse
-		err := w.post(ctx, w.leaseURL, LeaseRequest{Worker: w.ID}, &lease)
-		switch {
-		case errors.Is(err, errUnreachable) && everConnected:
-			w.Log.Printf("dist: worker %s: coordinator gone after %d jobs; exiting", w.ID, jobs)
-			return nil
-		case err != nil:
-			return err
-		}
-		everConnected = true
+		granted = false
 		switch lease.Status {
 		case StatusShutdown:
 			w.Log.Printf("dist: worker %s: coordinator shut down after %d jobs; exiting", w.ID, jobs)
@@ -139,6 +149,8 @@ func (w *Worker) Work(ctx context.Context) error {
 				return err
 			}
 		case StatusJob:
+			// A granted lease runs even if Drain came after it was asked
+			// for: exiting would leave it to expire.
 			var jerr error
 			batch := w.batch[:0]
 			switch {
@@ -156,12 +168,12 @@ func (w *Worker) Work(ctx context.Context) error {
 				return fmt.Errorf("dist: lease for job %d without a run descriptor", lease.Job.ID)
 			}
 			w.batch = batch
-			complete := CompleteRequest{Worker: w.ID, SweepID: lease.SweepID, Lease: lease.Lease, Jobs: batch}
+			complete := CompleteRequest{Worker: w.ID, SweepID: lease.SweepID, Lease: lease.Lease, Jobs: batch, Next: !w.draining.Load()}
 			if jerr != nil {
 				if ctx.Err() != nil {
 					return ctx.Err()
 				}
-				complete.Jobs, complete.Error = nil, jerr.Error()
+				complete.Jobs, complete.Error, complete.Next = nil, jerr.Error(), false
 			}
 			var ack CompleteResponse
 			err := w.post(ctx, w.completeURL, complete, &ack)
@@ -179,6 +191,9 @@ func (w *Worker) Work(ctx context.Context) error {
 			jobs += len(batch)
 			if w.Log.Writer() != io.Discard { // or format a line per lease for nobody
 				w.Log.Printf("dist: worker %s: %s done (%s)", w.ID, describe(lease), ack.Status)
+			}
+			if ack.Next != nil {
+				lease, granted = *ack.Next, true
 			}
 		default:
 			return fmt.Errorf("dist: unknown lease status %q", lease.Status)

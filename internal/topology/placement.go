@@ -1,8 +1,6 @@
 package topology
 
 import (
-	"sort"
-
 	"bgpsim/internal/des"
 )
 
@@ -78,34 +76,76 @@ func GridCenter(nw *Network) Point {
 	return Point{X: nw.Grid() / 2, Y: nw.Grid() / 2}
 }
 
+// nodeDist is a candidate of NearestNodes: node id at distance d.
 type nodeDist struct {
 	id int
 	d  float64
 }
 
+// before orders candidates by distance, then id: a total order, so the
+// k nearest are one set in one order however they are found.
+func (a nodeDist) before(b nodeDist) bool {
+	return a.d < b.d || (a.d == b.d && a.id < b.id)
+}
+
 // NearestNodes returns the ids of the k nodes nearest to p (Euclidean),
 // restricted to alive nodes when alive is non-nil. Ties break by node ID
-// so results are deterministic.
+// so results are deterministic. It keeps the k best candidates in a
+// max-heap whose root is the worst of them, so it allocates the heap and
+// the result and nothing per node.
 func NearestNodes(nw *Network, p Point, k int, alive []bool) []int {
-	cands := make([]nodeDist, 0, nw.NumNodes())
-	for i := 0; i < nw.NumNodes(); i++ {
+	k = max(0, min(k, nw.NumNodes()))
+	heap := make([]nodeDist, 0, k)
+	for i := 0; i < nw.NumNodes() && k > 0; i++ {
 		if alive != nil && !alive[i] {
 			continue
 		}
-		cands = append(cands, nodeDist{id: i, d: nw.Node(i).Pos.Dist(p)})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].d != cands[j].d {
-			return cands[i].d < cands[j].d
+		c := nodeDist{id: i, d: nw.Node(i).Pos.Dist(p)}
+		switch {
+		case len(heap) < k:
+			heap = append(heap, c)
+			siftUp(heap, len(heap)-1)
+		case c.before(heap[0]):
+			heap[0] = c
+			siftDown(heap, 0)
 		}
-		return cands[i].id < cands[j].id
-	})
-	if k > len(cands) {
-		k = len(cands)
 	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = cands[i].id
+	// Popping the root, the worst left, fills the result from its end.
+	out := make([]int, len(heap))
+	for n := len(heap) - 1; n >= 0; n-- {
+		out[n] = heap[0].id
+		heap[0] = heap[n]
+		siftDown(heap[:n], 0)
 	}
 	return out
+}
+
+// siftUp restores the max-heap order (by before) above h[i].
+func siftUp(h []nodeDist, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[parent].before(h[i]) {
+			return
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+}
+
+// siftDown restores the max-heap order (by before) below h[i].
+func siftDown(h []nodeDist, i int) {
+	for {
+		worst, l := i, 2*i+1
+		if l < len(h) && h[worst].before(h[l]) {
+			worst = l
+		}
+		if r := l + 1; r < len(h) && h[worst].before(h[r]) {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }
