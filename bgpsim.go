@@ -139,7 +139,7 @@ func ConstantMRAI(d time.Duration) Scheme { return experiment.ConstantMRAI(d) }
 
 // ParseScheme translates the compact scheme syntax shared by the CLI and
 // wire-encoded churn descriptors: mrai=<seconds> | degree=<low>,<high> |
-// dynamic | batch[=<seconds>] | batch+dynamic.
+// dynamic | batch[=<seconds>] | batch+dynamic | oracle.
 func ParseScheme(s string) (Scheme, error) { return experiment.ParseScheme(s) }
 
 // DegreeDependentMRAI uses low at routers with degree below threshold
@@ -178,13 +178,7 @@ func BatchedDynamic() Scheme {
 // surviving router's MRAI is set from the true failure extent using the
 // optimal constants the paper measured. An upper bound for adaptive
 // schemes, impossible to deploy (nobody knows the extent that fast).
-func OracleMRAI() Scheme {
-	s := experiment.Custom("oracle", func(p *Params) {
-		p.MRAI = mrai.Oracle(500 * time.Millisecond)
-		p.OracleMRAI = mrai.PaperOracleTable()
-	})
-	return s
-}
+func OracleMRAI() Scheme { return experiment.OracleMRAI() }
 
 // CustomScheme wraps an arbitrary Params mutation as a Scheme.
 func CustomScheme(name string, apply func(*Params)) Scheme {
@@ -223,17 +217,6 @@ func LargeScale500() Scenario {
 func LargeScaleMultiPrefix() Scenario {
 	sc := LargeScale500()
 	sc.Topology = MultiPrefix(sc.Topology, 1000)
-	// Real half-million-entry tables are built incrementally as sessions
-	// come up, not in one synchronized flash. Staggering the 500,000
-	// originations over ten minutes of simulated time models that and
-	// keeps the transient update backlog — the term that dwarfs the RIBs
-	// when everything originates inside the default 100 ms window —
-	// proportional to the churn rate instead of the table size. The
-	// failure itself still hits all at once; that burst is the
-	// experiment.
-	base := bgp.DefaultParams()
-	base.OriginationSpread = 10 * time.Minute
-	sc.Base = &base
 	return sc
 }
 

@@ -59,7 +59,7 @@ func run(args []string, out *os.File) (err error) {
 		topoKind = fs.String("topo", "skewed-70-30", "topology kind (see topogen -kinds)")
 		nodes    = fs.Int("nodes", 120, "node count (AS count for realistic)")
 		failPct  = fs.Float64("fail", 5, "failure size, percent of routers")
-		scheme   = fs.String("scheme", "mrai=30", "scheme: mrai=S | degree=L,H | dynamic | batch[=S] | batch+dynamic")
+		scheme   = fs.String("scheme", "mrai=30", "scheme: mrai=S | degree=L,H | dynamic | batch[=S] | batch+dynamic | oracle")
 		trials   = fs.Int("trials", 1, "replicated trials")
 		workers  = fs.Int("workers", 0, "trial worker pool size (0 = GOMAXPROCS, 1 = serial; same results either way)")
 		seed     = fs.Int64("seed", 1, "base seed")
@@ -86,7 +86,7 @@ func run(args []string, out *os.File) (err error) {
 		return err
 	}
 	defer func() { err = errors.Join(err, prof.Stop()) }()
-	sch, err := parseScheme(*scheme)
+	sch, err := bgpsim.ParseScheme(*scheme)
 	if err != nil {
 		return err
 	}
@@ -113,7 +113,7 @@ func run(args []string, out *os.File) (err error) {
 			},
 			Seed: *seed,
 		}
-		if err := csc.Program.Validate(); err != nil {
+		if err := csc.Validate(); err != nil {
 			return err
 		}
 		if *submitTo != "" {
@@ -228,19 +228,4 @@ func decodeReply(resp *http.Response, v any) error {
 		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
 	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-// parseScheme translates the CLI scheme syntax. The implementation lives
-// in the experiment package (ParseScheme) so churn descriptors can name
-// schemes over the wire with the identical syntax.
-func parseScheme(s string) (bgpsim.Scheme, error) {
-	return bgpsim.ParseScheme(s)
-}
-
-func parseSeconds(s string) (time.Duration, error) {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("bad seconds value %q", s)
-	}
-	return time.Duration(v * float64(time.Second)), nil
 }

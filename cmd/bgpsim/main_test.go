@@ -5,7 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
+
+	"bgpsim"
 )
 
 func TestParseSchemeVariants(t *testing.T) {
@@ -19,25 +20,26 @@ func TestParseSchemeVariants(t *testing.T) {
 		{"batch", "batch,MRAI=0.5s"},
 		{"batch=2.25", "batch,MRAI=2.25s"},
 		{"batch+dynamic", "batch+dynamic"},
+		{"oracle", "oracle"},
 		{"mrai=9223372036", "MRAI=9.223e+09s"}, // the largest whole-second Duration
 	}
 	for _, c := range cases {
-		got, err := parseScheme(c.in)
+		got, err := bgpsim.ParseScheme(c.in)
 		if err != nil {
-			t.Errorf("parseScheme(%q): %v", c.in, err)
+			t.Errorf("bgpsim.ParseScheme(%q): %v", c.in, err)
 			continue
 		}
 		if got.Name != c.wantName {
-			t.Errorf("parseScheme(%q).Name = %q, want %q", c.in, got.Name, c.wantName)
+			t.Errorf("bgpsim.ParseScheme(%q).Name = %q, want %q", c.in, got.Name, c.wantName)
 		}
 		if got.Apply == nil {
-			t.Errorf("parseScheme(%q) has nil Apply", c.in)
+			t.Errorf("bgpsim.ParseScheme(%q) has nil Apply", c.in)
 		}
 	}
 }
 
 func TestParseSchemeDegree(t *testing.T) {
-	got, err := parseScheme("degree=0.5,2.25")
+	got, err := bgpsim.ParseScheme("degree=0.5,2.25")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +54,8 @@ func TestParseSchemeErrors(t *testing.T) {
 		// Non-finite, or past the largest Duration.
 		"mrai=NaN", "mrai=Inf", "mrai=-Inf", "mrai=1e300", "mrai=1e400", "mrai=9223372037",
 		"batch=NaN", "batch=1e20", "degree=NaN,1", "degree=1,1e300"} {
-		if _, err := parseScheme(in); err == nil {
-			t.Errorf("parseScheme(%q) accepted", in)
+		if _, err := bgpsim.ParseScheme(in); err == nil {
+			t.Errorf("bgpsim.ParseScheme(%q) accepted", in)
 		}
 	}
 }
@@ -121,14 +123,5 @@ func TestShardConcurrentNeedsShards(t *testing.T) {
 		if err := run(args, null); err == nil || !strings.Contains(err.Error(), "not defined") {
 			t.Errorf("run(%v) = %v, want an unknown-flag error", args, err)
 		}
-	}
-}
-
-func TestParseSeconds(t *testing.T) {
-	if d, err := parseSeconds("1.5"); err != nil || d != 1500*time.Millisecond {
-		t.Errorf("parseSeconds(1.5) = %v, %v", d, err)
-	}
-	if _, err := parseSeconds("-2"); err == nil {
-		t.Error("negative accepted")
 	}
 }

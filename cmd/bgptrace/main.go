@@ -58,7 +58,7 @@ func run(args []string) (err error) {
 	}
 	defer func() { err = errors.Join(err, prof.Stop()) }()
 
-	sch, err := parseScheme(*scheme)
+	sch, err := bgpsim.ParseScheme(*scheme)
 	if err != nil {
 		return err
 	}
@@ -114,23 +114,4 @@ func run(args []string) (err error) {
 		}
 	}
 	return nil
-}
-
-// parseScheme matches cmd/bgpsim's syntax for the common schemes.
-func parseScheme(s string) (bgpsim.Scheme, error) {
-	switch s {
-	case "dynamic":
-		return bgpsim.DynamicMRAI(), nil
-	case "batch":
-		return bgpsim.BatchedProcessing(500 * time.Millisecond), nil
-	case "batch+dynamic":
-		return bgpsim.BatchedDynamic(), nil
-	case "oracle":
-		return bgpsim.OracleMRAI(), nil
-	}
-	var secs float64
-	if n, err := fmt.Sscanf(s, "mrai=%g", &secs); err == nil && n == 1 && secs >= 0 {
-		return bgpsim.ConstantMRAI(time.Duration(secs * float64(time.Second))), nil
-	}
-	return bgpsim.Scheme{}, fmt.Errorf("unknown scheme %q", s)
 }

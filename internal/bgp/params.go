@@ -120,8 +120,10 @@ type Params struct {
 	// processing runs at surviving peers (default 0: immediate, the
 	// equivalent of link-layer notification).
 	DetectDelay time.Duration
-	// OriginationSpread staggers the initial prefix originations uniformly
-	// over this interval to avoid a synchronized start.
+	// OriginationSpread staggers the originations Start schedules
+	// uniformly over this interval. Only Start reads it, which runs under
+	// the refColdStart reference and in tests: every trial begins at the
+	// installed fixpoint and schedules no origination.
 	OriginationSpread time.Duration
 
 	// Seed drives every random draw in the simulation (processing delays,

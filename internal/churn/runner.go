@@ -2,13 +2,11 @@ package churn
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"bgpsim/internal/bgp"
-	"bgpsim/internal/des"
 	"bgpsim/internal/experiment"
 	"bgpsim/internal/topology"
 )
@@ -87,47 +85,60 @@ func NewRunner() *Runner {
 	return &Runner{pool: experiment.NewSimPool()}
 }
 
+// Validate checks the whole scenario before any trial runs: the topology
+// spec, the scheme and the program. Run, the distributed coordinator and
+// the service's submission all call it, so a scenario no trial could run
+// is refused up front instead of failing when its first trial starts.
+func (sc Scenario) Validate() error {
+	if err := sc.Topology.Validate(); err != nil {
+		return err
+	}
+	if _, err := sc.scheme(); err != nil {
+		return err
+	}
+	return sc.Program.Validate()
+}
+
+// scheme parses the scenario's scheme; empty is the zero Scheme, which
+// keeps the default parameters.
+func (sc Scenario) scheme() (experiment.Scheme, error) {
+	if sc.Scheme == "" {
+		return experiment.Scheme{}, nil
+	}
+	return experiment.ParseScheme(sc.Scheme)
+}
+
 // RunTrial executes one trial of sc. The trial seed is sc.Seed + trial
-// (the sweep machinery's trial stride), and the RNG stream derivation
-// is runScenario's (experiment.Slot.Derive) with the failure stream
-// replaced by the churn stream: topology, churn, sim — in that order off
-// the root. obs, when non-nil, is invoked inline as each window closes.
+// (the sweep machinery's trial stride), and the set-up is every trial's
+// (experiment.SimPool.Begin) with the failure stream replaced by the
+// churn stream: topology, churn, sim — in that order off the root — and
+// the spec's relationship mode as the policy. obs, when non-nil, is
+// invoked inline as each window closes.
 func (r *Runner) RunTrial(ctx context.Context, sc Scenario, trial int, obs WindowObserver) (TrialResult, error) {
-	seed := sc.Seed + int64(trial)
-	slot := r.pool.Take()
-	_, progRNG, simSeed := slot.Derive(seed, "churn")
-
-	params := bgp.DefaultParams()
-	params.Seed = simSeed
-	if sc.Topology.PrefixesPerOrigin > 0 {
-		params.PrefixesPerAS = sc.Topology.PrefixesPerOrigin
-	}
-	if sc.Scheme != "" {
-		sch, err := experiment.ParseScheme(sc.Scheme)
-		if err != nil {
-			return TrialResult{}, err
-		}
-		sch.Apply(&params)
-	}
-
-	net, err := experiment.BuildTopologyCached(sc.Topology, seed)
-	if err != nil {
-		return TrialResult{}, fmt.Errorf("build topology: %w", err)
-	}
-	events, err := Expand(net, sc.Program, progRNG)
+	sch, err := sc.scheme()
 	if err != nil {
 		return TrialResult{}, err
 	}
-
-	sim, err := slot.Bind(net, params)
+	t, err := r.pool.Begin(ctx, experiment.Scenario{Topology: sc.Topology, Scheme: sch, Seed: sc.Seed + int64(trial)}, "churn")
 	if err != nil {
-		return TrialResult{}, fmt.Errorf("build simulator: %w", err)
+		return TrialResult{}, err
 	}
-	if done := ctx.Done(); done != nil {
-		sim.SetCancel(func() bool { return ctx.Err() != nil })
+	events, err := Expand(t.Net, sc.Program, t.Stream)
+	if err != nil {
+		return TrialResult{}, t.End(ctx, err)
 	}
+	tr, err := play(t.Sim, events, trial, obs)
+	if err != nil {
+		return TrialResult{}, t.End(ctx, err)
+	}
+	return tr, t.End(ctx, nil)
+}
+
+// play streams events over sim from its installed start and measures one
+// window per event.
+func play(sim *bgp.Simulator, events []Event, trial int, obs WindowObserver) (TrialResult, error) {
 	if err := sim.ConvergeInitial(); err != nil {
-		return TrialResult{}, trialErr(ctx, err)
+		return TrialResult{}, err
 	}
 	base := sim.Now() + bgp.SettleMargin
 	tr := TrialResult{Trial: trial, Start: base, Windows: make([]WindowResult, 0, len(events))}
@@ -176,38 +187,25 @@ func (r *Runner) RunTrial(ctx context.Context, sc Scenario, trial int, obs Windo
 		}
 	}
 	if err := sim.Run(); err != nil {
-		// Aborted slots stay unpooled (their simulator's state is mid-run).
-		return TrialResult{}, trialErr(ctx, err)
+		return TrialResult{}, err
 	}
 	if len(events) > 0 {
 		record(len(events) - 1)
 	}
-	sim.SetCancel(nil)
-	r.pool.Put(slot)
 	return tr, nil
 }
 
-// trialErr surfaces cancellation as the context's own error.
-func trialErr(ctx context.Context, err error) error {
-	if errors.Is(err, des.ErrCanceled) && ctx.Err() != nil {
-		return ctx.Err()
-	}
-	return err
-}
-
-// Run executes trials replicated trials of sc over a bounded pool of
-// workers goroutines (<= 1 is serial) and assembles them in trial order.
-// The assembled result is identical for every worker count; only the
+// Run validates sc, then executes trials replicated trials of it over a
+// bounded pool of workers goroutines (<= 1 is serial;
+// experiment.ForEachIndex) and assembles them in trial order. The
+// assembled result is identical for every worker count; only the
 // observer's interleaving varies. Observer calls are serialized.
 func Run(ctx context.Context, sc Scenario, trials, workers int, obs WindowObserver) (RunResult, error) {
 	if trials < 1 {
 		return RunResult{}, fmt.Errorf("churn: trials=%d", trials)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > trials {
-		workers = trials
+	if err := sc.Validate(); err != nil {
+		return RunResult{}, err
 	}
 	runner := NewRunner()
 	if obs != nil {
@@ -221,28 +219,9 @@ func Run(ctx context.Context, sc Scenario, trials, workers int, obs WindowObserv
 	}
 	results := make([]TrialResult, trials)
 	errs := make([]error, trials)
-	if workers == 1 {
-		for i := 0; i < trials; i++ {
-			results[i], errs[i] = runner.RunTrial(ctx, sc, i, obs)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					results[i], errs[i] = runner.RunTrial(ctx, sc, i, obs)
-				}
-			}()
-		}
-		for i := 0; i < trials; i++ {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
+	experiment.ForEachIndex(trials, workers, func(i int) {
+		results[i], errs[i] = runner.RunTrial(ctx, sc, i, obs)
+	})
 	for i, err := range errs {
 		if err != nil {
 			return RunResult{}, fmt.Errorf("trial %d: %w", i, err)

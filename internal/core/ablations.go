@@ -136,10 +136,7 @@ func ablationOracle() Experiment {
 		Run: func(o Options) (experiment.Figure, error) {
 			o = o.normalize()
 			schemes := []experiment.Scheme{
-				named("oracle", experiment.Custom("", func(p *bgp.Params) {
-					p.MRAI = mrai.Oracle(500 * time.Millisecond)
-					p.OracleMRAI = mrai.PaperOracleTable()
-				})),
+				experiment.OracleMRAI(),
 				named("dynamic", experiment.PaperDynamicMRAI()),
 				experiment.ConstantMRAI(500 * time.Millisecond),
 				experiment.ConstantMRAI(2250 * time.Millisecond),

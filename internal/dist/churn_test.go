@@ -237,3 +237,50 @@ func TestWorkerDrainFinishesInFlightTrial(t *testing.T) {
 		t.Fatal(r.err)
 	}
 }
+
+// TestDistributedChurnHonoursSpecPolicy pins that a churn trial applies
+// the policy its topology spec names, as every scenario trial does: the
+// annotated run differs from the bare one, and a coordinator and a
+// worker reproduce it byte for byte.
+func TestDistributedChurnHonoursSpecPolicy(t *testing.T) {
+	bare := testChurnScenario()
+	sc := bare
+	sc.Topology.Relationships = topology.RelModeHierarchical
+	const trials = 2
+	plain, err := churn.Run(context.Background(), bare, trials, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := churn.Run(context.Background(), sc, trials, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local.Digest() == plain.Digest() {
+		t.Fatal("a hierarchical-policy churn run streams what the policy-free run streams")
+	}
+
+	coord, err := NewCoordinator(CoordinatorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	ctx := context.Background()
+	out := make(chan churnOut, 1)
+	go func() {
+		rr, err := coord.RunChurn(ctx, ChurnDesc{Scenario: sc, Trials: trials})
+		out <- churnOut{rr, err}
+	}()
+	w := startWorker(ctx, srv.URL, "w1")
+	r := <-out
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	coord.Shutdown()
+	if err := <-w; err != nil {
+		t.Errorf("worker exit: %v", err)
+	}
+	if got, want := r.rr.Render(), local.Render(); got != want {
+		t.Errorf("distributed policy churn stream differs from local:\n--- distributed ---\n%s--- local ---\n%s", got, want)
+	}
+}

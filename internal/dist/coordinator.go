@@ -254,10 +254,7 @@ func (c *Coordinator) RunChurn(ctx context.Context, desc ChurnDesc) (churn.RunRe
 	if desc.Trials <= 0 {
 		return churn.RunResult{}, fmt.Errorf("dist: churn run needs at least one trial")
 	}
-	if err := desc.Scenario.Topology.Validate(); err != nil {
-		return churn.RunResult{}, err
-	}
-	if err := desc.Scenario.Program.Validate(); err != nil {
+	if err := desc.Scenario.Validate(); err != nil {
 		return churn.RunResult{}, err
 	}
 	desc.Protocol = ProtocolVersion

@@ -160,7 +160,7 @@ func (s *Service) Submit(req SubmitRequest) (int, error) {
 	if req.Churn != nil {
 		kind = "churn"
 		detail = string(req.Churn.Scenario.Program.Kind)
-		if err := req.Churn.Scenario.Program.Validate(); err != nil {
+		if err := req.Churn.Scenario.Validate(); err != nil {
 			return 0, err
 		}
 		if req.Churn.Trials <= 0 {

@@ -146,6 +146,11 @@ func TestServiceRejectsBadSubmissions(t *testing.T) {
 		{Experiment: "fig3", Churn: &ChurnDesc{}},                                                // both
 		{Churn: &ChurnDesc{Scenario: testChurnScenario()}},                                       // zero trials
 		{Churn: &ChurnDesc{Scenario: churn.Scenario{Program: churn.Spec{Kind: "x"}}, Trials: 1}}, // bad program
+		// A churn scenario is checked whole at Submit, not queued to fail
+		// when it runs: topology kind, relationship mode and scheme too.
+		{Churn: &ChurnDesc{Scenario: badChurn(func(sc *churn.Scenario) { sc.Topology.Kind = "x" }), Trials: 1}},
+		{Churn: &ChurnDesc{Scenario: badChurn(func(sc *churn.Scenario) { sc.Topology.Relationships = "x" }), Trials: 1}},
+		{Churn: &ChurnDesc{Scenario: badChurn(func(sc *churn.Scenario) { sc.Scheme = "x" }), Trials: 1}},
 	}
 	for i, req := range bad {
 		if code := postJSON(t, svc.Handler(), "/v1/submit", req, nil); code != http.StatusBadRequest {
@@ -155,4 +160,11 @@ func TestServiceRejectsBadSubmissions(t *testing.T) {
 	if code := getJSON(t, svc.Handler(), "/v1/query?id=99", nil); code != http.StatusNotFound {
 		t.Errorf("query of unknown id: HTTP %d, want 404", code)
 	}
+}
+
+// badChurn is testChurnScenario with one field spoiled by spoil.
+func badChurn(spoil func(*churn.Scenario)) churn.Scenario {
+	sc := testChurnScenario()
+	spoil(&sc)
+	return sc
 }

@@ -102,30 +102,42 @@ func parseNonTest(t *testing.T, dir string) (*token.FileSet, map[string]*ast.Pac
 	return fset, pkgs
 }
 
-// TestBGPHoldsNoProcessWideState keeps internal/bgp a function of its
+// TestBGPHoldsNoProcessWideState keeps internal/bgp, and the trial layers
+// above it (internal/experiment, internal/churn), a function of their
 // arguments: a trial's outcome and cost may depend on the Simulator and
 // the Params it was given, never on something another trial, test or
-// tool set process-wide. No package-level variable is allowed beside
-// the blank interface assertions, and the package may not import
-// internal/profiling, whose flags are process-wide by nature.
+// tool set process-wide. No package-level variable is allowed beside the
+// blank interface assertions and the named allowlist below, and no
+// package may import internal/profiling, whose flags are process-wide by
+// nature.
 func TestBGPHoldsNoProcessWideState(t *testing.T) {
-	fset, pkgs := parseNonTest(t, filepath.Join(repoRoot(t), "internal/bgp"))
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, imp := range file.Imports {
-				if imp.Path.Value == `"bgpsim/internal/profiling"` {
-					t.Errorf("%s: internal/bgp imports internal/profiling", fset.Position(imp.Pos()))
+	allowed := map[string]bool{
+		"errSkipped":       true, // an immutable sentinel error
+		"FailureSizesPct":  true, // the paper's grid axes
+		"MRAISweepSeconds": true,
+		// The topology memo stays until the benchmark/-only PR drops
+		// checkHeld, which reads it through BuildTopologyCached.
+		"sharedTopoCache": true,
+	}
+	for _, dir := range []string{"internal/bgp", "internal/experiment", "internal/churn"} {
+		fset, pkgs := parseNonTest(t, filepath.Join(repoRoot(t), dir))
+		for _, pkg := range pkgs {
+			for _, file := range pkg.Files {
+				for _, imp := range file.Imports {
+					if imp.Path.Value == `"bgpsim/internal/profiling"` {
+						t.Errorf("%s: %s imports internal/profiling", fset.Position(imp.Pos()), dir)
+					}
 				}
-			}
-			for _, decl := range file.Decls {
-				d, ok := decl.(*ast.GenDecl)
-				if !ok || d.Tok != token.VAR {
-					continue
-				}
-				for _, spec := range d.Specs {
-					for _, name := range spec.(*ast.ValueSpec).Names {
-						if name.Name != "_" {
-							t.Errorf("%s: package-level var %s", fset.Position(name.Pos()), name.Name)
+				for _, decl := range file.Decls {
+					d, ok := decl.(*ast.GenDecl)
+					if !ok || d.Tok != token.VAR {
+						continue
+					}
+					for _, spec := range d.Specs {
+						for _, name := range spec.(*ast.ValueSpec).Names {
+							if name.Name != "_" && !allowed[name.Name] {
+								t.Errorf("%s: package-level var %s", fset.Position(name.Pos()), name.Name)
+							}
 						}
 					}
 				}

@@ -22,12 +22,13 @@ func normalizeWorkers(workers int) int {
 	return workers
 }
 
-// forEachIndex runs fn(i) for every i in [0, n) over a bounded pool of
+// ForEachIndex runs fn(i) for every i in [0, n) over a bounded pool of
 // worker goroutines and returns when all calls have finished. Indices are
-// dispatched in increasing order; with workers == 1 the calls run inline
-// on the calling goroutine, fully serially. fn is responsible for
+// dispatched in increasing order; with workers <= 1 the calls run inline
+// on the calling goroutine, fully serially. Sweeps, trial batches and
+// churn runs all fan out through it. fn is responsible for
 // synchronizing any shared state beyond its own index.
-func forEachIndex(n, workers int, fn func(i int)) {
+func ForEachIndex(n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}
@@ -66,7 +67,7 @@ func forEachIndex(n, workers int, fn func(i int)) {
 // engine's cancellation probe. pool, when non-nil, recycles simulators
 // across trials.
 func runTrialsInto(ctx context.Context, sc Scenario, first int, results []Result, errs []error, workers int, failed *atomic.Bool, pool *SimPool) {
-	forEachIndex(len(results), workers, func(i int) {
+	ForEachIndex(len(results), workers, func(i int) {
 		if failed.Load() {
 			errs[i] = errSkipped
 			return

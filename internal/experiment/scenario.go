@@ -82,6 +82,19 @@ func BatchingDynamic(levels []time.Duration, upTh, downTh time.Duration) Scheme 
 	}
 }
 
+// OracleMRAI is the paper's future-work ideal: at failure time every
+// surviving router's MRAI is set from the true failure extent, using the
+// optimal constants the paper measured (mrai.PaperOracleTable).
+func OracleMRAI() Scheme {
+	return Scheme{
+		Name: "oracle",
+		Apply: func(p *bgp.Params) {
+			p.MRAI = mrai.Oracle(500 * time.Millisecond)
+			p.OracleMRAI = mrai.PaperOracleTable()
+		},
+	}
+}
+
 // Custom wraps an arbitrary parameter mutation.
 func Custom(name string, apply func(*bgp.Params)) Scheme {
 	return Scheme{Name: name, Apply: apply}
@@ -110,13 +123,13 @@ type Scenario struct {
 	// precedence over PolicyRatio.
 	PolicyHierarchical bool
 	// Shards is what is left of the removed sharded engine: a simulation
-	// is one event loop, and runScenario refuses a value above 1. The
+	// is one event loop, and Begin refuses a value above 1. The
 	// field exists only until the ROADMAP's "benchmark/-only PR" drops
 	// benchmark/replica.go's read of it.
 	Shards int
 	// WarmStart is what is left of the removed start switch: every trial
-	// now starts from the installed snapshot fixpoint, and runScenario
-	// refuses true. The field exists only until the ROADMAP's
+	// now starts from the installed snapshot fixpoint, and Begin refuses
+	// true. The field exists only until the ROADMAP's
 	// "benchmark/-only PR" drops benchmark/replica.go's read of it.
 	WarmStart bool
 	Seed      int64
@@ -146,84 +159,117 @@ func Run(sc Scenario) (Result, error) {
 	return runScenario(context.Background(), sc, nil)
 }
 
-// runScenario is the single trial implementation behind Run, RunTrials,
-// and Sweep. The trial runs in a slot taken from pool: the slot's
-// simulator is rebound to this trial's network and its streams rewound to
-// this trial's seed (Slot.Derive, the one home of the derivation), so
-// nothing is constructed that a previous trial left behind; a nil or empty
-// pool constructs both, and results are byte-identical either way. ctx
-// cancellation aborts the simulation between events via the engine's
-// probe; it can never alter the results of a run that completes.
-func runScenario(ctx context.Context, sc Scenario, pool *SimPool) (Result, error) {
+// Trial is one trial between Begin and End: its world, its simulator,
+// bound to that world and the trial's parameters, and its own stream.
+type Trial struct {
+	Net    *topology.Network // shared and immutable (the topology memo's)
+	Sim    *bgp.Simulator    // the slot's, until End
+	Stream *des.RNG          // the trial's own stream, Begin's label; valid until End
+	pool   *SimPool
+	slot   *Slot
+}
+
+// Begin is the one set-up of every trial, scenario and churn alike. It
+// takes a slot from p and derives its streams (Slot.Derive; label names
+// the trial's own stream), takes the world from the topology memo, builds
+// the parameters — Base, the simulator seed, the spec's prefixes, the
+// scheme, then the policy — binds the slot's simulator and installs ctx's
+// cancel probe. The spec's prefix dimension is applied before the scheme,
+// so a scheme can still override it. A nil or empty pool constructs the
+// slot; results are byte-identical either way. The Trial is a value, so
+// a set-up allocates nothing a pooled slot already holds.
+func (p *SimPool) Begin(ctx context.Context, sc Scenario, label string) (Trial, error) {
 	if sc.Shards > 1 {
-		return Result{}, fmt.Errorf("experiment: Shards = %d: sharded engines were removed; a simulation is one event loop", sc.Shards)
+		return Trial{}, fmt.Errorf("experiment: Shards = %d: sharded engines were removed; a simulation is one event loop", sc.Shards)
 	}
 	if sc.WarmStart {
-		return Result{}, fmt.Errorf("experiment: WarmStart was removed; every trial starts from the installed snapshot fixpoint")
+		return Trial{}, fmt.Errorf("experiment: WarmStart was removed; every trial starts from the installed snapshot fixpoint")
 	}
-	slot := pool.Take()
-	topoSeed, failRNG, simSeed := slot.Derive(sc.Seed, "failure")
-
+	slot := p.Take()
+	topoSeed, stream, simSeed := slot.Derive(sc.Seed, label)
 	net, err := sharedTopoCache.build(sc.Topology, sc.Seed, topoSeed)
 	if err != nil {
-		return Result{}, fmt.Errorf("build topology: %w", err)
+		return Trial{}, fmt.Errorf("build topology: %w", err)
 	}
 	params := bgp.DefaultParams()
 	if sc.Base != nil {
 		params = *sc.Base
 	}
 	params.Seed = simSeed
-	// The topology spec's prefix dimension maps onto the simulator's
-	// table-size knob before the scheme runs, so a scheme (or ablation)
-	// can still override it deliberately.
 	if sc.Topology.PrefixesPerOrigin > 0 {
 		params.PrefixesPerAS = sc.Topology.PrefixesPerOrigin
 	}
 	if sc.Scheme.Apply != nil {
 		sc.Scheme.Apply(&params)
 	}
-	switch {
-	case sc.PolicyHierarchical, sc.PolicyRatio > 0:
-		// Annotations come from the process-wide memo so every trial on a
-		// memoized network shares one Relationships value.
-		rs, err := relationshipsFor(net, sc.PolicyHierarchical, sc.PolicyRatio)
-		if err != nil {
-			return Result{}, fmt.Errorf("annotate policy: %w", err)
-		}
-		params.Policy = rs
-	case sc.Topology.Relationships != "":
-		// The spec itself names the annotation (topogen's -rel modes): the
-		// DES policy path and the snapshot backend consume the identical
-		// derivation, with the explicit Policy* scenario fields taking
-		// precedence above.
-		rs, err := relationshipsForSpec(net, sc.Topology)
-		if err != nil {
-			return Result{}, fmt.Errorf("annotate policy: %w", err)
-		}
+	rs, err := policySpec(sc).BuildRelationships(net)
+	if err != nil {
+		return Trial{}, fmt.Errorf("annotate policy: %w", err)
+	}
+	if rs != nil {
 		params.Policy = rs
 	}
 	sim, err := slot.Bind(net, params)
 	if err != nil {
-		return Result{}, fmt.Errorf("build simulator: %w", err)
+		return Trial{}, fmt.Errorf("build simulator: %w", err)
 	}
-	nodes, err := failure.Select(net, sc.Failure, failRNG)
-	if err != nil {
-		return Result{}, fmt.Errorf("select failure: %w", err)
-	}
-	if done := ctx.Done(); done != nil {
+	if ctx.Done() != nil {
 		sim.SetCancel(func() bool { return ctx.Err() != nil })
 	}
-	delay, err := sim.ConvergeAndFail(nodes)
+	return Trial{Net: net, Sim: sim, Stream: stream, pool: p, slot: slot}, nil
+}
+
+// policySpec is the scenario's topology spec with its relationship mode
+// overridden by the explicit Policy* fields, which take precedence:
+// PolicyHierarchical selects the hierarchical mode, a positive
+// PolicyRatio inference at that ratio. Spec.BuildRelationships is then
+// the one mode→derivation table.
+func policySpec(sc Scenario) topology.Spec {
+	spec := sc.Topology
+	switch {
+	case sc.PolicyHierarchical:
+		spec.Relationships = topology.RelModeHierarchical
+	case sc.PolicyRatio > 0:
+		spec.Relationships, spec.RelationshipRatio = topology.RelModeInfer, sc.PolicyRatio
+	}
+	return spec
+}
+
+// End closes the trial: err is the outcome of its own work, returned with
+// a cancellation surfaced as ctx's own error. Only a trial whose run
+// completed (err == nil) returns its slot to the pool; an aborted
+// simulator is mid-run and is left to the GC. The caller reads what it
+// needs from Sim before End and touches it no more.
+func (t *Trial) End(ctx context.Context, err error) error {
 	if err != nil {
-		// Surface cancellation as the context's own error; the aborted
-		// slot is left unpooled (its simulator's state is mid-run).
 		if errors.Is(err, des.ErrCanceled) && ctx.Err() != nil {
-			return Result{}, ctx.Err()
+			return ctx.Err()
 		}
+		return err
+	}
+	t.Sim.SetCancel(nil)
+	t.pool.Put(t.slot)
+	return nil
+}
+
+// runScenario is the single trial implementation behind Run, RunTrials,
+// and Sweep: Begin, the failure draw, the storm, End. ctx cancellation
+// aborts the simulation between events via the engine's probe; it can
+// never alter the results of a run that completes.
+func runScenario(ctx context.Context, sc Scenario, pool *SimPool) (Result, error) {
+	t, err := pool.Begin(ctx, sc, "failure")
+	if err != nil {
 		return Result{}, err
 	}
-	sim.SetCancel(nil)
-	col := sim.Collector()
+	nodes, err := failure.Select(t.Net, sc.Failure, t.Stream)
+	if err != nil {
+		return Result{}, t.End(ctx, fmt.Errorf("select failure: %w", err))
+	}
+	delay, err := t.Sim.ConvergeAndFail(nodes)
+	if err != nil {
+		return Result{}, t.End(ctx, err)
+	}
+	col := t.Sim.Collector()
 	res := Result{
 		Delay:         delay,
 		WindowStart:   col.WindowStart(),
@@ -234,10 +280,9 @@ func runScenario(ctx context.Context, sc Scenario, pool *SimPool) (Result, error
 		Discarded:     col.Discarded,
 		RouteChanges:  col.RouteChanges(),
 		FailedNodes:   len(nodes),
-		Nodes:         net.NumNodes(),
+		Nodes:         t.Net.NumNodes(),
 	}
-	pool.Put(slot)
-	return res, nil
+	return res, t.End(ctx, nil)
 }
 
 // Stats aggregates replicated trials.

@@ -17,11 +17,13 @@ import (
 // the coordinator protocol without serializing closures.
 //
 // Syntax: mrai=<seconds> | degree=<low>,<high> | dynamic | batch[=<seconds>]
-// | batch+dynamic.
+// | batch+dynamic | oracle.
 func ParseScheme(s string) (Scheme, error) {
 	switch {
 	case s == "dynamic":
 		return PaperDynamicMRAI(), nil
+	case s == "oracle":
+		return OracleMRAI(), nil
 	case s == "batch+dynamic":
 		return BatchingDynamic(mrai.PaperLevels, mrai.PaperUpTh, mrai.PaperDownTh), nil
 	case s == "batch":

@@ -29,7 +29,7 @@ const simPoolCap = 32
 // concurrent use; a nil *SimPool is valid and never pools. Sweep,
 // runTrials and CellRunner each own one, and sibling subsystems
 // (internal/churn) that run trials outside the sweep machinery make
-// theirs with NewSimPool.
+// theirs with NewSimPool; every trial takes its slot through Begin.
 type SimPool struct {
 	mu   sync.Mutex
 	free []*Slot

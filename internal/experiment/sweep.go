@@ -166,7 +166,7 @@ func sweep(ctx context.Context, cfg SweepConfig, pool *SimPool) (Figure, error) 
 	for c := range remaining {
 		remaining[c] = cfg.Trials
 	}
-	forEachIndex(len(results), workers, func(j int) {
+	ForEachIndex(len(results), workers, func(j int) {
 		c := j / cfg.Trials
 		if failed.Load() {
 			errs[j] = errSkipped

@@ -119,7 +119,7 @@ func (c *topoCache) len() int {
 }
 
 // topoStreamSeed derives the seed of the topology RNG stream for a
-// scenario seed, exactly as runScenario derives it off the root.
+// scenario seed, exactly as Begin derives it off the root.
 func topoStreamSeed(seed int64) int64 {
 	topo, _, _ := trialSeeds(des.NewRNG(seed), "failure")
 	return topo
