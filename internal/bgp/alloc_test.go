@@ -126,8 +126,8 @@ func TestInboxAllocatesItsHighWaterOnce(t *testing.T) {
 	}
 	marks := make([]*markInbox, len(sim.routers))
 	for i, r := range sim.routers {
-		marks[i] = &markInbox{Inbox: r.inbox}
-		r.inbox = marks[i]
+		marks[i] = &markInbox{Inbox: r.receive.inbox}
+		r.receive.inbox = marks[i]
 	}
 	if _, err := sim.ConvergeAndFail(topology.NearestNodes(nw, topology.GridCenter(nw), 12, nil)); err != nil {
 		t.Fatal(err)

@@ -59,7 +59,7 @@ func decideBench(b *testing.B, degree int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := decide(rib.adjRIBIn, 99, peers, alive, nil, nil, 0); !ok {
+		if _, ok := decide(rib.adjRIBIn, 99, peers, alive, nil, nil, 0); !ok {
 			b.Fatal("no route")
 		}
 	}
@@ -111,7 +111,7 @@ func runDecisionBench(b *testing.B, degree int, fullScan bool) {
 		spoke := i + 2 // never the origin spoke for this dest
 		batch[i] = updateFrom(r, spoke, dest, Path{ASN(spoke), 900, dest})
 	}
-	r.busyStart = sim.eng.Now()
+	r.receive.busyStart = sim.eng.Now()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

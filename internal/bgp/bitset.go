@@ -4,10 +4,9 @@ import "math/bits"
 
 // bitset is a fixed-capacity set of small non-negative integers (dense
 // destination indices). It backs the per-slot pending sets and the
-// presence bits of the dense RIB arrays: all simulation loops that drain
-// a bitset iterate it in ascending order, which is exactly the sorted
-// order the map-based implementation produced with an explicit sort, so
-// switching storage cannot change event order.
+// presence bits of the dense RIB arrays. Every simulation loop that
+// drains a bitset iterates it in ascending order: destinations are
+// decided and flushed in ascending index order.
 type bitset []uint64
 
 // newBitset returns a set able to hold values in [0, n).
@@ -64,15 +63,7 @@ func (b bitset) count() int {
 }
 
 // clearAll empties the set.
-func (b bitset) clearAll() {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
-// trailingZeros is a local alias for bits.TrailingZeros64, used by the
-// dense-RIB sparse-clear loops.
-func trailingZeros(w uint64) int { return bits.TrailingZeros64(w) }
+func (b bitset) clearAll() { clear(b) }
 
 // appendIndices appends the elements of the set to out in ascending
 // order and returns the extended slice.

@@ -147,7 +147,7 @@ func (d *damper) reuseDelay(e *dampEntry) time.Duration {
 // whether the route just became suppressed. It arms (or re-arms) the
 // reuse event that will lift suppression.
 func (r *router) penalize(dest ASN, from NodeID) bool {
-	d := r.damper
+	d := r.decide.damper
 	now := r.now()
 	e := d.entry(dest, from)
 	e.decay(now, d.cfg)
@@ -170,27 +170,27 @@ func (r *router) penalize(dest ASN, from NodeID) bool {
 // reuseCheck lifts suppression once the penalty has decayed enough,
 // re-running the decision process so the route becomes eligible again.
 func (r *router) reuseCheck(dest ASN, from NodeID) {
-	if !r.alive || r.damper == nil {
+	d := r.decide.damper
+	if !r.alive || d == nil {
 		return
 	}
-	e := r.damper.entry(dest, from)
+	e := d.entry(dest, from)
 	e.reuseEv = nil
 	if !e.suppressed {
 		return
 	}
 	now := r.now()
-	e.decay(now, r.damper.cfg)
+	e.decay(now, d.cfg)
 	// The epsilon absorbs floating-point residue from the decay; without
 	// it a penalty equal to the threshold up to rounding would re-arm
 	// indefinitely.
-	if e.penalty > r.damper.cfg.ReuseThreshold*(1+1e-9) {
+	if e.penalty > d.cfg.ReuseThreshold*(1+1e-9) {
 		// Not yet (extra penalties arrived); re-arm.
-		e.reuseEv = r.eng.ScheduleAt(now+r.damper.reuseDelay(e), func() { r.reuseCheck(dest, from) })
+		e.reuseEv = r.eng.ScheduleAt(now+d.reuseDelay(e), func() { r.reuseCheck(dest, from) })
 		return
 	}
 	e.suppressed = false
 	if r.runDecision(dest) {
-		r.markPendingAll(dest)
-		r.flushAll()
+		r.advertise(dest)
 	}
 }

@@ -52,14 +52,14 @@ func TestPenalizeSuppressesAfterRepeatedFlaps(t *testing.T) {
 	p.Damping = DefaultDamping()
 	sim := mustSim(t, nw, p)
 	r1 := sim.routers[1]
-	if r1.damper == nil {
+	if r1.decide.damper == nil {
 		t.Fatal("damper not installed")
 	}
 	// First flap: penalty 1000, below threshold.
 	if r1.penalize(9, 0) {
 		t.Error("suppressed after one flap")
 	}
-	if r1.damper.isSuppressed(9, 0) {
+	if r1.decide.damper.isSuppressed(9, 0) {
 		t.Error("isSuppressed after one flap")
 	}
 	// Second flap at the same instant: 2000 is not > 2000; third crosses.
@@ -69,23 +69,23 @@ func TestPenalizeSuppressesAfterRepeatedFlaps(t *testing.T) {
 	if !r1.penalize(9, 0) {
 		t.Error("not suppressed after three flaps")
 	}
-	if !r1.damper.isSuppressed(9, 0) {
+	if !r1.decide.damper.isSuppressed(9, 0) {
 		t.Error("isSuppressed false after suppression")
 	}
 	// A suppressed route is invisible to the decision process.
 	ribIn(r1).set(9, 0, Path{0, 9})
-	if _, _, ok := decide(r1.adjIn, 9, r1.peers, r1.peerAlive, r1.damper, nil, r1.id); ok {
+	if _, ok := decide(&r1.receive.adjIn, 9, r1.peers, r1.peerAlive, r1.decide.damper, nil, r1.id); ok {
 		t.Error("suppressed route selected")
 	}
 	// The reuse event eventually lifts suppression and reinstates it.
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r1.damper.isSuppressed(9, 0) {
+	if r1.decide.damper.isSuppressed(9, 0) {
 		t.Error("suppression never lifted")
 	}
-	if e, ok := r1.locEntryAt(9); !ok || e.from != 0 {
-		t.Errorf("route not reinstated after reuse: %+v ok=%v", e, ok)
+	if _, ok := r1.decide.loc.getRef(9); !ok || r1.decide.bestSlot[9] != int16(mustPeer(r1.peers, 0)) {
+		t.Errorf("route not reinstated after reuse: ok=%v slot %d", ok, r1.decide.bestSlot[9])
 	}
 }
 
@@ -98,7 +98,7 @@ func TestPenaltyCeilingBoundsSuppression(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r1.penalize(9, 0)
 	}
-	e := r1.damper.entry(9, 0)
+	e := r1.decide.damper.entry(9, 0)
 	if e.penalty > p.Damping.ceiling() {
 		t.Errorf("penalty %v exceeds ceiling %v", e.penalty, p.Damping.ceiling())
 	}
@@ -107,7 +107,7 @@ func TestPenaltyCeilingBoundsSuppression(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r1.damper.isSuppressed(9, 0) {
+	if r1.decide.damper.isSuppressed(9, 0) {
 		t.Error("suppression did not end")
 	}
 	if sim.Now() > des.Time(5*p.Damping.HalfLife) {
@@ -193,7 +193,7 @@ func TestReviveResetsDamping(t *testing.T) {
 	r1.penalize(9, 0)
 	r1.kill()
 	r1.revive()
-	if r1.damper.isSuppressed(9, 0) {
+	if r1.decide.damper.isSuppressed(9, 0) {
 		t.Error("damping state survived reboot")
 	}
 }

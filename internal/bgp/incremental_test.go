@@ -148,7 +148,7 @@ func TestIncrementalFastPathAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := sim.routers[0]
-	if !r.incremental {
+	if !r.decide.incremental {
 		t.Fatal("incremental path not active under default params")
 	}
 	// Two distinct worse-than-incumbent paths for spoke 1's prefix,
@@ -158,7 +158,7 @@ func TestIncrementalFastPathAllocationFree(t *testing.T) {
 		{updateFrom(r, 2, 1, Path{2, 900, 1}), updateFrom(r, 3, 1, Path{3, 901, 1})},
 		{updateFrom(r, 2, 1, Path{2, 902, 1}), updateFrom(r, 3, 1, Path{3, 903, 1})},
 	}
-	r.busyStart = sim.eng.Now()
+	r.receive.busyStart = sim.eng.Now()
 	r.finishProcessing(batches[0]) // warm scratch capacity
 	i := 0
 	avg := testing.AllocsPerRun(500, func() {
@@ -168,10 +168,10 @@ func TestIncrementalFastPathAllocationFree(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("incremental fast path allocates %.2f objects/op, want 0", avg)
 	}
-	if e, ok := r.locEntryAt(1); !ok || e.from != 1 {
-		t.Fatalf("incumbent displaced: %+v ok=%v", e, ok)
+	if _, ok := r.decide.loc.getRef(1); !ok {
+		t.Fatal("incumbent withdrawn")
 	}
-	if want := mustPeer(r.peers, 1); r.bestSlot[1] != int16(want) {
-		t.Fatalf("bestSlot[1] = %d, want slot of node 1 (%d)", r.bestSlot[1], want)
+	if want := mustPeer(r.peers, 1); r.decide.bestSlot[1] != int16(want) {
+		t.Fatalf("bestSlot[1] = %d, want slot of node 1 (%d)", r.decide.bestSlot[1], want)
 	}
 }

@@ -15,7 +15,7 @@ import (
 //     prefixes, for every scheme variant — the bgp-layer half of the
 //     figure byte-identity guarantee;
 //   - forward: with PrefixesPerAS > 1 the incremental decision process,
-//     the simulator pool's Reset reuse, and the full-scan baseline must
+//     the simulator pool's Rebind reuse, and the full-scan baseline must
 //     still agree on every observable.
 
 // TestSinglePrefixExplicitMatchesDefaultAllVariants runs every scheme
@@ -88,7 +88,7 @@ func TestMultiPrefixMatchesFullScanAllVariants(t *testing.T) {
 }
 
 // TestMultiPrefixResetMatchesFresh pins the pooled execution path at
-// k > 1: one simulator Reset across prefix dimensions (1 → 3 → 1 → 3)
+// k > 1: one simulator rebound across prefix dimensions (1 → 3 → 1 → 3)
 // must match freshly constructed simulators run for run. The dimension
 // changes force the dest-axis re-dimensioning path (adjRIBIn.resize,
 // advertised column drops) that single-prefix reuse never exercises.
@@ -113,8 +113,8 @@ func TestMultiPrefixResetMatchesFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := digestRun(t, fresh, nw, fail)
-		if err := reused.Reset(p); err != nil {
-			t.Fatalf("run %d (k=%d): Reset: %v", run, k, err)
+		if err := reused.Rebind(nw, p); err != nil {
+			t.Fatalf("run %d (k=%d): Rebind: %v", run, k, err)
 		}
 		got := digestRun(t, reused, nw, fail)
 		if got.summary != want.summary {

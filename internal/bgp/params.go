@@ -203,6 +203,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("bgp: negative origination spread")
 	case p.FlapGate < 0:
 		return fmt.Errorf("bgp: negative flap gate")
+	case p.CancelOnChange && p.PerDestinationMRAI:
+		return fmt.Errorf("bgp: CancelOnChange cancels the per-peer MRAI timer, which PerDestinationMRAI does not run")
 	case p.PrefixesPerAS < 0:
 		return fmt.Errorf("bgp: negative prefixes per AS")
 	}

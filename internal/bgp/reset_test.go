@@ -12,8 +12,8 @@ import (
 	"bgpsim/internal/topology"
 )
 
-// These tests pin the Rebind contract: a Simulator rewound with Reset,
-// or moved to another network with Rebind, must be indistinguishable —
+// These tests pin the Rebind contract: a Simulator rebound to the network
+// it has, or moved to another one, must be indistinguishable —
 // measurement for measurement, route for route — from one freshly
 // constructed with New on that network. The sweep layer's simulator pool
 // depends on this equivalence holding for every scheme the figures
@@ -72,19 +72,19 @@ func assertQuiescent(t *testing.T, sim *Simulator) {
 		t.Errorf("quiescent simulator holds %d updates in flight (%d refs visited)", n, refs)
 	}
 	for _, r := range sim.routers {
-		if r.inbox.Len() != 0 {
-			t.Errorf("router %d: %d updates queued at quiescence", r.id, r.inbox.Len())
+		if r.receive.inbox.Len() != 0 {
+			t.Errorf("router %d: %d updates queued at quiescence", r.id, r.receive.inbox.Len())
 		}
-		if r.busy() || r.proc.batch != nil {
-			t.Errorf("router %d (alive=%v): busy=%v with a batch of %d at quiescence", r.id, r.alive, r.busy(), len(r.proc.batch))
+		if r.receive.busy() || r.receive.proc.batch != nil {
+			t.Errorf("router %d (alive=%v): busy=%v with a batch of %d at quiescence", r.id, r.alive, r.receive.busy(), len(r.receive.proc.batch))
 		}
-		for slot, pend := range r.pending {
+		for slot, pend := range r.flush.pending {
 			if pend.any() {
 				t.Errorf("router %d (alive=%v): %d destinations pending for peer n%d at quiescence",
 					r.id, r.alive, pend.count(), r.peers[slot].Node)
 			}
 		}
-		for slot, ev := range r.flushEv {
+		for slot, ev := range r.flush.flushEv {
 			if ev != nil {
 				t.Errorf("router %d (alive=%v): flush for peer n%d still armed at quiescence",
 					r.id, r.alive, r.peers[slot].Node)
@@ -96,7 +96,7 @@ func assertQuiescent(t *testing.T, sim *Simulator) {
 	}
 }
 
-// resetVariants enumerates the parameter shapes whose Reset transitions
+// resetVariants enumerates the parameter shapes whose Rebind transitions
 // the pool must survive, including discipline changes that force the
 // inbox implementation to be swapped.
 func resetVariants() []struct {
@@ -142,7 +142,7 @@ func equivalenceParams(seed int64, mutate func(*Params)) Params {
 
 // TestResetMatchesFreshNew reruns every scheme variant twice — once on a
 // freshly constructed simulator, once on one shared simulator that is
-// Reset between runs (crossing variant boundaries, so leftover state
+// rebound between runs (crossing variant boundaries, so leftover state
 // from a different discipline would be caught) — and requires identical
 // outcomes.
 func TestResetMatchesFreshNew(t *testing.T) {
@@ -165,19 +165,19 @@ func TestResetMatchesFreshNew(t *testing.T) {
 				t.Fatalf("%s seed %d: New: %v", v.name, seed, err)
 			}
 			want := digestRun(t, fresh, nw, fail)
-			if err := reused.Reset(p); err != nil {
-				t.Fatalf("%s seed %d: Reset: %v", v.name, seed, err)
+			if err := reused.Rebind(nw, p); err != nil {
+				t.Fatalf("%s seed %d: Rebind: %v", v.name, seed, err)
 			}
 			got := digestRun(t, reused, nw, fail)
 			if got.summary != want.summary {
-				t.Errorf("%s seed %d: Reset run diverged from fresh New\nfresh:\n%s\nreset:\n%s",
+				t.Errorf("%s seed %d: rebound run diverged from fresh New\nfresh:\n%s\nreset:\n%s",
 					v.name, seed, want.summary, got.summary)
 			}
 		}
 	}
 }
 
-// TestResetAfterRecovery pins that Reset rewinds a simulator whose
+// TestResetAfterRecovery pins that Rebind rewinds a simulator whose
 // previous run included node failures AND recoveries — the dirtiest
 // state a pooled simulator can carry (revived routers, damping history,
 // re-armed timers).
@@ -208,12 +208,12 @@ func TestResetAfterRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := digestRun(t, fresh, nw, fail)
-	if err := reused.Reset(p2); err != nil {
+	if err := reused.Rebind(nw, p2); err != nil {
 		t.Fatal(err)
 	}
 	got := digestRun(t, reused, nw, fail)
 	if got.summary != want.summary {
-		t.Errorf("Reset after recovery diverged from fresh New\nfresh:\n%s\nreset:\n%s",
+		t.Errorf("Rebind after recovery diverged from fresh New\nfresh:\n%s\nreset:\n%s",
 			want.summary, got.summary)
 	}
 }
@@ -367,15 +367,15 @@ func checkWiring(t *testing.T, world string, got, want *Simulator) {
 					world, id, slot, p.Node, p.Back, back.Node)
 			}
 		}
-		for _, n := range []int{len(g.peerAlive), len(g.nextSend), len(g.flushEv),
-			len(g.flushTasks), len(g.advertised), len(g.pending), len(g.blocked), len(g.adjIn.slots)} {
+		for _, n := range []int{len(g.peerAlive), len(g.flush.nextSend), len(g.flush.flushEv),
+			len(g.flush.flushTasks), len(g.flush.advertised), len(g.flush.pending), len(g.flush.blocked), len(g.receive.adjIn.slots)} {
 			if n != len(w.peers) {
 				t.Fatalf("%s: router %d has a per-slot array of %d for %d peers", world, id, n, len(w.peers))
 			}
 		}
-		for slot := range g.flushTasks {
-			if g.flushTasks[slot] != (flushTask{r: g, slot: slot}) {
-				t.Fatalf("%s: router %d slot %d flushes %+v", world, id, slot, g.flushTasks[slot])
+		for slot := range g.flush.flushTasks {
+			if g.flush.flushTasks[slot] != (flushTask{r: g, slot: slot}) {
+				t.Fatalf("%s: router %d slot %d flushes %+v", world, id, slot, g.flush.flushTasks[slot])
 			}
 		}
 	}
@@ -429,7 +429,7 @@ func TestRebindRefusalLeavesSimulatorUntouched(t *testing.T) {
 	}
 	want := rebindDigest(t, sim, small)
 
-	if err := sim.Reset(p); err != nil {
+	if err := sim.Rebind(small.net, p); err != nil {
 		t.Fatal(err)
 	}
 	unpackable := large.net.Clone()

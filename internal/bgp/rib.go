@@ -1,49 +1,39 @@
 package bgp
 
 import (
+	"math/bits"
+
 	"bgpsim/internal/topology"
 )
 
-// locEntry is a materialized Loc-RIB entry: the decision-process winner
-// for one destination, carried through the decide/commit flow as a stack
-// value. Storage is the packed locRIB below; entries are materialized on
-// demand (router.locEntryAt). plen caches the path length for the
-// ranking in betterRoute; the candidates built by routeVia carry it, an
-// entry that is only committed or compared for identity need not.
+// locEntry is a route, a (ref, slot) pair: the interned path and the
+// slot of the peer it was learned from. The Loc-RIB stores the halves
+// apart (locRIB.refs, decideStation.bestSlot). plen caches the path
+// length for betterRoute's ranking; only routeVia's candidates carry it.
 type locEntry struct {
-	ref          routeRef // the path (never 0 for a real entry)
-	plen         int32    // tab.len(ref), where the entry is ranked
-	from         NodeID   // advertising peer; -1 for a locally originated route
-	fromInternal bool
-}
-
-// selfRoute is the Loc-RIB entry for a locally originated prefix.
-func selfRoute() locEntry {
-	return locEntry{ref: emptyRef, from: -1}
+	ref  routeRef // the path (never 0 for a real entry)
+	plen int32    // tab.len(ref), where the entry is ranked
+	slot int16    // the advertising peer's slot
 }
 
 // routeVia is the ranked candidate entry for the route ref learned from
-// peer.
-func (t *pathTab) routeVia(ref routeRef, peer *Peer) locEntry {
-	return locEntry{ref: ref, plen: int32(t.len(ref)), from: peer.Node, fromInternal: peer.Internal}
+// the peer at slot.
+func (t *pathTab) routeVia(ref routeRef, slot int) locEntry {
+	return locEntry{ref: ref, plen: int32(t.len(ref)), slot: int16(slot)}
 }
 
-// isSelf reports whether the entry is locally originated.
-func (e locEntry) isSelf() bool { return e.from == -1 }
-
-// sameAs reports whether two entries would produce identical
-// advertisements and bookkeeping.
+// sameAs reports whether two entries are the same route: the same path
+// from the same peer slot.
 func (e locEntry) sameAs(o locEntry) bool {
-	return e.from == o.from && e.fromInternal == o.fromInternal && e.ref == o.ref
+	return e.ref == o.ref && e.slot == o.slot
 }
 
 // locRIB is the Loc-RIB in packed per-route encoding: parallel dense
 // arrays of 4-byte interned path refs and 4-byte cached export refs,
-// plus a presence bitset — 8 bytes and change per destination where the
-// previous struct-of-slices entry took 72. The winner's peer slot is not
-// stored here: router.bestSlot already records it (bestSelf for local
-// routes) and is maintained on every Loc-RIB mutation, so the entry's
-// provenance is derived from it on materialization.
+// plus a presence bitset — 8 bytes and change per destination. The
+// winner's peer slot is not stored here: decideStation.bestSlot records
+// it (bestSelf for local routes) and is maintained on every Loc-RIB
+// mutation.
 //
 // Presence must be tracked explicitly — ref 0 is a valid payload only
 // for absent slots, while the interned empty path (a real locally
@@ -93,7 +83,7 @@ func (l *locRIB) reset() {
 	for wi, w := range l.has {
 		base := wi << 6
 		for w != 0 {
-			i := base + trailingZeros(w)
+			i := base + bits.TrailingZeros64(w)
 			l.refs[i] = 0
 			l.exports[i] = 0
 			w &= w - 1
@@ -108,7 +98,7 @@ func (l *locRIB) reset() {
 // presence bit is needed), allocated lazily on the first route stored —
 // peers that never advertise (and advertisement columns never sent to)
 // cost nothing. It backs both the per-peer Adj-RIB-In columns and the
-// per-slot advertised-route bookkeeping in router.
+// per-slot advertised-route bookkeeping of the flush station.
 type refSlot struct {
 	refs []routeRef
 }
@@ -142,16 +132,6 @@ func (s *refSlot) del(dest ASN) bool {
 // reset empties the column, retaining its storage.
 func (s *refSlot) reset() {
 	clear(s.refs)
-}
-
-// any reports whether the column holds any route.
-func (s *refSlot) any() bool {
-	for _, ref := range s.refs {
-		if ref != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // fit empties the column and dimensions it for ndests destinations. A
@@ -227,10 +207,10 @@ func (rib *adjRIBIn) destsViaSlot(slot int, buf []ASN) []ASN {
 // decide runs the decision process for dest over the candidate routes in
 // the Adj-RIB-In: shortest AS path wins; ties break EBGP-over-IBGP, then
 // lowest peer AS, then lowest peer node ID. Peers are scanned in slot
-// order so the result is deterministic. The slot return identifies the
-// winning peer slot (-1 when no route exists, mirrored by the false
-// final return); router.bestSlot caches it so the incremental decision
-// path can skip this scan entirely.
+// order so the result is deterministic. The winner's slot is
+// decideStation.bestSlot's entry for it, which lets the incremental
+// decision path skip this scan entirely; the false return means no
+// route exists.
 //
 // The paper's simulations select routes on path length alone with no
 // policy; the deterministic tie-break stands in for SSFNet's router-ID
@@ -240,11 +220,10 @@ func (rib *adjRIBIn) destsViaSlot(slot int, buf []ASN) []ASN {
 // provider-learned, the standard local-pref assignment — before path
 // length. self is the deciding router's node id.
 func decide(rib *adjRIBIn, dest ASN, peers []Peer, peerAlive []bool, damp *damper,
-	rel *topology.Relationships, self NodeID) (locEntry, int, bool) {
+	rel *topology.Relationships, self NodeID) (locEntry, bool) {
 	best := locEntry{}
 	bestPeer := Peer{}
 	bestClass := 0
-	bestSlot := -1
 	found := false
 	for slot, peer := range peers {
 		if peerAlive != nil && !peerAlive[slot] {
@@ -257,13 +236,13 @@ func decide(rib *adjRIBIn, dest ASN, peers []Peer, peerAlive []bool, damp *dampe
 		if damp != nil && damp.isSuppressed(dest, peer.Node) {
 			continue
 		}
-		cand := rib.tab.routeVia(ref, &peers[slot])
+		cand := rib.tab.routeVia(ref, slot)
 		class := routeClass(rel, self, peer)
 		if !found || betterRoute(cand, peer, class, best, bestPeer, bestClass) {
-			best, bestPeer, bestClass, bestSlot, found = cand, peer, class, slot, true
+			best, bestPeer, bestClass, found = cand, peer, class, true
 		}
 	}
-	return best, bestSlot, found
+	return best, found
 }
 
 // routeClass ranks a route by the relationship it was learned over:
@@ -291,8 +270,8 @@ func betterRoute(a locEntry, pa Peer, ca int, b locEntry, pb Peer, cb int) bool 
 	if a.plen != b.plen {
 		return a.plen < b.plen
 	}
-	if a.fromInternal != b.fromInternal {
-		return !a.fromInternal // EBGP preferred over IBGP
+	if pa.Internal != pb.Internal {
+		return !pa.Internal // EBGP preferred over IBGP
 	}
 	if pa.AS != pb.AS {
 		return pa.AS < pb.AS

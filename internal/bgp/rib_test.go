@@ -2,7 +2,9 @@ package bgp
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 )
 
 func TestPathHelpers(t *testing.T) {
@@ -80,7 +82,7 @@ func ribOver(peers []Peer, ndests int) testRIB {
 }
 
 // ribIn is r's Adj-RIB-In as a testRIB.
-func ribIn(r *router) testRIB { return testRIB{r.adjIn, r.peers} }
+func ribIn(r *router) testRIB { return testRIB{&r.receive.adjIn, r.peers} }
 
 // set records path as the latest route for dest from peer node.
 func (rib testRIB) set(dest ASN, from NodeID, path Path) {
@@ -126,12 +128,17 @@ func TestAdjRIBInSetGetRemove(t *testing.T) {
 	}
 }
 
+// any reports whether the column holds any route.
+func (s *refSlot) any() bool {
+	return slices.ContainsFunc(s.refs, func(ref routeRef) bool { return ref != 0 })
+}
+
 func TestAdjRIBInDestsViaSlot(t *testing.T) {
 	rib := ribOver([]Peer{{Node: 5}, {Node: 6}}, 40)
 	rib.set(30, 5, Path{1})
 	rib.set(10, 5, Path{1})
 	rib.set(20, 6, Path{2})
-	// Callers pass a reused scratch buffer (router.affectedScratch);
+	// Callers pass a reused scratch buffer (Simulator.touchedScratch);
 	// destsViaSlot must honor its contents and append after them.
 	scratch := make([]ASN, 0, 8)
 	got := rib.destsViaSlot(mustPeer(rib.peers, 5), scratch[:0])
@@ -183,12 +190,12 @@ func TestDecideShortestPathWins(t *testing.T) {
 	rib := ribOver(testPeers(), 100)
 	rib.set(99, 1, Path{10, 40, 99})
 	rib.set(99, 2, Path{20, 99})
-	e, slot, ok := decide(rib.adjRIBIn, 99, testPeers(), nil, nil, nil, 0)
+	e, ok := decide(rib.adjRIBIn, 99, testPeers(), nil, nil, nil, 0)
 	if !ok {
 		t.Fatal("no route")
 	}
-	if e.from != 2 || slot != 1 {
-		t.Errorf("winner from %d slot %d, want peer 2 at slot 1 (shorter path)", e.from, slot)
+	if e.slot != 1 || e.ref != rib.tab.intern(Path{20, 99}) {
+		t.Errorf("winner slot %d, want peer 2 at slot 1 (shorter path)", e.slot)
 	}
 }
 
@@ -196,12 +203,9 @@ func TestDecideEBGPBeatsIBGPAtEqualLength(t *testing.T) {
 	rib := ribOver(testPeers(), 100)
 	rib.set(99, 3, Path{20, 99}) // internal peer
 	rib.set(99, 2, Path{20, 99}) // external peer, same length
-	e, _, ok := decide(rib.adjRIBIn, 99, testPeers(), nil, nil, nil, 0)
-	if !ok || e.from != 2 {
-		t.Errorf("winner from %d, want external peer 2", e.from)
-	}
-	if e.fromInternal {
-		t.Error("winner marked internal")
+	e, ok := decide(rib.adjRIBIn, 99, testPeers(), nil, nil, nil, 0)
+	if !ok || e.slot != 1 {
+		t.Errorf("winner slot %d, want external peer 2 at slot 1", e.slot)
 	}
 }
 
@@ -209,9 +213,9 @@ func TestDecideTieBreaksLowestPeerAS(t *testing.T) {
 	rib := ribOver(testPeers(), 100)
 	rib.set(99, 1, Path{10, 99})
 	rib.set(99, 2, Path{20, 99})
-	e, slot, ok := decide(rib.adjRIBIn, 99, testPeers(), nil, nil, nil, 0)
-	if !ok || e.from != 1 || slot != 0 {
-		t.Errorf("winner from %d slot %d, want peer 1 at slot 0 (AS 10 < AS 20)", e.from, slot)
+	e, ok := decide(rib.adjRIBIn, 99, testPeers(), nil, nil, nil, 0)
+	if !ok || e.slot != 0 {
+		t.Errorf("winner slot %d, want peer 1 at slot 0 (AS 10 < AS 20)", e.slot)
 	}
 }
 
@@ -220,47 +224,56 @@ func TestDecideSkipsDeadPeers(t *testing.T) {
 	rib.set(99, 1, Path{10, 99})
 	rib.set(99, 2, Path{20, 30, 99})
 	alive := []bool{false, true, true}
-	e, slot, ok := decide(rib.adjRIBIn, 99, testPeers(), alive, nil, nil, 0)
-	if !ok || e.from != 2 || slot != 1 {
-		t.Errorf("winner from %d slot %d, want 2 at slot 1 (peer 1 dead)", e.from, slot)
+	e, ok := decide(rib.adjRIBIn, 99, testPeers(), alive, nil, nil, 0)
+	if !ok || e.slot != 1 {
+		t.Errorf("winner slot %d, want 2 at slot 1 (peer 1 dead)", e.slot)
 	}
 }
 
 func TestDecideNoRoutes(t *testing.T) {
 	rib := ribOver(testPeers(), 100)
-	if _, slot, ok := decide(rib.adjRIBIn, 99, testPeers(), nil, nil, nil, 0); ok || slot != -1 {
+	if _, ok := decide(rib.adjRIBIn, 99, testPeers(), nil, nil, nil, 0); ok {
 		t.Error("decision on empty RIB returned a route")
 	}
 	rib.set(99, 1, Path{10, 99})
 	alive := []bool{false, false, false}
-	if _, slot, ok := decide(rib.adjRIBIn, 99, testPeers(), alive, nil, nil, 0); ok || slot != -1 {
+	if _, ok := decide(rib.adjRIBIn, 99, testPeers(), alive, nil, nil, 0); ok {
 		t.Error("decision with all peers dead returned a route")
 	}
 }
 
 func TestLocEntrySameAs(t *testing.T) {
 	tab := testTab()
-	a := locEntry{ref: tab.intern(Path{1, 2}), from: 5}
-	b := locEntry{ref: tab.intern(Path{1, 2}), from: 5}
+	a := locEntry{ref: tab.intern(Path{1, 2}), slot: 5}
+	b := tab.routeVia(tab.intern(Path{1, 2}), 5) // plen is not identity
 	if !a.sameAs(b) {
 		t.Error("identical entries differ")
 	}
-	b.from = 6
+	b.slot = 6
 	if a.sameAs(b) {
-		t.Error("different from considered same")
+		t.Error("different slot considered same")
 	}
-	c := locEntry{ref: tab.intern(Path{1, 3}), from: 5}
+	c := locEntry{ref: tab.intern(Path{1, 3}), slot: 5}
 	if a.sameAs(c) {
 		t.Error("different path considered same")
 	}
 }
 
+// TestSelfRoute pins the locally originated route: the empty path (not
+// nil) at slot bestSelf, which no decision displaces.
 func TestSelfRoute(t *testing.T) {
-	e := selfRoute()
-	if !e.isSelf() {
-		t.Error("selfRoute not self")
+	sim := lineSim(t, strictParams(time.Second))
+	r := sim.routers[1]
+	r.originate(1)
+	ribIn(r).set(1, 0, Path{0, 1})
+	if r.runDecision(1) {
+		t.Error("a learned route displaced the self route")
 	}
-	if p := testTab().path(e.ref); p == nil || len(p) != 0 {
+	ref, ok := r.decide.loc.getRef(1)
+	if !ok || r.decide.bestSlot[1] != bestSelf {
+		t.Fatalf("self route not installed: ok=%v slot %d", ok, r.decide.bestSlot[1])
+	}
+	if p := r.tab.path(ref); p == nil || len(p) != 0 {
 		t.Error("self route path must be empty, not nil")
 	}
 }

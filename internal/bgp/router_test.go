@@ -39,18 +39,18 @@ func lineSim(t *testing.T, p Params) *Simulator {
 // bestSlot provenance the packed Loc-RIB derives entries from.
 func (r *router) setLocForTest(dest ASN, path Path, from NodeID) {
 	if from == -1 {
-		r.loc.set(dest, emptyRef)
-		r.bestSlot[dest] = bestSelf
+		r.decide.loc.set(dest, emptyRef)
+		r.decide.bestSlot[dest] = bestSelf
 		return
 	}
-	r.loc.set(dest, r.sim.tab.intern(path))
-	r.bestSlot[dest] = int16(mustPeer(r.peers, from))
+	r.decide.loc.set(dest, r.sim.tab.intern(path))
+	r.decide.bestSlot[dest] = int16(mustPeer(r.peers, from))
 }
 
 // advertisedPath returns what the router last announced to the slot's
 // peer for dest.
 func (r *router) advertisedPath(slot int, dest ASN) (Path, bool) {
-	ref := r.advertised[slot].get(dest)
+	ref := r.flush.advertised[slot].get(dest)
 	return r.sim.tab.path(ref), ref != 0
 }
 
@@ -139,8 +139,8 @@ func TestMRAIGatesSecondAnnouncement(t *testing.T) {
 	// Originate at t=0: first announcement is immediate, timer arms.
 	r1.originate(1)
 	slotTo2 := mustPeer(r1.peers, 2)
-	if r1.nextSend[slotTo2] != m {
-		t.Fatalf("nextSend = %v, want %v (no jitter)", r1.nextSend[slotTo2], m)
+	if r1.flush.nextSend[slotTo2] != m {
+		t.Fatalf("nextSend = %v, want %v (no jitter)", r1.flush.nextSend[slotTo2], m)
 	}
 	if got, _ := r1.advertisedPath(slotTo2, 1); !pathsEqual(got, Path{1}) {
 		t.Fatalf("first announcement not sent: %v", got)
@@ -156,10 +156,10 @@ func TestMRAIGatesSecondAnnouncement(t *testing.T) {
 	if _, sent := r1.advertisedPath(slotTo2, 7); sent {
 		t.Fatal("announcement escaped the MRAI gate")
 	}
-	if r1.flushEv[slotTo2] == nil {
+	if r1.flush.flushEv[slotTo2] == nil {
 		t.Fatal("no deferred flush scheduled")
 	}
-	if at := r1.flushEv[slotTo2].At(); at != m {
+	if at := r1.flush.flushEv[slotTo2].At(); at != m {
 		t.Fatalf("flush scheduled at %v, want %v", at, m)
 	}
 
@@ -170,8 +170,8 @@ func TestMRAIGatesSecondAnnouncement(t *testing.T) {
 		t.Fatalf("deferred announcement = %v, want [1 0 7]", got)
 	}
 	// The deferred send rearmed the timer from t=m.
-	if r1.nextSend[slotTo2] != 2*m {
-		t.Errorf("timer after deferred send = %v, want %v", r1.nextSend[slotTo2], 2*m)
+	if r1.flush.nextSend[slotTo2] != 2*m {
+		t.Errorf("timer after deferred send = %v, want %v", r1.flush.nextSend[slotTo2], 2*m)
 	}
 }
 
@@ -223,7 +223,7 @@ func TestWithdrawalBypassesMRAI(t *testing.T) {
 	if sim.col.TotalMessages == before {
 		t.Fatal("no withdrawal message sent")
 	}
-	if r1.nextSend[slotTo2] <= now {
+	if r1.flush.nextSend[slotTo2] <= now {
 		t.Error("timer was not armed by the announcement")
 	}
 }
@@ -257,7 +257,7 @@ func TestProcessingSerializesUpdates(t *testing.T) {
 	r1 := sim.routers[1]
 	r1.enqueue(updateFrom(r1, 0, 50, Path{0, 50}))
 	r1.enqueue(updateFrom(r1, 0, 51, Path{0, 51}))
-	if !r1.busy() {
+	if !r1.receive.busy() {
 		t.Fatal("router idle with queued work")
 	}
 	// At 15ms only the first update is done; router 1 is still busy with
@@ -268,7 +268,7 @@ func TestProcessingSerializesUpdates(t *testing.T) {
 	if sim.col.TotalProcessed != 1 {
 		t.Fatalf("processed = %d at 15ms, want 1 (serial CPU)", sim.col.TotalProcessed)
 	}
-	if !r1.busy() {
+	if !r1.receive.busy() {
 		t.Fatal("router idle mid-service")
 	}
 	if err := sim.RunUntil(25 * time.Millisecond); err != nil {
@@ -277,7 +277,7 @@ func TestProcessingSerializesUpdates(t *testing.T) {
 	if sim.col.TotalProcessed != 2 {
 		t.Fatalf("processed = %d at 25ms, want 2", sim.col.TotalProcessed)
 	}
-	if r1.busy() {
+	if r1.receive.busy() {
 		t.Fatal("router busy after draining")
 	}
 	if err := sim.Run(); err != nil {
@@ -290,7 +290,7 @@ func TestDeadRouterIgnoresTraffic(t *testing.T) {
 	r1 := sim.routers[1]
 	r1.kill()
 	r1.enqueue(updateFrom(r1, 0, 50, Path{0, 50}))
-	if r1.busy() || r1.inbox.Len() != 0 {
+	if r1.receive.busy() || r1.receive.inbox.Len() != 0 {
 		t.Error("dead router accepted work")
 	}
 	if err := sim.Run(); err != nil {
@@ -306,18 +306,18 @@ func TestPeerDownInvalidatesRoutesAndCleansState(t *testing.T) {
 	}
 	r1 := sim.routers[1]
 	slotTo0 := mustPeer(r1.peers, 0)
-	if _, ok := r1.loc.getRef(0); !ok {
+	if _, ok := r1.decide.loc.getRef(0); !ok {
 		t.Fatal("no route to AS 0 before failure")
 	}
 	sim.routers[0].kill()
 	r1.peerDown(slotTo0)
-	if _, ok := r1.loc.getRef(0); ok {
+	if _, ok := r1.decide.loc.getRef(0); ok {
 		t.Error("route via dead peer survived")
 	}
 	if r1.peerAlive[slotTo0] {
 		t.Error("peer still alive")
 	}
-	if r1.advertised[slotTo0].any() || r1.pending[slotTo0].any() {
+	if r1.flush.advertised[slotTo0].any() || r1.flush.pending[slotTo0].any() {
 		t.Error("per-slot state not cleared")
 	}
 	// Double peerDown is a no-op.
@@ -326,7 +326,7 @@ func TestPeerDownInvalidatesRoutesAndCleansState(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Node 2 must have learned the withdrawal of AS 0.
-	if _, ok := sim.routers[2].loc.getRef(0); ok {
+	if _, ok := sim.routers[2].decide.loc.getRef(0); ok {
 		t.Error("withdrawal did not propagate to node 2")
 	}
 }
@@ -345,7 +345,7 @@ func TestReceiverSideLoopDetection(t *testing.T) {
 	if _, ok := ribIn(r1).get(9, 0); ok {
 		t.Error("looped path stored in Adj-RIB-In")
 	}
-	if _, ok := r1.loc.getRef(9); ok {
+	if _, ok := r1.decide.loc.getRef(9); ok {
 		t.Error("looped path selected")
 	}
 }
@@ -357,7 +357,7 @@ func TestSnapshotAccounting(t *testing.T) {
 	r1.enqueue(updateFrom(r1, 0, 51, Path{0, 51}))
 	r1.enqueue(updateFrom(r1, 0, 52, Path{0, 52}))
 	// One is in service, two queued.
-	snap := r1.snapshot(sim.Now())
+	snap := r1.receive.snapshot(sim.Now(), len(r1.peers), sim.params.MeanProc())
 	if snap.QueueLen != 2 {
 		t.Errorf("QueueLen = %d, want 2", snap.QueueLen)
 	}
@@ -371,7 +371,7 @@ func TestSnapshotAccounting(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := r1.snapshot(sim.Now()).QueueLen; got != 0 {
+	if got := r1.receive.snapshot(sim.Now(), len(r1.peers), sim.params.MeanProc()).QueueLen; got != 0 {
 		t.Errorf("QueueLen after drain = %d", got)
 	}
 }
@@ -381,11 +381,11 @@ func TestSnapshotUtilizationAndRate(t *testing.T) {
 	// own snapshots roll the measurement window during a live run.
 	sim := lineSim(t, strictParams(time.Second))
 	r1 := sim.routers[1]
-	r1.busyAccum = 50 * time.Millisecond
-	r1.lastSnapTime = 0
-	r1.lastSnapBusy = 0
-	r1.msgsSinceSnap = 20
-	snap := r1.snapshot(100 * time.Millisecond)
+	r1.receive.busyAccum = 50 * time.Millisecond
+	r1.receive.lastSnapTime = 0
+	r1.receive.lastSnapBusy = 0
+	r1.receive.msgsSinceSnap = 20
+	snap := r1.receive.snapshot(100*time.Millisecond, len(r1.peers), sim.params.MeanProc())
 	if snap.Utilization != 0.5 {
 		t.Errorf("Utilization = %v, want 0.5", snap.Utilization)
 	}
@@ -393,12 +393,12 @@ func TestSnapshotUtilizationAndRate(t *testing.T) {
 		t.Errorf("MsgRate = %v, want 200/s", snap.MsgRate)
 	}
 	// The window rolled: an immediate second snapshot sees ~zero.
-	snap2 := r1.snapshot(200 * time.Millisecond)
+	snap2 := r1.receive.snapshot(200*time.Millisecond, len(r1.peers), sim.params.MeanProc())
 	if snap2.Utilization != 0 || snap2.MsgRate != 0 {
 		t.Errorf("window did not roll: util=%v rate=%v", snap2.Utilization, snap2.MsgRate)
 	}
 	// Zero-elapsed snapshot must not divide by zero.
-	snap3 := r1.snapshot(200 * time.Millisecond)
+	snap3 := r1.receive.snapshot(200*time.Millisecond, len(r1.peers), sim.params.MeanProc())
 	if snap3.Utilization != 0 {
 		t.Errorf("zero-elapsed utilization = %v", snap3.Utilization)
 	}
@@ -419,6 +419,9 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.DetectDelay = -1 },
 		func(p *Params) { p.OriginationSpread = -1 },
 		func(p *Params) { p.FlapGate = -1 },
+		// Per-destination gates never run the per-peer timer that
+		// CancelOnChange cancels.
+		func(p *Params) { p.CancelOnChange, p.PerDestinationMRAI = true, true },
 	}
 	for i, mutate := range mutations {
 		p := DefaultParams()

@@ -25,7 +25,7 @@ import (
 //	delay := sim.Collector().ConvergenceDelay()
 //
 // A Simulator is reusable: Rebind rewinds it to time zero with a fresh
-// parameter set on any network (Reset: on the one it has), retaining
+// parameter set on any network, the one it has included, retaining
 // every buffer that is large enough, so repeated trials skip nearly all
 // of the per-trial setup allocation that bgp.New pays.
 //
@@ -81,11 +81,11 @@ type Simulator struct {
 	// Destination lists the routers share, because the simulator runs on
 	// one goroutine and each list is consumed before its next user takes
 	// it: no router's tryFlush, finishProcessing or peerDown runs inside
-	// another's (deliveries and timers are engine events). One high-water
-	// per simulator, not per router. Every user truncates before use.
-	destsScratch    []ASN // tryFlush's sorted pending-destination list
-	affectedScratch []ASN // peerDown's sorted affected-destination list
-	changedScratch  []ASN // finishProcessing's touched-destination list
+	// another's (deliveries and timers are engine events), and neither of
+	// the last two inside the other. One high-water per simulator, not per
+	// router. Every user truncates before use.
+	destsScratch   []ASN // tryFlush's sorted pending-destination list
+	touchedScratch []ASN // decideTouched's touched and peerDown's affected destinations
 }
 
 // delivery is the pooled des.Runner carrying one in-flight update from
@@ -212,12 +212,6 @@ func New(net *topology.Network, params Params) (*Simulator, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// Reset rewinds the simulator to time zero for a new run on the network
-// it already has: Rebind(s.Network(), params).
-func (s *Simulator) Reset(params Params) error {
-	return s.Rebind(s.net, params)
 }
 
 // Rebind rewinds the simulator to time zero for a new run with the given
@@ -385,7 +379,7 @@ func (s *Simulator) Run() error { return s.eng.Run() }
 
 // SetCancel installs (or with nil removes) a cancellation probe on the
 // event engine. Run variants poll it periodically and abort with
-// des.ErrCanceled when it reports true. Install it after Reset (which
+// des.ErrCanceled when it reports true. Install it after Rebind (which
 // clears the probe) and before Run; the probe never alters results of
 // runs that complete, only whether a run completes.
 func (s *Simulator) SetCancel(cancel func() bool) { s.eng.SetCancel(cancel) }
@@ -446,12 +440,7 @@ func (s *Simulator) ScheduleFailure(at des.Time, nodes []int) {
 				if !nb.alive {
 					continue
 				}
-				slot := int(peer.Back)
-				if s.params.DetectDelay > 0 {
-					s.eng.ScheduleAt(at+s.params.DetectDelay, func() { nb.peerDown(slot) })
-				} else {
-					nb.peerDown(slot)
-				}
+				s.sessionDown(at, nb, int(peer.Back))
 			}
 		}
 	})
@@ -477,18 +466,20 @@ func (s *Simulator) ScheduleLinkFailure(at des.Time, links [][2]int) {
 			if !ok {
 				continue
 			}
-			slotBA := int(ra.peers[slotAB].Back)
-			down := func(r *router, slot int) {
-				if s.params.DetectDelay > 0 {
-					s.eng.ScheduleAt(at+s.params.DetectDelay, func() { r.peerDown(slot) })
-				} else {
-					r.peerDown(slot)
-				}
-			}
-			down(ra, slotAB)
-			down(rb, slotBA)
+			s.sessionDown(at, ra, slotAB)
+			s.sessionDown(at, rb, int(ra.peers[slotAB].Back))
 		}
 	})
+}
+
+// sessionDown runs r's session-down processing for slot DetectDelay after
+// the failure at time at: at once when there is no delay.
+func (s *Simulator) sessionDown(at des.Time, r *router, slot int) {
+	if s.params.DetectDelay > 0 {
+		s.eng.ScheduleAt(at+s.params.DetectDelay, func() { r.peerDown(slot) })
+	} else {
+		r.peerDown(slot)
+	}
 }
 
 // ScheduleRecovery revives the given (previously failed) routers at time
@@ -552,7 +543,7 @@ func (s *Simulator) applyOracle(failedCount int) {
 		if !r.alive {
 			continue
 		}
-		if settable, ok := r.policy.(mrai.Settable); ok {
+		if settable, ok := r.flush.policy.(mrai.Settable); ok {
 			settable.Set(d)
 		}
 	}
@@ -572,7 +563,7 @@ func (s *Simulator) LocPath(id NodeID, dest ASN) (Path, bool) {
 	if dest < 0 || dest >= s.routers[id].ndests {
 		return nil, false
 	}
-	ref, ok := s.routers[id].loc.getRef(dest)
+	ref, ok := s.routers[id].decide.loc.getRef(dest)
 	if !ok {
 		return nil, false
 	}
@@ -612,7 +603,7 @@ func (s *Simulator) PolicyLevelHistogram() map[int]int {
 			continue
 		}
 		type leveler interface{ Level() int }
-		if lv, ok := r.policy.(leveler); ok {
+		if lv, ok := r.flush.policy.(leveler); ok {
 			h[lv.Level()]++
 		}
 	}
@@ -622,14 +613,14 @@ func (s *Simulator) PolicyLevelHistogram() map[int]int {
 // PathStats describes the interned-path table footprint and what
 // collecting it has cost this trial (see Simulator.sweep).
 type PathStats struct {
-	// Registered counts paths currently registered (since the last Reset
+	// Registered counts paths currently registered (since the last Rebind
 	// or compaction).
 	Registered int
 	// Live counts the registered paths a sweep would keep right now: the
 	// distinct refs held anywhere outside the table — RIB storage, queued
 	// and in-flight updates — and the ancestors their nodes name.
 	Live int
-	// Compactions counts the sweeps performed since the last Reset.
+	// Compactions counts the sweeps performed since the last Rebind.
 	Compactions int
 	// Reclaimed counts the paths those sweeps dropped.
 	Reclaimed int
@@ -652,16 +643,16 @@ type PathStats struct {
 // caller loops over the refs itself instead of being called per cell.
 func (s *Simulator) forEachRefColumn(fn func([]routeRef)) (cells int) {
 	for _, r := range s.routers {
-		fn(r.loc.refs)
-		fn(r.loc.exports)
-		cells += len(r.loc.refs) + len(r.loc.exports)
-		for si := range r.adjIn.slots {
-			fn(r.adjIn.slots[si].refs)
-			cells += len(r.adjIn.slots[si].refs)
+		fn(r.decide.loc.refs)
+		fn(r.decide.loc.exports)
+		cells += len(r.decide.loc.refs) + len(r.decide.loc.exports)
+		for _, col := range r.receive.adjIn.slots {
+			fn(col.refs)
+			cells += len(col.refs)
 		}
-		for si := range r.advertised {
-			fn(r.advertised[si].refs)
-			cells += len(r.advertised[si].refs)
+		for _, col := range r.flush.advertised {
+			fn(col.refs)
+			cells += len(col.refs)
 		}
 	}
 	return cells
@@ -675,11 +666,12 @@ func (s *Simulator) forEachRefColumn(fn func([]routeRef)) (cells int) {
 // drops the unit on its CPU — so at quiescence the count is zero.
 func (s *Simulator) forEachInFlight(fn func(*routeRef)) (n int) {
 	for _, r := range s.routers {
-		r.inbox.forEachRef(fn)
-		for i := range r.proc.batch {
-			fn(&r.proc.batch[i].Ref)
+		in := &r.receive
+		in.inbox.forEachRef(fn)
+		for i := range in.proc.batch {
+			fn(&in.proc.batch[i].Ref)
 		}
-		n += r.inbox.Len() + len(r.proc.batch)
+		n += in.inbox.Len() + len(in.proc.batch)
 	}
 	return n + s.pool.forEachRef(fn)
 }

@@ -94,7 +94,7 @@ func TestNewValidatesParams(t *testing.T) {
 
 // TestNewRejectsUnpackableTopology pins the guard on the packed 32-bit
 // route encoding: an AS number or a destination index (ASes x prefixes
-// per AS) that would not fit is an error from New and from Reset, which
+// per AS) that would not fit is an error from New and from Rebind, which
 // leaves the simulator as it was — never a truncated value.
 func TestNewRejectsUnpackableTopology(t *testing.T) {
 	for _, as := range []int{math.MaxInt32, 1 << 32, maxASN + 1, -1} {
@@ -115,18 +115,18 @@ func TestNewRejectsUnpackableTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Reset(p); err == nil || !strings.Contains(err.Error(), "32-bit") {
-		t.Errorf("Reset with a destination space past 32 bits: %v", err)
+	if err := sim.Rebind(nw, p); err == nil || !strings.Contains(err.Error(), "32-bit") {
+		t.Errorf("Rebind with a destination space past 32 bits: %v", err)
 	}
 	if sim.ndests != 3 || sim.nprefix != 1 {
-		t.Errorf("failed Reset left ndests=%d nprefix=%d, want the previous 3 and 1", sim.ndests, sim.nprefix)
+		t.Errorf("failed Rebind left ndests=%d nprefix=%d, want the previous 3 and 1", sim.ndests, sim.nprefix)
 	}
 	sim.Start()
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if path, ok := sim.LocPath(0, 2); !ok || !pathsEqual(path, Path{1, 2}) {
-		t.Errorf("after the refused Reset: path = %v, %v, want [1 2]", path, ok)
+		t.Errorf("after the refused Rebind: path = %v, %v, want [1 2]", path, ok)
 	}
 }
 
@@ -513,7 +513,7 @@ func TestOracleMRAISwitchesAtFailure(t *testing.T) {
 		if !r.alive {
 			continue
 		}
-		if got := r.policy.MRAI(mrai.Snapshot{}); got != 2250*time.Millisecond {
+		if got := r.flush.policy.MRAI(mrai.Snapshot{}); got != 2250*time.Millisecond {
 			t.Fatalf("router %d policy = %v after oracle switch", r.id, got)
 		}
 	}
@@ -547,7 +547,7 @@ func TestSkipNoopUpdatesDropsExactDuplicate(t *testing.T) {
 	// duplicate must be dropped without processing.
 	ribIn(r1).set(9, 0, Path{0, 9})
 	r1.enqueue(updateFrom(r1, 0, 9, Path{0, 9}))
-	if r1.busy() {
+	if r1.receive.busy() {
 		t.Fatal("noop update entered service")
 	}
 	if err := sim.Run(); err != nil {
@@ -558,7 +558,7 @@ func TestSkipNoopUpdatesDropsExactDuplicate(t *testing.T) {
 	}
 	// A withdrawal for a route we never had is also a noop.
 	r1.enqueue(updateFrom(r1, 0, 77, nil))
-	if r1.busy() {
+	if r1.receive.busy() {
 		t.Error("noop withdrawal entered service")
 	}
 }

@@ -24,12 +24,12 @@ func checkFastLane(t *testing.T, label string, sim *Simulator, nw *topology.Netw
 	t.Helper()
 	base := p
 	base.ref |= refNoBlockedSkip
-	if err := sim.Reset(base); err != nil {
-		t.Fatalf("%s: Reset: %v", label, err)
+	if err := sim.Rebind(nw, base); err != nil {
+		t.Fatalf("%s: Rebind: %v", label, err)
 	}
 	want := digestRun(t, sim, nw, fail)
-	if err := sim.Reset(p); err != nil {
-		t.Fatalf("%s: Reset: %v", label, err)
+	if err := sim.Rebind(nw, p); err != nil {
+		t.Fatalf("%s: Rebind: %v", label, err)
 	}
 	if got := digestRun(t, sim, nw, fail); got.summary != want.summary {
 		t.Errorf("%s: fast lane diverged from baseline\nbaseline:\n%s\nfast:\n%s", label, want.summary, got.summary)
@@ -133,7 +133,7 @@ func TestStormFastLaneAcrossModes(t *testing.T) {
 // TestStormFastLaneAllocFree pins that the fast-lane bookkeeping does not
 // reintroduce steady-state allocation: repeat trials on a reused
 // simulator must allocate no more with the fast lane on than the
-// baseline path does (both pay the same fixed per-Reset costs — policy
+// baseline path does (both pay the same fixed per-Rebind costs — policy
 // objects and the like — which this differential bound cancels out).
 func TestStormFastLaneAllocFree(t *testing.T) {
 	rng := des.NewRNG(41)
@@ -153,12 +153,12 @@ func TestStormFastLaneAllocFree(t *testing.T) {
 			if _, err := sim.ConvergeAndFail(fail); err != nil {
 				t.Fatal(err)
 			}
-			if err := sim.Reset(p); err != nil {
+			if err := sim.Rebind(sim.Network(), p); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return testing.AllocsPerRun(3, func() {
-			if err := sim.Reset(p); err != nil {
+			if err := sim.Rebind(sim.Network(), p); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := sim.ConvergeAndFail(fail); err != nil {

@@ -92,11 +92,11 @@ func (s *Simulator) installAS(as ASN, origin NodeID) (installed int, err error) 
 		for pi := 0; pi < s.nprefix; pi++ {
 			dest := destLo + pi
 			if r.id == origin {
-				r.originates.set(dest)
+				r.decide.originates.set(dest)
 			}
 			if locRef != 0 {
-				r.loc.set(dest, locRef)
-				r.bestSlot[dest] = bs
+				r.decide.loc.set(dest, locRef)
+				r.decide.bestSlot[dest] = bs
 			}
 		}
 		for slot := range r.peers {
@@ -109,7 +109,7 @@ func (s *Simulator) installAS(as ASN, origin NodeID) (installed int, err error) 
 				}
 				if inRef != 0 {
 					for pi := 0; pi < s.nprefix; pi++ {
-						r.adjIn.setSlot(slot, destLo+pi, inRef)
+						r.receive.adjIn.setSlot(slot, destLo+pi, inRef)
 					}
 					installed += s.nprefix
 				}
@@ -121,7 +121,7 @@ func (s *Simulator) installAS(as ASN, origin NodeID) (installed int, err error) 
 					advRef = tab.prepend(r.as, locRef)
 				}
 				for pi := 0; pi < s.nprefix; pi++ {
-					r.advertised[slot].set(destLo+pi, advRef, r.ndests)
+					r.flush.advertised[slot].set(destLo+pi, advRef, r.ndests)
 				}
 			}
 		}

@@ -52,7 +52,7 @@ func compareConverged(t *testing.T, nw *topology.Network, p Params, res *snapsho
 		for slot, peer := range r.peers {
 			for _, dest := range sim.Destinations() {
 				as := sim.ASOfDest(dest)
-				have := r.adjIn.getSlotRef(slot, dest) != 0
+				have := r.receive.adjIn.getSlotRef(slot, dest) != 0
 				want := res.Advertises(as, peer.Node, r.id)
 				if have != want {
 					t.Fatalf("n%d d%d from peer n%d: DES adj-rib-in=%v, snapshot Advertises=%v",
