@@ -119,7 +119,7 @@ func TestInboxAllocatesItsHighWaterOnce(t *testing.T) {
 	sim, err := New(nw, equivalenceParams(1, func(p *Params) {
 		p.Queue = QueueBatched
 		p.MRAI = mrai.PaperDynamic()
-		p.ref = refColdStart
+		p.ref |= refColdStart
 	}))
 	if err != nil {
 		t.Fatal(err)

@@ -20,6 +20,7 @@ import (
 // land on routers that are busy, with updates queued and on the links.
 func churnDigest(t *testing.T, sim *Simulator, nw *topology.Network, seed int64, horizon time.Duration) (digest string, peak PathStats) {
 	t.Helper()
+	sim.params.ref |= refInvariants
 	if err := sim.ConvergeInitial(); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestCompactionBehaviorNeutral(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				run := func(ref refPaths) (string, PathStats) {
 					p := equivalenceParams(5, v.mutate)
-					p.ref = ref
+					p.ref |= ref
 					sim, err := New(nw, p)
 					if err != nil {
 						t.Fatal(err)
@@ -241,7 +242,7 @@ func TestWarmStartMatchesCompactedCold(t *testing.T) {
 		}
 	}
 	p := equivalenceParams(3, nil)
-	p.ref = refCompactAlways | refColdStart
+	p.ref |= refCompactAlways | refColdStart
 	cold, err := New(nw, p)
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +339,7 @@ func TestPathTableBoundedByLiveNotHistory(t *testing.T) {
 func TestSweepAfterRebindMidStorm(t *testing.T) {
 	nw, fail := sweepWorld(t)
 	p := equivalenceParams(5, nil)
-	p.ref = refCompactAlways
+	p.ref |= refCompactAlways
 	fresh, err := New(nw, p)
 	if err != nil {
 		t.Fatal(err)

@@ -74,7 +74,7 @@ func TestPenalizeSuppressesAfterRepeatedFlaps(t *testing.T) {
 	}
 	// A suppressed route is invisible to the decision process.
 	ribIn(r1).set(9, 0, Path{0, 9})
-	if _, ok := decide(&r1.receive.adjIn, 9, r1.peers, r1.peerAlive, r1.decide.damper, nil, r1.id); ok {
+	if _, ok := decide(&r1.receive.adjIn, 9, r1.peers, r1.peerAlive, r1.decide.damper); ok {
 		t.Error("suppressed route selected")
 	}
 	// The reuse event eventually lifts suppression and reinstates it.

@@ -122,7 +122,7 @@ func (r *router) runDecision(dest ASN) bool {
 	if r.decide.bestSlot[dest] == bestSelf {
 		return false // locally originated routes are never displaced
 	}
-	best, ok := decide(&r.receive.adjIn, dest, r.peers, r.peerAlive, r.decide.damper, r.sim.params.Policy, r.id)
+	best, ok := decide(&r.receive.adjIn, dest, r.peers, r.peerAlive, r.decide.damper)
 	return r.commitDecision(dest, best, ok)
 }
 

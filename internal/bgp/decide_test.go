@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -8,10 +9,14 @@ import (
 )
 
 // TestDecideStationClassify applies one update to the hub of a star
-// (hub 0; spokes 1, 2, 3 at slots 0, 1, 2) whose Adj-RIB-In holds
-// [1 9 50] from spoke 1 and the winner [2 50] from spoke 2, and pins
-// classify's outcome against the full decide scan over the resulting
-// Adj-RIB-In:
+// (hub 0; spokes 1, 2, 3 at slots 0, 1, 2; spokes 2 and 3 also linked)
+// whose Adj-RIB-In holds [1 9 50] from spoke 1 and the winner [2 50]
+// from spoke 2, and pins classify's outcome against the full decide scan
+// over the resulting Adj-RIB-In. A row with a sender path first checks
+// that the spoke, holding that Loc-RIB path, would send exactly the
+// row's update: no update carries its receiver's AS, so a path through
+// the hub's AS reaches the hub as what the spoke sends in its place.
+// The outcomes:
 //
 //	(a) the update becomes the working best without a scan;
 //	(b) the working best stands, a decision no-op;
@@ -26,21 +31,22 @@ func TestDecideStationClassify(t *testing.T) {
 		path    Path // nil for a withdrawal
 		outcome byte
 		best    int16 // the full scan's winner afterwards
+		sender  Path  // the spoke's Loc-RIB path (learned from its first AS) that path is sent for; nil to skip
 	}{
-		{"a strictly better route (tie broken on peer AS)", 1, Path{1, 50}, 'a', 0},
-		{"a first route from a silent peer that loses", 3, Path{3, 7, 50}, 'b', 1},
-		{"a withdrawal of a route that is not the best", 1, nil, 'b', 1},
-		{"an equal-rank re-announcement on the best slot", 2, Path{2, 8}, 'b', 1},
-		{"a strictly better re-announcement on the best slot", 2, Path{2}, 'b', 1},
-		{"a withdrawal of the working best", 2, nil, 'c', 0},
-		{"a strict worsening of the working best", 2, Path{2, 7, 8, 50}, 'c', 0},
-		{"a looped path on the working best's slot", 2, Path{2, 0, 50}, 'c', 0},
+		{"a strictly better route (tie broken on peer AS)", 1, Path{1, 50}, 'a', 0, nil},
+		{"a first route from a silent peer that loses", 3, Path{3, 7, 50}, 'b', 1, nil},
+		{"a withdrawal of a route that is not the best", 1, nil, 'b', 1, nil},
+		{"an equal-rank re-announcement on the best slot", 2, Path{2, 8}, 'b', 1, nil},
+		{"a strictly better re-announcement on the best slot", 2, Path{2}, 'b', 1, nil},
+		{"a withdrawal of the working best", 2, nil, 'c', 0, nil},
+		{"a strict worsening of the working best", 2, Path{2, 7, 8, 50}, 'c', 0, nil},
+		{"a path through the hub's AS arrives as a withdrawal", 2, nil, 'c', 0, Path{3, 0, 50}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			nw := topology.NewNetwork(4)
-			for spoke := 1; spoke <= 3; spoke++ {
-				if err := nw.AddLink(0, spoke, false); err != nil {
+			for _, l := range [][2]int{{0, 1}, {0, 2}, {0, 3}, {2, 3}} {
+				if err := nw.AddLink(l[0], l[1], false); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -54,7 +60,16 @@ func TestDecideStationClassify(t *testing.T) {
 				t.Fatalf("initial winner at slot %d, want 1", d.bestSlot[50])
 			}
 
-			hub.applyBatch([]Update{updateFrom(hub, row.from, 50, row.path)})
+			u := updateFrom(hub, row.from, 50, row.path)
+			if row.sender != nil {
+				spoke := sim.routers[row.from]
+				spoke.setLocForTest(50, row.sender, row.sender[0])
+				u.Ref = spoke.desiredAdvert(50, mustPeer(spoke.peers, hub.id))
+				if got := sim.tab.path(u.Ref); !slices.Equal(got, row.path) || (got == nil) != (row.path == nil) {
+					t.Fatalf("spoke %d sends %v for its path %v, want %v", row.from, got, row.sender, row.path)
+				}
+			}
+			hub.applyBatch([]Update{u})
 			outcome := byte('b')
 			switch {
 			case d.scanNeeded.has(50):
@@ -65,7 +80,7 @@ func TestDecideStationClassify(t *testing.T) {
 			if outcome != row.outcome {
 				t.Errorf("outcome (%c), want (%c)", outcome, row.outcome)
 			}
-			want, ok := decide(&hub.receive.adjIn, 50, hub.peers, hub.peerAlive, nil, nil, hub.id)
+			want, ok := decide(&hub.receive.adjIn, 50, hub.peers, hub.peerAlive, nil)
 			if !ok || want.slot != row.best {
 				t.Fatalf("full scan picks slot %d (ok=%v), want %d", want.slot, ok, row.best)
 			}

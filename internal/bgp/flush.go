@@ -1,11 +1,11 @@
 package bgp
 
 import (
+	"fmt"
 	"time"
 
 	"bgpsim/internal/des"
 	"bgpsim/internal/mrai"
-	"bgpsim/internal/topology"
 	"bgpsim/internal/trace"
 )
 
@@ -338,9 +338,13 @@ func (r *router) scheduleFlush(slot int, at des.Time) {
 }
 
 // send transmits one route-level update to the slot's peer, stamped with
-// the slot the peer knows this router by.
+// the slot the peer knows this router by. Under refInvariants it
+// asserts that no update carries its receiver's AS.
 func (r *router) send(slot int, u Update) {
 	peer := r.peers[slot]
+	if r.sim.params.ref&refInvariants != 0 && r.tab.contains(u.Ref, peer.AS) {
+		panic(fmt.Sprintf("bgp: router %d sends %v to router %d of AS %d", r.id, r.tab.path(u.Ref), peer.Node, peer.AS))
+	}
 	u.Slot = peer.Back
 	now := r.now()
 	r.col.NoteSend(now, r.id, u.IsWithdrawal())
@@ -383,23 +387,15 @@ func (r *router) desiredAdvert(dest ASN, slot int) routeRef {
 		if fp.Internal && peer.Internal {
 			return 0
 		}
-		if rel := r.sim.params.Policy; rel != nil && !peer.Internal {
+		if fp.Class != 0 && peer.Class != 0 {
 			// Gao–Rexford export rule: self-originated and customer-learned
 			// routes are exported to everyone; peer- and provider-learned
-			// routes only to customers.
-			fromCustomer := routeClass(rel, r.id, *fp) == 0
-			toCustomer := rel.Of(r.id, peer.Node) == topology.RelCustomer || rel.Of(r.id, peer.Node) == topology.RelNone
-			if !fromCustomer && !toCustomer {
-				return 0
-			}
+			// routes only to customers (class 0).
+			return 0
 		}
 	}
 	if peer.Internal {
 		return ref
-	}
-	if peer.AS == r.as {
-		// Defensive: external peers always have a different AS.
-		return 0
 	}
 	if r.tab.contains(ref, peer.AS) {
 		return 0

@@ -73,6 +73,24 @@ func TestFlushStation(t *testing.T) {
 			want: want{flushAt: noFlush, refExam: []ASN{7, 8}},
 		},
 		{
+			// The sender's half of "no update carries its receiver's AS".
+			name: "a path through the peer's AS is not sent",
+			setup: func(r *router) {
+				r.setLocForTest(7, Path{0, 2, 7}, 0)
+				r.flush.pending[slot].set(7)
+			},
+			want: want{flushAt: noFlush, refExam: []ASN{7}},
+		},
+		{
+			name: "a path through the peer's AS is withdrawn",
+			setup: func(r *router) {
+				r.setLocForTest(7, Path{0, 2, 7}, 0)
+				r.flush.advertised[slot].set(7, r.tab.intern(Path{1, 0, 7}), r.ndests)
+				r.flush.pending[slot].set(7)
+			},
+			want: want{sends: []sent{{7, true}}, flushAt: noFlush, refExam: []ASN{7}},
+		},
+		{
 			name: "a withdrawal bypasses the gate",
 			setup: func(r *router) {
 				r.flush.nextSend[slot] = m

@@ -36,7 +36,7 @@ func TestIncrementalMatchesFullScanAllVariants(t *testing.T) {
 				}
 				got := digestRun(t, inc, nw, fail)
 
-				p.ref = refFullScan
+				p.ref |= refFullScan
 				full, err := New(nw, p)
 				if err != nil {
 					t.Fatalf("%s seed %d: New full-scan: %v", v.name, seed, err)
@@ -73,7 +73,7 @@ func TestIncrementalMatchesFullScanPolicy(t *testing.T) {
 		}
 		got := digestRun(t, inc, nw, fail)
 
-		p.ref = refFullScan
+		p.ref |= refFullScan
 		full, err := New(nw, p)
 		if err != nil {
 			t.Fatal(err)
@@ -99,7 +99,7 @@ func TestIncrementalMatchesFullScanRecovery(t *testing.T) {
 	run := func(fullScan bool) string {
 		p := equivalenceParams(7, nil)
 		if fullScan {
-			p.ref = refFullScan
+			p.ref |= refFullScan
 		}
 		sim, err := New(nw, p)
 		if err != nil {

@@ -73,7 +73,7 @@ func TestMultiPrefixMatchesFullScanAllVariants(t *testing.T) {
 			}
 			got := digestRun(t, inc, nw, fail)
 
-			p.ref = refFullScan
+			p.ref |= refFullScan
 			full, err := New(nw, p)
 			if err != nil {
 				t.Fatalf("%s seed %d: New full-scan: %v", v.name, seed, err)

@@ -167,6 +167,9 @@ const (
 	// identical; absolute times and whole-run totals include the
 	// simulated phase.
 	refColdStart
+	// refInvariants makes send panic on an update that carries its
+	// receiver's AS (DESIGN.md, BGP invariants). It changes no output.
+	refInvariants
 )
 
 // DefaultParams returns the paper's simulation configuration with a 30 s

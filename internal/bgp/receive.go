@@ -201,23 +201,19 @@ func (r *router) applyBatch(batch []Update) {
 			continue
 		}
 		dest := int(u.Dest)
-		// Receiver-side loop detection.
-		looped := r.tab.contains(u.Ref, r.as)
 		if incr {
 			// Classify the update against the working best before the
 			// Adj-RIB-In mutation below overwrites the previous route.
 			if !touched.has(dest) {
 				d.workSlot[dest] = d.bestSlot[dest]
 			}
-			r.classify(slot, u, looped)
+			r.classify(slot, u)
 		}
 		// Flap accounting per RFC 2439: withdrawals and re-advertisements
 		// of an existing route are penalized; a peer's first announcement
 		// of a destination is not.
 		flapped := false
-		if u.IsWithdrawal() || looped {
-			// A looped path is treated as an implicit withdrawal of the
-			// peer's previous route.
+		if u.IsWithdrawal() {
 			flapped = s.adjIn.removeSlot(slot, dest)
 		} else {
 			prev := s.adjIn.getSlotRef(slot, dest)
@@ -233,8 +229,7 @@ func (r *router) applyBatch(batch []Update) {
 
 // classify folds one arriving update into the batch's working-best
 // bookkeeping, before the Adj-RIB-In mutation for the update is applied.
-// looped is the precomputed receiver-side loop-detection verdict for the
-// update's path. The per-destination batch outcomes:
+// The per-destination batch outcomes:
 //
 //	(a) an update strictly better than the working best becomes the
 //	    working best without a scan;
@@ -250,7 +245,7 @@ func (r *router) applyBatch(batch []Update) {
 // winning. Only called in incremental mode, where damping is off — so
 // no candidate is ever suppressed and the Loc-RIB invariant (bestSlot ==
 // full-scan winner) holds between batches.
-func (r *router) classify(slot int, u Update, looped bool) {
+func (r *router) classify(slot int, u Update) {
 	d := &r.decide
 	dest := int(u.Dest)
 	if d.scanNeeded.has(dest) {
@@ -260,7 +255,7 @@ func (r *router) classify(slot int, u Update, looped bool) {
 	if ws == bestSelf {
 		return // locally originated: the decision is always a no-op
 	}
-	if u.IsWithdrawal() || looped {
+	if u.IsWithdrawal() {
 		if ws >= 0 && int(ws) == slot {
 			d.scanNeeded.set(dest) // (c) the working best's route went away
 		}
@@ -272,7 +267,6 @@ func (r *router) classify(slot int, u Update, looped bool) {
 	}
 	peer := r.peers[slot]
 	cand := r.tab.routeVia(u.Ref, slot)
-	class := routeClass(r.sim.params.Policy, r.id, peer)
 	wref := r.receive.adjIn.getSlotRef(int(ws), dest)
 	if wref == 0 {
 		d.scanNeeded.set(dest) // defensive: cache out of sync, rescan
@@ -283,15 +277,14 @@ func (r *router) classify(slot int, u Update, looped bool) {
 		// the path ranking can move. An equal-or-better replacement keeps
 		// winning; a strictly worse one may let another route overtake.
 		prev := r.tab.routeVia(wref, slot)
-		if betterRoute(prev, peer, class, cand, peer, class) {
+		if betterRoute(prev, peer, cand, peer) {
 			d.scanNeeded.set(dest) // (c) the working best's route worsened
 		}
 		return
 	}
 	wpeer := r.peers[ws]
 	wentry := r.tab.routeVia(wref, int(ws))
-	wclass := routeClass(r.sim.params.Policy, r.id, wpeer)
-	if betterRoute(cand, peer, class, wentry, wpeer, wclass) {
+	if betterRoute(cand, peer, wentry, wpeer) {
 		d.workSlot[dest] = int16(slot) // (a) strictly better: new working best
 	}
 	// Otherwise (b): does not beat the working best, a decision no-op.

@@ -32,9 +32,12 @@ type runDigest struct {
 // observable outcome: convergence delay, every collector counter, and
 // every router's final route to every destination. Every run it digests
 // must also be quiescent and, unless damped, end on the post-failure
-// fixpoint (assertPostFailureFixpoint).
+// fixpoint (assertPostFailureFixpoint), and no update it sends may carry
+// its receiver's AS (refInvariants; the digest helpers set the bit on
+// every simulator they run, which changes no output).
 func digestRun(t *testing.T, sim *Simulator, nw *topology.Network, fail []int) runDigest {
 	t.Helper()
+	sim.params.ref |= refInvariants
 	delay, err := sim.ConvergeAndFail(fail)
 	if err != nil {
 		t.Fatal(err)
@@ -130,10 +133,13 @@ func resetVariants() []struct {
 	}
 }
 
+// equivalenceParams is the digest suites' base parameter set, with the
+// refInvariants check on.
 func equivalenceParams(seed int64, mutate func(*Params)) Params {
 	p := DefaultParams()
 	p.MRAI = mrai.Constant(500 * time.Millisecond)
 	p.Seed = seed
+	p.ref = refInvariants
 	if mutate != nil {
 		mutate(&p)
 	}
@@ -434,12 +440,26 @@ func TestRebindRefusalLeavesSimulatorUntouched(t *testing.T) {
 	}
 	unpackable := large.net.Clone()
 	unpackable.SetAS(7, 1<<40)
+	// A session is internal exactly when both ends are in one AS.
+	mismatched := func(as1 int, internal bool) *topology.Network {
+		nw := topology.NewNetwork(3)
+		nw.SetAS(1, as1)
+		if err := nw.AddLink(0, 1, internal); err != nil {
+			t.Fatal(err)
+		}
+		if err := nw.AddLink(1, 2, false); err != nil {
+			t.Fatal(err)
+		}
+		return nw
+	}
 	bad := p
 	bad.MRAI = nil
 	for name, try := range map[string]func() error{
-		"unpackable AS number": func() error { return sim.Rebind(unpackable, p) },
-		"empty network":        func() error { return sim.Rebind(topology.NewNetwork(0), p) },
-		"invalid parameters":   func() error { return sim.Rebind(large.net, bad) },
+		"unpackable AS number":       func() error { return sim.Rebind(unpackable, p) },
+		"empty network":              func() error { return sim.Rebind(topology.NewNetwork(0), p) },
+		"invalid parameters":         func() error { return sim.Rebind(large.net, bad) },
+		"internal session across AS": func() error { return sim.Rebind(mismatched(1, true), p) },
+		"external session within AS": func() error { return sim.Rebind(mismatched(0, false), p) },
 	} {
 		if err := try(); err == nil {
 			t.Errorf("%s: Rebind accepted it", name)
@@ -481,7 +501,7 @@ func TestRebindWarmStartAndPolicy(t *testing.T) {
 			for wi, w := range worlds {
 				p := w.params(int64(20+wi), nil)
 				if !warm {
-					p.ref = refColdStart
+					p.ref |= refColdStart
 				}
 				if reused == nil {
 					var err error

@@ -1,10 +1,6 @@
 package bgp
 
-import (
-	"math/bits"
-
-	"bgpsim/internal/topology"
-)
+import "math/bits"
 
 // locEntry is a route, a (ref, slot) pair: the interned path and the
 // slot of the peer it was learned from. The Loc-RIB stores the halves
@@ -146,10 +142,10 @@ func (s *refSlot) fit(ndests int) {
 	clear(s.refs)
 }
 
-// adjRIBIn stores, per peer slot, the latest valid route heard from that
-// peer for each destination. Paths containing the local AS are rejected
-// at insertion (receiver-side loop detection), so stored routes are
-// always loop-free here. Storage is a lazily materialized slot × dest
+// adjRIBIn stores, per peer slot, the latest route heard from that peer
+// for each destination. No stored path holds the local AS: no update
+// carries its receiver's AS (DESIGN.md, BGP invariants), so nothing is
+// checked at insertion. Storage is a lazily materialized slot × dest
 // ref array: destinations are dense small integers (dest =
 // AS·PrefixesPerOrigin + i with dense AS numbering), so the dest index
 // is used directly, and a slot's column exists only once the peer has
@@ -214,16 +210,13 @@ func (rib *adjRIBIn) destsViaSlot(slot int, buf []ASN) []ASN {
 //
 // The paper's simulations select routes on path length alone with no
 // policy; the deterministic tie-break stands in for SSFNet's router-ID
-// tie-break.
-// When rel is non-nil (Gao–Rexford policy mode), routes are ranked by
-// relationship class first — customer-learned over peer-learned over
-// provider-learned, the standard local-pref assignment — before path
-// length. self is the deciding router's node id.
-func decide(rib *adjRIBIn, dest ASN, peers []Peer, peerAlive []bool, damp *damper,
-	rel *topology.Relationships, self NodeID) (locEntry, bool) {
+// tie-break. Under a Gao–Rexford policy, routes are ranked by the class
+// of the session they were learned over first (Peer.Class: customer
+// over peer over provider, the standard local-pref assignment) before
+// path length.
+func decide(rib *adjRIBIn, dest ASN, peers []Peer, peerAlive []bool, damp *damper) (locEntry, bool) {
 	best := locEntry{}
 	bestPeer := Peer{}
-	bestClass := 0
 	found := false
 	for slot, peer := range peers {
 		if peerAlive != nil && !peerAlive[slot] {
@@ -237,35 +230,17 @@ func decide(rib *adjRIBIn, dest ASN, peers []Peer, peerAlive []bool, damp *dampe
 			continue
 		}
 		cand := rib.tab.routeVia(ref, slot)
-		class := routeClass(rel, self, peer)
-		if !found || betterRoute(cand, peer, class, best, bestPeer, bestClass) {
-			best, bestPeer, bestClass, found = cand, peer, class, true
+		if !found || betterRoute(cand, peer, best, bestPeer) {
+			best, bestPeer, found = cand, peer, true
 		}
 	}
 	return best, found
 }
 
-// routeClass ranks a route by the relationship it was learned over:
-// 0 customer (or internal / no policy), 1 peer, 2 provider. Lower wins.
-func routeClass(rel *topology.Relationships, self NodeID, peer Peer) int {
-	if rel == nil || peer.Internal {
-		return 0
-	}
-	switch rel.Of(self, peer.Node) {
-	case topology.RelPeer:
-		return 1
-	case topology.RelProvider:
-		return 2
-	default: // customer or unknown
-		return 0
-	}
-}
-
-// betterRoute reports whether candidate a (via peer pa, class ca) beats
-// b (via pb, class cb).
-func betterRoute(a locEntry, pa Peer, ca int, b locEntry, pb Peer, cb int) bool {
-	if ca != cb {
-		return ca < cb // local-pref: customer > peer > provider
+// betterRoute reports whether candidate a (via peer pa) beats b (via pb).
+func betterRoute(a locEntry, pa Peer, b locEntry, pb Peer) bool {
+	if pa.Class != pb.Class {
+		return pa.Class < pb.Class // local-pref: customer > peer > provider
 	}
 	if a.plen != b.plen {
 		return a.plen < b.plen

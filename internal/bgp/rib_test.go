@@ -190,7 +190,7 @@ func TestDecideShortestPathWins(t *testing.T) {
 	rib := ribOver(testPeers(), 100)
 	rib.set(99, 1, Path{10, 40, 99})
 	rib.set(99, 2, Path{20, 99})
-	e, ok := decide(rib.adjRIBIn, 99, testPeers(), nil, nil, nil, 0)
+	e, ok := decide(rib.adjRIBIn, 99, testPeers(), nil, nil)
 	if !ok {
 		t.Fatal("no route")
 	}
@@ -203,7 +203,7 @@ func TestDecideEBGPBeatsIBGPAtEqualLength(t *testing.T) {
 	rib := ribOver(testPeers(), 100)
 	rib.set(99, 3, Path{20, 99}) // internal peer
 	rib.set(99, 2, Path{20, 99}) // external peer, same length
-	e, ok := decide(rib.adjRIBIn, 99, testPeers(), nil, nil, nil, 0)
+	e, ok := decide(rib.adjRIBIn, 99, testPeers(), nil, nil)
 	if !ok || e.slot != 1 {
 		t.Errorf("winner slot %d, want external peer 2 at slot 1", e.slot)
 	}
@@ -213,7 +213,7 @@ func TestDecideTieBreaksLowestPeerAS(t *testing.T) {
 	rib := ribOver(testPeers(), 100)
 	rib.set(99, 1, Path{10, 99})
 	rib.set(99, 2, Path{20, 99})
-	e, ok := decide(rib.adjRIBIn, 99, testPeers(), nil, nil, nil, 0)
+	e, ok := decide(rib.adjRIBIn, 99, testPeers(), nil, nil)
 	if !ok || e.slot != 0 {
 		t.Errorf("winner slot %d, want peer 1 at slot 0 (AS 10 < AS 20)", e.slot)
 	}
@@ -224,7 +224,7 @@ func TestDecideSkipsDeadPeers(t *testing.T) {
 	rib.set(99, 1, Path{10, 99})
 	rib.set(99, 2, Path{20, 30, 99})
 	alive := []bool{false, true, true}
-	e, ok := decide(rib.adjRIBIn, 99, testPeers(), alive, nil, nil, 0)
+	e, ok := decide(rib.adjRIBIn, 99, testPeers(), alive, nil)
 	if !ok || e.slot != 1 {
 		t.Errorf("winner slot %d, want 2 at slot 1 (peer 1 dead)", e.slot)
 	}
@@ -232,12 +232,12 @@ func TestDecideSkipsDeadPeers(t *testing.T) {
 
 func TestDecideNoRoutes(t *testing.T) {
 	rib := ribOver(testPeers(), 100)
-	if _, ok := decide(rib.adjRIBIn, 99, testPeers(), nil, nil, nil, 0); ok {
+	if _, ok := decide(rib.adjRIBIn, 99, testPeers(), nil, nil); ok {
 		t.Error("decision on empty RIB returned a route")
 	}
 	rib.set(99, 1, Path{10, 99})
 	alive := []bool{false, false, false}
-	if _, ok := decide(rib.adjRIBIn, 99, testPeers(), alive, nil, nil, 0); ok {
+	if _, ok := decide(rib.adjRIBIn, 99, testPeers(), alive, nil); ok {
 		t.Error("decision with all peers dead returned a route")
 	}
 }

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -17,6 +18,7 @@ func strictParams(mraiVal time.Duration) Params {
 	p.JitterTimers = false
 	p.OriginationSpread = 0
 	p.ProcMin, p.ProcMax = 10*time.Millisecond, 10*time.Millisecond
+	p.ref = refInvariants
 	return p
 }
 
@@ -331,22 +333,31 @@ func TestPeerDownInvalidatesRoutesAndCleansState(t *testing.T) {
 	}
 }
 
-func TestReceiverSideLoopDetection(t *testing.T) {
+// TestSenderSuppressesPathThroughReceiversAS pins the sender's half of
+// "no update carries its receiver's AS" on the line 0-1-2: router 1
+// announces to node 0 the route it learns from node 2 until that route's
+// path runs through AS 0, and then withdraws it instead (under
+// refInvariants, send panics on the looped announcement). The receiver
+// checks nothing: it stores what arrives.
+func TestSenderSuppressesPathThroughReceiversAS(t *testing.T) {
 	sim := lineSim(t, strictParams(100*time.Millisecond))
-	r1 := sim.routers[1]
-	// A path containing the local AS must be treated as a withdrawal of
-	// the peer's previous route.
-	ribIn(r1).set(9, 0, Path{0, 9})
-	r1.runDecision(9)
-	r1.enqueue(updateFrom(r1, 0, 9, Path{0, 1, 9}))
+	r0, r1 := sim.routers[0], sim.routers[1]
+	r1.enqueue(updateFrom(r1, 2, 9, Path{2, 9}))
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ribIn(r1).get(9, 0); ok {
-		t.Error("looped path stored in Adj-RIB-In")
+	if got, _ := ribIn(r0).get(9, 1); !slices.Equal(got, Path{1, 2, 9}) {
+		t.Fatalf("node 0 holds %v from router 1, want [1 2 9]", got)
 	}
-	if _, ok := r1.decide.loc.getRef(9); ok {
-		t.Error("looped path selected")
+	r1.enqueue(updateFrom(r1, 2, 9, Path{2, 0, 9}))
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if loc, ok := sim.LocPath(1, 9); !ok || !slices.Equal(loc, Path{2, 0, 9}) {
+		t.Errorf("router 1 holds %v (%v), want [2 0 9]", loc, ok)
+	}
+	if got, ok := ribIn(r0).get(9, 1); ok {
+		t.Errorf("node 0 holds %v from router 1, want the route withdrawn", got)
 	}
 }
 

@@ -232,10 +232,11 @@ func New(net *topology.Network, params Params) (*Simulator, error) {
 // share a world or, like every point of the paper's figures, have one
 // each. Only a network other than the current one (compared by pointer;
 // networks are immutable once simulated on) pays for rewiring the
-// routers. Nothing that depends on the network is cached past that: the
-// origins and the router wiring are rebuilt, the collector is resized,
-// the snapshot solver is refitted to the network and params.Policy, and
-// relationships are looked up through params at each use.
+// routers and a check of its sessions (topology.Network.CheckSessions).
+// Nothing that depends on the network is cached past that: the origins
+// and the router wiring are rebuilt, every peer's delay and route class
+// are set from params, the collector is resized, and the snapshot solver
+// is refitted to the network and params.Policy.
 func (s *Simulator) Rebind(net *topology.Network, params Params) error {
 	if err := params.Validate(); err != nil {
 		return err
@@ -249,6 +250,9 @@ func (s *Simulator) Rebind(net *topology.Network, params Params) error {
 		return err
 	}
 	if net != s.net {
+		if err := net.CheckSessions(); err != nil {
+			return err
+		}
 		s.rewire(net)
 	}
 	s.params = params
@@ -277,11 +281,11 @@ func (s *Simulator) Rebind(net *topology.Network, params Params) error {
 
 	for _, r := range s.routers {
 		for slot := range r.peers {
-			delay := params.ExtDelay
-			if r.peers[slot].Internal {
-				delay = params.IntDelay
+			p := &r.peers[slot]
+			p.Delay, p.Class = params.IntDelay, 0
+			if !p.Internal {
+				p.Delay, p.Class = params.ExtDelay, params.Policy.Class(r.id, p.Node)
 			}
-			r.peers[slot].Delay = delay
 		}
 		r.reset(params, s.ndests)
 	}

@@ -113,11 +113,11 @@ func TestStormFastLaneAcrossModes(t *testing.T) {
 		}},
 		{"cold-start", func(p *Params) {
 			p.Queue = QueueBatched
-			p.ref = refColdStart
+			p.ref |= refColdStart
 		}},
 		{"cold-start-multi-prefix", func(p *Params) {
 			p.Queue = QueueBatched
-			p.ref = refColdStart
+			p.ref |= refColdStart
 			p.PrefixesPerAS = 2
 		}},
 	}
@@ -167,7 +167,7 @@ func TestStormFastLaneAllocFree(t *testing.T) {
 		})
 	}
 	base := equivalenceParams(1, func(pp *Params) { pp.Queue = QueueBatched })
-	base.ref = refNoBlockedSkip
+	base.ref |= refNoBlockedSkip
 	fast := equivalenceParams(1, func(pp *Params) { pp.Queue = QueueBatched })
 	got, want := trialAllocs(fast), trialAllocs(base)
 	// The storm loop must not allocate per event — tens of thousands of

@@ -46,11 +46,13 @@ func (u Update) IsWithdrawal() bool { return u.Ref == 0 }
 
 // Peer describes one BGP session endpoint from a router's point of view.
 // A router's peers are sorted by node id; a peer's index in that list is
-// its slot, the name every per-session array and every update uses.
+// its slot, the name every per-session array and every update uses. Its
+// kind and route class are fixed when the session is wired (Rebind).
 type Peer struct {
 	Node     NodeID        // the peer router
 	AS       ASN           // the peer's AS number
-	Internal bool          // true for IBGP (same-AS) sessions
+	Internal bool          // true for IBGP sessions, exactly those within one AS
+	Class    uint8         // route class under Params.Policy (topology.Relationships.Class); 0 on IBGP
 	Back     int32         // this router's slot at the peer: what updates sent on the session carry
 	Delay    time.Duration // one-way propagation delay of the session link
 }

@@ -18,8 +18,8 @@ import (
 //     with bestSlot pointing at the slot it was learned from (bestSelf
 //     at the origin, which also sets the originates bit);
 //   - Adj-RIB-In: a route from peer q exactly when q's quiescent export
-//     rules advertise the destination to us (Solver.Advertises — the
-//     sender-side suppression subsumes the receiver-side loop drop);
+//     rules advertise the destination to us (Solver.Advertises; the
+//     receiver checks nothing, as no update carries its receiver's AS);
 //   - advertised: mirror of the peer's Adj-RIB-In entry in our own ref
 //     space, so the first post-failure flush sees the same "already
 //     announced" state a cold run would;

@@ -143,6 +143,7 @@ func TestSnapshotOracle(t *testing.T) {
 // must agree.
 func warmDigest(t *testing.T, sim *Simulator, nw *topology.Network, fail []int) string {
 	t.Helper()
+	sim.params.ref |= refInvariants
 	delay, err := sim.ConvergeAndFail(fail)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +167,8 @@ func warmDigest(t *testing.T, sim *Simulator, nw *topology.Network, fail []int) 
 // warmDigests. extra is or-ed into both runs' reference bits.
 func checkColdStart(t *testing.T, nw *topology.Network, fail []int, p Params, extra refPaths) {
 	t.Helper()
-	p.ref = extra | refColdStart
+	ref := p.ref | extra
+	p.ref = ref | refColdStart
 	cold, err := New(nw, p)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +177,7 @@ func checkColdStart(t *testing.T, nw *topology.Network, fail []int, p Params, ex
 	if cold.Collector().TotalMessages == cold.Collector().Messages() {
 		t.Fatal("the cold reference sent nothing before the failure")
 	}
-	p.ref = extra
+	p.ref = ref
 	warm, err := New(nw, p)
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +278,7 @@ func TestChurnMatchesColdStart(t *testing.T) {
 				t.Fatal(err)
 			}
 			got, _ := churnDigest(t, warm, nw, 7, 20*time.Second)
-			p.ref = refColdStart
+			p.ref |= refColdStart
 			cold, err := New(nw, p)
 			if err != nil {
 				t.Fatal(err)

@@ -75,8 +75,8 @@ type nbr struct {
 	as       int32
 	internal bool
 	// cls is the route class at the owning node for routes learned from
-	// this neighbor: 0 customer/internal/none, 1 peer, 2 provider —
-	// bgp's routeClass.
+	// this neighbor (topology.Relationships.Class; 0 on internal links
+	// and without policy) — bgp's Peer.Class.
 	cls uint8
 	// expOK reports whether the neighbor may export its peer- and
 	// provider-learned routes to the owner (the owner is the neighbor's
@@ -89,10 +89,8 @@ type nbr struct {
 // relaxation shares. Its arrays are refitted, not reallocated, when a
 // Solver is bound to another network.
 type world struct {
-	net *topology.Network
-	pol *topology.Relationships
-	n   int
-	as  []int32 // node -> AS number
+	n  int
+	as []int32 // node -> AS number
 	// adj lists each node's neighbors sorted by node ID — the
 	// simulator's peer slot order, which the tie-break depends on —
 	// node i's at adj[off[i]:off[i+1]].
@@ -113,7 +111,7 @@ func fit[T any](s []T, n int) []T {
 
 func (w *world) bind(net *topology.Network, pol *topology.Relationships) {
 	n := net.NumNodes()
-	w.net, w.pol, w.n = net, pol, n
+	w.n = n
 	w.as = fit(w.as, n)
 	w.maxAS = 0
 	for i := 0; i < n; i++ {
@@ -136,15 +134,8 @@ func (w *world) bind(net *topology.Network, pol *topology.Relationships) {
 		w.off[i] = int32(len(w.adj))
 		for _, a := range net.Neighbors(i) {
 			e := nbr{node: int32(a.ID), as: w.as[a.ID], internal: a.Internal, expOK: true}
-			if pol != nil && !a.Internal {
-				switch pol.Of(i, a.ID) {
-				case topology.RelPeer:
-					e.cls = 1
-				case topology.RelProvider:
-					e.cls = 2
-				}
-				rel := pol.Of(a.ID, i)
-				e.expOK = rel == topology.RelCustomer || rel == topology.RelNone
+			if !a.Internal {
+				e.cls, e.expOK = pol.Class(i, a.ID), pol.Class(a.ID, i) == 0
 			}
 			w.adj = append(w.adj, e)
 		}
@@ -244,8 +235,9 @@ func (w *world) path(rt routes, node int) ([]int, bool) {
 }
 
 // advertises reports whether, under rt, node q advertises the
-// destination to its neighbor r — desiredAdvert's export rules; the
-// receiver-side loop check is subsumed by the sender-side one.
+// destination to its neighbor r — desiredAdvert's export rules. There is
+// no receiver-side loop check to replicate: no update carries its
+// receiver's AS (DESIGN.md, BGP invariants).
 func (w *world) advertises(rt routes, q, r int) bool {
 	fq := rt.from[q]
 	if fq == FromNone {
@@ -256,30 +248,20 @@ func (w *world) advertises(rt routes, q, r int) bool {
 	if !found {
 		return false
 	}
-	internal := list[i].internal
+	e := list[i]
 	if fq >= 0 {
 		if int(fq) == r {
 			return false
 		}
-		if rt.fromInt[q] && internal {
+		if rt.fromInt[q] && e.internal {
 			return false
 		}
-		if w.pol != nil && !internal && rt.cls[q] != 0 {
-			rel := w.pol.Of(q, r)
-			if rel != topology.RelCustomer && rel != topology.RelNone {
-				return false
-			}
+		if rt.cls[q] != 0 && e.cls != 0 {
+			return false // Gao–Rexford: peer/provider routes only to customers
 		}
 	}
-	if !internal {
-		if w.as[q] == w.as[r] {
-			return false
-		}
-		if rt.mask[q]&(1<<(uint(w.as[r])&63)) != 0 && w.chainContains(rt, q, w.as[r]) {
-			return false
-		}
-	}
-	return true
+	// The sender's loop check, on external sessions: r's AS on the path.
+	return e.internal || rt.mask[q]&(1<<(uint(w.as[r])&63)) == 0 || !w.chainContains(rt, q, w.as[r])
 }
 
 // Solver computes the converged state one destination AS at a time in
@@ -298,7 +280,9 @@ type Solver struct {
 }
 
 // Bind fits the solver to net under cfg. The network must not be empty,
-// and neither it nor the policy may change while the solver is bound.
+// it must pass topology.Network.CheckSessions (Compute, Stats and
+// bgp.Rebind check it), and neither it nor the policy may change while
+// the solver is bound.
 func (s *Solver) Bind(net *topology.Network, cfg Config) {
 	s.w.bind(net, cfg.Policy)
 	n := s.w.n
@@ -372,7 +356,7 @@ func (s *Solver) Solve(as int) (int, error) {
 					if st.fromInt[q] && e.internal {
 						continue // IBGP-learned routes are not relayed to IBGP peers
 					}
-					if w.pol != nil && !e.internal && st.cls[q] != 0 && !e.expOK {
+					if st.cls[q] != 0 && !e.expOK {
 						continue // Gao–Rexford: peer/provider routes only to customers
 					}
 				}
@@ -382,9 +366,6 @@ func (s *Solver) Solve(as int) (int, error) {
 				if e.internal {
 					cPlen, cMask, cInt = st.plen[q], st.mask[q], true
 				} else {
-					if e.as == w.as[r] {
-						continue // defensive: external link within one AS
-					}
 					if st.mask[q]&(1<<(uint(w.as[r])&63)) != 0 && w.chainContains(st, q, w.as[r]) {
 						continue // the local AS is already on the path
 					}
@@ -469,6 +450,9 @@ type Result struct {
 func Compute(net *topology.Network, cfg Config) (*Result, error) {
 	if net.NumNodes() == 0 {
 		return nil, fmt.Errorf("snapshot: empty network")
+	}
+	if err := net.CheckSessions(); err != nil {
+		return nil, err
 	}
 	s := new(Solver)
 	s.Bind(net, cfg)
@@ -615,6 +599,9 @@ const histBuckets = 16
 func Stats(net *topology.Network, cfg Config) (Summary, error) {
 	if net.NumNodes() == 0 {
 		return Summary{}, fmt.Errorf("snapshot: empty network")
+	}
+	if err := net.CheckSessions(); err != nil {
+		return Summary{}, err
 	}
 	s := new(Solver)
 	s.Bind(net, cfg)

@@ -68,6 +68,32 @@ func TestLineShortestPath(t *testing.T) {
 	}
 }
 
+// TestComputeRefusesMismatchedSessions pins the session rule at the
+// snapshot's input boundary: a link is internal exactly when both ends
+// are in one AS, and Compute and Stats refuse any other.
+func TestComputeRefusesMismatchedSessions(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		as1      int
+		internal bool
+	}{
+		{"internal link across ASes", 1, true},
+		{"external link within an AS", 0, false},
+	} {
+		nw := topology.NewNetwork(3)
+		nw.SetAS(1, c.as1)
+		nw.SetAS(2, 2)
+		mustLink(t, nw, 0, 1, c.internal)
+		mustLink(t, nw, 1, 2, false)
+		if _, err := Compute(nw, Config{}); err == nil {
+			t.Errorf("%s: Compute accepted it", c.name)
+		}
+		if _, err := Stats(nw, Config{}); err == nil {
+			t.Errorf("%s: Stats accepted it", c.name)
+		}
+	}
+}
+
 func TestIntraASAndIBGPNoRelay(t *testing.T) {
 	// AS0 = {0,1} with an internal link; node1 also speaks EBGP to AS1
 	// = {2}, and node0 to AS2 = {3}.

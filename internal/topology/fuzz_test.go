@@ -10,9 +10,10 @@ import (
 )
 
 // checkSimple reports the first way nw fails to be a simple undirected
-// graph: a self-loop, a duplicate or out-of-range neighbor, an adjacency
-// without its mirror (with the same Internal flag), or a link count that
-// disagrees with the degrees.
+// graph of BGP sessions: a self-loop, a duplicate or out-of-range
+// neighbor, an adjacency without its mirror (with the same Internal
+// flag), a link that is internal without both ends in one AS or the
+// other way round, or a link count that disagrees with the degrees.
 func checkSimple(t *testing.T, nw *Network) {
 	t.Helper()
 	n, degSum := nw.NumNodes(), 0
@@ -26,6 +27,8 @@ func checkSimple(t *testing.T, nw *Network) {
 				t.Fatalf("node %d: self-loop", v)
 			case seen[nb.ID]:
 				t.Fatalf("node %d: duplicate neighbor %d", v, nb.ID)
+			case nb.Internal != (nw.ASOf(v) == nw.ASOf(nb.ID)):
+				t.Fatalf("link %d-%d (internal %v) joins AS %d and AS %d", v, nb.ID, nb.Internal, nw.ASOf(v), nw.ASOf(nb.ID))
 			}
 			seen[nb.ID] = true
 			mirrored := false

@@ -134,6 +134,21 @@ func (nw *Network) AddLink(a, b int, internal bool) error {
 	return nil
 }
 
+// CheckSessions enforces the session rule the simulator and the snapshot
+// rely on (DESIGN.md, BGP invariants): a link is internal (IBGP) exactly
+// when both ends are in one AS.
+func (nw *Network) CheckSessions() error {
+	for a, list := range nw.adj {
+		for _, nb := range list {
+			if as, bs := nw.nodes[a].AS, nw.nodes[nb.ID].AS; nb.Internal != (as == bs) {
+				return fmt.Errorf("topology: link %d-%d (internal %v) joins AS %d and AS %d; a link is internal exactly when both ends are in one AS",
+					a, nb.ID, nb.Internal, as, bs)
+			}
+		}
+	}
+	return nil
+}
+
 // RemoveLink disconnects a and b if they are adjacent.
 func (nw *Network) RemoveLink(a, b int) bool {
 	removed := false

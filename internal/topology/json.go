@@ -45,9 +45,10 @@ func ReadJSON(r io.Reader) (*Network, error) {
 	return nw, err
 }
 
-// ReadJSONWith deserializes a network and its relationship annotations.
-// The returned Relationships is nil when the file carries none; when
-// present it is validated for pairwise consistency against the links.
+// ReadJSONWith deserializes a network and its relationship annotations,
+// refusing links that break Network.CheckSessions. The returned
+// Relationships is nil when the file carries none; when present it is
+// validated for pairwise consistency against the links.
 func ReadJSONWith(r io.Reader) (*Network, *Relationships, error) {
 	var ff fileFormat
 	if err := json.NewDecoder(r).Decode(&ff); err != nil {
@@ -68,6 +69,9 @@ func ReadJSONWith(r io.Reader) (*Network, *Relationships, error) {
 		if err := nw.AddLink(l.A, l.B, l.Internal); err != nil {
 			return nil, nil, err
 		}
+	}
+	if err := nw.CheckSessions(); err != nil {
+		return nil, nil, err
 	}
 	if ff.Relationships == nil {
 		return nw, nil, nil

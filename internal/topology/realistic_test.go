@@ -180,7 +180,15 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSON(bytes.NewBufferString("{not json")); err == nil {
-		t.Error("garbage accepted")
+	for name, file := range map[string]string{
+		"not json": "{not json",
+		"internal link across ASes": `{"nodes":[{"id":0,"as":0},{"id":1,"as":1}],
+			"links":[{"a":0,"b":1,"internal":true}]}`,
+		"external link within an AS": `{"nodes":[{"id":0,"as":5},{"id":1,"as":5}],
+			"links":[{"a":0,"b":1,"internal":false}]}`,
+	} {
+		if _, err := ReadJSON(bytes.NewBufferString(file)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

@@ -89,6 +89,24 @@ func (rs *Relationships) Of(a, b int) Rel {
 	return rs.of[[2]int{a, b}]
 }
 
+// Class is the route class at a of routes learned from neighbor b, the
+// Gao–Rexford local preference (lower wins): 1 when b is a's peer, 2 its
+// provider, else 0 (a customer, unannotated, or no policy: rs nil). So
+// Class(a, b) == 0 is also the export rule's "b is a's customer".
+func (rs *Relationships) Class(a, b int) uint8 {
+	if rs == nil {
+		return 0
+	}
+	switch rs.Of(a, b) {
+	case RelPeer:
+		return 1
+	case RelProvider:
+		return 2
+	default:
+		return 0
+	}
+}
+
 // Len returns the number of directed entries.
 func (rs *Relationships) Len() int { return len(rs.of) }
 

@@ -31,6 +31,26 @@ func TestRelationshipsSetAndInverse(t *testing.T) {
 	}
 }
 
+// TestRelationshipsClass pins the one mapping from Rel to route class:
+// customer and unannotated 0, peer 1, provider 2, and 0 for everything
+// without a policy.
+func TestRelationshipsClass(t *testing.T) {
+	rs := NewRelationships()
+	rs.Set(1, 2, RelCustomer)
+	rs.Set(1, 3, RelPeer)
+	for _, c := range []struct {
+		rs   *Relationships
+		a, b int
+		want uint8
+	}{
+		{rs, 1, 2, 0}, {rs, 2, 1, 2}, {rs, 1, 3, 1}, {rs, 3, 1, 1}, {rs, 1, 4, 0}, {nil, 2, 1, 0},
+	} {
+		if got := c.rs.Class(c.a, c.b); got != c.want {
+			t.Errorf("Class(%d, %d) = %d, want %d (policy %v)", c.a, c.b, got, c.want, c.rs != nil)
+		}
+	}
+}
+
 func TestRelStrings(t *testing.T) {
 	if RelCustomer.String() != "customer" || RelPeer.String() != "peer" ||
 		RelProvider.String() != "provider" || RelNone.String() != "none" {
