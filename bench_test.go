@@ -4,7 +4,8 @@
 // re-convergence, aggregation) at the reduced QuickOptions scale so the
 // full suite completes in minutes; `cmd/bgpfig` runs the same experiments
 // at paper scale. Performance claims are made with benchmark/ (see
-// EXPERIMENTS.md), not with these.
+// EXPERIMENTS.md "Running the benchmarks"), not with these; the paper's
+// claims are checked by TestScorecard.
 package bgpsim_test
 
 import (

@@ -1,6 +1,7 @@
 package doccheck
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"os"
@@ -178,9 +179,10 @@ func shellCommands(line string) [][]string {
 }
 
 // invocation returns the repo tool a command runs and the words after
-// it, or ok false when the command runs no repo tool. A tool is invoked
-// as go run ./cmd/X, or as X, bin/X, ./X or any other path ending in /X.
-func invocation(words []string, tools map[string]map[string]bool) (tool string, args []string, ok bool) {
+// it, or tool "" when the command runs no repo tool. A tool is invoked
+// as go run ./cmd/X, or as X, bin/X, ./X or any other path ending in /X;
+// go run ./cmd/X names a tool, so it is an error when there is no cmd/X.
+func invocation(words []string, tools map[string]map[string]bool) (tool string, args []string, err error) {
 	for len(words) > 0 && (words[0] == "$" || words[0] == "time" ||
 		(strings.Contains(words[0], "=") && !strings.HasPrefix(words[0], "-"))) {
 		words = words[1:] // prompt, timing, environment assignments
@@ -191,19 +193,25 @@ func invocation(words []string, tools map[string]map[string]bool) (tool string, 
 			words = words[1:]
 		}
 		if len(words) == 0 {
-			return "", nil, false
+			return "", nil, nil
 		}
-		pkg := strings.TrimPrefix(words[0], "./")
-		tool = strings.TrimPrefix(pkg, "cmd/")
-		_, known := tools[tool]
-		return tool, words[1:], known && tool != pkg
+		tool, ok := strings.CutPrefix(strings.TrimSuffix(strings.TrimPrefix(words[0], "./"), "/"), "cmd/")
+		if !ok {
+			return "", nil, nil
+		}
+		if _, known := tools[tool]; !known {
+			return "", nil, fmt.Errorf("there is no cmd/%s", tool)
+		}
+		return tool, words[1:], nil
 	}
 	if len(words) == 0 {
-		return "", nil, false
+		return "", nil, nil
 	}
 	tool = path.Base(words[0])
-	_, known := tools[tool]
-	return tool, words[1:], known
+	if _, known := tools[tool]; !known {
+		return "", nil, nil
+	}
+	return tool, words[1:], nil
 }
 
 // flagName returns the flag a word names (-x, --x, -x=v), or "" for a
@@ -220,9 +228,10 @@ func flagName(word string) string {
 }
 
 // TestDocumentedCommandsUseDefinedFlags: every flag on a shell line of
-// the top-level documents that runs a repo tool is one that tool
-// defines, read from its source, so a removed flag cannot live on in an
-// example.
+// the top-level documents, or in a backticked inline command, that runs
+// a repo tool is one that tool defines, read from its source, so a
+// removed flag cannot live on in an example; go run ./cmd/X names an
+// existing tool.
 func TestDocumentedCommandsUseDefinedFlags(t *testing.T) {
 	root := repoRoot(t)
 	tools := toolFlags(t)
@@ -231,11 +240,12 @@ func TestDocumentedCommandsUseDefinedFlags(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, dl := range shellLines(string(data)) {
+		text := string(data)
+		for _, dl := range append(shellLines(text), inlineSpans(text)...) {
 			for _, words := range shellCommands(dl.text) {
-				tool, args, ok := invocation(words, tools)
-				if !ok {
-					continue
+				tool, args, err := invocation(words, tools)
+				if err != nil {
+					t.Errorf("%s:%d: %v: %s", doc, dl.line, err, dl.text)
 				}
 				for _, w := range args {
 					if name := flagName(w); name != "" && !tools[tool][name] {

@@ -107,7 +107,8 @@ func TestRunTrialsParallelConcurrentSweeps(t *testing.T) {
 
 // TestSeedDerivationPinned pins the seed derivation with golden values.
 // These constants must never change: every recorded figure in results/
-// (and EXPERIMENTS.md's tables) was produced by exactly this mapping.
+// (and so the scorecard EXPERIMENTS.md carries) was produced by exactly
+// this mapping.
 func TestSeedDerivationPinned(t *testing.T) {
 	cases := []struct {
 		base      int64

@@ -16,8 +16,8 @@ import (
 // the scenario: the printed line is the observable to compare across
 // versions.
 //
-// Memory expectations (measured; see the multi-prefix before/after
-// section of EXPERIMENTS.md): the dense RIB state itself is compact —
+// Memory expectations (measured; see "Multi-prefix RIBs" under "How we
+// got here" in EXPERIMENTS.md): the dense RIB state itself is compact —
 // interned 4-byte route refs, lazily materialized peer columns, shared
 // path storage — but the path intern table grows with every distinct
 // path the exploration storm visits and historically was only rewound
@@ -54,7 +54,7 @@ func TestLargeScaleMultiPrefix(t *testing.T) {
 	// mostly count garbage awaiting collection).
 	const budget = 100 << 30
 	if ms.Sys > budget {
-		t.Errorf("process footprint %d bytes exceeds the %d tripwire; the per-prefix slope or the quiescence compaction sweep regressed (see EXPERIMENTS.md)",
+		t.Errorf("process footprint %d bytes exceeds the %d tripwire; the per-prefix slope or the path table collection regressed (see EXPERIMENTS.md \"How we got here\")",
 			ms.Sys, uint64(budget))
 	}
 	fmt.Printf("large-scale digest: delay=%v msgs=%d ann=%d wd=%d proc=%d failed=%d/%d sys=%dMB\n",
