@@ -8,6 +8,7 @@ import (
 	"bgpsim/internal/des"
 	"bgpsim/internal/mrai"
 	"bgpsim/internal/topology"
+	"bgpsim/internal/trace"
 )
 
 // These tests pin the allocation behaviour of the inbox hot path so a
@@ -15,136 +16,109 @@ import (
 // enqueue/flush cycle runs once per BGP message — hundreds of thousands
 // of times per simulation — which is why the bounds are exact zeros.
 
-// TestFIFOInboxPushPopAllocationFree pins that the default queue's
-// push/pop cycle allocates nothing once the ring has grown: Pop hands out
-// a scratch-backed one-update batch instead of a fresh slice.
-func TestFIFOInboxPushPopAllocationFree(t *testing.T) {
-	q := &fifoInbox{}
-	u := ann(1, 7, 1, 2, 3)
-	q.Push(u) // grow the ring
-	q.Pop()
-	avg := testing.AllocsPerRun(1000, func() {
-		q.Push(u)
-		batch := q.Pop()
-		if len(batch) != 1 {
-			t.Fatal("lost the update")
-		}
-		q.Recycle(batch)
-	})
-	if avg != 0 {
-		t.Errorf("fifo push/pop allocates %.2f objects/op, want 0", avg)
-	}
-}
-
-// TestBatchInboxSteadyStateAllocationLean pins the batched queue's
+// TestInboxSteadyStateAllocationFree pins every discipline's
 // steady-state cycle: with popped cells going back on the slab's free
-// chain and every batch copied into the one batch array, a
-// push/pop/recycle round trip allocates nothing once the slab, the
-// destination ring and the batch array have been through it once.
-func TestBatchInboxSteadyStateAllocationLean(t *testing.T) {
-	q := &batchInbox{byDest: make([]int32, 4096), discardStale: true}
-	// Warm: the first chunk, the ring and the batch array.
-	for dest := 0; dest < 4; dest++ {
-		q.Push(ann(1, dest, 1))
-		q.Push(ann(2, dest, 2))
-		q.Recycle(q.Pop())
-	}
-	u1, u2 := ann(1, 0, 1), ann(2, 0, 2)
-	avg := testing.AllocsPerRun(1000, func() {
-		q.Push(u1)
-		q.Push(u2)
-		batch := q.Pop()
-		if len(batch) != 2 {
-			t.Fatal("lost updates")
-		}
-		q.Recycle(batch)
-		q.TakeDiscarded()
-	})
-	if avg != 0 {
-		t.Errorf("batched push/pop/recycle allocates %.2f objects/op, want 0", avg)
-	}
-}
-
-// TestRouterBatchInboxSteadyStateAllocationLean pins the same property
-// for the per-peer production-router queue, whose Pop additionally reuses
-// its supersede-scan map.
-func TestRouterBatchInboxSteadyStateAllocationLean(t *testing.T) {
-	q := &routerBatchInbox{byPeer: make(map[int32][]Update)}
-	for i := 0; i < 4; i++ {
-		q.Push(ann(1, 10, 1))
-		q.Push(ann(1, 11, 2))
-		q.Recycle(q.Pop())
-	}
-	u1, u2 := ann(1, 10, 1), ann(1, 11, 2)
-	avg := testing.AllocsPerRun(1000, func() {
-		q.Push(u1)
-		q.Push(u2)
-		batch := q.Pop()
-		if len(batch) != 2 {
-			t.Fatal("lost updates")
-		}
-		q.Recycle(batch)
-		q.TakeDiscarded()
-	})
-	if avg != 0 {
-		t.Errorf("router-batch push/pop/recycle allocates %.2f objects/op, want 0", avg)
+// chain and every batch copied into the one batch array, a push/pop
+// round trip allocates nothing once the slab, the key ring, the batch
+// array and (under router batch) the seen set have been through it once.
+func TestInboxSteadyStateAllocationFree(t *testing.T) {
+	for _, row := range inboxRows {
+		t.Run(row.name, func(t *testing.T) {
+			q := newTestInbox(row.queue, row.discard)
+			// Two updates a cycle: one destination from two peers (FIFO
+			// pops them one at a time), or, under router batch, two
+			// destinations from one peer.
+			u1, u2 := ann(1, 10, 1), ann(2, 10, 2)
+			want := 2
+			switch row.queue {
+			case QueueFIFO:
+				want = 1
+			case QueueRouterBatch:
+				u2 = ann(1, 11, 2)
+			}
+			cycle := func() {
+				q.Push(u1)
+				q.Push(u2)
+				for n := 0; n < 2; n += want {
+					if batch := q.Pop(); len(batch) != want {
+						t.Fatalf("popped %d updates, want %d", len(batch), want)
+					}
+				}
+				q.TakeDiscarded()
+			}
+			cycle() // warm
+			if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+				t.Errorf("push/pop allocates %.2f objects/op, want 0", avg)
+			}
+		})
 	}
 }
 
-// markInbox records the most updates its inbox ever held.
-type markInbox struct {
-	Inbox
-	mark int
+// highWater is a trace.Tracer recording the most updates each router's
+// inbox ever held. enqueue emits KindReceive right after Push, the only
+// place an inbox's Len grows.
+type highWater struct {
+	sim   *Simulator
+	marks []int
 }
 
-func (q *markInbox) Push(u Update) {
-	q.Inbox.Push(u)
-	q.mark = max(q.mark, q.Len())
+// Trace reads the receiving router's queue length on every arrival.
+func (h *highWater) Trace(e trace.Event) {
+	if e.Kind == trace.KindReceive {
+		h.marks[e.Node] = max(h.marks[e.Node], h.sim.routers[e.Node].receive.inbox.Len())
+	}
 }
 
 // TestInboxAllocatesItsHighWaterOnce pins what the cell slab is for: over
-// a whole batch+dynamic trial on 120 routers from the refColdStart
-// reference — initial convergence as events, a 10% failure,
-// re-convergence, the heaviest load a trial puts on the inboxes —
-// everything the batched inboxes hold that
-// grows with traffic (cells, chunk table, destination ring, batch array)
-// stays within 1.5 × 16 bytes per update of the routers' summed queue
-// high-water marks. An array per pending destination cost several times
-// that: every destination's own peak, plus what growing to it discarded.
+// a whole trial on 120 routers from the refColdStart reference — initial
+// convergence as events, a 10% failure, re-convergence, the heaviest load
+// a trial puts on the inboxes — everything the inboxes hold that grows
+// with traffic (cells, chunk table, key ring, batch array) stays within
+// 1.5 × 16 bytes per update of the routers' summed queue high-water
+// marks, under FIFO and under batch+dynamic alike. An array per pending
+// destination cost several times that: every destination's own peak,
+// plus what growing to it discarded.
 func TestInboxAllocatesItsHighWaterOnce(t *testing.T) {
 	nw, err := topology.SkewedNetwork(topology.Skewed7030(120), des.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := New(nw, equivalenceParams(1, func(p *Params) {
-		p.Queue = QueueBatched
-		p.MRAI = mrai.PaperDynamic()
-		p.ref |= refColdStart
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	marks := make([]*markInbox, len(sim.routers))
-	for i, r := range sim.routers {
-		marks[i] = &markInbox{Inbox: r.receive.inbox}
-		r.receive.inbox = marks[i]
-	}
-	if _, err := sim.ConvergeAndFail(topology.NearestNodes(nw, topology.GridCenter(nw), 12, nil)); err != nil {
-		t.Fatal(err)
-	}
-	var queued, held int
-	for _, m := range marks {
-		q := m.Inbox.(*batchInbox)
-		queued += m.mark
-		held += len(q.cells)*int(unsafe.Sizeof(*q.cells[0])) + cap(q.cells)*int(unsafe.Sizeof(q.cells[0])) +
-			cap(q.order)*int(unsafe.Sizeof(q.order[0])) + cap(q.out)*int(unsafe.Sizeof(Update{}))
-	}
-	t.Logf("%d updates queued at the routers' high-water marks, inboxes hold %d B (%.2f x 16 B each)", queued, held, float64(held)/float64(16*queued))
-	if queued < 10*len(marks) {
-		t.Fatalf("only %d updates ever queued: the trial does not load the inboxes", queued)
-	}
-	if held > 16*queued*3/2 {
-		t.Errorf("inboxes hold %d B for %d queued updates, want <= %d", held, queued, 16*queued*3/2)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Params)
+	}{
+		{"fifo", func(p *Params) { p.Queue = QueueFIFO }},
+		{"batched", func(p *Params) { p.Queue, p.MRAI = QueueBatched, mrai.PaperDynamic() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hw := &highWater{marks: make([]int, nw.NumNodes())}
+			sim, err := New(nw, equivalenceParams(1, func(p *Params) {
+				tc.mutate(p)
+				p.ref |= refColdStart
+				p.Tracer = hw
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hw.sim = sim
+			if _, err := sim.ConvergeAndFail(topology.NearestNodes(nw, topology.GridCenter(nw), 12, nil)); err != nil {
+				t.Fatal(err)
+			}
+			var queued, held int
+			for i, r := range sim.routers {
+				q := &r.receive.inbox
+				queued += hw.marks[i]
+				held += len(q.cells)*int(unsafe.Sizeof(*q.cells[0])) + cap(q.cells)*int(unsafe.Sizeof(q.cells[0])) +
+					cap(q.order)*int(unsafe.Sizeof(q.order[0])) + cap(q.out)*int(unsafe.Sizeof(Update{}))
+			}
+			t.Logf("%d updates queued at the routers' high-water marks, inboxes hold %d B (%.2f x 16 B each)", queued, held, float64(held)/float64(16*queued))
+			if queued < 10*len(sim.routers) {
+				t.Fatalf("only %d updates ever queued: the trial does not load the inboxes", queued)
+			}
+			if held > 16*queued*3/2 {
+				t.Errorf("inboxes hold %d B for %d queued updates, want <= %d", held, queued, 16*queued*3/2)
+			}
+		})
 	}
 }
 

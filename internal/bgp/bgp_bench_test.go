@@ -134,7 +134,7 @@ func starNetwork(b *testing.B, degree int) *topology.Network {
 }
 
 func BenchmarkInboxFIFO(b *testing.B) {
-	q := &fifoInbox{}
+	q := newTestInbox(QueueFIFO, true)
 	u := ann(1, 100, 1, 2, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -144,7 +144,7 @@ func BenchmarkInboxFIFO(b *testing.B) {
 }
 
 func BenchmarkInboxBatched(b *testing.B) {
-	q := &batchInbox{byDest: make([]int32, 4096), discardStale: true}
+	q := newTestInbox(QueueBatched, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Three updates for one destination, two from the same neighbor:

@@ -22,8 +22,34 @@ func wd(from int, dest ASN) Update {
 	return testUpdate(inboxTab, from, dest, nil)
 }
 
+// testSlots and testDests dimension the inboxes the tests build: room
+// for every sender slot and destination the hand-built updates name.
+const testSlots, testDests = 1024, 4096
+
+// newTestInbox returns an empty inbox for the discipline.
+func newTestInbox(queue QueueDiscipline, discardStale bool) *inbox {
+	q := &inbox{}
+	q.Reset(Params{Queue: queue, BatchDiscardStale: discardStale}, testSlots, testDests)
+	return q
+}
+
+// inboxRows are the three disciplines with and without
+// BatchDiscardStale, which only QueueBatched reads.
+var inboxRows = []struct {
+	name    string
+	queue   QueueDiscipline
+	discard bool
+}{
+	{"fifo", QueueFIFO, true},
+	{"fifo-keep-stale", QueueFIFO, false},
+	{"batched", QueueBatched, true},
+	{"batched-keep-stale", QueueBatched, false},
+	{"router-batch", QueueRouterBatch, true},
+	{"router-batch-keep-stale", QueueRouterBatch, false},
+}
+
 func TestFIFOOrdering(t *testing.T) {
-	q := &fifoInbox{}
+	q := newTestInbox(QueueFIFO, true)
 	for i := 0; i < 100; i++ {
 		q.Push(ann(i, i, 1))
 	}
@@ -39,7 +65,7 @@ func TestFIFOOrdering(t *testing.T) {
 			t.Fatalf("pop %d returned update from %d", i, batch[0].Slot)
 		}
 	}
-	if !q.Empty() {
+	if q.Len() != 0 {
 		t.Error("not empty after draining")
 	}
 	if q.Pop() != nil {
@@ -48,8 +74,8 @@ func TestFIFOOrdering(t *testing.T) {
 }
 
 func TestFIFORingBufferWrap(t *testing.T) {
-	q := &fifoInbox{}
-	// Interleave to force wraparound.
+	q := newTestInbox(QueueFIFO, true)
+	// Interleave so popped cells are reused while older ones are queued.
 	for round := 0; round < 50; round++ {
 		q.Push(ann(round, 1, 1))
 		q.Push(ann(round+1000, 1, 1))
@@ -71,44 +97,44 @@ func expectedWrapFrom(round int) int {
 }
 
 // TestFIFOMatchesSliceReference drives random bursts of pushes and pops
-// through the chunked ring and a plain slice. Bursts are sized so the
-// ring fills, and so grows, with its head at every offset of a chunk and
-// in every chunk of a ring already several chunks long; a drained queue
-// is Reset now and then, as between trials. It also pins what the chunks
-// are for: the ring holds its high-water mark rounded up to whole chunks.
+// through the FIFO inbox and a plain slice. Bursts span several chunks,
+// so the slab grows while its free chain holds cells from every chunk; a
+// drained queue is Reset now and then, as between trials. It also pins
+// what the chunks are for: the slab holds its high-water mark rounded up
+// to whole chunks.
 func TestFIFOMatchesSliceReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	q := &fifoInbox{}
+	q := newTestInbox(QueueFIFO, true)
 	var want []Update
 	next, mark := 0, 0
 	for round := 0; round < 4000; round++ {
-		for n := rng.Intn(3 * fifoChunk); n > 0; n-- {
+		for n := rng.Intn(6 * inboxChunk); n > 0; n-- {
 			u := ann(next%1000, next, 1)
 			next++
 			q.Push(u)
 			want = append(want, u)
 		}
 		mark = max(mark, len(want))
-		for n := rng.Intn(3*fifoChunk + 8); n > 0 && len(want) > 0; n-- {
+		for n := rng.Intn(6*inboxChunk + 8); n > 0 && len(want) > 0; n-- {
 			if got := q.Pop(); len(got) != 1 || got[0] != want[0] {
 				t.Fatalf("round %d: popped %+v, want %+v", round, got, want[0])
 			}
 			want = want[1:]
 		}
-		if q.Len() != len(want) || q.Empty() != (len(want) == 0) {
+		if q.Len() != len(want) {
 			t.Fatalf("round %d: Len %d, want %d", round, q.Len(), len(want))
 		}
 		if len(want) == 0 && rng.Intn(4) == 0 {
-			q.Reset(0)
+			q.Reset(Params{Queue: QueueFIFO}, 0, 0)
 		}
 	}
-	if held := len(q.chunks) * fifoChunk; mark < 4*fifoChunk || held >= mark+fifoChunk {
-		t.Errorf("ring holds %d slots for a high-water mark of %d, want that rounded up to a multiple of %d", held, mark, fifoChunk)
+	if held := len(q.cells) * inboxChunk; mark < 4*inboxChunk || held >= mark+inboxChunk {
+		t.Errorf("slab holds %d cells for a high-water mark of %d, want that rounded up to a multiple of %d", held, mark, inboxChunk)
 	}
 }
 
 func TestFIFONeverDiscards(t *testing.T) {
-	q := &fifoInbox{}
+	q := newTestInbox(QueueFIFO, true)
 	q.Push(ann(1, 7, 1))
 	q.Push(ann(1, 7, 2)) // same neighbor, same dest: FIFO keeps both
 	if q.Len() != 2 {
@@ -120,7 +146,7 @@ func TestFIFONeverDiscards(t *testing.T) {
 }
 
 func TestBatchGroupsByDestination(t *testing.T) {
-	q := &batchInbox{byDest: make([]int32, 4096), discardStale: true}
+	q := newTestInbox(QueueBatched, true)
 	// The paper's example: X,Y,X,Y from distinct neighbors.
 	q.Push(ann(1, 100, 1)) // X
 	q.Push(ann(2, 200, 2)) // Y
@@ -134,13 +160,13 @@ func TestBatchGroupsByDestination(t *testing.T) {
 	if len(second) != 2 || second[0].Dest != 200 {
 		t.Fatalf("second batch = %+v, want both Y updates", second)
 	}
-	if !q.Empty() {
+	if q.Len() != 0 {
 		t.Error("queue not drained")
 	}
 }
 
 func TestBatchDiscardsStaleSameNeighbor(t *testing.T) {
-	q := &batchInbox{byDest: make([]int32, 4096), discardStale: true}
+	q := newTestInbox(QueueBatched, true)
 	q.Push(ann(1, 100, 9, 8))
 	q.Push(ann(2, 100, 5))
 	q.Push(ann(1, 100, 7)) // supersedes the first update from neighbor 1
@@ -168,7 +194,7 @@ func TestBatchDiscardsStaleSameNeighbor(t *testing.T) {
 }
 
 func TestBatchWithdrawalSupersedesAnnouncement(t *testing.T) {
-	q := &batchInbox{byDest: make([]int32, 4096), discardStale: true}
+	q := newTestInbox(QueueBatched, true)
 	q.Push(ann(1, 100, 3))
 	q.Push(wd(1, 100))
 	batch := q.Pop()
@@ -178,7 +204,7 @@ func TestBatchWithdrawalSupersedesAnnouncement(t *testing.T) {
 }
 
 func TestBatchNoDiscardKeepsEverything(t *testing.T) {
-	q := &batchInbox{byDest: make([]int32, 4096), discardStale: false}
+	q := newTestInbox(QueueBatched, false)
 	q.Push(ann(1, 100, 1))
 	q.Push(ann(1, 100, 2))
 	if q.Len() != 2 {
@@ -194,7 +220,7 @@ func TestBatchNoDiscardKeepsEverything(t *testing.T) {
 }
 
 func TestBatchDestinationOrderIsFirstArrival(t *testing.T) {
-	q := &batchInbox{byDest: make([]int32, 4096), discardStale: true}
+	q := newTestInbox(QueueBatched, true)
 	q.Push(ann(1, 300, 1))
 	q.Push(ann(1, 100, 1))
 	q.Push(ann(2, 300, 2))
@@ -207,7 +233,7 @@ func TestBatchDestinationOrderIsFirstArrival(t *testing.T) {
 }
 
 func TestRouterBatchDrainsOnePeer(t *testing.T) {
-	q := &routerBatchInbox{byPeer: make(map[int32][]Update)}
+	q := newTestInbox(QueueRouterBatch, true)
 	q.Push(ann(1, 100, 1))
 	q.Push(ann(2, 200, 2))
 	q.Push(ann(1, 300, 3))
@@ -222,7 +248,7 @@ func TestRouterBatchDrainsOnePeer(t *testing.T) {
 }
 
 func TestRouterBatchDedupsWithinBatchOnly(t *testing.T) {
-	q := &routerBatchInbox{byPeer: make(map[int32][]Update)}
+	q := newTestInbox(QueueRouterBatch, true)
 	q.Push(ann(1, 100, 1))
 	q.Push(ann(1, 100, 2)) // same dest, same batch: older is dead work
 	q.Push(ann(1, 200, 3))
@@ -243,79 +269,71 @@ func TestRouterBatchDedupsWithinBatchOnly(t *testing.T) {
 	}
 }
 
-func TestNewInboxSelectsDiscipline(t *testing.T) {
-	p := DefaultParams()
-	if _, ok := newInbox(p, 64).(*fifoInbox); !ok {
-		t.Error("default discipline not FIFO")
-	}
-	p.Queue = QueueBatched
-	if _, ok := newInbox(p, 64).(*batchInbox); !ok {
-		t.Error("batched discipline wrong type")
-	}
-	p.Queue = QueueRouterBatch
-	if _, ok := newInbox(p, 64).(*routerBatchInbox); !ok {
-		t.Error("router-batch discipline wrong type")
-	}
-}
-
-// Property: for any push sequence, every inbox conserves updates —
-// popped + discarded == pushed — and Len always matches.
+// Property: for any push sequence, every discipline conserves updates —
+// popped + discarded == pushed.
 func TestPropertyInboxConservation(t *testing.T) {
-	f := func(ops []uint8) bool {
-		for _, mk := range []func() Inbox{
-			func() Inbox { return &fifoInbox{} },
-			func() Inbox { return &batchInbox{byDest: make([]int32, 4096), discardStale: true} },
-			func() Inbox { return &routerBatchInbox{byPeer: make(map[int32][]Update)} },
-		} {
-			q := mk()
-			pushed, popped, discarded := 0, 0, 0
-			for _, op := range ops {
-				if op%3 == 0 && !q.Empty() {
+	for _, row := range inboxRows {
+		t.Run(row.name, func(t *testing.T) {
+			f := func(ops []uint8) bool {
+				q := newTestInbox(row.queue, row.discard)
+				pushed, popped, discarded := 0, 0, 0
+				for _, op := range ops {
+					if op%3 == 0 && q.Len() != 0 {
+						popped += len(q.Pop())
+						discarded += q.TakeDiscarded()
+						continue
+					}
+					u := ann(int(op%5), ASN(op%7), 1)
+					if op%11 == 0 {
+						u = wd(int(op%5), ASN(op%7))
+					}
+					q.Push(u)
+					pushed++
+				}
+				for q.Len() != 0 {
 					popped += len(q.Pop())
 					discarded += q.TakeDiscarded()
-					continue
 				}
-				u := ann(int(op%5), ASN(op%7), 1)
-				if op%11 == 0 {
-					u = wd(int(op%5), ASN(op%7))
-				}
-				q.Push(u)
-				pushed++
+				return pushed == popped+discarded
 			}
-			for !q.Empty() {
-				popped += len(q.Pop())
-				discarded += q.TakeDiscarded()
+			if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+				t.Error(err)
 			}
-			if pushed != popped+discarded {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
+		})
 	}
 }
 
-// sliceBatchInbox is the slice-per-pending-destination queue batchInbox
-// replaced, kept as the plain reference for its batching semantics: a
-// destination's batch is a Go slice in arrival order, a stale update is
-// overwritten where it sits, and destinations are served in order of
-// first arrival.
-type sliceBatchInbox struct {
+// sliceInbox is the plain reference for the three disciplines, in Go
+// slices and a map: a slice in arrival order under FIFO; otherwise a
+// slice per pending key (the destination, or the sending peer under
+// router batch), keys served in order of first arrival. A stale batched
+// update is overwritten where it sits; a router batch keeps the last
+// update for each destination it names, found by a forward map.
+type sliceInbox struct {
+	queue        QueueDiscipline
+	discardStale bool
+	fifo         []Update
 	order        []int32
 	lists        map[int32][]Update
 	size         int
 	discarded    int
-	discardStale bool
 }
 
-func (q *sliceBatchInbox) Push(u Update) {
-	list, pending := q.lists[u.Dest]
-	if !pending {
-		q.order = append(q.order, u.Dest)
+func (q *sliceInbox) Push(u Update) {
+	if q.queue == QueueFIFO {
+		q.fifo = append(q.fifo, u)
+		q.size++
+		return
 	}
-	if q.discardStale {
+	k := u.Dest
+	if q.queue == QueueRouterBatch {
+		k = u.Slot
+	}
+	list, pending := q.lists[k]
+	if !pending {
+		q.order = append(q.order, k)
+	}
+	if q.discardStale && q.queue == QueueBatched {
 		for i := range list {
 			if list[i].Slot == u.Slot {
 				list[i] = u
@@ -324,84 +342,111 @@ func (q *sliceBatchInbox) Push(u Update) {
 			}
 		}
 	}
-	q.lists[u.Dest] = append(list, u)
+	q.lists[k] = append(list, u)
 	q.size++
 }
 
-func (q *sliceBatchInbox) Pop() []Update {
+func (q *sliceInbox) Pop() []Update {
+	if q.queue == QueueFIFO {
+		if len(q.fifo) == 0 {
+			return nil
+		}
+		u := q.fifo[0]
+		q.fifo = q.fifo[1:]
+		q.size--
+		return []Update{u}
+	}
 	if len(q.order) == 0 {
 		return nil
 	}
-	dest := q.order[0]
+	k := q.order[0]
 	q.order = q.order[1:]
-	list := q.lists[dest]
-	delete(q.lists, dest)
+	list := q.lists[k]
+	delete(q.lists, k)
 	q.size -= len(list)
-	return list
+	if q.queue != QueueRouterBatch {
+		return list
+	}
+	lastFor := make(map[int32]int)
+	for i, u := range list {
+		lastFor[u.Dest] = i
+	}
+	var kept []Update
+	for i, u := range list {
+		if lastFor[u.Dest] == i {
+			kept = append(kept, u)
+		} else {
+			q.discarded++
+		}
+	}
+	return kept
 }
 
-func (q *sliceBatchInbox) TakeDiscarded() int {
+func (q *sliceInbox) TakeDiscarded() int {
 	d := q.discarded
 	q.discarded = 0
 	return d
 }
 
-func (q *sliceBatchInbox) Reset() {
-	*q = sliceBatchInbox{lists: map[int32][]Update{}, discardStale: q.discardStale}
+func (q *sliceInbox) Reset() {
+	*q = sliceInbox{queue: q.queue, discardStale: q.discardStale, lists: map[int32][]Update{}}
 }
 
-// TestBatchInboxMatchesSliceReference drives random push / pop / Reset
-// tours through the slab inbox and the slice reference: same batches in
-// the same order, same discard counts, same Len, whatever the number of
-// destinations a Reset leaves. Few neighbors and destinations make
-// in-place replacement and long chains common; pops come in bursts so
-// the queue both builds up and drains to empty. The slab must also never
-// issue more cells than were queued at once since the last Reset: a
-// popped chain's cells are the next ones used.
-func TestBatchInboxMatchesSliceReference(t *testing.T) {
-	for _, discard := range []bool{true, false} {
-		for seed := int64(1); seed <= 4; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			ndests := 40
-			q := newInbox(Params{Queue: QueueBatched, BatchDiscardStale: discard}, ndests).(*batchInbox)
-			ref := &sliceBatchInbox{discardStale: discard}
-			ref.Reset()
-			highWater := 0
-			for op := 0; op < 20000; op++ {
-				switch k := rng.Intn(1000); {
-				case k == 0: // a new trial, usually over another number of destinations
-					ndests = 1 + rng.Intn(60)
-					q.Reset(ndests)
-					ref.Reset()
-					highWater = 0
-				case k < 560 || (k < 900 && op/500%2 == 0): // build-up and drain phases alternate
-					path := Path{ASN(op)} // distinct refs tell a replaced update from the one it replaced
-					if rng.Intn(8) == 0 {
-						path = nil
+// TestInboxMatchesSliceReference drives random push / pop / Reset tours
+// through the slab inbox and the slice reference, one row per discipline
+// and discard setting: same batches in the same order, same discard
+// counts, same Len, whatever numbers of peers and destinations a Reset
+// leaves. Few peers and destinations make in-place replacement,
+// superseded router-batch updates and long chains common; pops come in
+// bursts so the queue both builds up and drains to empty. The slab must
+// also never issue more cells than were queued at once since the last
+// Reset: popped cells are the next ones used.
+func TestInboxMatchesSliceReference(t *testing.T) {
+	for _, row := range inboxRows {
+		t.Run(row.name, func(t *testing.T) {
+			p := Params{Queue: row.queue, BatchDiscardStale: row.discard}
+			for seed := int64(1); seed <= 4; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				nslots, ndests := 6, 40
+				q := &inbox{}
+				q.Reset(p, nslots, ndests)
+				ref := &sliceInbox{queue: row.queue, discardStale: row.discard}
+				ref.Reset()
+				highWater := 0
+				for op := 0; op < 20000; op++ {
+					switch k := rng.Intn(1000); {
+					case k == 0: // a new trial, usually over other numbers of peers and destinations
+						nslots, ndests = 1+rng.Intn(8), 1+rng.Intn(60)
+						q.Reset(p, nslots, ndests)
+						ref.Reset()
+						highWater = 0
+					case k < 560 || (k < 900 && op/500%2 == 0): // build-up and drain phases alternate
+						path := Path{ASN(op)} // distinct refs tell a replaced update from the one it replaced
+						if rng.Intn(8) == 0 {
+							path = nil
+						}
+						u := testUpdate(inboxTab, rng.Intn(nslots), ASN(rng.Intn(ndests)), path)
+						q.Push(u)
+						ref.Push(u)
+						highWater = max(highWater, ref.size)
+					default:
+						if got, want := q.Pop(), ref.Pop(); !slices.Equal(got, want) {
+							t.Fatalf("seed %d op %d: popped %v, want %v", seed, op, got, want)
+						}
 					}
-					u := testUpdate(inboxTab, rng.Intn(6), ASN(rng.Intn(ndests)), path)
-					q.Push(u)
-					ref.Push(u)
-					highWater = max(highWater, ref.size)
-				default:
-					got, want := q.Pop(), ref.Pop()
-					if !slices.Equal(got, want) {
-						t.Fatalf("discard=%v seed %d op %d: popped %v, want %v", discard, seed, op, got, want)
+					if q.Len() != ref.size {
+						t.Fatalf("seed %d op %d: Len %d, want %d", seed, op, q.Len(), ref.size)
 					}
-					q.Recycle(got)
-				}
-				if q.Len() != ref.size || q.Empty() != (ref.size == 0) {
-					t.Fatalf("discard=%v seed %d op %d: Len %d Empty %v, want %d", discard, seed, op, q.Len(), q.Empty(), ref.size)
-				}
-				if rng.Intn(4) == 0 {
-					if got, want := q.TakeDiscarded(), ref.TakeDiscarded(); got != want {
-						t.Fatalf("discard=%v seed %d op %d: TakeDiscarded %d, want %d", discard, seed, op, got, want)
+					if rng.Intn(4) == 0 {
+						if got, want := q.TakeDiscarded(), ref.TakeDiscarded(); got != want {
+							t.Fatalf("seed %d op %d: TakeDiscarded %d, want %d", seed, op, got, want)
+						}
 					}
-				}
-				if int(q.ncells) != highWater {
-					t.Fatalf("discard=%v seed %d op %d: slab has issued %d cells, %d updates were queued at most", discard, seed, op, q.ncells, highWater)
+					if int(q.ncells) != highWater {
+						t.Fatalf("seed %d op %d: slab has issued %d cells, %d updates were queued at most", seed, op, q.ncells, highWater)
+					}
 				}
 			}
-		}
+		})
 	}
 }

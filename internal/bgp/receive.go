@@ -8,16 +8,14 @@ import (
 	"bgpsim/internal/trace"
 )
 
-// receiveStation is a router's first station: the input queue (FIFO or
-// destination-batched, §4.4) feeding a serial CPU, the Adj-RIB-In the
-// CPU applies updates to, and the load accounting whose queue length ×
-// mean processing time is the "unfinished work" dynamic MRAI reads
-// (§4.3).
+// receiveStation is a router's first station: the input queue (FIFO,
+// destination-batched as in §4.4, or peer-batched) feeding a serial
+// CPU, the Adj-RIB-In the CPU applies updates to, and the load
+// accounting whose queue length × mean processing time is the
+// "unfinished work" dynamic MRAI reads (§4.3).
 type receiveStation struct {
-	inbox        Inbox
-	inboxQueue   QueueDiscipline // discipline inbox was built for (reset reuses on match)
-	inboxDiscard bool            // BatchDiscardStale inbox was built for
-	adjIn        adjRIBIn
+	inbox inbox
+	adjIn adjRIBIn
 
 	proc   procTask   // the single in-flight CPU-completion task
 	procEv *des.Event // proc's armed completion event; nil = CPU idle (see busy)
@@ -33,28 +31,23 @@ type receiveStation struct {
 // busy reports whether the CPU is working on a unit (its completion is armed).
 func (s *receiveStation) busy() bool { return s.procEv != nil }
 
-// reset empties the station for a run with parameters p over ndests
-// destinations: an empty Adj-RIB-In, an empty inbox (reused when the
-// queue discipline is unchanged), an idle CPU and load accounting
-// anchored at time zero.
-func (s *receiveStation) reset(p Params, ndests int) {
+// reset empties the station for a run with parameters p on a router
+// with nslots peers over ndests destinations: an empty Adj-RIB-In, an
+// empty inbox keyed for p's queue discipline, an idle CPU and load
+// accounting anchored at time zero.
+func (s *receiveStation) reset(p Params, nslots, ndests int) {
 	s.adjIn.fit(ndests)
-	if s.inbox == nil || s.inboxQueue != p.Queue || s.inboxDiscard != p.BatchDiscardStale {
-		s.inbox = newInbox(p, ndests)
-	} else {
-		s.inbox.Reset(ndests)
-	}
-	s.inboxQueue, s.inboxDiscard = p.Queue, p.BatchDiscardStale
+	s.inbox.Reset(p, nslots, ndests)
 	s.proc.batch, s.procEv = nil, nil
 	s.anchor(0)
 }
 
 // stop drops the queued updates and the unit on the CPU, whose completion
 // is canceled, when the router dies.
-func (s *receiveStation) stop(eng *des.Engine, ndests int) {
+func (s *receiveStation) stop(eng *des.Engine) {
 	eng.Cancel(s.procEv)
 	s.procEv, s.proc.batch = nil, nil
-	s.inbox.Reset(ndests)
+	s.inbox.drop()
 }
 
 // anchor restarts the load accounting at time at.
@@ -164,7 +157,6 @@ func (r *router) startProcessing() {
 			r.col.NoteDiscarded(discarded)
 		}
 		if len(batch) == 0 {
-			s.inbox.Recycle(batch)
 			continue
 		}
 		var delay time.Duration

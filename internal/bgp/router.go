@@ -92,7 +92,7 @@ func (r *router) reset(p Params, ndests int) {
 	r.alive = true
 	r.ndests = ndests
 	fill(r.peerAlive, true)
-	r.receive.reset(p, ndests)
+	r.receive.reset(p, len(r.peers), ndests)
 	r.decide.reset(p, ndests)
 	r.flush.reset(p, len(r.peers), ndests)
 }
@@ -104,9 +104,8 @@ func (r *router) reset(p Params, ndests int) {
 func (r *router) finishProcessing(batch []Update) {
 	r.applyBatch(batch)
 	changed := r.decideTouched()
-	r.receive.inbox.Recycle(batch)
 	r.advertise(changed...)
-	if !r.receive.inbox.Empty() {
+	if r.receive.inbox.Len() > 0 {
 		r.startProcessing()
 	}
 }
@@ -128,7 +127,7 @@ func (r *router) advertise(changed ...ASN) {
 // from an empty queue and an idle CPU.
 func (r *router) kill() {
 	r.alive = false
-	r.receive.stop(r.eng, r.ndests)
+	r.receive.stop(r.eng)
 	r.flush.stop(r.eng)
 }
 

@@ -66,10 +66,6 @@ type Simulator struct {
 	sweepAt  uint32
 	ribCells int
 	swept    PathStats
-	// tab.mark and tab.rename as func values, made once: the inboxes take
-	// their visitor through an interface, so a method value made per
-	// sweep would be allocated per sweep.
-	markRef, renameRef func(*routeRef)
 
 	// snap solves the converged state ConvergeInitial installs, one
 	// destination AS at a time; warmRefs (per node) and warmChain are the
@@ -207,7 +203,6 @@ func New(net *topology.Network, params Params) (*Simulator, error) {
 		rng: des.NewRNG(params.Seed),
 		col: metrics.NewCollector(0),
 	}
-	s.markRef, s.renameRef = s.tab.mark, s.tab.rename
 	if err := s.Rebind(net, params); err != nil {
 		return nil, err
 	}
@@ -226,7 +221,7 @@ func New(net *topology.Network, params Params) (*Simulator, error) {
 //
 // What a simulator owns is buffers, not a network: the engine's calendar
 // and event free list, the path table's chunks and index, the delivery
-// pool, the routers with their inbox rings, RIB columns and bitsets.
+// pool, the routers with their inbox slabs, RIB columns and bitsets.
 // Rebind keeps each of them wherever its capacity suffices (see
 // buffers.go), which is what makes a sweep cheap whether its trials
 // share a world or, like every point of the paper's figures, have one
@@ -686,7 +681,7 @@ func (s *Simulator) forEachInFlight(fn func(*routeRef)) (n int) {
 func (s *Simulator) markRoots() (live, cells int) {
 	t := &s.tab
 	t.clearMarks()
-	cells = s.forEachRefColumn(t.markColumn) + s.forEachInFlight(s.markRef)
+	cells = s.forEachRefColumn(t.markColumn) + s.forEachInFlight(t.mark)
 	return t.closeMarks(), cells
 }
 
@@ -741,7 +736,7 @@ func (s *Simulator) sweep() {
 	live, cells := s.markRoots()
 	t.compact(func() {
 		s.forEachRefColumn(t.renameColumn)
-		s.forEachInFlight(s.renameRef)
+		s.forEachInFlight(t.rename)
 	})
 	s.swept.Compactions++
 	s.swept.Reclaimed += before - live

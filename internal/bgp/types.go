@@ -32,7 +32,7 @@ type Path = []ASN
 // in on: Slot is the receiver's peer slot of the sending router (the
 // sender's Peer.Back), so the receive path indexes its per-peer state
 // directly and never maps a node id. Twelve pointer-free bytes, so the
-// inbox rings and batch arrays that hold most of a storm's in-flight
+// inbox cells and batch arrays that hold most of a storm's in-flight
 // state are compact and never scanned by the collector. Rebind checks
 // that every node id and destination index fits in 32 bits.
 type Update struct {

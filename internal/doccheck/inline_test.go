@@ -13,6 +13,8 @@ import (
 var hotInlined = []string{
 	"(*router).now",
 	"(*receiveStation).busy",
+	"(*inbox).Len",
+	"(*inbox).cell",
 	"(*flushStation).destAllowed",
 	"(*flushStation).gateTime",
 	"(*router).flushAll",

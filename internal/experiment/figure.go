@@ -31,7 +31,7 @@ type Figure struct {
 
 // Render formats the figure as an aligned text table, one row per x
 // value and one column per series — the form the experiment CLI prints
-// and EXPERIMENTS.md records.
+// and the committed files under results/ hold.
 func (f Figure) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s — %s\n", f.ID, f.Title)
