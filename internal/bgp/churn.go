@@ -2,7 +2,6 @@ package bgp
 
 import (
 	"fmt"
-	"time"
 
 	"bgpsim/internal/des"
 )
@@ -34,53 +33,6 @@ func (s *Simulator) ScheduleControl(at des.Time, fn func()) {
 func (s *Simulator) OpenMeasurementWindow(at des.Time) {
 	s.col.OpenWindow(at)
 	s.normalizeWindow(at)
-}
-
-// WindowStats is a point-in-time snapshot of the windowed metrics
-// counters — one churn measurement window's worth of observables.
-type WindowStats struct {
-	// Start is the absolute simulated time the window opened.
-	Start time.Duration
-	// LastActivity is the absolute time of the last BGP activity seen in
-	// the window; equal to Start when the window saw no activity.
-	LastActivity time.Duration
-	// Delay is LastActivity - Start, the paper's convergence delay.
-	Delay time.Duration
-
-	// Announcements counts UPDATE announcements sent in the window.
-	Announcements int
-	// Withdrawals counts withdrawals sent in the window.
-	Withdrawals int
-	// Packets counts update packets sent in the window.
-	Packets int
-	// Processed counts updates taken off input queues in the window.
-	Processed int
-	// Discarded counts updates dropped unprocessed in the window.
-	Discarded int
-	// RouteChanges counts best-route changes in the window.
-	RouteChanges int
-	// MaxQueueLen is the peak input-queue length seen in the window.
-	MaxQueueLen int
-}
-
-// CaptureWindow snapshots the currently open measurement window's
-// counters. Call it from a control event scheduled just before the next
-// perturbation (which reopens the window), or after Run returns to
-// capture the final window.
-func (s *Simulator) CaptureWindow() WindowStats {
-	col := s.col
-	return WindowStats{
-		Start:         col.WindowStart(),
-		LastActivity:  col.LastActivity(),
-		Delay:         col.ConvergenceDelay(),
-		Announcements: col.Announcements,
-		Withdrawals:   col.Withdrawals,
-		Packets:       col.Packets,
-		Processed:     col.Processed,
-		Discarded:     col.Discarded,
-		RouteChanges:  col.RouteChanges(),
-		MaxQueueLen:   col.MaxQueueLen,
-	}
 }
 
 // ScheduleLinkRecovery re-establishes the sessions on the given links at

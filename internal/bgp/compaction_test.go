@@ -32,10 +32,11 @@ func churnDigest(t *testing.T, sim *Simulator, nw *topology.Network, seed int64,
 	}
 	base := sim.Now()
 	capture := func() {
-		ws := sim.CaptureWindow()
-		ws.Start -= base
-		ws.LastActivity -= base
-		fmt.Fprintf(&b, "%+v\n", ws)
+		col := sim.Collector()
+		fmt.Fprintf(&b, "start=%v last=%v delay=%v ann=%d wd=%d pkts=%d proc=%d disc=%d changes=%d maxq=%d\n",
+			col.WindowStart()-base, col.LastActivity()-base, col.ConvergenceDelay(),
+			col.Announcements, col.Withdrawals, col.Packets, col.Processed, col.Discarded,
+			col.RouteChanges(), col.MaxQueueLen)
 	}
 	start := base + SettleMargin
 	window := func(at des.Time) {

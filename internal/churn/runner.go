@@ -144,21 +144,21 @@ func play(sim *bgp.Simulator, events []Event, trial int, obs WindowObserver) (Tr
 	tr := TrialResult{Trial: trial, Start: base, Windows: make([]WindowResult, 0, len(events))}
 
 	record := func(i int) {
-		ws := sim.CaptureWindow()
+		col := sim.Collector()
 		w := WindowResult{
 			Index:         i,
 			Event:         events[i].Kind.String(),
-			At:            ws.Start - base,
-			Delay:         ws.Delay,
-			Announcements: ws.Announcements,
-			Withdrawals:   ws.Withdrawals,
-			Processed:     ws.Processed,
-			Discarded:     ws.Discarded,
-			RouteChanges:  ws.RouteChanges,
+			At:            col.WindowStart() - base,
+			Delay:         col.ConvergenceDelay(),
+			Announcements: col.Announcements,
+			Withdrawals:   col.Withdrawals,
+			Processed:     col.Processed,
+			Discarded:     col.Discarded,
+			RouteChanges:  col.RouteChanges(),
 		}
 		tr.Windows = append(tr.Windows, w)
 		if obs != nil {
-			obs(trial, w, sim.Collector().PerNodeSent())
+			obs(trial, w, col.PerNodeSent())
 		}
 	}
 

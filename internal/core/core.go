@@ -9,8 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
-	"time"
 
 	"bgpsim/internal/experiment"
 	"bgpsim/internal/topology"
@@ -37,7 +35,8 @@ type Options struct {
 	// originates (0 = the paper's single prefix). Values above 1 scale
 	// every figure's routing-table dimension; the value 1 is explicit
 	// single-prefix and must regenerate the recorded figures
-	// byte-identically (the prefix-ablation CI job pins this).
+	// byte-identically (TestFigureBytesUnchangedByExplicitSinglePrefix
+	// pins this).
 	PrefixesPerOrigin int
 	// Workers bounds the worker pool each sweep fans its
 	// (series × x × trial) grid over: <= 0 selects GOMAXPROCS, 1 is
@@ -52,8 +51,8 @@ type Options struct {
 	// cancellation probe, and the experiment returns the context error.
 	// nil behaves as context.Background.
 	Context context.Context
-	// Sweeper, when non-nil, replaces the local sweep executor: every
-	// grid an experiment builds is handed to it instead of
+	// Sweeper, when non-nil, replaces the local sweep executor: the
+	// experiment's grid (Experiment.Grid) is handed to it instead of
 	// experiment.Sweep. This is the hook distributed execution
 	// (internal/dist) plugs a coordinator into; figures must come back
 	// byte-identical to the local executor's.
@@ -118,44 +117,24 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// sweep executes one grid through the configured executor: the Sweeper
+// sweep executes a grid through the configured executor: the Sweeper
 // override when set (distributed execution), the local context-aware
-// parallel sweep otherwise. Every experiment in this package routes its
-// grids through here, which is what lets a coordinator intercept the
-// whole figure pipeline without the figure definitions knowing.
-//
-// Both axes are checked first, the one a grid does not sweep too (Fig 3
-// draws its series from FailureSizes): a NaN or infinite value would
-// otherwise run locally and fail only remotely, where JSON cannot carry
-// it to a worker.
+// parallel sweep otherwise.
 func (o Options) sweep(cfg experiment.SweepConfig) (experiment.Figure, error) {
-	for _, axis := range []struct {
-		name string
-		xs   []float64
-	}{{"FailureSizes", o.FailureSizes}, {"MRAIs", o.MRAIs}} {
-		for _, x := range axis.xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return experiment.Figure{}, fmt.Errorf("core: Options.%s holds %v, need finite values", axis.name, x)
-			}
-		}
-	}
 	if o.Sweeper != nil {
 		return o.Sweeper(cfg)
 	}
 	return experiment.SweepContext(o.ctx(), cfg)
 }
 
-// skewedTopo returns the default 70-30 topology spec at the option scale.
-func (o Options) skewedTopo(kind topology.Kind) topology.Spec {
-	return topology.Spec{Kind: kind, N: o.Nodes, PrefixesPerOrigin: o.prefixes()}
-}
-
-// realisticTopo returns the Fig 13 topology spec at the option scale.
-func (o Options) realisticTopo() topology.Spec {
-	return topology.Spec{
-		Kind: topology.KindRealistic, N: o.Nodes,
-		MaxASSize: o.RealisticMaxASSize, PrefixesPerOrigin: o.prefixes(),
+// topo returns the spec of a topology family at the option scale; the
+// realistic family (Fig 13) also caps routers per AS.
+func (o Options) topo(kind topology.Kind) topology.Spec {
+	spec := topology.Spec{Kind: kind, N: o.Nodes, PrefixesPerOrigin: o.prefixes()}
+	if kind == topology.KindRealistic {
+		spec.MaxASSize = o.RealisticMaxASSize
 	}
+	return spec
 }
 
 // prefixes resolves the prefix dimension, normalizing the explicit
@@ -169,29 +148,67 @@ func (o Options) prefixes() int {
 	return o.PrefixesPerOrigin
 }
 
-// Experiment is a runnable reproduction of one paper figure (or one
-// ablation study).
+// Experiment reproduces one paper figure (or one ablation study): a
+// (series × x) grid and the labels its figure prints. Every experiment
+// is an entry of the registry; none carries code of its own.
 type Experiment struct {
 	// ID is "fig1".."fig13" for paper figures, "ablation-*" for extras.
 	ID string
-	// Title describes what the paper plots.
-	Title string
-	// What summarizes the expected qualitative outcome.
-	What string
-	// Run executes the experiment at the given scale.
-	Run func(Options) (experiment.Figure, error)
+	// FigureID and Title head the figure ("Fig 3", "Variation in
+	// convergence delay with MRAI").
+	FigureID, Title string
+	grid            grid
+}
+
+// XLabel is the x-axis label of e's figure.
+func (e Experiment) XLabel() string { return e.grid.xLabel }
+
+// Grid is the sweep e runs at scale o: o normalized, both axes checked
+// finite, and Trials, Workers and Progress filled from o. Run sweeps
+// exactly this config, and a distributed worker rebuilds it from the
+// same entry and options.
+//
+// Both axes are checked, the one the grid does not sweep too (Fig 3
+// draws its series from FailureSizes): a NaN or infinite value would
+// otherwise run locally and fail only remotely, where JSON cannot carry
+// it to a worker.
+func (e Experiment) Grid(o Options) (experiment.SweepConfig, error) {
+	o = o.normalize()
+	for _, axis := range []struct {
+		name string
+		xs   []float64
+	}{{"FailureSizes", o.FailureSizes}, {"MRAIs", o.MRAIs}} {
+		for _, x := range axis.xs {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return experiment.SweepConfig{}, fmt.Errorf("core: Options.%s holds %v, need finite values", axis.name, x)
+			}
+		}
+	}
+	cfg := e.grid.build(o)
+	cfg.Trials, cfg.Workers, cfg.Progress = o.Trials, o.Workers, o.Progress
+	return cfg, nil
+}
+
+// Run regenerates e's figure at scale o: Grid's config swept through
+// the configured executor (so Options.Sweeper intercepts it), then
+// labelled.
+func (e Experiment) Run(o Options) (experiment.Figure, error) {
+	cfg, err := e.Grid(o)
+	if err != nil {
+		return experiment.Figure{}, err
+	}
+	fig, err := o.sweep(cfg)
+	if err != nil {
+		return experiment.Figure{}, err
+	}
+	fig.ID, fig.Title, fig.XLabel = e.FigureID, e.Title, e.grid.xLabel
+	return fig, nil
 }
 
 // Registry returns every experiment, paper figures first in numeric
-// order, then ablations alphabetically.
+// order, then ablations by ID.
 func Registry() []Experiment {
-	exps := []Experiment{
-		fig1(), fig2(), fig3(), fig4(), fig5(), fig6(), fig7(),
-		fig8(), fig9(), fig10(), fig11(), fig12(), fig13(),
-	}
-	abl := Ablations()
-	sort.Slice(abl, func(i, j int) bool { return abl[i].ID < abl[j].ID })
-	return append(exps, abl...)
+	return append(append([]Experiment(nil), figures...), ablations...)
 }
 
 // Lookup finds an experiment by ID ("fig7", "7", "ablation-batch-discard").
@@ -202,12 +219,4 @@ func Lookup(id string) (Experiment, error) {
 		}
 	}
 	return Experiment{}, fmt.Errorf("core: unknown experiment %q", id)
-}
-
-// PaperMRAIs are the three constant MRAI values the paper compares
-// throughout (Figs 1, 2, 6, 7, 10, 11).
-var PaperMRAIs = []time.Duration{
-	500 * time.Millisecond,
-	1250 * time.Millisecond,
-	2250 * time.Millisecond,
 }

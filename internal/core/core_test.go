@@ -23,8 +23,11 @@ func TestRegistryCoversAllPaperFigures(t *testing.T) {
 	reg := Registry()
 	byID := make(map[string]Experiment, len(reg))
 	for _, e := range reg {
-		if e.ID == "" || e.Title == "" || e.What == "" || e.Run == nil {
+		if e.ID == "" || e.FigureID == "" || e.Title == "" || e.XLabel() == "" {
 			t.Errorf("experiment %+v incomplete", e.ID)
+		}
+		if _, err := e.Grid(microOptions()); err != nil {
+			t.Errorf("%s: %v", e.ID, err)
 		}
 		if _, dup := byID[e.ID]; dup {
 			t.Errorf("duplicate experiment id %q", e.ID)
@@ -36,9 +39,24 @@ func TestRegistryCoversAllPaperFigures(t *testing.T) {
 			t.Errorf("missing fig%d", i)
 		}
 	}
+	for i := 14; i < len(reg); i++ {
+		if reg[i-1].ID >= reg[i].ID {
+			t.Errorf("ablations out of ID order: %q before %q", reg[i-1].ID, reg[i].ID)
+		}
+	}
 	if len(reg) < 13+5 {
 		t.Errorf("registry has %d experiments; expected 13 figures plus ablations", len(reg))
 	}
+}
+
+// mustLookup is Lookup for an ID the registry holds.
+func mustLookup(t *testing.T, id string) Experiment {
+	t.Helper()
+	e, err := Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 func TestLookup(t *testing.T) {
@@ -69,7 +87,7 @@ func TestOptionsNormalize(t *testing.T) {
 }
 
 func TestFig1SmokeAndShape(t *testing.T) {
-	fig, err := fig1().Run(microOptions())
+	fig, err := mustLookup(t, "fig1").Run(microOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +105,7 @@ func TestFig1SmokeAndShape(t *testing.T) {
 }
 
 func TestFig2UsesMessageMetric(t *testing.T) {
-	fig, err := fig2().Run(microOptions())
+	fig, err := mustLookup(t, "fig2").Run(microOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +119,7 @@ func TestFig2UsesMessageMetric(t *testing.T) {
 }
 
 func TestFig3MRAISweepAxes(t *testing.T) {
-	fig, err := fig3().Run(microOptions())
+	fig, err := mustLookup(t, "fig3").Run(microOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +180,7 @@ func TestProgressCallbacksFire(t *testing.T) {
 			t.Errorf("done %d > total %d", done, total)
 		}
 	}
-	if _, err := fig1().Run(o); err != nil {
+	if _, err := mustLookup(t, "fig1").Run(o); err != nil {
 		t.Fatal(err)
 	}
 	if count != 3*2 {

@@ -9,174 +9,84 @@ import (
 	"bgpsim/internal/topology"
 )
 
-// sweepBySize builds a failure-size sweep (x axis: % of routers failed,
-// one series per scheme) on the given topology.
-func sweepBySize(o Options, topo topology.Spec, schemes []experiment.Scheme, metric experiment.Metric) (experiment.Figure, error) {
-	names := make([]string, len(schemes))
-	for i, s := range schemes {
-		names[i] = s.Name
-	}
-	fig, err := o.sweep(experiment.SweepConfig{
-		SeriesNames:           names,
-		Xs:                    o.FailureSizes,
-		Trials:                o.Trials,
-		Metric:                metric,
-		SameWorldAcrossSeries: true,
-		Workers:               o.Workers,
-		Progress:              o.Progress,
-		Cell: func(si int, x float64) experiment.Scenario {
-			return experiment.Scenario{
-				Topology: topo,
-				Failure:  failure.Geographic(x / 100),
-				Scheme:   schemes[si],
-				Seed:     o.Seed,
-			}
-		},
-	})
-	if err != nil {
-		return experiment.Figure{}, err
-	}
-	fig.XLabel = "failure size (% of routers)"
-	return fig, nil
+// grid is an experiment's sweep: the label of its x axis and a builder
+// of its series and cells at a normalized scale (Experiment.Grid fills
+// the rest). The by-size and by-MRAI helpers below build every grid.
+type grid struct {
+	xLabel string
+	build  func(o Options) experiment.SweepConfig
 }
 
-// mraiVariant is one series of an MRAI sweep: a topology and failure
-// size, with an optional scheme wrapper around the swept constant MRAI.
+// bySize is a failure-size grid: x is the failure size in percent of
+// routers (Options.FailureSizes), one series per scheme on one topology
+// family, every series facing the same worlds.
+func bySize(metric experiment.Metric, kind topology.Kind, schemes ...experiment.Scheme) grid {
+	return grid{xLabel: "failure size (% of routers)", build: func(o Options) experiment.SweepConfig {
+		names := make([]string, len(schemes))
+		for i, s := range schemes {
+			names[i] = s.Name
+		}
+		topo := o.topo(kind)
+		return experiment.SweepConfig{
+			SeriesNames:           names,
+			Xs:                    o.FailureSizes,
+			Metric:                metric,
+			SameWorldAcrossSeries: true,
+			Cell: func(si int, x float64) experiment.Scenario {
+				return experiment.Scenario{
+					Topology: topo,
+					Failure:  failure.Geographic(x / 100),
+					Scheme:   schemes[si],
+					Seed:     o.Seed,
+				}
+			},
+		}
+	}}
+}
+
+// mraiVariant is one series of an MRAI sweep: a topology family and a
+// failure size, the swept constant MRAI optionally batched.
 type mraiVariant struct {
 	name    string
-	topo    topology.Spec
+	kind    topology.Kind
 	frac    float64
 	batched bool
 }
 
-// sweepByMRAI builds a V-curve sweep (x axis: MRAI seconds).
-func sweepByMRAI(o Options, variants []mraiVariant) (experiment.Figure, error) {
-	names := make([]string, len(variants))
-	for i, v := range variants {
-		names[i] = v.name
-	}
-	fig, err := o.sweep(experiment.SweepConfig{
-		SeriesNames:           names,
-		Xs:                    o.MRAIs,
-		Trials:                o.Trials,
-		Metric:                experiment.MetricDelay,
-		SameWorldAcrossSeries: false, // series differ in topology/failure anyway
-		Workers:               o.Workers,
-		Progress:              o.Progress,
-		Cell: func(si int, x float64) experiment.Scenario {
-			v := variants[si]
-			scheme := experiment.ConstantMRAI(experiment.SecondsToDuration(x))
-			if v.batched {
-				scheme = experiment.Batching(experiment.SecondsToDuration(x))
-			}
-			return experiment.Scenario{
-				Topology: v.topo,
-				Failure:  failure.Geographic(v.frac),
-				Scheme:   scheme,
-				Seed:     o.Seed,
-			}
-		},
-	})
-	if err != nil {
-		return experiment.Figure{}, err
-	}
-	fig.XLabel = "MRAI (s)"
-	return fig, nil
+// byMRAI is a V-curve grid: x is a constant MRAI in seconds
+// (Options.MRAIs), one series per variant. Series differ in topology or
+// failure anyway, so they do not share worlds.
+func byMRAI(variants ...mraiVariant) grid {
+	return grid{xLabel: "MRAI (s)", build: func(o Options) experiment.SweepConfig {
+		names := make([]string, len(variants))
+		for i, v := range variants {
+			names[i] = v.name
+		}
+		return experiment.SweepConfig{
+			SeriesNames: names,
+			Xs:          o.MRAIs,
+			Metric:      experiment.MetricDelay,
+			Cell: func(si int, x float64) experiment.Scenario {
+				v := variants[si]
+				scheme := experiment.ConstantMRAI(experiment.SecondsToDuration(x))
+				if v.batched {
+					scheme = experiment.Batching(experiment.SecondsToDuration(x))
+				}
+				return experiment.Scenario{
+					Topology: o.topo(v.kind),
+					Failure:  failure.Geographic(v.frac),
+					Scheme:   scheme,
+					Seed:     o.Seed,
+				}
+			},
+		}
+	}}
 }
 
-func constantSchemes() []experiment.Scheme {
-	out := make([]experiment.Scheme, len(PaperMRAIs))
-	for i, d := range PaperMRAIs {
-		out[i] = experiment.ConstantMRAI(d)
-	}
-	return out
-}
-
-func fig1() Experiment {
-	return Experiment{
-		ID:    "fig1",
-		Title: "Convergence delay for different sized failures",
-		What: "low MRAI is best for small failures but its delay rises " +
-			"sharply with failure size; high MRAI starts worse but grows gently",
-		Run: func(o Options) (experiment.Figure, error) {
-			o = o.normalize()
-			fig, err := sweepBySize(o, o.skewedTopo(topology.KindSkewed7030), constantSchemes(), experiment.MetricDelay)
-			fig.ID, fig.Title = "Fig 1", "Convergence delay for different sized failures"
-			return fig, err
-		},
-	}
-}
-
-func fig2() Experiment {
-	return Experiment{
-		ID:    "fig2",
-		Title: "Number of generated messages for different MRAI values",
-		What: "message count for MRAI=0.5s shoots up with failure size; " +
-			"larger MRAIs grow gradually",
-		Run: func(o Options) (experiment.Figure, error) {
-			o = o.normalize()
-			fig, err := sweepBySize(o, o.skewedTopo(topology.KindSkewed7030), constantSchemes(), experiment.MetricMessages)
-			fig.ID, fig.Title = "Fig 2", "Number of generated messages for different MRAI values"
-			return fig, err
-		},
-	}
-}
-
-func fig3() Experiment {
-	return Experiment{
-		ID:    "fig3",
-		Title: "Variation in convergence delay with MRAI",
-		What: "V-shaped curves whose minimum (optimal MRAI) moves right as " +
-			"the failure grows (≈0.5s at 1%, ≈1.25s at 5%)",
-		Run: func(o Options) (experiment.Figure, error) {
-			o = o.normalize()
-			topo := o.skewedTopo(topology.KindSkewed7030)
-			fig, err := sweepByMRAI(o, []mraiVariant{
-				{name: "1% failure", topo: topo, frac: 0.01},
-				{name: "5% failure", topo: topo, frac: 0.05},
-				{name: "10% failure", topo: topo, frac: 0.10},
-			})
-			fig.ID, fig.Title = "Fig 3", "Variation in convergence delay with MRAI"
-			return fig, err
-		},
-	}
-}
-
-func fig4() Experiment {
-	return Experiment{
-		ID:    "fig4",
-		Title: "Convergence delay for different topologies",
-		What: "at 5% failure the optimal MRAI grows with the degree of the " +
-			"high-degree nodes: ≈1.0s (50-50), ≈1.25s (70-30), ≈2.25s (85-15)",
-		Run: func(o Options) (experiment.Figure, error) {
-			o = o.normalize()
-			fig, err := sweepByMRAI(o, []mraiVariant{
-				{name: "50-50", topo: o.skewedTopo(topology.KindSkewed5050), frac: 0.05},
-				{name: "70-30", topo: o.skewedTopo(topology.KindSkewed7030), frac: 0.05},
-				{name: "85-15", topo: o.skewedTopo(topology.KindSkewed8515), frac: 0.05},
-			})
-			fig.ID, fig.Title = "Fig 4", "Convergence delay for different topologies"
-			return fig, err
-		},
-	}
-}
-
-func fig5() Experiment {
-	return Experiment{
-		ID:    "fig5",
-		Title: "Effect of average degree on convergence delay",
-		What: "doubling the average degree (3.8 -> 7.6) raises both the " +
-			"optimal MRAI (to ≈2s) and the delay",
-		Run: func(o Options) (experiment.Figure, error) {
-			o = o.normalize()
-			fig, err := sweepByMRAI(o, []mraiVariant{
-				{name: "avg degree 3.8", topo: o.skewedTopo(topology.KindSkewed5050), frac: 0.05},
-				{name: "avg degree 7.6", topo: o.skewedTopo(topology.KindSkewed5050Dense), frac: 0.05},
-			})
-			fig.ID, fig.Title = "Fig 5", "Effect of average degree on convergence delay"
-			return fig, err
-		},
-	}
+// named overrides a scheme's display name.
+func named(name string, s experiment.Scheme) experiment.Scheme {
+	s.Name = name
+	return s
 }
 
 // degreeThreshold separates the low class (degree 1–3) from the high
@@ -184,171 +94,82 @@ func fig5() Experiment {
 // 4, so the cut sits at 5.
 const degreeThreshold = 5
 
-func fig6() Experiment {
-	low, high := 500*time.Millisecond, 2250*time.Millisecond
-	return Experiment{
-		ID:    "fig6",
-		Title: "Effect of degree dependent MRAI",
-		What: "(low 0.5, high 2.25) tracks MRAI=2.25s for large failures while " +
-			"staying lower for small ones; the reversed assignment is as bad as 0.5s",
-		Run: func(o Options) (experiment.Figure, error) {
-			o = o.normalize()
-			schemes := []experiment.Scheme{
-				named("low 0.5, high 2.25", experiment.DegreeMRAI(degreeThreshold, low, high)),
-				named("low 2.25, high 0.5", experiment.DegreeMRAI(degreeThreshold, high, low)),
-				experiment.ConstantMRAI(low),
-				experiment.ConstantMRAI(high),
-			}
-			fig, err := sweepBySize(o, o.skewedTopo(topology.KindSkewed7030), schemes, experiment.MetricDelay)
-			fig.ID, fig.Title = "Fig 6", "Effect of degree dependent MRAI"
-			return fig, err
-		},
-	}
+// The constant MRAIs the paper compares throughout (Figs 1, 2, 6, 7, 10,
+// 11), and the schemes built on them.
+var (
+	mrai05, mrai225 = 500 * time.Millisecond, 2250 * time.Millisecond
+
+	const05  = experiment.ConstantMRAI(mrai05)
+	const125 = experiment.ConstantMRAI(1250 * time.Millisecond)
+	const225 = experiment.ConstantMRAI(mrai225)
+	batch05  = experiment.Batching(mrai05)
+)
+
+// upTh and downTh are the scheme families Figs 8 and 9 sweep.
+func upTh(up time.Duration) experiment.Scheme {
+	return named("upTh="+up.String(), experiment.DynamicMRAI(mrai.PaperLevels, up, 0))
 }
 
-func fig7() Experiment {
-	return Experiment{
-		ID:    "fig7",
-		Title: "Effect of dynamic MRAI",
-		What: "the dynamic scheme stays near the per-size minimum: at or below " +
-			"MRAI=0.5s for small failures, between 1.25s and 2.25s for large ones",
-		Run: func(o Options) (experiment.Figure, error) {
-			o = o.normalize()
-			schemes := append([]experiment.Scheme{experiment.PaperDynamicMRAI()}, constantSchemes()...)
-			fig, err := sweepBySize(o, o.skewedTopo(topology.KindSkewed7030), schemes, experiment.MetricDelay)
-			fig.ID, fig.Title = "Fig 7", "Effect of dynamic MRAI"
-			return fig, err
-		},
-	}
+func downTh(down time.Duration) experiment.Scheme {
+	return named("downTh="+down.String(), experiment.DynamicMRAI(mrai.PaperLevels, mrai.PaperUpTh, down))
 }
 
-func fig8() Experiment {
-	return Experiment{
-		ID:    "fig8",
-		Title: "Effect of upTh on convergence delay",
-		What: "low upTh behaves like a constant high MRAI (bad for small, good " +
-			"for large failures); raising it shifts the balance, with a wide good range",
-		Run: func(o Options) (experiment.Figure, error) {
-			o = o.normalize()
-			var schemes []experiment.Scheme
-			for _, up := range []time.Duration{50 * time.Millisecond, 200 * time.Millisecond,
-				650 * time.Millisecond, 1250 * time.Millisecond} {
-				schemes = append(schemes, named("upTh="+up.String(),
-					experiment.DynamicMRAI(mrai.PaperLevels, up, 0)))
-			}
-			fig, err := sweepBySize(o, o.skewedTopo(topology.KindSkewed7030), schemes, experiment.MetricDelay)
-			fig.ID, fig.Title = "Fig 8", "Effect of upTh on convergence delay"
-			return fig, err
-		},
-	}
-}
-
-func fig9() Experiment {
-	return Experiment{
-		ID:    "fig9",
-		Title: "Effect of downTh on convergence delay",
-		What: "raising downTh makes more nodes drop their MRAI, increasing the " +
-			"delay for larger failures; results are stable over a range",
-		Run: func(o Options) (experiment.Figure, error) {
-			o = o.normalize()
-			var schemes []experiment.Scheme
-			for _, down := range []time.Duration{0, 50 * time.Millisecond,
-				200 * time.Millisecond, 450 * time.Millisecond} {
-				schemes = append(schemes, named("downTh="+down.String(),
-					experiment.DynamicMRAI(mrai.PaperLevels, mrai.PaperUpTh, down)))
-			}
-			fig, err := sweepBySize(o, o.skewedTopo(topology.KindSkewed7030), schemes, experiment.MetricDelay)
-			fig.ID, fig.Title = "Fig 9", "Effect of downTh on convergence delay"
-			return fig, err
-		},
-	}
-}
-
-func fig10() Experiment {
-	return Experiment{
-		ID:    "fig10",
-		Title: "Performance of batching scheme",
-		What: "batching at MRAI=0.5s cuts the large-failure delay by ≈3x versus " +
-			"plain 0.5s while keeping small-failure delays low; batch+dynamic is best",
-		Run: func(o Options) (experiment.Figure, error) {
-			o = o.normalize()
-			schemes := []experiment.Scheme{
-				experiment.Batching(500 * time.Millisecond),
-				experiment.PaperDynamicMRAI(),
-				named("batch+dynamic", experiment.BatchingDynamic(mrai.PaperLevels, mrai.PaperUpTh, mrai.PaperDownTh)),
-				experiment.ConstantMRAI(500 * time.Millisecond),
-				experiment.ConstantMRAI(2250 * time.Millisecond),
-			}
-			fig, err := sweepBySize(o, o.skewedTopo(topology.KindSkewed7030), schemes, experiment.MetricDelay)
-			fig.ID, fig.Title = "Fig 10", "Performance of batching scheme"
-			return fig, err
-		},
-	}
-}
-
-func fig11() Experiment {
-	return Experiment{
-		ID:    "fig11",
-		Title: "Number of messages generated by the batching scheme",
-		What: "batching at 0.5s generates far fewer messages than plain 0.5s, " +
-			"in the same range as MRAI=2.25s",
-		Run: func(o Options) (experiment.Figure, error) {
-			o = o.normalize()
-			schemes := []experiment.Scheme{
-				experiment.Batching(500 * time.Millisecond),
-				experiment.ConstantMRAI(500 * time.Millisecond),
-				experiment.ConstantMRAI(2250 * time.Millisecond),
-			}
-			fig, err := sweepBySize(o, o.skewedTopo(topology.KindSkewed7030), schemes, experiment.MetricMessages)
-			fig.ID, fig.Title = "Fig 11", "Number of messages generated by the batching scheme"
-			return fig, err
-		},
-	}
-}
-
-func fig12() Experiment {
-	return Experiment{
-		ID:    "fig12",
-		Title: "Effect of batching with different MRAIs",
-		What: "batching helps substantially below the optimal MRAI and is a " +
-			"no-op above it (no overloaded nodes left to relieve)",
-		Run: func(o Options) (experiment.Figure, error) {
-			o = o.normalize()
-			topo := o.skewedTopo(topology.KindSkewed7030)
-			fig, err := sweepByMRAI(o, []mraiVariant{
-				{name: "batching", topo: topo, frac: 0.05, batched: true},
-				{name: "no batching", topo: topo, frac: 0.05},
-			})
-			fig.ID, fig.Title = "Fig 12", "Effect of batching with different MRAIs"
-			return fig, err
-		},
-	}
-}
-
-func fig13() Experiment {
-	return Experiment{
-		ID:    "fig13",
-		Title: "Convergence delay of realistic topologies",
-		What: "on multi-router-per-AS Internet-like topologies the same story " +
-			"holds with optima 0.5s (small) and 3.5s (large failures)",
-		Run: func(o Options) (experiment.Figure, error) {
-			o = o.normalize()
-			levels := []time.Duration{500 * time.Millisecond, 1500 * time.Millisecond, 3500 * time.Millisecond}
-			schemes := []experiment.Scheme{
-				experiment.Batching(500 * time.Millisecond),
-				named("dynamic", experiment.DynamicMRAI(levels, mrai.PaperUpTh, mrai.PaperDownTh)),
-				experiment.ConstantMRAI(500 * time.Millisecond),
-				experiment.ConstantMRAI(3500 * time.Millisecond),
-			}
-			fig, err := sweepBySize(o, o.realisticTopo(), schemes, experiment.MetricDelay)
-			fig.ID, fig.Title = "Fig 13", "Convergence delay of realistic topologies"
-			return fig, err
-		},
-	}
-}
-
-// named overrides a scheme's display name.
-func named(name string, s experiment.Scheme) experiment.Scheme {
-	s.Name = name
-	return s
+// figures are the paper's evaluation, Figs 1–13.
+var figures = []Experiment{
+	{ID: "fig1", FigureID: "Fig 1", Title: "Convergence delay for different sized failures",
+		grid: bySize(experiment.MetricDelay, topology.KindSkewed7030, const05, const125, const225)},
+	{ID: "fig2", FigureID: "Fig 2", Title: "Number of generated messages for different MRAI values",
+		grid: bySize(experiment.MetricMessages, topology.KindSkewed7030, const05, const125, const225)},
+	{ID: "fig3", FigureID: "Fig 3", Title: "Variation in convergence delay with MRAI",
+		grid: byMRAI(
+			mraiVariant{name: "1% failure", kind: topology.KindSkewed7030, frac: 0.01},
+			mraiVariant{name: "5% failure", kind: topology.KindSkewed7030, frac: 0.05},
+			mraiVariant{name: "10% failure", kind: topology.KindSkewed7030, frac: 0.10},
+		)},
+	{ID: "fig4", FigureID: "Fig 4", Title: "Convergence delay for different topologies",
+		grid: byMRAI(
+			mraiVariant{name: "50-50", kind: topology.KindSkewed5050, frac: 0.05},
+			mraiVariant{name: "70-30", kind: topology.KindSkewed7030, frac: 0.05},
+			mraiVariant{name: "85-15", kind: topology.KindSkewed8515, frac: 0.05},
+		)},
+	{ID: "fig5", FigureID: "Fig 5", Title: "Effect of average degree on convergence delay",
+		grid: byMRAI(
+			mraiVariant{name: "avg degree 3.8", kind: topology.KindSkewed5050, frac: 0.05},
+			mraiVariant{name: "avg degree 7.6", kind: topology.KindSkewed5050Dense, frac: 0.05},
+		)},
+	{ID: "fig6", FigureID: "Fig 6", Title: "Effect of degree dependent MRAI",
+		grid: bySize(experiment.MetricDelay, topology.KindSkewed7030,
+			named("low 0.5, high 2.25", experiment.DegreeMRAI(degreeThreshold, mrai05, mrai225)),
+			named("low 2.25, high 0.5", experiment.DegreeMRAI(degreeThreshold, mrai225, mrai05)),
+			const05, const225,
+		)},
+	{ID: "fig7", FigureID: "Fig 7", Title: "Effect of dynamic MRAI",
+		grid: bySize(experiment.MetricDelay, topology.KindSkewed7030,
+			experiment.PaperDynamicMRAI(), const05, const125, const225)},
+	{ID: "fig8", FigureID: "Fig 8", Title: "Effect of upTh on convergence delay",
+		grid: bySize(experiment.MetricDelay, topology.KindSkewed7030,
+			upTh(50*time.Millisecond), upTh(200*time.Millisecond), upTh(650*time.Millisecond), upTh(1250*time.Millisecond))},
+	{ID: "fig9", FigureID: "Fig 9", Title: "Effect of downTh on convergence delay",
+		grid: bySize(experiment.MetricDelay, topology.KindSkewed7030,
+			downTh(0), downTh(50*time.Millisecond), downTh(200*time.Millisecond), downTh(450*time.Millisecond))},
+	{ID: "fig10", FigureID: "Fig 10", Title: "Performance of batching scheme",
+		grid: bySize(experiment.MetricDelay, topology.KindSkewed7030,
+			batch05, experiment.PaperDynamicMRAI(),
+			named("batch+dynamic", experiment.BatchingDynamic(mrai.PaperLevels, mrai.PaperUpTh, mrai.PaperDownTh)),
+			const05, const225,
+		)},
+	{ID: "fig11", FigureID: "Fig 11", Title: "Number of messages generated by the batching scheme",
+		grid: bySize(experiment.MetricMessages, topology.KindSkewed7030, batch05, const05, const225)},
+	{ID: "fig12", FigureID: "Fig 12", Title: "Effect of batching with different MRAIs",
+		grid: byMRAI(
+			mraiVariant{name: "batching", kind: topology.KindSkewed7030, frac: 0.05, batched: true},
+			mraiVariant{name: "no batching", kind: topology.KindSkewed7030, frac: 0.05},
+		)},
+	{ID: "fig13", FigureID: "Fig 13", Title: "Convergence delay of realistic topologies",
+		grid: bySize(experiment.MetricDelay, topology.KindRealistic,
+			batch05,
+			named("dynamic", experiment.DynamicMRAI(
+				[]time.Duration{mrai05, 1500 * time.Millisecond, 3500 * time.Millisecond}, mrai.PaperUpTh, mrai.PaperDownTh)),
+			const05, experiment.ConstantMRAI(3500*time.Millisecond),
+		)},
 }

@@ -198,7 +198,7 @@ func TestWorkerDrainFinishesInFlightTrial(t *testing.T) {
 	ctx := context.Background()
 	out := make(chan sweepOut, 1)
 	go func() {
-		fig, err := coord.RunSweep(ctx, "test", 0, Options{}, testSweepCfg(nil))
+		fig, err := coord.RunSweep(ctx, "test", Options{}, testSweepCfg(nil))
 		out <- sweepOut{fig, err}
 	}()
 

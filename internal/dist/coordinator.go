@@ -194,10 +194,10 @@ func (c *Coordinator) waitAndDetach(ctx context.Context, run *activeRun) error {
 // as trial jobs, blocks until every trial's result is in (or ctx is
 // canceled, or a worker reports a failure), and merges them into the
 // figure in fixed (series, x, trial) order — byte-identical to a local
-// Sweep of the same cfg. expID, sweepIndex, and wire address the grid
-// for workers; cfg is the coordinator's own copy (its Cell closure is
-// never invoked — trials are materialized worker-side).
-func (c *Coordinator) RunSweep(ctx context.Context, expID string, sweepIndex int, wire Options, cfg experiment.SweepConfig) (experiment.Figure, error) {
+// Sweep of the same cfg. expID and wire address the grid for workers;
+// cfg is the coordinator's own copy (its Cell closure is never invoked —
+// trials are materialized worker-side).
+func (c *Coordinator) RunSweep(ctx context.Context, expID string, wire Options, cfg experiment.SweepConfig) (experiment.Figure, error) {
 	cfg, err := experiment.NormalizeSweep(cfg)
 	if err != nil {
 		return experiment.Figure{}, err
@@ -205,7 +205,6 @@ func (c *Coordinator) RunSweep(ctx context.Context, expID string, sweepIndex int
 	desc := SweepDesc{
 		Protocol:   ProtocolVersion,
 		Experiment: expID,
-		SweepIndex: sweepIndex,
 		Options:    wire,
 		Grid:       Grid{Series: len(cfg.SeriesNames), Xs: len(cfg.Xs), Trials: cfg.Trials},
 	}
@@ -287,17 +286,14 @@ func (c *Coordinator) RunChurn(ctx context.Context, desc ChurnDesc) (churn.RunRe
 }
 
 // SweeperFor adapts the coordinator into the experiment.Sweeper hook for
-// one experiment run: install the result as Options.Sweeper and every
-// grid the experiment builds is executed remotely. The returned function
-// counts the experiment's Sweep calls to derive each grid's SweepIndex,
-// so it must be used for exactly one Experiment.Run invocation.
+// one experiment: install the result as Options.Sweeper and the
+// experiment's grid is executed remotely. Workers rebuild that grid from
+// expID and opts (core.Experiment.Grid), so opts must be the options the
+// experiment runs at.
 func (c *Coordinator) SweeperFor(ctx context.Context, expID string, opts core.Options) experiment.Sweeper {
 	wire := WireOptions(opts)
-	index := 0
 	return func(cfg experiment.SweepConfig) (experiment.Figure, error) {
-		i := index
-		index++
-		return c.RunSweep(ctx, expID, i, wire, cfg)
+		return c.RunSweep(ctx, expID, wire, cfg)
 	}
 }
 

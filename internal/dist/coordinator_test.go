@@ -127,7 +127,7 @@ func TestOutOfOrderCompletionsYieldMonotonicProgress(t *testing.T) {
 	var prog progressRecorder
 	out := make(chan sweepOut, 1)
 	go func() {
-		fig, err := coord.RunSweep(context.Background(), "test", 0, Options{}, testSweepCfg(prog.record))
+		fig, err := coord.RunSweep(context.Background(), "test", Options{}, testSweepCfg(prog.record))
 		out <- sweepOut{fig, err}
 	}()
 	h := coord.Handler()
@@ -172,7 +172,7 @@ func TestDuplicateCompletionAcknowledgedNotDoubleCounted(t *testing.T) {
 	var prog progressRecorder
 	out := make(chan sweepOut, 1)
 	go func() {
-		fig, err := coord.RunSweep(context.Background(), "test", 0, Options{}, testSweepCfg(prog.record))
+		fig, err := coord.RunSweep(context.Background(), "test", Options{}, testSweepCfg(prog.record))
 		out <- sweepOut{fig, err}
 	}()
 	h := coord.Handler()
@@ -232,7 +232,7 @@ func TestLeaseBatchesOnFakeClock(t *testing.T) {
 	}
 	out := make(chan sweepOut, 1)
 	go func() {
-		fig, err := coord.RunSweep(context.Background(), "test", 0, Options{}, testSweepCfg(nil))
+		fig, err := coord.RunSweep(context.Background(), "test", Options{}, testSweepCfg(nil))
 		out <- sweepOut{fig, err}
 	}()
 	h := coord.Handler()
@@ -307,7 +307,7 @@ func TestWorkerReportedJobErrorFailsSweep(t *testing.T) {
 	}
 	out := make(chan sweepOut, 1)
 	go func() {
-		fig, err := coord.RunSweep(context.Background(), "test", 0, Options{}, testSweepCfg(nil))
+		fig, err := coord.RunSweep(context.Background(), "test", Options{}, testSweepCfg(nil))
 		out <- sweepOut{fig, err}
 	}()
 	h := coord.Handler()
@@ -335,7 +335,7 @@ func TestCheckpointResumeSkipsCompletedCells(t *testing.T) {
 	ctxA, cancelA := context.WithCancel(context.Background())
 	outA := make(chan sweepOut, 1)
 	go func() {
-		fig, err := coordA.RunSweep(ctxA, "test", 0, Options{}, cfg)
+		fig, err := coordA.RunSweep(ctxA, "test", Options{}, cfg)
 		outA <- sweepOut{fig, err}
 	}()
 	hA := coordA.Handler()
@@ -365,7 +365,7 @@ func TestCheckpointResumeSkipsCompletedCells(t *testing.T) {
 	}
 	outB := make(chan sweepOut, 1)
 	go func() {
-		fig, err := coordB.RunSweep(context.Background(), "test", 0, Options{}, cfgB)
+		fig, err := coordB.RunSweep(context.Background(), "test", Options{}, cfgB)
 		outB <- sweepOut{fig, err}
 	}()
 	hB := coordB.Handler()
@@ -421,7 +421,7 @@ func TestCheckpointResumeSkipsCompletedCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := coordC.RunSweep(context.Background(), "test", 0, Options{}, cfg)
+	fig, err := coordC.RunSweep(context.Background(), "test", Options{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +444,7 @@ func TestShutdownRefusesWorkAndSweeps(t *testing.T) {
 	if resp.Status != StatusShutdown {
 		t.Errorf("lease after Shutdown = %q, want %q", resp.Status, StatusShutdown)
 	}
-	if _, err := coord.RunSweep(context.Background(), "test", 0, Options{}, testSweepCfg(nil)); err == nil {
+	if _, err := coord.RunSweep(context.Background(), "test", Options{}, testSweepCfg(nil)); err == nil {
 		t.Error("RunSweep accepted after Shutdown")
 	}
 }

@@ -13,10 +13,11 @@
 //
 // Scenarios carry closures (schemes mutate bgp.Params arbitrarily), so
 // sweep jobs never ship scenarios. A job is an address into the shared
-// experiment registry instead: (experiment ID, scale options, sweep
-// index, series index, x index, trial). Both sides run the same registry
-// code over the same options, and the seed of every trial derives from
-// grid indices alone (experiment.CellScenario + the trial stride), so
+// experiment registry instead: (experiment ID, scale options, series
+// index, x index, trial). Every experiment is one grid, and both sides
+// build it from the same registry entry over the same options
+// (core.Experiment.Grid); the seed of every trial derives from grid
+// indices alone (experiment.CellScenario + the trial stride), so
 // the worker materializes bit-for-bit the scenario the coordinator's
 // local sweep would have run. The coordinator merges returned trial
 // results in fixed (series, x, trial) order through the same assembly
@@ -65,8 +66,11 @@ import (
 // the next lease with the acknowledgement of a completion that asks for
 // one (CompleteRequest.Next, CompleteResponse.Next), so a lease costs one
 // round trip, not two; jobs and results are v4's, and the bump keeps a
-// fleet on binaries that agree on how a lease is handed out.
-const ProtocolVersion = "bgpsim/dist/v5"
+// fleet on binaries that agree on how a lease is handed out. v6 drops
+// the descriptor's sweep index: every experiment is one grid, which a
+// worker rebuilds from the registry entry (core.Experiment.Grid) instead
+// of re-running the experiment to find it.
+const ProtocolVersion = "bgpsim/dist/v6"
 
 // Lease response statuses.
 const (
@@ -109,7 +113,7 @@ type Options struct {
 
 // WireOptions extracts the wire form of o. The coordinator sends the
 // pre-normalization options exactly as the figure pipeline received
-// them; both sides then normalize identically inside Experiment.Run.
+// them; both sides then normalize identically inside Experiment.Grid.
 func WireOptions(o core.Options) Options {
 	return Options{
 		Nodes:              o.Nodes,
@@ -155,9 +159,6 @@ type SweepDesc struct {
 	Protocol string `json:"protocol"`
 	// Experiment is the registry ID ("fig3", "ablation-policy", ...).
 	Experiment string `json:"experiment"`
-	// SweepIndex selects the n-th Sweep call Experiment.Run makes
-	// (0-based; every current experiment makes exactly one).
-	SweepIndex int `json:"sweep_index"`
 	// Options is the scale the experiment runs at.
 	Options Options `json:"options"`
 	// Grid is the resulting grid shape, for worker-side validation.

@@ -39,7 +39,7 @@ func FuzzCoordinatorBodies(f *testing.F) {
 		ctx, cancel := context.WithCancel(context.Background())
 		out := make(chan error, 1)
 		go func() {
-			_, err := coord.RunSweep(ctx, "test", 0, Options{}, testSweepCfg(nil))
+			_, err := coord.RunSweep(ctx, "test", Options{}, testSweepCfg(nil))
 			out <- err
 		}()
 		defer func() { cancel(); <-out }()
@@ -189,7 +189,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 			churnDone = cc.Done
 		}
 		checkResumed(t, "sweep", coord, sweepKey, 12, sweepDone, sweepResult, func(ctx context.Context) error {
-			_, err := coord.RunSweep(ctx, "test", 0, Options{}, testSweepCfg(nil))
+			_, err := coord.RunSweep(ctx, "test", Options{}, testSweepCfg(nil))
 			return err
 		})
 		checkResumed(t, "churn", coord, churnKey, 3, churnDone, churnResult, func(ctx context.Context) error {

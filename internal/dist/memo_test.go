@@ -15,23 +15,24 @@ import (
 )
 
 // descFor builds the descriptor a coordinator would publish for expID's
-// one sweep at opts, grid shape included.
+// grid at opts, grid shape included.
 func descFor(t *testing.T, expID string, opts core.Options) SweepDesc {
 	t.Helper()
 	exp, err := core.Lookup(expID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	desc := SweepDesc{Protocol: ProtocolVersion, Experiment: exp.ID, Options: WireOptions(opts)}
-	opts.Sweeper = func(cfg experiment.SweepConfig) (experiment.Figure, error) {
-		cfg, err := experiment.NormalizeSweep(cfg)
-		desc.Grid = Grid{Series: len(cfg.SeriesNames), Xs: len(cfg.Xs), Trials: cfg.Trials}
-		return experiment.Figure{}, err
+	cfg, err := exp.Grid(opts)
+	if err == nil {
+		cfg, err = experiment.NormalizeSweep(cfg)
 	}
-	if _, err := exp.Run(opts); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
-	return desc
+	return SweepDesc{
+		Protocol: ProtocolVersion, Experiment: exp.ID, Options: WireOptions(opts),
+		Grid: Grid{Series: len(cfg.SeriesNames), Xs: len(cfg.Xs), Trials: cfg.Trials},
+	}
 }
 
 // TestRegistryRunnerMemo pins that remembering the last descriptor's
@@ -69,11 +70,10 @@ func TestRegistryRunnerMemo(t *testing.T) {
 		}
 	}
 
-	wrongProtocol, wrongGrid, wrongIndex := a, a, a
-	wrongProtocol.Protocol = "bgpsim/dist/v1"
+	wrongProtocol, wrongGrid := a, a
+	wrongProtocol.Protocol = "bgpsim/dist/v5"
 	wrongGrid.Grid.Xs++
-	wrongIndex.SweepIndex = 1
-	for name, bad := range map[string]SweepDesc{"protocol": wrongProtocol, "grid": wrongGrid, "sweep index": wrongIndex} {
+	for name, bad := range map[string]SweepDesc{"protocol": wrongProtocol, "grid": wrongGrid} {
 		runner := RegistryRunner(1)
 		for i := 0; i < 3; i++ {
 			if _, err := runner(ctx, a, Job{}, 1); err != nil {
@@ -131,7 +131,7 @@ func TestLeaseCompleteAllocBudget(t *testing.T) {
 	const jobs = 200
 	cfg := experiment.SweepConfig{SeriesNames: []string{"a", "b"}, Xs: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, Trials: 10}
 	sweep := func() {
-		if _, err := coord.RunSweep(context.Background(), "test", 0, WireOptions(core.QuickOptions()), cfg); err != nil {
+		if _, err := coord.RunSweep(context.Background(), "test", WireOptions(core.QuickOptions()), cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,11 +161,12 @@ func TestLeaseCompleteAllocBudget(t *testing.T) {
 // a v2 sharded job on one event loop and submit bytes of another
 // determinism class; a v3 coordinator leases one trial at a time and
 // reads one result per completion; a v4 coordinator never grants a lease
-// with an acknowledgement. Both runners refuse each of these versions,
-// naming both versions.
+// with an acknowledgement; a v5 coordinator addresses a sweep by its
+// index among an experiment's sweeps. Both runners refuse each of these
+// versions, naming both versions.
 func TestWorkerRefusesV2Descriptor(t *testing.T) {
 	ctx := context.Background()
-	for _, old := range []string{"bgpsim/dist/v2", "bgpsim/dist/v3", "bgpsim/dist/v4"} {
+	for _, old := range []string{"bgpsim/dist/v2", "bgpsim/dist/v3", "bgpsim/dist/v4", "bgpsim/dist/v5"} {
 		sweep := descFor(t, "fig3", goldenOptions())
 		sweep.Protocol = old
 		_, sweepErr := RegistryRunner(1)(ctx, sweep, Job{}, 1)

@@ -342,11 +342,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// errSweepFound aborts an experiment run once the target sweep's grid
-// has been captured; resolveSweep's interceptor returns it from the
-// Sweeper hook so Experiment.Run unwinds without running later sweeps.
-var errSweepFound = errors.New("dist: sweep resolved")
-
 // RegistryRunner returns the default sweep lease executor. A lease is a
 // run of trials of one grid cell: its descriptor is resolved to its sweep
 // configuration (resolveSweep) only when it differs from the last one
@@ -375,46 +370,30 @@ func RegistryRunner(simWorkers int) JobRunner {
 	}
 }
 
-// resolveSweep reconstructs the grid desc addresses by re-running the
-// experiment from the shared registry with a Sweeper hook that captures
-// the SweepIndex-th grid instead of executing it, and unwinds. It refuses
-// another protocol version and a grid shape this binary does not build.
-func resolveSweep(desc SweepDesc) (found experiment.SweepConfig, err error) {
+// resolveSweep rebuilds the grid desc addresses from the shared
+// registry: the experiment's Grid at the descriptor's options. It
+// refuses another protocol version and a grid shape this binary does not
+// build.
+func resolveSweep(desc SweepDesc) (experiment.SweepConfig, error) {
 	if desc.Protocol != ProtocolVersion {
-		return found, fmt.Errorf("dist: coordinator speaks %q, this worker %q", desc.Protocol, ProtocolVersion)
+		return experiment.SweepConfig{}, fmt.Errorf("dist: coordinator speaks %q, this worker %q", desc.Protocol, ProtocolVersion)
 	}
 	exp, err := core.Lookup(desc.Experiment)
 	if err != nil {
-		return found, err
+		return experiment.SweepConfig{}, err
 	}
-	opts := desc.Options.Core()
-	var foundErr error
-	index := 0
-	opts.Sweeper = func(cfg experiment.SweepConfig) (experiment.Figure, error) {
-		i := index
-		index++
-		if i != desc.SweepIndex {
-			// Not the target sweep: skip its execution entirely.
-			// Current experiments never inspect a sweep's figure to
-			// build the next one, so an empty figure is safe.
-			return experiment.Figure{}, nil
-		}
-		found, foundErr = experiment.NormalizeSweep(cfg)
-		if got := (Grid{Series: len(found.SeriesNames), Xs: len(found.Xs), Trials: found.Trials}); foundErr == nil && got != desc.Grid {
-			foundErr = fmt.Errorf("dist: grid mismatch for %s sweep %d: coordinator %+v, worker %+v — binaries out of sync",
-				desc.Experiment, desc.SweepIndex, desc.Grid, got)
-		}
-		return experiment.Figure{}, errSweepFound
+	cfg, err := exp.Grid(desc.Options.Core())
+	if err != nil {
+		return experiment.SweepConfig{}, err
 	}
-	_, err = exp.Run(opts)
-	switch {
-	case errors.Is(err, errSweepFound):
-		return found, foundErr
-	case err != nil:
-		return found, err
-	default:
-		return found, fmt.Errorf("dist: experiment %s ran %d sweeps, job addresses sweep %d", desc.Experiment, index, desc.SweepIndex)
+	if cfg, err = experiment.NormalizeSweep(cfg); err != nil {
+		return experiment.SweepConfig{}, err
 	}
+	if got := (Grid{Series: len(cfg.SeriesNames), Xs: len(cfg.Xs), Trials: cfg.Trials}); got != desc.Grid {
+		return experiment.SweepConfig{}, fmt.Errorf("dist: grid mismatch for %s: coordinator %+v, worker %+v — binaries out of sync",
+			desc.Experiment, desc.Grid, got)
+	}
+	return cfg, nil
 }
 
 // ChurnRunner returns the default churn job executor: one shared

@@ -81,70 +81,6 @@ func (s Spec) CountFor(n int) int {
 	return k
 }
 
-// SelectLinks returns links (node-ID pairs) for a link-only failure:
-// the spec's Count/Fraction is interpreted against the link count. For
-// KindGeographic and KindEdge the links with midpoints nearest the
-// anchor point are cut; KindRandom cuts uniformly random links.
-func SelectLinks(nw *topology.Network, s Spec, rng *des.RNG) ([][2]int, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	links := nw.Links()
-	k := s.CountFor(len(links))
-	switch s.Kind {
-	case KindRandom:
-		perm := rng.Perm(len(links))
-		out := make([][2]int, 0, k)
-		for _, idx := range perm[:k] {
-			out = append(out, [2]int{links[idx].A, links[idx].B})
-		}
-		sortLinks(out)
-		return out, nil
-	default:
-		anchor := topology.GridCenter(nw)
-		if s.Kind == KindEdge {
-			anchor = topology.Point{X: 0, Y: 0}
-		}
-		if s.Center != nil {
-			anchor = *s.Center
-		}
-		type linkDist struct {
-			l [2]int
-			d float64
-		}
-		ds := make([]linkDist, 0, len(links))
-		for _, l := range links {
-			pa, pb := nw.Node(l.A).Pos, nw.Node(l.B).Pos
-			mid := topology.Point{X: (pa.X + pb.X) / 2, Y: (pa.Y + pb.Y) / 2}
-			ds = append(ds, linkDist{l: [2]int{l.A, l.B}, d: mid.Dist(anchor)})
-		}
-		sort.Slice(ds, func(i, j int) bool {
-			if ds[i].d != ds[j].d {
-				return ds[i].d < ds[j].d
-			}
-			if ds[i].l[0] != ds[j].l[0] {
-				return ds[i].l[0] < ds[j].l[0]
-			}
-			return ds[i].l[1] < ds[j].l[1]
-		})
-		out := make([][2]int, 0, k)
-		for _, ld := range ds[:k] {
-			out = append(out, ld.l)
-		}
-		sortLinks(out)
-		return out, nil
-	}
-}
-
-func sortLinks(ls [][2]int) {
-	sort.Slice(ls, func(i, j int) bool {
-		if ls[i][0] != ls[j][0] {
-			return ls[i][0] < ls[j][0]
-		}
-		return ls[i][1] < ls[j][1]
-	})
-}
-
 // Select returns the sorted IDs of the routers the failure kills.
 // rng is consumed only by KindRandom.
 func Select(nw *topology.Network, s Spec, rng *des.RNG) ([]int, error) {

@@ -170,70 +170,3 @@ func TestGeographicFractionOnPaperScale(t *testing.T) {
 		}
 	}
 }
-
-func TestSelectLinksGeographic(t *testing.T) {
-	nw := grid5x5(t)
-	// Add a few links: center cross and a corner link.
-	for _, l := range [][2]int{{12, 13}, {12, 7}, {0, 1}} {
-		if err := nw.AddLink(l[0], l[1], false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := SelectLinks(nw, Spec{Kind: KindGeographic, Count: 2}, des.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("got %v", got)
-	}
-	for _, l := range got {
-		if l[0] == 0 && l[1] == 1 {
-			t.Errorf("corner link selected before central ones: %v", got)
-		}
-	}
-}
-
-func TestSelectLinksRandomCountAndDeterminism(t *testing.T) {
-	nw := grid5x5(t)
-	for i := 0; i < 24; i++ {
-		if err := nw.AddLink(i, i+1, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a, err := SelectLinks(nw, Spec{Kind: KindRandom, Count: 5}, des.NewRNG(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != 5 {
-		t.Fatalf("len = %d", len(a))
-	}
-	b, _ := SelectLinks(nw, Spec{Kind: KindRandom, Count: 5}, des.NewRNG(3))
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same seed, different link selection")
-		}
-	}
-}
-
-func TestSelectLinksFraction(t *testing.T) {
-	nw := grid5x5(t)
-	for i := 0; i < 20; i++ {
-		if err := nw.AddLink(i, i+1, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := SelectLinks(nw, Spec{Kind: KindGeographic, Fraction: 0.25}, des.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 5 {
-		t.Errorf("25%% of 20 links = %d, want 5", len(got))
-	}
-}
-
-func TestSelectLinksRejectsInvalidSpec(t *testing.T) {
-	nw := grid5x5(t)
-	if _, err := SelectLinks(nw, Spec{Kind: "nope", Count: 1}, des.NewRNG(1)); err == nil {
-		t.Error("invalid spec accepted")
-	}
-}
