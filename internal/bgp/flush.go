@@ -19,10 +19,8 @@ import (
 type flushStation struct {
 	advertised []refSlot    // last announced ref per destination (0 = withdrawn/never)
 	pending    []bitset     // destinations needing re-advertisement (drained in ascending order)
-	nextSend   []des.Time   // per-peer MRAI gate: announcements allowed at/after this time
+	timers     []slotTimer  // per-slot MRAI gate and deferred flush
 	destGate   [][]des.Time // per-destination gates (PerDestinationMRAI ablation); zero = open
-	flushEv    []*des.Event // armed deferred flush per slot; nil = none
-	flushTasks []flushTask  // per-slot deferred-flush tasks, so arming allocates nothing
 
 	blocked     []bitset
 	blockedSkip bool
@@ -30,16 +28,22 @@ type flushStation struct {
 	policy mrai.Policy
 }
 
+// slotTimer is one slot's MRAI timer: the per-peer gate and the deferred
+// flush armed against it.
+type slotTimer struct {
+	nextSend des.Time   // announcements allowed at/after this time
+	ev       *des.Event // armed deferred flush; nil = none
+	task     flushTask  // what ev runs, so arming allocates nothing
+}
+
 // rewire fits the per-slot columns to nslots peers of r.
 func (f *flushStation) rewire(r *router, nslots int) {
-	f.nextSend = fit(f.nextSend, nslots)
-	f.flushEv = fit(f.flushEv, nslots)
-	f.flushTasks = fit(f.flushTasks, nslots)
+	f.timers = fit(f.timers, nslots)
 	f.advertised = refit(f.advertised, nslots)
 	f.pending = refit(f.pending, nslots)
 	f.blocked = refit(f.blocked, nslots)
-	for slot := range f.flushTasks {
-		f.flushTasks[slot] = flushTask{r: r, slot: slot}
+	for slot := range f.timers {
+		f.timers[slot].task = flushTask{r: r, slot: slot}
 	}
 }
 
@@ -53,8 +57,7 @@ func (f *flushStation) reset(p Params, nslots, ndests int) {
 		f.destGate = nil
 	}
 	for slot := range nslots {
-		f.nextSend[slot] = 0
-		f.flushEv[slot] = nil
+		f.timers[slot].nextSend, f.timers[slot].ev = 0, nil
 		f.advertised[slot].fit(ndests)
 		f.pending[slot] = f.pending[slot].fit(ndests)
 		f.blocked[slot] = f.blocked[slot].reuse(ndests) // else re-materializes lazily
@@ -69,9 +72,9 @@ func (f *flushStation) reset(p Params, nslots, ndests int) {
 
 // stop cancels every armed flush when the router dies.
 func (f *flushStation) stop(eng *des.Engine) {
-	for slot, ev := range f.flushEv {
-		eng.Cancel(ev)
-		f.flushEv[slot] = nil
+	for slot := range f.timers {
+		eng.Cancel(f.timers[slot].ev)
+		f.timers[slot].ev = nil
 	}
 }
 
@@ -80,8 +83,8 @@ func (f *flushStation) stop(eng *des.Engine) {
 func (f *flushStation) closeSlot(eng *des.Engine, slot int) {
 	f.pending[slot].clearAll()
 	f.advertised[slot].reset()
-	eng.Cancel(f.flushEv[slot])
-	f.flushEv[slot] = nil
+	eng.Cancel(f.timers[slot].ev)
+	f.timers[slot].ev = nil
 	if bl := f.blocked[slot]; bl != nil {
 		bl.clearAll()
 	}
@@ -91,7 +94,7 @@ func (f *flushStation) closeSlot(eng *des.Engine, slot int) {
 // advertised yet, and every destination in table pending.
 func (f *flushStation) openSlot(slot int, table bitset) {
 	f.advertised[slot].reset()
-	f.nextSend[slot] = 0
+	f.timers[slot].nextSend = 0
 	pend := f.pending[slot]
 	for wi := range pend {
 		pend[wi] |= table[wi]
@@ -102,7 +105,9 @@ func (f *flushStation) openSlot(slot int, table bitset) {
 // state. Everything skipped as blocked is then sendable at the very next
 // flush pass, exactly as the reference path would re-examine it.
 func (f *flushStation) rewindGates() {
-	clear(f.nextSend)
+	for slot := range f.timers {
+		f.timers[slot].nextSend = 0
+	}
 	for _, bl := range f.blocked {
 		if bl != nil {
 			bl.clearAll()
@@ -126,7 +131,7 @@ func (f *flushStation) destAllowed(slot int, dest ASN, now des.Time, peerAllowed
 // gateTime returns when the announcement gate for (slot, dest) opens.
 func (f *flushStation) gateTime(slot int, dest ASN) des.Time {
 	if f.destGate == nil {
-		return f.nextSend[slot]
+		return f.timers[slot].nextSend
 	}
 	return f.destGate[slot][dest]
 }
@@ -149,7 +154,7 @@ func (f *flushStation) noteBlocked(slot int, dest ASN, at, minBlocked des.Time, 
 
 // flushTask is the pre-allocated des.Runner for deferred-flush events.
 // Each (router, slot) has at most one armed flush event (guarded by
-// flushEv[slot]), so one reusable task per slot replaces a per-arming
+// timers[slot].ev), so one reusable task per slot replaces a per-arming
 // closure.
 type flushTask struct {
 	r    *router
@@ -159,7 +164,7 @@ type flushTask struct {
 // Run clears the armed-event marker and retries the flush.
 func (t *flushTask) Run() {
 	f := &t.r.flush
-	f.flushEv[t.slot] = nil
+	f.timers[t.slot].ev = nil
 	if bl := f.blocked[t.slot]; bl != nil {
 		bl.clearAll() // the armed gate time arrived: re-examine everything
 	}
@@ -185,8 +190,8 @@ func (r *router) markPendingAll(dest ASN) {
 				bl.clear(dest)
 			}
 		}
-		if r.sim.params.CancelOnChange && valid && f.nextSend[slot] > now {
-			f.nextSend[slot] = now
+		if r.sim.params.CancelOnChange && valid && f.timers[slot].nextSend > now {
+			f.timers[slot].nextSend = now
 		}
 	}
 }
@@ -215,7 +220,7 @@ func (r *router) tryFlush(slot int) {
 		return
 	}
 	now := r.now()
-	peerAllowed := now >= f.nextSend[slot]
+	peerAllowed := now >= f.timers[slot].nextSend
 
 	// Storm blocked-skip: pending destinations already examined and found
 	// gate-blocked are skipped until a gate can have opened. With the
@@ -269,14 +274,14 @@ func (r *router) tryFlush(slot int) {
 			gated = !(r.sim.params.FlapGate > 0 && int(r.decide.flapCount[dest]) < r.sim.params.FlapGate)
 		}
 		if gated && !f.destAllowed(slot, dest, now, peerAllowed) {
-			minBlocked = f.noteBlocked(slot, dest, f.gateTime(slot, dest), minBlocked, r.ndests)
+			minBlocked = f.noteBlocked(slot, dest, f.gateTime(slot, dest), minBlocked, int(r.ndests))
 			continue
 		}
 		r.send(slot, Update{Dest: int32(dest), Ref: desired})
 		if desired == 0 {
 			adv.del(dest)
 		} else {
-			adv.set(dest, desired, r.ndests)
+			adv.set(dest, desired, int(r.ndests))
 		}
 		pend.clear(dest)
 		sentAny = true
@@ -289,14 +294,14 @@ func (r *router) tryFlush(slot int) {
 	}
 
 	if sentGated && f.destGate == nil {
-		f.nextSend[slot] = now + r.nextMRAI(now)
+		f.timers[slot].nextSend = now + r.nextMRAI(now)
 	}
 	if sentAny {
 		r.col.NotePacket(now)
 	}
 	if pend.any() {
 		if f.destGate == nil {
-			minBlocked = f.nextSend[slot]
+			minBlocked = f.timers[slot].nextSend
 		}
 		r.scheduleFlush(slot, minBlocked)
 	}
@@ -328,13 +333,14 @@ func (r *router) scheduleFlush(slot int, at des.Time) {
 		at = now
 	}
 	f := &r.flush
-	if ev := f.flushEv[slot]; ev != nil && !ev.Canceled() {
-		if ev.At() <= at {
+	t := &f.timers[slot]
+	if t.ev != nil && !t.ev.Canceled() {
+		if t.ev.At() <= at {
 			return
 		}
-		r.eng.Cancel(ev)
+		r.eng.Cancel(t.ev)
 	}
-	f.flushEv[slot] = r.eng.ScheduleRunnerAt(at, &f.flushTasks[slot])
+	t.ev = r.eng.ScheduleRunnerAt(at, &t.task)
 }
 
 // send transmits one route-level update to the slot's peer, stamped with

@@ -66,7 +66,7 @@ func TestFlushStation(t *testing.T) {
 			name: "nothing to send clears the pending bit",
 			setup: func(r *router) {
 				r.setLocForTest(7, Path{0, 7}, 0)
-				r.flush.advertised[slot].set(7, r.tab.intern(Path{1, 0, 7}), r.ndests)
+				r.flush.advertised[slot].set(7, r.tab.intern(Path{1, 0, 7}), int(r.ndests))
 				r.flush.pending[slot].set(7)
 				r.flush.pending[slot].set(8) // no route, nothing advertised
 			},
@@ -85,7 +85,7 @@ func TestFlushStation(t *testing.T) {
 			name: "a path through the peer's AS is withdrawn",
 			setup: func(r *router) {
 				r.setLocForTest(7, Path{0, 2, 7}, 0)
-				r.flush.advertised[slot].set(7, r.tab.intern(Path{1, 0, 7}), r.ndests)
+				r.flush.advertised[slot].set(7, r.tab.intern(Path{1, 0, 7}), int(r.ndests))
 				r.flush.pending[slot].set(7)
 			},
 			want: want{sends: []sent{{7, true}}, flushAt: noFlush, refExam: []ASN{7}},
@@ -93,8 +93,8 @@ func TestFlushStation(t *testing.T) {
 		{
 			name: "a withdrawal bypasses the gate",
 			setup: func(r *router) {
-				r.flush.nextSend[slot] = m
-				r.flush.advertised[slot].set(7, r.tab.intern(Path{1, 0, 7}), r.ndests)
+				r.flush.timers[slot].nextSend = m
+				r.flush.advertised[slot].set(7, r.tab.intern(Path{1, 0, 7}), int(r.ndests))
 				r.flush.pending[slot].set(7)
 			},
 			want: want{sends: []sent{{7, true}}, flushAt: noFlush, nextSend: m, refExam: []ASN{7}},
@@ -103,8 +103,8 @@ func TestFlushStation(t *testing.T) {
 			name:   "a rate-limited withdrawal is blocked and armed at the gate",
 			params: func(p *Params) { p.RateLimitWithdrawals = true },
 			setup: func(r *router) {
-				r.flush.nextSend[slot] = m
-				r.flush.advertised[slot].set(7, r.tab.intern(Path{1, 0, 7}), r.ndests)
+				r.flush.timers[slot].nextSend = m
+				r.flush.advertised[slot].set(7, r.tab.intern(Path{1, 0, 7}), int(r.ndests))
 				r.flush.pending[slot].set(7)
 			},
 			want: want{pending: []ASN{7}, blocked: []ASN{7}, flushAt: m, nextSend: m, refExam: []ASN{7}},
@@ -148,10 +148,10 @@ func TestFlushStation(t *testing.T) {
 		{
 			name: "a blocked destination is skipped until markPendingAll clears its bit",
 			setup: func(r *router) {
-				r.flush.nextSend[slot] = m
+				r.flush.timers[slot].nextSend = m
 				for _, dest := range []ASN{7, 8} {
 					r.setLocForTest(dest, Path{0, dest}, 0)
-					r.flush.advertised[slot].set(dest, r.tab.intern(Path{1, 0, 5, dest}), r.ndests)
+					r.flush.advertised[slot].set(dest, r.tab.intern(Path{1, 0, 5, dest}), int(r.ndests))
 					r.flush.pending[slot].set(dest)
 				}
 			},
@@ -171,7 +171,7 @@ func TestFlushStation(t *testing.T) {
 		{
 			name: "a blocked destination is skipped until the gate opens",
 			setup: func(r *router) {
-				r.flush.nextSend[slot] = m
+				r.flush.timers[slot].nextSend = m
 				r.setLocForTest(7, Path{0, 7}, 0)
 				r.flush.pending[slot].set(7)
 			},
@@ -230,13 +230,13 @@ func TestFlushStation(t *testing.T) {
 					t.Errorf("last pass examined %v, want %v", got, wantExam)
 				}
 				flushAt := noFlush
-				if ev := r.flush.flushEv[slot]; ev != nil {
+				if ev := r.flush.timers[slot].ev; ev != nil {
 					flushAt = ev.At()
 				}
 				if flushAt != w.flushAt {
 					t.Errorf("deferred flush armed at %v, want %v", flushAt, w.flushAt)
 				}
-				if got := r.flush.nextSend[slot]; got != w.nextSend {
+				if got := r.flush.timers[slot].nextSend; got != w.nextSend {
 					t.Errorf("per-peer gate at %v, want %v", got, w.nextSend)
 				}
 			})

@@ -40,12 +40,13 @@ type inbox struct {
 	// order is a power-of-two ring of the keys with pending updates, FIFO
 	// by first arrival: orderN entries from orderHead.
 	order             []int32
-	orderHead, orderN int
+	orderHead, orderN int32
 	out               []Update // the batch Pop last returned, reused by the next
-	size              int
-	discarded         int
-	queue             QueueDiscipline
-	discardStale      bool
+	// size and discarded count updates, which 4-byte handles already
+	// bound below 2³¹.
+	size, discarded int32
+	queue           QueueDiscipline
+	discardStale    bool
 	// seen is QueueRouterBatch's scratch: the destinations Pop's backward
 	// scan over a peer batch has met, empty between Pops.
 	seen bitset
@@ -66,6 +67,12 @@ const inboxChunk = 32
 func (q *inbox) cell(h int32) *inboxCell {
 	i := uint32(h - 1)
 	return &q.cells[i/inboxChunk][i%inboxChunk]
+}
+
+// ring returns the index in order of the i-th pending key after the
+// head.
+func (q *inbox) ring(i int32) int32 {
+	return (q.orderHead + i) & int32(len(q.order)-1)
 }
 
 // newCell returns the handle of a free cell holding u and linked to
@@ -97,14 +104,14 @@ func (q *inbox) Push(u Update) {
 	}
 	tail := q.byKey[k]
 	if tail == 0 {
-		if q.orderN == len(q.order) {
+		if int(q.orderN) == len(q.order) {
 			next := make([]int32, max(8, 2*len(q.order)))
-			for i := 0; i < q.orderN; i++ {
-				next[i] = q.order[(q.orderHead+i)&(len(q.order)-1)]
+			for i := int32(0); i < q.orderN; i++ {
+				next[i] = q.order[q.ring(i)]
 			}
 			q.order, q.orderHead = next, 0
 		}
-		q.order[(q.orderHead+q.orderN)&(len(q.order)-1)] = k
+		q.order[q.ring(q.orderN)] = k
 		q.orderN++
 		q.byKey[k] = q.newCell(u)
 		q.size++
@@ -156,13 +163,13 @@ func (q *inbox) Pop() []Update {
 	}
 	if end == last {
 		q.byKey[k] = 0
-		q.orderHead = (q.orderHead + 1) & (len(q.order) - 1)
+		q.orderHead = q.ring(1)
 		q.orderN--
 	} else {
 		last.next = end.next
 	}
 	end.next, q.free = q.free, first
-	q.size -= len(q.out)
+	q.size -= int32(len(q.out))
 	if q.queue == QueueRouterBatch {
 		return q.newestPerDest()
 	}
@@ -194,14 +201,14 @@ func (q *inbox) newestPerDest() []Update {
 }
 
 // Len returns the number of queued updates.
-func (q *inbox) Len() int { return q.size }
+func (q *inbox) Len() int { return int(q.size) }
 
 // TakeDiscarded returns and resets the count of updates deleted
 // unprocessed since the last call.
 func (q *inbox) TakeDiscarded() int {
 	d := q.discarded
 	q.discarded = 0
-	return d
+	return int(d)
 }
 
 // drop empties the inbox, keeping the slab, the ring and the batch array.
@@ -210,12 +217,11 @@ func (q *inbox) TakeDiscarded() int {
 func (q *inbox) drop() {
 	for ; q.orderN > 0; q.orderN-- {
 		q.byKey[q.order[q.orderHead]] = 0
-		q.orderHead = (q.orderHead + 1) & (len(q.order) - 1)
+		q.orderHead = q.ring(1)
 	}
 	q.orderHead = 0
 	q.ncells, q.free = 0, 0
-	q.size = 0
-	q.discarded = 0
+	q.size, q.discarded = 0, 0
 }
 
 // Reset empties the inbox and sets it up for a run under p's discipline
@@ -246,8 +252,8 @@ func (q *inbox) Reset(p Params, nslots, ndests int) {
 // chain's cells hold stale refs, and the batch Pop last returned is the
 // router's to visit.
 func (q *inbox) forEachRef(fn func(*routeRef)) {
-	for i := 0; i < q.orderN; i++ {
-		last := q.cell(q.byKey[q.order[(q.orderHead+i)&(len(q.order)-1)]])
+	for i := int32(0); i < q.orderN; i++ {
+		last := q.cell(q.byKey[q.order[q.ring(i)]])
 		for c := q.cell(last.next); ; c = q.cell(c.next) {
 			fn(&c.u.Ref)
 			if c == last {

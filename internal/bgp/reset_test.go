@@ -87,8 +87,8 @@ func assertQuiescent(t *testing.T, sim *Simulator) {
 					r.id, r.alive, pend.count(), r.peers[slot].Node)
 			}
 		}
-		for slot, ev := range r.flush.flushEv {
-			if ev != nil {
+		for slot, timer := range r.flush.timers {
+			if timer.ev != nil {
 				t.Errorf("router %d (alive=%v): flush for peer n%d still armed at quiescence",
 					r.id, r.alive, r.peers[slot].Node)
 			}
@@ -373,15 +373,15 @@ func checkWiring(t *testing.T, world string, got, want *Simulator) {
 					world, id, slot, p.Node, p.Back, back.Node)
 			}
 		}
-		for _, n := range []int{len(g.peerAlive), len(g.flush.nextSend), len(g.flush.flushEv),
-			len(g.flush.flushTasks), len(g.flush.advertised), len(g.flush.pending), len(g.flush.blocked), len(g.receive.adjIn.slots)} {
+		for _, n := range []int{len(g.peerAlive), len(g.flush.timers),
+			len(g.flush.advertised), len(g.flush.pending), len(g.flush.blocked), len(g.receive.adjIn.slots)} {
 			if n != len(w.peers) {
 				t.Fatalf("%s: router %d has a per-slot array of %d for %d peers", world, id, n, len(w.peers))
 			}
 		}
-		for slot := range g.flush.flushTasks {
-			if g.flush.flushTasks[slot] != (flushTask{r: g, slot: slot}) {
-				t.Fatalf("%s: router %d slot %d flushes %+v", world, id, slot, g.flush.flushTasks[slot])
+		for slot := range g.flush.timers {
+			if g.flush.timers[slot].task != (flushTask{r: g, slot: slot}) {
+				t.Fatalf("%s: router %d slot %d flushes %+v", world, id, slot, g.flush.timers[slot].task)
 			}
 		}
 	}

@@ -28,7 +28,10 @@ type router struct {
 	id    NodeID
 	as    ASN
 	alive bool
-	sim   *Simulator
+	// ndests is the dest-index capacity all dense arrays are sized for.
+	// int32 like the dest index itself, so it shares alive's word.
+	ndests int32
+	sim    *Simulator
 
 	// The simulator's engine, collector, random stream and path table,
 	// set once by newRouter: the hot paths read them without going
@@ -40,8 +43,6 @@ type router struct {
 
 	peers     []Peer // sorted by node id; an index is a slot
 	peerAlive []bool
-
-	ndests int // dest-index capacity all dense arrays are sized for
 
 	receive receiveStation
 	decide  decideStation
@@ -90,7 +91,7 @@ func (r *router) rewire(id NodeID, net *topology.Network) {
 // almost nothing, on one network or on many.
 func (r *router) reset(p Params, ndests int) {
 	r.alive = true
-	r.ndests = ndests
+	r.ndests = int32(ndests)
 	fill(r.peerAlive, true)
 	r.receive.reset(p, len(r.peers), ndests)
 	r.decide.reset(p, ndests)

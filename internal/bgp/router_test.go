@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"bgpsim/internal/mrai"
 	"bgpsim/internal/topology"
@@ -141,8 +142,8 @@ func TestMRAIGatesSecondAnnouncement(t *testing.T) {
 	// Originate at t=0: first announcement is immediate, timer arms.
 	r1.originate(1)
 	slotTo2 := mustPeer(r1.peers, 2)
-	if r1.flush.nextSend[slotTo2] != m {
-		t.Fatalf("nextSend = %v, want %v (no jitter)", r1.flush.nextSend[slotTo2], m)
+	if r1.flush.timers[slotTo2].nextSend != m {
+		t.Fatalf("nextSend = %v, want %v (no jitter)", r1.flush.timers[slotTo2].nextSend, m)
 	}
 	if got, _ := r1.advertisedPath(slotTo2, 1); !pathsEqual(got, Path{1}) {
 		t.Fatalf("first announcement not sent: %v", got)
@@ -158,10 +159,10 @@ func TestMRAIGatesSecondAnnouncement(t *testing.T) {
 	if _, sent := r1.advertisedPath(slotTo2, 7); sent {
 		t.Fatal("announcement escaped the MRAI gate")
 	}
-	if r1.flush.flushEv[slotTo2] == nil {
+	if r1.flush.timers[slotTo2].ev == nil {
 		t.Fatal("no deferred flush scheduled")
 	}
-	if at := r1.flush.flushEv[slotTo2].At(); at != m {
+	if at := r1.flush.timers[slotTo2].ev.At(); at != m {
 		t.Fatalf("flush scheduled at %v, want %v", at, m)
 	}
 
@@ -172,8 +173,8 @@ func TestMRAIGatesSecondAnnouncement(t *testing.T) {
 		t.Fatalf("deferred announcement = %v, want [1 0 7]", got)
 	}
 	// The deferred send rearmed the timer from t=m.
-	if r1.flush.nextSend[slotTo2] != 2*m {
-		t.Errorf("timer after deferred send = %v, want %v", r1.flush.nextSend[slotTo2], 2*m)
+	if r1.flush.timers[slotTo2].nextSend != 2*m {
+		t.Errorf("timer after deferred send = %v, want %v", r1.flush.timers[slotTo2].nextSend, 2*m)
 	}
 }
 
@@ -225,7 +226,7 @@ func TestWithdrawalBypassesMRAI(t *testing.T) {
 	if sim.col.TotalMessages == before {
 		t.Fatal("no withdrawal message sent")
 	}
-	if r1.flush.nextSend[slotTo2] <= now {
+	if r1.flush.timers[slotTo2].nextSend <= now {
 		t.Error("timer was not armed by the announcement")
 	}
 }
@@ -457,5 +458,15 @@ func TestMeanProc(t *testing.T) {
 	p := DefaultParams()
 	if got := p.MeanProc(); got != 15500*time.Microsecond {
 		t.Errorf("MeanProc = %v, want 15.5ms", got)
+	}
+}
+
+// TestRouterFitsItsSizeClass keeps a router in Go's 768-byte malloc size
+// class: the next class up is 896 bytes, 128 more per router of every
+// simulator.
+func TestRouterFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(router{}); n > 768 {
+		t.Errorf("router is %d bytes, want <= 768 (inbox %d, decide %d, flush %d)", n,
+			unsafe.Sizeof(inbox{}), unsafe.Sizeof(decideStation{}), unsafe.Sizeof(flushStation{}))
 	}
 }

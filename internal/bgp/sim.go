@@ -559,7 +559,7 @@ func (s *Simulator) LocPath(id NodeID, dest ASN) (Path, bool) {
 	if id < 0 || id >= len(s.routers) {
 		return nil, false
 	}
-	if dest < 0 || dest >= s.routers[id].ndests {
+	if dest < 0 || dest >= int(s.routers[id].ndests) {
 		return nil, false
 	}
 	ref, ok := s.routers[id].decide.loc.getRef(dest)

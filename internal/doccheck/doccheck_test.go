@@ -102,24 +102,31 @@ func parseNonTest(t *testing.T, dir string) (*token.FileSet, map[string]*ast.Pac
 	return fset, pkgs
 }
 
-// TestBGPHoldsNoProcessWideState keeps internal/bgp, and the trial layers
-// above it (internal/experiment, internal/churn), a function of their
-// arguments: a trial's outcome and cost may depend on the Simulator and
-// the Params it was given, never on something another trial, test or
-// tool set process-wide. No package-level variable is allowed beside the
-// blank interface assertions and the named allowlist below, and no
-// package may import internal/profiling, whose flags are process-wide by
-// nature.
+// TestBGPHoldsNoProcessWideState keeps internal/bgp, the trial layers
+// above it (internal/experiment, internal/churn) and the layers every
+// trial builds on (internal/topology, internal/des) a function of their
+// arguments: a trial's outcome and cost may depend on the Simulator, the
+// Params and the stream it was given, never on something another trial,
+// test or tool set process-wide. No package-level variable is allowed
+// beside the blank interface assertions and the named allowlist below,
+// each written once and never after, and no package may import
+// internal/profiling, whose flags are process-wide by nature.
 func TestBGPHoldsNoProcessWideState(t *testing.T) {
 	allowed := map[string]bool{
-		"errSkipped":       true, // an immutable sentinel error
-		"FailureSizesPct":  true, // the paper's grid axes
-		"MRAISweepSeconds": true,
+		"errSkipped":        true, // an immutable sentinel error
+		"ErrDegreeSequence": true, // an immutable sentinel error
+		"ErrHorizon":        true, // an immutable sentinel error
+		"ErrCanceled":       true, // an immutable sentinel error
+		"FailureSizesPct":   true, // the paper's grid axes
+		"MRAISweepSeconds":  true,
+		"lazyPow":           true, // an immutable table of the RNG's jump powers
+		"rngCooked":         true, // math/rand's immutable seed table
+		"paperLaw":          true, // the paper's degree law, built once at init
 		// The topology memo stays until the benchmark/-only PR drops
 		// checkHeld, which reads it through BuildTopologyCached.
 		"sharedTopoCache": true,
 	}
-	for _, dir := range []string{"internal/bgp", "internal/experiment", "internal/churn"} {
+	for _, dir := range []string{"internal/bgp", "internal/experiment", "internal/churn", "internal/topology", "internal/des"} {
 		fset, pkgs := parseNonTest(t, filepath.Join(repoRoot(t), dir))
 		for _, pkg := range pkgs {
 			for _, file := range pkg.Files {

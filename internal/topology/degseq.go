@@ -80,11 +80,8 @@ func (s SkewedSpec) Degrees(rng *des.RNG) ([]int, error) {
 	}
 	nHigh := s.N - nLow
 	degrees := make([]int, 0, s.N)
-	lowSum := 0
 	for i := 0; i < nLow; i++ {
-		d := s.LowMin + rng.Intn(s.LowMax-s.LowMin+1)
-		degrees = append(degrees, d)
-		lowSum += d
+		degrees = append(degrees, s.LowMin+rng.Intn(s.LowMax-s.LowMin+1))
 	}
 	// Pick the high-class mix. With TargetAvg set, choose the fraction of
 	// HighMax draws so the expected overall average matches.
@@ -101,7 +98,6 @@ func (s SkewedSpec) Degrees(rng *des.RNG) ([]int, error) {
 			d = s.HighMax
 		}
 		degrees = append(degrees, d)
-		_ = lowSum
 	}
 	evenizeDegrees(degrees)
 	return degrees, nil
@@ -124,29 +120,48 @@ func PowerLawDegrees(n int, gamma float64, min, max int, rng *des.RNG) ([]int, e
 	if n < 2 || min < 1 || max < min || gamma <= 0 {
 		return nil, fmt.Errorf("topology: power law params n=%d gamma=%v range [%d,%d]", n, gamma, min, max)
 	}
-	// Build the CDF once.
-	weights := make([]float64, max-min+1)
+	return newDegreeLaw(gamma, min, max).degrees(n, rng), nil
+}
+
+// degreeLaw is a bounded discrete power law P(d) ∝ d^-gamma on
+// [min, min+len(cum)-1], ready to draw from: cum[i] is the sum of the
+// weights of degrees min…min+i, accumulated in that order.
+type degreeLaw struct {
+	min int
+	cum []float64
+}
+
+func newDegreeLaw(gamma float64, min, max int) degreeLaw {
+	l := degreeLaw{min: min, cum: make([]float64, max-min+1)}
 	total := 0.0
 	for d := min; d <= max; d++ {
-		w := math.Pow(float64(d), -gamma)
-		weights[d-min] = w
-		total += w
+		total += math.Pow(float64(d), -gamma)
+		l.cum[d-min] = total
 	}
-	degrees := make([]int, n)
-	for i := range degrees {
-		u := rng.Float64() * total
-		acc := 0.0
-		degrees[i] = max
-		for d := min; d <= max; d++ {
-			acc += weights[d-min]
-			if u < acc {
-				degrees[i] = d
-				break
-			}
+	return l
+}
+
+// draw returns the first degree whose running weight sum exceeds a
+// uniform draw over the total weight, or the cap when rounding leaves
+// none.
+func (l degreeLaw) draw(rng *des.RNG) int {
+	u := rng.Float64() * l.cum[len(l.cum)-1]
+	for i, c := range l.cum {
+		if u < c {
+			return l.min + i
 		}
 	}
+	return l.min + len(l.cum) - 1
+}
+
+// degrees draws n degrees and forces their sum even.
+func (l degreeLaw) degrees(n int, rng *des.RNG) []int {
+	degrees := make([]int, n)
+	for i := range degrees {
+		degrees[i] = l.draw(rng)
+	}
 	evenizeDegrees(degrees)
-	return degrees, nil
+	return degrees
 }
 
 // PowerLawGammaForAvg solves (by bisection) for the exponent gamma such
@@ -181,11 +196,29 @@ func PowerLawGammaForAvg(avg float64, min, max int) (float64, error) {
 	return (lo + hi) / 2, nil
 }
 
+// The paper's Internet-like degree law: mean degree ≈ 3.4, capped at 40.
+// paperGamma is PowerLawGammaForAvg(3.4, 1, 40), written out so no world
+// re-solves it (TestPaperDegreeLawIsTheSolve holds the two equal).
+const (
+	paperAvgDegree = 3.4
+	paperMaxDegree = 40
+	paperGamma     = 0x1.c835bca752f18p+00
+)
+
+// paperLaw is the paper's degree law, built once: a constant in all but
+// name, never written after init.
+var paperLaw = newDegreeLaw(paperGamma, 1, paperMaxDegree)
+
 // InternetLikeDegrees draws a degree sequence shaped like the measured
 // Internet AS connectivity the paper cites: heavy-tailed, capped at
 // maxDegree (the paper uses 40 for 120-node networks), with the exponent
-// chosen to hit avgDegree (the paper reports ≈3.4).
+// chosen to hit avgDegree (the paper reports ≈3.4). The paper's pair
+// draws from paperLaw; any other is solved for its exponent, as is a
+// request PowerLawDegrees refuses, so the refusal names the exponent.
 func InternetLikeDegrees(n int, avgDegree float64, maxDegree int, rng *des.RNG) ([]int, error) {
+	if n >= 2 && avgDegree == paperAvgDegree && maxDegree == paperMaxDegree {
+		return paperLaw.degrees(n, rng), nil
+	}
 	gamma, err := PowerLawGammaForAvg(avgDegree, 1, maxDegree)
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -134,6 +135,78 @@ func TestPowerLawGammaForAvgMatchesFullBisection(t *testing.T) {
 			}
 			if want := oldPowerLawGammaForAvg(avg, 1, max); got != want {
 				t.Errorf("avg %v max %d: gamma %v, full bisection %v", avg, max, got, want)
+			}
+		}
+	}
+}
+
+// oldPowerLawDegrees is PowerLawDegrees before the law became a value:
+// it builds its weight table on every call and re-accumulates the
+// running sum on every draw.
+func oldPowerLawDegrees(n int, gamma float64, min, max int, rng *des.RNG) []int {
+	weights := make([]float64, max-min+1)
+	total := 0.0
+	for d := min; d <= max; d++ {
+		w := math.Pow(float64(d), -gamma)
+		weights[d-min] = w
+		total += w
+	}
+	degrees := make([]int, n)
+	for i := range degrees {
+		u := rng.Float64() * total
+		acc := 0.0
+		degrees[i] = max
+		for d := min; d <= max; d++ {
+			acc += weights[d-min]
+			if u < acc {
+				degrees[i] = d
+				break
+			}
+		}
+	}
+	evenizeDegrees(degrees)
+	return degrees
+}
+
+// TestPaperDegreeLawIsTheSolve holds the paper's degree law to what every
+// Internet-like world solved for before it became a constant: the
+// exponent literal is the bisection's result bit for bit, paperLaw's
+// running sums are the ones the old weight loop accumulated, and over
+// seeds 1–20 InternetLikeDegrees draws the old sequences, for the
+// paper's (avg, max) and for two pairs that still solve.
+func TestPaperDegreeLawIsTheSolve(t *testing.T) {
+	gamma, err := PowerLawGammaForAvg(paperAvgDegree, 1, paperMaxDegree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(paperGamma) != math.Float64bits(gamma) {
+		t.Fatalf("paper exponent %x, solve gives %x", paperGamma, gamma)
+	}
+	if len(paperLaw.cum) != paperMaxDegree || paperLaw.min != 1 {
+		t.Fatalf("paper law spans [%d, %d], want [1, %d]", paperLaw.min, paperLaw.min+len(paperLaw.cum)-1, paperMaxDegree)
+	}
+	total := 0.0
+	for d := 1; d <= paperMaxDegree; d++ {
+		total += math.Pow(float64(d), -gamma)
+		if got := paperLaw.cum[d-1]; math.Float64bits(got) != math.Float64bits(total) {
+			t.Errorf("running weight through degree %d: %x, old loop %x", d, got, total)
+		}
+	}
+	for _, c := range []struct {
+		avg float64
+		max int
+	}{{paperAvgDegree, paperMaxDegree}, {3.4, 39}, {3.5, 40}} {
+		gamma, err := PowerLawGammaForAvg(c.avg, 1, c.max)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 20; seed++ {
+			got, err := InternetLikeDegrees(500, c.avg, c.max, des.NewRNG(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := oldPowerLawDegrees(500, gamma, 1, c.max, des.NewRNG(seed)); !slices.Equal(got, want) {
+				t.Errorf("(%v, %d) seed %d: degree sequence differs from the solved law's", c.avg, c.max, seed)
 			}
 		}
 	}

@@ -30,15 +30,15 @@ func DefaultRealistic(numAS int) RealisticSpec {
 	// ("We restricted the maximum degree in the distribution to 40 because
 	// we have only 120 ASes"). Scale the cap the same way for other sizes.
 	maxDeg := numAS / 3
-	if maxDeg > 40 {
-		maxDeg = 40
+	if maxDeg > paperMaxDegree {
+		maxDeg = paperMaxDegree
 	}
 	if maxDeg < 5 {
 		maxDeg = 5
 	}
 	return RealisticSpec{
 		NumAS:     numAS,
-		AvgDegree: 3.4,
+		AvgDegree: paperAvgDegree,
 		MaxDegree: maxDeg,
 		MinASSize: 1,
 		MaxASSize: 100,

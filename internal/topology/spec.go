@@ -172,10 +172,10 @@ func (s Spec) Build(rng *des.RNG) (*Network, error) {
 	case KindInternetLike:
 		avg, maxD := s.AvgDegree, s.MaxDegree
 		if avg == 0 {
-			avg = 3.4
+			avg = paperAvgDegree
 		}
 		if maxD == 0 {
-			maxD = 40
+			maxD = paperMaxDegree
 		}
 		return InternetLikeNetwork(s.N, avg, maxD, rng)
 	case KindWaxman:

@@ -97,3 +97,15 @@ func BenchmarkSkewed7030_500(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkInternetLike_500 builds the trial500 world: Spec.Build's
+// Internet-like defaults at 500 ASes, as bgpsim.LargeScale500 asks.
+func BenchmarkInternetLike_500(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rng := des.NewRNG(int64(i + 1)).Split("topology")
+		if _, err := (Spec{Kind: KindInternetLike, N: 500}).Build(rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
