@@ -216,3 +216,67 @@ func TestConvergeInitialAllocatesNothingAfterRebind(t *testing.T) {
 		}
 	}
 }
+
+// TestLanePushFireAllocFree pins that an update in flight costs no
+// allocation once a lane's chunks are carved: 600 updates, across
+// several chunk boundaries, go on the links to a dead router, and the
+// engine fires (and drops) them all, over and over.
+func TestLanePushFireAllocFree(t *testing.T) {
+	nw, err := topology.SkewedNetwork(topology.Skewed7030(30), des.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := New(nw, equivalenceParams(1, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.ConvergeInitial(); err != nil {
+		t.Fatal(err)
+	}
+	r := sim.routers[0]
+	sim.routers[r.peers[0].Node].kill()
+	bursts := 0
+	burst := func() {
+		bursts++
+		for i := 0; i < 600; i++ {
+			sim.deliver(&r.peers[0], Update{Slot: r.peers[0].Back})
+		}
+		if err := sim.eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	burst()
+	if avg := testing.AllocsPerRun(5, burst); avg != 0 {
+		t.Errorf("600 updates through a lane allocate %.1f objects, want 0", avg)
+	}
+	if l := &sim.lanes[0]; l.dropped != bursts*600 || l.n != 0 {
+		t.Errorf("lane dropped %d updates and holds %d, want %d dropped and none left", l.dropped, l.n, bursts*600)
+	}
+}
+
+// TestLaneOrderCheck pins that a lane which would leave its order does
+// not do so silently: a session given a shorter delay than the rest of
+// its kind breaks the model contract that makes a lane a FIFO, and under
+// refInvariants the push that would overtake the lane's tail panics.
+func TestLaneOrderCheck(t *testing.T) {
+	nw, err := topology.SkewedNetwork(topology.Skewed7030(30), des.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := New(nw, equivalenceParams(1, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := sim.routers[0]
+	if len(r.peers) < 2 {
+		t.Fatalf("router 0 has %d sessions, want two", len(r.peers))
+	}
+	r.peers[1].Delay = r.peers[0].Delay / 2
+	sim.deliver(&r.peers[0], Update{Slot: r.peers[0].Back})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an update overtook its lane's tail without a panic")
+		}
+	}()
+	sim.deliver(&r.peers[1], Update{Slot: r.peers[1].Back})
+}

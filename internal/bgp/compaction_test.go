@@ -96,8 +96,8 @@ func sweepWorld(t *testing.T) (*topology.Network, []int) {
 // TestCompactionBehaviorNeutral pins that sweeping the path table
 // changes nothing observable. With refCompactAlways every CPU completion
 // starts with a sweep — thousands per run, each renaming every ref held
-// in a RIB cell, an inbox, a batch being processed or a delivery on a
-// link — and the run must produce byte-identical figures and final
+// in a RIB cell, an inbox, a batch being processed or a lane of updates
+// in flight — and the run must produce byte-identical figures and final
 // routes to one that never sweeps: over every parameter shape of
 // resetVariants (the three queue disciplines, stale discarding on and
 // off, damping), each as a single failure and as a churn program with
@@ -263,7 +263,7 @@ func TestWarmStartMatchesCompactedCold(t *testing.T) {
 // chunks, and at every sample the table holds at most twice the most
 // paths ever found live, plus the slack of the chunk it is filling. A
 // pooled simulator then runs the trial again in the table, the marks and
-// the delivery chunks the first run left, and a sweep itself allocates
+// the lane chunks the first run left, and a sweep itself allocates
 // nothing.
 func TestPathTableBoundedByLiveNotHistory(t *testing.T) {
 	nw, err := topology.SkewedNetwork(topology.Skewed7030(120), des.NewRNG(3))
@@ -314,7 +314,13 @@ func TestPathTableBoundedByLiveNotHistory(t *testing.T) {
 	}
 
 	// The same trial again on the simulator that has run it once.
-	marks, deliveries := &sim.tab.marks[0], len(sim.pool.chunks)
+	laneChunks := func() (n int) {
+		for _, l := range sim.lanes {
+			n += len(l.chunks) + len(l.spare)
+		}
+		return n
+	}
+	marks, lanes := &sim.tab.marks[0], laneChunks()
 	if err := sim.Rebind(nw, p); err != nil {
 		t.Fatal(err)
 	}
@@ -322,9 +328,9 @@ func TestPathTableBoundedByLiveNotHistory(t *testing.T) {
 	if again.digest != short.digest || again.end != short.end {
 		t.Errorf("rebound trial diverged: %+v, first %+v", again.end, short.end)
 	}
-	if again.chunks != short.chunks || &sim.tab.marks[0] != marks || len(sim.pool.chunks) != deliveries {
-		t.Errorf("second trial grew what the first left: %d -> %d table chunks, %d -> %d delivery chunks, marks moved: %v",
-			short.chunks, again.chunks, deliveries, len(sim.pool.chunks), &sim.tab.marks[0] != marks)
+	if again.chunks != short.chunks || &sim.tab.marks[0] != marks || laneChunks() != lanes {
+		t.Errorf("second trial grew what the first left: %d -> %d table chunks, %d -> %d lane chunks, marks moved: %v",
+			short.chunks, again.chunks, lanes, laneChunks(), &sim.tab.marks[0] != marks)
 	}
 	if avg := testing.AllocsPerRun(5, sim.sweep); avg != 0 {
 		t.Errorf("a sweep allocates %.1f objects, want 0", avg)
@@ -333,8 +339,8 @@ func TestPathTableBoundedByLiveNotHistory(t *testing.T) {
 
 // TestSweepAfterRebindMidStorm pins that Rebind leaves no root behind. A
 // run abandoned in mid-storm has updates queued, being processed and on
-// the links, and the deliveries never ran, so they never went back to
-// their pool; their refs name paths of the table Rebind rewinds. The
+// the links, and the lanes Rebind clears still hold updates whose refs
+// name paths of the table it rewinds. The
 // next trial on that simulator, sweeping at every safe point, must find
 // nothing in flight at its start and match a fresh simulator's run.
 func TestSweepAfterRebindMidStorm(t *testing.T) {

@@ -358,7 +358,7 @@ func (r *router) send(slot int, u Update) {
 		At: now, Kind: trace.KindSend, Node: r.id,
 		Peer: peer.Node, Dest: int(u.Dest), Withdrawal: u.IsWithdrawal(),
 	})
-	r.sim.deliver(r, r.sim.routers[peer.Node], peer.Delay, u)
+	r.sim.deliver(&peer, u)
 }
 
 // desiredAdvert computes what the router should currently advertise to

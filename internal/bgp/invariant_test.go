@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"bgpsim/internal/des"
+	"bgpsim/internal/mrai"
 	"bgpsim/internal/topology"
 )
 
@@ -78,5 +80,81 @@ func TestNoUpdateCarriesItsReceiversAS(t *testing.T) {
 				t.Errorf("%s: the invariant check changed the output\nwithout:\n%s\nwith:\n%s", name, clip(want), clip(got))
 			}
 		}
+	}
+}
+
+// assertConserved checks that a batch failure's window loses no message
+// unaccounted: the installed start is quiescent when the window opens,
+// so every update sent in it (Announcements + Withdrawals) was processed,
+// discarded as stale by a batched inbox, or dropped on arrival because
+// an endpoint of its link had died.
+func assertConserved(t *testing.T, sim *Simulator) {
+	t.Helper()
+	col := sim.Collector()
+	dropped := sim.lanes[0].dropped + sim.lanes[1].dropped
+	if sent := col.Announcements + col.Withdrawals; sent != col.Processed+col.Discarded+dropped {
+		t.Errorf("window sent %d updates (%d announcements, %d withdrawals) but accounts for %d: %d processed, %d discarded, %d dropped in flight",
+			sent, col.Announcements, col.Withdrawals, col.Processed+col.Discarded+dropped, col.Processed, col.Discarded, dropped)
+	}
+}
+
+// TestMessageConservation runs 10% batch failures on a Skewed 70-30
+// world, an Internet-like one and a realistic one with IBGP meshes,
+// under constant MRAIs of 0.5 and 2.25 s, batching, the dynamic ladder
+// and both, three seeds each, and requires every window to conserve its
+// messages (assertConserved). A failure kills routers with updates
+// addressed to them on the links, so the in-flight drops are never zero
+// across the set.
+func TestMessageConservation(t *testing.T) {
+	skewed, err := topology.SkewedNetwork(topology.Skewed7030(60), des.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inet, err := topology.Spec{Kind: topology.KindInternetLike, N: 120}.Build(des.NewRNG(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	realistic, err := topology.Realistic(topology.DefaultRealistic(40), des.NewRNG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if realistic.NumNodes() == realistic.NumASes() {
+		t.Fatalf("realistic world has %d routers in %d ASes; want IBGP sessions", realistic.NumNodes(), realistic.NumASes())
+	}
+	schemes := []struct {
+		name   string
+		mutate func(*Params)
+	}{
+		{"mrai=0.5", nil},
+		{"mrai=2.25", func(p *Params) { p.MRAI = mrai.Constant(2250 * time.Millisecond) }},
+		{"batch", func(p *Params) { p.Queue = QueueBatched }},
+		{"dynamic", func(p *Params) { p.MRAI = mrai.PaperDynamic() }},
+		{"batch+dynamic", func(p *Params) {
+			p.Queue = QueueBatched
+			p.MRAI = mrai.PaperDynamic()
+		}},
+	}
+	dropped := 0
+	for _, w := range []struct {
+		name string
+		net  *topology.Network
+	}{{"skewed", skewed}, {"internet-like", inet}, {"realistic", realistic}} {
+		fail := topology.NearestNodes(w.net, topology.GridCenter(w.net), w.net.NumNodes()/10, nil)
+		for _, sc := range schemes {
+			for seed := int64(1); seed <= 3; seed++ {
+				sim, err := New(w.net, equivalenceParams(seed, sc.mutate))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sim.ConvergeAndFail(fail); err != nil {
+					t.Fatal(err)
+				}
+				t.Run(fmt.Sprintf("%s/%s/seed%d", w.name, sc.name, seed), func(t *testing.T) { assertConserved(t, sim) })
+				dropped += sim.lanes[0].dropped + sim.lanes[1].dropped
+			}
+		}
+	}
+	if dropped == 0 {
+		t.Error("no update was dropped in flight on any trial: the set does not exercise the drop count")
 	}
 }

@@ -3,6 +3,7 @@ package bgp
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -264,6 +265,36 @@ func TestPackedSizes(t *testing.T) {
 	if n := unsafe.Sizeof(Peer{}); n > 32 {
 		t.Errorf("Peer is %d bytes, want <= 32", n)
 	}
+	// An update in flight: two to a cache line, and nothing for the
+	// garbage collector to scan in a lane's chunks.
+	if n := unsafe.Sizeof(laneEntry{}); n != 32 {
+		t.Errorf("laneEntry is %d bytes, want 32", n)
+	}
+	if f, ok := pointerField(reflect.TypeOf(laneEntry{})); ok {
+		t.Errorf("laneEntry holds a pointer in %s", f)
+	}
+}
+
+// pointerField names the first field of typ, nested structs and arrays
+// included, whose kind holds a pointer.
+func pointerField(typ reflect.Type) (string, bool) {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if name, ok := pointerField(f.Type); ok {
+				return f.Name + "." + name, true
+			}
+		}
+		return "", false
+	case reflect.Array:
+		return pointerField(typ.Elem())
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return "", false
+	}
+	return typ.String(), true
 }
 
 // TestPathTabBytesPerPath pins what a registered path costs: at most 32

@@ -32,7 +32,8 @@ type runDigest struct {
 // observable outcome: convergence delay, every collector counter, and
 // every router's final route to every destination. Every run it digests
 // must also be quiescent and, unless damped, end on the post-failure
-// fixpoint (assertPostFailureFixpoint), and no update it sends may carry
+// fixpoint (assertPostFailureFixpoint) and conserve its messages
+// (assertConserved), and no update it sends may carry
 // its receiver's AS (refInvariants; the digest helpers set the bit on
 // every simulator they run, which changes no output).
 func digestRun(t *testing.T, sim *Simulator, nw *topology.Network, fail []int) runDigest {
@@ -44,6 +45,7 @@ func digestRun(t *testing.T, sim *Simulator, nw *topology.Network, fail []int) r
 	}
 	assertQuiescent(t, sim)
 	assertPostFailureFixpoint(t, sim, fail)
+	assertConserved(t, sim)
 	col := sim.Collector()
 	var s strings.Builder
 	fmt.Fprintf(&s, "delay=%v msgs=%d ann=%d wd=%d proc=%d disc=%d rc=%d now=%v\n",

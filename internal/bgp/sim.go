@@ -48,12 +48,7 @@ type Simulator struct {
 
 	originTasks []originTask // Start's events, one per destination
 
-	// pool is the free list of in-flight message events. A delivery is
-	// taken here (or allocated) by deliver, scheduled on the engine, and
-	// returned by its own Run, so steady-state message transmission
-	// allocates nothing. The list only ever grows to the peak number of
-	// simultaneously in-flight updates.
-	pool deliveryPool
+	lanes [2]lane // the updates in flight on external and on internal sessions
 
 	// tab interns every path the simulation creates; all RIB storage and
 	// every in-flight update hold 4-byte routeRefs into it. Rewound by
@@ -84,102 +79,122 @@ type Simulator struct {
 	touchedScratch []ASN // decideTouched's touched and peerDown's affected destinations
 }
 
-// delivery is the pooled des.Runner carrying one in-flight update from
-// router to router across a link.
-type delivery struct {
-	pool     *deliveryPool
-	next     *delivery // free-list link
-	from, to *router
-	u        Update
+// laneEntry is one update in flight: its (at, seq) key in the engine's
+// order, the receiving router, and the update, whose Slot names the
+// sender. It holds no pointer, so the collector never scans a lane.
+type laneEntry struct {
+	at  des.Time
+	seq uint64
+	to  int32
+	u   Update
 }
 
-// deliveryPool is a free list of delivery events over the chunks they
-// are carved from, which double from deliveryChunkMin to deliveryChunkMax
-// objects like the engine's event chunks: one malloc per chunk, not per
-// in-flight message.
-type deliveryPool struct {
-	free   *delivery
-	chunks [][]delivery // every chunk carved, so a sweep can reach the deliveries in flight
-	spare  []delivery   // unissued tail of the newest chunk
-	made   int          // deliveries carved so far
+// lane is the FIFO of the updates in flight on one session kind, a
+// des.Lane: every session of a kind has one delay (DESIGN.md §6,
+// Links), so its updates arrive in the order they were sent. They
+// fill chunks that double from laneChunkMin to laneChunkMax entries, from
+// chunks[0][head] to last[tail-1], last being the newest chunk; a chunk
+// the head has left waits in spare for the tail, so no entry is copied.
+type lane struct {
+	sim        *Simulator
+	chunks     [][]laneEntry
+	last       []laneEntry
+	spare      [][]laneEntry
+	head, tail int
+	n, made    int // entries in flight, entries carved
+	dropped    int // updates that arrived at a dead endpoint since Rebind (Clear)
 }
 
-const (
-	deliveryChunkMin = 16
-	deliveryChunkMax = 256
-)
+const laneChunkMin, laneChunkMax = 16, 256
 
-// take returns a recycled delivery, or a fresh one bound to the pool.
-func (p *deliveryPool) take() *delivery {
-	d := p.free
-	if d != nil {
-		p.free = d.next
-		d.next = nil
-		return d
+// deliver puts u on the link to peer p, to arrive after the session's
+// delay. Under refInvariants it asserts that the lane stays in order.
+func (s *Simulator) deliver(p *Peer, u Update) {
+	l := &s.lanes[0]
+	if p.Internal {
+		l = &s.lanes[1]
 	}
-	if len(p.spare) == 0 {
-		p.spare = make([]delivery, min(max(p.made, deliveryChunkMin), deliveryChunkMax))
-		p.chunks = append(p.chunks, p.spare)
-		p.made += len(p.spare)
+	at, seq := s.eng.Stamp(p.Delay)
+	if s.params.ref&refInvariants != 0 && l.n > 0 && at < l.last[l.tail-1].at {
+		panic(fmt.Sprintf("bgp: update to router %d due at %v behind its lane's tail", p.Node, at))
 	}
-	d, p.spare = &p.spare[0], p.spare[1:]
-	d.pool = p
-	return d
-}
-
-// put releases d to the free list. A free delivery names no routers and
-// holds the zero update, which is how forEachRef and reset tell it from
-// one in flight.
-func (p *deliveryPool) put(d *delivery) {
-	d.from, d.to, d.u = nil, nil, Update{}
-	d.next = p.free
-	p.free = d
-}
-
-// forEachRef passes fn the ref of every update in flight — the deliveries
-// taken and not yet run — and returns how many there are.
-func (p *deliveryPool) forEachRef(fn func(*routeRef)) (n int) {
-	for _, c := range p.chunks {
-		for i := range c {
-			if d := &c[i]; d.to != nil {
-				fn(&d.u.Ref)
-				n++
-			}
-		}
+	if l.tail == len(l.last) {
+		l.grow()
 	}
-	return n
+	l.push(laneEntry{at: at, seq: seq, to: int32(p.Node), u: u})
 }
 
-// reset takes back the deliveries a run that did not reach quiescence
-// left on the engine, whose events Rebind has just discarded: their refs
-// name paths of a table that is being rewound.
-func (p *deliveryPool) reset() {
-	for _, c := range p.chunks {
-		for i := range c {
-			if d := &c[i]; d.to != nil {
-				p.put(d)
-			}
-		}
+// push appends e at the tail, which grow has made room for.
+func (l *lane) push(e laneEntry) {
+	l.last[l.tail] = e
+	l.tail++
+	l.n++
+}
+
+// grow starts a new tail chunk: a spare one, or a fresh one.
+func (l *lane) grow() {
+	if k := len(l.spare); k > 0 {
+		l.last, l.spare = l.spare[k-1], l.spare[:k-1]
+	} else {
+		l.last = make([]laneEntry, min(max(l.made, laneChunkMin), laneChunkMax))
+		l.made += len(l.last)
 	}
+	l.chunks = append(l.chunks, l.last)
+	l.tail = 0
 }
 
-// deliver schedules u to arrive at to after the link delay, reusing a
-// pooled delivery event when one is free.
-func (s *Simulator) deliver(from, to *router, delay time.Duration, u Update) {
-	d := s.pool.take()
-	d.from, d.to, d.u = from, to, u
-	s.eng.ScheduleRunner(delay, d)
+// Head returns the key of the first update in flight.
+func (l *lane) Head() (des.Time, uint64, bool) {
+	if l.n == 0 {
+		return 0, 0, false
+	}
+	e := &l.chunks[0][l.head]
+	return e.at, e.seq, true
 }
 
-// Run completes the delivery and returns the object to the pool.
-func (d *delivery) Run() {
-	from, to, u := d.from, d.to, d.u
-	d.pool.put(d)
+// Fire delivers the first update in flight.
+func (l *lane) Fire() {
+	c := l.chunks[0]
+	e := c[l.head]
+	l.head++
+	l.n--
+	if l.n == 0 { // the head caught up with the tail, in the one chunk left
+		l.head, l.tail = 0, 0
+	} else if l.head == len(c) {
+		l.spare = append(l.spare, c)
+		l.chunks = append(l.chunks[:0], l.chunks[1:]...)
+		l.head = 0
+	}
+	to := l.sim.routers[e.to]
 	// The link is down if either endpoint died while in flight.
-	if !from.alive || !to.alive {
+	if !to.alive || !l.sim.routers[to.peers[e.u.Slot].Node].alive {
+		l.dropped++
 		return
 	}
-	to.enqueue(u)
+	to.enqueue(e.u)
+}
+
+// Len returns the number of updates in flight.
+func (l *lane) Len() int { return l.n }
+
+// Clear drops every update in flight and the drop count.
+func (l *lane) Clear() {
+	l.spare = append(l.spare, l.chunks...)
+	l.chunks, l.last = l.chunks[:0], nil
+	l.head, l.tail, l.n, l.dropped = 0, 0, 0, 0
+}
+
+// forEachRef passes fn the ref of every update in flight and returns how
+// many there are.
+func (l *lane) forEachRef(fn func(*routeRef)) int {
+	left, i := l.n, l.head
+	for _, c := range l.chunks {
+		for ; i < len(c) && left > 0; i, left = i+1, left-1 {
+			fn(&c[i].u.Ref)
+		}
+		i = 0
+	}
+	return l.n
 }
 
 // emit delivers an event to the configured tracer, if any. Callers guard
@@ -203,6 +218,10 @@ func New(net *topology.Network, params Params) (*Simulator, error) {
 		rng: des.NewRNG(params.Seed),
 		col: metrics.NewCollector(0),
 	}
+	for i := range s.lanes {
+		s.lanes[i].sim = s
+		s.eng.AddLane(&s.lanes[i])
+	}
 	if err := s.Rebind(net, params); err != nil {
 		return nil, err
 	}
@@ -220,8 +239,8 @@ func New(net *topology.Network, params Params) (*Simulator, error) {
 // network or parameter set leaves the simulator as it was.
 //
 // What a simulator owns is buffers, not a network: the engine's calendar
-// and event free list, the path table's chunks and index, the delivery
-// pool, the routers with their inbox slabs, RIB columns and bitsets.
+// and event free list, the path table's chunks and index, the lanes'
+// chunks, the routers with their inbox slabs, RIB columns and bitsets.
 // Rebind keeps each of them wherever its capacity suffices (see
 // buffers.go), which is what makes a sweep cheap whether its trials
 // share a world or, like every point of the paper's figures, have one
@@ -255,7 +274,6 @@ func (s *Simulator) Rebind(net *topology.Network, params Params) error {
 	s.tracer = params.Tracer
 	s.rng.Reseed(params.Seed)
 	s.eng.Reset()
-	s.pool.reset()
 	s.col.Resize(net.NumNodes())
 	// Safe exactly here: the engine drain above discarded in-flight
 	// updates and the router resets below clear every RIB reference.
@@ -660,8 +678,8 @@ func (s *Simulator) forEachRefColumn(fn func([]routeRef)) (cells int) {
 // forEachInFlight passes fn the ref of every update that has been sent
 // and not yet applied (0 for a withdrawal) and returns how many there
 // are: queued in an inbox, in the batch a busy router is processing
-// (which aliases storage the inbox does not visit), on a link as a
-// delivery event. A killed router holds none — kill empties its inbox and
+// (which aliases storage the inbox does not visit), on a link in a
+// lane. A killed router holds none — kill empties its inbox and
 // drops the unit on its CPU — so at quiescence the count is zero.
 func (s *Simulator) forEachInFlight(fn func(*routeRef)) (n int) {
 	for _, r := range s.routers {
@@ -672,7 +690,7 @@ func (s *Simulator) forEachInFlight(fn func(*routeRef)) (n int) {
 		}
 		n += in.inbox.Len() + len(in.proc.batch)
 	}
-	return n + s.pool.forEachRef(fn)
+	return n + s.lanes[0].forEachRef(fn) + s.lanes[1].forEachRef(fn)
 }
 
 // markRoots marks, in the table's mark set, every path a sweep

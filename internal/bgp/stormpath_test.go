@@ -148,7 +148,7 @@ func TestStormFastLaneAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Warm-up trials materialize every lazy structure (blocked
-		// columns, scratch buffers, event and delivery pools).
+		// columns, scratch buffers, event pool and lane chunks).
 		for i := 0; i < 2; i++ {
 			if _, err := sim.ConvergeAndFail(fail); err != nil {
 				t.Fatal(err)

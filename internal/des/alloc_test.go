@@ -19,10 +19,10 @@ func TestScheduleRunnerDispatchAllocationFree(t *testing.T) {
 	e := NewEngine()
 	task := &countRunner{}
 	// Warm the free list and the heap's backing array.
-	e.ScheduleRunner(time.Millisecond, task)
+	e.ScheduleRunnerAt(e.Now()+time.Millisecond, task)
 	e.Step()
 	avg := testing.AllocsPerRun(1000, func() {
-		e.ScheduleRunner(time.Millisecond, task)
+		e.ScheduleRunnerAt(e.Now()+time.Millisecond, task)
 		if !e.Step() {
 			t.Fatal("no event fired")
 		}

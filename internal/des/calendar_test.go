@@ -1,6 +1,8 @@
 package des
 
 import (
+	"errors"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -54,9 +56,17 @@ func (o *orderOracle) runAndCheck(t *testing.T) {
 	if err := o.e.Run(); err != nil {
 		t.Fatal(err)
 	}
+	o.check(t, Time(math.MaxInt64))
+}
+
+// check requires the fired sequence to equal the events due by deadline
+// sorted by (at, seq), cancelled ones removed: what a run that stopped
+// at deadline must have fired.
+func (o *orderOracle) check(t *testing.T, deadline Time) {
+	t.Helper()
 	var want []int
 	for id := range o.at {
-		if !o.canceled[id] {
+		if !o.canceled[id] && o.at[id] <= deadline {
 			want = append(want, id)
 		}
 	}
@@ -70,6 +80,50 @@ func (o *orderOracle) runAndCheck(t *testing.T) {
 				i, o.fired[i], o.at[o.fired[i]], want[i], o.at[want[i]])
 		}
 	}
+}
+
+// testLane is a Lane of one fixed delay, as a model keeps one: a FIFO of
+// oracle events keyed by Stamp when they are pushed.
+type testLane struct {
+	o     *orderOracle
+	delay Time
+	q     []laneItem
+}
+
+type laneItem struct {
+	at   Time
+	seq  uint64
+	id   int
+	then func()
+}
+
+func (l *testLane) Head() (Time, uint64, bool) {
+	if len(l.q) == 0 {
+		return 0, 0, false
+	}
+	return l.q[0].at, l.q[0].seq, true
+}
+
+func (l *testLane) Fire() {
+	it := l.q[0]
+	l.q = l.q[1:]
+	l.o.fired = append(l.o.fired, it.id)
+	if it.then != nil {
+		it.then()
+	}
+}
+
+func (l *testLane) Len() int { return len(l.q) }
+func (l *testLane) Clear()   { l.q = nil }
+
+// push puts event id = len(o.at) on lane l; then, if non-nil, runs when
+// it fires, after the firing is logged.
+func (o *orderOracle) push(l *testLane, then func()) {
+	id := len(o.at)
+	at, seq := o.e.Stamp(l.delay)
+	o.at = append(o.at, at)
+	o.canceled = append(o.canceled, false)
+	l.q = append(l.q, laneItem{at, seq, id, then})
 }
 
 func tag(log *[]int, id int) Handler {
@@ -262,4 +316,150 @@ func TestCalendarMatchesHeapBurst(t *testing.T) {
 	if 10*two > 12*one {
 		t.Errorf("two bursts allocated %d B, more than 1.2 x one burst's %d B", two, one)
 	}
+}
+
+// TestLanesMatchOracle pins the order across the queue and two lanes of
+// fixed delay (25 ms and 1 ms, the model's two session kinds) on random
+// mixes: queued events at delays that tie with lane entries, inside the
+// ring and past its horizon, a fifth of them cancelled; handlers that
+// schedule and push more; RunUntil deadlines, after each of which the
+// engine must have fired exactly the events due by then and counted
+// every one of them, lane fires included; and rounds that end in a Reset
+// in mid-run, which must leave nothing pending, instead of a full drain.
+func TestLanesMatchOracle(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := NewRNG(seed)
+		e := NewEngine()
+		o := &orderOracle{e: e}
+		lanes := []*testLane{{o: o, delay: 25 * time.Millisecond}, {o: o, delay: time.Millisecond}}
+		for _, l := range lanes {
+			e.AddLane(l)
+		}
+		var add func()
+		add = func() {
+			if len(o.at) >= 4000 {
+				return
+			}
+			var then func()
+			if rng.Intn(2) == 0 {
+				then = func() {
+					for k := rng.Intn(3); k > 0; k-- {
+						add()
+					}
+				}
+			}
+			switch k := rng.Intn(5); k {
+			case 0, 1:
+				o.push(lanes[k], then)
+			default:
+				var d Time
+				switch rng.Intn(4) {
+				case 0: // ties with the lanes' entries
+					d = []Time{0, time.Millisecond, 25 * time.Millisecond}[rng.Intn(3)]
+				case 1:
+					d = Time(rng.Intn(3_000_000_000))
+				case 2: // past the ring's horizon
+					d = Time(rng.Intn(20)) * time.Second
+				default:
+					d = Time(rng.Intn(30)) * time.Millisecond
+				}
+				id := len(o.at)
+				ev := o.schedule(d, then)
+				if rng.Intn(5) == 0 {
+					o.cancel(id, ev)
+				}
+			}
+		}
+		for round := 0; round < 4; round++ {
+			*o = orderOracle{e: e}
+			for i := 0; i < 300; i++ {
+				add()
+			}
+			var deadline Time
+			for stop := 0; stop < 6; stop++ {
+				deadline += Time(rng.Intn(400)) * time.Millisecond
+				if err := e.RunUntil(deadline); err != nil {
+					t.Fatal(err)
+				}
+				o.check(t, deadline)
+				if got := e.Processed(); got != uint64(len(o.fired)) {
+					t.Fatalf("seed %d round %d: Processed %d after %d fires", seed, round, got, len(o.fired))
+				}
+				for i := 0; i < 20; i++ {
+					add()
+				}
+			}
+			if round%2 == 1 {
+				e.Reset()
+				if n, p := e.Pending(), e.Processed(); n != 0 || p != 0 || lanes[0].Len()+lanes[1].Len() != 0 {
+					t.Fatalf("seed %d: Reset in mid-run left %d pending, %d processed", seed, n, p)
+				}
+				continue
+			}
+			o.runAndCheck(t)
+			if got := e.Processed(); got != uint64(len(o.fired)) {
+				t.Fatalf("seed %d round %d: Processed %d after %d fires", seed, round, got, len(o.fired))
+			}
+			e.Reset()
+		}
+	}
+}
+
+// TestLaneCounts pins that lane entries are events to every count the
+// engine keeps: Pending includes them, Processed and the maxEvents
+// horizon count their fires, the cancellation probe runs on their
+// stride, and Reset drops them.
+func TestLaneCounts(t *testing.T) {
+	e := NewEngine()
+	o := &orderOracle{e: e}
+	l := &testLane{o: o, delay: time.Millisecond}
+	e.AddLane(l)
+	for i := 0; i < 3; i++ {
+		o.push(l, nil)
+		o.schedule(2*time.Millisecond, nil)
+	}
+	if n := e.Pending(); n != 6 {
+		t.Fatalf("Pending = %d with 3 queued and 3 on the lane, want 6", n)
+	}
+	if !e.Step() || e.Processed() != 1 || e.Pending() != 5 || l.Len() != 2 || e.Now() != time.Millisecond {
+		t.Fatalf("after one step: processed %d, pending %d, lane %d, now %v; want the lane's head fired at 1ms",
+			e.Processed(), e.Pending(), l.Len(), e.Now())
+	}
+	e.SetMaxEvents(2)
+	if err := e.Run(); !errors.Is(err, ErrHorizon) || e.Processed() != 3 {
+		t.Fatalf("Run under a 2-event horizon: %v after %d processed, want ErrHorizon after 3", err, e.Processed())
+	}
+	e.Reset()
+	if e.Pending() != 0 || l.Len() != 0 || e.Processed() != 0 {
+		t.Fatalf("Reset left %d pending (%d on the lane), %d processed", e.Pending(), l.Len(), e.Processed())
+	}
+
+	e.SetMaxEvents(0)
+	for i := 0; i < cancelStride+100; i++ {
+		o.push(l, nil)
+	}
+	probes := 0
+	e.SetCancel(func() bool { probes++; return probes == 2 })
+	if err := e.Run(); !errors.Is(err, ErrCanceled) || e.Processed() != cancelStride {
+		t.Fatalf("Run with a probe that cancels on its second call: %v after %d lane fires, want ErrCanceled after %d",
+			err, e.Processed(), cancelStride)
+	}
+}
+
+// TestLaneOutOfOrderPanics pins that the engine does not silently accept
+// a lane that breaks the key order: an entry behind the clock is a model
+// bug, and firing it panics instead of running time backwards.
+func TestLaneOutOfOrderPanics(t *testing.T) {
+	e := NewEngine()
+	l := &testLane{o: &orderOracle{e: e}}
+	e.AddLane(l)
+	late, lateSeq := e.Stamp(10 * time.Millisecond)
+	early, earlySeq := e.Stamp(5 * time.Millisecond)
+	l.q = append(l.q, laneItem{at: late, seq: lateSeq}, laneItem{at: early, seq: earlySeq})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a lane entry behind the clock fired without a panic")
+		}
+	}()
+	e.Run()
 }

@@ -13,6 +13,12 @@
 // pop sequence — and therefore all simulation output — is independent of
 // the queue's internal layout. Any replacement queue must preserve
 // exactly this tie-break: timestamp first, then insertion order.
+//
+// The order spans more than the queue. A model may register lanes (Lane):
+// FIFOs it keeps itself, of entries keyed from the same sequence counter
+// (Stamp), which the engine fires merged with the queue by the one
+// (timestamp, sequence) order. Whether an event waits in the queue or on a
+// lane changes its cost, never its place in that order.
 package des
 
 import (
@@ -32,13 +38,31 @@ type Handler func()
 
 // Runner is the allocation-free counterpart to Handler. Scheduling a
 // closure allocates it on the heap once per event; hot-path callers
-// (message delivery, CPU-completion and flush timers in the BGP model)
-// instead implement Runner on a long-lived object and schedule it with
-// ScheduleRunner, so steady-state event dispatch allocates nothing.
+// (CPU-completion and flush timers in the BGP model) instead implement
+// Runner on a long-lived object and schedule it with ScheduleRunnerAt,
+// so steady-state event dispatch allocates nothing.
 type Runner interface {
 	// Run is invoked when the event fires, with the engine clock set to
 	// the event's timestamp.
 	Run()
+}
+
+// A Lane is a FIFO of events a model keeps outside the engine's queue:
+// typically messages on links of one fixed delay, which arrive in the
+// order they were sent and so need no heap and no Event each. The model
+// keys every entry with Stamp when it pushes it and must push in key
+// order; the engine fires lane heads and queued events by the one (at,
+// seq) order, counts a lane fire as a processed event, includes lane
+// entries in Pending and clears the lanes on Reset.
+type Lane interface {
+	// Head returns the key of the first entry; ok is false on an empty lane.
+	Head() (at Time, seq uint64, ok bool)
+	// Fire removes the first entry and acts on it, with the clock at its time.
+	Fire()
+	// Len returns the number of entries.
+	Len() int
+	// Clear drops every entry unfired.
+	Clear()
 }
 
 // ErrHorizon is returned by Run variants when the configured event horizon
@@ -84,6 +108,7 @@ type Engine struct {
 	now       Time
 	seq       uint64
 	queue     calendarQueue
+	lanes     []Lane
 	free      *Event  // recycled Event objects, chained through next (see Event)
 	spare     []Event // unissued tail of the newest event chunk
 	made      int     // Event objects carved so far
@@ -139,7 +164,8 @@ func (e *Engine) SetCancel(cancel func() bool) {
 
 // Reset rewinds the engine to its post-NewEngine state: the clock returns
 // to the epoch, the sequence and processed counters restart at zero, and
-// any still-queued events are discarded (their handlers never fire).
+// any still-queued events are discarded (their handlers never fire) and
+// every lane is cleared; the lanes stay registered.
 // Discarded and previously fired Event objects are retained on the free
 // list, which is the point: a reset engine re-runs a simulation without
 // re-paying event allocation. The maxEvents override is preserved.
@@ -150,6 +176,9 @@ func (e *Engine) Reset() {
 		e.recycle(ev)
 	}
 	e.queue.rewind()
+	for _, l := range e.lanes {
+		l.Clear()
+	}
 	e.now = 0
 	e.seq = 0
 	e.processed = 0
@@ -163,8 +192,27 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of events scheduled but not yet fired,
-// including canceled events that have not been drained.
-func (e *Engine) Pending() int { return e.queue.Len() }
+// including canceled events that have not been drained and lane entries.
+func (e *Engine) Pending() int {
+	n := e.queue.Len()
+	for _, l := range e.lanes {
+		n += l.Len()
+	}
+	return n
+}
+
+// AddLane registers l, whose entries the engine fires from now on in
+// order with its queue.
+func (e *Engine) AddLane(l Lane) { e.lanes = append(e.lanes, l) }
+
+// Stamp returns the key of a lane entry due after delay (a negative delay
+// is treated as zero): its time and the next sequence number, so the
+// entry takes the place in the (at, seq) order that an event scheduled
+// now with that delay would.
+func (e *Engine) Stamp(delay Time) (Time, uint64) {
+	e.seq++
+	return e.now + max(delay, 0), e.seq
+}
 
 // Schedule arranges for fn to run after delay. A negative delay is treated
 // as zero (fire as soon as possible, after already-queued events at the
@@ -186,16 +234,6 @@ func (e *Engine) ScheduleAt(at Time, fn Handler) *Event {
 	ev := e.alloc(at)
 	ev.fn = fn
 	return ev
-}
-
-// ScheduleRunner arranges for r.Run to fire after delay, like Schedule but
-// without the per-event closure allocation. A negative delay is treated as
-// zero.
-func (e *Engine) ScheduleRunner(delay Time, r Runner) *Event {
-	if delay < 0 {
-		delay = 0
-	}
-	return e.ScheduleRunnerAt(e.now+delay, r)
 }
 
 // ScheduleRunnerAt arranges for r.Run to fire at absolute time at, like
@@ -256,39 +294,66 @@ func (e *Engine) Cancel(ev *Event) {
 	ev.runner = nil
 }
 
-// Step fires the next event. It reports false if the queue is empty.
+// Step fires the next event. It reports false if nothing is pending.
 func (e *Engine) Step() bool {
-	for e.queue.Len() > 0 {
-		ev := e.queue.Pop()
-		if ev.stopped {
-			e.recycle(ev)
-			continue
-		}
-		e.now = ev.at
-		e.processed++
-		fn, r := ev.fn, ev.runner
-		ev.fn, ev.runner = nil, nil
-		if r != nil {
-			r.Run()
-		} else {
-			fn()
-		}
-		// Recycled only after the handler returns, so a handler can never
-		// be handed its own event object for a fresh Schedule call.
-		e.recycle(ev)
-		return true
+	lane, at, ok := e.next()
+	if ok {
+		e.fire(lane, at)
 	}
-	return false
+	return ok
 }
 
-// Run fires events until the queue is empty. It returns ErrHorizon if the
+// next finds the engine's next live event, draining canceled events
+// queued ahead of it: the lane it heads (-1 for the queue) and its time.
+// ok is false when nothing is pending.
+func (e *Engine) next() (lane int, at Time, ok bool) {
+	lane = -1
+	var seq uint64
+	if ev := e.peekNext(); ev != nil {
+		at, seq, ok = ev.at, ev.seq, true
+	}
+	for i, l := range e.lanes {
+		if la, ls, lok := l.Head(); lok && (!ok || la < at || la == at && ls < seq) {
+			lane, at, seq, ok = i, la, ls, true
+		}
+	}
+	return lane, at, ok
+}
+
+// fire runs the event next found at time at.
+func (e *Engine) fire(lane int, at Time) {
+	if lane >= 0 && at < e.now {
+		// Invariant: a lane is pushed in key order (Lane); an entry behind
+		// the clock is a model bug, never reachable from input.
+		panic(fmt.Sprintf("des: lane entry at %v before now %v", at, e.now))
+	}
+	e.now = at
+	e.processed++
+	if lane >= 0 {
+		e.lanes[lane].Fire()
+		return
+	}
+	ev := e.queue.Pop()
+	fn, r := ev.fn, ev.runner
+	ev.fn, ev.runner = nil, nil
+	if r != nil {
+		r.Run()
+	} else {
+		fn()
+	}
+	// Recycled only after the handler returns, so a handler can never
+	// be handed its own event object for a fresh Schedule call.
+	e.recycle(ev)
+}
+
+// Run fires events until nothing is pending. It returns ErrHorizon if the
 // event budget is exhausted first.
 func (e *Engine) Run() error {
 	return e.RunUntil(Time(math.MaxInt64))
 }
 
-// peekNext returns the engine's next live event, draining canceled
-// events queued ahead of it. nil when no live event is pending.
+// peekNext returns the queue's next live event, draining canceled
+// events queued ahead of it. nil when no live event is queued.
 func (e *Engine) peekNext() *Event {
 	for e.queue.Len() > 0 {
 		ev := e.queue.Peek()
@@ -306,8 +371,8 @@ func (e *Engine) peekNext() *Event {
 func (e *Engine) RunUntil(deadline Time) error {
 	start := e.processed
 	for {
-		next := e.peekNext()
-		if next == nil || next.at > deadline {
+		lane, at, ok := e.next()
+		if !ok || at > deadline {
 			break
 		}
 		if e.processed-start >= e.maxEvents {
@@ -316,7 +381,7 @@ func (e *Engine) RunUntil(deadline Time) error {
 		if e.cancel != nil && e.processed%cancelStride == 0 && e.cancel() {
 			return ErrCanceled
 		}
-		e.Step()
+		e.fire(lane, at)
 	}
 	if e.now < deadline && deadline != Time(math.MaxInt64) {
 		e.now = deadline

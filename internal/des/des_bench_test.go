@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -49,6 +50,51 @@ func BenchmarkCancelHeavy(b *testing.B) {
 		if err := e.Run(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// holdLane is a lane of one fixed delay whose every fire pushes its
+// successor, so it holds a constant number of entries in a ring.
+type holdLane struct {
+	e     *Engine
+	delay Time
+	q     []laneItem
+	head  int
+}
+
+func (l *holdLane) Head() (Time, uint64, bool) { return l.q[l.head].at, l.q[l.head].seq, true }
+func (l *holdLane) Len() int                   { return len(l.q) }
+func (l *holdLane) Clear()                     {}
+
+func (l *holdLane) Fire() {
+	at, seq := l.e.Stamp(l.delay)
+	l.q[l.head] = laneItem{at: at, seq: seq}
+	l.head = (l.head + 1) % len(l.q)
+}
+
+// BenchmarkLaneHold is the hold model with half the load on a lane: n
+// events pending, n/2 queued at random delays up to 50 ms and n/2 on a
+// 25 ms lane, each firing replacing itself in kind. Per step it prices
+// the merge of a lane head with the queue against the queue's own pop.
+func BenchmarkLaneHold(b *testing.B) {
+	for _, n := range []int{64, 4096} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			e := NewEngine()
+			g := NewRNG(1)
+			var hold Handler
+			hold = func() { e.Schedule(Time(g.Intn(50_000_000)), hold) }
+			l := &holdLane{e: e, delay: 25 * time.Millisecond}
+			for i := 0; i < n/2; i++ {
+				hold()
+				at, seq := e.Stamp(l.delay)
+				l.q = append(l.q, laneItem{at: at, seq: seq})
+			}
+			e.AddLane(l)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
 	}
 }
 

@@ -26,6 +26,8 @@ var hotInlined = []string{
 	"(*adjRIBIn).getSlotRef",
 	"(*locRIB).getRef",
 	"(*pathTab).routeVia",
+	"(*lane).push",
+	"(*lane).Head",
 }
 
 // TestHotHelpersInline builds internal/bgp with -gcflags=-m and fails for
