@@ -15,13 +15,8 @@
 //	bgpfig -fig 3 -serve :9090 -checkpoint fig3.ckpt -o out/
 //	bgpwork -connect coordinator:9090     # on each worker machine
 //
-// Service mode keeps the coordinator alive as a long-running server
-// instead of running one figure and exiting: clients submit figure and
-// churn runs over HTTP (POST /v1/submit, e.g. via bgpsim -churn ...
-// -submit), query live per-window metrics (GET /v1/query), and a
-// minimal status page is served at /:
-//
-//	bgpfig -serve :9090 -service -checkpoint runs.ckpt
+// The coordinator exits once its figures are done, and its workers with
+// it.
 //
 // Each figure is printed as an aligned text table (the same series the
 // paper plots); -o additionally writes one .txt per figure.
@@ -73,7 +68,6 @@ func run(args []string) (err error) {
 		quiet    = fs.Bool("q", false, "suppress progress output")
 
 		serve    = fs.String("serve", "", "coordinate a distributed run: listen on host:port and hand trial jobs to workers")
-		service  = fs.Bool("service", false, "with -serve: stay up as a long-running service accepting figure and churn submissions over HTTP instead of running -fig")
 		ckptPath = fs.String("checkpoint", "", "with -serve: record completed trials here and resume from it after a restart")
 		leaseTTL = fs.Duration("lease-ttl", 30*time.Second, "with -serve: reassign a lease's trials if its worker is silent this long")
 	)
@@ -95,13 +89,6 @@ func run(args []string) (err error) {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *service {
-		if *serve == "" {
-			return fmt.Errorf("-service requires -serve")
-		}
-		return runService(ctx, *serve, *ckptPath, *leaseTTL, *quiet)
-	}
 
 	opts := bgpsim.PaperOptions()
 	if *quick {
@@ -208,45 +195,6 @@ func run(args []string) (err error) {
 		}
 	}
 	return nil
-}
-
-// runService keeps a coordinator alive as a long-running service:
-// clients submit figure and churn runs over HTTP and the single drain
-// loop executes them in queue order until the process is signaled.
-func runService(ctx context.Context, addr, ckptPath string, leaseTTL time.Duration, quiet bool) error {
-	cc := dist.CoordinatorConfig{LeaseTTL: leaseTTL, CheckpointPath: ckptPath}
-	var logger *log.Logger
-	if !quiet {
-		logger = log.New(os.Stderr, "", log.LstdFlags)
-		cc.Log = logger
-	}
-	coord, err := dist.NewCoordinator(cc)
-	if err != nil {
-		return err
-	}
-	svc := dist.NewService(coord, logger)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	srv := dist.NewServer(svc.Handler())
-	go func() {
-		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "bgpfig: service server:", err)
-		}
-	}()
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "bgpfig: service on %s (submit: POST /v1/submit, status: GET /)\n", ln.Addr())
-	}
-	err = svc.Run(ctx)
-	coord.Shutdown()
-	sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	srv.Shutdown(sctx)
-	if errors.Is(err, context.Canceled) {
-		return nil // signaled: clean service exit
-	}
-	return err
 }
 
 // progressLine renders the "\r N/M cells" status line. The experiment

@@ -13,12 +13,7 @@
 //
 //	bgpsim -churn poisson-link-flap -churn-rate 0.1 -churn-duration 60s
 //	bgpsim -churn rolling-outage -churn-regions 4 -churn-period 30s -churn-fraction 0.05
-//	bgpsim -churn flap-cycle -churn-cycles 5 -churn-period 20s -submit coordinator:9090
-//
-// With -submit the program is sent to a bgpfig -serve -service
-// coordinator instead of running locally: windows stream back live as
-// remote workers close them, and the final assembled stream is printed
-// (byte-identical to the local run).
+//	bgpsim -churn flap-cycle -churn-cycles 5 -churn-period 20s
 //
 // Schemes: mrai=<seconds>, degree=<low>,<high>, dynamic, batch[=<seconds>],
 // batch+dynamic.
@@ -26,22 +21,16 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"bgpsim"
 	"bgpsim/internal/churn"
-	"bgpsim/internal/dist"
 	"bgpsim/internal/profiling"
 	"bgpsim/internal/topology"
 )
@@ -75,7 +64,6 @@ func run(args []string, out *os.File) (err error) {
 		churnPer   = fs.Duration("churn-period", 30*time.Second, "flap-cycle and rolling-outage: spacing between perturbations")
 		churnReg   = fs.Int("churn-regions", 3, "rolling-outage: region count sweeping the grid")
 		churnFrac  = fs.Float64("churn-fraction", 0.05, "rolling-outage: fraction of routers failing per region")
-		submitTo   = fs.String("submit", "", "with -churn: submit the program to a bgpfig -serve -service coordinator at host:port and stream results back")
 	)
 	var prof profiling.Config
 	prof.AddFlags(fs)
@@ -116,18 +104,12 @@ func run(args []string, out *os.File) (err error) {
 		if err := csc.Validate(); err != nil {
 			return err
 		}
-		if *submitTo != "" {
-			return submitChurn(ctx, *submitTo, dist.ChurnDesc{Scenario: csc, Trials: *trials}, out)
-		}
 		rr, err := churn.Run(ctx, csc, *trials, *workers, nil)
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(out, rr.Render())
 		return nil
-	}
-	if *submitTo != "" {
-		return fmt.Errorf("-submit requires -churn (figure submissions go through bgpfig)")
 	}
 
 	sc := bgpsim.Scenario{
@@ -155,77 +137,4 @@ func run(args []string, out *os.File) (err error) {
 			i, r.Delay.Seconds(), r.Messages, r.Announcements, r.Withdrawals, r.FailedNodes, r.Nodes)
 	}
 	return nil
-}
-
-// submitChurn sends the churn program to a service-mode coordinator,
-// streams windows back as workers close them, and finally prints the
-// authoritative assembled metric stream (byte-identical to a local run
-// of the same scenario).
-func submitChurn(ctx context.Context, addr string, desc dist.ChurnDesc, out *os.File) error {
-	base := dist.BaseURL(addr)
-	client := &http.Client{Timeout: 30 * time.Second}
-	body, err := json.Marshal(dist.SubmitRequest{Churn: &desc})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/submit", strings.NewReader(string(body)))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	var ack dist.SubmitResponse
-	if err := decodeReply(resp, &ack); err != nil {
-		return fmt.Errorf("submit: %w", err)
-	}
-	fmt.Fprintf(out, "submitted %s program as run %d to %s\n", desc.Scenario.Program.Kind, ack.ID, base)
-
-	seen := 0
-	query := base + "/v1/query?id=" + strconv.Itoa(ack.ID)
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(300 * time.Millisecond):
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, query, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return err
-		}
-		var info dist.SubmissionInfo
-		if err := decodeReply(resp, &info); err != nil {
-			return fmt.Errorf("query: %w", err)
-		}
-		for _, lw := range info.Windows[seen:] {
-			w := lw.Window
-			fmt.Fprintf(out, "  live trial=%d win=%d %-12s t=+%-8s delay=%.3fs msgs=%d\n",
-				lw.Trial, w.Index, w.Event, w.At, w.Delay.Seconds(), w.Announcements+w.Withdrawals)
-		}
-		seen = len(info.Windows)
-		switch info.State {
-		case dist.SubmissionDone:
-			fmt.Fprint(out, info.Result)
-			return nil
-		case dist.SubmissionFailed:
-			return fmt.Errorf("run %d failed: %s", ack.ID, info.Error)
-		}
-	}
-}
-
-// decodeReply decodes a JSON API response, folding non-200 statuses into
-// an error carrying the server's message.
-func decodeReply(resp *http.Response, v any) error {
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
 }

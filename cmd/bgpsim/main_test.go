@@ -91,6 +91,21 @@ func TestChurnCLIDeterministic(t *testing.T) {
 	}
 }
 
+// TestChurnCLIMatchesGolden pins a churn program's metric stream: the
+// recipe CI runs prints exactly results/churn/poisson-link-flap.txt.
+func TestChurnCLIMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "results", "churn", "poisson-link-flap.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := runToString(t, []string{"-nodes", "30", "-scheme", "mrai=0.5", "-trials", "2",
+		"-churn", "poisson-link-flap", "-churn-rate", "0.1", "-churn-duration", "40s",
+		"-churn-hold-min", "4s", "-churn-hold-max", "8s"})
+	if got != string(want) {
+		t.Errorf("churn stream differs from results/churn/poisson-link-flap.txt:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
 func TestChurnCLIRejectsBadFlags(t *testing.T) {
 	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
@@ -101,7 +116,6 @@ func TestChurnCLIRejectsBadFlags(t *testing.T) {
 		{"-churn", "no-such-kind"},
 		{"-churn", "poisson-link-flap", "-churn-rate", "-1"},
 		{"-churn", "flap-cycle", "-policy"},
-		{"-submit", "localhost:1"}, // -submit without -churn
 	}
 	for _, args := range bad {
 		if err := run(args, null); err == nil {

@@ -1,8 +1,8 @@
-// Command bgpwork is a worker for distributed runs: it pulls leases
-// (the trials of one sweep cell, or one churn trial) from a bgpfig
-// -serve coordinator, executes them with the local simulator, pushes
-// back results — each completion's acknowledgement carries the next
-// lease — and exits when the coordinator shuts down or goes away.
+// Command bgpwork is a worker for distributed figure runs: it pulls
+// leases (the trials of one sweep cell) from a bgpfig -serve
+// coordinator, executes them with the local simulator, pushes back
+// results — each completion's acknowledgement carries the next lease —
+// and exits when the coordinator shuts down or goes away.
 //
 // Usage:
 //
@@ -12,14 +12,13 @@
 // The first SIGTERM/SIGINT drains the worker gracefully: the in-flight
 // lease (at most one cell's trials) finishes and its results are
 // submitted, asking for no further lease, before the process exits, so
-// no lease has to expire. A
-// second signal aborts immediately (the lease expires and its trials are
-// reassigned).
+// no lease has to expire. A second signal aborts immediately (the lease
+// expires and its trials are reassigned).
 //
 // Results are deterministic by construction (trial seeds derive from
-// grid indices or the churn scenario seed), so any mix of bgpwork
-// processes produces artifacts byte-identical to a local run.
-// Coordinator and workers must be built from the same source.
+// grid indices), so any mix of bgpwork processes produces figures
+// byte-identical to a local run. Coordinator and workers must be built
+// from the same source.
 package main
 
 import (

@@ -80,7 +80,7 @@ const maxArrivals = 10000
 const maxHorizon = time.Duration(math.MaxInt64 / 2)
 
 // Validate checks the spec describes a well-formed program. The spec is
-// outside input (POST /v1/submit carries one), so NaN and infinite
+// outside input (bgpsim's -churn flags build one), so NaN and infinite
 // floats, and schedules that would overflow the clock, are errors.
 func (s Spec) Validate() error {
 	if err := s.validateKind(); err != nil {

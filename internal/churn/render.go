@@ -11,8 +11,8 @@ import (
 // Window times are offsets from program start, so the rendering is
 // independent of the absolute time the converged state sits at (the
 // event-driven reference start renders identically) and is the byte
-// string the determinism tests and the CI churn job compare across
-// worker counts and coordinator restarts.
+// string the determinism tests compare across worker counts and
+// results/churn pins.
 func (rr RunResult) Render() string {
 	var b strings.Builder
 	sc := rr.Scenario

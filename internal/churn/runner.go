@@ -14,9 +14,7 @@ import (
 // Scenario is one fully specified churn run: a topology, a scheme named
 // in the wire syntax (experiment.ParseScheme; empty keeps the default
 // parameters), and the program to stream over it. Every field is
-// JSON-encodable, which is what lets the distributed coordinator carry
-// churn submissions across the wire and reconstruct byte-identical
-// trials on any worker.
+// JSON-encodable, so a scenario can be saved or logged whole.
 type Scenario struct {
 	Topology topology.Spec `json:"topology"`
 	Scheme   string        `json:"scheme,omitempty"`
@@ -66,7 +64,7 @@ type RunResult struct {
 // WindowObserver receives windows as they close, before the trial (let
 // alone the run) completes — the streaming face of a churn run. trial
 // identifies the emitting trial; perNodeSent is the window's per-router
-// send count (live per-router convergence state for the query API). With
+// send count (live per-router convergence state). With
 // multiple trial workers, observers run serialized but trial-interleaved;
 // the deterministic artifact is the assembled RunResult, not the
 // observation order.
@@ -86,9 +84,9 @@ func NewRunner() *Runner {
 }
 
 // Validate checks the whole scenario before any trial runs: the topology
-// spec, the scheme and the program. Run, the distributed coordinator and
-// the service's submission all call it, so a scenario no trial could run
-// is refused up front instead of failing when its first trial starts.
+// spec, the scheme and the program. Run and bgpsim -churn call it, so a
+// scenario no trial could run is refused up front instead of failing when
+// its first trial starts.
 func (sc Scenario) Validate() error {
 	if err := sc.Topology.Validate(); err != nil {
 		return err

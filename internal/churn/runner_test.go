@@ -144,3 +144,31 @@ func TestRunCanceled(t *testing.T) {
 		t.Fatal("canceled context did not abort the run")
 	}
 }
+
+// TestRunHonoursSpecPolicy pins that a churn trial applies the policy
+// its topology spec names, as every scenario trial does: a run on
+// hierarchical relationships streams something else than the same run
+// with no policy.
+func TestRunHonoursSpecPolicy(t *testing.T) {
+	bare := Scenario{
+		Topology: topology.Spec{Kind: topology.KindSkewed7030, N: 30},
+		Scheme:   "mrai=0.5",
+		Program: Spec{Kind: PoissonLinkFlap, Rate: 0.1, Duration: 40 * time.Second,
+			HoldMin: 4 * time.Second, HoldMax: 8 * time.Second},
+		Seed: 11,
+	}
+	sc := bare
+	sc.Topology.Relationships = topology.RelModeHierarchical
+	const trials = 2
+	plain, err := Run(context.Background(), bare, trials, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy, err := Run(context.Background(), sc, trials, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if policy.Digest() == plain.Digest() {
+		t.Fatal("a hierarchical-policy churn run streams what the policy-free run streams")
+	}
+}

@@ -10,23 +10,22 @@ import (
 )
 
 // checkpointSchema identifies the on-disk format: sweep results at trial
-// granularity, plus churn runs. Files under any other schema — including
-// the cell-granularity v1 that pre-trial-lease builds wrote — are
-// rejected, not migrated: a checkpoint lives for one sweep.
+// granularity. Files under any other schema — including the
+// cell-granularity v1 that pre-trial-lease builds wrote — are rejected,
+// not migrated: a checkpoint lives for one sweep. Files that builds with
+// distributed churn wrote may also carry a "churn" section, which
+// loading ignores and the next save drops.
 const checkpointSchema = "bgpsim/dist/checkpoint/v2"
 
 // checkpointFile is the on-disk resume state: completed trial jobs per
-// run, keyed by the descriptor fingerprint (SweepDesc.Key or
-// ChurnDesc.Key), so one file can carry a whole `-fig all` run across
-// restarts and a checkpoint recorded for one grid can never be replayed
-// into a different one.
+// sweep, keyed by the descriptor fingerprint (SweepDesc.Key), so one file
+// can carry a whole `-fig all` run across restarts and a checkpoint
+// recorded for one grid can never be replayed into a different one.
 type checkpointFile struct {
 	// Schema is checkpointSchema.
 	Schema string `json:"schema"`
 	// Sweeps maps SweepDesc.Key() to that sweep's completed trial jobs.
 	Sweeps map[string]*sweepCheckpoint `json:"sweeps"`
-	// Churn maps ChurnDesc.Key() to that churn run's completed trials.
-	Churn map[string]*churnCheckpoint `json:"churn,omitempty"`
 }
 
 // sweepCheckpoint is one sweep's completed trial jobs.
@@ -35,12 +34,6 @@ type sweepCheckpoint struct {
 	// key is its hash).
 	Desc SweepDesc `json:"desc"`
 	// Done lists completed trial jobs in completion order.
-	Done []JobResult `json:"done"`
-}
-
-// churnCheckpoint is one churn run's completed trials.
-type churnCheckpoint struct {
-	Desc ChurnDesc   `json:"desc"`
 	Done []JobResult `json:"done"`
 }
 
@@ -106,17 +99,4 @@ func (ck *checkpointFile) record(key string, desc SweepDesc, r JobResult) {
 		ck.Sweeps[key] = sc
 	}
 	sc.Done = append(sc.Done, r)
-}
-
-// recordChurn appends a completed churn trial under the run key.
-func (ck *checkpointFile) recordChurn(key string, desc ChurnDesc, r JobResult) {
-	if ck.Churn == nil {
-		ck.Churn = map[string]*churnCheckpoint{}
-	}
-	cc := ck.Churn[key]
-	if cc == nil {
-		cc = &churnCheckpoint{Desc: desc}
-		ck.Churn[key] = cc
-	}
-	cc.Done = append(cc.Done, r)
 }

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"bgpsim/internal/churn"
 	"bgpsim/internal/core"
 	"bgpsim/internal/experiment"
 )
@@ -35,11 +34,11 @@ type CoordinatorConfig struct {
 	Log *log.Logger
 }
 
-// Coordinator owns the server half of the protocol: it turns sweeps and
-// churn programs into trial-job tables, leases a cell's jobs at a time
-// to workers over HTTP, verifies and records completions, and merges results into
-// figures or churn streams. One run is active at a time (the service
-// layer serializes submissions); workers polling between runs are told
+// Coordinator owns the server half of the protocol: it turns a sweep
+// grid into a trial-job table, leases a cell's jobs at a time to workers
+// over HTTP, verifies and records completions, and merges results into
+// the figure. One run is active at a time (a figure run sweeps its
+// experiments one after another); workers polling between runs are told
 // to wait. All state is guarded by one mutex — request handlers do
 // table lookups and JSON, never simulation work, so the lock is never
 // held long.
@@ -49,14 +48,6 @@ type Coordinator struct {
 	now      func() time.Time
 	log      *log.Logger
 
-	// OnWindow, when set before any run starts, receives advisory
-	// per-window reports streamed by churn workers via POST /v1/window.
-	// It is invoked under the coordinator mutex, so it must be cheap
-	// (the service layer copies into its own buffers). Reports are
-	// best-effort: a worker crash between a window closing and the
-	// trial completing re-streams that trial's windows on reassignment.
-	OnWindow func(WindowReport)
-
 	mu         sync.Mutex
 	cur        *activeRun
 	seq        int64
@@ -65,17 +56,13 @@ type Coordinator struct {
 	dispatched int64
 }
 
-// activeRun is the coordinator's state for one active run — either a
-// sweep (desc/cfg set) or a churn program (cdesc set). Jobs are trials
-// in both cases: a sweep's job ID is cell·Trials + trial, a churn run's
-// job ID is the trial index.
+// activeRun is the coordinator's state for one active sweep. Jobs are
+// trials: a job's ID is cell·Trials + trial.
 type activeRun struct {
 	id       int64
 	key      string
-	desc     SweepDesc              // sweep runs
-	cfg      experiment.SweepConfig // sweep runs
-	cdesc    *ChurnDesc             // churn runs
-	fits     func(JobResult) bool   // whether a payload is one result of this run's kind
+	desc     SweepDesc
+	cfg      experiment.SweepConfig
 	table    *leaseTable
 	total    int
 	resumed  int
@@ -91,15 +78,6 @@ type activeRun struct {
 type ackedGrant struct {
 	sweep, lease int64
 	next         LeaseResponse
-}
-
-// sweepResult is activeRun.fits for sweeps: one trial result.
-func sweepResult(r JobResult) bool { return len(r.Results) == 1 && r.Trial == nil }
-
-// churnResult is activeRun.fits for churn runs: the window stream of
-// the trial the job names.
-func churnResult(r JobResult) bool {
-	return r.Trial != nil && len(r.Results) == 0 && r.Trial.Trial == r.ID
 }
 
 // NewCoordinator builds a coordinator, loading the checkpoint file if
@@ -131,15 +109,11 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// install registers run as the active run, preloading the checkpointed
-// trial jobs done that fit it. A lease covers at most one cell: a sweep's
-// trials per cell, or one churn trial. Caller must not hold c.mu.
-func (c *Coordinator) install(run *activeRun, done []JobResult) error {
-	cell := 1
-	if run.cdesc == nil {
-		cell = run.desc.Grid.Trials
-	}
-	run.table = newLeaseTable(run.total, cell, c.leaseTTL, c.now)
+// install registers run as the active run, preloading the trial jobs
+// the checkpoint holds under its key. A lease covers at most one cell's
+// trials. Caller must not hold c.mu.
+func (c *Coordinator) install(run *activeRun) error {
+	run.table = newLeaseTable(run.total, run.desc.Grid.Trials, c.leaseTTL, c.now)
 	run.acked = map[string]ackedGrant{}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -152,14 +126,17 @@ func (c *Coordinator) install(run *activeRun, done []JobResult) error {
 	c.seq++
 	run.id = c.seq
 	// Resume: preload trial jobs this run already completed in a
-	// previous coordinator life. Entries that don't fit (corrupt or
-	// hand-edited checkpoint) are dropped rather than trusted.
-	for _, d := range done {
-		if d.ID < 0 || d.ID >= run.total || !run.fits(d) {
-			c.log.Printf("dist: checkpoint entry for job %d ignored", d.ID)
-			continue
+	// previous coordinator life. Entries that are not one trial's result
+	// in range (corrupt or hand-edited checkpoint) are dropped rather
+	// than trusted.
+	if sc := c.ckpt.Sweeps[run.key]; sc != nil {
+		for _, d := range sc.Done {
+			if d.ID < 0 || d.ID >= run.total || len(d.Results) != 1 {
+				c.log.Printf("dist: checkpoint entry for job %d ignored", d.ID)
+				continue
+			}
+			run.table.record(d)
 		}
-		run.table.record(d)
 	}
 	run.resumed = run.table.done
 	if run.resumed > 0 {
@@ -216,15 +193,10 @@ func (c *Coordinator) RunSweep(ctx context.Context, expID string, wire Options, 
 		desc:     desc,
 		key:      key,
 		cfg:      cfg,
-		fits:     sweepResult,
 		total:    desc.Grid.Series * desc.Grid.Xs * desc.Grid.Trials,
 		finished: make(chan struct{}),
 	}
-	var done []JobResult
-	if sc := c.ckpt.Sweeps[run.key]; sc != nil {
-		done = sc.Done
-	}
-	if err := c.install(run, done); err != nil {
+	if err := c.install(run); err != nil {
 		return experiment.Figure{}, err
 	}
 	if run.resumed > 0 && cfg.Progress != nil {
@@ -242,47 +214,6 @@ func (c *Coordinator) RunSweep(ctx context.Context, expID string, wire Options, 
 		perCell[i/trials] = append(perCell[i/trials], run.table.jobs[i].result.Results...)
 	}
 	return experiment.AssembleFigure(cfg, perCell)
-}
-
-// RunChurn executes a churn program through remote workers: each trial
-// is one job, completed trials carry the full window stream, and the
-// assembled RunResult is byte-identical (Render) to a local churn.Run
-// of the same scenario. Like sweeps, churn runs checkpoint-resume: a
-// coordinator restart mid-program redoes only the unfinished trials.
-func (c *Coordinator) RunChurn(ctx context.Context, desc ChurnDesc) (churn.RunResult, error) {
-	if desc.Trials <= 0 {
-		return churn.RunResult{}, fmt.Errorf("dist: churn run needs at least one trial")
-	}
-	if err := desc.Scenario.Validate(); err != nil {
-		return churn.RunResult{}, err
-	}
-	desc.Protocol = ProtocolVersion
-	key, err := desc.Key()
-	if err != nil {
-		return churn.RunResult{}, err
-	}
-	run := &activeRun{
-		key:      key,
-		cdesc:    &desc,
-		fits:     churnResult,
-		total:    desc.Trials,
-		finished: make(chan struct{}),
-	}
-	var done []JobResult
-	if cc := c.ckpt.Churn[run.key]; cc != nil {
-		done = cc.Done
-	}
-	if err := c.install(run, done); err != nil {
-		return churn.RunResult{}, err
-	}
-	if err := c.waitAndDetach(ctx, run); err != nil {
-		return churn.RunResult{}, err
-	}
-	rr := churn.RunResult{Scenario: desc.Scenario, Trials: make([]churn.TrialResult, run.total)}
-	for i := range run.table.jobs {
-		rr.Trials[i] = *run.table.jobs[i].result.Trial
-	}
-	return rr, nil
 }
 
 // SweeperFor adapts the coordinator into the experiment.Sweeper hook for
@@ -317,18 +248,16 @@ func (c *Coordinator) Stats() StatusResponse {
 		st.Total = c.cur.total
 		st.Done = c.cur.table.done
 		st.Resumed = c.cur.resumed
-		st.Churn = c.cur.cdesc != nil
 	}
 	return st
 }
 
 // Handler returns the protocol's HTTP handler: POST /v1/lease, POST
-// /v1/complete, POST /v1/window, GET /v1/status.
+// /v1/complete, GET /v1/status.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/lease", c.handleLease)
 	mux.HandleFunc("POST /v1/complete", c.handleComplete)
-	mux.HandleFunc("POST /v1/window", c.handleWindow)
 	mux.HandleFunc("GET /v1/status", c.handleStatus)
 	return mux
 }
@@ -364,23 +293,21 @@ func (c *Coordinator) grantLocked(worker string) LeaseResponse {
 	if g.reassigned {
 		c.log.Printf("dist: run %d: jobs %d-%d reassigned to %s", c.cur.id, g.first, g.first+g.n-1, worker)
 	}
-	resp := LeaseResponse{Status: StatusJob, SweepID: c.cur.id, Count: g.n, Lease: g.lease}
-	if c.cur.cdesc != nil {
-		cd := *c.cur.cdesc
-		resp.Churn = &cd
-		resp.Job = Job{ID: g.first, Trial: g.first}
-		return resp
-	}
 	desc := c.cur.desc
-	resp.Desc = &desc
 	cell := g.first / desc.Grid.Trials
-	resp.Job = Job{
-		ID:     g.first,
-		Series: cell / desc.Grid.Xs,
-		X:      cell % desc.Grid.Xs,
-		Trial:  g.first % desc.Grid.Trials,
+	return LeaseResponse{
+		Status:  StatusJob,
+		SweepID: c.cur.id,
+		Desc:    &desc,
+		Job: Job{
+			ID:     g.first,
+			Series: cell / desc.Grid.Xs,
+			X:      cell % desc.Grid.Xs,
+			Trial:  g.first % desc.Grid.Trials,
+		},
+		Count: g.n,
+		Lease: g.lease,
 	}
-	return resp
 }
 
 // nextLocked grants the lease a completion asks for. A retried
@@ -438,7 +365,7 @@ func (c *Coordinator) completeLocked(req *CompleteRequest) (CompleteResponse, er
 		c.failLocked(run, fmt.Errorf("dist: worker %s: lease %d: %s", req.Worker, req.Lease, req.Error))
 		return CompleteResponse{Status: StatusOK}, nil
 	}
-	if err := run.table.check(req.Jobs, run.fits); err != nil {
+	if err := run.table.check(req.Jobs); err != nil {
 		if errors.Is(err, errDiverged) {
 			// Divergent duplicate results poison the merge: fail the
 			// run loudly rather than emit a figure of unknowable
@@ -453,18 +380,14 @@ func (c *Coordinator) completeLocked(req *CompleteRequest) (CompleteResponse, er
 			continue
 		}
 		status = StatusOK
-		if run.cdesc == nil && run.cfg.Progress != nil {
+		if run.cfg.Progress != nil {
 			// The Progress contract (serialized, strictly monotonic)
 			// holds whatever order worker reports arrive in: calls are
 			// made under c.mu, and table.done increments exactly once
 			// per newly completed trial job.
 			run.cfg.Progress(run.table.done, run.total)
 		}
-		switch {
-		case c.ckptPath == "":
-		case run.cdesc != nil:
-			c.ckpt.recordChurn(run.key, *run.cdesc, res)
-		default:
+		if c.ckptPath != "" {
 			c.ckpt.record(run.key, run.desc, res)
 		}
 	}
@@ -481,22 +404,6 @@ func (c *Coordinator) completeLocked(req *CompleteRequest) (CompleteResponse, er
 	return CompleteResponse{Status: status}, nil
 }
 
-// handleWindow receives an advisory streamed window report from a churn
-// worker and forwards it to the OnWindow hook. Reports for a run that
-// is no longer active are acknowledged and dropped.
-func (c *Coordinator) handleWindow(w http.ResponseWriter, r *http.Request) {
-	var rep WindowReport
-	if !decode(w, r, &rep) {
-		return
-	}
-	c.mu.Lock()
-	if c.cur != nil && c.cur.id == rep.SweepID && c.OnWindow != nil {
-		c.OnWindow(rep)
-	}
-	c.mu.Unlock()
-	reply(w, CompleteResponse{Status: StatusOK})
-}
-
 // failLocked marks the run failed and wakes the waiter. Caller holds c.mu.
 func (c *Coordinator) failLocked(run *activeRun, err error) {
 	if run.err == nil {
@@ -511,15 +418,16 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
 }
 
 // maxBodyBytes caps a request body. The largest legitimate one is the
-// completion of a churn trial, about 160 bytes per measurement window
-// (a ten-minute program at one perturbation a second is 190 KB), so
-// this leaves room for some hundred thousand windows per trial.
+// completion of a cell's trials, about 220 bytes per trial (its job ID
+// and one result of ten integers), so this leaves room for some seventy
+// thousand trials per cell, far past any grid's.
 const maxBodyBytes = 16 << 20
 
 // bodyBufs recycles the buffers request bodies are read into: handlers
 // run concurrently, a goroutine per connection, so they are pooled, not
-// owned. One that a churn completion grew past 64 KiB (leases and sweep
-// completions are a few hundred bytes) is not kept.
+// owned. One that a completion grew past 64 KiB, some three hundred
+// trials of one cell, is not kept: a lease request is tens of bytes and
+// a paper-scale completion, three trials, under a kilobyte.
 var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // decode parses a request body that is one JSON value and nothing else,
@@ -546,9 +454,9 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
-// NewServer returns an http.Server for a coordinator or service handler
-// with read-side limits, so a peer that connects and then stalls cannot
-// hold a connection open for ever. There is no write timeout: replies
+// NewServer returns an http.Server for a coordinator's handler with
+// read-side limits, so a peer that connects and then stalls cannot hold
+// a connection open for ever. There is no write timeout: replies
 // are small, and a completion that saves a checkpoint may take its time.
 func NewServer(h http.Handler) *http.Server {
 	return &http.Server{

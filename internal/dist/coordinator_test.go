@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"bgpsim/internal/churn"
 	"bgpsim/internal/core"
 	"bgpsim/internal/experiment"
 )
@@ -245,7 +244,7 @@ func TestLeaseBatchesOnFakeClock(t *testing.T) {
 		"never leased":        {trialResult(0), trialResult(2)},
 		"outside the table":   {trialResult(1), {ID: 12, Results: fakeResults(6, 1)}},
 		"named twice":         {trialResult(0), trialResult(0)},
-		"churn payload":       {{ID: 0, Trial: &churn.TrialResult{}}},
+		"two results":         {{ID: 0, Results: fakeResults(0, 2)}},
 		"no job and no error": nil,
 	} {
 		code := postJSON(t, h, "/v1/complete", CompleteRequest{Worker: "doomed", SweepID: doomed.SweepID, Lease: doomed.Lease, Jobs: batch}, nil)
@@ -523,15 +522,6 @@ func TestNonFiniteAxisIsAnError(t *testing.T) {
 				t.Errorf("distributed run: error %v, local run: %v", remote, local)
 			}
 		})
-	}
-	desc := fuzzChurnDesc()
-	desc.Scenario.Topology.AvgDegree = math.NaN()
-	coord, err := NewCoordinator(CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := coord.RunChurn(context.Background(), desc); err == nil {
-		t.Error("churn run with a NaN topology parameter: no error")
 	}
 	if _, err := (SweepDesc{Options: Options{MRAIs: []float64{math.NaN()}}}).Key(); err == nil {
 		t.Error("SweepDesc.Key of a NaN axis: no error")

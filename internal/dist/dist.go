@@ -1,18 +1,17 @@
-// Package dist distributes simulation work across machines: a
-// coordinator decomposes runs into trial-granularity jobs (one job per
-// trial of one (series, x) cell, or one churn trial) and leases them
-// over an HTTP/JSON protocol, a run of one cell's jobs per lease; workers
-// pull leases, run them through the ordinary experiment/churn machinery,
-// and push back one result per job. A completion also asks for the
-// worker's next lease and its acknowledgement carries it, so after its
-// first lease a busy worker makes one round trip per lease. A service
-// layer (service.go) promotes the coordinator to a long-running server
-// accepting figure and churn submissions from many concurrent clients.
+// Package dist distributes figure sweeps across machines: a coordinator
+// decomposes a sweep grid into trial-granularity jobs (one job per trial
+// of one (series, x) cell) and leases them over an HTTP/JSON protocol, a
+// run of one cell's jobs per lease; workers pull leases, run them
+// through the ordinary experiment machinery, and push back one result
+// per job. A completion also asks for the worker's next lease and its
+// acknowledgement carries it, so after its first lease a busy worker
+// makes one round trip per lease. The trials of a grid are independent
+// runs, which is the one thing this package splits.
 //
 // # Why remote execution can be byte-identical
 //
 // Scenarios carry closures (schemes mutate bgp.Params arbitrarily), so
-// sweep jobs never ship scenarios. A job is an address into the shared
+// jobs never ship scenarios. A job is an address into the shared
 // experiment registry instead: (experiment ID, scale options, series
 // index, x index, trial). Every experiment is one grid, and both sides
 // build it from the same registry entry over the same options
@@ -22,10 +21,7 @@
 // local sweep would have run. The coordinator merges returned trial
 // results in fixed (series, x, trial) order through the same assembly
 // code Sweep uses — the emitted figure is byte-identical to a local run
-// by construction. Churn jobs carry a fully wire-encodable scenario
-// (topology spec, scheme named in ParseScheme syntax, program spec), so
-// the same argument applies: trial seeds derive from (scenario seed,
-// trial index) and the metric stream assembles in trial order.
+// by construction.
 //
 // # Robustness
 //
@@ -37,8 +33,7 @@
 // transient HTTP errors with exponential backoff and jitter
 // (backoff.go). The coordinator checkpoints completed trials to a file
 // after every completion, so an interrupted run resumes without redoing
-// finished work (checkpoint.go) — including churn programs interrupted
-// mid-stream.
+// finished work (checkpoint.go).
 package dist
 
 import (
@@ -47,7 +42,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"bgpsim/internal/churn"
 	"bgpsim/internal/core"
 	"bgpsim/internal/experiment"
 )
@@ -69,8 +63,17 @@ import (
 // fleet on binaries that agree on how a lease is handed out. v6 drops
 // the descriptor's sweep index: every experiment is one grid, which a
 // worker rebuilds from the registry entry (core.Experiment.Grid) instead
-// of re-running the experiment to find it.
-const ProtocolVersion = "bgpsim/dist/v6"
+// of re-running the experiment to find it. v7 drops churn runs: a v7
+// worker cannot run a v6 coordinator's churn leases, so it refuses v6
+// outright rather than serve that coordinator's sweeps alone.
+const ProtocolVersion = "bgpsim/dist/v7"
+
+// recordProtocol is the protocol SweepDesc.Key fingerprints a sweep
+// under: the last version that changed what a recorded sweep trial
+// means. v7 left sweep jobs and results as v6 had them, so a checkpoint
+// a v6 coordinator wrote still resumes. Set it to ProtocolVersion in a
+// bump that changes a sweep trial's address or result.
+const recordProtocol = "bgpsim/dist/v6"
 
 // Lease response statuses.
 const (
@@ -167,50 +170,30 @@ type SweepDesc struct {
 
 // Key fingerprints the descriptor for checkpoint addressing: two sweeps
 // share a key iff a completed cell of one is a valid completed cell of
-// the other. It fails only for a descriptor JSON cannot encode: a NaN or
-// infinite value on an Options axis.
-func (d SweepDesc) Key() (string, error) { return descKey("SweepDesc", d) }
+// the other. It is the SHA-256, in hex, of the descriptor's JSON with
+// Protocol set to recordProtocol. It fails only for a descriptor JSON
+// cannot encode: a NaN or infinite value on an Options axis.
+func (d SweepDesc) Key() (string, error) {
+	d.Protocol = recordProtocol
+	b, err := json.Marshal(d)
+	if err != nil {
+		return "", fmt.Errorf("dist: encode SweepDesc: %w", err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), nil
+}
 
-// Job addresses one trial job. For sweep runs it is trial Trial of cell
-// (Series, X); for churn runs Series and X are zero and Trial is the
-// churn trial index.
+// Job addresses one trial job: trial Trial of cell (Series, X).
 type Job struct {
 	// ID is the trial-granularity job index: (si*Grid.Xs + xi)*Grid.Trials
-	// + trial for sweeps, the trial index for churn runs.
+	// + trial.
 	ID int `json:"id"`
 	// Series is the series index si.
 	Series int `json:"series"`
 	// X is the x index xi (an index into the axis, not the value).
 	X int `json:"x"`
-	// Trial is the trial index within the cell (or churn run).
+	// Trial is the trial index within the cell.
 	Trial int `json:"trial"`
-}
-
-// ChurnDesc addresses one distributed churn run: unlike sweep jobs,
-// churn scenarios are fully wire-encodable (topology spec, scheme named
-// in the ParseScheme syntax, program spec), so the descriptor carries
-// the scenario itself rather than a registry address.
-type ChurnDesc struct {
-	// Protocol is ProtocolVersion.
-	Protocol string `json:"protocol"`
-	// Scenario is the churn scenario every trial derives from.
-	Scenario churn.Scenario `json:"scenario"`
-	// Trials is the replication count; job IDs are trial indices.
-	Trials int `json:"trials"`
-}
-
-// Key fingerprints the descriptor for checkpoint addressing, exactly as
-// SweepDesc.Key does for sweeps.
-func (d ChurnDesc) Key() (string, error) { return descKey("ChurnDesc", d) }
-
-// descKey is the SHA-256 of d's JSON encoding, in hex.
-func descKey(name string, d any) (string, error) {
-	b, err := json.Marshal(d)
-	if err != nil {
-		return "", fmt.Errorf("dist: encode %s: %w", name, err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
 }
 
 // LeaseRequest asks the coordinator for work.
@@ -226,35 +209,28 @@ type LeaseResponse struct {
 	Status string `json:"status"`
 	// SweepID identifies the active run; completions must echo it.
 	SweepID int64 `json:"sweep_id,omitempty"`
-	// Desc describes the sweep the jobs belong to (set with StatusJob
-	// for sweep jobs).
+	// Desc describes the sweep the jobs belong to (set with StatusJob).
 	Desc *SweepDesc `json:"desc,omitempty"`
-	// Churn describes the churn run the job belongs to (set with
-	// StatusJob for churn jobs; exactly one of Desc/Churn is set).
-	Churn *ChurnDesc `json:"churn,omitempty"`
 	// Job is the first leased trial (set with StatusJob).
 	Job Job `json:"job,omitempty"`
 	// Count is the number of leased trials: jobs Job.ID … Job.ID+Count−1,
 	// which are trials Job.Trial … Job.Trial+Count−1 of Job's cell. A
-	// lease never crosses a cell, so a churn lease is one trial.
+	// lease never crosses a cell.
 	Count int `json:"count,omitempty"`
 	// Lease is the lease token; completions must echo it.
 	Lease int64 `json:"lease,omitempty"`
 }
 
-// JobResult is one trial job's payload: Results (a sweep trial's result
-// as a one-entry slice) or Trial (a churn trial's window stream), never
-// both. Result fields are integers (durations in nanoseconds), so the
-// JSON round trip is exact and coordinator-side aggregation is bit-equal
-// to local. The checkpoint stores these entries as completions carry
-// them.
+// JobResult is one trial job's payload: the trial's result as a
+// one-entry slice. Result fields are integers (durations in
+// nanoseconds), so the JSON round trip is exact and coordinator-side
+// aggregation is bit-equal to local. The checkpoint stores these entries
+// as completions carry them.
 type JobResult struct {
 	// ID is the trial job index (Job.ID).
 	ID int `json:"id"`
-	// Results holds the sweep trial's result.
+	// Results holds the trial's result.
 	Results []experiment.Result `json:"results,omitempty"`
-	// Trial holds a churn trial's window stream.
-	Trial *churn.TrialResult `json:"trial,omitempty"`
 }
 
 // CompleteRequest submits a finished lease's results (or its failure).
@@ -273,26 +249,6 @@ type CompleteRequest struct {
 	// Next asks for the worker's next lease in the acknowledgement; a
 	// draining worker leaves it false.
 	Next bool `json:"next,omitempty"`
-}
-
-// WindowReport streams one closed churn measurement window to the
-// coordinator while its trial is still running — the incremental metric
-// feed behind the /v1/query live view. Reports are advisory: the
-// authoritative stream is the completion's TrialResult, so a lost or
-// re-sent report can skew the live view but never the final result.
-type WindowReport struct {
-	// Worker identifies the reporter.
-	Worker string `json:"worker"`
-	// SweepID and JobID identify the running churn job.
-	SweepID int64 `json:"sweep_id"`
-	JobID   int   `json:"job_id"`
-	// Trial is the churn trial index.
-	Trial int `json:"trial"`
-	// Window is the closed window's metrics.
-	Window churn.WindowResult `json:"window"`
-	// PerNodeSent is the window's per-router send count — the live
-	// per-router convergence state.
-	PerNodeSent []int `json:"per_node_sent,omitempty"`
 }
 
 // CompleteResponse acknowledges a completion.
@@ -317,9 +273,6 @@ type StatusResponse struct {
 	// Total and Done count the active run's trial jobs.
 	Total int `json:"total,omitempty"`
 	Done  int `json:"done,omitempty"`
-	// Churn reports whether the active run is a churn program (false:
-	// a sweep).
-	Churn bool `json:"churn,omitempty"`
 	// Dispatched counts trial jobs handed out since the coordinator
 	// started, reassignments included (a lease of n jobs counts n).
 	Dispatched int64 `json:"dispatched"`

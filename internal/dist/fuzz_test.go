@@ -4,16 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
-	"time"
-
-	"bgpsim/internal/churn"
 )
 
 // FuzzCoordinatorBodies posts arbitrary bytes to /v1/lease (complete
@@ -121,38 +120,44 @@ func FuzzCoordinatorBodies(f *testing.F) {
 
 // FuzzCheckpointLoad hands arbitrary bytes to NewCoordinator as its
 // checkpoint file, then installs a small sweep (testSweepCfg, 12 trial
-// jobs) and a churn run (testChurnScenario, 3 trials) on it. Nothing may
-// panic. A file is either refused with an error, or each run resumes
-// exactly the entries recorded under its own key whose id is in range
-// and whose payload fits the run's kind — the first such entry per id —
-// and nothing else. The seed corpus is built below from the real keys,
-// so it stays valid when a descriptor changes shape.
+// jobs) on it. Nothing may panic. A file is either refused with an
+// error, or the sweep resumes exactly the entries recorded under its own
+// key whose id is in range and whose payload is one trial's result — the
+// first such entry per id — and nothing else. A "churn" section, which
+// builds with distributed churn wrote, is ignored whatever it holds. The
+// seed corpus is built below from the real key, so it stays valid when
+// the descriptor changes shape, plus a file an earlier coordinator wrote.
 func FuzzCheckpointLoad(f *testing.F) {
 	sweepKey, err := fuzzSweepDesc().Key()
 	if err != nil {
 		f.Fatal(err)
 	}
-	churnKey, err := fuzzChurnDesc().Key()
-	if err != nil {
-		f.Fatal(err)
+	// churnTrials is a churn section as earlier builds wrote it, holding
+	// the given trials of one run.
+	churnTrials := func(key string, trials ...int) json.RawMessage {
+		var done []string
+		for _, id := range trials {
+			done = append(done, fmt.Sprintf(`{"id":%d,"trial":{"trial":%d,"start":1000000000,"windows":null}}`, id, id))
+		}
+		return json.RawMessage(`{"` + key + `":{"done":[` + strings.Join(done, ",") + `]}}`)
 	}
-	churnTrial := func(id int) JobResult {
-		return JobResult{ID: id, Trial: &churn.TrialResult{Trial: id, Start: time.Second}}
-	}
-	seed := func(sweeps map[string]*sweepCheckpoint, churns map[string]*churnCheckpoint) []byte {
-		b, err := json.Marshal(checkpointFile{Schema: checkpointSchema, Sweeps: sweeps, Churn: churns})
+	seed := func(sweeps map[string]*sweepCheckpoint, churn json.RawMessage) []byte {
+		b, err := json.Marshal(struct {
+			checkpointFile
+			Churn json.RawMessage `json:"churn,omitempty"`
+		}{checkpointFile{Schema: checkpointSchema, Sweeps: sweeps}, churn})
 		if err != nil {
 			f.Fatal(err)
 		}
 		return b
 	}
 	valid := seed(map[string]*sweepCheckpoint{sweepKey: {Done: []JobResult{trialResult(0), trialResult(3)}}},
-		map[string]*churnCheckpoint{churnKey: {Done: []JobResult{churnTrial(1)}}})
+		churnTrials("churn-run", 1))
 	var all []JobResult
 	for id := 0; id < 12; id++ {
 		all = append(all, trialResult(id))
 	}
-	// A partial resume of each run.
+	// A partial resume beside a churn section.
 	f.Add(valid)
 	// Truncated JSON.
 	f.Add(valid[:len(valid)/2])
@@ -161,16 +166,22 @@ func FuzzCheckpointLoad(f *testing.F) {
 		trialResult(2), {ID: 2, Results: fakeResults(99, 1)}, trialResult(5)}}}, nil))
 	// A wrong schema.
 	f.Add(bytes.Replace(valid, []byte(checkpointSchema), []byte("bgpsim/dist/checkpoint/v1"), 1))
-	// Sweep entries under the churn key.
-	f.Add(seed(nil, map[string]*churnCheckpoint{churnKey: {Done: []JobResult{trialResult(0), trialResult(1)}}}))
+	// Churn trials under the sweep's own key, in the churn section.
+	f.Add(seed(nil, churnTrials(sweepKey, 0, 1)))
 	// Negative and out-of-range ids.
 	f.Add(seed(map[string]*sweepCheckpoint{sweepKey: {Done: []JobResult{
 		{ID: -1, Results: fakeResults(0, 1)}, {ID: 12, Results: fakeResults(0, 1)}, trialResult(11)}}},
-		map[string]*churnCheckpoint{churnKey: {Done: []JobResult{churnTrial(-1), churnTrial(3), churnTrial(2)}}}))
+		churnTrials("churn-run", -1, 3, 2)))
 	// The whole sweep, which then finishes without a worker.
 	f.Add(seed(map[string]*sweepCheckpoint{sweepKey: {Done: all}}, nil))
 	// A null entry under the sweep key.
 	f.Add([]byte(`{"schema":"` + checkpointSchema + `","sweeps":{"` + sweepKey + `":null}}`))
+	// A file a protocol-v6 coordinator wrote, with a churn section.
+	legacy, err := os.ReadFile(legacyCheckpoint)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "checkpoint.json")
@@ -181,71 +192,57 @@ func FuzzCheckpointLoad(f *testing.F) {
 		if err != nil {
 			return // refused
 		}
-		var sweepDone, churnDone []JobResult
+		var done []JobResult
 		if sc := coord.ckpt.Sweeps[sweepKey]; sc != nil {
-			sweepDone = sc.Done
+			done = sc.Done
 		}
-		if cc := coord.ckpt.Churn[churnKey]; cc != nil {
-			churnDone = cc.Done
-		}
-		checkResumed(t, "sweep", coord, sweepKey, 12, sweepDone, sweepResult, func(ctx context.Context) error {
-			_, err := coord.RunSweep(ctx, "test", Options{}, testSweepCfg(nil))
-			return err
-		})
-		checkResumed(t, "churn", coord, churnKey, 3, churnDone, churnResult, func(ctx context.Context) error {
-			_, err := coord.RunChurn(ctx, fuzzChurnDesc())
-			return err
-		})
+		checkResumed(t, coord, sweepKey, 12, done)
 	})
 }
 
 // fuzzSweepDesc is the descriptor RunSweep builds for testSweepCfg as
-// experiment "test", sweep 0.
+// experiment "test".
 func fuzzSweepDesc() SweepDesc {
 	return SweepDesc{Protocol: ProtocolVersion, Experiment: "test", Grid: Grid{Series: 2, Xs: 3, Trials: 2}}
 }
 
-// fuzzChurnDesc is a three-trial run of testChurnScenario as RunChurn
-// keys it.
-func fuzzChurnDesc() ChurnDesc {
-	return ChurnDesc{Protocol: ProtocolVersion, Scenario: testChurnScenario(), Trials: 3}
-}
-
-// checkResumed installs a run through start, which blocks until the run
-// ends, and compares what the run resumed with what it should have: the
-// first entry of done for each id in [0, total) whose payload fits. The
-// run is read while it is active; a run that finishes before it is seen
-// must have resumed every job.
-func checkResumed(t *testing.T, kind string, coord *Coordinator, key string, total int,
-	done []JobResult, fits func(JobResult) bool, start func(context.Context) error) {
+// checkResumed runs testSweepCfg as experiment "test" on coord until it
+// is seen active, and compares what the run resumed with what it should
+// have: the first entry of done for each id in [0, total) that is one
+// trial's result. A run that finishes before it is seen must have
+// resumed every job.
+func checkResumed(t *testing.T, coord *Coordinator, key string, total int, done []JobResult) {
 	t.Helper()
 	want := map[int]JobResult{}
 	for _, d := range done {
-		if _, dup := want[d.ID]; !dup && d.ID >= 0 && d.ID < total && fits(d) {
+		if _, dup := want[d.ID]; !dup && d.ID >= 0 && d.ID < total && len(d.Results) == 1 {
 			want[d.ID] = d
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	out := make(chan error, 1)
-	go func() { out <- start(ctx) }()
+	go func() {
+		_, err := coord.RunSweep(ctx, "test", Options{}, testSweepCfg(nil))
+		out <- err
+	}()
 	defer func() { cancel(); <-out }()
 	for {
 		coord.mu.Lock()
 		if run := coord.cur; run != nil {
 			defer coord.mu.Unlock()
 			if run.key != key || run.total != total {
-				t.Fatalf("%s: run has key %s and %d jobs, want %s and %d", kind, run.key, run.total, key, total)
+				t.Fatalf("run has key %s and %d jobs, want %s and %d", run.key, run.total, key, total)
 			}
 			if run.resumed != len(want) || run.table.done != len(want) {
-				t.Errorf("%s: resumed %d (table done %d), want %d", kind, run.resumed, run.table.done, len(want))
+				t.Errorf("resumed %d (table done %d), want %d", run.resumed, run.table.done, len(want))
 			}
 			for id, j := range run.table.jobs {
 				w, ok := want[id]
 				switch {
 				case j.done != ok:
-					t.Errorf("%s: job %d resumed %v, want %v", kind, id, j.done, ok)
+					t.Errorf("job %d resumed %v, want %v", id, j.done, ok)
 				case ok && (j.result.ID != id || !j.result.equal(w)):
-					t.Errorf("%s: job %d resumed %+v, want %+v", kind, id, j.result, w)
+					t.Errorf("job %d resumed %+v, want %+v", id, j.result, w)
 				}
 			}
 			return
@@ -255,7 +252,7 @@ func checkResumed(t *testing.T, kind string, coord *Coordinator, key string, tot
 		case err := <-out:
 			out <- err
 			if err != nil || len(want) != total {
-				t.Fatalf("%s: run ended unseen (err %v) having %d of %d jobs to resume", kind, err, len(want), total)
+				t.Fatalf("run ended unseen (err %v) having %d of %d jobs to resume", err, len(want), total)
 			}
 			return
 		default:

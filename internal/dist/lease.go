@@ -34,15 +34,14 @@ var errDiverged = errors.New("completed twice with different results — worker 
 //	   +----lease expiry---+   (reassignment: acquire hands the job
 //	                            to another worker, new lease token)
 //
-// A lease covers consecutive jobs of one cell, cell jobs per cell (a
-// sweep's trials per cell; 1 for churn runs, whose trials have no cell),
-// and each job keeps its own lease token and expiry, so on expiry exactly
-// the jobs the lease still holds go back. Expiry is lazy: an expired
-// lease is noticed when another worker asks for work (acquire) or when
-// the original worker finally reports (still accepted, results are
-// deterministic). The table is NOT safe for concurrent use; the
-// coordinator serializes access under its own mutex, which is also what
-// makes fake-clock unit tests trivial.
+// A lease covers consecutive jobs of one cell, cell jobs (the sweep's
+// trials) per cell, and each job keeps its own lease token and expiry,
+// so on expiry exactly the jobs the lease still holds go back. Expiry is
+// lazy: an expired lease is noticed when another worker asks for work
+// (acquire) or when the original worker finally reports (still accepted,
+// results are deterministic). The table is NOT safe for concurrent use;
+// the coordinator serializes access under its own mutex, which is also
+// what makes fake-clock unit tests trivial.
 type leaseTable struct {
 	ttl       time.Duration
 	now       func() time.Time
@@ -103,12 +102,12 @@ func (t *leaseTable) acquire() (g grant, ok bool) {
 // check vets a completion's payloads before any is recorded, so a batch
 // is taken whole or not at all. It refuses an empty batch, a job outside
 // the table or never leased, jobs not in strictly ascending order (a job
-// named twice among them), and a payload fits rejects. A payload that
-// differs from the one already recorded for its job is an error wrapping
-// errDiverged. Under which lease a job is reported does not matter: a
+// named twice among them), and a payload that is not one trial's result.
+// A payload that differs from the one already recorded for its job is an
+// error wrapping errDiverged. Under which lease a job is reported does not matter: a
 // superseded lease's results are as deterministic as the current one's,
 // so the first to finish wins and the other lands on the duplicate path.
-func (t *leaseTable) check(batch []JobResult, fits func(JobResult) bool) error {
+func (t *leaseTable) check(batch []JobResult) error {
 	if len(batch) == 0 {
 		return errors.New("dist: completion names no job")
 	}
@@ -118,8 +117,8 @@ func (t *leaseTable) check(batch []JobResult, fits func(JobResult) bool) error {
 			return fmt.Errorf("dist: job %d outside table of %d", r.ID, len(t.jobs))
 		case k > 0 && r.ID <= batch[k-1].ID:
 			return fmt.Errorf("dist: completion names job %d after job %d; jobs must ascend", r.ID, batch[k-1].ID)
-		case !fits(r):
-			return fmt.Errorf("dist: job %d: payload is not one result of this run's kind", r.ID)
+		case len(r.Results) != 1:
+			return fmt.Errorf("dist: job %d: payload is not one trial's result", r.ID)
 		}
 		switch j := &t.jobs[r.ID]; {
 		case j.done && !j.result.equal(r):
@@ -149,13 +148,4 @@ func (t *leaseTable) remaining() int { return len(t.jobs) - t.done }
 
 // equal compares payloads field for field — the duplicate-completion
 // determinism check (Result is a comparable struct of integers).
-func (p JobResult) equal(q JobResult) bool {
-	if !slices.Equal(p.Results, q.Results) || (p.Trial == nil) != (q.Trial == nil) {
-		return false
-	}
-	if p.Trial == nil {
-		return true
-	}
-	a, b := p.Trial, q.Trial
-	return a.Trial == b.Trial && a.Start == b.Start && slices.Equal(a.Windows, b.Windows)
-}
+func (p JobResult) equal(q JobResult) bool { return slices.Equal(p.Results, q.Results) }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"bgpsim/internal/churn"
 	"bgpsim/internal/experiment"
 )
 
@@ -46,7 +45,7 @@ func jobs(first, last, tag int) []JobResult {
 // complete vets and records batch the way the coordinator does, and
 // reports how many jobs were new.
 func (tab *leaseTable) complete(batch []JobResult) (int, error) {
-	if err := tab.check(batch, sweepResult); err != nil {
+	if err := tab.check(batch); err != nil {
 		return 0, err
 	}
 	added := 0
@@ -81,7 +80,7 @@ func TestLeaseAcquireOrderAndExhaustion(t *testing.T) {
 }
 
 // TestLeaseGrantStaysInCell: a grant is the rest of one cell, never more;
-// a churn table (cell 1) grants one trial at a time; and a job restored
+// a table of one-trial cells grants one trial at a time; and a job restored
 // from a checkpoint splits its cell's grants around it.
 func TestLeaseGrantStaysInCell(t *testing.T) {
 	clk := newFakeClock()
@@ -93,9 +92,9 @@ func TestLeaseGrantStaysInCell(t *testing.T) {
 		t.Error("acquire past the end of the table")
 	}
 
-	churnTab := newLeaseTable(3, 1, time.Second, clk.now)
+	single := newLeaseTable(3, 1, time.Second, clk.now)
 	for id := 0; id < 3; id++ {
-		mustAcquire(t, churnTab, id, 1)
+		mustAcquire(t, single, id, 1)
 	}
 
 	resumed := newLeaseTable(6, 3, time.Second, clk.now)
@@ -201,13 +200,12 @@ func TestDivergentDuplicateIsError(t *testing.T) {
 
 // TestCompleteWithoutLeaseIsError: a batch naming a job outside the
 // table, one never leased, the same job twice or jobs out of order, or a
-// payload of the wrong kind, is refused whole — not as a divergence, and
-// with nothing recorded.
+// payload that is not one trial's result, is refused whole — not as a
+// divergence, and with nothing recorded.
 func TestCompleteWithoutLeaseIsError(t *testing.T) {
 	clk := newFakeClock()
 	tab := newLeaseTable(4, 2, time.Second, clk.now)
 	mustAcquire(t, tab, 0, 2)
-	trial := &churn.TrialResult{Trial: 0}
 	for name, batch := range map[string][]JobResult{
 		"empty":          nil,
 		"never leased":   {fakeJob(1, 1), fakeJob(2, 1)},
@@ -215,10 +213,8 @@ func TestCompleteWithoutLeaseIsError(t *testing.T) {
 		"negative":       {fakeJob(-1, 1), fakeJob(0, 1)},
 		"named twice":    {fakeJob(0, 1), fakeJob(0, 1)},
 		"descending":     {fakeJob(1, 1), fakeJob(0, 1)},
-		"churn payload":  {fakeJob(0, 1), {ID: 1, Trial: trial}},
 		"two results":    {{ID: 0, Results: fakeResults(1, 2)}},
 		"no result":      {{ID: 0}},
-		"both payloads":  {{ID: 0, Results: fakeResults(1, 1), Trial: trial}},
 		"second missing": {fakeJob(0, 1), {ID: 1}},
 	} {
 		_, err := tab.complete(batch)

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bgpsim/internal/churn"
 	"bgpsim/internal/core"
 	"bgpsim/internal/experiment"
 )
@@ -24,10 +23,6 @@ import (
 // start at job, returning their results in trial order. The default is
 // RegistryRunner; tests and benchmarks inject no-op runners.
 type JobRunner func(ctx context.Context, desc SweepDesc, job Job, n int) ([]experiment.Result, error)
-
-// ChurnJobRunner executes one churn trial job, invoking obs on the calling
-// goroutine as each measurement window closes. The default is ChurnRunner.
-type ChurnJobRunner func(ctx context.Context, desc ChurnDesc, job Job, obs churn.WindowObserver) (*churn.TrialResult, error)
 
 // Worker is the client half of the protocol: it polls the coordinator
 // for leases, executes their jobs, and submits results, retrying transient
@@ -51,14 +46,12 @@ type Worker struct {
 	// PollInterval is the idle delay after a StatusWait response
 	// (default 200ms).
 	PollInterval time.Duration
-	// SimWorkers bounds the goroutines a sweep lease's trials run on
+	// SimWorkers bounds the goroutines a lease's trials run on
 	// (0 = GOMAXPROCS, 1 = serial); results are identical for every
-	// value. A churn lease is one trial, which runs on one goroutine.
+	// value.
 	SimWorkers int
-	// Runner executes sweep leases (nil = RegistryRunner(SimWorkers)).
+	// Runner executes leases (nil = RegistryRunner(SimWorkers)).
 	Runner JobRunner
-	// ChurnRun executes churn trial jobs (nil = ChurnRunner()).
-	ChurnRun ChurnJobRunner
 	// Log receives per-lease progress lines. nil discards.
 	Log *log.Logger
 
@@ -69,9 +62,9 @@ type Worker struct {
 	// then exit instead of leasing more work.
 	draining atomic.Bool
 
-	// Reused from one exchange to the next by the Work goroutine, window
-	// reports included: the request as encoded, the reply as read, the
-	// completion's per-job entries.
+	// Reused from one exchange to the next by the Work goroutine: the
+	// request as encoded, the reply as read, the completion's per-job
+	// entries.
 	leaseURL, completeURL string
 	reqBuf, respBuf       bytes.Buffer
 	batch                 []JobResult
@@ -114,10 +107,6 @@ func (w *Worker) Work(ctx context.Context) error {
 	if runner == nil {
 		runner = RegistryRunner(w.SimWorkers)
 	}
-	churnRunner := w.ChurnRun
-	if churnRunner == nil {
-		churnRunner = ChurnRunner()
-	}
 	everConnected := false
 	jobs := 0
 	var lease LeaseResponse
@@ -151,21 +140,13 @@ func (w *Worker) Work(ctx context.Context) error {
 		case StatusJob:
 			// A granted lease runs even if Drain came after it was asked
 			// for: exiting would leave it to expire.
-			var jerr error
+			if lease.Desc == nil {
+				return fmt.Errorf("dist: lease for job %d without a sweep descriptor", lease.Job.ID)
+			}
+			rs, jerr := runner(ctx, *lease.Desc, lease.Job, lease.Count)
 			batch := w.batch[:0]
-			switch {
-			case lease.Churn != nil:
-				var tr *churn.TrialResult
-				tr, jerr = churnRunner(ctx, *lease.Churn, lease.Job, w.windowObserver(lease))
-				batch = append(batch, JobResult{ID: lease.Job.ID, Trial: tr})
-			case lease.Desc != nil:
-				var rs []experiment.Result
-				rs, jerr = runner(ctx, *lease.Desc, lease.Job, lease.Count)
-				for i := range rs {
-					batch = append(batch, JobResult{ID: lease.Job.ID + i, Results: rs[i : i+1]})
-				}
-			default:
-				return fmt.Errorf("dist: lease for job %d without a run descriptor", lease.Job.ID)
+			for i := range rs {
+				batch = append(batch, JobResult{ID: lease.Job.ID + i, Results: rs[i : i+1]})
 			}
 			w.batch = batch
 			complete := CompleteRequest{Worker: w.ID, SweepID: lease.SweepID, Lease: lease.Lease, Jobs: batch, Next: !w.draining.Load()}
@@ -203,36 +184,8 @@ func (w *Worker) Work(ctx context.Context) error {
 
 // describe names a lease's jobs for logs and errors.
 func describe(lease LeaseResponse) string {
-	if lease.Churn != nil {
-		return fmt.Sprintf("job %d (churn %s trial %d)", lease.Job.ID, lease.Churn.Scenario.Program.Kind, lease.Job.Trial)
-	}
 	return fmt.Sprintf("jobs %d-%d (%s series %d x %d trials %d-%d)", lease.Job.ID, lease.Job.ID+lease.Count-1,
 		lease.Desc.Experiment, lease.Job.Series, lease.Job.X, lease.Job.Trial, lease.Job.Trial+lease.Count-1)
-}
-
-// windowObserver builds the per-window streaming callback for a leased
-// churn job: each closed window posts one advisory WindowReport. The
-// post is a single try with no retries — losing a report only stales
-// the live view, never the authoritative completion payload — so a slow
-// coordinator cannot stall the simulation for long.
-func (w *Worker) windowObserver(lease LeaseResponse) churn.WindowObserver {
-	url := strings.TrimSuffix(w.Base, "/") + "/v1/window"
-	return func(trial int, win churn.WindowResult, perNode []int) {
-		rep := WindowReport{
-			Worker:      w.ID,
-			SweepID:     lease.SweepID,
-			JobID:       lease.Job.ID,
-			Trial:       trial,
-			Window:      win,
-			PerNodeSent: perNode,
-		}
-		payload, err := json.Marshal(rep)
-		if err != nil {
-			return
-		}
-		var ack CompleteResponse
-		_ = w.tryPost(context.Background(), url, payload, &ack)
-	}
 }
 
 // applyDefaults fills zero-valued optional fields.
@@ -394,21 +347,4 @@ func resolveSweep(desc SweepDesc) (experiment.SweepConfig, error) {
 			desc.Experiment, desc.Grid, got)
 	}
 	return cfg, nil
-}
-
-// ChurnRunner returns the default churn job executor: one shared
-// simulator pool across trials, each trial materialized from the wire
-// scenario exactly as a local churn.Run would.
-func ChurnRunner() ChurnJobRunner {
-	runner := churn.NewRunner()
-	return func(ctx context.Context, desc ChurnDesc, job Job, obs churn.WindowObserver) (*churn.TrialResult, error) {
-		if desc.Protocol != ProtocolVersion {
-			return nil, fmt.Errorf("dist: coordinator speaks %q, this worker %q", desc.Protocol, ProtocolVersion)
-		}
-		tr, err := runner.RunTrial(ctx, desc.Scenario, job.Trial, obs)
-		if err != nil {
-			return nil, err
-		}
-		return &tr, nil
-	}
 }

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"bgpsim/internal/experiment"
 )
 
 // noSleep records requested delays without waiting.
@@ -146,5 +148,59 @@ func TestBaseURL(t *testing.T) {
 	}
 	if got := BaseURL("https://host:9090"); got != "https://host:9090" {
 		t.Errorf("BaseURL(https://...) = %q", got)
+	}
+}
+
+// TestWorkerDrainFinishesInFlightTrial pins the graceful-drain contract:
+// Drain called while a lease is executing lets all of its jobs finish and
+// submit, then the worker exits cleanly without leasing more work.
+func TestWorkerDrainFinishesInFlightTrial(t *testing.T) {
+	coord, err := NewCoordinator(CoordinatorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+
+	ctx := context.Background()
+	out := make(chan sweepOut, 1)
+	go func() {
+		fig, err := coord.RunSweep(ctx, "test", Options{}, testSweepCfg(nil))
+		out <- sweepOut{fig, err}
+	}()
+
+	w := &Worker{Base: srv.URL, ID: "draining", PollInterval: time.Millisecond}
+	w.Runner = func(_ context.Context, _ SweepDesc, job Job, n int) ([]experiment.Result, error) {
+		w.Drain() // SIGTERM arrives mid-lease
+		var rs []experiment.Result
+		for id := job.ID; id < job.ID+n; id++ {
+			rs = append(rs, trialResult(id).Results...)
+		}
+		return rs, nil
+	}
+	if err := w.Work(ctx); err != nil {
+		t.Fatalf("drained Work = %v, want nil", err)
+	}
+	st := coord.Stats()
+	if st.Done != 2 {
+		t.Errorf("Done = %d after drain, want 2 (the in-flight lease's cell submitted)", st.Done)
+	}
+	if st.Dispatched != 2 {
+		t.Errorf("Dispatched = %d after drain, want 2 (no further leases)", st.Dispatched)
+	}
+
+	// The remaining jobs are still completable by another worker.
+	h := coord.Handler()
+	for i := 0; i < 5; i++ {
+		l, ok := tryLease(h, "w2")
+		if !ok {
+			t.Fatal("remaining job not leased")
+		}
+		if st := completeJob(t, h, l, leaseResults(l)); st != StatusOK {
+			t.Fatalf("complete jobs from %d ack = %q", l.Job.ID, st)
+		}
+	}
+	if r := <-out; r.err != nil {
+		t.Fatal(r.err)
 	}
 }

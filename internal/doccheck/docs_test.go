@@ -27,6 +27,24 @@ func TestExperimentsLineBudget(t *testing.T) {
 	}
 }
 
+// architectureBudget is the most lines ARCHITECTURE.md may have.
+// ARCHITECTURE is a map of the code as it is; how a mechanism got that
+// way is history, and history belongs in CHANGES.md. A change that adds
+// a mechanism trims a was/now passage to make room, and the budget only
+// comes down.
+const architectureBudget = 974
+
+// TestArchitectureLineBudget holds ARCHITECTURE.md to its line budget.
+func TestArchitectureLineBudget(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join(repoRoot(t), "ARCHITECTURE.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), "\n"); n > architectureBudget {
+		t.Errorf("ARCHITECTURE.md has %d lines, over its budget of %d", n, architectureBudget)
+	}
+}
+
 // inlineSpans returns the backticked spans of text outside fenced
 // blocks, each at the line it starts on, with line breaks inside a span
 // read as spaces.
