@@ -246,21 +246,13 @@ func HierarchicalRelationships(net *Network) (*Relationships, error) {
 // failure, re-converge, measure.
 func Run(sc Scenario) (Result, error) { return experiment.Run(sc) }
 
-// RunTrials replicates a scenario n times over derived seeds.
-func RunTrials(sc Scenario, n int) (Stats, error) { return experiment.RunTrials(sc, n) }
-
-// RunTrialsParallel is RunTrials with the independent trials fanned out
-// over a bounded worker pool; workers <= 0 selects GOMAXPROCS. Results
-// are byte-identical to RunTrials for every worker count.
-func RunTrialsParallel(sc Scenario, n, workers int) (Stats, error) {
-	return experiment.RunTrialsParallel(sc, n, workers)
-}
-
-// RunTrialsContext is RunTrialsParallel with cancellation: when ctx is
+// RunTrials replicates a scenario n times over derived seeds, fanned out
+// over workers goroutines (<= 0 selects GOMAXPROCS, 1 is serial);
+// results are byte-identical for every worker count. When ctx is
 // canceled, queued trials never start, in-flight simulations abort at
 // the next event-loop check, and ctx's error is returned.
-func RunTrialsContext(ctx context.Context, sc Scenario, n, workers int) (Stats, error) {
-	return experiment.RunTrialsContext(ctx, sc, n, workers)
+func RunTrials(ctx context.Context, sc Scenario, n, workers int) (Stats, error) {
+	return experiment.RunTrials(ctx, sc, n, workers)
 }
 
 // NewSimulator builds the low-level simulator for a prebuilt network

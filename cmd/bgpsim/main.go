@@ -119,7 +119,7 @@ func run(args []string, out *os.File) (err error) {
 		PolicyHierarchical: *policy,
 		Seed:               *seed,
 	}
-	st, err := bgpsim.RunTrialsContext(ctx, sc, *trials, *workers)
+	st, err := bgpsim.RunTrials(ctx, sc, *trials, *workers)
 	if err != nil {
 		return err
 	}

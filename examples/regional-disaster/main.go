@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -47,12 +48,12 @@ func run() error {
 	for _, size := range sizes {
 		fmt.Printf("%-10s", fmt.Sprintf("%.0f%%", size*100))
 		for _, scheme := range schemes {
-			st, err := bgpsim.RunTrials(bgpsim.Scenario{
+			st, err := bgpsim.RunTrials(context.Background(), bgpsim.Scenario{
 				Topology: bgpsim.Skewed7030(networkSize),
 				Failure:  bgpsim.GeographicFailure(size),
 				Scheme:   scheme,
 				Seed:     7, // shared across schemes: paired comparison
-			}, trials)
+			}, trials, 0)
 			if err != nil {
 				return err
 			}
@@ -63,12 +64,12 @@ func run() error {
 
 	fmt.Println("\nMessage cost at 20% failure:")
 	for _, scheme := range schemes {
-		st, err := bgpsim.RunTrials(bgpsim.Scenario{
+		st, err := bgpsim.RunTrials(context.Background(), bgpsim.Scenario{
 			Topology: bgpsim.Skewed7030(networkSize),
 			Failure:  bgpsim.GeographicFailure(0.20),
 			Scheme:   scheme,
 			Seed:     7,
-		}, trials)
+		}, trials, 0)
 		if err != nil {
 			return err
 		}

@@ -358,7 +358,7 @@ func TestSweepAfterRebindMidStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Start()
-	if err := sim.RunUntil(p.OriginationSpread / 2); err != nil {
+	if err := sim.RunUntil(originationSpread / 2); err != nil {
 		t.Fatal(err)
 	}
 	if n := sim.forEachInFlight(func(*routeRef) {}); n == 0 {

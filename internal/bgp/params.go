@@ -120,14 +120,8 @@ type Params struct {
 	// processing runs at surviving peers (default 0: immediate, the
 	// equivalent of link-layer notification).
 	DetectDelay time.Duration
-	// OriginationSpread staggers the originations Start schedules
-	// uniformly over this interval. Only Start reads it, which runs under
-	// the refColdStart reference and in tests: every trial begins at the
-	// installed fixpoint and schedules no origination.
-	OriginationSpread time.Duration
-
 	// Seed drives every random draw in the simulation (processing delays,
-	// jitter, origination stagger).
+	// jitter, the cold start's origination stagger).
 	Seed int64
 
 	// Tracer, when set, receives every protocol-level event (sends,
@@ -184,7 +178,6 @@ func DefaultParams() Params {
 		ExtDelay:          25 * time.Millisecond,
 		IntDelay:          1 * time.Millisecond,
 		JitterTimers:      true,
-		OriginationSpread: 100 * time.Millisecond,
 		Seed:              1,
 	}
 }
@@ -202,8 +195,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("bgp: negative link delay")
 	case p.DetectDelay < 0:
 		return fmt.Errorf("bgp: negative detect delay")
-	case p.OriginationSpread < 0:
-		return fmt.Errorf("bgp: negative origination spread")
 	case p.FlapGate < 0:
 		return fmt.Errorf("bgp: negative flap gate")
 	case p.CancelOnChange && p.PerDestinationMRAI:

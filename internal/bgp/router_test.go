@@ -10,14 +10,13 @@ import (
 	"bgpsim/internal/topology"
 )
 
-// strictParams removes all randomness in timing so tests can assert
-// exact instants: constant MRAI, no jitter, no origination stagger,
-// fixed 10ms processing.
+// strictParams removes the randomness of a router's own timing so tests
+// can assert exact instants: constant MRAI, no jitter, fixed 10ms
+// processing. A cold Start still staggers originations.
 func strictParams(mraiVal time.Duration) Params {
 	p := DefaultParams()
 	p.MRAI = mrai.Constant(mraiVal)
 	p.JitterTimers = false
-	p.OriginationSpread = 0
 	p.ProcMin, p.ProcMax = 10*time.Millisecond, 10*time.Millisecond
 	p.ref = refInvariants
 	return p
@@ -429,7 +428,6 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.ExtDelay = -1 },
 		func(p *Params) { p.IntDelay = -1 },
 		func(p *Params) { p.DetectDelay = -1 },
-		func(p *Params) { p.OriginationSpread = -1 },
 		func(p *Params) { p.FlapGate = -1 },
 		// Per-destination gates never run the per-peer timer that
 		// CancelOnChange cancels.

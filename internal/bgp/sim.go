@@ -363,8 +363,13 @@ func destSpace(net *topology.Network, nprefix int) (int, error) {
 // ASOfDest returns the AS that originates destination prefix dest.
 func (s *Simulator) ASOfDest(dest int) ASN { return dest / s.nprefix }
 
+// originationSpread is the interval Start staggers originations over.
+// Only the cold start reads it (the refColdStart reference and tests):
+// every trial begins at the installed fixpoint and originates nothing.
+const originationSpread = 100 * time.Millisecond
+
 // Start schedules the origination of every prefix, staggered uniformly
-// over OriginationSpread. Destinations are scheduled in ascending order
+// over originationSpread. Destinations are scheduled in ascending order
 // (the dense origin table's natural order).
 func (s *Simulator) Start() {
 	s.originTasks = fit(s.originTasks, s.ndests)
@@ -372,10 +377,7 @@ func (s *Simulator) Start() {
 		if id < 0 {
 			continue
 		}
-		var at des.Time
-		if s.params.OriginationSpread > 0 {
-			at = s.rng.UniformDuration(0, s.params.OriginationSpread)
-		}
+		at := s.rng.UniformDuration(0, originationSpread)
 		s.originTasks[dest] = originTask{r: s.routers[id], dest: dest}
 		s.eng.ScheduleRunnerAt(at, &s.originTasks[dest])
 	}

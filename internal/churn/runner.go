@@ -197,7 +197,9 @@ func play(sim *bgp.Simulator, events []Event, trial int, obs WindowObserver) (Tr
 // bounded pool of workers goroutines (<= 1 is serial;
 // experiment.ForEachIndex) and assembles them in trial order. The
 // assembled result is identical for every worker count; only the
-// observer's interleaving varies. Observer calls are serialized.
+// observer's interleaving varies. Observer calls are serialized. A
+// failed or cancelled trial stops further trials from being set up, and
+// Run returns the error of the lowest failing trial.
 func Run(ctx context.Context, sc Scenario, trials, workers int, obs WindowObserver) (RunResult, error) {
 	if trials < 1 {
 		return RunResult{}, fmt.Errorf("churn: trials=%d", trials)
@@ -216,14 +218,12 @@ func Run(ctx context.Context, sc Scenario, trials, workers int, obs WindowObserv
 		}
 	}
 	results := make([]TrialResult, trials)
-	errs := make([]error, trials)
-	experiment.ForEachIndex(trials, workers, func(i int) {
-		results[i], errs[i] = runner.RunTrial(ctx, sc, i, obs)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return RunResult{}, fmt.Errorf("trial %d: %w", i, err)
-		}
+	if i, err := experiment.ForEachIndex(trials, workers, func(i int) error {
+		var err error
+		results[i], err = runner.RunTrial(ctx, sc, i, obs)
+		return err
+	}); err != nil {
+		return RunResult{}, fmt.Errorf("trial %d: %w", i, err)
 	}
 	return RunResult{Scenario: sc, Trials: results}, nil
 }

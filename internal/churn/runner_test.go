@@ -2,6 +2,7 @@ package churn
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -142,6 +143,26 @@ func TestRunCanceled(t *testing.T) {
 	cancel()
 	if _, err := Run(ctx, testScenario(), 1, 1, nil); err == nil {
 		t.Fatal("canceled context did not abort the run")
+	}
+}
+
+// TestRunCanceledBeforeStartBindsNoSimulator pins that a run whose
+// context is cancelled before it starts sets nothing up: it returns
+// context.Canceled, and the whole run allocates a few dozen objects,
+// where setting up one trial on this 30-node world (its simulator bound
+// and converged) takes about a thousand.
+func TestRunCanceledBeforeStartBindsNoSimulator(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var err error
+	allocs := testing.AllocsPerRun(5, func() {
+		_, err = Run(ctx, testScenario(), 4, 2, nil)
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+	if allocs > 100 {
+		t.Errorf("cancelled Run allocated %v objects, want under 100: it set up a trial", allocs)
 	}
 }
 

@@ -15,48 +15,55 @@ import (
 )
 
 // Options scales an experiment. The zero value is not valid; start from
-// DefaultOptions (paper scale) or QuickOptions (CI scale).
+// DefaultOptions (paper scale) or QuickOptions (CI scale). The scale
+// fields are also the wire form a distributed sweep addresses its grid
+// by (internal/dist's SweepDesc): they carry JSON names, and the
+// process-local fields after them, which cannot change a figure, do not
+// cross the wire.
 type Options struct {
 	// Nodes is the AS count for the skewed topologies (paper: 120) and
 	// the AS count for Fig 13's realistic topologies.
-	Nodes int
+	Nodes int `json:"nodes"`
 	// Trials is the replication count per data point.
-	Trials int
+	Trials int `json:"trials"`
 	// Seed is the base seed; every cell derives from it.
-	Seed int64
+	Seed int64 `json:"seed"`
 	// FailureSizes is the failure-size axis in percent of routers.
-	FailureSizes []float64
+	FailureSizes []float64 `json:"failure_sizes"`
 	// MRAIs is the MRAI axis in seconds for the V-curve figures.
-	MRAIs []float64
+	MRAIs []float64 `json:"mrais"`
 	// RealisticMaxASSize caps routers per AS for Fig 13 (paper: 100;
 	// smaller values keep IBGP meshes manageable).
-	RealisticMaxASSize int
+	RealisticMaxASSize int `json:"realistic_max_as_size"`
 	// PrefixesPerOrigin is the number of destination prefixes each AS
 	// originates (0 = the paper's single prefix). Values above 1 scale
 	// every figure's routing-table dimension; the value 1 is explicit
 	// single-prefix and must regenerate the recorded figures
 	// byte-identically (TestFigureBytesUnchangedByExplicitSinglePrefix
-	// pins this).
-	PrefixesPerOrigin int
+	// pins this). omitempty keeps the wire form of single-prefix runs,
+	// and so every recorded checkpoint key, as they were before the
+	// field existed.
+	PrefixesPerOrigin int `json:"prefixes_per_origin,omitempty"`
 	// Workers bounds the worker pool each sweep fans its
 	// (series × x × trial) grid over: <= 0 selects GOMAXPROCS, 1 is
 	// fully serial. Figures are byte-identical for every worker count.
-	Workers int
-	// Progress, when set, receives per-cell completion callbacks. Calls
-	// are serialized with strictly increasing done counts (see
-	// experiment.SweepConfig.Progress).
-	Progress func(done, total int)
+	Workers int `json:"-"`
+	// Progress, when set, is called once per completed cell of each
+	// sweep, with done cells out of the grid's cells, whether the grid
+	// runs locally or through a Sweeper. Calls are serialized with
+	// strictly increasing done counts (see experiment.SweepConfig.Progress).
+	Progress func(done, total int) `json:"-"`
 	// Context, when non-nil, cancels in-flight sweeps: unstarted trials
 	// are skipped, running simulations abort at the engine's next
 	// cancellation probe, and the experiment returns the context error.
 	// nil behaves as context.Background.
-	Context context.Context
+	Context context.Context `json:"-"`
 	// Sweeper, when non-nil, replaces the local sweep executor: the
 	// experiment's grid (Experiment.Grid) is handed to it instead of
 	// experiment.Sweep. This is the hook distributed execution
 	// (internal/dist) plugs a coordinator into; figures must come back
 	// byte-identical to the local executor's.
-	Sweeper experiment.Sweeper
+	Sweeper experiment.Sweeper `json:"-"`
 }
 
 // DefaultOptions reproduces the paper's configuration.
@@ -124,7 +131,7 @@ func (o Options) sweep(cfg experiment.SweepConfig) (experiment.Figure, error) {
 	if o.Sweeper != nil {
 		return o.Sweeper(cfg)
 	}
-	return experiment.SweepContext(o.ctx(), cfg)
+	return experiment.Sweep(o.ctx(), cfg)
 }
 
 // topo returns the spec of a topology family at the option scale; the

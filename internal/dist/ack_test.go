@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"bgpsim/internal/core"
 	"bgpsim/internal/experiment"
 )
 
@@ -36,7 +37,7 @@ func newSweepHarness(t *testing.T) *sweepHarness {
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	go func() {
-		fig, err := coord.RunSweep(ctx, "test", Options{}, testSweepCfg(nil))
+		fig, err := coord.RunSweep(ctx, "test", core.Options{}, testSweepCfg(nil))
 		s.out <- sweepOut{fig, err}
 	}()
 	awaitRun(coord)
@@ -281,7 +282,7 @@ func TestLeaseStaleRunCompletionGrantsFromCurrentRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	out := make(chan error, 1)
 	go func() {
-		_, err := coord.RunSweep(ctx, "test", Options{}, testSweepCfg(nil))
+		_, err := coord.RunSweep(ctx, "test", core.Options{}, testSweepCfg(nil))
 		out <- err
 	}()
 	stale := leaseJob(t, h, "w")
@@ -296,7 +297,7 @@ func TestLeaseStaleRunCompletionGrantsFromCurrentRun(t *testing.T) {
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
 	go func() {
-		_, err := coord.RunSweep(ctx2, "test", Options{}, testSweepCfg(nil))
+		_, err := coord.RunSweep(ctx2, "test", core.Options{}, testSweepCfg(nil))
 		out <- err
 	}()
 	awaitRun(coord)

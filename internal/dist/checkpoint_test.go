@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"bgpsim/internal/core"
 	"bgpsim/internal/experiment"
 )
 
@@ -74,7 +75,7 @@ func TestCheckpointV2WithChurnSectionResumes(t *testing.T) {
 	cfg := testSweepCfg(nil)
 	out := make(chan sweepOut, 1)
 	go func() {
-		fig, err := coord.RunSweep(context.Background(), "test", Options{}, cfg)
+		fig, err := coord.RunSweep(context.Background(), "test", core.Options{}, cfg)
 		out <- sweepOut{fig, err}
 	}()
 	h := coord.Handler()

@@ -110,8 +110,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 }
 
 // install registers run as the active run, preloading the trial jobs
-// the checkpoint holds under its key. A lease covers at most one cell's
-// trials. Caller must not hold c.mu.
+// the checkpoint holds under its key and reporting the cells they
+// complete. A lease covers at most one cell's trials. Caller must not
+// hold c.mu.
 func (c *Coordinator) install(run *activeRun) error {
 	run.table = newLeaseTable(run.total, run.desc.Grid.Trials, c.leaseTTL, c.now)
 	run.acked = map[string]ackedGrant{}
@@ -143,6 +144,9 @@ func (c *Coordinator) install(run *activeRun) error {
 		c.log.Printf("dist: run %d: resumed %d/%d trial jobs from checkpoint", run.id, run.resumed, run.total)
 	}
 	c.cur = run
+	if run.table.cells > 0 {
+		run.progress()
+	}
 	if run.table.remaining() == 0 {
 		close(run.finished)
 	}
@@ -171,10 +175,12 @@ func (c *Coordinator) waitAndDetach(ctx context.Context, run *activeRun) error {
 // as trial jobs, blocks until every trial's result is in (or ctx is
 // canceled, or a worker reports a failure), and merges them into the
 // figure in fixed (series, x, trial) order — byte-identical to a local
-// Sweep of the same cfg. expID and wire address the grid for workers;
-// cfg is the coordinator's own copy (its Cell closure is never invoked —
-// trials are materialized worker-side).
-func (c *Coordinator) RunSweep(ctx context.Context, expID string, wire Options, cfg experiment.SweepConfig) (experiment.Figure, error) {
+// Sweep of the same cfg. expID and opts address the grid for workers
+// (only opts' scale fields are sent); cfg is the coordinator's own copy
+// (its Cell closure is never invoked — trials are materialized
+// worker-side). cfg.Progress counts cells, as in a local sweep: a
+// resumed run first reports the cells its checkpoint completed.
+func (c *Coordinator) RunSweep(ctx context.Context, expID string, opts core.Options, cfg experiment.SweepConfig) (experiment.Figure, error) {
 	cfg, err := experiment.NormalizeSweep(cfg)
 	if err != nil {
 		return experiment.Figure{}, err
@@ -182,7 +188,7 @@ func (c *Coordinator) RunSweep(ctx context.Context, expID string, wire Options, 
 	desc := SweepDesc{
 		Protocol:   ProtocolVersion,
 		Experiment: expID,
-		Options:    wire,
+		Options:    opts,
 		Grid:       Grid{Series: len(cfg.SeriesNames), Xs: len(cfg.Xs), Trials: cfg.Trials},
 	}
 	key, err := desc.Key()
@@ -198,9 +204,6 @@ func (c *Coordinator) RunSweep(ctx context.Context, expID string, wire Options, 
 	}
 	if err := c.install(run); err != nil {
 		return experiment.Figure{}, err
-	}
-	if run.resumed > 0 && cfg.Progress != nil {
-		cfg.Progress(run.resumed, run.total)
 	}
 	if err := c.waitAndDetach(ctx, run); err != nil {
 		return experiment.Figure{}, err
@@ -222,9 +225,8 @@ func (c *Coordinator) RunSweep(ctx context.Context, expID string, wire Options, 
 // expID and opts (core.Experiment.Grid), so opts must be the options the
 // experiment runs at.
 func (c *Coordinator) SweeperFor(ctx context.Context, expID string, opts core.Options) experiment.Sweeper {
-	wire := WireOptions(opts)
 	return func(cfg experiment.SweepConfig) (experiment.Figure, error) {
-		return c.RunSweep(ctx, expID, wire, cfg)
+		return c.RunSweep(ctx, expID, opts, cfg)
 	}
 }
 
@@ -376,16 +378,13 @@ func (c *Coordinator) completeLocked(req *CompleteRequest) (CompleteResponse, er
 	}
 	status := StatusDuplicate
 	for _, res := range req.Jobs {
+		cells := run.table.cells
 		if !run.table.record(res) {
 			continue
 		}
 		status = StatusOK
-		if run.cfg.Progress != nil {
-			// The Progress contract (serialized, strictly monotonic)
-			// holds whatever order worker reports arrive in: calls are
-			// made under c.mu, and table.done increments exactly once
-			// per newly completed trial job.
-			run.cfg.Progress(run.table.done, run.total)
+		if run.table.cells > cells {
+			run.progress()
 		}
 		if c.ckptPath != "" {
 			c.ckpt.record(run.key, run.desc, res)
@@ -402,6 +401,17 @@ func (c *Coordinator) completeLocked(req *CompleteRequest) (CompleteResponse, er
 		}
 	}
 	return CompleteResponse{Status: status}, nil
+}
+
+// progress reports the run's completed cells to its Progress callback.
+// The contract (serialized, strictly monotonic) holds whatever order
+// worker reports arrive in: every call is made under c.mu, and
+// table.cells grows exactly once per cell, when its last trial job is
+// recorded. Caller holds c.mu.
+func (run *activeRun) progress() {
+	if run.cfg.Progress != nil {
+		run.cfg.Progress(run.table.cells, run.desc.Grid.Series*run.desc.Grid.Xs)
+	}
 }
 
 // failLocked marks the run failed and wakes the waiter. Caller holds c.mu.

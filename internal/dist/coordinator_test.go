@@ -126,7 +126,7 @@ func TestOutOfOrderCompletionsYieldMonotonicProgress(t *testing.T) {
 	var prog progressRecorder
 	out := make(chan sweepOut, 1)
 	go func() {
-		fig, err := coord.RunSweep(context.Background(), "test", Options{}, testSweepCfg(prog.record))
+		fig, err := coord.RunSweep(context.Background(), "test", core.Options{}, testSweepCfg(prog.record))
 		out <- sweepOut{fig, err}
 	}()
 	h := coord.Handler()
@@ -152,13 +152,14 @@ func TestOutOfOrderCompletionsYieldMonotonicProgress(t *testing.T) {
 	if len(r.fig.Series) != 2 || len(r.fig.Series[0].Points) != 3 {
 		t.Fatalf("figure shape %dx%d, want 2x3", len(r.fig.Series), len(r.fig.Series[0].Points))
 	}
+	// Progress counts cells, as a local sweep does: one call per cell.
 	calls := prog.snapshot()
-	if len(calls) != 12 {
-		t.Fatalf("Progress called %d times, want 12: %v", len(calls), calls)
+	if len(calls) != 6 {
+		t.Fatalf("Progress called %d times, want 6: %v", len(calls), calls)
 	}
 	for i, c := range calls {
-		if c != [2]int{i + 1, 12} {
-			t.Errorf("Progress call %d = %v, want (%d, 12)", i, c, i+1)
+		if c != [2]int{i + 1, 6} {
+			t.Errorf("Progress call %d = %v, want (%d, 6)", i, c, i+1)
 		}
 	}
 }
@@ -171,7 +172,7 @@ func TestDuplicateCompletionAcknowledgedNotDoubleCounted(t *testing.T) {
 	var prog progressRecorder
 	out := make(chan sweepOut, 1)
 	go func() {
-		fig, err := coord.RunSweep(context.Background(), "test", Options{}, testSweepCfg(prog.record))
+		fig, err := coord.RunSweep(context.Background(), "test", core.Options{}, testSweepCfg(prog.record))
 		out <- sweepOut{fig, err}
 	}()
 	h := coord.Handler()
@@ -185,8 +186,8 @@ func TestDuplicateCompletionAcknowledgedNotDoubleCounted(t *testing.T) {
 	if st := coord.Stats(); st.Done != 2 {
 		t.Errorf("Stats().Done = %d after duplicate, want 2", st.Done)
 	}
-	if calls := prog.snapshot(); len(calls) != 2 {
-		t.Errorf("Progress called %d times after duplicate, want 2", len(calls))
+	if calls := prog.snapshot(); len(calls) != 1 {
+		t.Errorf("Progress called %d times after duplicate, want 1 (one cell)", len(calls))
 	}
 
 	// One divergent payload in a batch is a determinism violation: 409,
@@ -231,7 +232,7 @@ func TestLeaseBatchesOnFakeClock(t *testing.T) {
 	}
 	out := make(chan sweepOut, 1)
 	go func() {
-		fig, err := coord.RunSweep(context.Background(), "test", Options{}, testSweepCfg(nil))
+		fig, err := coord.RunSweep(context.Background(), "test", core.Options{}, testSweepCfg(nil))
 		out <- sweepOut{fig, err}
 	}()
 	h := coord.Handler()
@@ -306,7 +307,7 @@ func TestWorkerReportedJobErrorFailsSweep(t *testing.T) {
 	}
 	out := make(chan sweepOut, 1)
 	go func() {
-		fig, err := coord.RunSweep(context.Background(), "test", Options{}, testSweepCfg(nil))
+		fig, err := coord.RunSweep(context.Background(), "test", core.Options{}, testSweepCfg(nil))
 		out <- sweepOut{fig, err}
 	}()
 	h := coord.Handler()
@@ -334,7 +335,7 @@ func TestCheckpointResumeSkipsCompletedCells(t *testing.T) {
 	ctxA, cancelA := context.WithCancel(context.Background())
 	outA := make(chan sweepOut, 1)
 	go func() {
-		fig, err := coordA.RunSweep(ctxA, "test", Options{}, cfg)
+		fig, err := coordA.RunSweep(ctxA, "test", core.Options{}, cfg)
 		outA <- sweepOut{fig, err}
 	}()
 	hA := coordA.Handler()
@@ -355,7 +356,7 @@ func TestCheckpointResumeSkipsCompletedCells(t *testing.T) {
 
 	// Second life: same sweep, same checkpoint. Exactly the unfinished
 	// cells are handed out; the first Progress call reports the restored
-	// count.
+	// cells.
 	var prog progressRecorder
 	cfgB := testSweepCfg(prog.record)
 	coordB, err := NewCoordinator(CoordinatorConfig{CheckpointPath: path})
@@ -364,7 +365,7 @@ func TestCheckpointResumeSkipsCompletedCells(t *testing.T) {
 	}
 	outB := make(chan sweepOut, 1)
 	go func() {
-		fig, err := coordB.RunSweep(context.Background(), "test", Options{}, cfgB)
+		fig, err := coordB.RunSweep(context.Background(), "test", core.Options{}, cfgB)
 		outB <- sweepOut{fig, err}
 	}()
 	hB := coordB.Handler()
@@ -397,8 +398,13 @@ func TestCheckpointResumeSkipsCompletedCells(t *testing.T) {
 		t.Fatal(r.err)
 	}
 	calls := prog.snapshot()
-	if len(calls) != 7 || calls[0] != [2]int{6, 12} {
-		t.Fatalf("resumed Progress calls = %v, want (6,12) then 7..12", calls)
+	if len(calls) != 4 || calls[0] != [2]int{3, 6} {
+		t.Fatalf("resumed Progress calls = %v, want (3,6) then 4..6", calls)
+	}
+	for i, c := range calls {
+		if c != [2]int{3 + i, 6} {
+			t.Errorf("resumed Progress call %d = %v, want (%d, 6)", i, c, 3+i)
+		}
 	}
 
 	// The merged figure is identical to assembling every cell locally.
@@ -420,7 +426,7 @@ func TestCheckpointResumeSkipsCompletedCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := coordC.RunSweep(context.Background(), "test", Options{}, cfg)
+	fig, err := coordC.RunSweep(context.Background(), "test", core.Options{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +449,7 @@ func TestShutdownRefusesWorkAndSweeps(t *testing.T) {
 	if resp.Status != StatusShutdown {
 		t.Errorf("lease after Shutdown = %q, want %q", resp.Status, StatusShutdown)
 	}
-	if _, err := coord.RunSweep(context.Background(), "test", Options{}, testSweepCfg(nil)); err == nil {
+	if _, err := coord.RunSweep(context.Background(), "test", core.Options{}, testSweepCfg(nil)); err == nil {
 		t.Error("RunSweep accepted after Shutdown")
 	}
 }
@@ -523,7 +529,7 @@ func TestNonFiniteAxisIsAnError(t *testing.T) {
 			}
 		})
 	}
-	if _, err := (SweepDesc{Options: Options{MRAIs: []float64{math.NaN()}}}).Key(); err == nil {
+	if _, err := (SweepDesc{Options: core.Options{MRAIs: []float64{math.NaN()}}}).Key(); err == nil {
 		t.Error("SweepDesc.Key of a NaN axis: no error")
 	}
 }

@@ -18,10 +18,14 @@
 // (core.Experiment.Grid); the seed of every trial derives from grid
 // indices alone (experiment.CellScenario + the trial stride), so
 // the worker materializes bit-for-bit the scenario the coordinator's
-// local sweep would have run. The coordinator merges returned trial
-// results in fixed (series, x, trial) order through the same assembly
-// code Sweep uses — the emitted figure is byte-identical to a local run
-// by construction.
+// local sweep would have run. The scale options are core.Options itself,
+// whose scale fields carry their wire names; a worker runs a lease
+// through the same trial loop as a local sweep
+// (experiment.CellRunner.RunTrials). The coordinator merges returned
+// trial results in fixed (series, x, trial) order through the same
+// assembly code Sweep uses — the emitted figure is byte-identical to a
+// local run by construction — and, like Sweep, reports progress once per
+// completed cell.
 //
 // # Robustness
 //
@@ -91,57 +95,6 @@ const (
 	StatusDuplicate = "duplicate"
 )
 
-// Options is the wire form of core.Options: the scalar scale knobs and
-// nothing else. Worker-local execution knobs (Workers) and process-local
-// callbacks (Progress, Sweeper, Context) deliberately do not cross the
-// wire — they cannot change results, only wall-clock time.
-type Options struct {
-	// Nodes is the AS count (see core.Options.Nodes).
-	Nodes int `json:"nodes"`
-	// Trials is the replication count per data point.
-	Trials int `json:"trials"`
-	// Seed is the base seed every cell derives from.
-	Seed int64 `json:"seed"`
-	// FailureSizes is the failure-size axis in percent of routers.
-	FailureSizes []float64 `json:"failure_sizes"`
-	// MRAIs is the MRAI axis in seconds.
-	MRAIs []float64 `json:"mrais"`
-	// RealisticMaxASSize caps routers per AS for Fig 13 topologies.
-	RealisticMaxASSize int `json:"realistic_max_as_size"`
-	// PrefixesPerOrigin is the prefix dimension (0 = single prefix).
-	// omitempty keeps the wire form of single-prefix runs identical to
-	// coordinators that predate the field.
-	PrefixesPerOrigin int `json:"prefixes_per_origin,omitempty"`
-}
-
-// WireOptions extracts the wire form of o. The coordinator sends the
-// pre-normalization options exactly as the figure pipeline received
-// them; both sides then normalize identically inside Experiment.Grid.
-func WireOptions(o core.Options) Options {
-	return Options{
-		Nodes:              o.Nodes,
-		Trials:             o.Trials,
-		Seed:               o.Seed,
-		FailureSizes:       o.FailureSizes,
-		MRAIs:              o.MRAIs,
-		RealisticMaxASSize: o.RealisticMaxASSize,
-		PrefixesPerOrigin:  o.PrefixesPerOrigin,
-	}
-}
-
-// Core converts back to core.Options (local-only fields zero).
-func (o Options) Core() core.Options {
-	return core.Options{
-		Nodes:              o.Nodes,
-		Trials:             o.Trials,
-		Seed:               o.Seed,
-		FailureSizes:       o.FailureSizes,
-		MRAIs:              o.MRAIs,
-		RealisticMaxASSize: o.RealisticMaxASSize,
-		PrefixesPerOrigin:  o.PrefixesPerOrigin,
-	}
-}
-
 // Grid is the shape of a sweep grid: the worker recomputes the grid from
 // the descriptor and refuses jobs whose shape disagrees (version skew
 // between coordinator and worker binaries would otherwise silently remap
@@ -162,8 +115,10 @@ type SweepDesc struct {
 	Protocol string `json:"protocol"`
 	// Experiment is the registry ID ("fig3", "ablation-policy", ...).
 	Experiment string `json:"experiment"`
-	// Options is the scale the experiment runs at.
-	Options Options `json:"options"`
+	// Options is the scale the experiment runs at, as the figure
+	// pipeline received it: both sides normalize it inside
+	// core.Experiment.Grid. Only its scale fields are encoded.
+	Options core.Options `json:"options"`
 	// Grid is the resulting grid shape, for worker-side validation.
 	Grid Grid `json:"grid"`
 }

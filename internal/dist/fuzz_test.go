@@ -13,6 +13,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"bgpsim/internal/core"
 )
 
 // FuzzCoordinatorBodies posts arbitrary bytes to /v1/lease (complete
@@ -38,7 +40,7 @@ func FuzzCoordinatorBodies(f *testing.F) {
 		ctx, cancel := context.WithCancel(context.Background())
 		out := make(chan error, 1)
 		go func() {
-			_, err := coord.RunSweep(ctx, "test", Options{}, testSweepCfg(nil))
+			_, err := coord.RunSweep(ctx, "test", core.Options{}, testSweepCfg(nil))
 			out <- err
 		}()
 		defer func() { cancel(); <-out }()
@@ -222,7 +224,7 @@ func checkResumed(t *testing.T, coord *Coordinator, key string, total int, done 
 	ctx, cancel := context.WithCancel(context.Background())
 	out := make(chan error, 1)
 	go func() {
-		_, err := coord.RunSweep(ctx, "test", Options{}, testSweepCfg(nil))
+		_, err := coord.RunSweep(ctx, "test", core.Options{}, testSweepCfg(nil))
 		out <- err
 	}()
 	defer func() { cancel(); <-out }()

@@ -222,3 +222,61 @@ func tryLease(h http.Handler, worker string) (LeaseResponse, bool) {
 	}
 	return LeaseResponse{}, false
 }
+
+// TestProgressCountsCellsEverywhere pins that a sweep's progress counts
+// the same cells whether it runs locally or through a coordinator: Fig 5
+// at two series by three MRAIs, two trials per cell, reports six cells
+// on every call and ends at (6, 6) on both paths, and the two figures
+// are the same bytes.
+func TestProgressCountsCellsEverywhere(t *testing.T) {
+	exp, err := core.Lookup("fig5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := goldenTrials(2)
+	opts.MRAIs = []float64{0.25, 0.75, 1.5}
+	run := func(o core.Options) (string, [][2]int) {
+		t.Helper()
+		var prog progressRecorder
+		o.Progress = prog.record
+		fig, err := exp.Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fig.Render(), prog.snapshot()
+	}
+	local := opts
+	local.Workers = 2
+	wantFig, localCalls := run(local)
+
+	coord, err := NewCoordinator(CoordinatorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	ctx := context.Background()
+	w := startWorker(ctx, srv.URL, "w")
+	remote := opts
+	remote.Sweeper = coord.SweeperFor(ctx, exp.ID, opts)
+	gotFig, remoteCalls := run(remote)
+	coord.Shutdown()
+	if err := <-w; err != nil {
+		t.Errorf("worker exit: %v", err)
+	}
+
+	for name, calls := range map[string][][2]int{"local": localCalls, "coordinator": remoteCalls} {
+		for i, c := range calls {
+			if c[1] != 6 || (i > 0 && c[0] <= calls[i-1][0]) {
+				t.Errorf("%s: Progress calls %v, want done rising out of 6 cells", name, calls)
+				break
+			}
+		}
+		if n := len(calls); n == 0 || calls[n-1] != [2]int{6, 6} {
+			t.Errorf("%s: Progress calls %v, want (6, 6) last", name, calls)
+		}
+	}
+	if gotFig != wantFig {
+		t.Errorf("distributed figure differs from local:\n--- distributed ---\n%s--- local ---\n%s", gotFig, wantFig)
+	}
+}

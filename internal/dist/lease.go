@@ -48,6 +48,7 @@ type leaseTable struct {
 	cell      int
 	jobs      []jobEntry
 	done      int
+	cells     int // cells whose every job is done
 	nextLease int64
 }
 
@@ -131,8 +132,9 @@ func (t *leaseTable) check(batch []JobResult) error {
 }
 
 // record stores r as its job's result and reports whether the job was
-// not done before. The caller has vetted r (check), or restores it from a
-// checkpoint, where no lease ever existed.
+// not done before; a job that completes its cell also counts the cell.
+// The caller has vetted r (check), or restores it from a checkpoint,
+// where no lease ever existed.
 func (t *leaseTable) record(r JobResult) bool {
 	j := &t.jobs[r.ID]
 	if j.done {
@@ -140,6 +142,13 @@ func (t *leaseTable) record(r JobResult) bool {
 	}
 	j.done, j.result = true, r
 	t.done++
+	first := r.ID / t.cell * t.cell
+	for i := first; i < min(first+t.cell, len(t.jobs)); i++ {
+		if !t.jobs[i].done {
+			return true
+		}
+	}
+	t.cells++
 	return true
 }
 

@@ -30,7 +30,7 @@ func descFor(t *testing.T, expID string, opts core.Options) SweepDesc {
 		t.Fatal(err)
 	}
 	return SweepDesc{
-		Protocol: ProtocolVersion, Experiment: exp.ID, Options: WireOptions(opts),
+		Protocol: ProtocolVersion, Experiment: exp.ID, Options: opts,
 		Grid: Grid{Series: len(cfg.SeriesNames), Xs: len(cfg.Xs), Trials: cfg.Trials},
 	}
 }
@@ -131,7 +131,7 @@ func TestLeaseCompleteAllocBudget(t *testing.T) {
 	const jobs = 200
 	cfg := experiment.SweepConfig{SeriesNames: []string{"a", "b"}, Xs: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, Trials: 10}
 	sweep := func() {
-		if _, err := coord.RunSweep(context.Background(), "test", WireOptions(core.QuickOptions()), cfg); err != nil {
+		if _, err := coord.RunSweep(context.Background(), "test", core.QuickOptions(), cfg); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -335,7 +335,7 @@ func resolveSweep(desc SweepDesc) (experiment.SweepConfig, error) {
 	if err != nil {
 		return experiment.SweepConfig{}, err
 	}
-	cfg, err := exp.Grid(desc.Options.Core())
+	cfg, err := exp.Grid(desc.Options)
 	if err != nil {
 		return experiment.SweepConfig{}, err
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"bgpsim/internal/core"
 	"bgpsim/internal/experiment"
 )
 
@@ -165,7 +166,7 @@ func TestWorkerDrainFinishesInFlightTrial(t *testing.T) {
 	ctx := context.Background()
 	out := make(chan sweepOut, 1)
 	go func() {
-		fig, err := coord.RunSweep(ctx, "test", Options{}, testSweepCfg(nil))
+		fig, err := coord.RunSweep(ctx, "test", core.Options{}, testSweepCfg(nil))
 		out <- sweepOut{fig, err}
 	}()
 

@@ -113,7 +113,6 @@ func parseNonTest(t *testing.T, dir string) (*token.FileSet, map[string]*ast.Pac
 // internal/profiling, whose flags are process-wide by nature.
 func TestBGPHoldsNoProcessWideState(t *testing.T) {
 	allowed := map[string]bool{
-		"errSkipped":        true, // an immutable sentinel error
 		"ErrDegreeSequence": true, // an immutable sentinel error
 		"ErrHorizon":        true, // an immutable sentinel error
 		"ErrCanceled":       true, // an immutable sentinel error

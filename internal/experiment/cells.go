@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 )
 
 // This file is the cell-granularity face of the sweep machinery, the
@@ -12,7 +11,9 @@ import (
 // derive from grid indices alone (CellScenario), a cell's trials can be
 // executed anywhere (CellRunner.RunTrials), and the per-trial results
 // merge back into a figure in fixed order (AssembleFigure). Sweep itself
-// is the degenerate case: every cell runs in-process.
+// is the degenerate case: every cell runs in-process. A sweep and a
+// lease run their trials through the same loop (runGrid) and differ only
+// in the cells and trials they pass it.
 
 // CellScenario materializes the scenario of sweep cell (si, xi) exactly
 // as Sweep does: the Cell callback builds the base scenario and the
@@ -58,12 +59,9 @@ func (r *CellRunner) RunTrials(ctx context.Context, cfg SweepConfig, si, xi, fir
 	if first < 0 || n < 1 || first+n > cfg.Trials {
 		return nil, fmt.Errorf("experiment: %d trials from trial %d outside %d trials", n, first, cfg.Trials)
 	}
-	results := make([]Result, n)
-	errs := make([]error, n)
-	var failed atomic.Bool
-	runTrialsInto(ctx, CellScenario(cfg, si, xi), first, results, errs, normalizeWorkers(cfg.Workers), &failed, r.pool)
-	if i, err := firstTrialError(errs); err != nil {
-		return nil, fmt.Errorf("series %q x=%v: trial %d: %w", cfg.SeriesNames[si], cfg.Xs[xi], first+i, err)
+	results, j, err := runGrid(ctx, []Scenario{CellScenario(cfg, si, xi)}, first, n, normalizeWorkers(cfg.Workers), r.pool, nil)
+	if err != nil {
+		return nil, cellError(cfg, si*len(cfg.Xs)+xi, first+j, err)
 	}
 	return results, nil
 }

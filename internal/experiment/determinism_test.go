@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -36,7 +37,7 @@ func smallSweepConfig(workers int) SweepConfig {
 // rendered figure must be byte-identical whatever the worker count, so a
 // serial run and a 16-worker run produce the same results/ files.
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	serial, err := Sweep(smallSweepConfig(1))
+	serial, err := Sweep(context.Background(), smallSweepConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatalf("implausible render:\n%s", golden)
 	}
 	for _, workers := range []int{2, 16} {
-		fig, err := Sweep(smallSweepConfig(workers))
+		fig, err := Sweep(context.Background(), smallSweepConfig(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -72,7 +73,7 @@ func TestSweepProgressSerializedMonotonic(t *testing.T) {
 		}
 		last = done
 	}
-	if _, err := Sweep(cfg); err != nil {
+	if _, err := Sweep(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if last != wantTotal {
@@ -89,7 +90,7 @@ func TestRunTrialsParallelConcurrentSweeps(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			fig, err := Sweep(smallSweepConfig(4))
+			fig, err := Sweep(context.Background(), smallSweepConfig(4))
 			if err != nil {
 				t.Error(err)
 				return
@@ -139,7 +140,7 @@ func TestSeedDerivationPinned(t *testing.T) {
 func TestSweepRejectsOverlappingSeedGrids(t *testing.T) {
 	cfg := smallSweepConfig(1)
 	cfg.Trials = seedStrideX + 1
-	if _, err := Sweep(cfg); err == nil || !strings.Contains(err.Error(), "overlap") {
+	if _, err := Sweep(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "overlap") {
 		t.Errorf("Trials=%d accepted (err=%v); RNG streams would overlap", cfg.Trials, err)
 	}
 
@@ -148,7 +149,7 @@ func TestSweepRejectsOverlappingSeedGrids(t *testing.T) {
 	for i := range cfg.Xs {
 		cfg.Xs[i] = float64(i)
 	}
-	if _, err := Sweep(cfg); err == nil || !strings.Contains(err.Error(), "overlap") {
+	if _, err := Sweep(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "overlap") {
 		t.Errorf("%d sweep points accepted (err=%v); RNG streams would overlap", len(cfg.Xs), err)
 	}
 
@@ -161,7 +162,7 @@ func TestSweepRejectsOverlappingSeedGrids(t *testing.T) {
 	cfg.Cell = func(si int, x float64) Scenario {
 		return Scenario{Topology: topology.Spec{Kind: "bogus", N: 10}}
 	}
-	if _, err := Sweep(cfg); err == nil || strings.Contains(err.Error(), "overlap") {
+	if _, err := Sweep(context.Background(), cfg); err == nil || strings.Contains(err.Error(), "overlap") {
 		t.Errorf("boundary Trials=%d rejected as overlap: %v", seedStrideX, err)
 	}
 }
@@ -178,7 +179,7 @@ func TestSweepParallelErrorPropagates(t *testing.T) {
 		}
 		return sc
 	}
-	_, err := Sweep(cfg)
+	_, err := Sweep(context.Background(), cfg)
 	if err == nil {
 		t.Fatal("bad cell swallowed")
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bgpsim/internal/failure"
@@ -80,10 +81,19 @@ func TestSimPoolNeverTakesBackAnUnfinishedRun(t *testing.T) {
 		t.Fatalf("pool holds %d simulators after one completed trial, want 1", len(pool.free))
 	}
 
+	// A trial whose context is cancelled before it starts takes nothing.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := runScenario(ctx, sc, pool); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled trial: %v, want context.Canceled", err)
+	}
+	if len(pool.free) != 1 {
+		t.Fatalf("pool holds %d simulators after a trial refused at Begin, want 1", len(pool.free))
+	}
+
+	// One cancelled mid-run keeps its simulator out of the pool.
+	if _, err := runScenario(cancelAfterBegin(), sc, pool); !errors.Is(err, context.Canceled) {
+		t.Fatalf("trial cancelled mid-run: %v, want context.Canceled", err)
 	}
 	if len(pool.free) != 0 {
 		t.Errorf("pool holds %d simulators after a cancelled trial took the only one, want 0", len(pool.free))
@@ -109,6 +119,28 @@ func TestSimPoolNeverTakesBackAnUnfinishedRun(t *testing.T) {
 	if again != good {
 		t.Errorf("trial after a cancelled and a failed one: %+v, want %+v", again, good)
 	}
+}
+
+// lateCancel is a live context whose Err reports cancellation from its
+// second call on: the first is Begin's check, the next the engine's
+// cancellation probe, so a trial run under it is cancelled mid-run.
+type lateCancel struct {
+	context.Context
+	done  chan struct{}
+	calls atomic.Int32
+}
+
+func cancelAfterBegin() *lateCancel {
+	return &lateCancel{Context: context.Background(), done: make(chan struct{})}
+}
+
+func (c *lateCancel) Done() <-chan struct{} { return c.done }
+
+func (c *lateCancel) Err() error {
+	if c.calls.Add(1) > 1 {
+		return context.Canceled
+	}
+	return nil
 }
 
 // TestTopoCacheFailedBuildEvicted pins that a failing Spec.Build does

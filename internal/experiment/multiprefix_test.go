@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -37,13 +38,13 @@ func digestStats(st Stats) string {
 // byte-identical statistics to the serial run.
 func TestMultiPrefixTrialsWorkerInvariant(t *testing.T) {
 	sc := multiPrefixScenario()
-	serial, err := RunTrials(sc, 4)
+	serial, err := RunTrials(context.Background(), sc, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := digestStats(serial)
 	for _, workers := range []int{2, 4} {
-		par, err := RunTrialsParallel(sc, 4, workers)
+		par, err := RunTrials(context.Background(), sc, 4, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func TestMultiPrefixTrialsWorkerInvariant(t *testing.T) {
 // trials must agree exactly.
 func TestMultiPrefixPooledMatchesFresh(t *testing.T) {
 	sc := multiPrefixScenario()
-	pooled, err := RunTrials(sc, 3)
+	pooled, err := RunTrials(context.Background(), sc, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

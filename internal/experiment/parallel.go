@@ -2,17 +2,10 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
-
-// errSkipped marks trials that were never started because an earlier
-// trial had already failed. It never escapes this package: callers see
-// only the first real error, reported in index order.
-var errSkipped = errors.New("experiment: trial skipped after earlier failure")
 
 // normalizeWorkers resolves a worker-count knob: <= 0 selects GOMAXPROCS.
 func normalizeWorkers(workers int) int {
@@ -23,108 +16,118 @@ func normalizeWorkers(workers int) int {
 }
 
 // ForEachIndex runs fn(i) for every i in [0, n) over a bounded pool of
-// worker goroutines and returns when all calls have finished. Indices are
-// dispatched in increasing order; with workers <= 1 the calls run inline
-// on the calling goroutine, fully serially. Sweeps, trial batches and
-// churn runs all fan out through it. fn is responsible for
-// synchronizing any shared state beyond its own index.
-func ForEachIndex(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+// workers goroutines, the calling one among them, and returns when all
+// calls have finished; with workers <= 1 the calls run inline, fully
+// serially, and allocate nothing. Indices start in increasing order, and
+// once a call has failed no further index starts (calls already running
+// finish). It returns the lowest failing index and its error, or -1 and
+// nil, so the error reported is the first in index order for every
+// worker count. Every batch of trials — a sweep, a lease, a trial batch,
+// a churn run — fans out through it. fn synchronizes any shared state
+// beyond its own index.
+func ForEachIndex(n, workers int, fn func(i int) error) (int, error) {
+	if workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			if err := fn(i); err != nil {
+				return i, err
+			}
 		}
-		return
+		return -1, nil
+	}
+	var (
+		mu     sync.Mutex // guards next, failed, first
+		next   int
+		failed = -1
+		first  error
+	)
+	work := func() {
+		for {
+			mu.Lock()
+			i := next
+			if failed >= 0 || i >= n {
+				mu.Unlock()
+				return
+			}
+			next++
+			mu.Unlock()
+			if err := fn(i); err != nil {
+				mu.Lock()
+				if failed < 0 || i < failed {
+					failed, first = i, err
+				}
+				mu.Unlock()
+			}
+		}
 	}
 	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for range min(workers, n) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
+			work()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
+	work()
 	wg.Wait()
+	return failed, first
 }
 
-// runTrialsInto executes trials first … first+n−1 of sc (seeds
-// trialSeed(Seed, first+i), n = len(results)) over a pool of workers
-// goroutines, storing each trial's result and error at its index i. It is
-// the single implementation behind RunTrials, RunTrialsParallel and
-// CellRunner.RunTrials, so the serial, parallel, and distributed paths
-// cannot drift. Once a
-// trial fails (or ctx is canceled), trials that have not yet started are
-// skipped (marked errSkipped); in-flight ones finish or abort on the
-// engine's cancellation probe. pool, when non-nil, recycles simulators
-// across trials.
-func runTrialsInto(ctx context.Context, sc Scenario, first int, results []Result, errs []error, workers int, failed *atomic.Bool, pool *SimPool) {
-	ForEachIndex(len(results), workers, func(i int) {
-		if failed.Load() {
-			errs[i] = errSkipped
-			return
+// runGrid is the one trial loop: every batch of trials in the package —
+// a sweep, a lease of one cell's trials, a plain trial batch — runs
+// through it. It runs trials first … first+n−1 of every cell, trial t of
+// cell c seeded trialSeed(cells[c].Seed, first+t), over workers
+// goroutines at trial granularity (one slow cell cannot serialize the
+// pool), drawing simulators from pool. The results are flat and
+// cell-major, index c·n+t, whatever the worker count or completion
+// order. progress, when set, is called as each cell's last trial
+// completes: calls are serialized and done strictly increases, out of
+// len(cells). On failure it returns the lowest failing index and its
+// error (ForEachIndex).
+func runGrid(ctx context.Context, cells []Scenario, first, n, workers int, pool *SimPool, progress func(done, total int)) ([]Result, int, error) {
+	results := make([]Result, len(cells)*n)
+	var (
+		mu     sync.Mutex // guards landed, done and the progress calls
+		done   int
+		landed = make([]int, len(cells))
+	)
+	j, err := ForEachIndex(len(results), workers, func(j int) error {
+		c := j / n
+		trial := cells[c]
+		trial.Seed = trialSeed(trial.Seed, first+j%n)
+		var err error
+		if results[j], err = runScenario(ctx, trial, pool); err != nil {
+			return err
 		}
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			failed.Store(true)
-			return
+		if progress == nil {
+			return nil
 		}
-		trial := sc
-		trial.Seed = trialSeed(sc.Seed, first+i)
-		results[i], errs[i] = runScenario(ctx, trial, pool)
-		if errs[i] != nil {
-			failed.Store(true)
+		mu.Lock()
+		defer mu.Unlock()
+		landed[c]++
+		if landed[c] == n {
+			done++
+			progress(done, len(cells))
 		}
+		return nil
 	})
+	return results, j, err
 }
 
-// firstTrialError returns the first real (non-skip) error in index order.
-func firstTrialError(errs []error) (int, error) {
-	for i, err := range errs {
-		if err != nil && !errors.Is(err, errSkipped) {
-			return i, err
-		}
-	}
-	return -1, nil
-}
-
-// runTrials is the shared body of RunTrials and RunTrialsParallel.
-func runTrials(ctx context.Context, sc Scenario, n, workers int) (Stats, error) {
+// RunTrials executes the scenario n times with seeds Seed, Seed+1, …
+// (fresh topology, failure draw and simulation randomness per trial)
+// over workers goroutines (<= 0 selects GOMAXPROCS, 1 is serial) and
+// aggregates them in trial order, so the statistics are identical for
+// every worker count. When ctx is cancelled, unstarted trials never
+// start, in-flight simulations abort at the engine's next cancellation
+// probe, and the context error is returned; ctx never alters the results
+// of a run that completes.
+func RunTrials(ctx context.Context, sc Scenario, n, workers int) (Stats, error) {
 	if n < 1 {
 		return Stats{}, fmt.Errorf("experiment: trials=%d", n)
 	}
-	results := make([]Result, n)
-	errs := make([]error, n)
-	var failed atomic.Bool
-	runTrialsInto(ctx, sc, 0, results, errs, workers, &failed, NewSimPool())
-	if i, err := firstTrialError(errs); err != nil {
-		return Stats{}, fmt.Errorf("trial %d: %w", i, err)
+	results, j, err := runGrid(ctx, []Scenario{sc}, 0, n, normalizeWorkers(workers), NewSimPool(), nil)
+	if err != nil {
+		return Stats{}, fmt.Errorf("trial %d: %w", j, err)
 	}
 	return aggregate(results), nil
-}
-
-// RunTrialsParallel is RunTrials with the independent trials fanned out
-// over a bounded worker pool. Results are byte-identical to the serial
-// version for every worker count (each trial is a self-contained
-// simulation keyed by its own seed, and aggregation consumes them in
-// index order); only wall-clock time changes. workers <= 0 selects
-// GOMAXPROCS.
-func RunTrialsParallel(sc Scenario, n, workers int) (Stats, error) {
-	return runTrials(context.Background(), sc, n, normalizeWorkers(workers))
-}
-
-// RunTrialsContext is RunTrialsParallel with cancellation: when ctx is
-// canceled, unstarted trials are skipped and in-flight simulations abort
-// at the engine's next cancellation probe, and the context error is
-// returned. Results of a run that completes are unaffected by ctx.
-func RunTrialsContext(ctx context.Context, sc Scenario, n, workers int) (Stats, error) {
-	return runTrials(ctx, sc, n, normalizeWorkers(workers))
 }

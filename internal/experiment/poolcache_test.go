@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"sync"
@@ -57,7 +58,7 @@ func poolTestConfigs(workers int) map[string]SweepConfig {
 func TestSweepPooledMatchesFreshRuns(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for name, cfg := range poolTestConfigs(workers) {
-			fig, err := Sweep(cfg)
+			fig, err := Sweep(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,11 +93,11 @@ func TestSweepPooledMatchesFreshRuns(t *testing.T) {
 func TestSweepWorkerCountInvariant(t *testing.T) {
 	parallel := poolTestConfigs(4)
 	for name, cfg := range poolTestConfigs(1) {
-		serial, err := Sweep(cfg)
+		serial, err := Sweep(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := Sweep(parallel[name])
+		par, err := Sweep(context.Background(), parallel[name])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +147,7 @@ func TestSweepAllocatesItsLargestTrialOnce(t *testing.T) {
 		largest, sum = max(largest, n), sum+n
 	}
 	sweep := allocated(func() {
-		if _, err := Sweep(cfg); err != nil {
+		if _, err := Sweep(context.Background(), cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -168,7 +169,7 @@ func TestConcurrentSweepsShareTopologyCache(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			figs[i], errs[i] = Sweep(poolTestConfig(2))
+			figs[i], errs[i] = Sweep(context.Background(), poolTestConfig(2))
 		}(i)
 	}
 	wg.Wait()

@@ -170,6 +170,8 @@ type Trial struct {
 }
 
 // Begin is the one set-up of every trial, scenario and churn alike. It
+// refuses a ctx that is already cancelled, returning ctx's error before
+// it takes anything, so a cancelled batch sets up no further trial. It
 // takes a slot from p and derives its streams (Slot.Derive; label names
 // the trial's own stream), takes the world from the topology memo, builds
 // the parameters — Base, the simulator seed, the spec's prefixes, the
@@ -184,6 +186,9 @@ func (p *SimPool) Begin(ctx context.Context, sc Scenario, label string) (Trial, 
 	}
 	if sc.WarmStart {
 		return Trial{}, fmt.Errorf("experiment: WarmStart was removed; every trial starts from the installed snapshot fixpoint")
+	}
+	if err := ctx.Err(); err != nil {
+		return Trial{}, err
 	}
 	slot := p.Take()
 	topoSeed, stream, simSeed := slot.Derive(sc.Seed, label)
@@ -252,10 +257,11 @@ func (t *Trial) End(ctx context.Context, err error) error {
 	return nil
 }
 
-// runScenario is the single trial implementation behind Run, RunTrials,
-// and Sweep: Begin, the failure draw, the storm, End. ctx cancellation
-// aborts the simulation between events via the engine's probe; it can
-// never alter the results of a run that completes.
+// runScenario is the single trial implementation behind Run and runGrid
+// (Sweep, RunTrials, CellRunner.RunTrials): Begin, the failure draw, the
+// storm, End. ctx cancellation aborts the simulation between events via
+// the engine's probe; it can never alter the results of a run that
+// completes.
 func runScenario(ctx context.Context, sc Scenario, pool *SimPool) (Result, error) {
 	t, err := pool.Begin(ctx, sc, "failure")
 	if err != nil {
@@ -318,15 +324,6 @@ func cellSeed(base int64, si, xi int, sameWorld bool) int64 {
 		off += int64(si) * seedStrideSeries
 	}
 	return base + off
-}
-
-// RunTrials executes the scenario n times with seeds Seed, Seed+1, ...
-// (fresh topology, failure draw, and simulation randomness per trial) and
-// aggregates. It is the fully serial form of RunTrialsParallel; both
-// share one implementation, so their results are identical by
-// construction.
-func RunTrials(sc Scenario, n int) (Stats, error) {
-	return runTrials(context.Background(), sc, n, 1)
 }
 
 func aggregate(results []Result) Stats {

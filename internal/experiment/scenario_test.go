@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -116,7 +117,7 @@ func TestBaseParamsRespected(t *testing.T) {
 }
 
 func TestRunTrialsAggregates(t *testing.T) {
-	st, err := RunTrials(tinyScenario(5), 3)
+	st, err := RunTrials(context.Background(), tinyScenario(5), 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +140,13 @@ func TestRunTrialsAggregates(t *testing.T) {
 	if st.MeanDelay < minD || st.MeanDelay > maxD {
 		t.Errorf("mean %v outside [%v,%v]", st.MeanDelay, minD, maxD)
 	}
-	if _, err := RunTrials(tinyScenario(5), 0); err == nil {
+	if _, err := RunTrials(context.Background(), tinyScenario(5), 0, 1); err == nil {
 		t.Error("zero trials accepted")
 	}
 }
 
 func TestTrialsUseDistinctSeeds(t *testing.T) {
-	st, err := RunTrials(tinyScenario(9), 3)
+	st, err := RunTrials(context.Background(), tinyScenario(9), 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

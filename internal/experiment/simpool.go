@@ -27,9 +27,10 @@ const simPoolCap = 32
 // largest trial once. Only a slot whose run completed goes back; one
 // that failed or was cancelled mid-run is left to the GC. Safe for
 // concurrent use; a nil *SimPool is valid and never pools. Sweep,
-// runTrials and CellRunner each own one, and sibling subsystems
+// RunTrials and CellRunner each own one, and sibling subsystems
 // (internal/churn) that run trials outside the sweep machinery make
-// theirs with NewSimPool; every trial takes its slot through Begin.
+// theirs with NewSimPool; every trial takes its slot through Begin,
+// which takes none for a cancelled context.
 type SimPool struct {
 	mu   sync.Mutex
 	free []*Slot

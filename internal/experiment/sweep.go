@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -70,17 +68,18 @@ type SweepConfig struct {
 	// count — seeds are derived from grid indices alone and results are
 	// aggregated in index order — so only wall-clock time changes.
 	Workers int
-	// Progress, when set, is called after each completed cell. Calls are
-	// serialized (never concurrent) and done increases strictly
-	// monotonically even when cells complete out of order under a
-	// parallel sweep.
+	// Progress, when set, is called once per cell, when its last trial
+	// completes, with done cells out of total cells. Calls are serialized
+	// (never concurrent) and done increases strictly monotonically even
+	// when cells complete out of order; a distributed executor counts
+	// the same cells.
 	Progress func(done, total int)
 }
 
 // Sweeper executes one sweep grid and returns the assembled figure. The
-// local executor is Sweep (via SweepContext); internal/dist provides a
-// coordinator-backed executor that farms the grid out to remote workers
-// while producing byte-identical figures.
+// local executor is Sweep; internal/dist provides a coordinator-backed
+// executor that farms the grid out to remote workers while producing
+// byte-identical figures.
 type Sweeper func(SweepConfig) (Figure, error)
 
 // NormalizeSweep validates cfg and fills defaulted fields (Trials,
@@ -119,97 +118,41 @@ func NormalizeSweep(cfg SweepConfig) (SweepConfig, error) {
 // replicated Trials times; the per-cell seed is derived from the base
 // scenario seed, the x index, and (unless SameWorldAcrossSeries) the
 // series index — see cellSeed. The whole (series × x × trial) grid is
-// fanned out over cfg.Workers goroutines at trial granularity, so one
-// slow cell cannot serialize the pool; results are aggregated in index
-// order, making the figure independent of worker count and completion
-// order.
-func Sweep(cfg SweepConfig) (Figure, error) {
-	return SweepContext(context.Background(), cfg)
-}
-
-// SweepContext is Sweep with cancellation: when ctx is canceled,
-// unstarted trials are skipped, in-flight simulations abort at the
-// engine's next cancellation probe, and the context error is returned.
-// Cancellation can never alter the figure of a sweep that completes.
-func SweepContext(ctx context.Context, cfg SweepConfig) (Figure, error) {
+// one runGrid over cfg.Workers goroutines at trial granularity; results
+// are aggregated in index order, making the figure independent of worker
+// count and completion order. When ctx is cancelled, unstarted trials
+// never start, in-flight simulations abort at the engine's next
+// cancellation probe, and the context error is returned; cancellation
+// can never alter the figure of a sweep that completes.
+func Sweep(ctx context.Context, cfg SweepConfig) (Figure, error) {
 	return sweep(ctx, cfg, NewSimPool())
 }
 
-// sweep is SweepContext drawing its simulators from pool.
+// sweep is Sweep drawing its simulators from pool.
 func sweep(ctx context.Context, cfg SweepConfig, pool *SimPool) (Figure, error) {
 	cfg, err := NormalizeSweep(cfg)
 	if err != nil {
 		return Figure{}, err
 	}
-	workers := normalizeWorkers(cfg.Workers)
-
 	// Materialize every cell's scenario up front on this goroutine, so
 	// the Cell callback never needs to be concurrency-safe.
 	nx := len(cfg.Xs)
-	total := len(cfg.SeriesNames) * nx
-	cells := make([]Scenario, total)
-	for si := range cfg.SeriesNames {
-		for xi := range cfg.Xs {
-			cells[si*nx+xi] = CellScenario(cfg, si, xi)
-		}
+	cells := make([]Scenario, len(cfg.SeriesNames)*nx)
+	for c := range cells {
+		cells[c] = CellScenario(cfg, c/nx, c%nx)
 	}
-
-	// One job per trial; job j is trial j%Trials of cell j/Trials.
-	results := make([]Result, total*cfg.Trials)
-	errs := make([]error, total*cfg.Trials)
-	var (
-		failed    atomic.Bool
-		mu        sync.Mutex // guards remaining, doneCells, Progress calls
-		doneCells int
-		remaining = make([]int, total)
-	)
-	for c := range remaining {
-		remaining[c] = cfg.Trials
-	}
-	ForEachIndex(len(results), workers, func(j int) {
-		c := j / cfg.Trials
-		if failed.Load() {
-			errs[j] = errSkipped
-			return
-		}
-		trial := cells[c]
-		trial.Seed = trialSeed(trial.Seed, j%cfg.Trials)
-		results[j], errs[j] = runScenario(ctx, trial, pool)
-		if errs[j] != nil {
-			failed.Store(true)
-			return
-		}
-		mu.Lock()
-		remaining[c]--
-		if remaining[c] == 0 {
-			doneCells++
-			if cfg.Progress != nil {
-				cfg.Progress(doneCells, total)
-			}
-		}
-		mu.Unlock()
-	})
-
-	if err := firstSweepError(cfg, errs); err != nil {
-		return Figure{}, err
+	results, j, err := runGrid(ctx, cells, 0, cfg.Trials, normalizeWorkers(cfg.Workers), pool, cfg.Progress)
+	if err != nil {
+		return Figure{}, cellError(cfg, j/cfg.Trials, j%cfg.Trials, err)
 	}
 	return assembleFigure(cfg, results), nil
 }
 
-// firstSweepError scans per-trial errors in (series, x, trial) order and
-// returns the first real one annotated with its grid coordinates.
-func firstSweepError(cfg SweepConfig, errs []error) error {
+// cellError annotates the error of trial t of cell c (si·len(Xs)+xi)
+// with its grid coordinates.
+func cellError(cfg SweepConfig, c, t int, err error) error {
 	nx := len(cfg.Xs)
-	for si, name := range cfg.SeriesNames {
-		for xi, x := range cfg.Xs {
-			c := si*nx + xi
-			cellErrs := errs[c*cfg.Trials : (c+1)*cfg.Trials]
-			if i, err := firstTrialError(cellErrs); err != nil {
-				return fmt.Errorf("series %q x=%v: trial %d: %w", name, x, i, err)
-			}
-		}
-	}
-	return nil
+	return fmt.Errorf("series %q x=%v: trial %d: %w", cfg.SeriesNames[c/nx], cfg.Xs[c%nx], t, err)
 }
 
 // assembleFigure aggregates a completed grid's per-trial results (flat,

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -23,7 +24,7 @@ func sweepCell(si int, x float64) Scenario {
 
 func TestSweepProducesFigure(t *testing.T) {
 	var calls int
-	fig, err := Sweep(SweepConfig{
+	fig, err := Sweep(context.Background(), SweepConfig{
 		SeriesNames:           []string{"MRAI=0.5s", "MRAI=2.25s"},
 		Xs:                    []float64{5, 10},
 		Cell:                  sweepCell,
@@ -57,7 +58,7 @@ func TestSweepProducesFigure(t *testing.T) {
 }
 
 func TestSweepMessagesMetric(t *testing.T) {
-	fig, err := Sweep(SweepConfig{
+	fig, err := Sweep(context.Background(), SweepConfig{
 		SeriesNames:           []string{"a"},
 		Xs:                    []float64{10},
 		Cell:                  func(si int, x float64) Scenario { return sweepCell(0, x) },
@@ -74,10 +75,10 @@ func TestSweepMessagesMetric(t *testing.T) {
 }
 
 func TestSweepValidation(t *testing.T) {
-	if _, err := Sweep(SweepConfig{}); err == nil {
+	if _, err := Sweep(context.Background(), SweepConfig{}); err == nil {
 		t.Error("empty sweep accepted")
 	}
-	if _, err := Sweep(SweepConfig{SeriesNames: []string{"a"}}); err == nil {
+	if _, err := Sweep(context.Background(), SweepConfig{SeriesNames: []string{"a"}}); err == nil {
 		t.Error("sweep without xs accepted")
 	}
 	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -88,7 +89,7 @@ func TestSweepValidation(t *testing.T) {
 }
 
 func TestSweepErrorsPropagate(t *testing.T) {
-	_, err := Sweep(SweepConfig{
+	_, err := Sweep(context.Background(), SweepConfig{
 		SeriesNames: []string{"a"},
 		Xs:          []float64{1},
 		Cell: func(si int, x float64) Scenario {
@@ -106,7 +107,7 @@ func TestSweepErrorsPropagate(t *testing.T) {
 func TestSweepSameWorldPairsSeries(t *testing.T) {
 	// With SameWorldAcrossSeries and identical schemes, both series must
 	// produce identical numbers.
-	fig, err := Sweep(SweepConfig{
+	fig, err := Sweep(context.Background(), SweepConfig{
 		SeriesNames:           []string{"a", "b"},
 		Xs:                    []float64{10},
 		Cell:                  func(si int, x float64) Scenario { return sweepCell(0, x) },
@@ -120,7 +121,7 @@ func TestSweepSameWorldPairsSeries(t *testing.T) {
 		t.Error("same-world series diverged for identical schemes")
 	}
 	// Without pairing they should (almost surely) differ.
-	fig2, err := Sweep(SweepConfig{
+	fig2, err := Sweep(context.Background(), SweepConfig{
 		SeriesNames: []string{"a", "b"},
 		Xs:          []float64{10},
 		Cell:        func(si int, x float64) Scenario { return sweepCell(0, x) },
