@@ -2,7 +2,9 @@ package bgp
 
 import (
 	"runtime"
+	"slices"
 	"testing"
+	"time"
 	"unsafe"
 
 	"bgpsim/internal/des"
@@ -54,30 +56,40 @@ func TestInboxSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
-// highWater is a trace.Tracer recording the most updates each router's
-// inbox ever held. enqueue emits KindReceive right after Push, the only
-// place an inbox's Len grows.
+// highWater is a trace.Tracer recording the most updates the
+// simulator's inboxes ever held at once. enqueue emits KindReceive right
+// after Push, the only place an inbox's Len grows.
 type highWater struct {
-	sim   *Simulator
-	marks []int
+	sim  *Simulator
+	peak int
 }
 
-// Trace reads the receiving router's queue length on every arrival.
+// Trace reads the simulator-wide queue length on every arrival.
 func (h *highWater) Trace(e trace.Event) {
 	if e.Kind == trace.KindReceive {
-		h.marks[e.Node] = max(h.marks[e.Node], h.sim.routers[e.Node].receive.inbox.Len())
+		h.peak = max(h.peak, queuedUpdates(h.sim))
 	}
+}
+
+// queuedUpdates returns how many updates the inboxes of s hold: the cells
+// of its slab in use.
+func queuedUpdates(s *Simulator) int {
+	n := 0
+	for _, r := range s.routers {
+		n += r.receive.inbox.Len()
+	}
+	return n
 }
 
 // TestInboxAllocatesItsHighWaterOnce pins what the cell slab is for: over
 // a whole trial on 120 routers from the refColdStart reference — initial
 // convergence as events, a 10% failure, re-convergence, the heaviest load
 // a trial puts on the inboxes — everything the inboxes hold that grows
-// with traffic (cells, chunk table, key ring, batch array) stays within
-// 1.5 × 16 bytes per update of the routers' summed queue high-water
-// marks, under FIFO and under batch+dynamic alike. An array per pending
-// destination cost several times that: every destination's own peak,
-// plus what growing to it discarded.
+// with traffic (the slab's cells and chunk table, each router's key ring
+// and batch array) stays within 1.5 × 16 bytes per update of the most
+// updates queued at once across the simulator, under FIFO and under
+// batch+dynamic alike. A slab per router held the sum of every router's
+// own peak, and an array per pending destination several times that.
 func TestInboxAllocatesItsHighWaterOnce(t *testing.T) {
 	nw, err := topology.SkewedNetwork(topology.Skewed7030(120), des.NewRNG(1))
 	if err != nil {
@@ -91,7 +103,7 @@ func TestInboxAllocatesItsHighWaterOnce(t *testing.T) {
 		{"batched", func(p *Params) { p.Queue, p.MRAI = QueueBatched, mrai.PaperDynamic() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			hw := &highWater{marks: make([]int, nw.NumNodes())}
+			hw := &highWater{}
 			sim, err := New(nw, equivalenceParams(1, func(p *Params) {
 				tc.mutate(p)
 				p.ref |= refColdStart
@@ -104,21 +116,85 @@ func TestInboxAllocatesItsHighWaterOnce(t *testing.T) {
 			if _, err := sim.ConvergeAndFail(topology.NearestNodes(nw, topology.GridCenter(nw), 12, nil)); err != nil {
 				t.Fatal(err)
 			}
-			var queued, held int
-			for i, r := range sim.routers {
+			slab := &sim.cells
+			queued := hw.peak
+			held := len(slab.chunks)*int(unsafe.Sizeof(*slab.chunks[0])) + cap(slab.chunks)*int(unsafe.Sizeof(slab.chunks[0]))
+			for _, r := range sim.routers {
 				q := &r.receive.inbox
-				queued += hw.marks[i]
-				held += len(q.cells)*int(unsafe.Sizeof(*q.cells[0])) + cap(q.cells)*int(unsafe.Sizeof(q.cells[0])) +
-					cap(q.order)*int(unsafe.Sizeof(q.order[0])) + cap(q.out)*int(unsafe.Sizeof(Update{}))
+				held += cap(q.order)*int(unsafe.Sizeof(q.order[0])) + cap(q.out)*int(unsafe.Sizeof(Update{}))
 			}
-			t.Logf("%d updates queued at the routers' high-water marks, inboxes hold %d B (%.2f x 16 B each)", queued, held, float64(held)/float64(16*queued))
+			t.Logf("at most %d updates queued at once, the slab issued %d cells, inboxes hold %d B (%.2f x 16 B each)", queued, slab.n, held, float64(held)/float64(16*queued))
 			if queued < 10*len(sim.routers) {
-				t.Fatalf("only %d updates ever queued: the trial does not load the inboxes", queued)
+				t.Fatalf("at most %d updates queued at once: the trial does not load the inboxes", queued)
 			}
 			if held > 16*queued*3/2 {
 				t.Errorf("inboxes hold %d B for %d queued updates, want <= %d", held, queued, 16*queued*3/2)
 			}
 		})
+	}
+}
+
+// TestDeadRouterReturnsItsCells pins that a router's death hands its
+// queued updates' cells back to the simulator's slab. Mid-storm, the
+// routers holding the longest queues are killed; the storm runs out, and
+// then one live router is handed a burst of as many updates as the slab
+// has ever issued. Every cell that death had not returned would be carved
+// anew on top of the burst, so the slab's issued count must still not
+// exceed the most updates ever queued at once.
+func TestDeadRouterReturnsItsCells(t *testing.T) {
+	nw, err := topology.SkewedNetwork(topology.Skewed7030(60), des.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hw := &highWater{}
+	sim, err := New(nw, equivalenceParams(1, func(p *Params) { p.Tracer = hw }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hw.sim = sim
+	if err := sim.ConvergeInitial(); err != nil {
+		t.Fatal(err)
+	}
+	at := sim.Now() + SettleMargin
+	sim.ScheduleFailure(at, topology.NearestNodes(nw, topology.GridCenter(nw), 6, nil))
+	for queuedUpdates(sim) < 100 {
+		at += 10 * time.Millisecond
+		if err := sim.RunUntil(at); err != nil {
+			t.Fatal(err)
+		}
+		if sim.eng.Pending() == 0 {
+			t.Fatal("the storm ended before 100 updates were queued at once")
+		}
+	}
+	byQueue := slices.Clone(sim.routers)
+	slices.SortStableFunc(byQueue, func(a, b *router) int { return b.receive.inbox.Len() - a.receive.inbox.Len() })
+	var victims []int
+	dropped := 0
+	for _, r := range byQueue[:4] {
+		victims = append(victims, r.id)
+		dropped += r.receive.inbox.Len()
+	}
+	if dropped == 0 {
+		t.Fatal("the routers killed hold no queued updates")
+	}
+	sim.ScheduleFailure(at, victims)
+	if err := sim.RunUntil(at); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	slab := &sim.cells
+	burst := int(slab.n)
+	q := &sim.routers[slices.IndexFunc(sim.routers, func(r *router) bool { return r.alive })].receive.inbox
+	for i := range burst {
+		q.Push(Update{Dest: int32(i % sim.ndests)})
+	}
+	peak := max(hw.peak, queuedUpdates(sim))
+	t.Logf("killed routers %v holding %d queued updates; a burst of %d: the slab issued %d cells, at most %d were queued at once", victims, dropped, burst, slab.n, peak)
+	if int(slab.n) > peak {
+		t.Errorf("the slab issued %d cells for at most %d updates queued at once: %d cells of dead routers never came back", slab.n, peak, int(slab.n)-peak)
 	}
 }
 
@@ -213,6 +289,93 @@ func TestConvergeInitialAllocatesNothingAfterRebind(t *testing.T) {
 		if both != rebind {
 			t.Errorf("policy=%v: Rebind+ConvergeInitial allocates %v objects per tour, Rebind alone %v: ConvergeInitial allocates",
 				policy, both, rebind)
+		}
+	}
+}
+
+// heldColumns returns every route column s holds, in its routers' slots
+// (past their degree too) and in its spare list, by first cell, and how
+// many of the slots' columns a run materialized.
+func heldColumns(s *Simulator) (held []*routeRef, inSlots int) {
+	for _, r := range s.routers {
+		for _, slots := range [][]refSlot{r.receive.adjIn.slots, r.flush.advertised} {
+			for _, col := range slots[:cap(slots)] {
+				if col.refs != nil {
+					held = append(held, unsafe.SliceData(col.refs))
+					inSlots++
+				}
+			}
+		}
+	}
+	for _, col := range s.spare.cols {
+		held = append(held, unsafe.SliceData(col))
+	}
+	return held, inSlots
+}
+
+// TestRebindTourHoldsTheBusiestWorldsColumns pins what the spare list is
+// for: one simulator rebound through worlds of one size and different
+// degree sequences holds, in its routers and spare list together, no more
+// route columns than the most any one of them materializes on a fresh
+// simulator, where keeping each router's largest degree held the sum of
+// every router's busiest world. A second tour takes every column from
+// what the first left.
+func TestRebindTourHoldsTheBusiestWorldsColumns(t *testing.T) {
+	const n = 40
+	var nets []*topology.Network
+	for i, spec := range []topology.SkewedSpec{topology.Skewed7030(n), topology.Skewed5050(n), topology.Skewed8515(n), topology.Skewed5050Dense(n)} {
+		nw, err := topology.SkewedNetwork(spec, des.NewRNG(int64(30+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, nw)
+	}
+	nw, err := topology.InternetLikeNetwork(n, 3, 20, des.NewRNG(34))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets = append(nets, nw)
+
+	run := func(sim *Simulator, nw *topology.Network) {
+		if _, err := sim.ConvergeAndFail(topology.NearestNodes(nw, topology.GridCenter(nw), n/10, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	params := equivalenceParams(1, nil)
+	sim, err := New(nets[0], params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	most := 0
+	for i, nw := range nets {
+		fresh, err := New(nw, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(fresh, nw)
+		_, materialized := heldColumns(fresh)
+		most = max(most, materialized)
+		if err := sim.Rebind(nw, params); err != nil {
+			t.Fatal(err)
+		}
+		run(sim, nw)
+		if held, _ := heldColumns(sim); len(held) > most {
+			t.Errorf("world %d: the simulator holds %d columns, the busiest world so far materializes %d", i, len(held), most)
+		}
+	}
+	first, _ := heldColumns(sim)
+	made := make(map[*routeRef]bool, len(first))
+	for _, col := range first {
+		made[col] = true
+	}
+	for i, nw := range nets {
+		if err := sim.Rebind(nw, params); err != nil {
+			t.Fatal(err)
+		}
+		run(sim, nw)
+		held, _ := heldColumns(sim)
+		if fresh := slices.DeleteFunc(held, func(col *routeRef) bool { return made[col] }); len(fresh) > 0 {
+			t.Errorf("second tour, world %d: %d columns made, want all %d taken from the first tour's", i, len(fresh), len(first))
 		}
 	}
 }

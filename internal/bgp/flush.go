@@ -39,7 +39,7 @@ type slotTimer struct {
 // rewire fits the per-slot columns to nslots peers of r.
 func (f *flushStation) rewire(r *router, nslots int) {
 	f.timers = fit(f.timers, nslots)
-	f.advertised = refit(f.advertised, nslots)
+	f.advertised = r.sim.spare.refit(f.advertised, nslots)
 	f.pending = refit(f.pending, nslots)
 	f.blocked = refit(f.blocked, nslots)
 	for slot := range f.timers {
@@ -281,7 +281,7 @@ func (r *router) tryFlush(slot int) {
 		if desired == 0 {
 			adv.del(dest)
 		} else {
-			adv.set(dest, desired, int(r.ndests))
+			adv.set(dest, desired, &r.sim.spare)
 		}
 		pend.clear(dest)
 		sentAny = true

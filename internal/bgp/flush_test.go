@@ -66,7 +66,7 @@ func TestFlushStation(t *testing.T) {
 			name: "nothing to send clears the pending bit",
 			setup: func(r *router) {
 				r.setLocForTest(7, Path{0, 7}, 0)
-				r.flush.advertised[slot].set(7, r.tab.intern(Path{1, 0, 7}), int(r.ndests))
+				r.flush.advertised[slot].set(7, r.tab.intern(Path{1, 0, 7}), &r.sim.spare)
 				r.flush.pending[slot].set(7)
 				r.flush.pending[slot].set(8) // no route, nothing advertised
 			},
@@ -85,7 +85,7 @@ func TestFlushStation(t *testing.T) {
 			name: "a path through the peer's AS is withdrawn",
 			setup: func(r *router) {
 				r.setLocForTest(7, Path{0, 2, 7}, 0)
-				r.flush.advertised[slot].set(7, r.tab.intern(Path{1, 0, 7}), int(r.ndests))
+				r.flush.advertised[slot].set(7, r.tab.intern(Path{1, 0, 7}), &r.sim.spare)
 				r.flush.pending[slot].set(7)
 			},
 			want: want{sends: []sent{{7, true}}, flushAt: noFlush, refExam: []ASN{7}},
@@ -94,7 +94,7 @@ func TestFlushStation(t *testing.T) {
 			name: "a withdrawal bypasses the gate",
 			setup: func(r *router) {
 				r.flush.timers[slot].nextSend = m
-				r.flush.advertised[slot].set(7, r.tab.intern(Path{1, 0, 7}), int(r.ndests))
+				r.flush.advertised[slot].set(7, r.tab.intern(Path{1, 0, 7}), &r.sim.spare)
 				r.flush.pending[slot].set(7)
 			},
 			want: want{sends: []sent{{7, true}}, flushAt: noFlush, nextSend: m, refExam: []ASN{7}},
@@ -104,7 +104,7 @@ func TestFlushStation(t *testing.T) {
 			params: func(p *Params) { p.RateLimitWithdrawals = true },
 			setup: func(r *router) {
 				r.flush.timers[slot].nextSend = m
-				r.flush.advertised[slot].set(7, r.tab.intern(Path{1, 0, 7}), int(r.ndests))
+				r.flush.advertised[slot].set(7, r.tab.intern(Path{1, 0, 7}), &r.sim.spare)
 				r.flush.pending[slot].set(7)
 			},
 			want: want{pending: []ASN{7}, blocked: []ASN{7}, flushAt: m, nextSend: m, refExam: []ASN{7}},
@@ -151,7 +151,7 @@ func TestFlushStation(t *testing.T) {
 				r.flush.timers[slot].nextSend = m
 				for _, dest := range []ASN{7, 8} {
 					r.setLocForTest(dest, Path{0, dest}, 0)
-					r.flush.advertised[slot].set(dest, r.tab.intern(Path{1, 0, 5, dest}), int(r.ndests))
+					r.flush.advertised[slot].set(dest, r.tab.intern(Path{1, 0, 5, dest}), &r.sim.spare)
 					r.flush.pending[slot].set(dest)
 				}
 			},

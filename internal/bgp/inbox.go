@@ -16,19 +16,15 @@ package bgp
 //     key is the sending peer, whose TCP buffer Pop drains whole, and only
 //     the newest update per destination within that batch is kept.
 //
-// Queued updates live in one slab of 16-byte cells, named by 1-based
-// handles and carved in fixed chunks that are never copied. A key's queue
-// is a circular chain of cells, so the slab grows to the most updates the
-// router ever had queued at once and no further: there is no array per
-// key to outgrow, and a popped chain goes back on the free chain in one
-// splice.
+// Queued updates live in cells of the simulator's one cellSlab, which
+// every router's inbox draws from. A key's queue is a circular chain of
+// cells, so there is no array per key to outgrow, and a popped chain goes
+// back on the slab's free chain in one splice.
 //
 // Batch ownership: the slice Pop returns aliases the inbox's one batch
 // array and is valid until the next Pop or Reset.
 type inbox struct {
-	cells  []*[inboxChunk]inboxCell
-	ncells int32 // cells ever issued; the next fresh handle is ncells+1
-	free   int32 // chain of recycled cells, 0-terminated
+	slab *cellSlab // the simulator's, shared by every router
 	// byKey is dense by key (destinations and peer slots are small dense
 	// integers, like every other per-dest or per-slot table) and holds the
 	// handle of the last cell of key k's chain, whose next is the first:
@@ -52,44 +48,61 @@ type inbox struct {
 	seen bitset
 }
 
+// cellSlab holds every queued update of one simulator: 16-byte cells,
+// named by 1-based handles and carved in fixed chunks that are never
+// copied, and one chain of free cells. Cells go back on the free chain
+// when they are popped or their router dies, and a fresh one is carved
+// only when the chain is empty, so the slab grows to the most updates the
+// whole simulator ever had queued at once: its busiest moment, not the
+// sum of every router's. Simulator.Rebind rewinds it once every router is
+// reset.
+type cellSlab struct {
+	chunks []*[inboxChunk]inboxCell
+	n      int32 // cells issued since the rewind; the next fresh handle is n+1
+	free   int32 // chain of recycled cells, 0-terminated
+}
+
 // inboxCell is one queued update and the handle of the cell after it.
 type inboxCell struct {
 	u    Update
 	next int32
 }
 
-// inboxChunk is the slab's growth step: small enough that a router which
-// never queues more than a few updates pays one 512-byte chunk, large
-// enough that the busiest router's chunk pointers stay under 2% of its
+// inboxChunk is the slab's growth step: a 512-byte chunk, small against
+// any storm and large enough that the chunk pointers stay under 2% of the
 // cells.
 const inboxChunk = 32
 
-func (q *inbox) cell(h int32) *inboxCell {
+func (s *cellSlab) cell(h int32) *inboxCell {
 	i := uint32(h - 1)
-	return &q.cells[i/inboxChunk][i%inboxChunk]
+	return &s.chunks[i/inboxChunk][i%inboxChunk]
 }
+
+// newCell returns the handle of a free cell holding u and linked to
+// itself: a chain of one.
+func (s *cellSlab) newCell(u Update) int32 {
+	h := s.free
+	if h != 0 {
+		s.free = s.cell(h).next
+	} else {
+		if int(s.n) == len(s.chunks)*inboxChunk {
+			s.chunks = append(s.chunks, new([inboxChunk]inboxCell))
+		}
+		s.n++
+		h = s.n
+	}
+	*s.cell(h) = inboxCell{u, h}
+	return h
+}
+
+// rewind forgets every cell, keeping the chunks: the next handle issued
+// is 1. Only safe when no inbox holds a chain.
+func (s *cellSlab) rewind() { s.n, s.free = 0, 0 }
 
 // ring returns the index in order of the i-th pending key after the
 // head.
 func (q *inbox) ring(i int32) int32 {
 	return (q.orderHead + i) & int32(len(q.order)-1)
-}
-
-// newCell returns the handle of a free cell holding u and linked to
-// itself: a chain of one.
-func (q *inbox) newCell(u Update) int32 {
-	h := q.free
-	if h != 0 {
-		q.free = q.cell(h).next
-	} else {
-		if int(q.ncells) == len(q.cells)*inboxChunk {
-			q.cells = append(q.cells, new([inboxChunk]inboxCell))
-		}
-		q.ncells++
-		h = q.ncells
-	}
-	*q.cell(h) = inboxCell{u, h}
-	return h
 }
 
 // Push files the update under its key, applying staleness elimination
@@ -102,6 +115,7 @@ func (q *inbox) Push(u Update) {
 	case QueueRouterBatch:
 		k = u.Slot
 	}
+	s := q.slab
 	tail := q.byKey[k]
 	if tail == 0 {
 		if int(q.orderN) == len(q.order) {
@@ -113,13 +127,13 @@ func (q *inbox) Push(u Update) {
 		}
 		q.order[q.ring(q.orderN)] = k
 		q.orderN++
-		q.byKey[k] = q.newCell(u)
+		q.byKey[k] = s.newCell(u)
 		q.size++
 		return
 	}
-	last := q.cell(tail)
+	last := s.cell(tail)
 	if q.discardStale {
-		for c := q.cell(last.next); ; c = q.cell(c.next) {
+		for c := s.cell(last.next); ; c = s.cell(c.next) {
 			if c.u.Slot == u.Slot {
 				// Replace in place: the new update supersedes the old one
 				// and inherits its batch position.
@@ -132,8 +146,8 @@ func (q *inbox) Push(u Update) {
 			}
 		}
 	}
-	h := q.newCell(u)
-	q.cell(h).next, last.next = last.next, h
+	h := s.newCell(u)
+	s.cell(h).next, last.next = last.next, h
 	q.byKey[k] = h
 	q.size++
 }
@@ -142,20 +156,21 @@ func (q *inbox) Push(u Update) {
 // arrived earliest, copied in arrival order into the inbox's one batch
 // array, or nil when the inbox is empty: that key's oldest update under
 // FIFO, its whole chain otherwise. The popped cells are spliced onto the
-// free chain.
+// slab's free chain.
 func (q *inbox) Pop() []Update {
 	if q.orderN == 0 {
 		return nil
 	}
+	s := q.slab
 	k := q.order[q.orderHead]
-	last := q.cell(q.byKey[k])
+	last := s.cell(q.byKey[k])
 	first := last.next
 	end := last
 	if q.queue == QueueFIFO {
-		end = q.cell(first)
+		end = s.cell(first)
 	}
 	q.out = q.out[:0]
-	for c := q.cell(first); ; c = q.cell(c.next) {
+	for c := s.cell(first); ; c = s.cell(c.next) {
 		q.out = append(q.out, c.u)
 		if c == end {
 			break
@@ -168,7 +183,7 @@ func (q *inbox) Pop() []Update {
 	} else {
 		last.next = end.next
 	}
-	end.next, q.free = q.free, first
+	end.next, s.free = s.free, first
 	q.size -= int32(len(q.out))
 	if q.queue == QueueRouterBatch {
 		return q.newestPerDest()
@@ -211,25 +226,38 @@ func (q *inbox) TakeDiscarded() int {
 	return int(d)
 }
 
-// drop empties the inbox, keeping the slab, the ring and the batch array.
-// Every pending key is in order, so walking it — not all of byKey — keeps
-// this O(recent traffic).
+// drop empties the inbox when its router dies, handing its cells back to
+// the slab: each pending key's chain goes onto the free chain in one
+// splice, so this is O(pending keys).
 func (q *inbox) drop() {
+	s := q.slab
+	for i := int32(0); i < q.orderN; i++ {
+		last := s.cell(q.byKey[q.order[q.ring(i)]])
+		last.next, s.free = s.free, last.next
+	}
+	q.forget()
+}
+
+// forget empties the inbox, keeping the ring and the batch array, and
+// leaves the cells it held to whoever rewinds the slab. Every pending key
+// is in order, so walking it — not all of byKey — keeps this O(recent
+// traffic).
+func (q *inbox) forget() {
 	for ; q.orderN > 0; q.orderN-- {
 		q.byKey[q.order[q.orderHead]] = 0
 		q.orderHead = q.ring(1)
 	}
 	q.orderHead = 0
-	q.ncells, q.free = 0, 0
 	q.size, q.discarded = 0, 0
 }
 
 // Reset empties the inbox and sets it up for a run under p's discipline
 // on a router with nslots peers over ndests destinations: byKey is
 // fitted to the discipline's key count when that changed, and the
-// router-batch scan set to ndests.
+// router-batch scan set to ndests. The cells it held are not returned:
+// Rebind rewinds the simulator's slab once every router is reset.
 func (q *inbox) Reset(p Params, nslots, ndests int) {
-	q.drop()
+	q.forget()
 	q.queue = p.Queue
 	q.discardStale = p.Queue == QueueBatched && p.BatchDiscardStale
 	nkeys := 1
@@ -252,9 +280,10 @@ func (q *inbox) Reset(p Params, nslots, ndests int) {
 // chain's cells hold stale refs, and the batch Pop last returned is the
 // router's to visit.
 func (q *inbox) forEachRef(fn func(*routeRef)) {
+	s := q.slab
 	for i := int32(0); i < q.orderN; i++ {
-		last := q.cell(q.byKey[q.order[q.ring(i)]])
-		for c := q.cell(last.next); ; c = q.cell(c.next) {
+		last := s.cell(q.byKey[q.order[q.ring(i)]])
+		for c := s.cell(last.next); ; c = s.cell(c.next) {
 			fn(&c.u.Ref)
 			if c == last {
 				break

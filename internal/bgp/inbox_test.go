@@ -26,9 +26,10 @@ func wd(from int, dest ASN) Update {
 // for every sender slot and destination the hand-built updates name.
 const testSlots, testDests = 1024, 4096
 
-// newTestInbox returns an empty inbox for the discipline.
+// newTestInbox returns an empty inbox for the discipline, drawing on a
+// cell slab of its own.
 func newTestInbox(queue QueueDiscipline, discardStale bool) *inbox {
-	q := &inbox{}
+	q := &inbox{slab: &cellSlab{}}
 	q.Reset(Params{Queue: queue, BatchDiscardStale: discardStale}, testSlots, testDests)
 	return q
 }
@@ -128,7 +129,7 @@ func TestFIFOMatchesSliceReference(t *testing.T) {
 			q.Reset(Params{Queue: QueueFIFO}, 0, 0)
 		}
 	}
-	if held := len(q.cells) * inboxChunk; mark < 4*inboxChunk || held >= mark+inboxChunk {
+	if held := len(q.slab.chunks) * inboxChunk; mark < 4*inboxChunk || held >= mark+inboxChunk {
 		t.Errorf("slab holds %d cells for a high-water mark of %d, want that rounded up to a multiple of %d", held, mark, inboxChunk)
 	}
 }
@@ -400,7 +401,8 @@ func (q *sliceInbox) Reset() {
 // superseded router-batch updates and long chains common; pops come in
 // bursts so the queue both builds up and drains to empty. The slab must
 // also never issue more cells than were queued at once since the last
-// Reset: popped cells are the next ones used.
+// Reset, which rewinds the slab as Rebind does: popped cells are the next
+// ones used.
 func TestInboxMatchesSliceReference(t *testing.T) {
 	for _, row := range inboxRows {
 		t.Run(row.name, func(t *testing.T) {
@@ -408,7 +410,7 @@ func TestInboxMatchesSliceReference(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				nslots, ndests := 6, 40
-				q := &inbox{}
+				q := &inbox{slab: &cellSlab{}}
 				q.Reset(p, nslots, ndests)
 				ref := &sliceInbox{queue: row.queue, discardStale: row.discard}
 				ref.Reset()
@@ -418,6 +420,7 @@ func TestInboxMatchesSliceReference(t *testing.T) {
 					case k == 0: // a new trial, usually over other numbers of peers and destinations
 						nslots, ndests = 1+rng.Intn(8), 1+rng.Intn(60)
 						q.Reset(p, nslots, ndests)
+						q.slab.rewind()
 						ref.Reset()
 						highWater = 0
 					case k < 560 || (k < 900 && op/500%2 == 0): // build-up and drain phases alternate
@@ -442,8 +445,8 @@ func TestInboxMatchesSliceReference(t *testing.T) {
 							t.Fatalf("seed %d op %d: TakeDiscarded %d, want %d", seed, op, got, want)
 						}
 					}
-					if int(q.ncells) != highWater {
-						t.Fatalf("seed %d op %d: slab has issued %d cells, %d updates were queued at most", seed, op, q.ncells, highWater)
+					if int(q.slab.n) != highWater {
+						t.Fatalf("seed %d op %d: slab has issued %d cells, %d updates were queued at most", seed, op, q.slab.n, highWater)
 					}
 				}
 			}

@@ -108,10 +108,10 @@ func (s *refSlot) get(dest ASN) routeRef {
 }
 
 // set records ref (which must be nonzero) for dest, materializing the
-// column on first use.
-func (s *refSlot) set(dest ASN, ref routeRef, ndests int) {
+// column on first use from the simulator's spare columns.
+func (s *refSlot) set(dest ASN, ref routeRef, spare *colPool) {
 	if s.refs == nil {
-		s.refs = make([]routeRef, ndests)
+		s.refs = spare.take()
 	}
 	s.refs[dest] = ref
 }
@@ -142,6 +142,61 @@ func (s *refSlot) fit(ndests int) {
 	clear(s.refs)
 }
 
+// colPool holds a simulator's spare route columns: those router.rewire
+// took from the slots past a router's new degree. A column is
+// materialized from it before one is made, so a simulator rebound from
+// world to world holds the columns of its busiest world, not every
+// router's largest degree. It is per simulator because the simulators of
+// a sweep run on separate goroutines.
+type colPool struct {
+	cols   [][]routeRef // each of at least ndests cells
+	ndests int          // the column length of the current binding
+}
+
+// fit sets the column length for the coming run and drops every spare
+// column too short for it, as refSlot.fit drops one.
+func (p *colPool) fit(ndests int) {
+	p.ndests = ndests
+	kept := p.cols[:0]
+	for _, col := range p.cols {
+		if cap(col) >= ndests {
+			kept = append(kept, col)
+		}
+	}
+	clear(p.cols[len(kept):])
+	p.cols = kept
+}
+
+// take returns an empty column of ndests cells: the newest spare one, or
+// a new one. fit has dropped the short ones, so take has no loop and
+// inlines without pushing set and adjRIBIn.setSlot, which run per update,
+// past the inlining budget.
+func (p *colPool) take() []routeRef {
+	k := len(p.cols) - 1
+	if k < 0 {
+		return make([]routeRef, p.ndests)
+	}
+	col := p.cols[k][:p.ndests]
+	p.cols[k] = nil
+	p.cols = p.cols[:k]
+	clear(col)
+	return col
+}
+
+// refit is refit for a router's route columns: the columns of the slots
+// past n go to the pool, so slots of a larger degree seen earlier wait in
+// the spare capacity empty.
+func (p *colPool) refit(slots []refSlot, n int) []refSlot {
+	all := slots[:cap(slots)]
+	for i := n; i < len(all); i++ {
+		if all[i].refs != nil {
+			p.cols = append(p.cols, all[i].refs)
+			all[i].refs = nil
+		}
+	}
+	return refit(slots, n)
+}
+
 // adjRIBIn stores, per peer slot, the latest route heard from that peer
 // for each destination. No stored path holds the local AS: no update
 // carries its receiver's AS (DESIGN.md, BGP invariants), so nothing is
@@ -151,16 +206,15 @@ func (s *refSlot) fit(ndests int) {
 // is used directly, and a slot's column exists only once the peer has
 // advertised something.
 type adjRIBIn struct {
-	tab    *pathTab // shared with the owning Simulator
-	ndests int
-	slots  []refSlot
+	tab   *pathTab // shared with the owning Simulator
+	spare *colPool // the owning Simulator's; sizes every new column
+	slots []refSlot
 }
 
 // fit empties the table and dimensions its dest axis for ndests
 // destinations, retaining the materialized columns that are large
 // enough.
 func (rib *adjRIBIn) fit(ndests int) {
-	rib.ndests = ndests
 	for i := range rib.slots {
 		rib.slots[i].fit(ndests)
 	}
@@ -175,7 +229,7 @@ func (rib *adjRIBIn) reset() {
 
 // setSlot records ref as the latest route for dest from the peer slot.
 func (rib *adjRIBIn) setSlot(slot int, dest ASN, ref routeRef) {
-	rib.slots[slot].set(dest, ref, rib.ndests)
+	rib.slots[slot].set(dest, ref, rib.spare)
 }
 
 // removeSlot deletes the route for dest from the peer slot, reporting

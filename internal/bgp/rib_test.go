@@ -78,7 +78,7 @@ type testRIB struct {
 // ribOver builds an Adj-RIB-In whose slots follow the given peer order,
 // sized for dense destination indices in [0, ndests).
 func ribOver(peers []Peer, ndests int) testRIB {
-	return testRIB{&adjRIBIn{tab: testTab(), ndests: ndests, slots: make([]refSlot, len(peers))}, peers}
+	return testRIB{&adjRIBIn{tab: testTab(), spare: &colPool{ndests: ndests}, slots: make([]refSlot, len(peers))}, peers}
 }
 
 // ribIn is r's Adj-RIB-In as a testRIB.

@@ -60,6 +60,8 @@ func newRouter(sim *Simulator) *router {
 	}
 	r.receive.proc.r = r
 	r.receive.adjIn.tab = r.tab
+	r.receive.adjIn.spare = &sim.spare
+	r.receive.inbox.slab = &sim.cells
 	return r
 }
 
@@ -68,9 +70,9 @@ func newRouter(sim *Simulator) *router {
 // and every per-slot array at the new degree; Simulator.rewire fills in
 // each peer's Back once every router is wired. A router keeps its
 // storage from one network to the next: a slot's columns go to whichever
-// peer has that slot now, and the slots of a larger degree seen earlier
-// wait in the spare capacity. reset must follow before the router is
-// used.
+// peer has that slot now, and the route columns of slots past the new
+// degree go to the simulator's spare list, where any router's next new
+// column is taken from. reset must follow before the router is used.
 func (r *router) rewire(id NodeID, net *topology.Network) {
 	r.id, r.as = id, net.ASOf(id)
 	r.peers = r.peers[:0]
@@ -81,7 +83,7 @@ func (r *router) rewire(id NodeID, net *topology.Network) {
 
 	nslots := len(r.peers)
 	r.peerAlive = fit(r.peerAlive, nslots)
-	r.receive.adjIn.slots = refit(r.receive.adjIn.slots, nslots)
+	r.receive.adjIn.slots = r.sim.spare.refit(r.receive.adjIn.slots, nslots)
 	r.flush.rewire(r, nslots)
 }
 

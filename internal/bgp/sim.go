@@ -48,7 +48,11 @@ type Simulator struct {
 
 	originTasks []originTask // Start's events, one per destination
 
-	lanes [2]lane // the updates in flight on external and on internal sessions
+	lanes [2]lane  // the updates in flight on external and on internal sessions
+	cells cellSlab // the updates queued in every router's inbox
+
+	// spare holds the RIB columns no router slot owns (see colPool).
+	spare colPool
 
 	// tab interns every path the simulation creates; all RIB storage and
 	// every in-flight update hold 4-byte routeRefs into it. Rewound by
@@ -240,7 +244,8 @@ func New(net *topology.Network, params Params) (*Simulator, error) {
 //
 // What a simulator owns is buffers, not a network: the engine's calendar
 // and event free list, the path table's chunks and index, the lanes'
-// chunks, the routers with their inbox slabs, RIB columns and bitsets.
+// chunks, the inboxes' one cell slab, the spare RIB columns, the routers
+// with their RIB columns and bitsets.
 // Rebind keeps each of them wherever its capacity suffices (see
 // buffers.go), which is what makes a sweep cheap whether its trials
 // share a world or, like every point of the paper's figures, have one
@@ -280,6 +285,7 @@ func (s *Simulator) Rebind(net *topology.Network, params Params) error {
 	s.tab.reset()
 
 	s.ndests = ndests
+	s.spare.fit(ndests)
 	s.origins = fit(s.origins, ndests)
 	fill(s.origins, -1)
 	for id := 0; id < net.NumNodes(); id++ {
@@ -302,6 +308,7 @@ func (s *Simulator) Rebind(net *topology.Network, params Params) error {
 		}
 		r.reset(params, s.ndests)
 	}
+	s.cells.rewind()
 	s.swept = PathStats{}
 	s.ribCells = (2*net.NumNodes() + 4*net.NumLinks()) * ndests
 	s.armSweep(s.tab.size())

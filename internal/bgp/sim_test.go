@@ -69,6 +69,7 @@ func (s *Simulator) widenDestsForTest(n int) {
 		return
 	}
 	s.ndests = n
+	s.spare.fit(n)
 	grown := make([]NodeID, n)
 	for i := range grown {
 		grown[i] = -1

@@ -121,7 +121,7 @@ func (s *Simulator) installAS(as ASN, origin NodeID) (installed int, err error) 
 					advRef = tab.prepend(r.as, locRef)
 				}
 				for pi := 0; pi < s.nprefix; pi++ {
-					r.flush.advertised[slot].set(destLo+pi, advRef, int(r.ndests))
+					r.flush.advertised[slot].set(destLo+pi, advRef, &s.spare)
 				}
 			}
 		}

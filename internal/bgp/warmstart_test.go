@@ -289,3 +289,49 @@ func TestChurnMatchesColdStart(t *testing.T) {
 		})
 	}
 }
+
+// TestConvergeInitialCountsOneUpdatePerInstalledRoute pins what an
+// installed start adds to the collector (Collector.NoteInstalled): one
+// update sent and one processed per Adj-RIB-In route it installs, in the
+// whole-run totals only, since no window is open yet. The worlds are one
+// prefix per AS, several, and Gao–Rexford, whose export rules leave some
+// sessions without a route for a destination.
+func TestConvergeInitialCountsOneUpdatePerInstalledRoute(t *testing.T) {
+	nw, pol := oracleTopology(t)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Params)
+	}{
+		{"single-prefix", nil},
+		{"multi-prefix", func(p *Params) { p.PrefixesPerAS = 3 }},
+		{"gao-rexford", func(p *Params) { p.Policy = pol }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim, err := New(nw, equivalenceParams(1, tc.mutate))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.ConvergeInitial(); err != nil {
+				t.Fatal(err)
+			}
+			routes := 0
+			for _, r := range sim.routers {
+				for _, col := range r.receive.adjIn.slots {
+					for _, ref := range col.refs {
+						if ref != 0 {
+							routes++
+						}
+					}
+				}
+			}
+			c := sim.Collector()
+			if routes == 0 || c.TotalMessages != routes || c.TotalProcessed != routes {
+				t.Errorf("%d Adj-RIB-In routes installed, collector counts %d messages and %d processed", routes, c.TotalMessages, c.TotalProcessed)
+			}
+			windowed := []int{c.Announcements, c.Withdrawals, c.Packets, c.Processed, c.Discarded, c.MaxQueueLen, c.RouteChanges()}
+			if slices.ContainsFunc(windowed, func(n int) bool { return n != 0 }) {
+				t.Errorf("window counters (announcements, withdrawals, packets, processed, discarded, max queue, route changes) = %v, want all 0", windowed)
+			}
+		})
+	}
+}

@@ -14,7 +14,7 @@ var hotInlined = []string{
 	"(*router).now",
 	"(*receiveStation).busy",
 	"(*inbox).Len",
-	"(*inbox).cell",
+	"(*cellSlab).cell",
 	"(*flushStation).destAllowed",
 	"(*flushStation).gateTime",
 	"(*router).flushAll",
@@ -24,6 +24,7 @@ var hotInlined = []string{
 	"bitset.any",
 	"(*refSlot).get",
 	"(*adjRIBIn).getSlotRef",
+	"(*adjRIBIn).setSlot",
 	"(*locRIB).getRef",
 	"(*pathTab).routeVia",
 	"(*lane).push",
