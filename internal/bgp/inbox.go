@@ -274,8 +274,8 @@ func (q *inbox) Reset(p Params, nslots, ndests int) {
 	}
 }
 
-// forEachRef passes fn the Ref of every queued update, in place, so a
-// path-table sweep can mark it and then rename it (Simulator.sweep). It
+// forEachRef passes fn the Ref of every queued update, so a path-table
+// sweep can mark it (Simulator.sweep). It
 // walks the chains of the pending keys, which order lists; the free
 // chain's cells hold stale refs, and the batch Pop last returned is the
 // router's to visit.

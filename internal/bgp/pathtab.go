@@ -24,16 +24,15 @@ const emptyRef routeRef = 1
 // is head followed by the parent's path. Every announcement path the
 // simulator builds is prepend(as, parent) for a path it already holds,
 // so a node is all a new path costs: 20 pointer-free bytes, whatever its
-// length. A parent is always registered before its children, so
-// parent < the node's own ref.
+// length. A node a sweep freed has parent 0, which no other node but
+// the empty path has.
 type pathNode struct {
 	mask   [2]uint32 // Bloom mask of the ASes on the path: bit as&63 per hop (two words: 4-byte alignment)
 	hl     uint32    // head AS << 8 | min(hops, maxLen8)
-	parent routeRef  // the rest of the path; 0 only for the empty path
-	// fwd is the node's one spare word. Between compactions it is the
-	// index's chain link: the next ref in this node's bucket, 0 at the
-	// end. compact overwrites it with the ref the node slides down to,
-	// which is safe because compact ends by relinking every chain.
+	parent routeRef  // the rest of the path; 0 only for the empty path and free nodes
+	// fwd is the node's one spare word: the next ref in the node's index
+	// bucket while it is registered, the next free node once a sweep has
+	// released it; 0 ends either chain.
 	fwd routeRef
 }
 
@@ -48,7 +47,7 @@ const maxLen8, maxASN = 1<<8 - 1, 1<<24 - 1
 // never copied, growth costs exactly the new chunk.
 const (
 	chunkMinShift = 6
-	chunkMaxShift = 15
+	chunkMaxShift = 12
 )
 
 // indexMinShift sizes the index's first segment, 1<<indexMinShift
@@ -68,15 +67,17 @@ const maxPaths = math.MaxUint32 - 1<<chunkMinShift
 // them. The table is single-threaded under its Simulator.
 type pathTab struct {
 	chunks [][]pathNode
-	n      uint32 // registered nodes; refs 1..n are valid
+	n      uint32   // nodes ever handed out; refs 1..n are valid, registered or free
+	used   uint32   // registered nodes: n less the free chain
+	free   routeRef // the free chain's head, threaded through fwd; 0 when empty
 
 	// heads is the chained (head, parent) -> ref index behind prepend:
 	// bucket b names the newest node whose key hashes to b, and the
 	// chain runs on through pathNode.fwd, so the index stores no keys and
 	// nothing per path. Buckets live in segments of 1<<indexMinShift,
 	// then that many again, then double that, ... so doubling the bucket
-	// count (a power of two, at least the path count) allocates the new
-	// half and, like a chunk, never copies or frees the old one.
+	// count (a power of two, at least half the path count) allocates the
+	// new half and, like a chunk, never copies or frees the old one.
 	heads    [][]routeRef
 	nbuckets uint32
 
@@ -106,20 +107,28 @@ func (t *pathTab) node(ref routeRef) *pathNode {
 // from Simulator.Reset, after the engine is drained and before routers
 // re-populate their RIBs.
 func (t *pathTab) reset() {
-	t.n = 0
+	t.n, t.used, t.free = 0, 0, 0
 	if t.heads == nil {
 		t.heads = [][]routeRef{make([]routeRef, 1<<indexMinShift)}
 		t.nbuckets = 1 << indexMinShift
 	}
 	t.relink()
-	*t.alloc() = pathNode{}
+	_, nd := t.alloc()
+	*nd = pathNode{}
 }
 
 // size returns the number of registered paths.
-func (t *pathTab) size() int { return int(t.n) }
+func (t *pathTab) size() int { return int(t.used) }
 
-// alloc registers one more node and returns it, uninitialized.
-func (t *pathTab) alloc() *pathNode {
+// alloc registers one more node and returns it, uninitialized: the head
+// of the free chain if a sweep left one, else the next never-used ref.
+func (t *pathTab) alloc() (routeRef, *pathNode) {
+	t.used++
+	if ref := t.free; ref != 0 {
+		nd := t.node(ref)
+		t.free = nd.fwd
+		return ref, nd
+	}
 	if t.n >= maxPaths {
 		// Invariant: unreachable in practice; the table would hold ~100 GB
 		// of nodes, and sweep reclaims dead paths long before.
@@ -130,7 +139,7 @@ func (t *pathTab) alloc() *pathNode {
 	if int(c) == len(t.chunks) {
 		t.chunks = append(t.chunks, make([]pathNode, 1<<min(chunkMinShift+int(c), chunkMaxShift)))
 	}
-	return &t.chunks[c][off]
+	return routeRef(t.n), &t.chunks[c][off]
 }
 
 // bucket returns the chain head (head, parent) hashes to: the low bits
@@ -147,16 +156,17 @@ func (t *pathTab) bucket(head uint32, parent routeRef) *routeRef {
 	return &t.heads[s][b&^(1<<(s+indexMinShift-1))]
 }
 
-// relink rebuilds every chain from the nodes, oldest first, so each
-// chain runs newest to oldest just as prepend leaves it.
+// relink rebuilds every chain from the registered nodes, skipping the
+// free ones.
 func (t *pathTab) relink() {
 	for _, seg := range t.heads {
 		clear(seg)
 	}
 	for ref := emptyRef + 1; ref <= routeRef(t.n); ref++ {
-		nd := t.node(ref)
-		b := t.bucket(nd.hl>>8, nd.parent)
-		nd.fwd, *b = *b, ref
+		if nd := t.node(ref); nd.parent != 0 {
+			b := t.bucket(nd.hl>>8, nd.parent)
+			nd.fwd, *b = *b, ref
+		}
 	}
 }
 
@@ -176,14 +186,15 @@ func (t *pathTab) prepend(as ASN, parent routeRef) routeRef {
 	p := t.node(parent)
 	mask, hl := p.mask, head<<8|min(p.hl&maxLen8+1, maxLen8)
 	mask[head>>5&1] |= 1 << (head & 31)
-	*t.alloc() = pathNode{mask: mask, hl: hl, parent: parent, fwd: *b}
-	*b = routeRef(t.n)
-	if t.n > t.nbuckets && t.nbuckets < 1<<31 { // chains just grow in a table past 2^31 paths
+	ref, nd := t.alloc()
+	*nd = pathNode{mask: mask, hl: hl, parent: parent, fwd: *b}
+	*b = ref
+	if t.used > 2*t.nbuckets && t.nbuckets < 1<<31 { // the bucket count stops at 2^31; chains just grow
 		t.heads = append(t.heads, make([]routeRef, t.nbuckets))
 		t.nbuckets *= 2
 		t.relink()
 	}
-	return routeRef(t.n)
+	return ref
 }
 
 // intern returns the ref of a path given as a slice (nil maps to 0, "no
@@ -278,69 +289,41 @@ func (t *pathTab) markColumn(refs []routeRef) {
 // closeMarks extends the mark set from the refs held outside the table
 // to everything a sweep must keep — a marked path keeps its ancestors,
 // because its node names its parent — and returns how many nodes that is.
-// Parents precede children, so one descending pass reaches them all.
+// A node registered into a freed hole can sit below its parent, so each
+// marked node walks up until it meets a marked ancestor: every node is
+// marked at most once, and one pass reaches them all.
 func (t *pathTab) closeMarks() int {
 	t.marks.set(int(emptyRef))
-	for ref := routeRef(t.n); ref > emptyRef; ref-- {
-		if t.marks.has(int(ref)) {
-			t.marks.set(int(t.node(ref).parent))
+	for ref := emptyRef + 1; ref <= routeRef(t.n); ref++ {
+		if !t.marks.has(int(ref)) {
+			continue
+		}
+		for p := t.node(ref).parent; !t.marks.has(int(p)); p = t.node(p).parent {
+			t.marks.set(int(p))
 		}
 	}
 	return t.marks.count()
 }
 
-// rename rewrites a ref held outside the table to where compact moves
-// its node; only meaningful inside compact's holders callback.
-func (t *pathTab) rename(p *routeRef) {
-	if *p != 0 {
-		*p = t.node(*p).fwd
-	}
-}
-
-// renameColumn is rename over a RIB column.
-func (t *pathTab) renameColumn(refs []routeRef) {
-	for i, ref := range refs {
-		if ref != 0 {
-			refs[i] = t.node(ref).fwd
-		}
-	}
-}
-
-// compact drops every unmarked path in place. The exploration storm of a
+// release frees every unmarked node in place. The exploration storm of a
 // large failure walks every router through orders of magnitude more
 // paths than it ends up holding; at 500 ASes × 1000 prefixes the dead
 // fraction is GB-scale. The caller has marked every routeRef held
 // anywhere outside the table and closed the set over ancestors
-// (closeMarks). Since parents precede children the survivors slide down
-// in one ascending pass, after which the storage past them is free for
-// the next registrations. holders must pass every one of those outside
-// refs — each exactly once — through rename or renameColumn, while the
-// forwarding words are in place. What makes a moment legal is therefore
-// not quiescence but that every live ref is where holders can reach it:
-// no routeRef in a Go local across the call (see Simulator.sweep for the
-// roots and the safe point).
-func (t *pathTab) compact(holders func()) {
-	// Name each survivor's destination and repoint it at its parent's
-	// while every node is still where its old ref says.
-	var live routeRef
-	for ref := emptyRef; ref <= routeRef(t.n); ref++ {
+// (closeMarks). Nothing moves, so no holder is rewritten: the dead nodes
+// go onto the free chain, lowest ref first, for alloc to hand out again,
+// and the index is rebuilt over the survivors. Because freed refs are
+// reused, a ref kept anywhere the roots do not reach would come to name
+// another path: no routeRef in a Go local across the call (see
+// Simulator.sweep for the roots and the safe point).
+func (t *pathTab) release(live int) {
+	t.free = 0
+	for ref := routeRef(t.n); ref > emptyRef; ref-- {
 		if !t.marks.has(int(ref)) {
-			continue
-		}
-		live++
-		nd := t.node(ref)
-		nd.fwd = live
-		if nd.parent != 0 {
-			nd.parent = t.node(nd.parent).fwd
+			*t.node(ref) = pathNode{fwd: t.free}
+			t.free = ref
 		}
 	}
-	holders()
-	for ref := emptyRef; ref <= routeRef(t.n); ref++ {
-		if t.marks.has(int(ref)) {
-			nd := *t.node(ref)
-			*t.node(nd.fwd) = nd
-		}
-	}
-	t.n = uint32(live)
+	t.used = uint32(live)
 	t.relink()
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -178,11 +179,13 @@ func TestPathLenPastSaturation(t *testing.T) {
 	}
 }
 
-// TestPathTabCompactKeepsMarkedAndAncestors exercises the in-place sweep
-// at table level: marked paths and their ancestors survive under new
-// refs that still name the same paths, everything else goes, prepend
-// finds the survivors again (the index was rebuilt), and sweeping again
-// with the same marks moves nothing.
+// TestPathTabCompactKeepsMarkedAndAncestors exercises the sweep at
+// table level: marked paths and their ancestors survive under the refs
+// they had, everything else goes onto the free chain, prepend finds the
+// survivors again (the index was rebuilt) and never hands back a free
+// node as a hit, new paths fill the holes before the table grows, and a
+// path registered into a hole below its parent keeps the parent's whole
+// ancestry alive at the next sweep.
 func TestPathTabCompactKeepsMarkedAndAncestors(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tab := testTab()
@@ -202,52 +205,95 @@ func TestPathTabCompactKeepsMarkedAndAncestors(t *testing.T) {
 		}
 	}
 	sweep := func() {
+		t.Helper()
 		tab.clearMarks()
 		tab.markColumn(cells)
-		tab.closeMarks()
-		tab.compact(func() { tab.renameColumn(cells) })
+		live := tab.closeMarks()
+		tab.release(live)
+		if tab.size() != live {
+			t.Fatalf("sweep kept %d marked paths, the table counts %d", live, tab.size())
+		}
+	}
+	// check holds the table to the cells: every other node is on the free
+	// chain, once, and no registered node names a free parent; each cell
+	// still names its path under its ref and is found again by interning;
+	// and the registered nodes are exactly the cells' paths and their
+	// suffixes.
+	check := func() {
+		t.Helper()
+		free := map[routeRef]bool{}
+		for ref := tab.free; ref != 0; ref = tab.node(ref).fwd {
+			if free[ref] || tab.node(ref).parent != 0 {
+				t.Fatalf("free chain revisits ref %d or holds a registered node", ref)
+			}
+			free[ref] = true
+		}
+		for ref := emptyRef + 1; ref <= routeRef(tab.n); ref++ {
+			if parent := tab.node(ref).parent; !free[ref] && free[parent] {
+				t.Fatalf("ref %d names parent %d, which is free", ref, parent)
+			}
+		}
+		needed := map[string]bool{}
+		for i, ref := range cells {
+			if got := tab.path(ref); !pathsEqual(got, want[i]) {
+				t.Fatalf("cell %d: %v became %v", i, want[i], got)
+			}
+			if again := tab.intern(want[i]); again != ref {
+				t.Fatalf("cell %d: %v re-interned as %d, held as %d", i, want[i], again, ref)
+			}
+			for p := want[i]; ; p = p[1:] {
+				needed[fmt.Sprint(p)] = true
+				if len(p) == 0 {
+					break
+				}
+			}
+		}
+		if tab.size() != len(needed) {
+			t.Fatalf("table holds %d paths, live cells and their ancestors are %d", tab.size(), len(needed))
+		}
+		for ref := emptyRef + 1; ref <= routeRef(tab.n); ref++ {
+			if !free[ref] && !needed[fmt.Sprint(tab.path(ref))] {
+				t.Fatalf("ref %d (%v) survived without a live descendant", ref, tab.path(ref))
+			}
+		}
+		if len(free)+tab.size() != int(tab.n) {
+			t.Fatalf("%d free and %d registered nodes, %d handed out", len(free), tab.size(), tab.n)
+		}
 	}
 	sweep()
 	if tab.size() >= before || tab.size() < len(want) {
 		t.Fatalf("sweep left %d of %d paths for %d live cells", tab.size(), before, len(cells))
 	}
-	needed := map[string]bool{}
-	for i, ref := range cells {
-		if got := tab.path(ref); !pathsEqual(got, want[i]) {
-			t.Fatalf("cell %d: %v became %v", i, want[i], got)
-		}
-		if again := tab.intern(want[i]); again != ref {
-			t.Fatalf("cell %d: %v re-interned as %d, held as %d", i, want[i], again, ref)
-		}
-		for p := want[i]; ; p = p[1:] {
-			needed[fmt.Sprint(p)] = true
-			if len(p) == 0 {
-				break
-			}
-		}
-	}
-	after := tab.size()
-	if after != len(needed) {
-		t.Fatalf("table holds %d paths, live cells and their ancestors are %d", after, len(needed))
-	}
-	for ref := emptyRef; int(ref) <= after; ref++ {
-		if !needed[fmt.Sprint(tab.path(ref))] {
-			t.Fatalf("ref %d (%v) survived without a live descendant", ref, tab.path(ref))
-		}
-		if nd := tab.node(ref); nd.parent >= ref {
-			t.Fatalf("ref %d has parent %d: parents must precede children", ref, nd.parent)
-		}
-	}
+	check()
+	after, n := tab.size(), tab.n
 	held := append([]routeRef(nil), cells...)
 	sweep()
-	if tab.size() != after {
-		t.Fatalf("second sweep changed the table: %d -> %d paths", after, tab.size())
+	if tab.size() != after || tab.n != n || !slices.Equal(cells, held) {
+		t.Fatalf("second sweep changed the table: %d -> %d paths, %d -> %d nodes", after, tab.size(), n, tab.n)
 	}
-	for i := range cells {
-		if cells[i] != held[i] {
-			t.Fatalf("second sweep renamed ref %d to %d", held[i], cells[i])
+
+	// A new path off the newest long survivor lands in the lowest hole,
+	// below its parent. Only the new path is held, so the parent's
+	// ancestors must be reached through a node that precedes it.
+	var parent routeRef
+	for _, ref := range cells {
+		if ref > parent && tab.len(ref) >= 3 {
+			parent = ref
 		}
 	}
+	hole := tab.free
+	path := tab.prepend(100, parent)
+	if path != hole || path > parent || tab.n != n {
+		t.Fatalf("prepend onto ref %d returned ref %d with %d nodes, want the lowest hole %d with %d", parent, path, tab.n, hole, n)
+	}
+	for ref := tab.free; ref != 0; ref = tab.node(ref).fwd {
+		if ref == path {
+			t.Fatalf("prepend returned ref %d, which is still on the free chain", ref)
+		}
+	}
+	cells, want = []routeRef{path}, []Path{tab.path(path)}
+	sweep()
+	check()
 }
 
 // TestPackedSizes pins the layouts the allocation budget rests on.
@@ -297,7 +343,7 @@ func pointerField(typ reflect.Type) (string, bool) {
 	return typ.String(), true
 }
 
-// TestPathTabBytesPerPath pins what a registered path costs: at most 32
+// TestPathTabBytesPerPath pins what a registered path costs: at most 25
 // bytes each for 200 000 distinct paths into a fresh table, of which
 // nothing is discarded on the way — growing from empty allocates at most
 // 1.1 × what the table ends up holding (nodes with their chunk slack,
@@ -326,8 +372,8 @@ func TestPathTabBytesPerPath(t *testing.T) {
 	if tab.size() != paths {
 		t.Fatalf("registered %d paths, want %d", tab.size(), paths)
 	}
-	if per := float64(fresh) / paths; per > 32 {
-		t.Errorf("fresh table: %.1f B per registered path, want <= 32", per)
+	if per := float64(fresh) / paths; per > 25 {
+		t.Errorf("fresh table: %.1f B per registered path, want <= 25", per)
 	}
 	held := uint64(cap(tab.chunks))*uint64(unsafe.Sizeof(tab.chunks[0])) + uint64(cap(tab.heads))*uint64(unsafe.Sizeof(tab.heads[0]))
 	for _, c := range tab.chunks {

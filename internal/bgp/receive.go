@@ -97,11 +97,11 @@ type procTask struct {
 // to finishProcessing. Its entry is the path table's one safe point (see
 // Simulator.sweep). The invariant a sweep needs is that no routeRef sits
 // in a Go local across it — every ref must be where the root walk can
-// rename it — and here nothing has read one yet, the batch included; a
+// mark it — and here nothing has read one yet, the batch included; a
 // storm cannot grow the table without passing through, and a table that
 // is not due costs two loads and a compare.
 func (t *procTask) Run() {
-	if s := t.r.sim; s.tab.n >= s.sweepAt {
+	if s := t.r.sim; s.tab.used >= s.sweepAt {
 		s.sweep()
 	}
 	batch := t.batch

@@ -639,8 +639,8 @@ func (s *Simulator) PolicyLevelHistogram() map[int]int {
 // PathStats describes the interned-path table footprint and what
 // collecting it has cost this trial (see Simulator.sweep).
 type PathStats struct {
-	// Registered counts paths currently registered (since the last Rebind
-	// or compaction).
+	// Registered counts paths currently registered: those the last sweep
+	// kept and those registered since.
 	Registered int
 	// Live counts the registered paths a sweep would keep right now: the
 	// distinct refs held anywhere outside the table — RIB storage, queued
@@ -648,19 +648,19 @@ type PathStats struct {
 	Live int
 	// Compactions counts the sweeps performed since the last Rebind.
 	Compactions int
-	// Reclaimed counts the paths those sweeps dropped.
+	// Reclaimed counts the paths those sweeps freed.
 	Reclaimed int
-	// SweptCells counts the ref cells those sweeps visited, marking and
-	// renaming both counted: what the collection cost, in the unit that
-	// does not depend on the host.
+	// SweptCells counts the ref cells those sweeps visited to mark the
+	// roots, one visit per cell per sweep: what the collection cost, in
+	// the unit that does not depend on the host.
 	SweptCells int
 }
 
 // The roots of the path table: between events a routeRef lives in a RIB
 // cell, in an update that is queued, being processed or in flight, and
 // nowhere else. forEachRefColumn and forEachInFlight reach every one of
-// them exactly once and hand it over in place, so one walk can mark and
-// another rename.
+// them exactly once, which is all a sweep needs: nothing moves, so the
+// holders are only read.
 
 // forEachRefColumn passes fn every column of RIB storage — Loc-RIB refs
 // and export caches, Adj-RIB-In columns, the advertised bookkeeping, 0
@@ -727,47 +727,45 @@ const sweepFloor = 1 << 13
 
 // sweepCellsPerPath bounds what the collector may cost where cells far
 // outnumber paths (multi-prefix tables): a sweep visits every RIB cell
-// twice, so it waits for one new path per this many cells.
-const sweepCellsPerPath = 16
+// once, so it waits for one new path per this many cells.
+const sweepCellsPerPath = 32
 
 // armSweep sets the table size at which the next sweep runs, live being
-// what the table holds that is known to be needed: as many new
-// registrations again (the doubling rule, which bounds the table to about
-// twice its peak live set and the work per registration to a constant),
-// and never fewer than the floor or the cell term. These are constants,
-// not knobs; refCompactAlways, the test seam, sweeps at every safe
-// point.
+// what the table holds that is known to be needed: half as many new
+// registrations again (which bounds the table to about 1.5 times its
+// peak live set and the work per registration to a constant), and never
+// fewer than the floor or the cell term. These are constants, not knobs;
+// refCompactAlways, the test seam, sweeps at every safe point.
 func (s *Simulator) armSweep(live int) {
 	if s.params.ref&refCompactAlways != 0 {
 		s.sweepAt = 0
 		return
 	}
-	s.sweepAt = uint32(min(uint64(live+max(live, sweepFloor, s.ribCells/sweepCellsPerPath)), math.MaxUint32))
+	s.sweepAt = uint32(min(uint64(live+max(live/2, sweepFloor, s.ribCells/sweepCellsPerPath)), math.MaxUint32))
 }
 
 // sweep collects the path table: it marks every ref held anywhere (the
-// roots above), drops the rest in place, renames the holders, and sets
-// the next threshold from what survived. The exploration after a failure
+// roots above), frees the rest where they lie, and sets the next
+// threshold from what survived. The exploration after a failure
 // registers several times the paths anything ends up pointing at, so
 // this is what keeps a trial's memory a function of its live routing
-// state and not of how long or how violently it ran. Renaming is
-// consistent and nothing orders by ref, so a sweep is behavior-neutral.
+// state and not of how long or how violently it ran. A surviving path
+// keeps its ref and nothing orders by ref, so a sweep is
+// behavior-neutral.
 //
-// Invariant: no routeRef in a Go local across a sweep. classify,
-// runDecision, tryFlush, desiredAdvert and installAS all hold refs in
-// locals, which is why prepend never sweeps; the one caller is the entry
-// of procTask.Run, an event boundary at which nothing has been read yet.
+// Invariant: no routeRef in a Go local across a sweep, because a freed
+// ref is handed out again for another path. classify, runDecision,
+// tryFlush, desiredAdvert and installAS all hold refs in locals, which is
+// why prepend never sweeps; the one caller is the entry of procTask.Run,
+// an event boundary at which nothing has been read yet.
 func (s *Simulator) sweep() {
 	t := &s.tab
 	before := t.size()
 	live, cells := s.markRoots()
-	t.compact(func() {
-		s.forEachRefColumn(t.renameColumn)
-		s.forEachInFlight(t.rename)
-	})
+	t.release(live)
 	s.swept.Compactions++
 	s.swept.Reclaimed += before - live
-	s.swept.SweptCells += 2 * cells
+	s.swept.SweptCells += cells
 	s.armSweep(live)
 }
 
