@@ -13,10 +13,9 @@ func TestKindsListing(t *testing.T) {
 	if err := run([]string{"-kinds"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"skewed-70-30", "realistic", "waxman", "glp"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("kinds output missing %q", want)
-		}
+	want := "skewed-70-30\nskewed-50-50\nskewed-85-15\nskewed-50-50-dense\ninternet-like\nrealistic\n"
+	if out.String() != want {
+		t.Errorf("kinds output:\n%s\nwant:\n%s", out.String(), want)
 	}
 }
 
@@ -97,10 +96,15 @@ func TestBadRelModeErrors(t *testing.T) {
 	}
 }
 
+// TestBadKindErrors includes glp, a family the tool once built: a
+// deleted kind is refused by name, not built as something else.
 func TestBadKindErrors(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-kind", "nonsense", "-n", "10"}, &out); err == nil {
-		t.Error("unknown kind accepted")
+	for _, kind := range []string{"nonsense", "glp"} {
+		var out bytes.Buffer
+		err := run([]string{"-kind", kind, "-n", "10"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "unknown kind") {
+			t.Errorf("-kind %s: err = %v, want unknown kind", kind, err)
+		}
 	}
 }
 

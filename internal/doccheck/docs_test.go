@@ -32,7 +32,7 @@ func TestExperimentsLineBudget(t *testing.T) {
 // way is history, and history belongs in CHANGES.md. A change that adds
 // a mechanism trims a was/now passage to make room, and the budget only
 // comes down.
-const architectureBudget = 972
+const architectureBudget = 971
 
 // TestArchitectureLineBudget holds ARCHITECTURE.md to its line budget.
 func TestArchitectureLineBudget(t *testing.T) {

@@ -95,17 +95,18 @@ func TestPooledTrialAllocatesNoStreams(t *testing.T) {
 }
 
 // TestTopoKeyCoversEverySpecField pins the memo key against the spec
-// growing: every field of topology.Spec and SkewedSpec must be
-// comparable and must change the key, or two worlds would share an
-// entry. A field this test cannot set fails it, so the key is revisited
-// when one is added.
+// growing: every field of topology.Spec must be comparable and must
+// change the key, or two worlds would share an entry. A field this test
+// cannot set (a pointer, a slice, a map) fails it, so the key is
+// revisited when one is added.
 func TestTopoKeyCoversEverySpecField(t *testing.T) {
 	if !reflect.TypeOf(topoKey{}).Comparable() {
 		t.Fatal("topoKey is not comparable")
 	}
-	// perturb sets field i of the struct v points to to a non-zero value.
-	perturb := func(v reflect.Value, i int) {
-		f := v.Elem().Field(i)
+	base := topoKey{topology.Spec{}, 1}
+	for i := 0; i < reflect.TypeOf(topology.Spec{}).NumField(); i++ {
+		var spec topology.Spec
+		f := reflect.ValueOf(&spec).Elem().Field(i)
 		switch f.Kind() {
 		case reflect.Int:
 			f.SetInt(7)
@@ -113,38 +114,15 @@ func TestTopoKeyCoversEverySpecField(t *testing.T) {
 			f.SetFloat(0.7)
 		case reflect.String:
 			f.SetString("x")
-		case reflect.Pointer:
-			f.Set(reflect.New(f.Type().Elem()))
 		default:
-			t.Fatalf("%s.%s has kind %s: teach topoKey and this test about it",
-				v.Elem().Type(), v.Elem().Type().Field(i).Name, f.Kind())
+			t.Fatalf("Spec.%s has kind %s: teach topoKey and this test about it",
+				reflect.TypeOf(spec).Field(i).Name, f.Kind())
 		}
-	}
-	base := makeTopoKey(topology.Spec{}, 1)
-	for i := 0; i < reflect.TypeOf(topology.Spec{}).NumField(); i++ {
-		var spec topology.Spec
-		perturb(reflect.ValueOf(&spec), i)
-		if makeTopoKey(spec, 1) == base {
+		if (topoKey{spec, 1}) == base {
 			t.Errorf("Spec.%s does not change the memo key", reflect.TypeOf(spec).Field(i).Name)
 		}
 	}
-	skewedBase := makeTopoKey(topology.Spec{Skewed: &topology.SkewedSpec{}}, 1)
-	if skewedBase == base {
-		t.Error("a zero SkewedSpec and no SkewedSpec share a memo key")
-	}
-	for i := 0; i < reflect.TypeOf(topology.SkewedSpec{}).NumField(); i++ {
-		var sk topology.SkewedSpec
-		perturb(reflect.ValueOf(&sk), i)
-		if makeTopoKey(topology.Spec{Skewed: &sk}, 1) == skewedBase {
-			t.Errorf("SkewedSpec.%s does not change the memo key", reflect.TypeOf(sk).Field(i).Name)
-		}
-	}
-	if makeTopoKey(topology.Spec{}, 2) == base {
+	if (topoKey{topology.Spec{}, 2}) == base {
 		t.Error("the seed does not change the memo key")
-	}
-	// Two specs pointing at equal SkewedSpecs are one world.
-	a, b := topology.Skewed7030(30), topology.Skewed7030(30)
-	if makeTopoKey(topology.Spec{Skewed: &a}, 1) != makeTopoKey(topology.Spec{Skewed: &b}, 1) {
-		t.Error("equal SkewedSpecs behind different pointers have different memo keys")
 	}
 }

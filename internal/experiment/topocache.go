@@ -18,25 +18,13 @@ import (
 // mutates the Network, so one instance may back many concurrent trials.
 
 // topoKey identifies one deterministically built topology: the spec and
-// the scenario seed that derives its RNG stream, as a comparable value
-// (a lookup allocates nothing): the spec with its one pointer cleared,
-// what that pointed to, and whether it pointed anywhere.
+// the scenario seed that derives its RNG stream. Spec is a flat
+// comparable value, so a lookup allocates nothing.
 // TestTopoKeyCoversEverySpecField fails when a field is added that the
 // key cannot compare or does not see.
 type topoKey struct {
-	spec      topology.Spec // Skewed is nil
-	skewed    topology.SkewedSpec
-	hasSkewed bool
-	seed      int64
-}
-
-func makeTopoKey(spec topology.Spec, seed int64) topoKey {
-	key := topoKey{spec: spec, seed: seed}
-	if spec.Skewed != nil {
-		key.skewed, key.hasSkewed = *spec.Skewed, true
-		key.spec.Skewed = nil
-	}
-	return key
+	spec topology.Spec
+	seed int64
 }
 
 // topoCacheCap bounds the number of memoized networks. Once full, new
@@ -77,10 +65,10 @@ var sharedTopoCache = &topoCache{entries: make(map[topoKey]*topoEntry)}
 // only ever builds that will either succeed (a legitimate occupant) or
 // fail and release the slot.
 func (c *topoCache) build(spec topology.Spec, seed, topoSeed int64) (*topology.Network, error) {
-	key := makeTopoKey(spec, seed)
+	key := topoKey{spec, seed}
 	if key != key {
-		// A NaN parameter equals nothing, itself included: the key would
-		// be inserted on every call and never found again.
+		// A NaN RelationshipRatio equals nothing, itself included: the
+		// key would be inserted on every call and never found again.
 		return spec.Build(des.NewRNG(topoSeed))
 	}
 	c.mu.Lock()
@@ -133,7 +121,7 @@ func topoStreamSeed(seed int64) int64 {
 func BuildTopologyCached(spec topology.Spec, seed int64) (*topology.Network, error) {
 	c := sharedTopoCache
 	c.mu.Lock()
-	e := c.entries[makeTopoKey(spec, seed)]
+	e := c.entries[topoKey{spec, seed}]
 	c.mu.Unlock()
 	if e != nil && e.net.Load() != nil {
 		return e.net.Load(), nil

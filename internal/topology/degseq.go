@@ -243,7 +243,7 @@ var ErrDegreeSequence = errors.New("topology: degree sequence not realizable")
 //
 // A build makes a fixed number of allocations whatever the size: every
 // node's adjacency is carved from one slab sized from the sequence, with
-// room for one link more than its degree (Connect may attach an isolated
+// room for one link more than its degree (connect may attach an isolated
 // component by one extra link; an append past that room still works).
 func FromDegreeSequence(degrees []int, rng *des.RNG) (*Network, error) {
 	n := len(degrees)
@@ -418,15 +418,10 @@ func mustAdd(nw *Network, a, b int, internal bool) {
 	}
 }
 
-// Connect merges the components of nw into one using degree-preserving
-// double edge swaps where possible, falling back to adding a single link
-// for edgeless components (degree deviation of one). Each round merges the
-// second-largest component into the largest.
-func Connect(nw *Network, rng *des.RNG) error {
-	return connect(newLinkIndex(nw, make([]int, nw.NumNodes())), rng)
-}
-
-// connect is Connect on an index of the network.
+// connect merges the components of the indexed network into one using
+// degree-preserving double edge swaps where possible, falling back to
+// adding a single link for edgeless components (degree deviation of
+// one). Each round merges the second-largest component into the largest.
 func connect(x linkIndex, rng *des.RNG) error {
 	var comps components
 	for guard := 0; guard < x.nw.NumNodes()+10; guard++ {

@@ -51,8 +51,10 @@ const worldDigestSeeds = 20
 // testdata/worlds.sha256, recorded before topology generation was
 // rewritten for speed: one SHA-256 per (kind, n) over seeds 1–20, each
 // world built by Spec.Build from des.NewRNG(seed). A build error is
-// hashed as its message, so the pin covers failures too. On mismatch the
-// test prints the lines the current code produces.
+// hashed as its message, so the pin covers failures too. A golden row no
+// (kind, size) consumes fails the test, so a deleted family cannot leave
+// its rows behind. On mismatch the test prints the lines the current
+// code produces.
 func TestWorldDigest(t *testing.T) {
 	want := map[string]string{}
 	f, err := os.Open("testdata/worlds.sha256")
@@ -66,7 +68,11 @@ func TestWorldDigest(t *testing.T) {
 		if len(fields) != 3 {
 			t.Fatalf("malformed golden line %q", sc.Text())
 		}
-		want[fields[0]+" "+fields[1]] = fields[2]
+		key := fields[0] + " " + fields[1]
+		if _, dup := want[key]; dup {
+			t.Fatalf("duplicate golden row %q", key)
+		}
+		want[key] = fields[2]
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
@@ -91,7 +97,12 @@ func TestWorldDigest(t *testing.T) {
 				bad++
 				t.Errorf("%s: digest %s, want %q", key, sum, want[key])
 			}
+			delete(want, key)
 		}
+	}
+	for key := range want {
+		bad++
+		t.Errorf("golden row %q names no (kind, size) the test builds", key)
 	}
 	if bad > 0 {
 		t.Logf("current digests:\n%s", got.String())

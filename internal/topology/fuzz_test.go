@@ -82,10 +82,11 @@ func FuzzReadJSON(f *testing.F) {
 const fuzzBuildCap = 150
 
 // FuzzSpecBuild builds a Spec decoded from arbitrary JSON with a fuzzed
-// seed. Build must return an error or a network, never panic; a network
-// it returns is simple and connected, and building it again from the same
-// seed gives the same world. The relationship annotation the spec names
-// must derive without panicking. The seed corpus is
+// seed. Build must return an error or a network, never panic, and must
+// err on a kind Kinds() does not list. A network it returns is simple
+// and connected, and building it again from the same seed gives the
+// same world. The relationship annotation the spec names must derive
+// without panicking. The seed corpus is
 // testdata/fuzz/FuzzSpecBuild; a plain go test runs only those.
 func FuzzSpecBuild(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
@@ -93,17 +94,15 @@ func FuzzSpecBuild(f *testing.F) {
 		if err := json.Unmarshal(data, &s); err != nil {
 			return
 		}
-		n := s.N
-		if s.Skewed != nil && s.Skewed.N != 0 {
-			n = s.Skewed.N
-		}
-		if n > fuzzBuildCap || s.M > fuzzBuildCap ||
-			(s.Kind == KindRealistic && s.Skewed == nil && (s.MaxASSize == 0 || s.MaxASSize > 8)) {
+		if s.N > fuzzBuildCap || (s.Kind == KindRealistic && (s.MaxASSize == 0 || s.MaxASSize > 8)) {
 			t.Skip("valid but too large for a fuzz input")
 		}
 		nw, err := s.Build(des.NewRNG(seed))
 		if err != nil {
 			return
+		}
+		if !knownKind(s.Kind) {
+			t.Fatalf("kind %q is not in Kinds() but built a network", s.Kind)
 		}
 		checkSimple(t, nw)
 		if !nw.Connected() {

@@ -1,11 +1,11 @@
 // Package topology builds the network graphs the BGP experiments run on.
 //
-// It replaces the modified BRITE generator used in the paper: two-class
-// "skewed" degree distributions (the paper's 70-30 / 50-50 / 85-15
-// topologies), the classic BRITE schemes (Waxman, Albert–Barabási, GLP),
-// an Internet-like heavy-tailed distribution, geographic placement on a
-// 1000×1000 grid, and multi-router-per-AS expansion for the paper's
-// "realistic" topologies.
+// It replaces the modified BRITE generator used in the paper with the
+// worlds the paper draws: two-class "skewed" degree distributions (the
+// 70-30 / 50-50 / 85-15 and dense 50-50 topologies of Figs 1–12), an
+// Internet-like heavy-tailed distribution, geographic placement on a
+// 1000×1000 grid, and multi-router-per-AS expansion for the "realistic"
+// topologies of Fig 13.
 package topology
 
 import (

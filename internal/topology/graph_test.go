@@ -254,8 +254,8 @@ func TestConnectMergesComponentsPreservingDegrees(t *testing.T) {
 		_ = nw.AddLink(l[0], l[1], false)
 	}
 	before := SortedDegrees(nw)
-	if err := Connect(nw, rng); err != nil {
-		t.Fatalf("Connect: %v", err)
+	if err := connect(newLinkIndex(nw, make([]int, nw.NumNodes())), rng); err != nil {
+		t.Fatalf("connect: %v", err)
 	}
 	if !nw.Connected() {
 		t.Fatal("still disconnected")
@@ -274,8 +274,8 @@ func TestConnectAttachesIsolatedNode(t *testing.T) {
 	_ = nw.AddLink(0, 1, false)
 	_ = nw.AddLink(1, 2, false)
 	// node 3 isolated
-	if err := Connect(nw, rng); err != nil {
-		t.Fatalf("Connect: %v", err)
+	if err := connect(newLinkIndex(nw, make([]int, nw.NumNodes())), rng); err != nil {
+		t.Fatalf("connect: %v", err)
 	}
 	if !nw.Connected() {
 		t.Fatal("isolated node not attached")

@@ -1,8 +1,6 @@
 package topology
 
-import (
-	"bgpsim/internal/des"
-)
+import "bgpsim/internal/des"
 
 // PlaceUniform scatters every node uniformly at random on the grid, the
 // placement scheme the paper uses ("We randomly placed all the routers on
@@ -11,28 +9,6 @@ func PlaceUniform(nw *Network, rng *des.RNG) {
 	g := nw.Grid()
 	for i := 0; i < nw.NumNodes(); i++ {
 		nw.SetPos(i, Point{X: rng.Float64() * g, Y: rng.Float64() * g})
-	}
-}
-
-// PlaceClustered scatters nodes around k uniformly placed cluster centers
-// with the given Gaussian-ish spread, for non-uniform location-density
-// experiments (the paper's earlier work examined these).
-func PlaceClustered(nw *Network, k int, spread float64, rng *des.RNG) {
-	if k < 1 {
-		k = 1
-	}
-	g := nw.Grid()
-	centers := make([]Point, k)
-	for i := range centers {
-		centers[i] = Point{X: rng.Float64() * g, Y: rng.Float64() * g}
-	}
-	for i := 0; i < nw.NumNodes(); i++ {
-		c := centers[rng.Intn(k)]
-		p := Point{
-			X: clamp(c.X+gauss(rng)*spread, 0, g),
-			Y: clamp(c.Y+gauss(rng)*spread, 0, g),
-		}
-		nw.SetPos(i, p)
 	}
 }
 
@@ -59,16 +35,6 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// gauss returns an approximately standard-normal draw (Irwin–Hall sum of
-// 12 uniforms); exactness is irrelevant for placement.
-func gauss(rng *des.RNG) float64 {
-	s := 0.0
-	for i := 0; i < 12; i++ {
-		s += rng.Float64()
-	}
-	return s - 6
 }
 
 // GridCenter returns the center point of the placement grid.

@@ -20,38 +20,6 @@ func TestPlaceUniformWithinGrid(t *testing.T) {
 	}
 }
 
-func TestPlaceClusteredStaysOnGridAndClusters(t *testing.T) {
-	nw := NewNetwork(300)
-	PlaceClustered(nw, 3, 50, des.NewRNG(2))
-	g := nw.Grid()
-	for i := 0; i < nw.NumNodes(); i++ {
-		p := nw.Node(i).Pos
-		if p.X < 0 || p.X > g || p.Y < 0 || p.Y > g {
-			t.Fatalf("node %d at %v outside grid", i, p)
-		}
-	}
-	// Clustered placement concentrates mass: the mean pairwise distance
-	// must be clearly below the uniform expectation (~0.52 * grid).
-	uniform := NewNetwork(300)
-	PlaceUniform(uniform, des.NewRNG(2))
-	if c, u := meanPairDist(nw), meanPairDist(uniform); c >= u {
-		t.Errorf("clustered mean pair distance %.1f >= uniform %.1f", c, u)
-	}
-	// k < 1 is clamped, not a crash.
-	PlaceClustered(nw, 0, 50, des.NewRNG(3))
-}
-
-func meanPairDist(nw *Network) float64 {
-	sum, n := 0.0, 0
-	for i := 0; i < nw.NumNodes(); i += 7 {
-		for j := i + 1; j < nw.NumNodes(); j += 7 {
-			sum += nw.Node(i).Pos.Dist(nw.Node(j).Pos)
-			n++
-		}
-	}
-	return sum / float64(n)
-}
-
 func TestGridCenter(t *testing.T) {
 	nw := NewNetwork(1)
 	c := GridCenter(nw)

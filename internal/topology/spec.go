@@ -17,64 +17,47 @@ const (
 	KindSkewed8515      Kind = "skewed-85-15"
 	KindSkewed5050Dense Kind = "skewed-50-50-dense"
 	KindInternetLike    Kind = "internet-like"
-	KindWaxman          Kind = "waxman"
-	KindBarabasiAlbert  Kind = "barabasi-albert"
-	KindGLP             Kind = "glp"
 	KindRealistic       Kind = "realistic"
 )
 
-// Kinds lists every supported topology family.
+// Kinds lists every supported topology family: the four skewed
+// two-class worlds of Figs 1–12, the Internet-like degree law, and the
+// multi-router "realistic" worlds of Fig 13.
 func Kinds() []Kind {
 	return []Kind{
 		KindSkewed7030, KindSkewed5050, KindSkewed8515, KindSkewed5050Dense,
-		KindInternetLike, KindWaxman, KindBarabasiAlbert, KindGLP, KindRealistic,
+		KindInternetLike, KindRealistic,
 	}
 }
 
-// Spec selects and parameterizes a topology family. Zero-valued optional
-// fields take family defaults.
+// Spec selects a topology family and the few values a run varies. It is
+// a flat comparable value, so a (Spec, seed) pair can key a memo.
 type Spec struct {
 	Kind Kind `json:"kind"`
 	// N is the node count for AS-level families and the AS count for the
 	// realistic family.
 	N int `json:"n"`
-
-	// Waxman parameters.
-	WaxmanAlpha float64 `json:"waxmanAlpha,omitempty"`
-	WaxmanBeta  float64 `json:"waxmanBeta,omitempty"`
-	// Barabási–Albert / GLP parameters.
-	M       int     `json:"m,omitempty"`
-	GLPP    float64 `json:"glpP,omitempty"`
-	GLPBeta float64 `json:"glpBeta,omitempty"`
-	// Internet-like parameters.
-	AvgDegree float64 `json:"avgDegree,omitempty"`
-	MaxDegree int     `json:"maxDegree,omitempty"`
-	// Realistic parameters.
-	MaxASSize int     `json:"maxASSize,omitempty"`
-	MinASSize int     `json:"minASSize,omitempty"`
-	SizeAlpha float64 `json:"sizeAlpha,omitempty"`
+	// MaxASSize caps the routers per AS of the realistic family (0 keeps
+	// DefaultRealistic's cap). Other families ignore it.
+	MaxASSize int `json:"maxASSize,omitempty"`
 	// PrefixesPerOrigin is the number of destination prefixes each AS
-	// originates (0 = family default of 1). It does not change the
-	// generated graph — Build ignores it — but rides on the spec so the
-	// scenario layer can scale the routing-table dimension of a run the
-	// same way the other knobs scale the topology, and so distributed
-	// workers reconstruct identical multi-prefix scenarios from the spec
-	// alone.
+	// originates (0 = 1). It does not change the generated graph — Build
+	// ignores it — but rides on the spec so the scenario layer can scale
+	// the routing-table dimension of a run the same way N scales the
+	// topology.
 	PrefixesPerOrigin int `json:"prefixesPerOrigin,omitempty"`
 	// Relationships selects a deterministic Gao–Rexford annotation of the
 	// generated graph: "" (no policy), RelModeInfer (degree heuristic at
 	// RelationshipRatio), or RelModeHierarchical (BFS hierarchy, full
 	// valley-free reachability). Like PrefixesPerOrigin it does not change
-	// the graph — Build ignores it — but rides on the spec so one artifact
-	// names both the world and its policy: the scenario layer, distributed
-	// workers, and the snapshot backend all derive the same annotation
-	// from the spec alone (see BuildRelationships).
+	// the graph — Build ignores it — but rides on the spec so one value
+	// names both the world and its policy: the scenario layer and the
+	// snapshot backend derive the same annotation from it (see
+	// BuildRelationships).
 	Relationships string `json:"relationships,omitempty"`
 	// RelationshipRatio is the degree ratio for RelModeInfer (0 selects
 	// DefaultRelationshipRatio).
 	RelationshipRatio float64 `json:"relationshipRatio,omitempty"`
-	// Custom skewed spec; used when Kind is empty and Skewed is non-nil.
-	Skewed *SkewedSpec `json:"skewed,omitempty"`
 }
 
 // Relationship annotation modes for Spec.Relationships.
@@ -109,13 +92,13 @@ func (s Spec) BuildRelationships(nw *Network) (*Relationships, error) {
 	}
 }
 
-// Validate checks what no family constructor checks: a known kind (or a
-// custom skewed spec), a known relationship mode, and finite float
-// fields. A NaN passes every range comparison a constructor makes, so it
-// is refused here; negative and out-of-range values are errors from the
-// family constructor, which Build reports.
+// Validate checks what no family constructor checks: a known kind, a
+// known relationship mode, and a finite RelationshipRatio. A NaN passes
+// every range comparison, so it is refused here; negative and
+// out-of-range sizes are errors from the family constructor, which Build
+// reports.
 func (s Spec) Validate() error {
-	if s.Skewed == nil && !knownKind(s.Kind) {
+	if !knownKind(s.Kind) {
 		return fmt.Errorf("topology: unknown kind %q", s.Kind)
 	}
 	switch s.Relationships {
@@ -123,17 +106,8 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("topology: unknown relationship mode %q", s.Relationships)
 	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"waxmanAlpha", s.WaxmanAlpha}, {"waxmanBeta", s.WaxmanBeta}, {"glpP", s.GLPP},
-		{"glpBeta", s.GLPBeta}, {"avgDegree", s.AvgDegree}, {"sizeAlpha", s.SizeAlpha},
-		{"relationshipRatio", s.RelationshipRatio},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("topology: %s=%v, need a finite value", f.name, f.v)
-		}
+	if r := s.RelationshipRatio; math.IsNaN(r) || math.IsInf(r, 0) {
+		return fmt.Errorf("topology: relationshipRatio=%v, need a finite value", r)
 	}
 	return nil
 }
@@ -153,13 +127,6 @@ func (s Spec) Build(rng *des.RNG) (*Network, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if s.Skewed != nil {
-		sk := *s.Skewed
-		if sk.N == 0 {
-			sk.N = s.N
-		}
-		return SkewedNetwork(sk, rng)
-	}
 	switch s.Kind {
 	case KindSkewed7030:
 		return SkewedNetwork(Skewed7030(s.N), rng)
@@ -170,57 +137,11 @@ func (s Spec) Build(rng *des.RNG) (*Network, error) {
 	case KindSkewed5050Dense:
 		return SkewedNetwork(Skewed5050Dense(s.N), rng)
 	case KindInternetLike:
-		avg, maxD := s.AvgDegree, s.MaxDegree
-		if avg == 0 {
-			avg = paperAvgDegree
-		}
-		if maxD == 0 {
-			maxD = paperMaxDegree
-		}
-		return InternetLikeNetwork(s.N, avg, maxD, rng)
-	case KindWaxman:
-		alpha, beta := s.WaxmanAlpha, s.WaxmanBeta
-		if alpha == 0 {
-			alpha = 0.15
-		}
-		if beta == 0 {
-			beta = 0.2
-		}
-		return Waxman(WaxmanSpec{N: s.N, Alpha: alpha, Beta: beta}, rng)
-	case KindBarabasiAlbert:
-		m := s.M
-		if m == 0 {
-			m = 2
-		}
-		return BarabasiAlbert(BarabasiAlbertSpec{N: s.N, M: m}, rng)
-	case KindGLP:
-		m, p, beta := s.M, s.GLPP, s.GLPBeta
-		if m == 0 {
-			m = 1
-		}
-		if p == 0 {
-			p = 0.45
-		}
-		if beta == 0 {
-			beta = 0.64
-		}
-		return GLP(GLPSpec{N: s.N, M: m, P: p, Beta: beta}, rng)
+		return InternetLikeNetwork(s.N, paperAvgDegree, paperMaxDegree, rng)
 	case KindRealistic:
 		spec := DefaultRealistic(s.N)
-		if s.AvgDegree != 0 {
-			spec.AvgDegree = s.AvgDegree
-		}
-		if s.MaxDegree != 0 {
-			spec.MaxDegree = s.MaxDegree
-		}
 		if s.MaxASSize != 0 {
 			spec.MaxASSize = s.MaxASSize
-		}
-		if s.MinASSize != 0 {
-			spec.MinASSize = s.MinASSize
-		}
-		if s.SizeAlpha != 0 {
-			spec.SizeAlpha = s.SizeAlpha
 		}
 		return Realistic(spec, rng)
 	default:

@@ -35,24 +35,6 @@ func BenchmarkRealistic120AS(b *testing.B) {
 	}
 }
 
-func BenchmarkWaxman200(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rng := des.NewRNG(int64(i + 1))
-		if _, err := Waxman(WaxmanSpec{N: 200, Alpha: 0.15, Beta: 0.2}, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBarabasiAlbert200(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rng := des.NewRNG(int64(i + 1))
-		if _, err := BarabasiAlbert(BarabasiAlbertSpec{N: 200, M: 2}, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBFSHops(b *testing.B) {
 	rng := des.NewRNG(1)
 	nw, err := SkewedNetwork(Skewed7030(120), rng)
