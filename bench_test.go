@@ -3,7 +3,9 @@
 // (topology generation, initial BGP convergence, failure injection,
 // re-convergence, aggregation) at the reduced QuickOptions scale so the
 // full suite completes in minutes; `cmd/bgpfig` runs the same experiments
-// at paper scale. Performance claims are made with benchmark/ (see
+// at paper scale. The looked-up experiment keeps its simulator pool across
+// iterations, so every iteration after the first measures a warm-pool
+// run: fresh worlds on simulators the first iteration grew. Performance claims are made with benchmark/ (see
 // EXPERIMENTS.md "Running the benchmarks"), not with these; the paper's
 // claims are checked by TestScorecard.
 package bgpsim_test

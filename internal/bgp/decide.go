@@ -11,22 +11,16 @@ import (
 // Loc-RIB route was learned from (bestNone: no route; bestSelf: locally
 // originated), maintained on every Loc-RIB mutation. With damping off
 // the Loc-RIB always equals decide(Adj-RIB-In), so bestSlot is the slot
-// a full scan would pick. workSlot is its within-batch working copy,
-// initialized on a destination's first touch (the touched set) and
-// advanced by classify; scanNeeded flags destinations only the full scan
-// can resolve. incremental is false under damping (suppression decays
-// with time, so a cached winner cannot be trusted) and under
-// refFullScan. Slot indices are int16: 32k+ peers is beyond any modeled
-// topology.
+// a full scan would pick. What lives only within one batch is the
+// simulator's (batchScratch). incremental is false under damping
+// (suppression decays with time, so a cached winner cannot be trusted)
+// and under refFullScan. Slot indices are int16: 32k+ peers is beyond
+// any modeled topology.
 type decideStation struct {
-	loc        locRIB
-	originates bitset
+	loc locRIB
 
 	incremental bool
 	bestSlot    []int16
-	workSlot    []int16
-	scanNeeded  bitset
-	touched     bitset
 
 	// damper holds RFC 2439 flap-damping state (nil when disabled).
 	damper *damper
@@ -45,16 +39,37 @@ const (
 	bestSelf int16 = -2 // locally originated route: never displaced
 )
 
+// batchScratch is the working state of one batch: the sets it is
+// applied and decided with inside one procTask.Run (applyBatch, then
+// decideTouched), and the scan set a router-batch Pop fills and empties
+// (seen, newestPerDest). No router's batch runs inside another's, so one
+// per simulator serves every router; each set is empty between uses.
+// workSlot is the batch's working copy of bestSlot, initialized on a
+// destination's first touch (the touched set) and advanced by classify;
+// scanNeeded flags destinations only the full scan can resolve.
+type batchScratch struct {
+	workSlot            []int16
+	touched, scanNeeded bitset
+	seen                bitset
+}
+
+// fit sizes the scratch to ndests destinations for a run with
+// parameters p, every set empty.
+func (b *batchScratch) fit(p Params, ndests int) {
+	b.workSlot = fit(b.workSlot, ndests) // filled per destination on first touch
+	b.touched = b.touched.fit(ndests)
+	b.scanNeeded = b.scanNeeded.fit(ndests)
+	if p.Queue == QueueRouterBatch {
+		b.seen = b.seen.fit(ndests)
+	}
+}
+
 // reset fits the station to ndests destinations for a run with
 // parameters p, with an empty Loc-RIB and fresh flap and damping state.
 func (d *decideStation) reset(p Params, ndests int) {
 	d.loc.fit(ndests)
-	d.originates = d.originates.fit(ndests)
-	d.touched = d.touched.fit(ndests)
-	d.scanNeeded = d.scanNeeded.fit(ndests)
 	d.bestSlot = fit(d.bestSlot, ndests)
 	fill(d.bestSlot, bestNone)
-	d.workSlot = fit(d.workSlot, ndests) // filled per destination on first touch
 	if p.FlapGate > 0 {
 		d.flapCount = fit(d.flapCount, ndests)
 	} else {
@@ -67,7 +82,6 @@ func (d *decideStation) reset(p Params, ndests int) {
 // empty clears the Loc-RIB, as after a reboot.
 func (d *decideStation) empty() {
 	d.loc.reset()
-	d.originates.clearAll()
 	fill(d.bestSlot, bestNone)
 }
 
@@ -82,7 +96,6 @@ func (d *decideStation) restart(p Params) {
 
 // originate installs a locally originated prefix and advertises it.
 func (r *router) originate(dest ASN) {
-	r.decide.originates.set(dest)
 	r.decide.loc.set(dest, emptyRef)
 	r.decide.bestSlot[dest] = bestSelf
 	r.advertise(dest)
@@ -92,18 +105,18 @@ func (r *router) originate(dest ASN) {
 // the batch touched, in ascending order, and returns those whose
 // Loc-RIB entry changed, in the simulator's touchedScratch.
 func (r *router) decideTouched() []ASN {
-	d := &r.decide
-	touched := d.touched.appendIndices(r.sim.touchedScratch[:0])
+	b := &r.sim.batch
+	touched := b.touched.appendIndices(r.sim.touchedScratch[:0])
 	r.sim.touchedScratch = touched
 	changed := touched[:0]
 	for _, dest := range touched {
-		d.touched.clear(dest)
+		b.touched.clear(dest)
 		var routeChanged bool
 		switch {
-		case !d.incremental:
+		case !r.decide.incremental:
 			routeChanged = r.runDecision(dest)
-		case d.scanNeeded.has(dest):
-			d.scanNeeded.clear(dest)
+		case b.scanNeeded.has(dest):
+			b.scanNeeded.clear(dest)
 			routeChanged = r.runDecision(dest)
 		default:
 			routeChanged = r.applyWorkingBest(dest)
@@ -133,7 +146,7 @@ func (r *router) runDecision(dest ASN) bool {
 // Loc-RIB commit (and all its observable side effects) is shared with
 // runDecision, so the two paths cannot drift.
 func (r *router) applyWorkingBest(dest ASN) bool {
-	ws := r.decide.workSlot[dest]
+	ws := r.sim.batch.workSlot[dest]
 	if ws < 0 {
 		// A locally originated route is never displaced (bestSelf), and
 		// when only removals of never-best routes touched dest the table

@@ -52,7 +52,7 @@ func TestDecideStationClassify(t *testing.T) {
 			}
 			sim := mustSim(t, nw, strictParams(time.Second))
 			hub := sim.routers[0]
-			d := &hub.decide
+			d, b := &hub.decide, &sim.batch
 			ribIn(hub).set(50, 1, Path{1, 9, 50})
 			ribIn(hub).set(50, 2, Path{2, 50})
 			hub.runDecision(50)
@@ -72,9 +72,9 @@ func TestDecideStationClassify(t *testing.T) {
 			hub.applyBatch([]Update{u})
 			outcome := byte('b')
 			switch {
-			case d.scanNeeded.has(50):
+			case b.scanNeeded.has(50):
 				outcome = 'c'
-			case d.workSlot[50] != d.bestSlot[50]:
+			case b.workSlot[50] != d.bestSlot[50]:
 				outcome = 'a'
 			}
 			if outcome != row.outcome {
@@ -84,13 +84,13 @@ func TestDecideStationClassify(t *testing.T) {
 			if !ok || want.slot != row.best {
 				t.Fatalf("full scan picks slot %d (ok=%v), want %d", want.slot, ok, row.best)
 			}
-			if outcome != 'c' && d.workSlot[50] != want.slot {
-				t.Errorf("working best at slot %d, full scan picks %d", d.workSlot[50], want.slot)
+			if outcome != 'c' && b.workSlot[50] != want.slot {
+				t.Errorf("working best at slot %d, full scan picks %d", b.workSlot[50], want.slot)
 			}
 			hub.decideTouched()
-			if d.bestSlot[50] != want.slot || d.touched.any() || d.scanNeeded.any() {
+			if d.bestSlot[50] != want.slot || b.touched.any() || b.scanNeeded.any() {
 				t.Errorf("committed slot %d (touched %v, scan %v), want %d",
-					d.bestSlot[50], d.touched.any(), d.scanNeeded.any(), want.slot)
+					d.bestSlot[50], b.touched.any(), b.scanNeeded.any(), want.slot)
 			}
 		})
 	}

@@ -43,9 +43,10 @@ type inbox struct {
 	size, discarded int32
 	queue           QueueDiscipline
 	discardStale    bool
-	// seen is QueueRouterBatch's scratch: the destinations Pop's backward
-	// scan over a peer batch has met, empty between Pops.
-	seen bitset
+	// seen is QueueRouterBatch's scratch, the simulator's
+	// (batchScratch.seen): the destinations Pop's backward scan over a
+	// peer batch has met, empty between Pops.
+	seen *bitset
 }
 
 // cellSlab holds every queued update of one simulator: 16-byte cells,
@@ -197,20 +198,20 @@ func (q *inbox) Pop() []Update {
 // that the batch reader skips. A backward scan meets each destination's
 // newest update first.
 func (q *inbox) newestPerDest() []Update {
-	w := len(q.out)
+	w, seen := len(q.out), *q.seen
 	for i := len(q.out) - 1; i >= 0; i-- {
 		u := q.out[i]
-		if q.seen.has(int(u.Dest)) {
+		if seen.has(int(u.Dest)) {
 			q.discarded++
 			continue
 		}
-		q.seen.set(int(u.Dest))
+		seen.set(int(u.Dest))
 		w--
 		q.out[w] = u
 	}
 	kept := q.out[w:]
 	for _, u := range kept {
-		q.seen.clear(int(u.Dest))
+		seen.clear(int(u.Dest))
 	}
 	return kept
 }
@@ -253,9 +254,9 @@ func (q *inbox) forget() {
 
 // Reset empties the inbox and sets it up for a run under p's discipline
 // on a router with nslots peers over ndests destinations: byKey is
-// fitted to the discipline's key count when that changed, and the
-// router-batch scan set to ndests. The cells it held are not returned:
-// Rebind rewinds the simulator's slab once every router is reset.
+// fitted to the discipline's key count when that changed. The cells it
+// held are not returned: Rebind rewinds the simulator's slab once every
+// router is reset.
 func (q *inbox) Reset(p Params, nslots, ndests int) {
 	q.forget()
 	q.queue = p.Queue
@@ -266,7 +267,6 @@ func (q *inbox) Reset(p Params, nslots, ndests int) {
 		nkeys = ndests
 	case QueueRouterBatch:
 		nkeys = nslots
-		q.seen = q.seen.fit(ndests)
 	}
 	if len(q.byKey) != nkeys {
 		q.byKey = fit(q.byKey, nkeys)

@@ -27,9 +27,10 @@ func wd(from int, dest ASN) Update {
 const testSlots, testDests = 1024, 4096
 
 // newTestInbox returns an empty inbox for the discipline, drawing on a
-// cell slab of its own.
+// cell slab and a router-batch scan set of its own.
 func newTestInbox(queue QueueDiscipline, discardStale bool) *inbox {
-	q := &inbox{slab: &cellSlab{}}
+	seen := newBitset(testDests)
+	q := &inbox{slab: &cellSlab{}, seen: &seen}
 	q.Reset(Params{Queue: queue, BatchDiscardStale: discardStale}, testSlots, testDests)
 	return q
 }
@@ -410,7 +411,8 @@ func TestInboxMatchesSliceReference(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				nslots, ndests := 6, 40
-				q := &inbox{slab: &cellSlab{}}
+				seen := newBitset(64) // room for every ndests drawn below
+				q := &inbox{slab: &cellSlab{}, seen: &seen}
 				q.Reset(p, nslots, ndests)
 				ref := &sliceInbox{queue: row.queue, discardStale: row.discard}
 				ref.Reset()

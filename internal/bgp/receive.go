@@ -175,7 +175,7 @@ func (r *router) startProcessing() {
 // touched for the decide station (and, in incremental mode, classifying
 // it against the working best first).
 func (r *router) applyBatch(batch []Update) {
-	s, d := &r.receive, &r.decide
+	s, d, b := &r.receive, &r.decide, &r.sim.batch
 	now := r.now()
 	s.busyAccum += now - s.busyStart
 	r.col.NoteProcessed(now, len(batch))
@@ -184,7 +184,7 @@ func (r *router) applyBatch(batch []Update) {
 		Peer: -1, Dest: -1, Value: len(batch),
 	})
 
-	touched := d.touched
+	touched := b.touched
 	incr := d.incremental
 	for _, u := range batch {
 		// Drop updates from peers that died while the message was queued.
@@ -197,7 +197,7 @@ func (r *router) applyBatch(batch []Update) {
 			// Classify the update against the working best before the
 			// Adj-RIB-In mutation below overwrites the previous route.
 			if !touched.has(dest) {
-				d.workSlot[dest] = d.bestSlot[dest]
+				b.workSlot[dest] = d.bestSlot[dest]
 			}
 			r.classify(slot, u)
 		}
@@ -238,30 +238,30 @@ func (r *router) applyBatch(batch []Update) {
 // no candidate is ever suppressed and the Loc-RIB invariant (bestSlot ==
 // full-scan winner) holds between batches.
 func (r *router) classify(slot int, u Update) {
-	d := &r.decide
+	b := &r.sim.batch
 	dest := int(u.Dest)
-	if d.scanNeeded.has(dest) {
+	if b.scanNeeded.has(dest) {
 		return // already falling back to the full scan for this dest
 	}
-	ws := d.workSlot[dest]
+	ws := b.workSlot[dest]
 	if ws == bestSelf {
 		return // locally originated: the decision is always a no-op
 	}
 	if u.IsWithdrawal() {
 		if ws >= 0 && int(ws) == slot {
-			d.scanNeeded.set(dest) // (c) the working best's route went away
+			b.scanNeeded.set(dest) // (c) the working best's route went away
 		}
 		return // (b) removing a never-best route cannot change the winner
 	}
 	if ws < 0 {
-		d.workSlot[dest] = int16(slot) // first candidate for an empty table
+		b.workSlot[dest] = int16(slot) // first candidate for an empty table
 		return
 	}
 	peer := r.peers[slot]
 	cand := r.tab.routeVia(u.Ref, slot)
 	wref := r.receive.adjIn.getSlotRef(int(ws), dest)
 	if wref == 0 {
-		d.scanNeeded.set(dest) // defensive: cache out of sync, rescan
+		b.scanNeeded.set(dest) // defensive: cache out of sync, rescan
 		return
 	}
 	if int(ws) == slot {
@@ -270,14 +270,14 @@ func (r *router) classify(slot int, u Update) {
 		// winning; a strictly worse one may let another route overtake.
 		prev := r.tab.routeVia(wref, slot)
 		if betterRoute(prev, peer, cand, peer) {
-			d.scanNeeded.set(dest) // (c) the working best's route worsened
+			b.scanNeeded.set(dest) // (c) the working best's route worsened
 		}
 		return
 	}
 	wpeer := r.peers[ws]
 	wentry := r.tab.routeVia(wref, int(ws))
 	if betterRoute(cand, peer, wentry, wpeer) {
-		d.workSlot[dest] = int16(slot) // (a) strictly better: new working best
+		b.workSlot[dest] = int16(slot) // (a) strictly better: new working best
 	}
 	// Otherwise (b): does not beat the working best, a decision no-op.
 }

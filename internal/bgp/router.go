@@ -62,6 +62,7 @@ func newRouter(sim *Simulator) *router {
 	r.receive.adjIn.tab = r.tab
 	r.receive.adjIn.spare = &sim.spare
 	r.receive.inbox.slab = &sim.cells
+	r.receive.inbox.seen = &sim.batch.seen
 	return r
 }
 

@@ -459,12 +459,12 @@ func TestMeanProc(t *testing.T) {
 	}
 }
 
-// TestRouterFitsItsSizeClass keeps a router in Go's 768-byte malloc size
-// class: the next class up is 896 bytes, 128 more per router of every
+// TestRouterFitsItsSizeClass keeps a router in Go's 640-byte malloc size
+// class: the next class up is 704 bytes, 64 more per router of every
 // simulator.
 func TestRouterFitsItsSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(router{}); n > 768 {
-		t.Errorf("router is %d bytes, want <= 768 (inbox %d, decide %d, flush %d)", n,
+	if n := unsafe.Sizeof(router{}); n > 640 {
+		t.Errorf("router is %d bytes, want <= 640 (inbox %d, decide %d, flush %d)", n,
 			unsafe.Sizeof(inbox{}), unsafe.Sizeof(decideStation{}), unsafe.Sizeof(flushStation{}))
 	}
 }

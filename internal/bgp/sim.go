@@ -81,6 +81,10 @@ type Simulator struct {
 	// router. Every user truncates before use.
 	destsScratch   []ASN // tryFlush's sorted pending-destination list
 	touchedScratch []ASN // decideTouched's touched and peerDown's affected destinations
+
+	// batch is the per-batch scratch every router's apply, decide and
+	// router-batch Pop share, fitted by Rebind.
+	batch batchScratch
 }
 
 // laneEntry is one update in flight: its (at, seq) key in the engine's
@@ -286,6 +290,7 @@ func (s *Simulator) Rebind(net *topology.Network, params Params) error {
 
 	s.ndests = ndests
 	s.spare.fit(ndests)
+	s.batch.fit(params, ndests)
 	s.origins = fit(s.origins, ndests)
 	fill(s.origins, -1)
 	for id := 0; id < net.NumNodes(); id++ {

@@ -80,6 +80,7 @@ func (s *Simulator) widenDestsForTest(n int) {
 	}
 	s.ndests = n
 	s.spare.fit(n)
+	s.batch.fit(s.params, n)
 	grown := make([]NodeID, n)
 	for i := range grown {
 		grown[i] = -1

@@ -16,7 +16,7 @@ import (
 //
 //   - Loc-RIB: the snapshot's converged best route per (router, dest),
 //     with bestSlot pointing at the slot it was learned from (bestSelf
-//     at the origin, which also sets the originates bit);
+//     at the origin);
 //   - Adj-RIB-In: a route from peer q exactly when q's quiescent export
 //     rules advertise the destination to us (Solver.Advertises; the
 //     receiver checks nothing, as no update carries its receiver's AS);
@@ -91,9 +91,6 @@ func (s *Simulator) installAS(as ASN, origin NodeID) (installed int, err error) 
 		}
 		for pi := 0; pi < s.nprefix; pi++ {
 			dest := destLo + pi
-			if r.id == origin {
-				r.decide.originates.set(dest)
-			}
 			if locRef != 0 {
 				r.decide.loc.set(dest, locRef)
 				r.decide.bestSlot[dest] = bs

@@ -72,7 +72,7 @@ type WindowObserver func(trial int, w WindowResult, perNodeSent []int)
 
 // Runner executes churn trials, retaining a simulator pool across calls
 // so every trial after the first skips construction, whatever world it
-// runs on — the same warm-fleet behaviour as experiment.CellRunner. Safe
+// runs on — the same warm-fleet behaviour as a dist worker's pool. Safe
 // for concurrent use.
 type Runner struct {
 	pool *experiment.SimPool

@@ -59,8 +59,8 @@ type Options struct {
 	// nil behaves as context.Background.
 	Context context.Context `json:"-"`
 	// Sweeper, when non-nil, replaces the local sweep executor: the
-	// experiment's grid (Experiment.Grid) is handed to it instead of
-	// experiment.Sweep. This is the hook distributed execution
+	// experiment's grid (Experiment.Grid) is handed to it instead of the
+	// experiment's simulator pool. This is the hook distributed execution
 	// (internal/dist) plugs a coordinator into; figures must come back
 	// byte-identical to the local executor's.
 	Sweeper experiment.Sweeper `json:"-"`
@@ -124,16 +124,6 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// sweep executes a grid through the configured executor: the Sweeper
-// override when set (distributed execution), the local context-aware
-// parallel sweep otherwise.
-func (o Options) sweep(cfg experiment.SweepConfig) (experiment.Figure, error) {
-	if o.Sweeper != nil {
-		return o.Sweeper(cfg)
-	}
-	return experiment.Sweep(o.ctx(), cfg)
-}
-
 // topo returns the spec of a topology family at the option scale; the
 // realistic family (Fig 13) also caps routers per AS.
 func (o Options) topo(kind topology.Kind) topology.Spec {
@@ -165,6 +155,7 @@ type Experiment struct {
 	// convergence delay with MRAI").
 	FigureID, Title string
 	grid            grid
+	pool            *experiment.SimPool // its table's (Registry), its own (Lookup)
 }
 
 // XLabel is the x-axis label of e's figure.
@@ -196,15 +187,19 @@ func (e Experiment) Grid(o Options) (experiment.SweepConfig, error) {
 	return cfg, nil
 }
 
-// Run regenerates e's figure at scale o: Grid's config swept through
-// the configured executor (so Options.Sweeper intercepts it), then
+// Run regenerates e's figure at scale o: Grid's config swept on e's
+// simulator pool, or handed to Options.Sweeper when that is set, then
 // labelled.
 func (e Experiment) Run(o Options) (experiment.Figure, error) {
 	cfg, err := e.Grid(o)
 	if err != nil {
 		return experiment.Figure{}, err
 	}
-	fig, err := o.sweep(cfg)
+	sweep := o.Sweeper
+	if sweep == nil {
+		sweep = func(c experiment.SweepConfig) (experiment.Figure, error) { return e.pool.Sweep(o.ctx(), c) }
+	}
+	fig, err := sweep(cfg)
 	if err != nil {
 		return experiment.Figure{}, err
 	}
@@ -213,9 +208,14 @@ func (e Experiment) Run(o Options) (experiment.Figure, error) {
 }
 
 // Registry returns every experiment, paper figures first in numeric
-// order, then ablations by ID.
+// order, then ablations by ID. The entries share one simulator pool, so
+// bgpfig -fig all grows its simulators once, not once per figure.
 func Registry() []Experiment {
-	return append(append([]Experiment(nil), figures...), ablations...)
+	all, pool := append(append([]Experiment(nil), figures...), ablations...), experiment.NewSimPool()
+	for i := range all {
+		all[i].pool = pool
+	}
+	return all
 }
 
 // Lookup finds an experiment by ID ("fig7", "7", "ablation-batch-discard").

@@ -21,9 +21,9 @@
 // local sweep would have run. The scale options are core.Options itself,
 // whose scale fields carry their wire names; a worker runs a lease
 // through the same trial loop as a local sweep
-// (experiment.CellRunner.RunTrials). The coordinator merges returned
+// (experiment.SimPool.RunCell). The coordinator merges returned
 // trial results in fixed (series, x, trial) order through the same
-// assembly code Sweep uses — the emitted figure is byte-identical to a
+// assembly code SimPool.Sweep uses — the emitted figure is byte-identical to a
 // local run by construction — and, like Sweep, reports progress once per
 // completed cell.
 //

@@ -298,7 +298,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // RegistryRunner returns the default sweep lease executor. A lease is a
 // run of trials of one grid cell: its descriptor is resolved to its sweep
 // configuration (resolveSweep) only when it differs from the last one
-// that resolved, and the lease is experiment.CellRunner.RunTrials on that
+// that resolved, and the lease is experiment.SimPool.RunCell on that
 // configuration, nothing else. Remembering one is enough — a coordinator
 // serves one run at a time — and one that does not resolve fails each of
 // its leases alike. Seeds derive from grid indices, so the results are
@@ -306,7 +306,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // across leases and serves one lease at a time (a Worker's loop), whose
 // trials fan out over simWorkers goroutines (0 = GOMAXPROCS).
 func RegistryRunner(simWorkers int) JobRunner {
-	cells := experiment.NewCellRunner()
+	pool := experiment.NewSimPool()
 	var memo SweepDesc
 	var cfg experiment.SweepConfig
 	resolved := false
@@ -319,7 +319,7 @@ func RegistryRunner(simWorkers int) JobRunner {
 			c.Workers = simWorkers
 			memo, cfg, resolved = desc, c, true
 		}
-		return cells.RunTrials(ctx, cfg, job.Series, job.X, job.Trial, n)
+		return pool.RunCell(ctx, cfg, job.Series, job.X, job.Trial, n)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // contract distributed execution (internal/dist) is built on: a sweep
 // grid decomposes into (series, x) cells, each cell's scenario and seeds
 // derive from grid indices alone (CellScenario), a cell's trials can be
-// executed anywhere (CellRunner.RunTrials), and the per-trial results
+// executed anywhere (SimPool.RunCell), and the per-trial results
 // merge back into a figure in fixed order (AssembleFigure). Sweep itself
 // is the degenerate case: every cell runs in-process. A sweep and a
 // lease run their trials through the same loop (runGrid) and differ only
@@ -26,29 +26,17 @@ func CellScenario(cfg SweepConfig, si, xi int) Scenario {
 	return sc
 }
 
-// CellRunner executes single sweep cells, retaining a simulator pool
-// across calls so every trial after a worker's first skips simulator
-// construction, whatever world it runs on. The zero value is not
-// usable; construct with NewCellRunner. Safe for concurrent
-// use as long as each RunTrials call's cfg.Cell tolerates the calling
-// goroutine (Sweep's materialize-on-caller rule applies per call).
-type CellRunner struct {
-	pool *SimPool
-}
-
-// NewCellRunner returns a runner with an empty simulator pool.
-func NewCellRunner() *CellRunner {
-	return &CellRunner{pool: NewSimPool()}
-}
-
-// RunTrials runs trials first … first+n−1 of cell (si, xi) of the grid
+// RunCell runs trials first … first+n−1 of cell (si, xi) of the grid
 // and returns their results in trial order — the unit of work a
-// distributed lease covers. The trials fan out over cfg.Workers
-// goroutines (<= 0 selects GOMAXPROCS, 1 is serial) and the results are
-// identical for every worker count. The trial seeds, simulation code path
-// and result layout are shared with Sweep, so the results are
-// byte-for-byte the ones a local sweep computes for those trials.
-func (r *CellRunner) RunTrials(ctx context.Context, cfg SweepConfig, si, xi, first, n int) ([]Result, error) {
+// distributed lease covers. A worker keeps one pool across its leases, so
+// every trial after its first skips simulator construction, whatever
+// world it runs on. The trials fan out over cfg.Workers goroutines
+// (<= 0 selects GOMAXPROCS, 1 is serial) and the results are identical
+// for every worker count. The trial seeds, simulation code path and
+// result layout are shared with Sweep, so the results are byte-for-byte
+// the ones a local sweep computes for those trials. Like Sweep, it
+// invokes cfg.Cell on the calling goroutine only.
+func (p *SimPool) RunCell(ctx context.Context, cfg SweepConfig, si, xi, first, n int) ([]Result, error) {
 	cfg, err := NormalizeSweep(cfg)
 	if err != nil {
 		return nil, err
@@ -59,7 +47,7 @@ func (r *CellRunner) RunTrials(ctx context.Context, cfg SweepConfig, si, xi, fir
 	if first < 0 || n < 1 || first+n > cfg.Trials {
 		return nil, fmt.Errorf("experiment: %d trials from trial %d outside %d trials", n, first, cfg.Trials)
 	}
-	results, j, err := runGrid(ctx, []Scenario{CellScenario(cfg, si, xi)}, first, n, normalizeWorkers(cfg.Workers), r.pool, nil)
+	results, j, err := runGrid(ctx, []Scenario{CellScenario(cfg, si, xi)}, first, n, normalizeWorkers(cfg.Workers), p, nil)
 	if err != nil {
 		return nil, cellError(cfg, si*len(cfg.Xs)+xi, first+j, err)
 	}

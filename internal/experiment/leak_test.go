@@ -58,7 +58,7 @@ func TestSimPoolHoldsOneSimulatorPerWorker(t *testing.T) {
 		t.Fatalf("the grid has %d distinct worlds, want 30", len(worlds))
 	}
 	pool := NewSimPool()
-	if _, err := sweep(context.Background(), cfg, pool); err != nil {
+	if _, err := pool.Sweep(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(pool.free); got != 1 {

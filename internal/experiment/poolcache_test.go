@@ -58,7 +58,7 @@ func poolTestConfigs(workers int) map[string]SweepConfig {
 func TestSweepPooledMatchesFreshRuns(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for name, cfg := range poolTestConfigs(workers) {
-			fig, err := Sweep(context.Background(), cfg)
+			fig, err := NewSimPool().Sweep(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,11 +93,11 @@ func TestSweepPooledMatchesFreshRuns(t *testing.T) {
 func TestSweepWorkerCountInvariant(t *testing.T) {
 	parallel := poolTestConfigs(4)
 	for name, cfg := range poolTestConfigs(1) {
-		serial, err := Sweep(context.Background(), cfg)
+		serial, err := NewSimPool().Sweep(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := Sweep(context.Background(), parallel[name])
+		par, err := NewSimPool().Sweep(context.Background(), parallel[name])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,9 @@ func TestSweepWorkerCountInvariant(t *testing.T) {
 // Built per trial, as a pool keyed by network would have it, the sweep
 // costs the sum of its trials, several times that. What is left above
 // 1.0 is each trial's seed streams and the buffers whose mark is still
-// per owner (a router id's FIFO ring and per-slot columns).
+// per owner (a router id's FIFO ring and per-slot columns). The pool
+// outlives the sweep: run again on it, the sweep allocates at most a
+// tenth of that largest trial.
 func TestSweepAllocatesItsLargestTrialOnce(t *testing.T) {
 	// One row of the distinct-worlds grid, the 10% failures, on worlds
 	// large enough that a trial's buffers outweigh what every trial
@@ -146,14 +148,66 @@ func TestSweepAllocatesItsLargestTrialOnce(t *testing.T) {
 		n := allocated(run)
 		largest, sum = max(largest, n), sum+n
 	}
-	sweep := allocated(func() {
-		if _, err := Sweep(context.Background(), cfg); err != nil {
+	pool := NewSimPool()
+	sweep := func() {
+		if _, err := pool.Sweep(context.Background(), cfg); err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Logf("largest trial %d B, all %d trials %d B, sweep %d B", largest, len(cfg.Xs), sum, sweep)
-	if 10*sweep > 13*largest {
-		t.Errorf("sweep allocated %d B, more than 1.3 x its largest trial's %d B (sum of fresh trials: %d B)", sweep, largest, sum)
+	}
+	cold := allocated(sweep)
+	warm := allocated(sweep)
+	t.Logf("largest trial %d B, all %d trials %d B, sweep %d B, again on its pool %d B", largest, len(cfg.Xs), sum, cold, warm)
+	if 10*cold > 13*largest {
+		t.Errorf("sweep allocated %d B, more than 1.3 x its largest trial's %d B (sum of fresh trials: %d B)", cold, largest, sum)
+	}
+	if 10*warm > largest {
+		t.Errorf("a second sweep on the same pool allocated %d B, more than 0.1 x its largest trial's %d B", warm, largest)
+	}
+}
+
+// TestRunCellMatchesSweep pins that a lease is a slice of the sweep: one
+// pool running every cell as a lease of its first trial and one of the
+// rest (a dist worker's pool across its leases) returns the results the
+// sweep assembles its figure from. Cells and trials outside the grid are
+// refused.
+func TestRunCellMatchesSweep(t *testing.T) {
+	ctx := context.Background()
+	for name, cfg := range poolTestConfigs(1) {
+		want, err := NewSimPool().Sweep(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := NewSimPool()
+		var perCell [][]Result
+		for si := range cfg.SeriesNames {
+			for xi := range cfg.Xs {
+				cell, err := pool.RunCell(ctx, cfg, si, xi, 0, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cfg.Trials > 1 {
+					rest, err := pool.RunCell(ctx, cfg, si, xi, 1, cfg.Trials-1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cell = append(cell, rest...)
+				}
+				perCell = append(perCell, cell)
+			}
+		}
+		got, err := AssembleFigure(cfg, perCell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: leases assembled\n%+v\nsweep\n%+v", name, got, want)
+		}
+	}
+	cfg := poolTestConfig(1)
+	for _, c := range [][4]int{{2, 0, 0, 1}, {0, -1, 0, 1}, {0, 0, 1, 2}, {0, 0, 0, 0}} {
+		if _, err := NewSimPool().RunCell(ctx, cfg, c[0], c[1], c[2], c[3]); err == nil {
+			t.Errorf("RunCell(%v) outside the 2x2 grid of 2 trials accepted", c)
+		}
 	}
 }
 
@@ -169,7 +223,7 @@ func TestConcurrentSweepsShareTopologyCache(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			figs[i], errs[i] = Sweep(context.Background(), poolTestConfig(2))
+			figs[i], errs[i] = NewSimPool().Sweep(context.Background(), poolTestConfig(2))
 		}(i)
 	}
 	wg.Wait()

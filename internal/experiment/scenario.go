@@ -258,7 +258,7 @@ func (t *Trial) End(ctx context.Context, err error) error {
 }
 
 // runScenario is the single trial implementation behind Run and runGrid
-// (Sweep, RunTrials, CellRunner.RunTrials): Begin, the failure draw, the
+// (SimPool.Sweep, RunTrials, SimPool.RunCell): Begin, the failure draw, the
 // storm, End. ctx cancellation aborts the simulation between events via
 // the engine's probe; it can never alter the results of a run that
 // completes.

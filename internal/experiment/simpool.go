@@ -24,13 +24,15 @@ const simPoolCap = 32
 // the allocation. A sweep's trials therefore share slots whether they
 // share worlds (paired series) or, like every point of the paper's
 // figures, have a world each: the sweep allocates the buffers of its
-// largest trial once. Only a slot whose run completed goes back; one
+// largest trial once, and a pool that outlives the sweep hands the next
+// one those buffers grown. Only a slot whose run completed goes back; one
 // that failed or was cancelled mid-run is left to the GC. Safe for
-// concurrent use; a nil *SimPool is valid and never pools. Sweep,
-// RunTrials and CellRunner each own one, and sibling subsystems
-// (internal/churn) that run trials outside the sweep machinery make
-// theirs with NewSimPool; every trial takes its slot through Begin,
-// which takes none for a cancelled context.
+// concurrent use; a nil *SimPool is valid and never pools. The pool is
+// the runner: Sweep runs a grid and RunCell a lease of one cell on its
+// slots. The caller owns it — a registry table or a looked-up experiment
+// (internal/core), a dist worker, a churn Runner — and RunTrials makes
+// one per call; every trial takes its slot through Begin, which takes
+// none for a cancelled context.
 type SimPool struct {
 	mu   sync.Mutex
 	free []*Slot

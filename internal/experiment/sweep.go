@@ -59,8 +59,7 @@ type SweepConfig struct {
 	Metric Metric
 	// SameWorldAcrossSeries gives every series the same per-x seed so
 	// all schemes face identical topologies and failures (paired
-	// comparison, lower variance — the paper's methodology). Default on
-	// via Sweep().
+	// comparison, lower variance — the paper's methodology).
 	SameWorldAcrossSeries bool
 	// Workers bounds the pool that executes the (series × x × trial)
 	// grid: <= 0 selects GOMAXPROCS, 1 runs fully serially on the
@@ -77,7 +76,7 @@ type SweepConfig struct {
 }
 
 // Sweeper executes one sweep grid and returns the assembled figure. The
-// local executor is Sweep; internal/dist provides a coordinator-backed
+// local executor is SimPool.Sweep; internal/dist provides a coordinator-backed
 // executor that farms the grid out to remote workers while producing
 // byte-identical figures.
 type Sweeper func(SweepConfig) (Figure, error)
@@ -114,22 +113,20 @@ func NormalizeSweep(cfg SweepConfig) (SweepConfig, error) {
 	return cfg, nil
 }
 
-// Sweep runs a grid of scenarios and assembles a Figure. Each cell is
+// Sweep runs a grid of scenarios and assembles a Figure, drawing its
+// simulators from p, so a pool that outlives one sweep serves the next
+// with the buffers its trials have already grown. Each cell is
 // replicated Trials times; the per-cell seed is derived from the base
 // scenario seed, the x index, and (unless SameWorldAcrossSeries) the
 // series index — see cellSeed. The whole (series × x × trial) grid is
 // one runGrid over cfg.Workers goroutines at trial granularity; results
 // are aggregated in index order, making the figure independent of worker
-// count and completion order. When ctx is cancelled, unstarted trials
-// never start, in-flight simulations abort at the engine's next
-// cancellation probe, and the context error is returned; cancellation
-// can never alter the figure of a sweep that completes.
-func Sweep(ctx context.Context, cfg SweepConfig) (Figure, error) {
-	return sweep(ctx, cfg, NewSimPool())
-}
-
-// sweep is Sweep drawing its simulators from pool.
-func sweep(ctx context.Context, cfg SweepConfig, pool *SimPool) (Figure, error) {
+// count, completion order and what the pool ran before. When ctx is
+// cancelled, unstarted trials never start, in-flight simulations abort
+// at the engine's next cancellation probe, and the context error is
+// returned; cancellation can never alter the figure of a sweep that
+// completes.
+func (p *SimPool) Sweep(ctx context.Context, cfg SweepConfig) (Figure, error) {
 	cfg, err := NormalizeSweep(cfg)
 	if err != nil {
 		return Figure{}, err
@@ -141,7 +138,7 @@ func sweep(ctx context.Context, cfg SweepConfig, pool *SimPool) (Figure, error) 
 	for c := range cells {
 		cells[c] = CellScenario(cfg, c/nx, c%nx)
 	}
-	results, j, err := runGrid(ctx, cells, 0, cfg.Trials, normalizeWorkers(cfg.Workers), pool, cfg.Progress)
+	results, j, err := runGrid(ctx, cells, 0, cfg.Trials, normalizeWorkers(cfg.Workers), p, cfg.Progress)
 	if err != nil {
 		return Figure{}, cellError(cfg, j/cfg.Trials, j%cfg.Trials, err)
 	}

@@ -24,7 +24,7 @@ func sweepCell(si int, x float64) Scenario {
 
 func TestSweepProducesFigure(t *testing.T) {
 	var calls int
-	fig, err := Sweep(context.Background(), SweepConfig{
+	fig, err := NewSimPool().Sweep(context.Background(), SweepConfig{
 		SeriesNames:           []string{"MRAI=0.5s", "MRAI=2.25s"},
 		Xs:                    []float64{5, 10},
 		Cell:                  sweepCell,
@@ -58,7 +58,7 @@ func TestSweepProducesFigure(t *testing.T) {
 }
 
 func TestSweepMessagesMetric(t *testing.T) {
-	fig, err := Sweep(context.Background(), SweepConfig{
+	fig, err := NewSimPool().Sweep(context.Background(), SweepConfig{
 		SeriesNames:           []string{"a"},
 		Xs:                    []float64{10},
 		Cell:                  func(si int, x float64) Scenario { return sweepCell(0, x) },
@@ -75,10 +75,10 @@ func TestSweepMessagesMetric(t *testing.T) {
 }
 
 func TestSweepValidation(t *testing.T) {
-	if _, err := Sweep(context.Background(), SweepConfig{}); err == nil {
+	if _, err := NewSimPool().Sweep(context.Background(), SweepConfig{}); err == nil {
 		t.Error("empty sweep accepted")
 	}
-	if _, err := Sweep(context.Background(), SweepConfig{SeriesNames: []string{"a"}}); err == nil {
+	if _, err := NewSimPool().Sweep(context.Background(), SweepConfig{SeriesNames: []string{"a"}}); err == nil {
 		t.Error("sweep without xs accepted")
 	}
 	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -89,7 +89,7 @@ func TestSweepValidation(t *testing.T) {
 }
 
 func TestSweepErrorsPropagate(t *testing.T) {
-	_, err := Sweep(context.Background(), SweepConfig{
+	_, err := NewSimPool().Sweep(context.Background(), SweepConfig{
 		SeriesNames: []string{"a"},
 		Xs:          []float64{1},
 		Cell: func(si int, x float64) Scenario {
@@ -107,7 +107,7 @@ func TestSweepErrorsPropagate(t *testing.T) {
 func TestSweepSameWorldPairsSeries(t *testing.T) {
 	// With SameWorldAcrossSeries and identical schemes, both series must
 	// produce identical numbers.
-	fig, err := Sweep(context.Background(), SweepConfig{
+	fig, err := NewSimPool().Sweep(context.Background(), SweepConfig{
 		SeriesNames:           []string{"a", "b"},
 		Xs:                    []float64{10},
 		Cell:                  func(si int, x float64) Scenario { return sweepCell(0, x) },
@@ -121,7 +121,7 @@ func TestSweepSameWorldPairsSeries(t *testing.T) {
 		t.Error("same-world series diverged for identical schemes")
 	}
 	// Without pairing they should (almost surely) differ.
-	fig2, err := Sweep(context.Background(), SweepConfig{
+	fig2, err := NewSimPool().Sweep(context.Background(), SweepConfig{
 		SeriesNames: []string{"a", "b"},
 		Xs:          []float64{10},
 		Cell:        func(si int, x float64) Scenario { return sweepCell(0, x) },
