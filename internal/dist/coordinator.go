@@ -208,15 +208,14 @@ func (c *Coordinator) RunSweep(ctx context.Context, expID string, opts core.Opti
 	if err := c.waitAndDetach(ctx, run); err != nil {
 		return experiment.Figure{}, err
 	}
-	// Reassemble per-cell trial slices from the per-trial jobs: job IDs
-	// are cell·Trials + trial, so walking jobs in ID order fills each
-	// cell's trials in trial order.
-	trials := cfg.Trials
-	perCell := make([][]experiment.Result, desc.Grid.Series*desc.Grid.Xs)
+	// Job IDs are cell·Trials + trial, so the jobs in ID order are the
+	// trials in (series, x, trial) order; each recorded result holds
+	// exactly one trial (checked when it is completed or loaded).
+	results := make([]experiment.Result, len(run.table.jobs))
 	for i := range run.table.jobs {
-		perCell[i/trials] = append(perCell[i/trials], run.table.jobs[i].result.Results...)
+		results[i] = run.table.jobs[i].result.Results[0]
 	}
-	return experiment.AssembleFigure(cfg, perCell)
+	return experiment.AssembleTrials(cfg, results)
 }
 
 // SweeperFor adapts the coordinator into the experiment.Sweeper hook for

@@ -78,3 +78,16 @@ func AssembleFigure(cfg SweepConfig, perCell [][]Result) (Figure, error) {
 	}
 	return assembleFigure(cfg, flat), nil
 }
+
+// AssembleTrials is AssembleFigure for results already in one slice in
+// (series, x, trial) order: Trials results per cell, cell-major.
+func AssembleTrials(cfg SweepConfig, results []Result) (Figure, error) {
+	cfg, err := NormalizeSweep(cfg)
+	if err != nil {
+		return Figure{}, err
+	}
+	if want := len(cfg.SeriesNames) * len(cfg.Xs) * cfg.Trials; len(results) != want {
+		return Figure{}, fmt.Errorf("experiment: %d trial results for a grid of %d", len(results), want)
+	}
+	return assembleFigure(cfg, results), nil
+}

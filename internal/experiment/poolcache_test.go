@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -201,6 +202,13 @@ func TestRunCellMatchesSweep(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: leases assembled\n%+v\nsweep\n%+v", name, got, want)
+		}
+		flat := slices.Concat(perCell...)
+		if got, err := AssembleTrials(cfg, flat); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: trials assembled (%v)\n%+v\nsweep\n%+v", name, err, got, want)
+		}
+		if _, err := AssembleTrials(cfg, flat[1:]); err == nil {
+			t.Errorf("%s: AssembleTrials accepted one trial result short", name)
 		}
 	}
 	cfg := poolTestConfig(1)

@@ -246,19 +246,33 @@ var ErrDegreeSequence = errors.New("topology: degree sequence not realizable")
 // room for one link more than its degree (connect may attach an isolated
 // component by one extra link; an append past that room still works).
 func FromDegreeSequence(degrees []int, rng *des.RNG) (*Network, error) {
+	x, err := pairStubs(degrees, rng)
+	if err != nil {
+		return nil, err
+	}
+	if err := connect(x, rng); err != nil {
+		return nil, err
+	}
+	return x.nw, nil
+}
+
+// pairStubs is FromDegreeSequence up to connect: it checks the sequence,
+// pairs the stubs and swaps in the deferred pairs, and returns the
+// network with its link index.
+func pairStubs(degrees []int, rng *des.RNG) (linkIndex, error) {
 	n := len(degrees)
 	if n < 2 {
-		return nil, fmt.Errorf("topology: need >= 2 nodes, got %d", n)
+		return linkIndex{}, fmt.Errorf("topology: need >= 2 nodes, got %d", n)
 	}
 	sum := 0
 	for i, d := range degrees {
 		if d < 0 || d >= n {
-			return nil, fmt.Errorf("topology: degree %d at node %d out of range", d, i)
+			return linkIndex{}, fmt.Errorf("topology: degree %d at node %d out of range", d, i)
 		}
 		sum += d
 	}
 	if sum%2 == 1 {
-		return nil, fmt.Errorf("topology: odd degree sum %d", sum)
+		return linkIndex{}, fmt.Errorf("topology: odd degree sum %d", sum)
 	}
 
 	nw := NewNetwork(n)
@@ -266,12 +280,12 @@ func FromDegreeSequence(degrees []int, rng *des.RNG) (*Network, error) {
 	for i, d := range degrees {
 		nw.adj[i], slab = slab[:0:d+1], slab[d+1:]
 	}
-	ints := make([]int, sum+n)
+	ints := make([]int32, sum+n)
 	x := linkIndex{nw: nw, up: ints[sum:]}
 	stubs := ints[:0:sum]
 	for i, d := range degrees {
 		for k := 0; k < d; k++ {
-			stubs = append(stubs, i)
+			stubs = append(stubs, int32(i))
 		}
 	}
 	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
@@ -280,9 +294,9 @@ func FromDegreeSequence(degrees []int, rng *des.RNG) (*Network, error) {
 	// kept in the prefix of stubs the loop has already read.
 	deferred := stubs[:0]
 	for i := 0; i+1 < len(stubs); i += 2 {
-		a, b := stubs[i], stubs[i+1]
+		a, b := int(stubs[i]), int(stubs[i+1])
 		if a == b || nw.HasLink(a, b) {
-			deferred = append(deferred, a, b)
+			deferred = append(deferred, stubs[i], stubs[i+1])
 			continue
 		}
 		x.add(a, b)
@@ -292,26 +306,24 @@ func FromDegreeSequence(degrees []int, rng *des.RNG) (*Network, error) {
 	// pair is tolerated as a degree deficit of one at each endpoint
 	// rather than failing the whole build.
 	for i := 0; i < len(deferred); i += 2 {
-		trySwapIn(x, deferred[i], deferred[i+1], rng)
+		trySwapIn(x, int(deferred[i]), int(deferred[i+1]), rng)
 	}
-	if err := connect(x, rng); err != nil {
-		return nil, err
-	}
-	return nw, nil
+	return x, nil
 }
 
 // linkIndex counts, for every node, its links to higher-numbered nodes:
 // the node's share of Links(). With it, a uniform pick from Links() or
-// from a component's links walks the counts instead of building the list.
+// from a component's links (linkAt, linkOf) walks the counts instead of
+// building the list.
 // Every link change made while an index is in use goes through add and
 // remove, which keep the counts.
 type linkIndex struct {
 	nw *Network
-	up []int
+	up []int32
 }
 
 // newLinkIndex counts nw's links into up, which has one entry per node.
-func newLinkIndex(nw *Network, up []int) linkIndex {
+func newLinkIndex(nw *Network, up []int32) linkIndex {
 	for v, adj := range nw.adj {
 		up[v] = 0
 		for _, nb := range adj {
@@ -335,12 +347,12 @@ func (x linkIndex) remove(a, b int) {
 	x.up[min(a, b)]--
 }
 
-// count returns how many links nodes hold to higher-numbered nodes: for a
-// connected component, its number of links.
-func (x linkIndex) count(nodes []int) int {
+// linksOf returns how many links nodes hold to higher-numbered nodes:
+// for a connected component, its number of links.
+func linksOf[T ~int | ~int32](x linkIndex, nodes []T) int {
 	c := 0
 	for _, v := range nodes {
-		c += x.up[v]
+		c += int(x.up[v])
 	}
 	return c
 }
@@ -348,23 +360,23 @@ func (x linkIndex) count(nodes []int) int {
 // linkAt returns Links()[k], for k < NumLinks().
 func (x linkIndex) linkAt(k int) Neighbor2 {
 	v := 0
-	for k >= x.up[v] {
-		k -= x.up[v]
+	for k >= int(x.up[v]) {
+		k -= int(x.up[v])
 		v++
 	}
 	return x.upper(v, k)
 }
 
-// linkIn returns link k of the list that appending every node's links to
+// linkOf returns link k of the list that appending every node's links to
 // higher-numbered nodes, in the order of nodes, would build; k <
-// count(nodes).
-func (x linkIndex) linkIn(nodes []int, k int) Neighbor2 {
+// linksOf(x, nodes).
+func linkOf[T ~int | ~int32](x linkIndex, nodes []T, k int) Neighbor2 {
 	i := 0
-	for k >= x.up[nodes[i]] {
-		k -= x.up[nodes[i]]
+	for k >= int(x.up[nodes[i]]) {
+		k -= int(x.up[nodes[i]])
 		i++
 	}
-	return x.upper(nodes[i], k)
+	return x.upper(int(nodes[i]), k)
 }
 
 // upper returns v's j-th link to a higher-numbered node, in adjacency
@@ -416,63 +428,6 @@ func mustAdd(nw *Network, a, b int, internal bool) {
 	if err := nw.AddLink(a, b, internal); err != nil {
 		panic(fmt.Sprintf("topology: internal error adding checked link: %v", err))
 	}
-}
-
-// connect merges the components of the indexed network into one using
-// degree-preserving double edge swaps where possible, falling back to
-// adding a single link for edgeless components (degree deviation of
-// one). Each round merges the second-largest component into the largest.
-func connect(x linkIndex, rng *des.RNG) error {
-	var comps components
-	for guard := 0; guard < x.nw.NumNodes()+10; guard++ {
-		comps.find(x.nw)
-		if len(comps.spans) <= 1 {
-			return nil
-		}
-		if !merge(x, comps.nodes(0), comps.nodes(1), rng) {
-			return ErrDegreeSequence
-		}
-	}
-	if !x.nw.Connected() {
-		return ErrDegreeSequence
-	}
-	return nil
-}
-
-// merge joins other into main. It prefers the degree-preserving swap
-// (a,b)+(c,d) -> (a,c)+(b,d) with (a,b) in main and (c,d) in other; if
-// either has no links (an isolated node), it adds one link. A component
-// is closed under adjacency, so a member's links to higher-numbered nodes
-// are exactly its links within the component.
-func merge(x linkIndex, main, other []int, rng *des.RNG) bool {
-	nw := x.nw
-	mainLinks, otherLinks := x.count(main), x.count(other)
-	if otherLinks == 0 || mainLinks == 0 {
-		// Isolated node or edgeless component: attach it directly.
-		a := other[rng.Intn(len(other))]
-		for attempt := 0; attempt < 50; attempt++ {
-			b := main[rng.Intn(len(main))]
-			if !nw.HasLink(a, b) {
-				x.add(a, b)
-				return true
-			}
-		}
-		return false
-	}
-	for attempt := 0; attempt < 200; attempt++ {
-		l1 := x.linkIn(main, rng.Intn(mainLinks))
-		l2 := x.linkIn(other, rng.Intn(otherLinks))
-		a, b, c, d := l1.A, l1.B, l2.A, l2.B
-		if nw.HasLink(a, c) || nw.HasLink(b, d) {
-			continue
-		}
-		x.remove(a, b)
-		x.remove(c, d)
-		x.add(a, c)
-		x.add(b, d)
-		return true
-	}
-	return false
 }
 
 // SortedDegrees returns the degree sequence of nw in descending order.

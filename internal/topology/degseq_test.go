@@ -287,13 +287,16 @@ func TestPropertyFromDegreeSequence(t *testing.T) {
 
 // fromDegreeSequenceAllocs is what one build allocates whatever its size:
 // the network (struct, nodes, adjacency headers), the adjacency slab, the
-// stub and link-count slab, and the component search (seen, order,
-// spans).
-const fromDegreeSequenceAllocs = 8
+// stub and link-count slab, and connect's merger slab, which holds the
+// one component search, each component's size, link count and place in
+// that search's order, the grown component's BFS prefix (order, scan
+// marks, positions) and the round scratch that other's search and the
+// split search share.
+const fromDegreeSequenceAllocs = 6
 
 // TestFromDegreeSequenceAllocsConstant pins that a build's allocation
 // count does not grow with the network: no per-node adjacency growth, no
-// per-pair link list, no per-round component buffers.
+// per-pair link list, no per-round or per-split component buffers.
 func TestFromDegreeSequenceAllocsConstant(t *testing.T) {
 	for _, n := range []int{30, 500} {
 		degrees, err := Skewed7030(n).Degrees(des.NewRNG(1))
@@ -330,7 +333,7 @@ func TestLinkIndexMatchesLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := newLinkIndex(nw, make([]int, nw.NumNodes()))
+	x := newLinkIndex(nw, make([]int32, nw.NumNodes()))
 	check := func(step int) {
 		links := nw.Links()
 		for k, want := range links {

@@ -254,7 +254,7 @@ func TestConnectMergesComponentsPreservingDegrees(t *testing.T) {
 		_ = nw.AddLink(l[0], l[1], false)
 	}
 	before := SortedDegrees(nw)
-	if err := connect(newLinkIndex(nw, make([]int, nw.NumNodes())), rng); err != nil {
+	if err := connect(newLinkIndex(nw, make([]int32, nw.NumNodes())), rng); err != nil {
 		t.Fatalf("connect: %v", err)
 	}
 	if !nw.Connected() {
@@ -274,7 +274,7 @@ func TestConnectAttachesIsolatedNode(t *testing.T) {
 	_ = nw.AddLink(0, 1, false)
 	_ = nw.AddLink(1, 2, false)
 	// node 3 isolated
-	if err := connect(newLinkIndex(nw, make([]int, nw.NumNodes())), rng); err != nil {
+	if err := connect(newLinkIndex(nw, make([]int32, nw.NumNodes())), rng); err != nil {
 		t.Fatalf("connect: %v", err)
 	}
 	if !nw.Connected() {

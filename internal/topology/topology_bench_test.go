@@ -91,3 +91,15 @@ func BenchmarkInternetLike_500(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkInternetLike_2000 builds the same family at 2 000 ASes, where
+// connect's rounds, not pairing, are most of a build.
+func BenchmarkInternetLike_2000(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rng := des.NewRNG(int64(i + 1)).Split("topology")
+		if _, err := (Spec{Kind: KindInternetLike, N: 2000}).Build(rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
