@@ -1,72 +1,30 @@
 package dist
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
-// Backoff computes exponential retry delays with multiplicative jitter:
-// attempt k (0-based) sleeps Base·Factor^k, capped at Max, then scaled
-// by a uniform factor in [1-Jitter, 1+Jitter] so a fleet of workers
-// retrying a briefly-down coordinator does not stampede in lockstep.
-// The zero value is usable and selects the defaults below.
-type Backoff struct {
-	// Base is the pre-jitter delay of attempt 0 (default 100ms).
-	Base time.Duration
-	// Max caps the pre-jitter delay (default 5s).
-	Max time.Duration
-	// Factor is the per-attempt growth (default 2; values < 1 are
-	// treated as the default).
-	Factor float64
-	// Jitter is the ± fraction applied after capping (default 0.2;
-	// negative disables jitter, values > 1 are clamped to 1).
-	Jitter float64
-	// Rand supplies uniform [0,1) variates; nil uses the global
-	// math/rand source. Tests inject a deterministic function.
-	Rand func() float64
-}
-
-// Backoff defaults.
+// Retry schedule of a worker's requests: attempt k (0-based) waits
+// backoffBase·2^k, capped at backoffMax, then scaled by a uniform factor
+// in [1-backoffJitter, 1+backoffJitter] so a fleet of workers retrying a
+// briefly-down coordinator does not stampede in lockstep. A request is
+// tried maxAttempts times in a row before the worker gives up on the
+// coordinator: roughly 25 s of retrying. Each try times out after
+// requestTimeout.
 const (
-	defaultBackoffBase   = 100 * time.Millisecond
-	defaultBackoffMax    = 5 * time.Second
-	defaultBackoffFactor = 2.0
-	defaultBackoffJitter = 0.2
+	backoffBase    = 100 * time.Millisecond
+	backoffMax     = 5 * time.Second
+	backoffJitter  = 0.2
+	maxAttempts    = 8
+	requestTimeout = 30 * time.Second
 )
 
-// Delay returns the sleep before retrying attempt (0-based). It is pure
-// given Rand: no clocks, no sleeping — callers sleep, tests don't.
-func (b Backoff) Delay(attempt int) time.Duration {
-	base, max, factor, jitter := b.Base, b.Max, b.Factor, b.Jitter
-	if base <= 0 {
-		base = defaultBackoffBase
+// backoffDelay returns the sleep before retrying attempt (0-based), given
+// u, a uniform variate in [0,1). It is pure: no clocks, no sleeping —
+// callers sleep, tests don't.
+func backoffDelay(attempt int, u float64) time.Duration {
+	d := backoffBase
+	for i := 0; i < attempt && d < backoffMax; i++ {
+		d *= 2
 	}
-	if max <= 0 {
-		max = defaultBackoffMax
-	}
-	if factor < 1 {
-		factor = defaultBackoffFactor
-	}
-	if b.Jitter == 0 {
-		jitter = defaultBackoffJitter
-	}
-	if jitter < 0 {
-		jitter = 0
-	}
-	if jitter > 1 {
-		jitter = 1
-	}
-	d := float64(base)
-	for i := 0; i < attempt && d < float64(max); i++ {
-		d *= factor
-	}
-	if d > float64(max) {
-		d = float64(max)
-	}
-	rnd := b.Rand
-	if rnd == nil {
-		rnd = rand.Float64
-	}
-	scale := 1 - jitter + 2*jitter*rnd()
-	return time.Duration(d * scale)
+	d = min(d, backoffMax)
+	return time.Duration(float64(d) * (1 - backoffJitter + 2*backoffJitter*u))
 }

@@ -5,66 +5,47 @@ import (
 	"time"
 )
 
-func TestBackoffGrowthAndCapWithoutJitter(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: -1}
+func TestBackoffGrowthAndCap(t *testing.T) {
 	want := []time.Duration{
 		100 * time.Millisecond,
 		200 * time.Millisecond,
 		400 * time.Millisecond,
 		800 * time.Millisecond,
-		time.Second,
-		time.Second, // stays capped
+		1600 * time.Millisecond,
+		3200 * time.Millisecond,
+		backoffMax,
+		backoffMax, // stays capped
 	}
 	for attempt, w := range want {
-		if got := b.Delay(attempt); got != w {
-			t.Errorf("Delay(%d) = %v, want %v", attempt, got, w)
+		// u = 0.5 is the jitter's midpoint: scale 1.
+		if got := backoffDelay(attempt, 0.5); got != w {
+			t.Errorf("backoffDelay(%d) = %v, want %v", attempt, got, w)
 		}
 	}
 }
 
 func TestBackoffHugeAttemptStaysCapped(t *testing.T) {
-	b := Backoff{Jitter: -1}
-	if got := b.Delay(10_000); got != defaultBackoffMax {
-		t.Errorf("Delay(10000) = %v, want %v", got, defaultBackoffMax)
+	if got := backoffDelay(10_000, 0.5); got != backoffMax {
+		t.Errorf("backoffDelay(10000) = %v, want %v", got, backoffMax)
 	}
 }
 
 func TestBackoffJitterBounds(t *testing.T) {
 	// Sweep the whole variate range: every delay must land inside
 	// [base·(1-j), base·(1+j)], hitting both endpoints.
-	const jitter = 0.2
-	base := 100 * time.Millisecond
-	lo := time.Duration(float64(base) * (1 - jitter))
-	hi := time.Duration(float64(base) * (1 + jitter))
+	lo := time.Duration(float64(backoffBase) * (1 - backoffJitter))
+	hi := time.Duration(float64(backoffBase) * (1 + backoffJitter))
 	sawLo, sawHi := false, false
 	for i := 0; i <= 1000; i++ {
-		v := float64(i) / 1000 // math/rand is [0,1); 1.0 bounds the sup
-		b := Backoff{Base: base, Max: time.Second, Factor: 2, Jitter: jitter, Rand: func() float64 { return v }}
-		got := b.Delay(0)
+		u := float64(i) / 1000 // math/rand is [0,1); 1.0 bounds the sup
+		got := backoffDelay(0, u)
 		if got < lo || got > hi {
-			t.Fatalf("Delay(0) with rand=%v = %v, outside [%v, %v]", v, got, lo, hi)
+			t.Fatalf("backoffDelay(0, %v) = %v, outside [%v, %v]", u, got, lo, hi)
 		}
 		sawLo = sawLo || got == lo
 		sawHi = sawHi || got == hi
 	}
 	if !sawLo || !sawHi {
 		t.Errorf("jitter range not fully exercised: sawLo=%v sawHi=%v", sawLo, sawHi)
-	}
-}
-
-func TestBackoffZeroValueUsesDefaults(t *testing.T) {
-	b := Backoff{Rand: func() float64 { return 0.5 }} // midpoint: jitter scale 1.0
-	if got := b.Delay(0); got != defaultBackoffBase {
-		t.Errorf("zero-value Delay(0) = %v, want %v", got, defaultBackoffBase)
-	}
-	if got := b.Delay(1); got != 2*defaultBackoffBase {
-		t.Errorf("zero-value Delay(1) = %v, want %v", got, 2*defaultBackoffBase)
-	}
-}
-
-func TestBackoffJitterClampedToOne(t *testing.T) {
-	b := Backoff{Base: time.Second, Max: time.Second, Jitter: 5, Rand: func() float64 { return 0 }}
-	if got := b.Delay(0); got != 0 {
-		t.Errorf("Delay with clamped jitter at rand=0 = %v, want 0", got)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math/rand"
 	"net/http"
 	"os"
 	"reflect"
@@ -34,15 +35,6 @@ type Worker struct {
 	Base string
 	// ID names this worker in leases and logs (default "host-pid").
 	ID string
-	// Client is the HTTP client (default: http.DefaultClient semantics
-	// with a 30s request timeout).
-	Client *http.Client
-	// Backoff shapes transient-error retries (zero value = defaults).
-	Backoff Backoff
-	// MaxAttempts bounds consecutive failed tries of one request before
-	// the worker gives up on the coordinator (default 8 — with default
-	// backoff roughly 25s of retrying).
-	MaxAttempts int
 	// PollInterval is the idle delay after a StatusWait response
 	// (default 200ms).
 	PollInterval time.Duration
@@ -55,8 +47,10 @@ type Worker struct {
 	// Log receives per-lease progress lines. nil discards.
 	Log *log.Logger
 
-	// sleep waits between retries/polls; tests inject instant fakes.
-	sleep func(ctx context.Context, d time.Duration) error
+	// sleep waits between retries/polls, and jitter draws the uniform
+	// variate that scales a retry's delay; tests inject fakes.
+	sleep  func(ctx context.Context, d time.Duration) error
+	jitter func() float64
 
 	// draining is set by Drain: finish and submit the in-flight lease,
 	// then exit instead of leasing more work.
@@ -197,12 +191,6 @@ func (w *Worker) applyDefaults() {
 		}
 		w.ID = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	if w.Client == nil {
-		w.Client = &http.Client{Timeout: 30 * time.Second}
-	}
-	if w.MaxAttempts <= 0 {
-		w.MaxAttempts = 8
-	}
 	if w.PollInterval <= 0 {
 		w.PollInterval = 200 * time.Millisecond
 	}
@@ -211,6 +199,9 @@ func (w *Worker) applyDefaults() {
 	}
 	if w.sleep == nil {
 		w.sleep = sleepCtx
+	}
+	if w.jitter == nil {
+		w.jitter = rand.Float64
 	}
 	w.leaseURL = strings.TrimSuffix(w.Base, "/") + "/v1/lease"
 	w.completeURL = strings.TrimSuffix(w.Base, "/") + "/v1/complete"
@@ -227,9 +218,9 @@ func (w *Worker) post(ctx context.Context, url string, reqBody, respBody any) er
 	}
 	payload := bytes.TrimSuffix(w.reqBuf.Bytes(), []byte("\n")) // Encode's, not the value's
 	var lastErr error
-	for attempt := 0; attempt < w.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
-			if err := w.sleep(ctx, w.Backoff.Delay(attempt-1)); err != nil {
+			if err := w.sleep(ctx, backoffDelay(attempt-1, w.jitter())); err != nil {
 				return err
 			}
 		}
@@ -244,7 +235,7 @@ func (w *Worker) post(ctx context.Context, url string, reqBody, respBody any) er
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		w.Log.Printf("dist: worker %s: %s attempt %d/%d: %v", w.ID, url, attempt+1, w.MaxAttempts, lastErr)
+		w.Log.Printf("dist: worker %s: %s attempt %d/%d: %v", w.ID, url, attempt+1, maxAttempts, lastErr)
 	}
 	return fmt.Errorf("%w: %s: %v", errUnreachable, url, lastErr)
 }
@@ -261,7 +252,7 @@ func (w *Worker) tryPost(ctx context.Context, url string, payload []byte, respBo
 		return permanentError{fmt.Errorf("dist: build request: %w", err)}
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.Client.Do(req)
+	resp, err := httpClient.Do(req)
 	if err != nil {
 		return err // transient: connection refused, timeout, ...
 	}
@@ -282,6 +273,9 @@ func (w *Worker) tryPost(ctx context.Context, url string, payload []byte, respBo
 	}
 	return nil
 }
+
+// httpClient carries every worker's requests.
+var httpClient = &http.Client{Timeout: requestTimeout}
 
 // sleepCtx sleeps d or until ctx is done.
 func sleepCtx(ctx context.Context, d time.Duration) error {

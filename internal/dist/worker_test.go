@@ -24,6 +24,10 @@ func (s *noSleep) sleep(_ context.Context, d time.Duration) error {
 	return nil
 }
 
+// midJitter is the jitter draw at its midpoint, which scales a retry's
+// delay by exactly 1.
+func midJitter() float64 { return 0.5 }
+
 // shutdownCoordinator serves a coordinator that immediately tells
 // workers to exit.
 func shutdownCoordinator(t *testing.T) *httptest.Server {
@@ -51,12 +55,12 @@ func TestWorkerRetriesTransientErrorsWithBackoff(t *testing.T) {
 	defer flaky.Close()
 
 	var slept noSleep
-	w := &Worker{Base: flaky.URL, ID: "w", Backoff: Backoff{Jitter: -1}, sleep: slept.sleep}
+	w := &Worker{Base: flaky.URL, ID: "w", sleep: slept.sleep, jitter: midJitter}
 	if err := w.Work(context.Background()); err != nil {
 		t.Fatalf("Work = %v, want nil (shutdown after retries)", err)
 	}
-	// Three 503s before success: sleeps are Delay(0..2) of the default
-	// exponential schedule, jitter disabled.
+	// Three 503s before success: sleeps are backoffDelay(0..2) at the
+	// jitter's midpoint.
 	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond}
 	if len(slept.delays) != len(want) {
 		t.Fatalf("slept %v, want %v", slept.delays, want)
@@ -64,6 +68,37 @@ func TestWorkerRetriesTransientErrorsWithBackoff(t *testing.T) {
 	for i := range want {
 		if slept.delays[i] != want[i] {
 			t.Errorf("retry sleep %d = %v, want %v", i, slept.delays[i], want[i])
+		}
+	}
+}
+
+// TestWorkerDefaultJitterStaysInBand: a Worker that sets no jitter draws
+// one from math/rand per retry, and each sleep lands inside the jitter
+// band around its step of the schedule.
+func TestWorkerDefaultJitterStaysInBand(t *testing.T) {
+	inner := shutdownCoordinator(t)
+	var calls atomic.Int64
+	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) <= 3 {
+			http.Error(w, "temporarily overloaded", http.StatusServiceUnavailable)
+			return
+		}
+		inner.Config.Handler.ServeHTTP(w, r)
+	}))
+	defer flaky.Close()
+
+	var slept noSleep
+	w := &Worker{Base: flaky.URL, ID: "w", sleep: slept.sleep}
+	if err := w.Work(context.Background()); err != nil {
+		t.Fatalf("Work = %v, want nil (shutdown after retries)", err)
+	}
+	if len(slept.delays) != 3 {
+		t.Fatalf("slept %v, want 3 retries", slept.delays)
+	}
+	for k, d := range slept.delays {
+		lo, hi := backoffDelay(k, 0), backoffDelay(k, 1)
+		if d < lo || d > hi {
+			t.Errorf("retry %d slept %v, outside [%v, %v]", k, d, lo, hi)
 		}
 	}
 }
@@ -119,9 +154,12 @@ func TestWorkerNeverConnectedIsError(t *testing.T) {
 	srv.Close() // connection refused from the first request
 
 	var slept noSleep
-	w := &Worker{Base: srv.URL, ID: "w", MaxAttempts: 2, sleep: slept.sleep}
+	w := &Worker{Base: srv.URL, ID: "w", sleep: slept.sleep}
 	if err := w.Work(context.Background()); err == nil {
 		t.Fatal("Work = nil against a dead coordinator it never reached")
+	}
+	if len(slept.delays) != maxAttempts-1 {
+		t.Errorf("slept %d times, want %d: one sleep between each of %d tries", len(slept.delays), maxAttempts-1, maxAttempts)
 	}
 }
 
@@ -137,7 +175,7 @@ func TestWorkerCoordinatorGoneAfterConnectExitsClean(t *testing.T) {
 	defer srv.Close()
 
 	var slept noSleep
-	w := &Worker{Base: srv.URL, ID: "w", MaxAttempts: 2, sleep: slept.sleep}
+	w := &Worker{Base: srv.URL, ID: "w", sleep: slept.sleep}
 	if err := w.Work(context.Background()); err != nil {
 		t.Fatalf("Work = %v, want nil (coordinator finished and went away)", err)
 	}

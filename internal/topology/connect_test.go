@@ -141,9 +141,6 @@ func TestConnectMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if slices.Max(degrees) >= n {
-						continue // the Internet-like law's cap of 40 at n <= 40: Build refuses it before connect
-					}
 					if err := connectBoth(t, degrees, seed); err != nil {
 						t.Fatalf("n=%d seed %d: %v", n, seed, err)
 					}

@@ -103,15 +103,24 @@ func (s SkewedSpec) Degrees(rng *des.RNG) ([]int, error) {
 	return degrees, nil
 }
 
-// evenizeDegrees bumps one entry so the degree sum is even.
-func evenizeDegrees(degrees []int) {
+// evenizeDegrees moves the first entry by one so the degree sum is even,
+// and returns that sum: up, unless that would take it to len(degrees), a
+// degree no simple graph on that many nodes has; then down.
+func evenizeDegrees(degrees []int) int {
 	sum := 0
 	for _, d := range degrees {
 		sum += d
 	}
 	if sum%2 == 1 {
-		degrees[0]++
+		if degrees[0] < len(degrees)-1 {
+			degrees[0]++
+			sum++
+		} else {
+			degrees[0]--
+			sum--
+		}
 	}
+	return sum
 }
 
 // PowerLawDegrees draws n degrees from a bounded discrete power law
@@ -120,7 +129,8 @@ func PowerLawDegrees(n int, gamma float64, min, max int, rng *des.RNG) ([]int, e
 	if n < 2 || min < 1 || max < min || gamma <= 0 {
 		return nil, fmt.Errorf("topology: power law params n=%d gamma=%v range [%d,%d]", n, gamma, min, max)
 	}
-	return newDegreeLaw(gamma, min, max).degrees(n, rng), nil
+	degrees, _ := newDegreeLaw(gamma, min, max).degrees(n, rng)
+	return degrees, nil
 }
 
 // degreeLaw is a bounded discrete power law P(d) ∝ d^-gamma on
@@ -154,14 +164,26 @@ func (l degreeLaw) draw(rng *des.RNG) int {
 	return l.min + len(l.cum) - 1
 }
 
-// degrees draws n degrees and forces their sum even.
-func (l degreeLaw) degrees(n int, rng *des.RNG) []int {
+// degrees draws n degrees, forces their sum even and returns that sum.
+// A degree of n or more, which no simple graph on n nodes has, is drawn
+// again from the same stream: the sequence follows the law truncated at
+// n-1, and one that never drew such a degree is the one the untruncated
+// law gives. A law whose least degree is n or more keeps its draws,
+// which FromDegreeSequence refuses.
+func (l degreeLaw) degrees(n int, rng *des.RNG) ([]int, int) {
+	limit := n
+	if l.min >= n {
+		limit = math.MaxInt
+	}
 	degrees := make([]int, n)
 	for i := range degrees {
-		degrees[i] = l.draw(rng)
+		d := l.draw(rng)
+		for d >= limit {
+			d = l.draw(rng)
+		}
+		degrees[i] = d
 	}
-	evenizeDegrees(degrees)
-	return degrees
+	return degrees, evenizeDegrees(degrees)
 }
 
 // PowerLawGammaForAvg solves (by bisection) for the exponent gamma such
@@ -211,13 +233,25 @@ var paperLaw = newDegreeLaw(paperGamma, 1, paperMaxDegree)
 
 // InternetLikeDegrees draws a degree sequence shaped like the measured
 // Internet AS connectivity the paper cites: heavy-tailed, capped at
-// maxDegree (the paper uses 40 for 120-node networks), with the exponent
-// chosen to hit avgDegree (the paper reports ≈3.4). The paper's pair
-// draws from paperLaw; any other is solved for its exponent, as is a
-// request PowerLawDegrees refuses, so the refusal names the exponent.
+// maxDegree (the paper uses 40 for 120-node networks) and below n, with
+// the exponent chosen to hit avgDegree (the paper reports ≈3.4). The
+// paper's pair draws from paperLaw; any other is solved for its
+// exponent, as is a request PowerLawDegrees refuses, so the refusal
+// names the exponent.
+//
+// The paper's law draws a whole sequence again while it has fewer stubs
+// than a spanning tree needs, since no connected graph realizes it. Only
+// small worlds draw one (at 20 nodes the cap of n-1 takes the mean
+// degree to 2.7 against the tree's 1.9); a sequence with enough stubs is
+// the one drawn first.
 func InternetLikeDegrees(n int, avgDegree float64, maxDegree int, rng *des.RNG) ([]int, error) {
 	if n >= 2 && avgDegree == paperAvgDegree && maxDegree == paperMaxDegree {
-		return paperLaw.degrees(n, rng), nil
+		for {
+			degrees, sum := paperLaw.degrees(n, rng)
+			if sum >= 2*(n-1) {
+				return degrees, nil
+			}
+		}
 	}
 	gamma, err := PowerLawGammaForAvg(avgDegree, 1, maxDegree)
 	if err != nil {

@@ -239,6 +239,48 @@ func TestInternetLikeDegreesMatchPaperShape(t *testing.T) {
 	}
 }
 
+// TestInternetLikeBuildsBelowTheCap builds the Internet-like family at
+// sizes where the paper's cap of 40 reaches n: every seed from 1 to 20
+// must give a connected world whose degrees stay below n.
+func TestInternetLikeBuildsBelowTheCap(t *testing.T) {
+	for _, n := range []int{20, 30, 40} {
+		for seed := int64(1); seed <= 20; seed++ {
+			nw, err := Spec{Kind: KindInternetLike, N: n}.Build(des.NewRNG(seed))
+			if err != nil {
+				t.Fatalf("n=%d seed %d: %v", n, seed, err)
+			}
+			if !nw.Connected() {
+				t.Fatalf("n=%d seed %d: world not connected", n, seed)
+			}
+		}
+	}
+}
+
+// TestEvenizeKeepsDegreesBelowN checks that forcing an odd sum even never
+// takes the first degree to n: one that already links every other node
+// comes down instead.
+func TestEvenizeKeepsDegreesBelowN(t *testing.T) {
+	degrees := []int{4, 1, 1, 1, 2}
+	if sum := evenizeDegrees(degrees); degrees[0] != 3 || sum != 8 {
+		t.Fatalf("evenized to %v (sum %d), want first degree 3 and sum 8", degrees, sum)
+	}
+	degrees = []int{2, 1, 1, 1, 2}
+	if sum := evenizeDegrees(degrees); degrees[0] != 3 || sum != 8 {
+		t.Fatalf("evenized to %v (sum %d), want first degree 3 and sum 8", degrees, sum)
+	}
+}
+
+// TestDegreeLawAboveNKeepsItsDraws: a law whose least degree is n or
+// more has nothing to redraw into, so it returns its draws, and
+// FromDegreeSequence refuses them.
+func TestDegreeLawAboveNKeepsItsDraws(t *testing.T) {
+	rng := des.NewRNG(1)
+	degrees, _ := newDegreeLaw(2, 5, 6).degrees(3, rng)
+	if _, err := FromDegreeSequence(degrees, rng); err == nil {
+		t.Fatalf("degrees %v on 3 nodes built a world", degrees)
+	}
+}
+
 func TestPowerLawDegreesValidation(t *testing.T) {
 	rng := des.NewRNG(1)
 	for _, c := range []struct {

@@ -1,14 +1,13 @@
 // Package trace is the simulator's structured event log. A Tracer
 // receives every protocol-level event (sends, receives, decision
 // changes, timer restarts, failures); the Recorder implementation stores
-// them for inspection and the Writer implementation streams a readable
-// log. Tracing is off by default — the simulator calls through a nil-safe
-// façade so the hot path pays one branch when disabled.
+// them for inspection. Tracing is off by default — the simulator calls
+// through a nil-safe façade so the hot path pays one branch when
+// disabled.
 package trace
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"time"
@@ -117,49 +116,24 @@ const recorderChunkSize = 4096
 
 // Recorder stores every event in memory. Safe for concurrent use.
 //
-// Storage is a chunked arena: events append into fixed-capacity chunks
-// and Reset recycles full chunks onto a free list instead of dropping
-// them, so steady-state tracing across repeated runs (record → Reset →
-// record) allocates nothing once the arena has grown to the high-water
-// mark. This is what makes tracing affordable at paper scale, where a
-// run delivers millions of events.
+// Storage is a chunked arena: events append into fixed-capacity chunks,
+// so a run that delivers millions of events never copies the ones it has
+// already recorded.
 type Recorder struct {
 	mu     sync.Mutex
 	chunks [][]Event // recorded events; all chunks but the last are full
-	free   [][]Event // recycled zero-length chunks with retained capacity
 	n      int       // total recorded events
-	// Filter, when non-zero, restricts recording to one kind.
-	Filter Kind
-	// MaxEvents bounds memory; once reached, further events are dropped
-	// and Truncated is set. Zero means unbounded.
-	MaxEvents int
-	truncated bool
 }
 
 var _ Tracer = (*Recorder)(nil)
 
-// Trace stores the event, honoring Filter and MaxEvents.
+// Trace stores the event.
 func (r *Recorder) Trace(e Event) {
-	if r.Filter != 0 && e.Kind != r.Filter {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.MaxEvents > 0 && r.n >= r.MaxEvents {
-		r.truncated = true
-		return
-	}
 	last := len(r.chunks) - 1
 	if last < 0 || len(r.chunks[last]) == cap(r.chunks[last]) {
-		var c []Event
-		if k := len(r.free); k > 0 {
-			c = r.free[k-1]
-			r.free[k-1] = nil
-			r.free = r.free[:k-1]
-		} else {
-			c = make([]Event, 0, recorderChunkSize)
-		}
-		r.chunks = append(r.chunks, c)
+		r.chunks = append(r.chunks, make([]Event, 0, recorderChunkSize))
 		last++
 	}
 	r.chunks[last] = append(r.chunks[last], e)
@@ -184,27 +158,6 @@ func (r *Recorder) Len() int {
 	return r.n
 }
 
-// Truncated reports whether events were dropped due to MaxEvents.
-func (r *Recorder) Truncated() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.truncated
-}
-
-// Reset clears the recorder, recycling the arena chunks so a subsequent
-// recording run of similar size allocates nothing.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, c := range r.chunks {
-		r.free = append(r.free, c[:0])
-		r.chunks[i] = nil
-	}
-	r.chunks = r.chunks[:0]
-	r.n = 0
-	r.truncated = false
-}
-
 // CountByKind tallies recorded events per kind.
 func (r *Recorder) CountByKind() map[Kind]int {
 	r.mu.Lock()
@@ -216,41 +169,4 @@ func (r *Recorder) CountByKind() map[Kind]int {
 		}
 	}
 	return out
-}
-
-// Writer streams each event as a line to an io.Writer.
-type Writer struct {
-	W io.Writer
-	// Filter, when non-zero, restricts output to one kind.
-	Filter Kind
-}
-
-var _ Tracer = (*Writer)(nil)
-
-// Trace writes the event; write errors are ignored (tracing is
-// best-effort diagnostics).
-func (w *Writer) Trace(e Event) {
-	if w.Filter != 0 && e.Kind != w.Filter {
-		return
-	}
-	fmt.Fprintln(w.W, e.String())
-}
-
-// Multi fans events out to several tracers.
-func Multi(tracers ...Tracer) Tracer {
-	list := make([]Tracer, 0, len(tracers))
-	for _, t := range tracers {
-		if t != nil {
-			list = append(list, t)
-		}
-	}
-	return multiTracer(list)
-}
-
-type multiTracer []Tracer
-
-func (m multiTracer) Trace(e Event) {
-	for _, t := range m {
-		t.Trace(e)
-	}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -29,33 +30,83 @@ func TestRecorderStoresInOrder(t *testing.T) {
 	}
 }
 
-func TestRecorderFilter(t *testing.T) {
-	r := &Recorder{Filter: KindRouteChange}
-	r.Trace(ev(KindSend))
-	r.Trace(ev(KindRouteChange))
-	r.Trace(ev(KindProcess))
-	if r.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (filtered)", r.Len())
+// TestRecorderAcrossChunks records past one arena chunk: Len and Events
+// agree and keep the order.
+func TestRecorderAcrossChunks(t *testing.T) {
+	r := &Recorder{}
+	const n = recorderChunkSize + 5
+	for i := 0; i < n; i++ {
+		r.Trace(Event{Kind: KindSend, Node: i})
 	}
-	if r.Events()[0].Kind != KindRouteChange {
-		t.Error("wrong event kept")
+	got := r.Events()
+	if r.Len() != n || len(got) != n {
+		t.Fatalf("Len %d, %d events, want %d", r.Len(), len(got), n)
+	}
+	for i, e := range got {
+		if e.Node != i {
+			t.Fatalf("event %d is node %d", i, e.Node)
+		}
 	}
 }
 
-func TestRecorderMaxEvents(t *testing.T) {
-	r := &Recorder{MaxEvents: 2}
-	for i := 0; i < 5; i++ {
-		r.Trace(ev(KindSend))
+// TestRecorderZeroValueIsEmpty: a bare Recorder, as cmd/bgptrace makes
+// one, reads as empty before anything is traced.
+func TestRecorderZeroValueIsEmpty(t *testing.T) {
+	r := &Recorder{}
+	if r.Len() != 0 || len(r.Events()) != 0 || len(r.CountByKind()) != 0 {
+		t.Fatalf("zero Recorder: Len %d, %d events, counts %v", r.Len(), len(r.Events()), r.CountByKind())
 	}
-	if r.Len() != 2 {
-		t.Errorf("Len = %d, want 2", r.Len())
+}
+
+// TestRecorderSteadyStateAllocationFree pins the arena contract: an
+// event traced into a chunk with room allocates nothing, and a run
+// allocates one chunk per recorderChunkSize events, never copying the
+// events it has already recorded.
+func TestRecorderSteadyStateAllocationFree(t *testing.T) {
+	r := &Recorder{}
+	e := ev(KindSend)
+	r.Trace(e) // the first chunk
+	if avg := testing.AllocsPerRun(100, func() { r.Trace(e) }); avg != 0 {
+		t.Errorf("Trace into a chunk with room allocates %.2f objects/op, want 0", avg)
 	}
-	if !r.Truncated() {
-		t.Error("Truncated not set")
+	r = &Recorder{}
+	run := func() {
+		for i := 0; i < 3*recorderChunkSize; i++ {
+			r.Trace(e)
+		}
 	}
-	r.Reset()
-	if r.Len() != 0 || r.Truncated() {
-		t.Error("Reset incomplete")
+	// Three chunks, plus at most the growth of the chunk list itself.
+	if avg := testing.AllocsPerRun(1, run); avg > 6 {
+		t.Errorf("tracing %d events allocates %.0f objects, want at most 6", 3*recorderChunkSize, avg)
+	}
+}
+
+// TestRecorderConcurrentTrace: the Recorder is safe for concurrent use;
+// events traced from several goroutines are all kept.
+func TestRecorderConcurrentTrace(t *testing.T) {
+	const goroutines, each = 4, recorderChunkSize/2 + 3
+	r := &Recorder{}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				r.Trace(Event{Kind: KindSend, Node: g, Value: i})
+			}
+		}(g)
+	}
+	wg.Wait()
+	if r.Len() != goroutines*each {
+		t.Fatalf("Len = %d, want %d", r.Len(), goroutines*each)
+	}
+	// Each goroutine's events keep their own order.
+	next := make([]int, goroutines)
+	for _, e := range r.Events() {
+		if e.Value != next[e.Node] {
+			t.Fatalf("goroutine %d: event %d came before event %d", e.Node, e.Value, next[e.Node])
+		}
+		next[e.Node]++
 	}
 }
 
@@ -67,45 +118,6 @@ func TestRecorderCountByKind(t *testing.T) {
 	counts := r.CountByKind()
 	if counts[KindSend] != 2 || counts[KindProcess] != 1 {
 		t.Errorf("counts = %v", counts)
-	}
-}
-
-func TestWriterFormatsLines(t *testing.T) {
-	var sb strings.Builder
-	w := &Writer{W: &sb}
-	w.Trace(Event{At: 2 * time.Second, Kind: KindSend, Node: 4, Peer: 7, Dest: 9, Withdrawal: true})
-	w.Trace(Event{At: 3 * time.Second, Kind: KindTimerRestart, Node: 4, Peer: -1, Dest: -1, Value: int(time.Second)})
-	out := sb.String()
-	for _, want := range []string{"send", "node=4", "peer=7", "dest=9", "withdrawal", "timer", "mrai=1s"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 2 {
-		t.Errorf("got %d lines", len(lines))
-	}
-}
-
-func TestWriterFilter(t *testing.T) {
-	var sb strings.Builder
-	w := &Writer{W: &sb, Filter: KindNodeFailure}
-	w.Trace(ev(KindSend))
-	if sb.Len() != 0 {
-		t.Error("filtered event written")
-	}
-	w.Trace(Event{Kind: KindNodeFailure, Node: 1, Peer: -1, Dest: -1})
-	if sb.Len() == 0 {
-		t.Error("matching event dropped")
-	}
-}
-
-func TestMultiFansOutAndSkipsNil(t *testing.T) {
-	a, b := &Recorder{}, &Recorder{}
-	m := Multi(a, nil, b)
-	m.Trace(ev(KindSend))
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Errorf("fan-out failed: %d, %d", a.Len(), b.Len())
 	}
 }
 
@@ -138,55 +150,14 @@ func TestEventStringVariants(t *testing.T) {
 	if strings.Contains(e.String(), "peer=") {
 		t.Error("negative peer printed")
 	}
-}
-
-// TestRecorderSteadyStateAllocationFree pins the arena contract: once
-// the recorder has grown to its high-water mark, a record → Reset →
-// record cycle of the same size allocates nothing — recycled chunks are
-// reused instead of reallocated. This keeps tracing affordable across
-// pooled simulation trials.
-func TestRecorderSteadyStateAllocationFree(t *testing.T) {
-	const events = 3*recorderChunkSize + 17 // several chunks plus a partial
-	r := &Recorder{}
-	e := ev(KindSend)
-	warm := func() {
-		for i := 0; i < events; i++ {
-			r.Trace(e)
+	e = Event{At: 2 * time.Second, Kind: KindSend, Node: 4, Peer: 7, Dest: 9, Withdrawal: true}
+	for _, want := range []string{"send", "node=4", "peer=7", "dest=9", "withdrawal"} {
+		if !strings.Contains(e.String(), want) {
+			t.Errorf("%q missing %q", e.String(), want)
 		}
 	}
-	warm()
-	r.Reset()
-	avg := testing.AllocsPerRun(10, func() {
-		warm()
-		r.Reset()
-	})
-	if avg != 0 {
-		t.Errorf("steady-state record/Reset cycle allocates %.2f objects/op, want 0", avg)
-	}
-}
-
-// TestRecorderResetRecyclesAcrossRuns pins that events recorded after a
-// Reset are correct (not interleaved with recycled garbage) and that
-// Len/Events agree across the chunk boundary.
-func TestRecorderResetRecyclesAcrossRuns(t *testing.T) {
-	r := &Recorder{}
-	for i := 0; i < recorderChunkSize+5; i++ {
-		r.Trace(Event{Kind: KindSend, Node: i})
-	}
-	r.Reset()
-	if r.Len() != 0 || len(r.Events()) != 0 {
-		t.Fatalf("recorder not empty after Reset: %d events", r.Len())
-	}
-	for i := 0; i < 10; i++ {
-		r.Trace(Event{Kind: KindReceive, Node: 100 + i})
-	}
-	got := r.Events()
-	if len(got) != 10 {
-		t.Fatalf("Len after reuse = %d, want 10", len(got))
-	}
-	for i, e := range got {
-		if e.Kind != KindReceive || e.Node != 100+i {
-			t.Errorf("event %d = %+v, want KindReceive node %d", i, e, 100+i)
-		}
+	e = Event{At: 3 * time.Second, Kind: KindTimerRestart, Node: 4, Peer: -1, Dest: -1, Value: int(time.Second)}
+	if !strings.Contains(e.String(), "mrai=1s") {
+		t.Error(e.String())
 	}
 }
